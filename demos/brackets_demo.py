@@ -13,7 +13,6 @@ from kronset import (
     alpha,
     alpha_n,
     best_point,
-    kappa_variants,
 )
 
 # --- a two-element set in Z -------------------------------------------------
@@ -28,7 +27,7 @@ print("error bracket:", (bracket.lower, bracket.upper))
 res = alpha(E)
 print("alpha({1,2}) bracket:", (res.alpha.lower, res.alpha.upper))
 print("   expected pi/3 =", math.pi / 3)
-print("kappa bracket:", kappa_variants(res))
+print("kappa bracket:", res.kappa)
 
 # --- roots-grid variants ----------------------------------------------------
 # Restricting targets to the n-th-roots grid gives the graded constants;

@@ -19,7 +19,6 @@ from .engine import (
     approx_error,
     best_point,
     grid_cap,
-    kappa_variants,
 )
 from .errors import BudgetExceededError, GroupMismatchError, KronsetError, SetSpecError
 from .groups import (
@@ -54,7 +53,6 @@ __all__ = [
     "grid_cap",
     "GroupMismatchError",
     "GroupSpec",
-    "kappa_variants",
     "KroneckerResult",
     "KronsetError",
     "SetSpecError",

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import BudgetExceededError
 
 TWO_PI = 2.0 * math.pi
+BOX_INIT_CELLS = 4  # per free axis, in min_error_box's first grid
 
 
 def _dist_array(x: np.ndarray) -> np.ndarray:
@@ -89,8 +90,7 @@ def min_error_circle(slopes: np.ndarray, psi: np.ndarray, budget):
     return theta, max(0.0, lower), upper
 
 
-def min_error_box(free_matrix: np.ndarray, psi: np.ndarray, tol: float,
-                  budget, init_cells: int = 1):
+def min_error_box(free_matrix: np.ndarray, psi: np.ndarray, tol: float, budget):
     """Lipschitz-certified bracket for the minimum over the torus power.
 
     free_matrix is the (m x r) integer matrix of free coordinates; the
@@ -110,8 +110,7 @@ def min_error_box(free_matrix: np.ndarray, psi: np.ndarray, tol: float,
     counter = itertools.count()
     heap = []
     best_val, best_theta = math.inf, None
-    cells = max(1, init_cells)
-    steps = [cells if lip[j] > 0 else 1 for j in range(r)]
+    steps = [BOX_INIT_CELLS if lip[j] > 0 else 1 for j in range(r)]
     for corner in itertools.product(*[range(s) for s in steps]):
         lo = np.array([TWO_PI * c / s for c, s in zip(corner, steps)])
         width = np.array([TWO_PI / s for s in steps])

@@ -238,11 +238,11 @@ def _base_report(command: str, args, input_fields: dict) -> dict:
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
-def _cmd_alpha(args, command: str) -> tuple[int, dict]:
+def _cmd_alpha(args) -> tuple[int, dict]:
     group, chars = parse_set_spec(args.set)
     res = alpha(chars, tol=args.tol, budget=args.budget, threads=args.threads,
                 max_order=args.max_order)
-    report = _base_report(command, args, {
+    report = _base_report(args.command, args, {
         "set": args.set, **_set_json(group, chars),
         "tol": args.tol, "budget": args.budget, "max_order": args.max_order,
     })
@@ -455,8 +455,6 @@ def _add_common(p: argparse.ArgumentParser, with_set=True) -> None:
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for randomized sweeps (core computations are deterministic)")
     p.add_argument("--pretty", action="store_true")
     p.add_argument("--no-timestamp", action="store_true")
 
@@ -510,26 +508,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_COMMANDS = {
+    "alpha": _cmd_alpha, "kappa": _cmd_alpha, "alpha-n": _cmd_alpha_n,
+    "net": _cmd_net, "quasi": _cmd_quasi, "b2": _cmd_b2,
+    "classify": _cmd_classify, "gallery": _cmd_gallery,
+}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command in ("alpha", "kappa"):
-            code, report = _cmd_alpha(args, args.command)
-        elif args.command == "alpha-n":
-            code, report = _cmd_alpha_n(args)
-        elif args.command == "net":
-            code, report = _cmd_net(args)
-        elif args.command == "quasi":
-            code, report = _cmd_quasi(args)
-        elif args.command == "b2":
-            code, report = _cmd_b2(args)
-        elif args.command == "classify":
-            code, report = _cmd_classify(args)
-        elif args.command == "gallery":
-            code, report = _cmd_gallery(args)
-        else:  # pragma: no cover - argparse enforces choices
-            raise SetSpecError(f"unknown command {args.command!r}")
+        code, report = _COMMANDS[args.command](args)
     except (SetSpecError, GroupMismatchError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -14,6 +14,7 @@ universal farthest-root cap, or the grid-rounding bound.
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from collections import deque
@@ -40,6 +41,8 @@ DEFAULT_TOL = 1e-3
 DEFAULT_BUDGET = 10**8
 #: largest roots-grid order the continuous-constant ladder will climb to
 LADDER_MAX_ORDER = 1 << 13
+#: most targets one process-pool task solves ahead of the scan
+MAX_RUN = 16
 
 
 class Budget:
@@ -167,11 +170,6 @@ class KroneckerResult:
         return self.alpha.chordal()
 
 
-def kappa_variants(result: KroneckerResult) -> tuple[float, float]:
-    """Chordal bracket 2*sin(alpha/2) derived from an angular result."""
-    return result.kappa
-
-
 # ---------------------------------------------------------------------------
 # cached per-set arrays
 # ---------------------------------------------------------------------------
@@ -208,9 +206,6 @@ class _SetData:
             return iter([()])
         return itertools.product(*[range(m) for m in self.orders])
 
-    def selection_count(self) -> int:
-        return math.prod(self.orders) if self.s else 1
-
     def point_args(self, point: DualPoint) -> np.ndarray:
         """arg gamma(point) for every character, vectorized."""
         args = np.zeros(self.m)
@@ -240,7 +235,7 @@ def approx_error(chars: CharacterSet, phi: TargetMap, x: DualPoint) -> float:
 # ---------------------------------------------------------------------------
 
 def _solve_target(data: _SetData, angles: np.ndarray, grid, tol: float,
-                  budget: Budget, box_cells: int = 4):
+                  budget: Budget):
     """Bracket inf over the dual of the worst-coordinate error for one target.
 
     `grid` is (n, indices) when the target lies on the n-th-roots grid,
@@ -277,8 +272,7 @@ def _solve_target(data: _SetData, angles: np.ndarray, grid, tol: float,
             theta, lo, up = min_error_circle(data.slopes, psi, budget)
             theta_vec = (theta,)
         else:
-            theta_arr, lo, up = min_error_box(data.free, psi, tol, budget,
-                                              init_cells=box_cells)
+            theta_arr, lo, up = min_error_box(data.free, psi, tol, budget)
             theta_vec = tuple(float(t) for t in theta_arr)
         lower = min(lower, lo)
         if best is None or up < best[0]:
@@ -288,7 +282,7 @@ def _solve_target(data: _SetData, angles: np.ndarray, grid, tol: float,
 
 
 def best_point(chars: CharacterSet, phi: TargetMap, tol: float = DEFAULT_TOL,
-               budget: int = DEFAULT_BUDGET, box_cells: int = 4):
+               budget: int = DEFAULT_BUDGET):
     """Dual point nearly minimizing the error for one target, with a bracket.
 
     The bracket encloses the true infimum over the whole dual group; its
@@ -301,9 +295,7 @@ def best_point(chars: CharacterSet, phi: TargetMap, tol: float = DEFAULT_TOL,
     data = _set_data(chars)
     b = Budget(budget)
     grid = (phi.roots_order, phi.grid_indices) if phi.roots_order else None
-    lower, upper, point, exact = _solve_target(
-        data, np.asarray(phi.angles), grid, tol, b, box_cells
-    )
+    lower, upper, point, exact = _solve_target(data, np.asarray(phi.angles), grid, tol, b)
     attained = approx_error(chars, phi, point)
     bracket = ErrorBracket(min(lower, attained), attained, exact)
     if bracket.width > tol + ANGLE_ATOL:
@@ -390,9 +382,13 @@ class _Incumbent:
     exact: Fraction | None
 
 
-def _scan_targets(data: _SetData, n: int, idx_iter, tol: float, budget: Budget,
-                  cap: float, stats: WorkStats, best: _Incumbent | None = None):
-    """Solve targets from idx_iter, keeping the incumbent worst target.
+def _scan_targets(data: _SetData, n: int, items, tol: float, budget: Budget,
+                  cap: float, stats: WorkStats):
+    """Solve targets in scan order, keeping the incumbent worst target.
+
+    items yields (indices, solved): a (solution, cost) pair solved ahead by
+    a pool is used only if the cost fits in the remaining budget, else the
+    target is solved here, so charges and stops match a run without a pool.
 
     Returns (best, global_hi, status) where status is 'capped' when the
     incumbent reached the universal cap, 'done' when the iterator was
@@ -401,9 +397,10 @@ def _scan_targets(data: _SetData, n: int, idx_iter, tol: float, budget: Budget,
     step = TWO_PI / n
     probe_args = deque(maxlen=4)
     probe_args.append(np.zeros(data.m))  # identity of the dual group
+    best = None
     global_hi = 0.0
     status = "done"
-    for indices in idx_iter:
+    for indices, solved in items:
         angles = np.array(indices, dtype=np.float64) * step
         try:
             if best is not None:
@@ -417,12 +414,15 @@ def _scan_targets(data: _SetData, n: int, idx_iter, tol: float, budget: Budget,
                 if pruned:
                     stats.targets_pruned += 1
                     continue
-            lower, upper, point, exact = _solve_target(
-                data, angles, (n, tuple(indices)), tol, budget
-            )
+            if solved is not None and solved[1] <= budget.remaining:
+                solution, cost = solved
+                budget.charge(cost)
+            else:
+                solution = _solve_target(data, angles, (n, tuple(indices)), tol, budget)
         except BudgetExceededError:
             status = "budget"
             break
+        lower, upper, point, exact = solution
         stats.targets_enumerated += 1
         global_hi = max(global_hi, upper)
         if best is None or lower > best.lower:
@@ -434,16 +434,44 @@ def _scan_targets(data: _SetData, n: int, idx_iter, tol: float, budget: Budget,
     return best, global_hi, status
 
 
-def _alpha_n_chunk(args):
-    """Process-pool worker: scan one slice of canonical targets."""
-    chars, n, chunk, tol, budget_limit = args
+def _solve_run(chars: CharacterSet, n: int, tol: float, limit: int, run):
+    """Process-pool worker: (solution, budget units charged) per target of a
+    run, stopping before the first target that takes the run past `limit`."""
     data = _set_data(chars)
-    budget = Budget(budget_limit)
-    stats = WorkStats()
-    best, global_hi, status = _scan_targets(
-        data, n, iter(chunk), tol, budget, grid_cap(n), stats
-    )
-    return best, global_hi, status, stats.targets_enumerated, stats.targets_pruned, budget.used
+    budget = Budget(limit)
+    solved = []
+    for indices in run:
+        used = budget.used
+        angles = np.array(indices, dtype=np.float64) * (TWO_PI / n)
+        try:
+            solution = _solve_target(data, angles, (n, indices), tol, budget)
+        except BudgetExceededError:
+            break
+        solved.append((solution, budget.used - used))
+    return solved
+
+
+def _solved_ahead(chars: CharacterSet, n: int, tol: float, budget: Budget,
+                  idx_iter, threads: int):
+    """Yield (indices, solved) in idx_iter order, solved being the (solution,
+    cost) a pool of `threads` workers found, or None.  At most 2*threads runs
+    are in flight, each capped by the budget left when submitted; runs double
+    from one target up to MAX_RUN, so short scans still use every worker."""
+    in_flight = deque()
+    size = 1
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        while True:
+            while len(in_flight) < 2 * threads:
+                run = list(itertools.islice(idx_iter, size))
+                if not run:
+                    break
+                in_flight.append((run, pool.submit(_solve_run, chars, n, tol,
+                                                   budget.remaining, run)))
+                size = min(2 * size, MAX_RUN)
+            if not in_flight:
+                return
+            run, future = in_flight.popleft()
+            yield from itertools.zip_longest(run, future.result())
 
 
 def alpha_n(chars: CharacterSet, n: int, tol: float = DEFAULT_TOL,
@@ -458,9 +486,15 @@ def alpha_n(chars: CharacterSet, n: int, tol: float = DEFAULT_TOL,
     bounds monotone.  If the budget runs out a partial result is returned
     with certified=False: its lower end is still sound, the upper end falls
     back to the universal cap.
+
+    threads > 1 starts worker processes that solve targets ahead of the one
+    scan; every field of the result, work counters included, is the same for
+    any thread count.
     """
     if n < 2:
         raise ValueError("roots grid order must be >= 2")
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     data = _set_data(chars)
     cap = grid_cap(n)
     shifts = _symmetry_shifts(data, n)
@@ -476,36 +510,14 @@ def alpha_n(chars: CharacterSet, n: int, tol: float = DEFAULT_TOL,
         if len(seed) != data.m:
             raise ValueError("seed target has wrong number of entries")
 
+    budget_obj = Budget(budget)
+    idx_iter = itertools.chain(seeds, _canonical_targets(data.m, n, transforms))
+    items = ((indices, None) for indices in idx_iter)
     if threads > 1:
-        targets = seeds + list(_canonical_targets(data.m, n, transforms))
-        chunks = [targets[i::threads] for i in range(threads)]
-        share = budget // threads
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_alpha_n_chunk,
-                                  [(chars, n, c, tol, share) for c in chunks]))
-        best, global_hi, capped, exhausted = None, 0.0, False, True
-        for part_best, part_hi, part_status, enum, pruned, used in parts:
-            stats.targets_enumerated += enum
-            stats.targets_pruned += pruned
-            stats.inner_evals += used
-            global_hi = max(global_hi, part_hi)
-            capped = capped or part_status == "capped"
-            exhausted = exhausted and part_status != "budget"
-            if part_best is not None and (
-                best is None
-                or part_best.lower > best.lower + ANGLE_ATOL
-                or (abs(part_best.lower - best.lower) <= ANGLE_ATOL
-                    and part_best.indices < best.indices)
-            ):
-                best = part_best
-        status = "capped" if capped else ("done" if exhausted else "budget")
-    else:
-        budget_obj = Budget(budget)
-        idx_iter = itertools.chain(seeds, _canonical_targets(data.m, n, transforms))
-        best, global_hi, status = _scan_targets(
-            data, n, idx_iter, tol, budget_obj, cap, stats
-        )
-        stats.inner_evals = budget_obj.used
+        items = _solved_ahead(chars, n, tol, budget_obj, idx_iter, threads)
+    with contextlib.closing(items):
+        best, global_hi, status = _scan_targets(data, n, items, tol, budget_obj, cap, stats)
+    stats.inner_evals = budget_obj.used
 
     if best is None:
         bracket = ErrorBracket(0.0, cap)

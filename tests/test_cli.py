@@ -85,8 +85,10 @@ class TestSubcommands:
         assert rep["result"]["kappa"]["lower"] == 2.0
 
     def test_invalid_input_exit_2(self, capsys):
-        code = main(["alpha", "--set", "Z : bogus", "--no-timestamp"])
-        assert code == 2
+        for argv in (["alpha", "--set", "Z : bogus"],
+                     ["alpha", "--set", "Z : [1],[2]", "--threads", "0"],
+                     ["alpha-n", "--set", "Z : [1],[2]", "--n", "3", "--threads", "-3"]):
+            assert main(argv + ["--no-timestamp"]) == 2, argv
 
     def test_resource_exit_3(self, capsys):
         code = main(["net", "--set", "Z : [1]", "--grid-cells", "100",

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -17,7 +18,6 @@ from kronset import (
     approx_error,
     best_point,
     grid_cap,
-    kappa_variants,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -32,6 +32,17 @@ def z2cube_set():
 def z2cube_flip_target(chars, n=2):
     idx = [1 if c.torsion_coords == (1, 0, 1) else 0 for c in chars]
     return TargetMap.from_grid(chars, n, idx)
+
+
+def random_group_set(rng, group, zero=False):
+    """2-3 random distinct characters of a small group, optionally with 0."""
+    def draw():
+        return Character(group, [rng.randint(-3, 3) for _ in range(group.free_rank)],
+                         [rng.randrange(m) for m in group.torsion_orders])
+    elements = {draw().coords: None for _ in range(rng.randint(2, 3))}
+    if zero:
+        elements[group.zero_character().coords] = None
+    return CharacterSet(group, tuple(Character(group, *c) for c in elements))
 
 
 def random_int_set(rng, max_size=3, max_entry=10):
@@ -230,12 +241,32 @@ class TestAlphaN:
         assert res.alpha.upper == math.pi  # even-n fallback cap
 
     def test_thread_pool_matches_serial(self):
-        E = CharacterSet.of_integers([1, 2, 3])
-        r1 = alpha_n(E, 8)
-        r2 = alpha_n(E, 8, threads=2)
-        assert r1.alpha.lower == r2.alpha.lower
-        assert r1.alpha.upper == r2.alpha.upper
-        assert r1.worst_target.grid_indices == r2.worst_target.grid_indices
+        # the whole result, work counters included, must not depend on the
+        # thread count: plain, seeded, capped and budget-limited scans
+        rng = random.Random(61)
+        orders = itertools.cycle((3, 4, 5, 8))
+        groups = [GroupSpec(1), GroupSpec(2), GroupSpec(1, (2,)),
+                  GroupSpec(0, (12,)), GroupSpec(0, (5, 5))]
+        cases = [(CharacterSet.of_integers([0, 1]), 2, {"seed_targets": [(1, 1)]}, 3)]
+        for g in groups:
+            # with a zero character the box solver (free rank 2) must refine
+            # the whole torus down to tol, which takes minutes
+            modes = ("plain", "seeded", "budget") + (("capped",) if g.free_rank < 2 else ())
+            for mode in modes:
+                E = random_group_set(rng, g, zero=mode == "capped")
+                n = next(orders)
+                kw = {"tol": 1e-2}
+                if mode == "seeded":
+                    kw["seed_targets"] = [[rng.randrange(n) for _ in E] for _ in range(2)]
+                if mode == "budget":
+                    kw["budget"] = rng.randint(1, alpha_n(E, n, **kw).work.inner_evals - 1)
+                cases.append((E, n, kw, 2))
+        for E, n, kw, threads in cases:
+            serial = alpha_n(E, n, **kw)
+            assert alpha_n(E, n, threads=threads, **kw) == serial, (E, n, kw)
+            assert serial.work.budget_exhausted == ("budget" in kw)
+        E = CharacterSet.of_integers([1, 3])
+        assert alpha(E, tol=1e-2, threads=2) == alpha(E, tol=1e-2)
 
     def test_seed_targets_raise_lower_bound(self):
         E = CharacterSet.of_integers([-2, 1, 4])
@@ -295,7 +326,7 @@ class TestAlphaLadder:
 
     def test_kappa_variants_order_preserved(self):
         res = alpha(CharacterSet.of_integers([1, 2]))
-        lo, hi = kappa_variants(res)
+        lo, hi = res.kappa
         assert lo <= hi
         assert lo == pytest.approx(2 * math.sin(res.alpha.lower / 2), abs=1e-15)
         assert hi == pytest.approx(2 * math.sin(res.alpha.upper / 2), abs=1e-15)
