@@ -94,18 +94,23 @@ def min_error_box(free_matrix: np.ndarray, psi: np.ndarray, tol: float, budget):
     """Lipschitz-certified bracket for the minimum over the torus power.
 
     free_matrix is the (m x r) integer matrix of free coordinates; the
-    objective is Lipschitz in coordinate j with constant max_k |A_kj|.
-    Splits boxes until incumbent - global lower bound <= tol, charging m
-    evaluations per probed centre.
+    objective is Lipschitz in coordinate j with constant max_k |A_kj|, and
+    never below the constant error of its all-zero rows.  Splits boxes until
+    incumbent - global lower bound <= tol, charging m evaluations per probed
+    centre.
     """
     m, r = free_matrix.shape
     lip = np.abs(free_matrix).max(axis=0).astype(np.float64)
+    zero_rows = ~free_matrix.any(axis=1)
+    # all-zero rows put a constant floor under the objective everywhere
+    floor = float(_dist_array(psi[zero_rows]).max()) if zero_rows.any() else None
 
     def value(theta: np.ndarray) -> float:
         return float(_dist_array(free_matrix @ theta - psi).max())
 
     def bound(val: float, width: np.ndarray) -> float:
-        return val - 0.5 * float(lip @ width)
+        lb = val - 0.5 * float(lip @ width)
+        return lb if floor is None else max(lb, floor)
 
     counter = itertools.count()
     heap = []

@@ -175,12 +175,13 @@ def _result_json(res: KroneckerResult) -> dict:
             "targets_pruned": res.work.targets_pruned,
             "inner_evals": res.work.inner_evals,
             "budget_exhausted": res.work.budget_exhausted,
+            "stop_reason": res.work.stop_reason,
         },
     }
     if res.work.ladder:
         out["work"]["ladder"] = [
-            {"n": n, "lower": lo, "upper": hi, "certified": cert}
-            for n, lo, hi, cert in res.work.ladder
+            {"n": n, "lower": lo, "upper": hi, "completed": done}
+            for n, lo, hi, done in res.work.ladder
         ]
     if res.worst_target is not None and res.witness_point is not None:
         out["witness_error"] = approx_error(res.chars, res.worst_target,

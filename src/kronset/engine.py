@@ -7,10 +7,11 @@ worst-case best approximation errors
         max_{gamma in E} dist(phi(gamma), arg gamma(x))
 
 with targets ranging either over maps into the n-th-roots angle grid
-(`alpha_n`) or over all angle-valued maps (`alpha`, bracketed through the
-grid ladder).  Every returned bracket is two-sided and sound: lower ends
-come from solved targets, upper ends from exhaustive enumeration, the
-universal farthest-root cap, or the grid-rounding bound.
+(`alpha_n`) or over all angle-valued maps (`alpha`, bracketed by refining
+grid cells of the target torus).  Every returned bracket is two-sided and
+sound: lower ends come from solved targets, upper ends from exhaustive
+enumeration, the universal farthest-root cap, or the cell bound
+value(t) + pi/n over order-n cells that cover the target torus.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ import itertools
 import math
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -39,10 +40,12 @@ from .groups import (
 
 DEFAULT_TOL = 1e-3
 DEFAULT_BUDGET = 10**8
-#: largest roots-grid order the continuous-constant ladder will climb to
+#: largest roots-grid order the continuous-constant refinement will reach
 LADDER_MAX_ORDER = 1 << 13
 #: most targets one process-pool task solves ahead of the scan
 MAX_RUN = 16
+#: open cells split per batch of refined children
+PARENT_BATCH = 8
 
 
 class Budget:
@@ -150,6 +153,8 @@ class WorkStats:
     targets_pruned: int = 0
     inner_evals: int = 0
     budget_exhausted: bool = False
+    #: why the scan stopped: 'done', 'capped', 'budget' or (alpha) 'max_order'
+    stop_reason: str = "done"
     ladder: tuple = ()
 
 
@@ -373,46 +378,142 @@ def _canonical_targets(m: int, n: int, transforms):
     yield from rec(0, transforms)
 
 
+def _canonical_iter(data: _SetData, n: int):
+    """One order-n target per orbit under translation and negation."""
+    transforms = [
+        (s, sh) for s in (1, -1) for sh in _symmetry_shifts(data, n)
+        if not (s == 1 and not any(sh))
+    ]
+    # large first coordinates violate canonicity earliest, so scanning them
+    # first keeps the enumeration's per-node cost near constant
+    transforms.sort(key=lambda t: t[1], reverse=True)
+    return _canonical_targets(data.m, n, transforms)
+
+
+def _shift_basis(data: _SetData, n: int) -> list:
+    """Echelon basis of the order-n shift group H of `_symmetry_shifts`: the
+    d-th row is an element with zeros before coordinate d and the least
+    positive coordinate d among such elements (None if they all have 0)."""
+    group = np.array(_symmetry_shifts(data, n), dtype=np.int64).reshape(-1, data.m)
+    basis = []
+    for d in range(data.m):
+        col = np.where(group[:, d] > 0, group[:, d], n)
+        basis.append(group[col.argmin()] if col.min() < n else None)
+        group = group[group[:, d] == 0]
+    return basis
+
+
+def _orbit_reps(cells: np.ndarray, basis: list, n: int) -> np.ndarray:
+    """Lexicographically least image of each row of `cells` under the order-n
+    target transforms v -> +-v + h, h in the group with echelon `basis`."""
+    k = len(cells)
+    both = np.concatenate([cells, -cells % n])
+    # subtracting multiples of the d-th basis row takes coordinate d to its
+    # least value and keeps the earlier coordinates
+    for d, h in enumerate(basis):
+        if h is not None:
+            both = (both - (both[:, d] // h[d])[:, None] * h) % n
+    plus, minus = both[:k], both[k:]
+    first = (plus != minus).argmax(axis=1)
+    rows = np.arange(k)
+    take = minus[rows, first] < plus[rows, first]
+    return np.where(take[:, None], minus, plus)
+
+
+def _orbit_key(row, n: int) -> int:
+    """Integer key of an order-n index row (its digits in base n)."""
+    key = 0
+    for c in row:
+        key = key * n + c
+    return key
+
+
+def _children(parents: np.ndarray, basis: list, n: int, seen: set):
+    """Order-n targets 2t + d, d in {-1, 0, 1}^m other than 0, whose cells of
+    radius pi/n cover the order-n/2 cells of the rows t of `parents`: one
+    orbit representative each, skipping orbits whose key is in `seen`."""
+    m = parents.shape[1]
+    offsets = np.array([d for d in itertools.product((-1, 0, 1), repeat=m) if any(d)],
+                       dtype=np.int64)
+    for start in range(0, len(parents), PARENT_BATCH):
+        batch = parents[start:start + PARENT_BATCH]
+        kids = (2 * batch[:, None, :] + offsets).reshape(-1, m) % n
+        for row in _orbit_reps(kids, basis, n).tolist():
+            key = _orbit_key(row, n)
+            if key not in seen:
+                seen.add(key)
+                yield tuple(row)
+
+
 @dataclass
 class _Incumbent:
     lower: float
     upper: float
+    order: int
     indices: tuple[int, ...]
     point: DualPoint
     exact: Fraction | None
 
 
-def _scan_targets(data: _SetData, n: int, items, tol: float, budget: Budget,
-                  cap: float, stats: WorkStats):
-    """Solve targets in scan order, keeping the incumbent worst target.
+@dataclass
+class _Scan:
+    """What the scans of one computation share: the incumbent worst target,
+    the last few witness points used as probes, the budget, the work
+    counters and the pool of `threads` workers, if any, that solves targets
+    ahead.  `tol` is the inner-solve tolerance and the cap-exit margin."""
+
+    data: _SetData
+    tol: float
+    budget: Budget
+    pool: ProcessPoolExecutor | None = None
+    threads: int = 1
+    stats: WorkStats = field(default_factory=WorkStats)
+    best: _Incumbent | None = None
+    probe_args: deque = field(init=False)
+
+    def __post_init__(self):
+        # the identity of the dual group is the first probe
+        self.probe_args = deque([np.zeros(self.data.m)], maxlen=4)
+
+
+def _scan_targets(scan: _Scan, n: int, items, cap: float, radius: float = 0.0,
+                  slack: float = 0.0, opened: list | None = None):
+    """Solve order-n targets in scan order, keeping the incumbent worst target.
+
+    Each target stands for the cell of targets within `radius` of it in
+    every coordinate.  The inner minimum is 1-Lipschitz in the target, so
+    value + radius bounds the whole cell; the cell closes once that bound is
+    within `slack` of the incumbent's lower end.  A probe point's error is a
+    value bound that closes a cell without solving it (a pruned target).
+    Solved cells that stay open are appended to `opened` as (indices, upper).
 
     items yields (indices, solved): a (solution, cost) pair solved ahead by
     a pool is used only if the cost fits in the remaining budget, else the
     target is solved here, so charges and stops match a run without a pool.
 
-    Returns (best, global_hi, status) where status is 'capped' when the
-    incumbent reached the universal cap, 'done' when the iterator was
-    exhausted, and 'budget' when the work limit was hit.
+    Returns (closed_hi, open_hi, status): the largest bound over closed and
+    over open cells, and 'capped' when the incumbent reached `cap`, 'done'
+    when the iterator was exhausted, 'budget' when the work limit was hit.
     """
+    data, budget, stats, tol = scan.data, scan.budget, scan.stats, scan.tol
+    best = scan.best
     step = TWO_PI / n
-    probe_args = deque(maxlen=4)
-    probe_args.append(np.zeros(data.m))  # identity of the dual group
-    best = None
-    global_hi = 0.0
+    closed_hi = open_hi = 0.0
     status = "done"
     for indices, solved in items:
         angles = np.array(indices, dtype=np.float64) * step
         try:
             if best is not None:
-                # a cheap upper bound at probe points can rule the target out
-                pruned = False
-                for args in probe_args:
+                probed = None
+                for args in scan.probe_args:
                     budget.charge(data.m)
-                    if float(_dist_array(angles - args).max()) <= best.lower:
-                        pruned = True
+                    bound = float(_dist_array(angles - args).max()) + radius
+                    if bound - best.lower <= slack:
+                        probed = bound
                         break
-                if pruned:
+                if probed is not None:
                     stats.targets_pruned += 1
+                    closed_hi = max(closed_hi, probed)
                     continue
             if solved is not None and solved[1] <= budget.remaining:
                 solution, cost = solved
@@ -424,14 +525,20 @@ def _scan_targets(data: _SetData, n: int, items, tol: float, budget: Budget,
             break
         lower, upper, point, exact = solution
         stats.targets_enumerated += 1
-        global_hi = max(global_hi, upper)
         if best is None or lower > best.lower:
-            best = _Incumbent(lower, upper, tuple(indices), point, exact)
-            probe_args.append(data.point_args(point))
+            scan.best = best = _Incumbent(lower, upper, n, tuple(indices), point, exact)
+            scan.probe_args.append(data.point_args(point))
+        bound = upper + radius
+        if bound - best.lower <= slack:
+            closed_hi = max(closed_hi, bound)
+        else:
+            open_hi = max(open_hi, bound)
+            if opened is not None:
+                opened.append((tuple(indices), upper))
         if best.lower >= cap - tol:
             status = "capped"
             break
-    return best, global_hi, status
+    return closed_hi, open_hi, status
 
 
 def _solve_run(chars: CharacterSet, n: int, tol: float, limit: int, run):
@@ -451,27 +558,41 @@ def _solve_run(chars: CharacterSet, n: int, tol: float, limit: int, run):
     return solved
 
 
-def _solved_ahead(chars: CharacterSet, n: int, tol: float, budget: Budget,
-                  idx_iter, threads: int):
+def _solved_ahead(scan: _Scan, n: int, idx_iter):
     """Yield (indices, solved) in idx_iter order, solved being the (solution,
-    cost) a pool of `threads` workers found, or None.  At most 2*threads runs
-    are in flight, each capped by the budget left when submitted; runs double
-    from one target up to MAX_RUN, so short scans still use every worker."""
+    cost) the scan's pool found, or None.  At most 2*threads runs are in
+    flight, each capped by the budget left when submitted; runs double from
+    one target up to MAX_RUN, so short scans still use every worker."""
     in_flight = deque()
     size = 1
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        while True:
-            while len(in_flight) < 2 * threads:
-                run = list(itertools.islice(idx_iter, size))
-                if not run:
-                    break
-                in_flight.append((run, pool.submit(_solve_run, chars, n, tol,
-                                                   budget.remaining, run)))
-                size = min(2 * size, MAX_RUN)
-            if not in_flight:
-                return
-            run, future = in_flight.popleft()
-            yield from itertools.zip_longest(run, future.result())
+    while True:
+        while len(in_flight) < 2 * scan.threads:
+            run = list(itertools.islice(idx_iter, size))
+            if not run:
+                break
+            in_flight.append((run, scan.pool.submit(
+                _solve_run, scan.data.chars, n, scan.tol, scan.budget.remaining, run)))
+            size = min(2 * size, MAX_RUN)
+        if not in_flight:
+            return
+        run, future = in_flight.popleft()
+        yield from itertools.zip_longest(run, future.result())
+
+
+def _scan_items(scan: _Scan, n: int, idx_iter):
+    """(indices, solved) pairs for `_scan_targets`, solved ahead by the
+    scan's pool if it has one."""
+    if scan.pool is not None:
+        return _solved_ahead(scan, n, idx_iter)
+    return ((indices, None) for indices in idx_iter)
+
+
+def _pool(threads: int):
+    """Worker processes for a computation with `threads` > 1 (none for one
+    thread); ValueError for threads < 1."""
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
+    return ProcessPoolExecutor(max_workers=threads) if threads > 1 else contextlib.nullcontext()
 
 
 def alpha_n(chars: CharacterSet, n: int, tol: float = DEFAULT_TOL,
@@ -493,31 +614,20 @@ def alpha_n(chars: CharacterSet, n: int, tol: float = DEFAULT_TOL,
     """
     if n < 2:
         raise ValueError("roots grid order must be >= 2")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
     data = _set_data(chars)
     cap = grid_cap(n)
-    shifts = _symmetry_shifts(data, n)
-    transforms = [
-        (s, sh) for s in (1, -1) for sh in shifts if not (s == 1 and not any(sh))
-    ]
-    # large first coordinates violate canonicity earliest, so scanning them
-    # first keeps the enumeration's per-node cost near constant
-    transforms.sort(key=lambda t: t[1], reverse=True)
-    stats = WorkStats()
     seeds = [tuple(int(j) % n for j in seed) for seed in seed_targets]
     for seed in seeds:
         if len(seed) != data.m:
             raise ValueError("seed target has wrong number of entries")
 
-    budget_obj = Budget(budget)
-    idx_iter = itertools.chain(seeds, _canonical_targets(data.m, n, transforms))
-    items = ((indices, None) for indices in idx_iter)
-    if threads > 1:
-        items = _solved_ahead(chars, n, tol, budget_obj, idx_iter, threads)
-    with contextlib.closing(items):
-        best, global_hi, status = _scan_targets(data, n, items, tol, budget_obj, cap, stats)
-    stats.inner_evals = budget_obj.used
+    idx_iter = itertools.chain(seeds, _canonical_iter(data, n))
+    with _pool(threads) as pool:
+        scan = _Scan(data, tol, Budget(budget), pool, threads)
+        with contextlib.closing(_scan_items(scan, n, idx_iter)) as items:
+            closed_hi, open_hi, status = _scan_targets(scan, n, items, cap)
+    best, stats = scan.best, scan.stats
+    stats.inner_evals = scan.budget.used
 
     if best is None:
         bracket = ErrorBracket(0.0, cap)
@@ -530,6 +640,7 @@ def alpha_n(chars: CharacterSet, n: int, tol: float = DEFAULT_TOL,
             bracket = ErrorBracket(best.lower, cap, _cap_turns(n, best.exact))
             certified = True
         elif status == "done":
+            global_hi = max(closed_hi, open_hi)
             bracket = ErrorBracket(best.lower, min(max(global_hi, best.lower), cap),
                                    best.exact)
             certified = True
@@ -537,6 +648,7 @@ def alpha_n(chars: CharacterSet, n: int, tol: float = DEFAULT_TOL,
             bracket = ErrorBracket(best.lower, cap)
             certified = False
     stats.budget_exhausted = status == "budget"
+    stats.stop_reason = status
     return KroneckerResult(chars, bracket, n, worst, witness, stats, certified)
 
 
@@ -552,55 +664,91 @@ def alpha(chars: CharacterSet, tol: float = DEFAULT_TOL, budget: int = DEFAULT_B
           threads: int = 1, max_order: int = LADDER_MAX_ORDER) -> KroneckerResult:
     """Certified bracket for the continuous-target interpolation constant.
 
-    Climbs the doubling ladder of roots-grid orders: rounding a continuous
-    target to the n-grid moves every coordinate by at most pi/n, so the
-    grid constant brackets the continuous one within [value_n, value_n +
-    pi/n].  Stops when the requested width is reached, the ladder limit is
-    hit, or the budget is spent; the last two return certified=False with
-    the narrowest bracket found so far.
+    Lipschitz refinement of cells over the target torus, one level per
+    roots-grid order n = 2, 4, 8, ...: an order-n target t stands for the
+    cell of continuous targets within pi/n of it in every coordinate, and
+    the inner minimum is 1-Lipschitz in the target, so value(t) + pi/n
+    bounds the cell.  Level 2 scans every order-2 orbit; a cell whose bound
+    is within tol of the incumbent lower end closes, and each open cell is
+    split into the order-2n cells around 2t + {-1, 0, 1}^m, one target per
+    orbit under translation and negation.  The upper end is the least, over
+    completed levels, of the largest bound over all cells.  Stops certified
+    once the bracket is tol wide, uncertified when the next level would
+    pass max_order or the budget runs out (see work.stop_reason); each
+    work.ladder entry is (n, lower, upper, level completed).
     """
-    lower, upper = 0.0, math.pi
-    remaining = int(budget)
-    ladder = []
-    best_rung = None
-    certified = False
-    stats = WorkStats()
-    n = 2
-    while True:
-        rung = alpha_n(chars, n, tol=tol / 2, budget=remaining, threads=threads)
-        remaining -= rung.work.inner_evals
-        stats.inner_evals += rung.work.inner_evals
-        stats.targets_enumerated += rung.work.targets_enumerated
-        stats.targets_pruned += rung.work.targets_pruned
-        if best_rung is None or rung.alpha.lower >= lower:
-            best_rung = rung
-        lower = max(lower, rung.alpha.lower)
-        if rung.certified:
-            upper = min(upper, rung.alpha.upper + math.pi / n)
-        upper = max(lower, min(upper, math.pi))
-        ladder.append((n, rung.alpha.lower, rung.alpha.upper, rung.certified))
-        if upper - lower <= tol:
-            certified = True
-            break
-        if not rung.certified or 2 * n > max_order or remaining <= 0:
-            break
-        n *= 2
+    with _pool(threads) as pool:
+        scan = _Scan(_set_data(chars), tol / 2, Budget(budget), pool, threads)
+        upper, lower, ladder, reason = _refine(scan, tol, max_order)
+    best, stats = scan.best, scan.stats
+    stats.inner_evals = scan.budget.used
+    stats.budget_exhausted = reason == "budget"
+    stats.stop_reason = reason
     stats.ladder = tuple(ladder)
-    stats.budget_exhausted = not certified and remaining <= 0
-    exact = None
-    if (
-        best_rung is not None
-        and best_rung.alpha.exact_turns is not None
-        and upper == lower
-    ):
-        exact = best_rung.alpha.exact_turns
-    bracket = ErrorBracket(lower, upper, exact)
-    return KroneckerResult(
-        chars,
-        bracket,
-        None,
-        best_rung.worst_target if best_rung else None,
-        best_rung.witness_point if best_rung else None,
-        stats,
-        certified,
-    )
+    certified = reason in ("done", "capped")
+    if best is None:
+        return KroneckerResult(chars, ErrorBracket(0.0, upper), None, None, None,
+                               stats, False)
+    exact = best.exact if upper == lower else None
+    return KroneckerResult(chars, ErrorBracket(lower, upper, exact), None,
+                           TargetMap.from_grid(chars, best.order, best.indices),
+                           best.point, stats, certified)
+
+
+def _refine(scan: _Scan, tol: float, max_order: int):
+    """The level loop of `alpha`: returns (upper, lower, ladder, stop reason)."""
+    upper = math.pi
+    closed_top = 0.0  # largest bound over cells closed at earlier levels
+    ladder = []
+    n, parents = 2, None
+    while True:
+        radius = math.pi / n
+        opened = []
+        if parents is None:
+            idx_iter = _canonical_iter(scan.data, n)
+        else:
+            idx_iter, closed = _next_level(scan.data, n, parents, scan.best.lower, tol,
+                                           opened)
+            closed_top = max(closed_top, closed)
+        with contextlib.closing(_scan_items(scan, n, idx_iter)) as items:
+            closed_hi, _, status = _scan_targets(scan, n, items, upper, radius, tol, opened)
+        lower = scan.best.lower if scan.best is not None else 0.0
+        if status == "done":
+            closed_top = max(closed_top, closed_hi)
+            level_top = max([closed_top] + [u + radius for _, u in opened])
+            upper = max(lower, min(upper, level_top))
+        ladder.append((n, lower, upper, status != "budget"))
+        if status != "done" or upper - lower <= tol:
+            return upper, lower, ladder, status
+        if 2 * n > max_order:
+            return upper, lower, ladder, "max_order"
+        parents = opened
+        n *= 2
+
+
+def _next_level(data: _SetData, n: int, parents: list, lower: float, tol: float,
+                opened: list):
+    """Split the open order-n/2 cells (indices, upper) into order-n cells.
+
+    A parent still open against `lower` keeps its centre 2t, whose value is
+    known, as an order-n cell (appended to `opened` unless it closes) and
+    contributes its other children to the returned iterator, largest
+    parent bound first.  Returns (children, largest bound of the cells
+    closed here).
+    """
+    radius = math.pi / n
+    uppers = np.array([u for _, u in parents])
+    order = np.argsort(-uppers, kind="stable")
+    uppers = uppers[order]
+    indices = np.array([t for t, _ in parents], dtype=np.int64).reshape(-1, data.m)[order]
+    bound = uppers + 2 * radius
+    keep = bound - lower > tol
+    closed = float(bound[~keep].max(initial=0.0))
+    centres, uppers = 2 * indices[keep], uppers[keep]
+    bound = uppers + radius
+    still = bound - lower > tol
+    closed = max(closed, float(bound[~still].max(initial=0.0)))
+    opened.extend(zip(map(tuple, centres[still].tolist()), uppers[still].tolist()))
+    basis = _shift_basis(data, n)
+    seen = {_orbit_key(row, n) for row in _orbit_reps(centres, basis, n).tolist()}
+    return _children(indices[keep], basis, n, seen), closed

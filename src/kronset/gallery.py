@@ -384,10 +384,10 @@ def _verify_hadamard(spec, tol, budget) -> VerificationReport:
     data["kappa_lower"], data["kappa_upper"] = res.kappa
     data["certified"] = res.certified
     data["ladder"] = [list(r) for r in res.work.ladder]
-    have_rung = any(r[3] for r in res.work.ladder)
+    have_level = any(r[3] for r in res.work.ladder)  # a completed level
     checks.append(CheckRecord(
         "bracket", "certified two-sided bracket produced",
-        (res.alpha.lower, res.alpha.upper), have_rung))
+        (res.alpha.lower, res.alpha.upper), have_level))
 
     # the gap bound is stated ambiguously; evaluate the chordal bracket
     # against both readings and report, asserting neither

@@ -148,6 +148,19 @@ class TestSubcommands:
         assert text[0].startswith("q,length,start,alpha_lower")
         assert len(text) == 3
 
+    @pytest.mark.parametrize("argv,reason,code", [
+        (["alpha", "--set", "Z : [1],[2]"], "done", 0),
+        (["alpha-n", "--set", "Z : [0]", "--n", "2"], "capped", 0),
+        (["alpha", "--set", "Z : [1],[2],[3]", "--budget", "5000"], "budget", 1),
+        (["alpha", "--set", "Z : [1],[2]", "--max-order", "8"], "max_order", 1),
+    ])
+    def test_stop_reason(self, capsys, argv, reason, code):
+        got, rep = run_cli(capsys, *argv, "--no-timestamp")
+        assert got == code
+        work = rep["result"]["work"]
+        assert work["stop_reason"] == reason
+        assert work["budget_exhausted"] == (reason == "budget")
+
     def test_pretty_mode(self, capsys):
         code = main(["alpha", "--set", "Z : [1]", "--pretty", "--no-timestamp"])
         out = capsys.readouterr().out
@@ -157,12 +170,13 @@ class TestSubcommands:
 
 class TestReportContract:
     def test_determinism_without_timestamp(self, capsys):
-        argv = ["alpha-n", "--set", "Z : [1],[2]", "--n", "6", "--no-timestamp"]
-        main(argv)
-        first = capsys.readouterr().out
-        main(argv)
-        second = capsys.readouterr().out
-        assert first == second
+        for argv in (["alpha-n", "--set", "Z : [1],[2]", "--n", "6", "--no-timestamp"],
+                     ["alpha", "--set", "Z : [1],[3]", "--no-timestamp"]):
+            main(argv)
+            first = capsys.readouterr().out
+            main(argv)
+            second = capsys.readouterr().out
+            assert first == second
 
     def test_timestamp_present_by_default(self, capsys):
         main(["alpha", "--set", "Z : [1]"])

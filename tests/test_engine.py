@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import oracles
@@ -19,6 +20,8 @@ from kronset import (
     best_point,
     grid_cap,
 )
+from kronset._minimax import min_error_box
+from kronset.engine import Budget
 
 TWO_PI = 2.0 * math.pi
 
@@ -161,6 +164,13 @@ class TestBestPoint:
         )
         assert bracket.upper == pytest.approx(brute, abs=1e-12)
 
+    def test_box_solver_zero_row_floor(self):
+        # the all-zero row fixes the objective at pi everywhere
+        budget = Budget(10**4)
+        _, lower, upper = min_error_box(np.array([[0, -3], [0, 0], [1, -1]]),
+                                        np.array([0.0, math.pi, 0.0]), 1e-2, budget)
+        assert lower == upper == math.pi
+
     def test_rank_two_box_solver(self):
         g = GroupSpec(2)
         E = CharacterSet(g, (Character(g, (1, 0), ()), Character(g, (0, 1), ()),
@@ -249,10 +259,7 @@ class TestAlphaN:
                   GroupSpec(0, (12,)), GroupSpec(0, (5, 5))]
         cases = [(CharacterSet.of_integers([0, 1]), 2, {"seed_targets": [(1, 1)]}, 3)]
         for g in groups:
-            # with a zero character the box solver (free rank 2) must refine
-            # the whole torus down to tol, which takes minutes
-            modes = ("plain", "seeded", "budget") + (("capped",) if g.free_rank < 2 else ())
-            for mode in modes:
+            for mode in ("plain", "seeded", "budget", "capped"):
                 E = random_group_set(rng, g, zero=mode == "capped")
                 n = next(orders)
                 kw = {"tol": 1e-2}
@@ -320,6 +327,31 @@ class TestAlphaLadder:
             rE = alpha_n(E, 4)
             assert rF.alpha.lower <= rE.alpha.upper + 2e-3
 
+    def test_refinement_properties(self):
+        rng = random.Random(68)
+        tol, grid = 1e-2, 100
+        pooled = 0
+        for _ in range(12):
+            E = random_int_set(rng, max_size=3, max_entry=6)
+            res = alpha(E, tol=tol)
+            lo, hi = res.alpha.lower, res.alpha.upper
+            if res.certified:
+                assert res.alpha.width <= tol
+            # the refinement never visits odd orders or 6
+            for n in (3, 5, 6):
+                assert hi >= alpha_n(E, n).alpha.lower - 1e-12, (E, n)
+            assert lo <= alpha_n(E, 16).alpha.upper + math.pi / 16 + 1e-12
+            if len(E) == 2:
+                sup, _ = oracles.alpha_pair_grid(*(c.free_coords[0] for c in E), grid=grid)
+                assert lo - math.pi / grid <= sup <= hi, E
+            orders = [level[0] for level in res.work.ladder]
+            assert orders == [2 << i for i in range(len(orders))]
+            uppers = [level[2] for level in res.work.ladder]
+            assert all(b <= a for a, b in zip(uppers, uppers[1:]))
+            if len(E) >= 2 and pooled < 2:
+                pooled += 1
+                assert alpha(E, tol=tol, threads=2) == res
+
     def test_budget_flag(self):
         res = alpha(CharacterSet.of_integers([1, 2, 3]), budget=5000)
         assert not res.certified
@@ -360,6 +392,23 @@ class TestSymmetryQuotient:
                     orbit.add(tuple((s * v + d) % n for v, d in zip(t, sh)))
                 expected.add(min(orbit))
             assert canon == expected
+
+    def test_orbit_reps_are_orbit_minima(self):
+        from kronset.engine import _orbit_reps, _set_data, _shift_basis, _symmetry_shifts
+
+        rng = random.Random(103)
+        groups = [GroupSpec(1), GroupSpec(2), GroupSpec(1, (2,)), GroupSpec(0, (4, 6))]
+        for trial in range(12):
+            E = random_group_set(rng, groups[trial % len(groups)])
+            n = rng.choice([4, 6, 8, 16])
+            data = _set_data(E)
+            shifts = _symmetry_shifts(data, n)
+            cells = [[rng.randrange(n) for _ in E] for _ in range(20)]
+            reps = _orbit_reps(np.array(cells, dtype=np.int64), _shift_basis(data, n), n)
+            for cell, rep in zip(cells, reps.tolist()):
+                orbit = [[(s * v + d) % n for v, d in zip(cell, sh)]
+                         for s in (1, -1) for sh in shifts]
+                assert rep == min(orbit), (E, n, cell)
 
     def test_quotient_matches_full_enumeration_on_mixed_group(self):
         import itertools
