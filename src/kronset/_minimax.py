@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -57,12 +58,13 @@ def circle_candidates(slopes: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return np.mod(np.concatenate(parts), TWO_PI)
 
 
-def min_error_circle(slopes: np.ndarray, psi: np.ndarray, budget):
+def min_error_circle(slopes: np.ndarray, psi: np.ndarray, budget, lift_margin=None):
     """Exact minimum of theta -> max_k dist(a_k*theta, psi_k).
 
     Returns (theta, lower, upper) with upper attained at theta and lower =
     upper minus a slack covering floating-point placement of the candidate
-    points.
+    points.  Given lift_margin, also returns the lifts within lift_margin
+    of the minimum (see `circle_lifts`) as a fourth item.
     """
     const_err = 0.0
     zero_mask = slopes == 0
@@ -70,6 +72,8 @@ def min_error_circle(slopes: np.ndarray, psi: np.ndarray, budget):
         const_err = float(np.max(_dist_array(psi[zero_mask])))
     if zero_mask.all():
         budget.charge(len(slopes))
+        if lift_margin is not None:
+            return 0.0, const_err, const_err, None
         return 0.0, const_err, const_err
 
     budget.charge(circle_candidate_count(slopes) * len(slopes))
@@ -87,7 +91,98 @@ def min_error_circle(slopes: np.ndarray, psi: np.ndarray, budget):
     # the slack covers floating-point placement of the candidates; constant
     # (zero-slope) constraints bound the objective exactly at every theta
     lower = max(const_err, min(vmin, upper) - 1e-12 * max(1.0, amax))
+    if lift_margin is not None:
+        lifts = circle_lifts(slopes, psi, cands, vals, upper + lift_margin)
+        return theta, max(0.0, lower), upper, lifts
     return theta, max(0.0, lower), upper
+
+
+# ---------------------------------------------------------------------------
+# lifts: the circle objective as a minimum of convex functions of the target
+# ---------------------------------------------------------------------------
+#
+# With u = psi + 2*pi*nu for an integer vector nu (a lift of the target),
+#
+#     min over theta of max_k dist(a_k*theta, psi_k)
+#         = min over nu of  min over real s of max_k |a_k*s - u_k|,
+#
+# and nu, nu + a give the same inner value.  Each inner value is a convex,
+# 1-Lipschitz (sup-norm) function of the target, so a small set of lifts
+# found once gives the exact minimum at every nearby target.
+
+LIFT_EPS = 1e-9
+
+
+def _line_terms(slopes: np.ndarray):
+    """Index pairs (j, k) of nonzero slopes and indices of zero slopes."""
+    return _line_terms_of(tuple(slopes.tolist()))
+
+
+@lru_cache(maxsize=256)
+def _line_terms_of(slopes: tuple):
+    nz = np.flatnonzero(slopes)
+    j, k = np.triu_indices(len(nz), 1)
+    return nz[j], nz[k], np.flatnonzero(np.asarray(slopes) == 0)
+
+
+def line_term_count(slopes: np.ndarray) -> int:
+    """Terms `line_distances` takes the largest of, per lift (at least 1)."""
+    j, _, zero = _line_terms(slopes)
+    return max(1, len(j) + len(zero))
+
+
+def line_distances(slopes: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """min over real s of max_k |a_k*s - u_k|, over the last axis of u.
+
+    The largest of these V-shaped functions is least at the crossing of
+    two of them, so the minimum is the largest over pairs of the pair's
+    crossing height |a_k u_j - a_j u_k| / (|a_j| + |a_k|); a zero slope
+    adds the constant |u_k|.
+    """
+    a = slopes.astype(np.float64)
+    j, k, zero = _line_terms(slopes)
+    terms = np.abs(u[..., j] * a[k] - u[..., k] * a[j]) / (np.abs(a[j]) + np.abs(a[k]))
+    if zero.size:
+        terms = np.concatenate([terms, np.abs(u[..., zero])], axis=-1)
+    return terms.max(axis=-1, initial=0.0)
+
+
+def line_witness(slopes: np.ndarray, u: np.ndarray) -> float:
+    """A real s attaining `line_distances` for one lift u: the best of the
+    pairwise crossings and, for a single nonzero slope, its zero."""
+    a = slopes.astype(np.float64)
+    j, k, _ = _line_terms(slopes)
+    same = a[j] * a[k] > 0
+    cross = np.where(same, (u[j] + u[k]) / np.where(same, a[j] + a[k], 1.0),
+                     (u[j] - u[k]) / np.where(same, 1.0, a[j] - a[k]))
+    nz = np.flatnonzero(slopes)
+    s = np.concatenate([cross, u[nz] / a[nz]])
+    vals = np.abs(a[None, nz] * s[:, None] - u[None, nz]).max(axis=1)
+    return float(s[vals.argmin()])
+
+
+def circle_lifts(slopes: np.ndarray, psi: np.ndarray, cands: np.ndarray,
+                 vals: np.ndarray, cut: float):
+    """Every lift nu (one per class modulo the slopes) whose inner value is
+    at most `cut`, with those values, from the circle candidates and their
+    objective values; None when cut reaches pi, where residuals stop
+    determining their lift.
+
+    A lift's inner minimum sits at a crossing of two of its lines, which is
+    a circle candidate whose residuals a*theta - u all lie in [-pi, pi], so
+    rounding the candidate's residuals recovers the lift and its value.
+    """
+    if cut >= math.pi - LIFT_EPS:
+        return None
+    near = vals <= cut + LIFT_EPS
+    theta = cands[near]
+    nu = np.rint((slopes[None, :] * theta[:, None] - psi[None, :]) / TWO_PI).astype(np.int64)
+    j0 = int(np.flatnonzero(slopes)[0])
+    nu -= (nu[:, j0] // slopes[j0])[:, None] * slopes[None, :]
+    keys, inverse = np.unique(nu, axis=0, return_inverse=True)
+    best = np.full(len(keys), math.inf)
+    np.minimum.at(best, inverse.ravel(), vals[near])
+    return keys, best
 
 
 def min_error_box(free_matrix: np.ndarray, psi: np.ndarray, tol: float, budget):

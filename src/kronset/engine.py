@@ -11,7 +11,9 @@ with targets ranging either over maps into the n-th-roots angle grid
 grid cells of the target torus).  Every returned bracket is two-sided and
 sound: lower ends come from solved targets, upper ends from exhaustive
 enumeration, the universal farthest-root cap, or the cell bound
-value(t) + pi/n over order-n cells that cover the target torus.
+value(t) + pi/n over order-n cells that cover the target torus.  For sets
+in Z, refined cells take their values from a few integer lifts of the
+target kept by the cell they were split from.
 """
 from __future__ import annotations
 
@@ -19,14 +21,23 @@ import contextlib
 import itertools
 import math
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._minimax import _dist_array, min_error_box, min_error_circle, solve_torsion_units
+from ._minimax import (
+    LIFT_EPS,
+    _dist_array,
+    line_distances,
+    line_term_count,
+    line_witness,
+    min_error_box,
+    min_error_circle,
+    solve_torsion_units,
+)
 from .errors import BudgetExceededError
 from .groups import (
     ANGLE_ATOL,
@@ -38,6 +49,9 @@ from .groups import (
     evaluate_arg,
 )
 
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
+
 DEFAULT_TOL = 1e-3
 DEFAULT_BUDGET = 10**8
 #: largest roots-grid order the continuous-constant refinement will reach
@@ -46,6 +60,13 @@ LADDER_MAX_ORDER = 1 << 13
 MAX_RUN = 16
 #: open cells split per batch of refined children
 PARENT_BATCH = 8
+#: an open cell of radius r keeps the lifts within LIFT_REACH * r of its
+#: value: enough to hold the best lift of every descendant cell
+LIFT_REACH = 4
+#: largest set whose cells carry lifts.  A split makes 3^m - 1 children, so
+#: for larger sets cheap cells let the budget reach open levels of ~10^6
+#: cells, whose bookkeeping then costs more time and memory than the solves
+LIFT_MAX_SIZE = 3
 
 
 class Budget:
@@ -240,12 +261,14 @@ def approx_error(chars: CharacterSet, phi: TargetMap, x: DualPoint) -> float:
 # ---------------------------------------------------------------------------
 
 def _solve_target(data: _SetData, angles: np.ndarray, grid, tol: float,
-                  budget: Budget):
+                  budget: Budget, lift_margin: float | None = None):
     """Bracket inf over the dual of the worst-coordinate error for one target.
 
     `grid` is (n, indices) when the target lies on the n-th-roots grid,
     which unlocks exact integer arithmetic on purely torsion groups.
-    Returns (lower, upper, DualPoint, exact_turns | None).
+    Returns (lower, upper, DualPoint, exact_turns | None, lifts), lifts
+    being the circle lifts within lift_margin of the value for a set in Z
+    (see `_minimax.circle_lifts`), else None.
     """
     group = data.chars.group
     if data.r == 0:
@@ -257,7 +280,7 @@ def _solve_target(data: _SetData, angles: np.ndarray, grid, tol: float,
             targets = [j * (modulus // n) for j in indices]
             units, sel = solve_torsion_units(rows, modulus, targets, data.selections(), budget)
             val = math.tau * units / modulus
-            return val, val, DualPoint(group, (), sel), Fraction(units, modulus)
+            return val, val, DualPoint(group, (), sel), Fraction(units, modulus), None
         best_val, best_sel = None, None
         for sel in data.selections():
             budget.charge(data.m)
@@ -267,8 +290,12 @@ def _solve_target(data: _SetData, angles: np.ndarray, grid, tol: float,
                 val = max(val, angular_distance(float(a), TWO_PI * au / data.lcm))
             if best_val is None or val < best_val:
                 best_val, best_sel = val, sel
-        return best_val, best_val, DualPoint(group, (), best_sel), None
+        return best_val, best_val, DualPoint(group, (), best_sel), None, None
 
+    if data.r == 1 and data.s == 0 and lift_margin is not None:
+        theta, lo, up, lifts = min_error_circle(data.slopes, angles, budget,
+                                                lift_margin=lift_margin)
+        return lo, up, DualPoint(group, (theta,), ()), None, lifts
     best = None
     lower = math.inf
     for sel in data.selections():
@@ -283,7 +310,7 @@ def _solve_target(data: _SetData, angles: np.ndarray, grid, tol: float,
         if best is None or up < best[0]:
             best = (up, theta_vec, sel)
     upper, theta_vec, sel = best
-    return lower, upper, DualPoint(group, theta_vec, sel), None
+    return lower, upper, DualPoint(group, theta_vec, sel), None, None
 
 
 def best_point(chars: CharacterSet, phi: TargetMap, tol: float = DEFAULT_TOL,
@@ -300,7 +327,7 @@ def best_point(chars: CharacterSet, phi: TargetMap, tol: float = DEFAULT_TOL,
     data = _set_data(chars)
     b = Budget(budget)
     grid = (phi.roots_order, phi.grid_indices) if phi.roots_order else None
-    lower, upper, point, exact = _solve_target(data, np.asarray(phi.angles), grid, tol, b)
+    lower, upper, point, exact, _ = _solve_target(data, np.asarray(phi.angles), grid, tol, b)
     attained = approx_error(chars, phi, point)
     bracket = ErrorBracket(min(lower, attained), attained, exact)
     if bracket.width > tol + ANGLE_ATOL:
@@ -420,29 +447,81 @@ def _orbit_reps(cells: np.ndarray, basis: list, n: int) -> np.ndarray:
     return np.where(take[:, None], minus, plus)
 
 
-def _orbit_key(row, n: int) -> int:
-    """Integer key of an order-n index row (its digits in base n)."""
-    key = 0
-    for c in row:
-        key = key * n + c
-    return key
+def _orbit_keys(rows: np.ndarray, n: int) -> list:
+    """Integer key of each order-n index row (its digits in base n)."""
+    m = rows.shape[1]
+    if m * math.log2(n) < 62:
+        return (rows @ (n ** np.arange(m - 1, -1, -1, dtype=np.int64))).tolist()
+    keys = []
+    for row in rows.tolist():
+        key = 0
+        for c in row:
+            key = key * n + c
+        keys.append(key)
+    return keys
 
 
-def _children(parents: np.ndarray, basis: list, n: int, seen: set):
+def _children(data: _SetData, parents: np.ndarray, lifts: list, basis: list, n: int,
+              seen: set):
     """Order-n targets 2t + d, d in {-1, 0, 1}^m other than 0, whose cells of
-    radius pi/n cover the order-n/2 cells of the rows t of `parents`: one
-    orbit representative each, skipping orbits whose key is in `seen`."""
+    radius pi/n cover the order-n/2 cells of the rows t of `parents`: one per
+    orbit, skipping orbits whose key is in `seen`, as (indices, solved).
+
+    A parent's lifts (or None) hold the best lift of each of its children,
+    whose value is then the least inner value over them: solved is
+    ((value - slack, value + slack, None, None, child lifts), cost) for such
+    a child, the slack covering the rounding of the closed form, the child
+    keeping the lifts within LIFT_REACH * pi/n of its value.  Children of a
+    parent without lifts have solved None.
+    """
     m = parents.shape[1]
     offsets = np.array([d for d in itertools.product((-1, 0, 1), repeat=m) if any(d)],
                        dtype=np.int64)
+    margin = LIFT_REACH * math.pi / n
+    terms = line_term_count(data.slopes) if data.slopes is not None else 0
+    slack = 1e-12 * max(1.0, float(np.abs(data.free).max(initial=0))) ** 2
     for start in range(0, len(parents), PARENT_BATCH):
-        batch = parents[start:start + PARENT_BATCH]
-        kids = (2 * batch[:, None, :] + offsets).reshape(-1, m) % n
-        for row in _orbit_reps(kids, basis, n).tolist():
-            key = _orbit_key(row, n)
-            if key not in seen:
-                seen.add(key)
-                yield tuple(row)
+        raw = 2 * parents[start:start + PARENT_BATCH, None, :] + offsets
+        kids = raw % n
+        keys = iter(_orbit_keys(_orbit_reps(kids.reshape(-1, m), basis, n), n))
+        for p, parent_lifts in enumerate(lifts[start:start + PARENT_BATCH]):
+            new = []
+            for c, key in zip(range(len(offsets)), keys):
+                if key not in seen:
+                    seen.add(key)
+                    new.append(c)
+            if parent_lifts is None:
+                for row in kids[p, new].tolist():
+                    yield tuple(row), None
+                continue
+            nu = parent_lifts[0]
+            # values at the unwrapped angles raw * 2pi/n, nearest the parent
+            vals = line_distances(data.slopes, raw[p, new][:, None, :] * (TWO_PI / n)
+                                  + TWO_PI * nu[None, :, :])
+            values = vals.min(axis=1)
+            near = vals <= values[:, None] + (margin + LIFT_EPS)
+            wraps = raw[p, new] // n
+            cost = len(nu) * terms
+            for c, (row, value) in enumerate(zip(kids[p, new].tolist(), values.tolist())):
+                child_lifts = (nu[near[c]] + wraps[c], vals[c][near[c]])
+                yield tuple(row), ((max(0.0, value - slack), value + slack, None, None,
+                                    child_lifts), cost)
+
+
+def _near_lifts(lifts, cut: float):
+    """The lifts (nu, values) whose value is at most cut, or None."""
+    if lifts is None:
+        return None
+    nu, vals = lifts
+    near = vals <= cut + LIFT_EPS
+    return nu[near], vals[near]
+
+
+def _lift_point(data: _SetData, angles: np.ndarray, lifts) -> DualPoint:
+    """Dual point attaining the least inner value over `lifts` at angles."""
+    nu, vals = lifts
+    s = line_witness(data.slopes, angles + TWO_PI * nu[int(vals.argmin())])
+    return DualPoint(data.chars.group, (s % TWO_PI,), ())
 
 
 @dataclass
@@ -477,7 +556,8 @@ class _Scan:
 
 
 def _scan_targets(scan: _Scan, n: int, items, cap: float, radius: float = 0.0,
-                  slack: float = 0.0, opened: list | None = None):
+                  slack: float = 0.0, opened: list | None = None,
+                  lift_margin: float | None = None):
     """Solve order-n targets in scan order, keeping the incumbent worst target.
 
     Each target stands for the cell of targets within `radius` of it in
@@ -485,11 +565,15 @@ def _scan_targets(scan: _Scan, n: int, items, cap: float, radius: float = 0.0,
     value + radius bounds the whole cell; the cell closes once that bound is
     within `slack` of the incumbent's lower end.  A probe point's error is a
     value bound that closes a cell without solving it (a pruned target).
-    Solved cells that stay open are appended to `opened` as (indices, upper).
+    Solved cells that stay open are appended to `opened` as (indices,
+    upper, lifts), lifts being those within lift_margin of the value.
 
     items yields (indices, solved): a (solution, cost) pair solved ahead by
     a pool is used only if the cost fits in the remaining budget, else the
     target is solved here, so charges and stops match a run without a pool.
+    A solution from lifts (no witness point, see `_children`) skips the
+    probes and is always used; its witness is found if it raises the
+    incumbent.
 
     Returns (closed_hi, open_hi, status): the largest bound over closed and
     over open cells, and 'capped' when the incumbent reached `cap`, 'done'
@@ -501,9 +585,11 @@ def _scan_targets(scan: _Scan, n: int, items, cap: float, radius: float = 0.0,
     closed_hi = open_hi = 0.0
     status = "done"
     for indices, solved in items:
-        angles = np.array(indices, dtype=np.float64) * step
+        lifted = solved is not None and solved[0][2] is None
+        if not lifted:
+            angles = np.array(indices, dtype=np.float64) * step
         try:
-            if best is not None:
+            if best is not None and not lifted:
                 probed = None
                 for args in scan.probe_args:
                     budget.charge(data.m)
@@ -515,17 +601,20 @@ def _scan_targets(scan: _Scan, n: int, items, cap: float, radius: float = 0.0,
                     stats.targets_pruned += 1
                     closed_hi = max(closed_hi, probed)
                     continue
-            if solved is not None and solved[1] <= budget.remaining:
+            if lifted or (solved is not None and solved[1] <= budget.remaining):
                 solution, cost = solved
                 budget.charge(cost)
             else:
-                solution = _solve_target(data, angles, (n, tuple(indices)), tol, budget)
+                solution = _solve_target(data, angles, (n, tuple(indices)), tol, budget,
+                                         lift_margin)
         except BudgetExceededError:
             status = "budget"
             break
-        lower, upper, point, exact = solution
+        lower, upper, point, exact, lifts = solution
         stats.targets_enumerated += 1
         if best is None or lower > best.lower:
+            if point is None:
+                point = _lift_point(data, np.array(indices, dtype=np.float64) * step, lifts)
             scan.best = best = _Incumbent(lower, upper, n, tuple(indices), point, exact)
             scan.probe_args.append(data.point_args(point))
         bound = upper + radius
@@ -534,14 +623,15 @@ def _scan_targets(scan: _Scan, n: int, items, cap: float, radius: float = 0.0,
         else:
             open_hi = max(open_hi, bound)
             if opened is not None:
-                opened.append((tuple(indices), upper))
+                opened.append((tuple(indices), upper, lifts))
         if best.lower >= cap - tol:
             status = "capped"
             break
     return closed_hi, open_hi, status
 
 
-def _solve_run(chars: CharacterSet, n: int, tol: float, limit: int, run):
+def _solve_run(chars: CharacterSet, n: int, tol: float, limit: int, run,
+               lift_margin: float | None = None):
     """Process-pool worker: (solution, budget units charged) per target of a
     run, stopping before the first target that takes the run past `limit`."""
     data = _set_data(chars)
@@ -551,40 +641,45 @@ def _solve_run(chars: CharacterSet, n: int, tol: float, limit: int, run):
         used = budget.used
         angles = np.array(indices, dtype=np.float64) * (TWO_PI / n)
         try:
-            solution = _solve_target(data, angles, (n, indices), tol, budget)
+            solution = _solve_target(data, angles, (n, indices), tol, budget, lift_margin)
         except BudgetExceededError:
             break
         solved.append((solution, budget.used - used))
     return solved
 
 
-def _solved_ahead(scan: _Scan, n: int, idx_iter):
-    """Yield (indices, solved) in idx_iter order, solved being the (solution,
-    cost) the scan's pool found, or None.  At most 2*threads runs are in
-    flight, each capped by the budget left when submitted; runs double from
-    one target up to MAX_RUN, so short scans still use every worker."""
+def _solved_ahead(scan: _Scan, n: int, items, lift_margin: float | None):
+    """Pass on the (indices, solved) pairs of `items`, the pairs without a
+    solution getting the (solution, cost) the scan's pool found, or None.
+    At most 2*threads runs are in flight, each capped by the budget left
+    when submitted; runs double from one target up to MAX_RUN, so short
+    scans still use every worker."""
     in_flight = deque()
     size = 1
     while True:
         while len(in_flight) < 2 * scan.threads:
-            run = list(itertools.islice(idx_iter, size))
+            run = list(itertools.islice(items, size))
             if not run:
                 break
-            in_flight.append((run, scan.pool.submit(
-                _solve_run, scan.data.chars, n, scan.tol, scan.budget.remaining, run)))
+            todo = [indices for indices, solved in run if solved is None]
+            future = scan.pool.submit(_solve_run, scan.data.chars, n, scan.tol,
+                                      scan.budget.remaining, todo, lift_margin) if todo else None
+            in_flight.append((run, future))
             size = min(2 * size, MAX_RUN)
         if not in_flight:
             return
         run, future = in_flight.popleft()
-        yield from itertools.zip_longest(run, future.result())
+        ahead = iter(future.result() if future is not None else ())
+        for indices, solved in run:
+            yield indices, next(ahead, None) if solved is None else solved
 
 
-def _scan_items(scan: _Scan, n: int, idx_iter):
-    """(indices, solved) pairs for `_scan_targets`, solved ahead by the
-    scan's pool if it has one."""
+def _scan_items(scan: _Scan, n: int, items, lift_margin: float | None = None):
+    """The (indices, solved) pairs of `items` for `_scan_targets`, those
+    without a solution solved ahead by the scan's pool if it has one."""
     if scan.pool is not None:
-        return _solved_ahead(scan, n, idx_iter)
-    return ((indices, None) for indices in idx_iter)
+        return _solved_ahead(scan, n, items, lift_margin)
+    return items
 
 
 def _pool(threads: int):
@@ -592,7 +687,12 @@ def _pool(threads: int):
     thread); ValueError for threads < 1."""
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    return ProcessPoolExecutor(max_workers=threads) if threads > 1 else contextlib.nullcontext()
+    if threads == 1:
+        return contextlib.nullcontext()
+    # imported here: the process machinery is a sizeable share of the
+    # library's import time and memory, and single-threaded calls need none
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(max_workers=threads)
 
 
 def alpha_n(chars: CharacterSet, n: int, tol: float = DEFAULT_TOL,
@@ -624,7 +724,8 @@ def alpha_n(chars: CharacterSet, n: int, tol: float = DEFAULT_TOL,
     idx_iter = itertools.chain(seeds, _canonical_iter(data, n))
     with _pool(threads) as pool:
         scan = _Scan(data, tol, Budget(budget), pool, threads)
-        with contextlib.closing(_scan_items(scan, n, idx_iter)) as items:
+        cells = ((indices, None) for indices in idx_iter)
+        with contextlib.closing(_scan_items(scan, n, cells)) as items:
             closed_hi, open_hi, status = _scan_targets(scan, n, items, cap)
     best, stats = scan.best, scan.stats
     stats.inner_evals = scan.budget.used
@@ -671,7 +772,10 @@ def alpha(chars: CharacterSet, tol: float = DEFAULT_TOL, budget: int = DEFAULT_B
     bounds the cell.  Level 2 scans every order-2 orbit; a cell whose bound
     is within tol of the incumbent lower end closes, and each open cell is
     split into the order-2n cells around 2t + {-1, 0, 1}^m, one target per
-    orbit under translation and negation.  The upper end is the least, over
+    orbit under translation and negation.  For a set of at most
+    LIFT_MAX_SIZE characters in Z an open cell keeps its nearby lifts (see
+    `_minimax.circle_lifts`), which give the exact value of every cell
+    refined from it without a full solve.  The upper end is the least, over
     completed levels, of the largest bound over all cells.  Stops certified
     once the bracket is tol wide, uncertified when the next level would
     pass max_order or the budget runs out (see work.stop_reason); each
@@ -703,19 +807,20 @@ def _refine(scan: _Scan, tol: float, max_order: int):
     n, parents = 2, None
     while True:
         radius = math.pi / n
+        lift_margin = LIFT_REACH * radius if scan.data.m <= LIFT_MAX_SIZE else None
         opened = []
         if parents is None:
-            idx_iter = _canonical_iter(scan.data, n)
+            cells = ((indices, None) for indices in _canonical_iter(scan.data, n))
         else:
-            idx_iter, closed = _next_level(scan.data, n, parents, scan.best.lower, tol,
-                                           opened)
+            cells, closed = _next_level(scan.data, n, parents, scan.best.lower, tol, opened)
             closed_top = max(closed_top, closed)
-        with contextlib.closing(_scan_items(scan, n, idx_iter)) as items:
-            closed_hi, _, status = _scan_targets(scan, n, items, upper, radius, tol, opened)
+        with contextlib.closing(_scan_items(scan, n, cells, lift_margin)) as items:
+            closed_hi, _, status = _scan_targets(scan, n, items, upper, radius, tol, opened,
+                                                 lift_margin)
         lower = scan.best.lower if scan.best is not None else 0.0
         if status == "done":
             closed_top = max(closed_top, closed_hi)
-            level_top = max([closed_top] + [u + radius for _, u in opened])
+            level_top = max([closed_top] + [u + radius for _, u, _ in opened])
             upper = max(lower, min(upper, level_top))
         ladder.append((n, lower, upper, status != "budget"))
         if status != "done" or upper - lower <= tol:
@@ -728,27 +833,33 @@ def _refine(scan: _Scan, tol: float, max_order: int):
 
 def _next_level(data: _SetData, n: int, parents: list, lower: float, tol: float,
                 opened: list):
-    """Split the open order-n/2 cells (indices, upper) into order-n cells.
+    """Split the open order-n/2 cells (indices, upper, lifts) into order-n
+    cells.
 
     A parent still open against `lower` keeps its centre 2t, whose value is
-    known, as an order-n cell (appended to `opened` unless it closes) and
-    contributes its other children to the returned iterator, largest
+    known, as an order-n cell (appended to `opened` unless it closes, with
+    the parent's lifts near enough for the smaller cell) and contributes its
+    other children to the returned (indices, solved) iterator, largest
     parent bound first.  Returns (children, largest bound of the cells
     closed here).
     """
     radius = math.pi / n
-    uppers = np.array([u for _, u in parents])
+    uppers = np.array([u for _, u, _ in parents])
     order = np.argsort(-uppers, kind="stable")
     uppers = uppers[order]
-    indices = np.array([t for t, _ in parents], dtype=np.int64).reshape(-1, data.m)[order]
+    indices = np.array([t for t, _, _ in parents], dtype=np.int64).reshape(-1, data.m)[order]
     bound = uppers + 2 * radius
     keep = bound - lower > tol
     closed = float(bound[~keep].max(initial=0.0))
+    lifts = [parents[i][2] for i in order[keep]]
     centres, uppers = 2 * indices[keep], uppers[keep]
     bound = uppers + radius
     still = bound - lower > tol
     closed = max(closed, float(bound[~still].max(initial=0.0)))
-    opened.extend(zip(map(tuple, centres[still].tolist()), uppers[still].tolist()))
+    for centre, upper, lift, open_ in zip(centres.tolist(), uppers.tolist(), lifts, still):
+        if open_:
+            opened.append((tuple(centre), upper,
+                           _near_lifts(lift, upper + LIFT_REACH * radius)))
     basis = _shift_basis(data, n)
-    seen = {_orbit_key(row, n) for row in _orbit_reps(centres, basis, n).tolist()}
-    return _children(indices[keep], basis, n, seen), closed
+    seen = set(_orbit_keys(_orbit_reps(centres, basis, n), n))
+    return _children(data, indices[keep], lifts, basis, n, seen), closed

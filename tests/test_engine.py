@@ -20,7 +20,13 @@ from kronset import (
     best_point,
     grid_cap,
 )
-from kronset._minimax import min_error_box
+from kronset import engine
+from kronset._minimax import (
+    line_distances,
+    line_witness,
+    min_error_box,
+    min_error_circle,
+)
 from kronset.engine import Budget
 
 TWO_PI = 2.0 * math.pi
@@ -362,6 +368,69 @@ class TestAlphaLadder:
         assert lo <= hi
         assert lo == pytest.approx(2 * math.sin(res.alpha.lower / 2), abs=1e-15)
         assert hi == pytest.approx(2 * math.sin(res.alpha.upper / 2), abs=1e-15)
+
+
+class TestLifts:
+    @staticmethod
+    def random_slopes(rng):
+        while True:
+            slopes = np.array([rng.randint(-8, 8) for _ in range(rng.randint(1, 3))])
+            if slopes.any():
+                return slopes
+
+    def test_lifts_give_the_exact_value_near_the_target(self):
+        rng = random.Random(211)
+        checked = 0
+        for _ in range(200):
+            slopes = self.random_slopes(rng)
+            psi = np.array([rng.uniform(0, TWO_PI) for _ in slopes])
+            radius = rng.choice([0.05, 0.1, 0.2])
+            _, _, upper, lifts = min_error_circle(slopes, psi, Budget(10**6),
+                                                  lift_margin=4 * radius)
+            if lifts is None:
+                continue
+            nu, vals = lifts
+            here = line_distances(slopes, psi + TWO_PI * nu)
+            assert np.allclose(here, vals, atol=1e-12)
+            assert here.min() == pytest.approx(upper, abs=1e-12)
+            # every target within radius has its best lift among them
+            for _ in range(5):
+                near = psi + np.array([rng.uniform(-radius, radius) for _ in slopes])
+                _, _, want, _ = min_error_circle(slopes, near, Budget(10**6), lift_margin=0.0)
+                got = line_distances(slopes, near + TWO_PI * nu).min()
+                assert got == pytest.approx(want, abs=1e-9), (slopes, psi, near)
+            checked += 1
+        assert checked > 100
+
+    def test_line_witness_attains_the_value(self):
+        rng = random.Random(223)
+        for _ in range(100):
+            slopes = self.random_slopes(rng)
+            u = np.array([rng.uniform(-3, 3) for _ in slopes])
+            s = line_witness(slopes, u)
+            assert np.abs(slopes * s - u).max() == pytest.approx(
+                float(line_distances(slopes, u)), abs=1e-12)
+
+    def test_lifted_refinement_matches_full_solves(self, monkeypatch):
+        rng = random.Random(227)
+        sets = [CharacterSet.of_integers([-3, -1, 6]), CharacterSet.of_integers([2, 5])]
+        sets += [random_int_set(rng, max_size=3, max_entry=6) for _ in range(4)]
+        lifted = [alpha(E, tol=1e-2) for E in sets]
+        monkeypatch.setattr(engine, "LIFT_MAX_SIZE", 0)
+        for E, res in zip(sets, lifted):
+            full = alpha(E, tol=1e-2)
+            assert res.certified == full.certified
+            assert res.alpha.lower == pytest.approx(full.alpha.lower, abs=1e-9), E
+            assert res.alpha.upper == pytest.approx(full.alpha.upper, abs=1e-9), E
+            assert [lv[0] for lv in res.work.ladder] == [lv[0] for lv in full.work.ladder]
+            assert res.work.inner_evals <= full.work.inner_evals
+
+    def test_hard_triple_certifies_within_half_a_million_evaluations(self):
+        # the costliest three-element set with entries up to 12 and 36-44
+        # circle candidates certifies at tol 1e-3 in about 2.6e5 evaluations
+        res = alpha(CharacterSet.of_integers([-6, 1, 3]), tol=1e-3, budget=500_000)
+        assert res.certified and res.work.stop_reason == "done"
+        assert res.alpha.width <= 1e-3
 
 
 class TestSymmetryQuotient:
