@@ -5,7 +5,10 @@ objective theta -> max_k dist(a_k * theta, psi_k) is piecewise linear with
 slopes +-a_k, so its exact minimum is found by enumerating tent kinks and
 the V-shaped crossings between tents.  For several torus coordinates a
 Lipschitz branch-and-bound over boxes produces a bracket of requested
-width instead.  Both charge their evaluation counts against a budget.
+width instead.  On a purely torsion dual the minimum is exact: every
+selection's error is read, a block at a time, from a table of the
+characters' arguments in integer angle units.  All of them charge their
+evaluation counts against a budget.
 """
 from __future__ import annotations
 
@@ -20,6 +23,8 @@ from .errors import BudgetExceededError
 
 TWO_PI = 2.0 * math.pi
 BOX_INIT_CELLS = 4  # per free axis, in min_error_box's first grid
+#: most torsion selections read (and table rows held) at a time
+TABLE_BLOCK = 1 << 12
 
 
 def _dist_array(x: np.ndarray) -> np.ndarray:
@@ -240,26 +245,58 @@ def min_error_box(free_matrix: np.ndarray, psi: np.ndarray, tol: float, budget):
     raise BudgetExceededError("box refinement exhausted its candidate heap")
 
 
-def solve_torsion_units(unit_rows, modulus: int, target_units, selections, budget):
+def exact_dtype(bound: int):
+    """int64 when integers below `bound` and sums of a few of them fit,
+    else Python integers (object arrays), so torsion values stay exact."""
+    return np.int64 if bound < 1 << 61 else object
+
+
+def first_least(errors, count: int, m: int, budget):
+    """Least of the per-selection errors over selections 0..count-1 and the
+    first selection attaining it.
+
+    errors(start, stop) gives the errors of selections start..stop-1, read
+    at most TABLE_BLOCK at a time and never more than the budget left pays
+    for at m units each.  The charges equal those of a loop that charges m
+    before it evaluates each selection and stops at the first zero error:
+    m per selection read up to that zero (or all of them), and at
+    exhaustion one selection past the room left, which raises.
+    """
+    best = best_index = None
+    start = 0
+    while start < count:
+        room = max(budget.remaining, 0) // m
+        take = min(TABLE_BLOCK, count - start, room)
+        if take == 0:
+            budget.charge((room + 1) * m)
+        worst = errors(start, start + take)
+        i = int(worst.argmin())
+        if worst[i] == 0:
+            budget.charge((i + 1) * m)
+            return worst[i], start + i
+        budget.charge(take * m)
+        if best is None or worst[i] < best:
+            best, best_index = worst[i], start + i
+        start += take
+    return best, best_index
+
+
+def solve_torsion_units(table, count: int, scale: int, modulus: int, target_units, budget):
     """Exact inner minimum on a purely torsion dual, in integer angle units.
 
-    unit_rows[k][i] is the contribution of one step of torsion factor i to
-    character k's argument, target_units[k] the target, both in units of a
-    full turn divided by `modulus`.  Enumerates `selections`, returning
-    (best_units, best_selection).
+    table(start, stop) gives rows start..stop-1 of the selection table: row
+    s holds every character's argument at the s-th torsion selection, in
+    units of a full turn divided by modulus // scale.  target_units[k] is
+    character k's target in units of a full turn divided by `modulus`.
+    Returns (best_units, index of the first best selection), charging as
+    `first_least` does.
     """
-    best_units, best_sel = None, None
-    for sel in selections:
-        budget.charge(len(unit_rows))
-        worst = 0
-        for row, tu in zip(unit_rows, target_units):
-            au = sum(u * c for u, c in zip(row, sel)) % modulus
-            e = (tu - au) % modulus
-            e = min(e, modulus - e)
-            if e > worst:
-                worst = e
-        if best_units is None or worst < best_units:
-            best_units, best_sel = worst, sel
-            if worst == 0:
-                break
-    return best_units, best_sel
+    dtype = exact_dtype(modulus)
+    t = np.array(target_units, dtype=dtype)
+
+    def errors(start: int, stop: int) -> np.ndarray:
+        e = (t - table(start, stop).astype(dtype) * scale) % modulus
+        return np.minimum(e, modulus - e).max(axis=1)
+
+    units, index = first_least(errors, count, len(t), budget)
+    return int(units), index

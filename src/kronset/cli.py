@@ -1,10 +1,10 @@
 """Command-line front end: parse set specifications, run computations,
 emit machine-readable reports.
 
-Reports are single JSON documents on standard output (``--pretty`` switches
-to a human-readable rendering).  Exit codes: 0 success with certification,
-1 success without certification (budget hit), 2 invalid input, 3 resource
-limit refused upfront.
+Reports are single JSON documents, one line each, on standard output
+(``--pretty`` switches to a human-readable rendering).  Exit codes: 0
+success with certification, 1 success without certification (budget hit),
+2 invalid input, 3 resource limit refused upfront.
 """
 from __future__ import annotations
 
@@ -207,8 +207,7 @@ def _emit(report: dict, args) -> None:
     if args.pretty:
         _pretty_print(report)
     else:
-        json.dump(report, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        sys.stdout.write(json.dumps(report, separators=(",", ":")) + "\n")
 
 
 def _pretty_print(report: dict, indent: int = 0) -> None:

@@ -112,21 +112,23 @@ def maximal_separated_set(chars: CharacterSet, epsilon: float,
         raise ValueError("separation threshold must be positive")
     data = _set_data(chars)
     admitted: list[DualPoint] = []
-    admitted_args: list[np.ndarray] = []
+    # arguments of the admitted points in the first rows, grown by doubling
+    admitted_args = np.empty((16, data.m))
     count = 0
     # separation compared with the standard slack for mixed exact/float angles
     floor = epsilon - ANGLE_ATOL
     for point in _universe(chars, grid_cells, budget):
         count += 1
         args = data.point_args(point)
-        ok = True
-        for other in admitted_args:
-            if chordal_of_angle(float(_dist_array(args - other).max())) < floor:
-                ok = False
-                break
-        if ok:
-            admitted.append(point)
-            admitted_args.append(args)
+        k = len(admitted)
+        # chordal_of_angle is increasing, so the nearest admitted point decides
+        if k and chordal_of_angle(
+                float(_dist_array(args - admitted_args[:k]).max(axis=1).min())) < floor:
+            continue
+        if k == len(admitted_args):
+            admitted_args = np.concatenate([admitted_args, np.empty_like(admitted_args)])
+        admitted_args[k] = args
+        admitted.append(point)
     return SeparatedSet(chars, float(epsilon), tuple(admitted), count)
 
 

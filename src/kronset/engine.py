@@ -30,7 +30,10 @@ import numpy as np
 
 from ._minimax import (
     LIFT_EPS,
+    TABLE_BLOCK,
     _dist_array,
+    exact_dtype,
+    first_least,
     line_distances,
     line_term_count,
     line_witness,
@@ -226,11 +229,35 @@ class _SetData:
         else:
             self.tau = np.zeros((self.m, 0))
         self.slopes = self.free[:, 0].copy() if self.r == 1 else None
+        self.selection_count = g.dual_torsion_size
+        self._units = np.array(self.unit_rows, dtype=exact_dtype(
+            self.lcm * max(self.orders, default=1))).reshape(self.m, self.s).T
+        self._table = None
 
-    def selections(self):
-        if not self.s:
-            return iter([()])
-        return itertools.product(*[range(m) for m in self.orders])
+    def selection(self, index: int) -> tuple[int, ...]:
+        """The index-th torsion selection, in the order of
+        itertools.product over the factors' residues."""
+        digits = []
+        for m in reversed(self.orders):
+            index, digit = divmod(index, m)
+            digits.append(digit)
+        return tuple(reversed(digits))
+
+    def torsion_table(self, start: int, stop: int) -> np.ndarray:
+        """Rows start..stop-1 of the selection table: row s holds every
+        character's argument at `selection(s)`, in turns/lcm.  A table of at
+        most TABLE_BLOCK rows is kept once built whole; callers must not
+        write to the rows."""
+        if self._table is not None:
+            return self._table[start:stop]
+        index = np.arange(start, stop, dtype=np.int64)
+        rows = np.zeros((stop - start, self.m), dtype=self._units.dtype)
+        for m, units in zip(reversed(self.orders), self._units[::-1]):
+            index, digit = np.divmod(index, m)
+            rows = (rows + digit[:, None] * units) % self.lcm
+        if start == 0 and stop == self.selection_count <= TABLE_BLOCK:
+            self._table = rows
+        return rows
 
     def point_args(self, point: DualPoint) -> np.ndarray:
         """arg gamma(point) for every character, vectorized."""
@@ -275,22 +302,20 @@ def _solve_target(data: _SetData, angles: np.ndarray, grid, tol: float,
         if grid is not None:
             n, indices = grid
             modulus = math.lcm(data.lcm, n)
-            scale = modulus // data.lcm
-            rows = [tuple(u * scale for u in row) for row in data.unit_rows]
             targets = [j * (modulus // n) for j in indices]
-            units, sel = solve_torsion_units(rows, modulus, targets, data.selections(), budget)
+            units, index = solve_torsion_units(data.torsion_table, data.selection_count,
+                                               modulus // data.lcm, modulus, targets, budget)
             val = math.tau * units / modulus
-            return val, val, DualPoint(group, (), sel), Fraction(units, modulus), None
-        best_val, best_sel = None, None
-        for sel in data.selections():
-            budget.charge(data.m)
-            val = 0.0
-            for a, row in zip(angles, data.unit_rows):
-                au = sum(u * c for u, c in zip(row, sel)) % data.lcm
-                val = max(val, angular_distance(float(a), TWO_PI * au / data.lcm))
-            if best_val is None or val < best_val:
-                best_val, best_sel = val, sel
-        return best_val, best_val, DualPoint(group, (), best_sel), None, None
+            return (val, val, DualPoint(group, (), data.selection(index)),
+                    Fraction(units, modulus), None)
+
+        def errors(start: int, stop: int) -> np.ndarray:
+            args = TWO_PI * data.torsion_table(start, stop) / data.lcm
+            return _dist_array(angles - args).max(axis=1)
+
+        val, index = first_least(errors, data.selection_count, data.m, budget)
+        val = float(val)
+        return val, val, DualPoint(group, (), data.selection(index)), None, None
 
     if data.r == 1 and data.s == 0 and lift_margin is not None:
         theta, lo, up, lifts = min_error_circle(data.slopes, angles, budget,
@@ -298,7 +323,8 @@ def _solve_target(data: _SetData, angles: np.ndarray, grid, tol: float,
         return lo, up, DualPoint(group, (theta,), ()), None, lifts
     best = None
     lower = math.inf
-    for sel in data.selections():
+    for index in range(data.selection_count):
+        sel = data.selection(index)
         psi = angles - (data.tau @ np.asarray(sel) if data.s else 0.0)
         if data.r == 1:
             theta, lo, up = min_error_circle(data.slopes, psi, budget)
@@ -593,9 +619,8 @@ def _scan_targets(scan: _Scan, n: int, items, cap: float, radius: float = 0.0,
                 probed = None
                 for args in scan.probe_args:
                     budget.charge(data.m)
-                    bound = float(_dist_array(angles - args).max()) + radius
-                    if bound - best.lower <= slack:
-                        probed = bound
+                    probed = _probe_bound(angles, args, radius, best.lower, slack)
+                    if probed is not None:
                         break
                 if probed is not None:
                     stats.targets_pruned += 1
@@ -630,16 +655,33 @@ def _scan_targets(scan: _Scan, n: int, items, cap: float, radius: float = 0.0,
     return closed_hi, open_hi, status
 
 
+def _probe_bound(angles: np.ndarray, args: np.ndarray, radius: float, lower: float,
+                 slack: float):
+    """The bound a probe point with character arguments `args` puts on the
+    cell of radius `radius` around a target, if it closes the cell against
+    the lower end `lower`, else None."""
+    bound = float(_dist_array(angles - args).max()) + radius
+    return bound if bound - lower <= slack else None
+
+
 def _solve_run(chars: CharacterSet, n: int, tol: float, limit: int, run,
-               lift_margin: float | None = None):
+               lift_margin: float | None = None, probe_args=(), lower: float | None = None,
+               radius: float = 0.0, slack: float = 0.0):
     """Process-pool worker: (solution, budget units charged) per target of a
-    run, stopping before the first target that takes the run past `limit`."""
+    run, stopping before the first target that takes the run past `limit`.
+    A target that one of the scan's probes closes against its lower end, as
+    they stood when the run was submitted, gets None: the scan will most
+    likely prune it, and solves it itself otherwise."""
     data = _set_data(chars)
     budget = Budget(limit)
     solved = []
     for indices in run:
-        used = budget.used
         angles = np.array(indices, dtype=np.float64) * (TWO_PI / n)
+        if lower is not None and any(_probe_bound(angles, args, radius, lower, slack)
+                                     is not None for args in probe_args):
+            solved.append(None)
+            continue
+        used = budget.used
         try:
             solution = _solve_target(data, angles, (n, indices), tol, budget, lift_margin)
         except BudgetExceededError:
@@ -648,12 +690,14 @@ def _solve_run(chars: CharacterSet, n: int, tol: float, limit: int, run,
     return solved
 
 
-def _solved_ahead(scan: _Scan, n: int, items, lift_margin: float | None):
+def _solved_ahead(scan: _Scan, n: int, items, lift_margin: float | None, radius: float,
+                  slack: float):
     """Pass on the (indices, solved) pairs of `items`, the pairs without a
     solution getting the (solution, cost) the scan's pool found, or None.
     At most 2*threads runs are in flight, each capped by the budget left
-    when submitted; runs double from one target up to MAX_RUN, so short
-    scans still use every worker."""
+    when submitted and skipping the targets the probes then close; runs
+    double from one target up to MAX_RUN, so short scans still use every
+    worker."""
     in_flight = deque()
     size = 1
     while True:
@@ -662,8 +706,10 @@ def _solved_ahead(scan: _Scan, n: int, items, lift_margin: float | None):
             if not run:
                 break
             todo = [indices for indices, solved in run if solved is None]
-            future = scan.pool.submit(_solve_run, scan.data.chars, n, scan.tol,
-                                      scan.budget.remaining, todo, lift_margin) if todo else None
+            lower = scan.best.lower if scan.best is not None else None
+            future = scan.pool.submit(
+                _solve_run, scan.data.chars, n, scan.tol, scan.budget.remaining, todo,
+                lift_margin, list(scan.probe_args), lower, radius, slack) if todo else None
             in_flight.append((run, future))
             size = min(2 * size, MAX_RUN)
         if not in_flight:
@@ -674,11 +720,13 @@ def _solved_ahead(scan: _Scan, n: int, items, lift_margin: float | None):
             yield indices, next(ahead, None) if solved is None else solved
 
 
-def _scan_items(scan: _Scan, n: int, items, lift_margin: float | None = None):
-    """The (indices, solved) pairs of `items` for `_scan_targets`, those
-    without a solution solved ahead by the scan's pool if it has one."""
+def _scan_items(scan: _Scan, n: int, items, lift_margin: float | None = None,
+                radius: float = 0.0, slack: float = 0.0):
+    """The (indices, solved) pairs of `items` for `_scan_targets` with cell
+    radius `radius` and closing slack `slack`, those without a solution
+    solved ahead by the scan's pool if it has one."""
     if scan.pool is not None:
-        return _solved_ahead(scan, n, items, lift_margin)
+        return _solved_ahead(scan, n, items, lift_margin, radius, slack)
     return items
 
 
@@ -814,7 +862,7 @@ def _refine(scan: _Scan, tol: float, max_order: int):
         else:
             cells, closed = _next_level(scan.data, n, parents, scan.best.lower, tol, opened)
             closed_top = max(closed_top, closed)
-        with contextlib.closing(_scan_items(scan, n, cells, lift_margin)) as items:
+        with contextlib.closing(_scan_items(scan, n, cells, lift_margin, radius, tol)) as items:
             closed_hi, _, status = _scan_targets(scan, n, items, upper, radius, tol, opened,
                                                  lift_margin)
         lower = scan.best.lower if scan.best is not None else 0.0

@@ -153,6 +153,51 @@ def best_point_torsion_exhaustive(orders, torsion_rows, target_turns):
     return best_val, best_pt
 
 
+def torsion_units_loop(unit_rows, modulus: int, target_units, selections, budget):
+    """Reference per-selection scan of a purely torsion dual in integer
+    angle units: charges len(unit_rows) before each selection, stops at the
+    first zero error.  Returns (best_units, first best selection)."""
+    best_units, best_sel = None, None
+    for sel in selections:
+        budget.charge(len(unit_rows))
+        worst = 0
+        for row, tu in zip(unit_rows, target_units):
+            e = (tu - sum(u * c for u, c in zip(row, sel))) % modulus
+            worst = max(worst, min(e, modulus - e))
+        if best_units is None or worst < best_units:
+            best_units, best_sel = worst, sel
+            if worst == 0:
+                break
+    return best_units, best_sel
+
+
+def net_universe(free_rows, torsion_rows, orders, grid_cells=None):
+    """The greedy net's candidate points in canonical order, each as
+    ((torus angles, torsion selection), per-character arguments)."""
+    r = len(free_rows[0]) if free_rows else 0
+    ranges = [range(grid_cells) for _ in range(r)] + [range(m) for m in orders]
+    points = []
+    for combo in itertools.product(*ranges):
+        angles = tuple(TWO_PI * t / grid_cells for t in combo[:r])
+        sel = combo[r:]
+        args = [sum(a * th for a, th in zip(free, angles))
+                + sum(TWO_PI * t * c / m for t, c, m in zip(tors, sel, orders))
+                for free, tors in zip(free_rows, torsion_rows)]
+        points.append(((angles, sel), args))
+    return points
+
+
+def greedy_separated(points, floor: float):
+    """Scalar greedy pass: a point is kept iff the chord 2 sin(d/2) of its
+    largest arc distance d to every kept point is at least floor."""
+    kept = []
+    for key, args in points:
+        if all(2.0 * math.sin(max(circle_dist(a, b) for a, b in zip(args, other)) / 2.0)
+               >= floor for _, other in kept):
+            kept.append((key, args))
+    return [key for key, _ in kept]
+
+
 def mixed_example_error_curve(big_n: int, u_grid: int = 10_000):
     """Best approximation error for the sign-flip target on the paired
     coset-like set in Z x Z2^N, minimized over a u-grid with the per-factor

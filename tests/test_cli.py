@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from kronset import SetSpecError, TargetMap, approx_error
+from kronset import SetSpecError, TargetMap, __version__, approx_error
 from kronset.cli import main, parse_set_spec
 from kronset.groups import DualPoint
 
@@ -166,6 +166,28 @@ class TestSubcommands:
         out = capsys.readouterr().out
         assert code == 0
         assert "certification: certified" in out
+
+
+class TestOutputFormat:
+    def test_default_is_one_line_of_json(self, capsys):
+        for argv in (["alpha-n", "--set", "Z : [1],[2]", "--n", "4"],
+                     ["b2", "--set", "Z : [1],[2],[3]"]):
+            main(argv + ["--no-timestamp"])
+            out = capsys.readouterr().out
+            assert out.endswith("\n") and out.count("\n") == 1, argv
+            assert json.loads(out)["command"] == argv[0]
+
+    def test_pretty_rendering_unchanged(self, capsys):
+        main(["b2", "--set", "Z : [1],[2],[3]", "--pretty", "--no-timestamp"])
+        assert capsys.readouterr().out == "\n".join([
+            "schema_version: 1", "tool:", "  name: kronset", f"  version: {__version__}",
+            "command: b2", "input:", "  set: Z : [1],[2],[3]", "  group:",
+            "    free_rank: 1", "    torsion_orders: []", "    describe: Z", "  elements:",
+            "    free: [1]", "    torsion: []", "    -",
+            "    free: [2]", "    torsion: []", "    -",
+            "    free: [3]", "    torsion: []", "    -",
+            "result:", "  coincidences: 1", "  quadruples: [[[1], [3], [2], [2]]]",
+            "certification: certified", "exit_code: 0", ""])
 
 
 class TestReportContract:

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import oracles
 from kronset import (
     BudgetExceededError,
     Character,
@@ -83,6 +84,25 @@ class TestSeparatedSets:
         s1 = maximal_separated_set(F, 0.9, grid_cells=50)
         s2 = maximal_separated_set(F, 0.9, grid_cells=50)
         assert s1.points == s2.points
+
+    def test_matches_scalar_greedy_pass(self):
+        # random Z_m^2 and Z x Z2 universes against a point-by-point pass
+        rng = random.Random(53)
+        groups = [(GroupSpec(0, (m, m)), None) for m in (3, 4, 5, 7)]
+        groups += [(GroupSpec(1, (2,)), cells) for cells in (6, 12, 25)]
+        for g, cells in groups:
+            for _ in range(3):
+                elements = {(tuple(rng.randint(-4, 4) for _ in range(g.free_rank)),
+                             tuple(rng.randrange(m) for m in g.torsion_orders))
+                            for _ in range(rng.randint(2, 4))}
+                F = CharacterSet(g, tuple(Character(g, *e) for e in sorted(elements)))
+                eps = rng.uniform(0.2, 1.95)
+                S = maximal_separated_set(F, eps, grid_cells=cells)
+                universe = oracles.net_universe([c.free_coords for c in F],
+                                                [c.torsion_coords for c in F],
+                                                g.torsion_orders, cells)
+                expected = oracles.greedy_separated(universe, eps - 1e-12)
+                assert [(p.torus_angles, p.torsion_selections) for p in S.points] == expected
 
     def test_universe_budget(self):
         F = CharacterSet.of_integers([1])

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +21,7 @@ from kronset import (
     best_point,
     grid_cap,
 )
-from kronset import engine
+from kronset import _minimax, engine
 from kronset._minimax import (
     line_distances,
     line_witness,
@@ -28,6 +29,7 @@ from kronset._minimax import (
     min_error_circle,
 )
 from kronset.engine import Budget
+from kronset.errors import BudgetExceededError
 
 TWO_PI = 2.0 * math.pi
 
@@ -189,6 +191,92 @@ class TestBestPoint:
         assert approx_error(E, phi, point) == pytest.approx(bracket.upper, abs=1e-12)
 
 
+class TestTorsionTable:
+    """The selection-table solve against the exhaustive oracle and against
+    the per-selection reference loop's budget charges."""
+
+    GROUPS = ((12,), (5, 5), (4, 6))
+
+    @staticmethod
+    def solve(data, n, indices, budget):
+        """`_solve_target`'s call of the table solver, with the arguments
+        the reference loop takes for the same target."""
+        modulus = math.lcm(data.lcm, n)
+        scale = modulus // data.lcm
+        targets = [j * (modulus // n) for j in indices]
+        got = _minimax.solve_torsion_units(data.torsion_table, data.selection_count, scale,
+                                           modulus, targets, budget)
+        rows = [tuple(u * scale for u in row) for row in data.unit_rows]
+        return got, (rows, modulus, targets)
+
+    def test_exact_values_and_first_selection(self):
+        rng = random.Random(43)
+        for orders in self.GROUPS:
+            g = GroupSpec(0, orders)
+            for n in (2, 3, 5, 8):
+                for _ in range(4):
+                    E = random_group_set(rng, g)
+                    idx = [rng.randrange(n) for _ in E]
+                    val, sel = oracles.best_point_torsion_exhaustive(
+                        orders, [c.torsion_coords for c in E], [Fraction(j, n) for j in idx])
+                    point, bracket = best_point(E, TargetMap.from_grid(E, n, idx))
+                    assert bracket.exact_turns == val, (E, n, idx)
+                    assert point.torsion_selections == sel, (E, n, idx)
+
+    @pytest.mark.parametrize("block", [None, 5])
+    def test_budget_charges_match_the_reference_loop(self, monkeypatch, block):
+        if block is not None:
+            # blocks split the table, and no table is kept
+            monkeypatch.setattr(_minimax, "TABLE_BLOCK", block)
+            monkeypatch.setattr(engine, "TABLE_BLOCK", block)
+        rng = random.Random(47)
+        stops = set()
+        for orders in self.GROUPS:
+            g = GroupSpec(0, orders)
+            for n in (3, 4, 6):
+                for _ in range(6):
+                    E = random_group_set(rng, g)
+                    data = engine._SetData(E)
+                    idx = [rng.randrange(n) for _ in E]
+                    if rng.random() < 0.5:
+                        # a target attained by some selection stops at a zero
+                        sel = data.selection(rng.randrange(data.selection_count))
+                        turns = [c.torsion_turns(sel) * n for c in E]
+                        if all(t.denominator == 1 for t in turns):
+                            idx = [int(t) % n for t in turns]
+                    full = Budget(10**9)
+                    (units, index), args = self.solve(data, n, idx, full)
+                    ref = Budget(10**9)
+                    ref_units, ref_sel = oracles.torsion_units_loop(
+                        *args, itertools.product(*map(range, orders)), ref)
+                    assert (units, data.selection(index)) == (ref_units, ref_sel)
+                    assert full.used == ref.used
+                    stops.add(units == 0)
+                    limit = rng.randrange(full.used)
+                    short, ref = Budget(limit), Budget(limit)
+                    with pytest.raises(BudgetExceededError):
+                        self.solve(data, n, idx, short)
+                    with pytest.raises(BudgetExceededError):
+                        oracles.torsion_units_loop(
+                            *args, itertools.product(*map(range, orders)), ref)
+                    assert short.used == ref.used
+        assert stops == {True, False}
+
+    def test_budget_is_consulted_before_the_table_is_built(self):
+        # 2^24 selections: a table built whole would take about 400 MB
+        g = GroupSpec(0, (2,) * 24)
+        units = [[1] + [0] * 23, [0, 1] + [0] * 22, [1, 1] + [0] * 22]
+        E = CharacterSet(g, tuple(Character(g, (), u) for u in units))
+        tracemalloc.start()
+        try:
+            res = alpha_n(E, 2, budget=10**5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.work.stop_reason == "budget"
+        assert peak < 64 * 2**20
+
+
 class TestAlphaN:
     def test_identity_only_set(self):
         E = CharacterSet.of_integers([0])
@@ -280,6 +368,15 @@ class TestAlphaN:
             assert serial.work.budget_exhausted == ("budget" in kw)
         E = CharacterSet.of_integers([1, 3])
         assert alpha(E, tol=1e-2, threads=2) == alpha(E, tol=1e-2)
+
+    def test_pool_worker_skips_targets_the_probes_close(self):
+        E = CharacterSet.of_integers([1, 2, 3, 5, 8])
+        run = [(0, 0, 0, 0, 0), (1, 2, 3, 4, 5)]
+        solved = engine._solve_run(E, 8, 1e-3, 10**7, run)
+        assert None not in solved
+        # the identity closes the all-zero target against a lower end of 0
+        probed = engine._solve_run(E, 8, 1e-3, 10**7, run, None, [np.zeros(len(E))], 0.0)
+        assert probed == [None, solved[1]]
 
     def test_seed_targets_raise_lower_bound(self):
         E = CharacterSet.of_integers([-2, 1, 4])
