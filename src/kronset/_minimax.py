@@ -32,35 +32,35 @@ def _dist_array(x: np.ndarray) -> np.ndarray:
     return np.abs(np.mod(x + math.pi, TWO_PI) - math.pi)
 
 
-def circle_candidate_count(slopes) -> int:
-    nz = [int(a) for a in slopes if a != 0]
-    count = 1 + sum(2 * abs(a) for a in nz)
-    for a, b in itertools.combinations(nz, 2):
-        count += abs(a + b) if a * b > 0 else abs(a - b)
-    return count
+#: most elements of a block's (rows x characters x candidates) array
+CIRCLE_BLOCK = 1 << 16
 
 
-def circle_candidates(slopes: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """All candidate minimizers of max_k dist(a_k*theta, psi_k) on the circle.
+@lru_cache(maxsize=256)
+def circle_plan(slopes: tuple):
+    """Candidate minimizers of max_k dist(a_k*theta, psi_k) on the circle.
 
     Candidates are the kinks of each tent (its zeros and peaks) and, for
     every pair of tents, the crossings where one descends into the other:
     with matching slope signs these satisfy (a_j + a_k) theta = psi_j + psi_k
     mod 2*pi, with opposite signs (a_j - a_k) theta = psi_j - psi_k mod 2*pi.
-    """
-    parts = [np.zeros(1)]
-    nz = [(int(a), float(p)) for a, p in zip(slopes, psi) if a != 0]
-    for a, p in nz:
-        t = np.arange(2 * abs(a), dtype=np.float64)
-        parts.append((p + math.pi * t) / a)
-    for (a, pa), (b, pb) in itertools.combinations(nz, 2):
-        if a * b > 0:
-            div, rhs = a + b, pa + pb
-        else:
-            div, rhs = a - b, pa - pb
-        t = np.arange(abs(div), dtype=np.float64)
-        parts.append((rhs + TWO_PI * t) / div)
-    return np.mod(np.concatenate(parts), TWO_PI)
+    Returns (J, K, OFF, DIV, nonzero-slope mask, max |a|, evaluations per
+    row): candidate c is (P[J[c]] + P[K[c]] + OFF[c]) / DIV[c] mod 2*pi for
+    every row, with P = [psi, -psi, 0]."""
+    m = len(slopes)
+    nz = [i for i, a in enumerate(slopes) if a != 0]
+    # (J, K, offset step, divisor, candidates) per piece, the first being 0
+    pieces = [(2 * m, 2 * m, 0.0, 1, 1)]
+    pieces += [(i, 2 * m, math.pi, slopes[i], 2 * abs(slopes[i])) for i in nz]
+    for p, q in itertools.combinations(nz, 2):
+        a, b = slopes[p], slopes[q]
+        d, pk = (a + b, q) if a * b > 0 else (a - b, m + q)
+        pieces.append((p, pk, TWO_PI, d, abs(d)))
+    size = [piece[-1] for piece in pieces]
+    j, k, step, div = (np.repeat(col, size) for col in list(zip(*pieces))[:4])
+    off = step * np.concatenate([np.arange(c, dtype=np.float64) for c in size])
+    return (j, k, off, div, np.array(slopes) != 0, float(max(map(abs, slopes))),
+            sum(size) * m)
 
 
 def min_error_circle(slopes: np.ndarray, psi: np.ndarray, budget, lift_margin=None):
@@ -68,38 +68,35 @@ def min_error_circle(slopes: np.ndarray, psi: np.ndarray, budget, lift_margin=No
 
     Returns (theta, lower, upper) with upper attained at theta and lower =
     upper minus a slack covering floating-point placement of the candidate
-    points.  Given lift_margin, also returns the lifts within lift_margin
-    of the minimum (see `circle_lifts`) as a fourth item.
+    points.  Rows psi[s] give arrays of one entry per row, each row charged
+    before its candidates are built.  Given lift_margin (one row only),
+    also returns the lifts within lift_margin of the minimum (see
+    `circle_lifts`) as a fourth item.
     """
-    const_err = 0.0
-    zero_mask = slopes == 0
-    if zero_mask.any():
-        const_err = float(np.max(_dist_array(psi[zero_mask])))
-    if zero_mask.all():
-        budget.charge(len(slopes))
-        if lift_margin is not None:
-            return 0.0, const_err, const_err, None
-        return 0.0, const_err, const_err
-
-    budget.charge(circle_candidate_count(slopes) * len(slopes))
-    act_slopes = slopes[~zero_mask].astype(np.float64)
-    act_psi = psi[~zero_mask]
-    cands = circle_candidates(slopes, psi)
-    vals = _dist_array(act_slopes[:, None] * cands[None, :] - act_psi[:, None]).max(axis=0)
-    if const_err > 0.0:
-        np.maximum(vals, const_err, out=vals)
-    vmin = float(vals.min())
+    j, k, off, div, mask, amax, cost = circle_plan(tuple(slopes.tolist()))
+    rows = np.atleast_2d(psi)
+    budget.charge(len(rows) * cost)
+    const_err = _dist_array(rows[:, ~mask]).max(axis=1, initial=0.0)
+    p = np.concatenate([rows, -rows, np.zeros((len(rows), 1))], axis=1)
+    cands = np.mod((p[:, j] + p[:, k] + off) / div, TWO_PI)
+    a, u = slopes[mask].astype(np.float64)[:, None], rows[:, mask, None]
+    vals = np.maximum(_dist_array(a * cands[:, None, :] - u).max(axis=1, initial=0.0),
+                      const_err[:, None])
+    vmin = vals.min(axis=1)
     # smallest theta among ties keeps results schedule-independent
-    theta = float(cands[vals <= vmin + 1e-12].min())
-    upper = max(float(np.max(_dist_array(act_slopes * theta - act_psi))), const_err)
-    amax = float(np.max(np.abs(act_slopes)))
+    theta = np.where(vals <= vmin[:, None] + 1e-12, cands, np.inf).min(axis=1)
+    upper = np.maximum(_dist_array(a * theta[:, None, None] - u).max(axis=1, initial=0.0)[:, 0],
+                       const_err)
     # the slack covers floating-point placement of the candidates; constant
     # (zero-slope) constraints bound the objective exactly at every theta
-    lower = max(const_err, min(vmin, upper) - 1e-12 * max(1.0, amax))
-    if lift_margin is not None:
-        lifts = circle_lifts(slopes, psi, cands, vals, upper + lift_margin)
-        return theta, max(0.0, lower), upper, lifts
-    return theta, max(0.0, lower), upper
+    lower = np.maximum(np.maximum(const_err, np.minimum(vmin, upper)
+                                  - 1e-12 * max(1.0, amax)), 0.0)
+    if psi.ndim == 2:
+        return theta, lower, upper
+    result = float(theta[0]), float(lower[0]), float(upper[0])
+    if lift_margin is None:
+        return result
+    return (*result, circle_lifts(slopes, psi, cands[0], vals[0], result[2] + lift_margin))
 
 
 # ---------------------------------------------------------------------------
@@ -170,14 +167,14 @@ def circle_lifts(slopes: np.ndarray, psi: np.ndarray, cands: np.ndarray,
                  vals: np.ndarray, cut: float):
     """Every lift nu (one per class modulo the slopes) whose inner value is
     at most `cut`, with those values, from the circle candidates and their
-    objective values; None when cut reaches pi, where residuals stop
-    determining their lift.
+    objective values; None when every slope is 0 or cut reaches pi, where
+    residuals stop determining their lift.
 
     A lift's inner minimum sits at a crossing of two of its lines, which is
     a circle candidate whose residuals a*theta - u all lie in [-pi, pi], so
     rounding the candidate's residuals recovers the lift and its value.
     """
-    if cut >= math.pi - LIFT_EPS:
+    if cut >= math.pi - LIFT_EPS or not slopes.any():
         return None
     near = vals <= cut + LIFT_EPS
     theta = cands[near]
@@ -204,30 +201,25 @@ def min_error_box(free_matrix: np.ndarray, psi: np.ndarray, tol: float, budget):
     zero_rows = ~free_matrix.any(axis=1)
     # all-zero rows put a constant floor under the objective everywhere
     floor = float(_dist_array(psi[zero_rows]).max()) if zero_rows.any() else None
-
-    def value(theta: np.ndarray) -> float:
-        return float(_dist_array(free_matrix @ theta - psi).max())
-
-    def bound(val: float, width: np.ndarray) -> float:
-        lb = val - 0.5 * float(lip @ width)
-        return lb if floor is None else max(lb, floor)
-
-    counter = itertools.count()
-    heap = []
+    heap, counter = [], itertools.count()
     best_val, best_theta = math.inf, None
-    steps = [BOX_INIT_CELLS if lip[j] > 0 else 1 for j in range(r)]
-    for corner in itertools.product(*[range(s) for s in steps]):
-        lo = np.array([TWO_PI * c / s for c, s in zip(corner, steps)])
-        width = np.array([TWO_PI / s for s in steps])
+
+    def push(lo: np.ndarray, width: np.ndarray):
+        nonlocal best_val, best_theta
         centre = lo + width / 2.0
         budget.charge(m)
-        val = value(centre)
+        val = float(_dist_array(free_matrix @ centre - psi).max())
         if val < best_val:
             best_val, best_theta = val, centre
-        heapq.heappush(heap, (bound(val, width), next(counter), lo, width, val))
+        lb = val - 0.5 * float(lip @ width)
+        heapq.heappush(heap, (lb if floor is None else max(lb, floor), next(counter), lo, width))
 
+    steps = [BOX_INIT_CELLS if lip[j] > 0 else 1 for j in range(r)]
+    for corner in itertools.product(*[range(s) for s in steps]):
+        push(np.array([TWO_PI * c / s for c, s in zip(corner, steps)]),
+             np.array([TWO_PI / s for s in steps]))
     while heap:
-        lb, _, lo, width, val = heapq.heappop(heap)
+        lb, _, lo, width = heapq.heappop(heap)
         if best_val - lb <= tol:
             return best_theta, max(0.0, min(lb, best_val)), best_val
         j = int(np.argmax(lip * width))
@@ -236,12 +228,7 @@ def min_error_box(free_matrix: np.ndarray, psi: np.ndarray, tol: float, budget):
         for shift in (0.0, half[j]):
             clo = lo.copy()
             clo[j] += shift
-            centre = clo + half / 2.0
-            budget.charge(m)
-            cval = value(centre)
-            if cval < best_val:
-                best_val, best_theta = cval, centre
-            heapq.heappush(heap, (bound(cval, half), next(counter), clo, half, cval))
+            push(clo, half)
     raise BudgetExceededError("box refinement exhausted its candidate heap")
 
 
@@ -251,33 +238,41 @@ def exact_dtype(bound: int):
     return np.int64 if bound < 1 << 61 else object
 
 
+def budget_blocks(count: int, cost: int, rows: int, budget):
+    """(start, stop) blocks of rows 0..count-1, at most `rows` at a time and
+    never more than the budget left pays for at `cost` units each, which the
+    caller charges.  With no room left, charges one row past it, as a loop
+    charging each row would, which raises."""
+    start = 0
+    while start < count:
+        room = max(budget.remaining, 0) // cost
+        take = min(rows, count - start, room)
+        if take == 0:
+            budget.charge((room + 1) * cost)
+        yield start, start + take
+        start += take
+
+
 def first_least(errors, count: int, m: int, budget):
     """Least of the per-selection errors over selections 0..count-1 and the
     first selection attaining it.
 
     errors(start, stop) gives the errors of selections start..stop-1, read
-    at most TABLE_BLOCK at a time and never more than the budget left pays
-    for at m units each.  The charges equal those of a loop that charges m
+    in `budget_blocks`.  The charges equal those of a loop that charges m
     before it evaluates each selection and stops at the first zero error:
     m per selection read up to that zero (or all of them), and at
     exhaustion one selection past the room left, which raises.
     """
     best = best_index = None
-    start = 0
-    while start < count:
-        room = max(budget.remaining, 0) // m
-        take = min(TABLE_BLOCK, count - start, room)
-        if take == 0:
-            budget.charge((room + 1) * m)
-        worst = errors(start, start + take)
+    for start, stop in budget_blocks(count, m, TABLE_BLOCK, budget):
+        worst = errors(start, stop)
         i = int(worst.argmin())
         if worst[i] == 0:
             budget.charge((i + 1) * m)
             return worst[i], start + i
-        budget.charge(take * m)
+        budget.charge((stop - start) * m)
         if best is None or worst[i] < best:
             best, best_index = worst[i], start + i
-        start += take
     return best, best_index
 
 

@@ -29,9 +29,12 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ._minimax import (
+    CIRCLE_BLOCK,
     LIFT_EPS,
     TABLE_BLOCK,
     _dist_array,
+    budget_blocks,
+    circle_plan,
     exact_dtype,
     first_least,
     line_distances,
@@ -222,12 +225,8 @@ class _SetData:
             tuple(t * (self.lcm // m) for t, m in zip(row, self.orders))
             for row in self.torsion
         )
-        if self.s:
-            self.tau = np.array(
-                [[TWO_PI * t / m for t, m in zip(row, self.orders)] for row in self.torsion]
-            )
-        else:
-            self.tau = np.zeros((self.m, 0))
+        self.tau = np.array([[TWO_PI * t / m for t, m in zip(row, self.orders)]
+                             for row in self.torsion]).reshape(self.m, self.s)
         self.slopes = self.free[:, 0].copy() if self.r == 1 else None
         self.selection_count = g.dual_torsion_size
         self._units = np.array(self.unit_rows, dtype=exact_dtype(
@@ -235,13 +234,17 @@ class _SetData:
         self._table = None
 
     def selection(self, index: int) -> tuple[int, ...]:
-        """The index-th torsion selection, in the order of
-        itertools.product over the factors' residues."""
-        digits = []
-        for m in reversed(self.orders):
-            index, digit = divmod(index, m)
-            digits.append(digit)
-        return tuple(reversed(digits))
+        """The index-th torsion selection (see `selection_rows`)."""
+        return tuple(self.selection_rows(index, index + 1)[0].tolist())
+
+    def selection_rows(self, start: int, stop: int) -> np.ndarray:
+        """Selections start..stop-1 as rows of residues, one column per factor,
+        in the order of itertools.product over the factors' residues."""
+        index = np.arange(start, stop, dtype=np.int64)
+        rows = np.empty((stop - start, self.s), dtype=np.int64)
+        for i in reversed(range(self.s)):
+            index, rows[:, i] = np.divmod(index, self.orders[i])
+        return rows
 
     def torsion_table(self, start: int, stop: int) -> np.ndarray:
         """Rows start..stop-1 of the selection table: row s holds every
@@ -250,10 +253,8 @@ class _SetData:
         write to the rows."""
         if self._table is not None:
             return self._table[start:stop]
-        index = np.arange(start, stop, dtype=np.int64)
         rows = np.zeros((stop - start, self.m), dtype=self._units.dtype)
-        for m, units in zip(reversed(self.orders), self._units[::-1]):
-            index, digit = np.divmod(index, m)
+        for digit, units in zip(self.selection_rows(start, stop).T, self._units):
             rows = (rows + digit[:, None] * units) % self.lcm
         if start == 0 and stop == self.selection_count <= TABLE_BLOCK:
             self._table = rows
@@ -321,20 +322,27 @@ def _solve_target(data: _SetData, angles: np.ndarray, grid, tol: float,
         theta, lo, up, lifts = min_error_circle(data.slopes, angles, budget,
                                                 lift_margin=lift_margin)
         return lo, up, DualPoint(group, (theta,), ()), None, lifts
-    best = None
-    lower = math.inf
-    for index in range(data.selection_count):
-        sel = data.selection(index)
-        psi = angles - (data.tau @ np.asarray(sel) if data.s else 0.0)
-        if data.r == 1:
-            theta, lo, up = min_error_circle(data.slopes, psi, budget)
-            theta_vec = (theta,)
-        else:
+    best, lower = None, math.inf
+    if data.r == 1:
+        # one kernel call per block of selections, a target in Z as one row; the
+        # stacked matmul shifts each row as tau @ selection does, bit for bit
+        cost = circle_plan(tuple(data.slopes.tolist()))[-1]
+        rows = max(1, min(TABLE_BLOCK, CIRCLE_BLOCK // cost))
+        for start, stop in budget_blocks(data.selection_count, cost, rows, budget):
+            shifts = np.matmul(data.tau, data.selection_rows(start, stop)[:, :, None])
+            theta, lo, up = min_error_circle(data.slopes, angles - shifts[:, :, 0], budget)
+            i = int(up.argmin())
+            lower = min(lower, float(lo.min()))
+            if best is None or up[i] < best[0]:
+                best = (float(up[i]), (float(theta[i]),), data.selection(start + i))
+    else:
+        for index in range(data.selection_count):
+            sel = data.selection(index)
+            psi = angles - (data.tau @ np.asarray(sel) if data.s else 0.0)
             theta_arr, lo, up = min_error_box(data.free, psi, tol, budget)
-            theta_vec = tuple(float(t) for t in theta_arr)
-        lower = min(lower, lo)
-        if best is None or up < best[0]:
-            best = (up, theta_vec, sel)
+            lower = min(lower, lo)
+            if best is None or up < best[0]:
+                best = (up, tuple(float(t) for t in theta_arr), sel)
     upper, theta_vec, sel = best
     return lower, upper, DualPoint(group, theta_vec, sel), None, None
 
@@ -563,9 +571,9 @@ class _Incumbent:
 @dataclass
 class _Scan:
     """What the scans of one computation share: the incumbent worst target,
-    the last few witness points used as probes, the budget, the work
-    counters and the pool of `threads` workers, if any, that solves targets
-    ahead.  `tol` is the inner-solve tolerance and the cap-exit margin."""
+    the last few witness points as probes (character argument rows, oldest
+    first), the budget, the work counters and the pool of `threads` workers,
+    if any, solving ahead.  `tol` is the inner-solve tolerance and cap-exit margin."""
 
     data: _SetData
     tol: float
@@ -574,11 +582,11 @@ class _Scan:
     threads: int = 1
     stats: WorkStats = field(default_factory=WorkStats)
     best: _Incumbent | None = None
-    probe_args: deque = field(init=False)
+    probes: np.ndarray = field(init=False)
 
     def __post_init__(self):
         # the identity of the dual group is the first probe
-        self.probe_args = deque([np.zeros(self.data.m)], maxlen=4)
+        self.probes = np.zeros((1, self.data.m))
 
 
 def _scan_targets(scan: _Scan, n: int, items, cap: float, radius: float = 0.0,
@@ -616,12 +624,7 @@ def _scan_targets(scan: _Scan, n: int, items, cap: float, radius: float = 0.0,
             angles = np.array(indices, dtype=np.float64) * step
         try:
             if best is not None and not lifted:
-                probed = None
-                for args in scan.probe_args:
-                    budget.charge(data.m)
-                    probed = _probe_bound(angles, args, radius, best.lower, slack)
-                    if probed is not None:
-                        break
+                probed = _probe(scan, angles, radius, slack)
                 if probed is not None:
                     stats.targets_pruned += 1
                     closed_hi = max(closed_hi, probed)
@@ -641,7 +644,7 @@ def _scan_targets(scan: _Scan, n: int, items, cap: float, radius: float = 0.0,
             if point is None:
                 point = _lift_point(data, np.array(indices, dtype=np.float64) * step, lifts)
             scan.best = best = _Incumbent(lower, upper, n, tuple(indices), point, exact)
-            scan.probe_args.append(data.point_args(point))
+            scan.probes = np.vstack([scan.probes[-3:], data.point_args(point)])  # last four
         bound = upper + radius
         if bound - best.lower <= slack:
             closed_hi = max(closed_hi, bound)
@@ -655,17 +658,29 @@ def _scan_targets(scan: _Scan, n: int, items, cap: float, radius: float = 0.0,
     return closed_hi, open_hi, status
 
 
-def _probe_bound(angles: np.ndarray, args: np.ndarray, radius: float, lower: float,
+def _probe(scan: _Scan, angles: np.ndarray, radius: float, slack: float):
+    """`_probe_bound` of the scan's probes, charging m per probe read as a
+    loop over them would: at exhaustion one past the room left, which raises."""
+    probed, read = _probe_bound(angles, scan.probes, radius, scan.best.lower, slack)
+    m = scan.data.m
+    scan.budget.charge(min(read, max(scan.budget.remaining, 0) // m + 1) * m)
+    return probed
+
+
+def _probe_bound(angles: np.ndarray, probes: np.ndarray, radius: float, lower: float,
                  slack: float):
-    """The bound a probe point with character arguments `args` puts on the
-    cell of radius `radius` around a target, if it closes the cell against
-    the lower end `lower`, else None."""
-    bound = float(_dist_array(angles - args).max()) + radius
-    return bound if bound - lower <= slack else None
+    """(bound, read): the bound the first probe point (a row of character
+    arguments) to close the cell of radius `radius` around a target against
+    the lower end `lower` puts on it, or None, and the probes read to it."""
+    bounds = _dist_array(angles - probes).max(axis=1) + radius
+    closing = np.flatnonzero(bounds - lower <= slack)
+    if closing.size:
+        return float(bounds[closing[0]]), int(closing[0]) + 1
+    return None, len(bounds)
 
 
 def _solve_run(chars: CharacterSet, n: int, tol: float, limit: int, run,
-               lift_margin: float | None = None, probe_args=(), lower: float | None = None,
+               lift_margin: float | None = None, probes=None, lower: float | None = None,
                radius: float = 0.0, slack: float = 0.0):
     """Process-pool worker: (solution, budget units charged) per target of a
     run, stopping before the first target that takes the run past `limit`.
@@ -677,8 +692,8 @@ def _solve_run(chars: CharacterSet, n: int, tol: float, limit: int, run,
     solved = []
     for indices in run:
         angles = np.array(indices, dtype=np.float64) * (TWO_PI / n)
-        if lower is not None and any(_probe_bound(angles, args, radius, lower, slack)
-                                     is not None for args in probe_args):
+        if lower is not None and _probe_bound(angles, probes, radius, lower,
+                                              slack)[0] is not None:
             solved.append(None)
             continue
         used = budget.used
@@ -690,14 +705,18 @@ def _solve_run(chars: CharacterSet, n: int, tol: float, limit: int, run,
     return solved
 
 
-def _solved_ahead(scan: _Scan, n: int, items, lift_margin: float | None, radius: float,
-                  slack: float):
-    """Pass on the (indices, solved) pairs of `items`, the pairs without a
-    solution getting the (solution, cost) the scan's pool found, or None.
-    At most 2*threads runs are in flight, each capped by the budget left
-    when submitted and skipping the targets the probes then close; runs
-    double from one target up to MAX_RUN, so short scans still use every
-    worker."""
+def _solved_ahead(scan: _Scan, n: int, items, lift_margin: float | None = None,
+                  radius: float = 0.0, slack: float = 0.0):
+    """Pass on the (indices, solved) pairs of `items` for `_scan_targets`
+    with cell radius `radius` and closing slack `slack`; with a pool, the
+    pairs without a solution get the (solution, cost) the pool found, or
+    None.  At most 2*threads runs are in flight, each capped by the budget
+    left when submitted and skipping the targets the probes then close;
+    runs double from one target up to MAX_RUN, so short scans still use
+    every worker."""
+    if scan.pool is None:
+        yield from items
+        return
     in_flight = deque()
     size = 1
     while True:
@@ -709,7 +728,7 @@ def _solved_ahead(scan: _Scan, n: int, items, lift_margin: float | None, radius:
             lower = scan.best.lower if scan.best is not None else None
             future = scan.pool.submit(
                 _solve_run, scan.data.chars, n, scan.tol, scan.budget.remaining, todo,
-                lift_margin, list(scan.probe_args), lower, radius, slack) if todo else None
+                lift_margin, scan.probes, lower, radius, slack) if todo else None
             in_flight.append((run, future))
             size = min(2 * size, MAX_RUN)
         if not in_flight:
@@ -718,16 +737,6 @@ def _solved_ahead(scan: _Scan, n: int, items, lift_margin: float | None, radius:
         ahead = iter(future.result() if future is not None else ())
         for indices, solved in run:
             yield indices, next(ahead, None) if solved is None else solved
-
-
-def _scan_items(scan: _Scan, n: int, items, lift_margin: float | None = None,
-                radius: float = 0.0, slack: float = 0.0):
-    """The (indices, solved) pairs of `items` for `_scan_targets` with cell
-    radius `radius` and closing slack `slack`, those without a solution
-    solved ahead by the scan's pool if it has one."""
-    if scan.pool is not None:
-        return _solved_ahead(scan, n, items, lift_margin, radius, slack)
-    return items
 
 
 def _pool(threads: int):
@@ -773,7 +782,7 @@ def alpha_n(chars: CharacterSet, n: int, tol: float = DEFAULT_TOL,
     with _pool(threads) as pool:
         scan = _Scan(data, tol, Budget(budget), pool, threads)
         cells = ((indices, None) for indices in idx_iter)
-        with contextlib.closing(_scan_items(scan, n, cells)) as items:
+        with contextlib.closing(_solved_ahead(scan, n, cells)) as items:
             closed_hi, open_hi, status = _scan_targets(scan, n, items, cap)
     best, stats = scan.best, scan.stats
     stats.inner_evals = scan.budget.used
@@ -862,7 +871,7 @@ def _refine(scan: _Scan, tol: float, max_order: int):
         else:
             cells, closed = _next_level(scan.data, n, parents, scan.best.lower, tol, opened)
             closed_top = max(closed_top, closed)
-        with contextlib.closing(_scan_items(scan, n, cells, lift_margin, radius, tol)) as items:
+        with contextlib.closing(_solved_ahead(scan, n, cells, lift_margin, radius, tol)) as items:
             closed_hi, _, status = _scan_targets(scan, n, items, upper, radius, tol, opened,
                                                  lift_margin)
         lower = scan.best.lower if scan.best is not None else 0.0

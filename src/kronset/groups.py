@@ -44,12 +44,6 @@ def chordal_of_angle(d: float) -> float:
     return 2.0 * math.sin(min(max(d, 0.0), math.pi) / 2.0)
 
 
-def turns_distance(a: Fraction, b: Fraction) -> Fraction:
-    """Exact circle distance between two angles given as fractions of a turn."""
-    d = (a - b) % 1
-    return min(d, 1 - d)
-
-
 @dataclass(frozen=True)
 class GroupSpec:
     """Shape of a finitely generated discrete abelian group."""

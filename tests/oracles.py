@@ -171,6 +171,64 @@ def torsion_units_loop(unit_rows, modulus: int, target_units, selections, budget
     return best_units, best_sel
 
 
+def _dist(x):
+    return np.abs(np.mod(x + math.pi, TWO_PI) - math.pi)
+
+
+def circle_candidates_loop(slopes, psi) -> np.ndarray:
+    """Reference candidate list of the rank-1 solve, built piece by piece:
+    0, the kinks of each nonzero tent, then the crossings of each pair."""
+    parts = [np.zeros(1)]
+    nz = [(int(a), float(p)) for a, p in zip(slopes, psi) if a != 0]
+    for a, p in nz:
+        t = np.arange(2 * abs(a), dtype=np.float64)
+        parts.append((p + math.pi * t) / a)
+    for (a, pa), (b, pb) in itertools.combinations(nz, 2):
+        if a * b > 0:
+            div, rhs = a + b, pa + pb
+        else:
+            div, rhs = a - b, pa - pb
+        t = np.arange(abs(div), dtype=np.float64)
+        parts.append((rhs + TWO_PI * t) / div)
+    return np.mod(np.concatenate(parts), TWO_PI)
+
+
+def min_error_circle_loop(slopes, psi, budget):
+    """Reference rank-1 solve of one target: charges candidates x
+    characters (m when every slope is 0) before evaluating them, and
+    returns (theta, lower, upper) with the smallest theta among ties."""
+    slopes, psi = np.asarray(slopes), np.asarray(psi)
+    zero = slopes == 0
+    const_err = float(np.max(_dist(psi[zero]))) if zero.any() else 0.0
+    if zero.all():
+        budget.charge(len(slopes))
+        return 0.0, const_err, const_err
+    cands = circle_candidates_loop(slopes, psi)
+    budget.charge(len(cands) * len(slopes))
+    act, act_psi = slopes[~zero].astype(np.float64), psi[~zero]
+    vals = _dist(act[:, None] * cands[None, :] - act_psi[:, None]).max(axis=0)
+    vals = np.maximum(vals, const_err)
+    vmin = float(vals.min())
+    theta = float(cands[vals <= vmin + 1e-12].min())
+    upper = max(float(np.max(_dist(act * theta - act_psi))), const_err)
+    lower = max(const_err, min(vmin, upper) - 1e-12 * max(1.0, float(np.abs(act).max())))
+    return theta, max(0.0, lower), upper
+
+
+def circle_selections_loop(slopes, tau, angles, selections, budget):
+    """Reference solve on free rank 1 plus torsion: one
+    `min_error_circle_loop` per selection, with the targets shifted by
+    tau @ selection.  Returns (least lower, least upper, its theta, the
+    first selection attaining it)."""
+    lower, best = math.inf, None
+    for sel in selections:
+        theta, lo, up = min_error_circle_loop(slopes, angles - tau @ np.asarray(sel), budget)
+        lower = min(lower, lo)
+        if best is None or up < best[0]:
+            best = (up, theta, sel)
+    return lower, *best
+
+
 def net_universe(free_rows, torsion_rows, orders, grid_cells=None):
     """The greedy net's candidate points in canonical order, each as
     ((torus angles, torsion selection), per-character arguments)."""

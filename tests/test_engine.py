@@ -160,6 +160,26 @@ class TestBestPoint:
         point, bracket = best_point(E, phi)
         assert approx_error(E, phi, point) == pytest.approx(bracket.upper, abs=1e-12)
 
+    def test_mixed_group_oracle(self):
+        # the bracket holds the least, over torsion selections, of the
+        # breakpoint oracle's value at the shifted targets
+        rng = random.Random(313)
+        for _ in range(60):
+            g = GroupSpec(1, (rng.randint(2, 6),))
+            E = random_group_set(rng, g, zero=rng.random() < 0.2)
+            m = g.torsion_orders[0]
+            if rng.random() < 0.5:
+                n = rng.choice([2, 3, 4, 5])
+                phi = TargetMap.from_grid(E, n, [rng.randrange(n) for _ in E])
+            else:
+                phi = TargetMap.from_angles(E, [rng.uniform(0, TWO_PI) for _ in E])
+            slopes = [c.free_coords[0] for c in E]
+            want = min(oracles.min_error_breakpoints(
+                slopes, [a - TWO_PI * c.torsion_coords[0] * sel / m
+                         for a, c in zip(phi.angles, E)])[1] for sel in range(m))
+            _, bracket = best_point(E, phi)
+            assert bracket.lower - 1e-12 <= want <= bracket.upper + 1e-12, (E, phi)
+
     def test_continuous_target_on_torsion_group(self):
         g = GroupSpec(0, (2, 2))
         E = CharacterSet(g, (Character(g, (), (1, 0)), Character(g, (), (0, 1))))
@@ -378,6 +398,34 @@ class TestAlphaN:
         probed = engine._solve_run(E, 8, 1e-3, 10**7, run, None, [np.zeros(len(E))], 0.0)
         assert probed == [None, solved[1]]
 
+    def test_probe_charges_match_a_loop_over_the_probes(self, monkeypatch):
+        def probe_loop(scan, angles, radius, slack):
+            # the reference: charge m, then read one probe, until one closes
+            for args in scan.probes:
+                scan.budget.charge(scan.data.m)
+                bound = float(np.abs(np.mod(angles - args + math.pi, TWO_PI)
+                                     - math.pi).max()) + radius
+                if bound - scan.best.lower <= slack:
+                    return bound
+            return None
+
+        rng = random.Random(331)
+        groups = [GroupSpec(1), GroupSpec(2), GroupSpec(1, (2,)), GroupSpec(0, (12,))]
+        cases = [(CharacterSet.of_integers([1, 2, 3, 5, 8]), 8)]
+        cases += [(random_group_set(rng, g), n) for g in groups for n in (3, 4, 5, 8)]
+        pruned = 0
+        for E, n in cases:
+            full = alpha_n(E, n, tol=1e-2)
+            pruned += full.work.targets_pruned
+            limits = [rng.randint(1, full.work.inner_evals) for _ in range(8)]
+            got = [alpha_n(E, n, tol=1e-2, budget=b) for b in limits]
+            with monkeypatch.context() as patch:
+                patch.setattr(engine, "_probe", probe_loop)
+                assert alpha_n(E, n, tol=1e-2) == full, (E, n)
+                for b, res in zip(limits, got):
+                    assert alpha_n(E, n, tol=1e-2, budget=b) == res, (E, n, b)
+        assert pruned > 100
+
     def test_seed_targets_raise_lower_bound(self):
         E = CharacterSet.of_integers([-2, 1, 4])
         full = alpha_n(E, 3)
@@ -465,6 +513,100 @@ class TestAlphaLadder:
         assert lo <= hi
         assert lo == pytest.approx(2 * math.sin(res.alpha.lower / 2), abs=1e-15)
         assert hi == pytest.approx(2 * math.sin(res.alpha.upper / 2), abs=1e-15)
+
+
+class TestCircleKernel:
+    """The block kernel of the rank-1 solve against the per-selection
+    reference loop: same values, ties, selections and budget charges."""
+
+    GROUPS = ((2, 2, 2), (12,), (3, 4))
+
+    @staticmethod
+    def random_slopes(rng):
+        return np.array([rng.choice([0, rng.randint(-7, 7)]) for _ in range(rng.randint(1, 5))])
+
+    @staticmethod
+    def random_angles(rng, m):
+        # grid targets make ties among candidates, uniform ones do not
+        if rng.random() < 0.5:
+            n = rng.choice([2, 3, 4, 6])
+            return np.array([TWO_PI * rng.randrange(n) / n for _ in range(m)])
+        return np.array([rng.uniform(0, TWO_PI) for _ in range(m)])
+
+    def test_one_row_matches_the_reference(self):
+        rng = random.Random(307)
+        for _ in range(300):
+            slopes = self.random_slopes(rng)
+            psi = self.random_angles(rng, len(slopes))
+            got, want = Budget(10**9), Budget(10**9)
+            assert (min_error_circle(slopes, psi, got)
+                    == oracles.min_error_circle_loop(slopes, psi, want)), (slopes, psi)
+            assert got.used == want.used
+
+    @pytest.mark.parametrize("block", [None, 1])
+    def test_selection_blocks_match_the_reference_loop(self, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(_minimax, "TABLE_BLOCK", block)
+            monkeypatch.setattr(engine, "TABLE_BLOCK", block)
+        rng = random.Random(311)
+        for orders in self.GROUPS:
+            g = GroupSpec(1, orders)
+            for _ in range(25):
+                slopes = self.random_slopes(rng)
+                coords = {(int(a), *(rng.randrange(m) for m in orders)): None for a in slopes}
+                E = CharacterSet(g, tuple(Character(g, c[:1], c[1:]) for c in coords))
+                slopes = np.array([c.free_coords[0] for c in E])
+                tau = np.array([[TWO_PI * t / m for t, m in zip(c.torsion_coords, orders)]
+                                for c in E])
+                angles = self.random_angles(rng, len(E))
+                data = engine._SetData(E)
+
+                def reference(budget):
+                    return oracles.circle_selections_loop(
+                        slopes, tau, angles, itertools.product(*map(range, orders)), budget)
+
+                full, ref = Budget(10**9), Budget(10**9)
+                lower, upper, point, _, _ = engine._solve_target(data, angles, None, 1e-3, full)
+                ref_lower, ref_upper, theta, sel = reference(ref)
+                assert (lower, upper) == (ref_lower, ref_upper), (E, angles)
+                assert point == DualPoint(g, (theta,), sel)
+                assert full.used == ref.used
+                limit = rng.randrange(full.used)
+                short, ref = Budget(limit), Budget(limit)
+                with pytest.raises(BudgetExceededError):
+                    engine._solve_target(data, angles, None, 1e-3, short)
+                with pytest.raises(BudgetExceededError):
+                    reference(ref)
+                assert short.used == ref.used
+
+    def test_budget_is_consulted_before_a_block_is_built(self):
+        # 2^20 selections of 25 candidates each: one block of all of them
+        # would take about 630 MB
+        g = GroupSpec(1, (2,) * 20)
+        rows = [(1, [1] + [0] * 19), (2, [0, 1] + [0] * 18), (3, [1, 1] + [0] * 18)]
+        E = CharacterSet(g, tuple(Character(g, (a,), u) for a, u in rows))
+        tracemalloc.start()
+        try:
+            res = alpha_n(E, 2, budget=10**5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.work.stop_reason == "budget"
+        assert peak < 64 * 2**20
+
+    def test_blocks_stay_within_the_element_bound(self):
+        # 2^12 selections of 85 candidates each: a block of all of them would
+        # hold about 10^6 elements, 8 MB per array
+        g = GroupSpec(1, (2,) * 12)
+        rows = [(5, [1] + [0] * 11), (7, [0, 1] + [0] * 10), (9, [1, 1] + [0] * 10)]
+        E = CharacterSet(g, tuple(Character(g, (a,), u) for a, u in rows))
+        tracemalloc.start()
+        try:
+            best_point(E, TargetMap.from_angles(E, [0.3, 1.1, 2.0]))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestLifts:
