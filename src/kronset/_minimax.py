@@ -37,30 +37,41 @@ CIRCLE_BLOCK = 1 << 16
 
 
 @lru_cache(maxsize=256)
-def circle_plan(slopes: tuple):
-    """Candidate minimizers of max_k dist(a_k*theta, psi_k) on the circle.
+def circle_pieces(slopes: tuple):
+    """Candidate minimizers of max_k dist(a_k*theta, psi_k) on the circle,
+    as pieces (J, K, step, d, count), and the evaluations one row of
+    `min_error_circle` is charged (candidates times characters).
 
     Candidates are the kinks of each tent (its zeros and peaks) and, for
     every pair of tents, the crossings where one descends into the other:
     with matching slope signs these satisfy (a_j + a_k) theta = psi_j + psi_k
     mod 2*pi, with opposite signs (a_j - a_k) theta = psi_j - psi_k mod 2*pi.
-    Returns (J, K, OFF, DIV, nonzero-slope mask, max |a|, evaluations per
-    row): candidate c is (P[J[c]] + P[K[c]] + OFF[c]) / DIV[c] mod 2*pi for
-    every row, with P = [psi, -psi, 0]."""
+    A piece holds the candidates (P[J] + P[K] + step*t) / d, t < count, with
+    P = [psi, -psi, 0]; the first is the candidate 0."""
     m = len(slopes)
     nz = [i for i, a in enumerate(slopes) if a != 0]
-    # (J, K, offset step, divisor, candidates) per piece, the first being 0
     pieces = [(2 * m, 2 * m, 0.0, 1, 1)]
     pieces += [(i, 2 * m, math.pi, slopes[i], 2 * abs(slopes[i])) for i in nz]
     for p, q in itertools.combinations(nz, 2):
         a, b = slopes[p], slopes[q]
         d, pk = (a + b, q) if a * b > 0 else (a - b, m + q)
         pieces.append((p, pk, TWO_PI, d, abs(d)))
+    return tuple(pieces), sum(piece[-1] for piece in pieces) * m
+
+
+def circle_plan(slopes: tuple):
+    """The candidates of `circle_pieces` as index and offset arrays, with
+    the nonzero-slope mask and max |a|: (J, K, OFF, DIV, mask, max |a|),
+    candidate c being (P[J[c]] + P[K[c]] + OFF[c]) / DIV[c] mod 2*pi."""
+    pieces = circle_pieces(slopes)[0]
     size = [piece[-1] for piece in pieces]
     j, k, step, div = (np.repeat(col, size) for col in list(zip(*pieces))[:4])
     off = step * np.concatenate([np.arange(c, dtype=np.float64) for c in size])
-    return (j, k, off, div, np.array(slopes) != 0, float(max(map(abs, slopes))),
-            sum(size) * m)
+    return j, k, off, div, np.array(slopes) != 0, float(max(map(abs, slopes)))
+
+
+#: plans of at most CIRCLE_BLOCK evaluations a row, kept for the next call
+_small_plan = lru_cache(maxsize=16)(circle_plan)
 
 
 def min_error_circle(slopes: np.ndarray, psi: np.ndarray, budget, lift_margin=None):
@@ -68,14 +79,15 @@ def min_error_circle(slopes: np.ndarray, psi: np.ndarray, budget, lift_margin=No
 
     Returns (theta, lower, upper) with upper attained at theta and lower =
     upper minus a slack covering floating-point placement of the candidate
-    points.  Rows psi[s] give arrays of one entry per row, each row charged
-    before its candidates are built.  Given lift_margin (one row only),
-    also returns the lifts within lift_margin of the minimum (see
-    `circle_lifts`) as a fourth item.
+    points.  Rows psi[s] give arrays of one entry per row, every row charged
+    before the candidates or their plan are built.  Given lift_margin (one
+    row only), also returns the lifts within lift_margin of the minimum
+    (see `circle_lifts`) as a fourth item.
     """
-    j, k, off, div, mask, amax, cost = circle_plan(tuple(slopes.tolist()))
-    rows = np.atleast_2d(psi)
+    key, rows = tuple(slopes.tolist()), np.atleast_2d(psi)
+    cost = circle_pieces(key)[1]
     budget.charge(len(rows) * cost)
+    j, k, off, div, mask, amax = (_small_plan if cost <= CIRCLE_BLOCK else circle_plan)(key)
     const_err = _dist_array(rows[:, ~mask]).max(axis=1, initial=0.0)
     p = np.concatenate([rows, -rows, np.zeros((len(rows), 1))], axis=1)
     cands = np.mod((p[:, j] + p[:, k] + off) / div, TWO_PI)
@@ -201,25 +213,30 @@ def min_error_box(free_matrix: np.ndarray, psi: np.ndarray, tol: float, budget):
     zero_rows = ~free_matrix.any(axis=1)
     # all-zero rows put a constant floor under the objective everywhere
     floor = float(_dist_array(psi[zero_rows]).max()) if zero_rows.any() else None
-    heap, counter = [], itertools.count()
-    best_val, best_theta = math.inf, None
 
-    def push(lo: np.ndarray, width: np.ndarray):
-        nonlocal best_val, best_theta
-        centre = lo + width / 2.0
-        budget.charge(m)
-        val = float(_dist_array(free_matrix @ centre - psi).max())
-        if val < best_val:
-            best_val, best_theta = val, centre
+    def value(theta: np.ndarray) -> float:
+        return float(_dist_array(free_matrix @ theta - psi).max())
+
+    def bound(val: float, width: np.ndarray) -> float:
         lb = val - 0.5 * float(lip @ width)
-        heapq.heappush(heap, (lb if floor is None else max(lb, floor), next(counter), lo, width))
+        return lb if floor is None else max(lb, floor)
 
+    counter = itertools.count()
+    heap = []
+    best_val, best_theta = math.inf, None
     steps = [BOX_INIT_CELLS if lip[j] > 0 else 1 for j in range(r)]
     for corner in itertools.product(*[range(s) for s in steps]):
-        push(np.array([TWO_PI * c / s for c, s in zip(corner, steps)]),
-             np.array([TWO_PI / s for s in steps]))
+        lo = np.array([TWO_PI * c / s for c, s in zip(corner, steps)])
+        width = np.array([TWO_PI / s for s in steps])
+        centre = lo + width / 2.0
+        budget.charge(m)
+        val = value(centre)
+        if val < best_val:
+            best_val, best_theta = val, centre
+        heapq.heappush(heap, (bound(val, width), next(counter), lo, width, val))
+
     while heap:
-        lb, _, lo, width = heapq.heappop(heap)
+        lb, _, lo, width, val = heapq.heappop(heap)
         if best_val - lb <= tol:
             return best_theta, max(0.0, min(lb, best_val)), best_val
         j = int(np.argmax(lip * width))
@@ -228,7 +245,12 @@ def min_error_box(free_matrix: np.ndarray, psi: np.ndarray, tol: float, budget):
         for shift in (0.0, half[j]):
             clo = lo.copy()
             clo[j] += shift
-            push(clo, half)
+            centre = clo + half / 2.0
+            budget.charge(m)
+            cval = value(centre)
+            if cval < best_val:
+                best_val, best_theta = cval, centre
+            heapq.heappush(heap, (bound(cval, half), next(counter), clo, half, cval))
     raise BudgetExceededError("box refinement exhausted its candidate heap")
 
 
@@ -241,14 +263,13 @@ def exact_dtype(bound: int):
 def budget_blocks(count: int, cost: int, rows: int, budget):
     """(start, stop) blocks of rows 0..count-1, at most `rows` at a time and
     never more than the budget left pays for at `cost` units each, which the
-    caller charges.  With no room left, charges one row past it, as a loop
-    charging each row would, which raises."""
+    caller charges.  With no room left, charges one row, as a loop charging
+    each row would, which raises."""
     start = 0
     while start < count:
-        room = max(budget.remaining, 0) // cost
-        take = min(rows, count - start, room)
+        take = min(rows, count - start, max(budget.remaining, 0) // cost)
         if take == 0:
-            budget.charge((room + 1) * cost)
+            budget.charge(cost)
         yield start, start + take
         start += take
 

@@ -34,7 +34,7 @@ from ._minimax import (
     TABLE_BLOCK,
     _dist_array,
     budget_blocks,
-    circle_plan,
+    circle_pieces,
     exact_dtype,
     first_least,
     line_distances,
@@ -225,8 +225,12 @@ class _SetData:
             tuple(t * (self.lcm // m) for t, m in zip(row, self.orders))
             for row in self.torsion
         )
-        self.tau = np.array([[TWO_PI * t / m for t, m in zip(row, self.orders)]
-                             for row in self.torsion]).reshape(self.m, self.s)
+        if self.s:
+            self.tau = np.array(
+                [[TWO_PI * t / m for t, m in zip(row, self.orders)] for row in self.torsion]
+            )
+        else:
+            self.tau = np.zeros((self.m, 0))
         self.slopes = self.free[:, 0].copy() if self.r == 1 else None
         self.selection_count = g.dual_torsion_size
         self._units = np.array(self.unit_rows, dtype=exact_dtype(
@@ -239,11 +243,13 @@ class _SetData:
 
     def selection_rows(self, start: int, stop: int) -> np.ndarray:
         """Selections start..stop-1 as rows of residues, one column per factor,
-        in the order of itertools.product over the factors' residues."""
-        index = np.arange(start, stop, dtype=np.int64)
-        rows = np.empty((stop - start, self.s), dtype=np.int64)
-        for i in reversed(range(self.s)):
-            index, rows[:, i] = np.divmod(index, self.orders[i])
+        in the order of itertools.product over the factors' residues; Python
+        integers (object arrays) once the selection count nears 2^61."""
+        dtype = exact_dtype(self.selection_count)
+        index = np.arange(start, stop, dtype=dtype)
+        rows = np.empty((stop - start, self.s), dtype=dtype)
+        for i, m in reversed(list(enumerate(self.orders))):
+            index, rows[:, i] = index // m, index % m
         return rows
 
     def torsion_table(self, start: int, stop: int) -> np.ndarray:
@@ -262,12 +268,8 @@ class _SetData:
 
     def point_args(self, point: DualPoint) -> np.ndarray:
         """arg gamma(point) for every character, vectorized."""
-        args = np.zeros(self.m)
-        if self.r:
-            args += self.free @ np.asarray(point.torus_angles)
-        if self.s:
-            args += self.tau @ np.asarray(point.torsion_selections)
-        return args
+        return (self.free @ np.asarray(point.torus_angles, dtype=np.float64)
+                + self.tau @ np.asarray(point.torsion_selections, dtype=np.float64))
 
 
 @lru_cache(maxsize=256)
@@ -318,18 +320,19 @@ def _solve_target(data: _SetData, angles: np.ndarray, grid, tol: float,
         val = float(val)
         return val, val, DualPoint(group, (), data.selection(index)), None, None
 
-    if data.r == 1 and data.s == 0 and lift_margin is not None:
-        theta, lo, up, lifts = min_error_circle(data.slopes, angles, budget,
-                                                lift_margin=lift_margin)
-        return lo, up, DualPoint(group, (theta,), ()), None, lifts
+    if data.r == 1 and data.s == 0:
+        theta, lo, up, *lifts = min_error_circle(data.slopes, angles, budget,
+                                                 lift_margin=lift_margin)
+        return lo, up, DualPoint(group, (theta,), ()), None, lifts[0] if lifts else None
     best, lower = None, math.inf
     if data.r == 1:
-        # one kernel call per block of selections, a target in Z as one row; the
-        # stacked matmul shifts each row as tau @ selection does, bit for bit
-        cost = circle_plan(tuple(data.slopes.tolist()))[-1]
+        # one kernel call per block of selections; the stacked matmul shifts
+        # each row as tau @ selection does, bit for bit
+        cost = circle_pieces(tuple(data.slopes.tolist()))[1]
         rows = max(1, min(TABLE_BLOCK, CIRCLE_BLOCK // cost))
         for start, stop in budget_blocks(data.selection_count, cost, rows, budget):
-            shifts = np.matmul(data.tau, data.selection_rows(start, stop)[:, :, None])
+            sel = data.selection_rows(start, stop).astype(np.float64)
+            shifts = np.matmul(data.tau, sel[:, :, None])
             theta, lo, up = min_error_circle(data.slopes, angles - shifts[:, :, 0], budget)
             i = int(up.argmin())
             lower = min(lower, float(lo.min()))
@@ -484,15 +487,9 @@ def _orbit_reps(cells: np.ndarray, basis: list, n: int) -> np.ndarray:
 def _orbit_keys(rows: np.ndarray, n: int) -> list:
     """Integer key of each order-n index row (its digits in base n)."""
     m = rows.shape[1]
-    if m * math.log2(n) < 62:
-        return (rows @ (n ** np.arange(m - 1, -1, -1, dtype=np.int64))).tolist()
-    keys = []
-    for row in rows.tolist():
-        key = 0
-        for c in row:
-            key = key * n + c
-        keys.append(key)
-    return keys
+    dtype = exact_dtype(n**m)
+    weights = np.array([n**d for d in range(m - 1, -1, -1)], dtype=dtype)
+    return (rows.astype(dtype, copy=False) @ weights).tolist()
 
 
 def _children(data: _SetData, parents: np.ndarray, lifts: list, basis: list, n: int,

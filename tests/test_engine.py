@@ -30,6 +30,7 @@ from kronset._minimax import (
 )
 from kronset.engine import Budget
 from kronset.errors import BudgetExceededError
+from kronset.groups import angular_distance, evaluate_arg
 
 TWO_PI = 2.0 * math.pi
 
@@ -594,6 +595,36 @@ class TestCircleKernel:
         assert res.work.stop_reason == "budget"
         assert peak < 64 * 2**20
 
+    @pytest.mark.parametrize("solve", [lambda E: alpha_n(E, 2, budget=10**5),
+                                       lambda E: alpha(E, budget=10**5)],
+                             ids=["alpha_n", "alpha"])
+    @pytest.mark.parametrize("g, rows", [
+        (GroupSpec(1), [(1, []), (10**9, [])]),
+        (GroupSpec(1, (2,)), [(1, [1]), (-10**9, [0]), (3, [1])]),
+    ], ids=["Z", "Z x Z2"])
+    def test_budget_is_consulted_before_a_plan_is_built(self, solve, g, rows):
+        # a slope of 10^9 gives one row about 4 x 10^9 candidates, whose
+        # plan alone would take over 100 GB
+        E = CharacterSet(g, tuple(Character(g, (a,), u) for a, u in rows))
+        tracemalloc.start()
+        try:
+            res = solve(E)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.work.stop_reason == "budget"
+        assert peak < 16 * 2**20
+
+    def test_torsion_orders_beyond_int64_stop_on_the_budget(self):
+        g = GroupSpec(1, (2**64,))
+        rows = [(1, [1]), (2, [3]), (3, [2**63 + 5])]
+        E = CharacterSet(g, tuple(Character(g, (a,), u) for a, u in rows))
+        res = alpha_n(E, 2, budget=10**5)
+        assert res.work.stop_reason == "budget"
+        data = engine._SetData(E)
+        index = 2**64 - 3
+        assert data.selection(index) == (index,)
+
     def test_blocks_stay_within_the_element_bound(self):
         # 2^12 selections of 85 candidates each: a block of all of them would
         # hold about 10^6 elements, 8 MB per array
@@ -718,6 +749,14 @@ class TestSymmetryQuotient:
                          for s in (1, -1) for sh in shifts]
                 assert rep == min(orbit), (E, n, cell)
 
+    @pytest.mark.parametrize("m, n", [(3, 8), (6, 1024), (7, 1024), (9, 8192)])
+    def test_orbit_keys_are_base_n_digits(self, m, n):
+        # int64 keys up to n^m = 2^60, Python integers past it
+        rng = random.Random(107)
+        rows = [[rng.randrange(n) for _ in range(m)] for _ in range(50)] + [[n - 1] * m]
+        want = [sum(c * n**(m - 1 - d) for d, c in enumerate(row)) for row in rows]
+        assert engine._orbit_keys(np.array(rows, dtype=np.int64), n) == want
+
     def test_quotient_matches_full_enumeration_on_mixed_group(self):
         import itertools
 
@@ -765,3 +804,23 @@ class TestStructures:
         assert grid_cap(4) == math.pi
         with pytest.raises(ValueError):
             grid_cap(1)
+
+    def test_point_args_match_the_summed_parts(self):
+        # free part plus torsion part, each left out on a group without it
+        rng = random.Random(109)
+        groups = [GroupSpec(1), GroupSpec(2), GroupSpec(0, (4, 6)), GroupSpec(1, (2, 3))]
+        for g in groups:
+            for _ in range(10):
+                E = random_group_set(rng, g)
+                data = engine._SetData(E)
+                x = DualPoint(g, [rng.uniform(0, TWO_PI) for _ in range(g.free_rank)],
+                              [rng.randrange(m) for m in g.torsion_orders])
+                want = np.zeros(len(E))
+                if g.free_rank:
+                    want += data.free @ np.asarray(x.torus_angles)
+                if g.torsion_rank:
+                    want += data.tau @ np.asarray(x.torsion_selections)
+                got = data.point_args(x)
+                assert np.array_equal(got, want), (E, x)
+                assert np.allclose([angular_distance(a, evaluate_arg(c, x))
+                                    for a, c in zip(got, E)], 0.0, atol=1e-12)
