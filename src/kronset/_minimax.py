@@ -27,13 +27,59 @@ BOX_INIT_CELLS = 4  # per free axis, in min_error_box's first grid
 TABLE_BLOCK = 1 << 12
 
 
+#: 2*pi as a 26-bit head and its exact tail, so that q * head and q * tail
+#: are exact for every integer |q| < MOD_QMAX
+_TWO_PI_HEAD = math.ldexp(math.floor(math.ldexp(TWO_PI, 23)), -23)
+_TWO_PI_TAIL = TWO_PI - _TWO_PI_HEAD
+MOD_QMAX = float(1 << 23)
+#: fewest elements `_mod_2pi` reduces itself; below it np.mod's one pass
+#: beats the fixed cost of its several
+MOD_CUTOVER = 1 << 11
+
+
+def _mod_2pi(y: np.ndarray) -> np.ndarray:
+    """np.mod(y, 2*pi), bit for bit, at a fraction of its cost on large arrays.
+
+    numpy reduces by fmod and, for a negative remainder, adds 2*pi once.
+    Here r = (y - q*head) - q*tail with q = floor(y / 2*pi), for |q| <
+    MOD_QMAX.  Where q >= 0 or q <= -2 both steps are exact, as fmod and
+    numpy's sum are.  Where q == -1 the sum y + head is exact or rounded to
+    the 2**-50 grid, on which tail lies at an even number of steps, so r is
+    y + 2*pi rounded once, as numpy's is.  Elements whose rounded q was one
+    off (r outside [0, 2*pi)) go through np.mod, and so does the whole
+    array when it is small or reaches |q| >= MOD_QMAX (or holds inf or nan).
+    """
+    if y.size < MOD_CUTOVER:
+        return np.mod(y, TWO_PI)
+    q = np.multiply(y, 1.0 / TWO_PI)
+    np.floor(q, out=q)
+    if not (-MOD_QMAX < q.min() and q.max() < MOD_QMAX):
+        return np.mod(y, TWO_PI)
+    r = np.multiply(q, _TWO_PI_HEAD)
+    np.subtract(y, r, out=r)
+    np.multiply(q, _TWO_PI_TAIL, out=q)
+    r -= q
+    if r.min() < 0.0 or r.max() >= TWO_PI:
+        off = r < 0.0
+        off |= r >= TWO_PI
+        np.mod(y, TWO_PI, out=r, where=off)
+    return r
+
+
 def _dist_array(x: np.ndarray) -> np.ndarray:
-    """Elementwise arc distance of angles from 0, in [0, pi]."""
-    return np.abs(np.mod(x + math.pi, TWO_PI) - math.pi)
+    """Elementwise arc distance of angles from 0, in [0, pi]:
+    |np.mod(x + pi, 2*pi) - pi| bit for bit, reduced by `_mod_2pi`."""
+    d = _mod_2pi(x + math.pi)
+    d -= math.pi
+    return np.abs(d, out=d)
 
 
 #: most elements of a block's (rows x characters x candidates) array
 CIRCLE_BLOCK = 1 << 16
+#: most float64 elements of one character block's temporaries in
+#: `min_error_circle` (64 KB): glibc serves these from its heap and keeps them
+#: for the next block, where larger ones would be mapped and unmapped anew
+CIRCLE_TEMP = 1 << 13
 
 
 @lru_cache(maxsize=256)
@@ -83,6 +129,10 @@ def min_error_circle(slopes: np.ndarray, psi: np.ndarray, budget, lift_margin=No
     before the candidates or their plan are built.  Given lift_margin (one
     row only), also returns the lifts within lift_margin of the minimum
     (see `circle_lifts`) as a fourth item.
+
+    Candidates and residuals are reduced by `_mod_2pi`, and the characters
+    are folded into the objective a block at a time, each block's
+    temporaries holding at most CIRCLE_TEMP elements (or one character's).
     """
     key, rows = tuple(slopes.tolist()), np.atleast_2d(psi)
     cost = circle_pieces(key)[1]
@@ -90,10 +140,18 @@ def min_error_circle(slopes: np.ndarray, psi: np.ndarray, budget, lift_margin=No
     j, k, off, div, mask, amax = (_small_plan if cost <= CIRCLE_BLOCK else circle_plan)(key)
     const_err = _dist_array(rows[:, ~mask]).max(axis=1, initial=0.0)
     p = np.concatenate([rows, -rows, np.zeros((len(rows), 1))], axis=1)
-    cands = np.mod((p[:, j] + p[:, k] + off) / div, TWO_PI)
+    cands = p[:, j]
+    cands += p[:, k]
+    cands += off
+    cands /= div
+    cands = _mod_2pi(cands)
     a, u = slopes[mask].astype(np.float64)[:, None], rows[:, mask, None]
-    vals = np.maximum(_dist_array(a * cands[:, None, :] - u).max(axis=1, initial=0.0),
-                      const_err[:, None])
+    vals = np.repeat(const_err[:, None], cands.shape[1], axis=1)
+    step = max(1, CIRCLE_TEMP // cands.size)
+    for c in range(0, len(a), step):
+        resid = a[c:c + step] * cands[:, None, :]
+        resid -= u[:, c:c + step]
+        np.maximum(vals, _dist_array(resid).max(axis=1), out=vals)
     vmin = vals.min(axis=1)
     # smallest theta among ties keeps results schedule-independent
     theta = np.where(vals <= vmin[:, None] + 1e-12, cands, np.inf).min(axis=1)

@@ -193,6 +193,16 @@ def circle_candidates_loop(slopes, psi) -> np.ndarray:
     return np.mod(np.concatenate(parts), TWO_PI)
 
 
+def circle_objective_loop(slopes, psi, thetas) -> np.ndarray:
+    """max_k dist(a_k*theta, psi_k) at each theta, one character at a time;
+    a zero slope contributes its constant dist(psi_k)."""
+    vals = np.zeros(len(thetas))
+    for a, p in zip(slopes, psi):
+        term = _dist(float(a) * thetas - p) if a != 0 else np.full(len(thetas), _dist(p))
+        vals = np.maximum(vals, term)
+    return vals
+
+
 def min_error_circle_loop(slopes, psi, budget):
     """Reference rank-1 solve of one target: charges candidates x
     characters (m when every slope is 0) before evaluating them, and
@@ -205,9 +215,8 @@ def min_error_circle_loop(slopes, psi, budget):
         return 0.0, const_err, const_err
     cands = circle_candidates_loop(slopes, psi)
     budget.charge(len(cands) * len(slopes))
+    vals = circle_objective_loop(slopes, psi, cands)
     act, act_psi = slopes[~zero].astype(np.float64), psi[~zero]
-    vals = _dist(act[:, None] * cands[None, :] - act_psi[:, None]).max(axis=0)
-    vals = np.maximum(vals, const_err)
     vmin = float(vals.min())
     theta = float(cands[vals <= vmin + 1e-12].min())
     upper = max(float(np.max(_dist(act * theta - act_psi))), const_err)

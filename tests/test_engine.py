@@ -23,6 +23,8 @@ from kronset import (
 )
 from kronset import _minimax, engine
 from kronset._minimax import (
+    circle_lifts,
+    circle_plan,
     line_distances,
     line_witness,
     min_error_box,
@@ -516,6 +518,66 @@ class TestAlphaLadder:
         assert hi == pytest.approx(2 * math.sin(res.alpha.upper / 2), abs=1e-15)
 
 
+class TestModTwoPi:
+    """`_minimax._mod_2pi` against np.mod, bit for bit (compared as int64)."""
+
+    @staticmethod
+    def assert_same(y):
+        with np.errstate(invalid="ignore"):
+            want, got = np.mod(y, TWO_PI), _minimax._mod_2pi(y)
+        diff = got.view(np.int64) != want.view(np.int64)
+        assert not diff.any(), (y[diff][:4], got[diff][:4], want[diff][:4])
+
+    @staticmethod
+    def finite_cases(rng):
+        """Arrays past the cut-over and within |q| < MOD_QMAX, which
+        `_mod_2pi` reduces itself."""
+        k = np.concatenate([np.arange(-2048, 2048),
+                            rng.integers(1 - 2**23, 2**23, 1 << 14)]).astype(np.float64)
+        multiples = [k * TWO_PI]
+        for direction in (np.inf, -np.inf):
+            near = multiples[0]
+            for _ in range(2):  # one and two ulps away
+                near = np.nextafter(near, direction)
+                multiples.append(near)
+        n = np.repeat(np.arange(1, 65), 129)
+        j = np.tile(np.arange(-64, 65), 64)
+        bound = _minimax.MOD_QMAX * TWO_PI
+        below = np.nextafter(np.full(4, bound), 0.0)
+        below[2:] = -below[2:]
+        return {
+            "multiples": np.concatenate(multiples),
+            "grid": TWO_PI * j / n,
+            "uniform": rng.uniform(-100.0, 100.0, 1 << 14),
+            "one turn below zero": rng.uniform(-TWO_PI, 0.0, 1 << 14),
+            "signed zeros and tiny": np.concatenate(
+                [[0.0, -0.0, 5e-324, -5e-324, -1e-300, 1e-300, -1e-17], rng.uniform(-9, 9, 4096)]),
+            "below the bound": np.concatenate([below, rng.uniform(-bound, bound, 4096)]),
+        }
+
+    def test_fast_path_matches_np_mod(self):
+        for name, y in self.finite_cases(np.random.default_rng(19)).items():
+            assert y.size >= _minimax.MOD_CUTOVER, name
+            self.assert_same(y)
+            rng = np.random.default_rng(23)
+            rng.shuffle(y)
+            for part in np.array_split(y, max(1, y.size // _minimax.MOD_CUTOVER)):
+                self.assert_same(part)
+
+    @pytest.mark.parametrize("extra", [[np.inf], [-np.inf], [np.nan],
+                                       [_minimax.MOD_QMAX * TWO_PI], [-1e300, 1e300]])
+    def test_whole_array_fallback_matches_np_mod(self, extra):
+        y = np.concatenate([extra, np.random.default_rng(29).uniform(-50, 50, 4096)])
+        self.assert_same(y)
+
+    @pytest.mark.parametrize("offset", [-2, -1, 0, 1])
+    def test_sizes_around_the_cut_over(self, offset):
+        size = _minimax.MOD_CUTOVER + offset
+        y = np.random.default_rng(31).uniform(-20, 20, size)
+        y[:7] = [0.0, -0.0, -5e-324, -1e-300, -TWO_PI, TWO_PI, np.nextafter(-TWO_PI, 0)]
+        self.assert_same(y)
+
+
 class TestCircleKernel:
     """The block kernel of the rank-1 solve against the per-selection
     reference loop: same values, ties, selections and budget charges."""
@@ -556,29 +618,91 @@ class TestCircleKernel:
                 slopes = self.random_slopes(rng)
                 coords = {(int(a), *(rng.randrange(m) for m in orders)): None for a in slopes}
                 E = CharacterSet(g, tuple(Character(g, c[:1], c[1:]) for c in coords))
-                slopes = np.array([c.free_coords[0] for c in E])
-                tau = np.array([[TWO_PI * t / m for t, m in zip(c.torsion_coords, orders)]
-                                for c in E])
-                angles = self.random_angles(rng, len(E))
-                data = engine._SetData(E)
+                self.check_selections(rng, E, self.random_angles(rng, len(E)))
 
-                def reference(budget):
-                    return oracles.circle_selections_loop(
-                        slopes, tau, angles, itertools.product(*map(range, orders)), budget)
+    @staticmethod
+    def check_selections(rng, E, angles):
+        """`_solve_target` on free rank 1 plus torsion against the loop over
+        selections: brackets, witness and charges, in full and cut short."""
+        orders = E.group.torsion_orders
+        slopes = np.array([c.free_coords[0] for c in E])
+        tau = np.array([[TWO_PI * t / m for t, m in zip(c.torsion_coords, orders)] for c in E])
+        data = engine._SetData(E)
 
-                full, ref = Budget(10**9), Budget(10**9)
-                lower, upper, point, _, _ = engine._solve_target(data, angles, None, 1e-3, full)
-                ref_lower, ref_upper, theta, sel = reference(ref)
-                assert (lower, upper) == (ref_lower, ref_upper), (E, angles)
-                assert point == DualPoint(g, (theta,), sel)
-                assert full.used == ref.used
-                limit = rng.randrange(full.used)
-                short, ref = Budget(limit), Budget(limit)
-                with pytest.raises(BudgetExceededError):
-                    engine._solve_target(data, angles, None, 1e-3, short)
-                with pytest.raises(BudgetExceededError):
-                    reference(ref)
-                assert short.used == ref.used
+        def reference(budget):
+            return oracles.circle_selections_loop(
+                slopes, tau, angles, itertools.product(*map(range, orders)), budget)
+
+        full, ref = Budget(10**9), Budget(10**9)
+        lower, upper, point, _, _ = engine._solve_target(data, angles, None, 1e-3, full)
+        ref_lower, ref_upper, theta, sel = reference(ref)
+        assert (lower, upper) == (ref_lower, ref_upper), (E, angles)
+        assert point == DualPoint(E.group, (theta,), sel)
+        assert full.used == ref.used
+        limit = rng.randrange(full.used)
+        short, ref = Budget(limit), Budget(limit)
+        with pytest.raises(BudgetExceededError):
+            engine._solve_target(data, angles, None, 1e-3, short)
+        with pytest.raises(BudgetExceededError):
+            reference(ref)
+        assert short.used == ref.used
+
+    # rows of thousands of candidates: candidates and residuals take
+    # _mod_2pi's own reduction, and the characters go in several blocks
+    LACUNARY = ((3, 16, 48, 240, 1200), (1, 5, 20, 101, 507), (-3, 16, 0, -240, 1200))
+
+    @pytest.mark.parametrize("slopes", LACUNARY)
+    def test_lacunary_rows_match_the_reference(self, slopes):
+        assert len(circle_plan(slopes)[0]) >= _minimax.MOD_CUTOVER
+        slopes = np.array(slopes)
+        rng = random.Random(313)
+        margin = 0.05
+        for _ in range(6):
+            psi = self.random_angles(rng, len(slopes))
+            got, want = Budget(10**9), Budget(10**9)
+            theta, lower, upper, lifts = min_error_circle(slopes, psi, got, lift_margin=margin)
+            assert (theta, lower, upper) == oracles.min_error_circle_loop(slopes, psi, want)
+            assert got.used == want.used
+            assert min_error_circle(slopes, psi, Budget(10**9)) == (theta, lower, upper)
+            cands = oracles.circle_candidates_loop(slopes, psi)
+            ref_lifts = circle_lifts(slopes, psi, cands,
+                                     oracles.circle_objective_loop(slopes, psi, cands),
+                                     upper + margin)
+            assert (lifts is None) == (ref_lifts is None)
+            if ref_lifts is not None:
+                assert np.array_equal(lifts[0], ref_lifts[0])
+                assert np.array_equal(lifts[1].view(np.int64), ref_lifts[1].view(np.int64))
+            limit = rng.randrange(got.used)
+            short, ref = Budget(limit), Budget(limit)
+            with pytest.raises(BudgetExceededError):
+                min_error_circle(slopes, psi, short)
+            with pytest.raises(BudgetExceededError):
+                oracles.min_error_circle_loop(slopes, psi, ref)
+            assert short.used == ref.used
+
+    @pytest.mark.parametrize("slopes", [(3, 16, 48, 100), (5, 17, 45), (-5, 17, 0, 45)])
+    def test_wide_selection_blocks_match_the_reference_loop(self, slopes):
+        # 8 selections of hundreds of candidates, all in one kernel call
+        g = GroupSpec(1, (2, 2, 2))
+        rng = random.Random(317)
+        torsion = rng.sample(list(itertools.product(range(2), repeat=3)), len(slopes))
+        E = CharacterSet(g, tuple(Character(g, (a,), t) for a, t in zip(slopes, torsion)))
+        assert 8 * len(circle_plan(tuple(slopes))[0]) >= _minimax.MOD_CUTOVER
+        for _ in range(4):
+            self.check_selections(rng, E, self.random_angles(rng, len(E)))
+
+    def test_one_lacunary_row_keeps_its_temporaries_small(self):
+        # whole (characters x candidates) temporaries would peak at 1.1 MB
+        # here; blocks of CIRCLE_TEMP elements keep them near one row's size
+        slopes, psi = np.array([3, 16, 48, 240, 1200]), np.array([0.3, 1.1, 2.0, 4.4, 5.9])
+        min_error_circle(slopes, psi, Budget(10**9))  # the plan is cached from here on
+        tracemalloc.start()
+        try:
+            min_error_circle(slopes, psi, Budget(10**9))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 768 * 2**10
 
     def test_budget_is_consulted_before_a_block_is_built(self):
         # 2^20 selections of 25 candidates each: one block of all of them
