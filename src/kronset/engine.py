@@ -206,6 +206,18 @@ class KroneckerResult:
 # cached per-set arrays
 # ---------------------------------------------------------------------------
 
+def mixed_radix_rows(radices, start: int, stop: int) -> np.ndarray:
+    """Rows start..stop-1 of the product of range(r) over `radices`, one
+    column per radix, in the order of itertools.product; Python integers
+    (object arrays) once the row count nears 2^61."""
+    dtype = exact_dtype(math.prod(radices))
+    index = np.arange(start, stop, dtype=dtype)
+    rows = np.empty((stop - start, len(radices)), dtype=dtype)
+    for i in range(len(radices) - 1, -1, -1):
+        index, rows[:, i] = index // radices[i], index % radices[i]
+    return rows
+
+
 class _SetData:
     def __init__(self, chars: CharacterSet):
         g = chars.group
@@ -242,15 +254,9 @@ class _SetData:
         return tuple(self.selection_rows(index, index + 1)[0].tolist())
 
     def selection_rows(self, start: int, stop: int) -> np.ndarray:
-        """Selections start..stop-1 as rows of residues, one column per factor,
-        in the order of itertools.product over the factors' residues; Python
-        integers (object arrays) once the selection count nears 2^61."""
-        dtype = exact_dtype(self.selection_count)
-        index = np.arange(start, stop, dtype=dtype)
-        rows = np.empty((stop - start, self.s), dtype=dtype)
-        for i, m in reversed(list(enumerate(self.orders))):
-            index, rows[:, i] = index // m, index % m
-        return rows
+        """Selections start..stop-1 as rows of residues, one column per factor
+        (see `mixed_radix_rows`)."""
+        return mixed_radix_rows(self.orders, start, stop)
 
     def torsion_table(self, start: int, stop: int) -> np.ndarray:
         """Rows start..stop-1 of the selection table: row s holds every
@@ -378,98 +384,60 @@ def best_point(chars: CharacterSet, phi: TargetMap, tol: float = DEFAULT_TOL,
 # symmetry-reduced enumeration of roots-grid targets
 # ---------------------------------------------------------------------------
 
-def _symmetry_shifts(data: _SetData, n: int):
-    """Subgroup of target shifts phi -> phi + (arg gamma(y)) with y running
-    over dual points whose character arguments all lie on the n-grid."""
-    gens = set()
-    for j in range(data.r):
-        vec = tuple(int(a) % n for a in data.free[:, j])
-        if any(vec):
-            gens.add(vec)
-    for i in range(data.s):
-        m_i = data.orders[i]
-        col = [row[i] for row in data.torsion]
-        if all((n * t) % m_i == 0 for t in col):
-            vec = tuple((t * n // m_i) % n for t in col)
-            if any(vec):
-                gens.add(vec)
-    zero = (0,) * data.m
-    cap = max(4 * n, 64)
-    # any subgroup of the full shift group is a sound quotient, so fall back
-    # to fewer generators (ultimately none) if the closure grows too large
-    for gen_set in (sorted(gens), sorted(gens)[:1], []):
-        closure = {zero}
-        frontier = [zero]
-        while frontier and len(closure) <= cap:
-            v = frontier.pop()
-            for g in gen_set:
-                w = tuple((a + b) % n for a, b in zip(v, g))
-                if w not in closure:
-                    closure.add(w)
-                    frontier.append(w)
-        if len(closure) <= cap:
-            return sorted(closure)
-    return [zero]
-
-
-def _canonical_targets(m: int, n: int, transforms):
-    """Lexicographically minimal representatives of target-grid orbits.
-
-    transforms is a list of (sign, shift vector) pairs; a leaf is yielded
-    iff no transform maps it to a lexicographically smaller index tuple.
-    """
-    idx = [0] * m
-
-    def rec(d: int, active):
-        if d == m:
-            yield tuple(idx)
-            return
-        for v in range(n):
-            ok = True
-            nxt = []
-            for s, sh in active:
-                tv = (s * v + sh[d]) % n
-                if tv < v:
-                    ok = False
-                    break
-                if tv == v:
-                    nxt.append((s, sh))
-            if not ok:
-                continue
-            idx[d] = v
-            yield from rec(d + 1, nxt)
-
-    yield from rec(0, transforms)
-
-
-def _canonical_iter(data: _SetData, n: int):
-    """One order-n target per orbit under translation and negation."""
-    transforms = [
-        (s, sh) for s in (1, -1) for sh in _symmetry_shifts(data, n)
-        if not (s == 1 and not any(sh))
-    ]
-    # large first coordinates violate canonicity earliest, so scanning them
-    # first keeps the enumeration's per-node cost near constant
-    transforms.sort(key=lambda t: t[1], reverse=True)
-    return _canonical_targets(data.m, n, transforms)
-
-
 def _shift_basis(data: _SetData, n: int) -> list:
-    """Echelon basis of the order-n shift group H of `_symmetry_shifts`: the
-    d-th row is an element with zeros before coordinate d and the least
-    positive coordinate d among such elements (None if they all have 0)."""
-    group = np.array(_symmetry_shifts(data, n), dtype=np.int64).reshape(-1, data.m)
+    """Echelon (Hermite) basis over Z_n of the order-n shift group, the
+    target shifts phi -> phi + arg gamma(y) generated by the free columns
+    mod n (y a 2pi/n step of one torus angle) and by each torsion column
+    whose arguments lie on the n-grid (y one step of that factor).  The d-th
+    row has zeros before coordinate d and, at d, the least positive value (a
+    divisor of n) over group elements with zeros before d; None if they all
+    have 0 there."""
+    gens = [data.free[:, j] % n for j in range(data.r)]
+    for i, order in enumerate(data.orders):
+        col = [row[i] for row in data.torsion]
+        if all(n * t % order == 0 for t in col):
+            gens.append(np.array([n * t // order % n for t in col], dtype=np.int64))
     basis = []
     for d in range(data.m):
-        col = np.where(group[:, d] > 0, group[:, d], n)
-        basis.append(group[col.argmin()] if col.min() < n else None)
-        group = group[group[:, d] == 0]
+        pivot, rest = np.zeros(data.m, dtype=np.int64), []
+        for g in gens:
+            # Euclid on coordinate d, by row steps that keep the group
+            while g[d]:
+                pivot, g = g, (pivot - pivot[d] // g[d] * g) % n
+            rest.append(g)
+        if pivot[d]:
+            e = math.gcd(int(pivot[d]), n)
+            # the multiples of the pivot that vanish at d stay in the group,
+            # taken before the scaling, which need not be a unit mod n
+            rest.append(n // e * pivot % n)
+            pivot = pow(int(pivot[d]) // e, -1, n // e) * pivot % n
+        basis.append(pivot if pivot[d] else None)
+        gens = [g for g in rest if g.any()]
     return basis
+
+
+def _grid_targets(basis: list, n: int):
+    """The least target of each order-n orbit of `_orbit_reps`, in
+    lexicographic order.  Every least element lies in the product of
+    range(h[d]) at the pivots d of `basis` and range(n) elsewhere; the rows
+    of that product that are their own representatives are kept.  It is
+    built about TABLE_BLOCK entries at a time, so a scan stopped early
+    builds only what it read and the temporaries stay small enough for the
+    allocator to reuse."""
+    radices = [n if h is None else int(h[d]) for d, h in enumerate(basis)]
+    count = math.prod(radices)
+    block = max(1, TABLE_BLOCK // len(radices))
+    for start in range(0, count, block):
+        rows = mixed_radix_rows(radices, start, min(start + block, count)).astype(np.int64)
+        keep = (_orbit_reps(rows, basis, n) == rows).all(axis=1)
+        yield from map(tuple, rows[keep].tolist())
 
 
 def _orbit_reps(cells: np.ndarray, basis: list, n: int) -> np.ndarray:
     """Lexicographically least image of each row of `cells` under the order-n
-    target transforms v -> +-v + h, h in the group with echelon `basis`."""
+    target transforms v -> +-v + h, h in the shift group with echelon
+    `basis` (see `_shift_basis`): the representative of the row's orbit, so
+    a row is canonical iff it is its own image."""
     k = len(cells)
     both = np.concatenate([cells, -cells % n])
     # subtracting multiples of the d-th basis row takes coordinate d to its
@@ -506,8 +474,8 @@ def _children(data: _SetData, parents: np.ndarray, lifts: list, basis: list, n: 
     parent without lifts have solved None.
     """
     m = parents.shape[1]
-    offsets = np.array([d for d in itertools.product((-1, 0, 1), repeat=m) if any(d)],
-                       dtype=np.int64)
+    offsets = mixed_radix_rows((3,) * m, 0, 3**m) - 1
+    offsets = offsets[offsets.any(axis=1)]
     margin = LIFT_REACH * math.pi / n
     terms = line_term_count(data.slopes) if data.slopes is not None else 0
     slack = 1e-12 * max(1.0, float(np.abs(data.free).max(initial=0))) ** 2
@@ -754,9 +722,10 @@ def alpha_n(chars: CharacterSet, n: int, tol: float = DEFAULT_TOL,
             seed_targets=()) -> KroneckerResult:
     """Certified bracket for the n-th-roots-grid interpolation constant.
 
-    Enumerates one representative per orbit of the target grid under
-    translation and negation symmetry, solving the inner minimization for
-    each.  seed_targets (index tuples) are solved first, which both raises
+    Enumerates the least target of each orbit of the target grid under
+    negation and the full translation group of `_shift_basis`, in
+    lexicographic order (see `_grid_targets`), solving the inner
+    minimization for each.  seed_targets (index tuples) are solved first, which both raises
     the incumbent early and, across growing sets, keeps certified lower
     bounds monotone.  If the budget runs out a partial result is returned
     with certified=False: its lower end is still sound, the upper end falls
@@ -775,7 +744,7 @@ def alpha_n(chars: CharacterSet, n: int, tol: float = DEFAULT_TOL,
         if len(seed) != data.m:
             raise ValueError("seed target has wrong number of entries")
 
-    idx_iter = itertools.chain(seeds, _canonical_iter(data, n))
+    idx_iter = itertools.chain(seeds, _grid_targets(_shift_basis(data, n), n))
     with _pool(threads) as pool:
         scan = _Scan(data, tol, Budget(budget), pool, threads)
         cells = ((indices, None) for indices in idx_iter)
@@ -864,7 +833,8 @@ def _refine(scan: _Scan, tol: float, max_order: int):
         lift_margin = LIFT_REACH * radius if scan.data.m <= LIFT_MAX_SIZE else None
         opened = []
         if parents is None:
-            cells = ((indices, None) for indices in _canonical_iter(scan.data, n))
+            targets = _grid_targets(_shift_basis(scan.data, n), n)
+            cells = ((indices, None) for indices in targets)
         else:
             cells, closed = _next_level(scan.data, n, parents, scan.best.lower, tol, opened)
             closed_top = max(closed_top, closed)

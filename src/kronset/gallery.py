@@ -21,6 +21,7 @@ from .engine import (
     DEFAULT_BUDGET,
     DEFAULT_TOL,
     TargetMap,
+    _set_data,
     alpha,
     alpha_n,
     best_point,
@@ -32,8 +33,6 @@ from .groups import (
     CharacterSet,
     DualPoint,
     GroupSpec,
-    angular_distance,
-    evaluate_arg,
 )
 
 
@@ -164,11 +163,8 @@ def mixed_flip_error(big_n: int, u_grid: int = 10_000):
 
 def _farthest_grid_error(chars: CharacterSet, n: int, point: DualPoint) -> float:
     """Worst error any n-grid target can force at a fixed dual point."""
-    worst = 0.0
-    for g in chars:
-        arg = evaluate_arg(g, point)
-        worst = max(worst, max(angular_distance(TWO_PI * j / n, arg) for j in range(n)))
-    return worst
+    roots = TWO_PI * np.arange(n) / n
+    return float(_dist_array(roots[:, None] - _set_data(chars).point_args(point)).max())
 
 
 def odd_bound_check(chars: CharacterSet, n: int, tol: float = DEFAULT_TOL,

@@ -153,6 +153,48 @@ def best_point_torsion_exhaustive(orders, torsion_rows, target_turns):
     return best_val, best_pt
 
 
+def shift_group(free_rows, torsion_rows, orders, n: int) -> list:
+    """Every order-n target shift phi -> phi + arg gamma(y), as index rows,
+    by breadth-first closure with no size cap.  The generators are the free
+    columns mod n and each torsion column whose arguments, t/order turns,
+    all lie on the n-grid."""
+    gens = [tuple(a % n for a in col) for col in zip(*free_rows)]
+    for i, order in enumerate(orders):
+        col = [row[i] for row in torsion_rows]
+        if all(n * t % order == 0 for t in col):
+            gens.append(tuple(n * t // order % n for t in col))
+    zero = (0,) * len(free_rows)
+    group, frontier = {zero}, [zero]
+    while frontier:
+        v = frontier.pop()
+        for g in gens:
+            w = tuple((a + b) % n for a, b in zip(v, g))
+            if w not in group:
+                group.add(w)
+                frontier.append(w)
+    return sorted(group)
+
+
+def orbit_least(rows, shifts, n: int) -> list:
+    """Least element of each row's orbit under v -> +-v + h, h in shifts,
+    compared as base-n integers, which orders them lexicographically."""
+    rows = np.asarray(rows, dtype=np.int64)
+    m = rows.shape[1]
+    weights = n ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    least = np.full(len(rows), n**m, dtype=np.int64)
+    for h in shifts:
+        for sign in (1, -1):
+            least = np.minimum(least, (sign * rows + np.asarray(h)) % n @ weights)
+    return [tuple(int(k) // n**(m - 1 - d) % n for d in range(m)) for k in least]
+
+
+def orbit_minima(shifts, m: int, n: int) -> list:
+    """Sorted least elements of the orbits of all order-n targets of m
+    characters under v -> +-v + h, h in shifts."""
+    targets = list(itertools.product(range(n), repeat=m))
+    return sorted(set(orbit_least(targets, shifts, n)))
+
+
 def torsion_units_loop(unit_rows, modulus: int, target_units, selections, budget):
     """Reference per-selection scan of a purely torsion dual in integer
     angle units: charges len(unit_rows) before each selection, stops at the

@@ -30,6 +30,7 @@ from kronset._minimax import (
     min_error_box,
     min_error_circle,
 )
+from kronset.cli import parse_set_spec
 from kronset.engine import Budget
 from kronset.errors import BudgetExceededError
 from kronset.groups import angular_distance, evaluate_arg
@@ -827,51 +828,55 @@ class TestLifts:
         assert res.alpha.width <= 1e-3
 
 
+def shift_group(E, n):
+    """The oracle's order-n shift group of a character set."""
+    return oracles.shift_group([c.free_coords for c in E], [c.torsion_coords for c in E],
+                               E.group.torsion_orders, n)
+
+
+def grid_targets(E, n):
+    data = engine._set_data(E)
+    return list(engine._grid_targets(engine._shift_basis(data, n), n))
+
+
 class TestSymmetryQuotient:
     def test_canonical_targets_are_orbit_minima(self):
-        import itertools
-        from kronset.engine import _canonical_targets, _set_data, _symmetry_shifts
-
         rng = random.Random(99)
-        for trial in range(6):
-            if trial % 2 == 0:
-                E = CharacterSet.of_integers(rng.sample(range(-6, 7), rng.randint(1, 3)))
-            else:
-                g = GroupSpec(1, (2,))
-                elems = set()
-                while len(elems) < 2:
-                    elems.add((rng.randint(-4, 4), rng.randint(0, 1)))
-                E = CharacterSet(g, tuple(Character(g, (a,), (t,)) for a, t in elems))
-            n = rng.choice([2, 3, 4])
-            data = _set_data(E)
-            shifts = _symmetry_shifts(data, n)
-            transforms = [(s, sh) for s in (1, -1) for sh in shifts
-                          if not (s == 1 and not any(sh))]
-            canon = set(_canonical_targets(data.m, n, transforms))
-            expected = set()
-            for t in itertools.product(range(n), repeat=data.m):
-                orbit = {t}
-                for s, sh in transforms:
-                    orbit.add(tuple((s * v + d) % n for v, d in zip(t, sh)))
-                expected.add(min(orbit))
-            assert canon == expected
+        groups = [GroupSpec(1), GroupSpec(2), GroupSpec(3), GroupSpec(1, (2, 4)),
+                  GroupSpec(0, (4, 6)), GroupSpec(0, (5, 5)), GroupSpec(0, (3, 3, 3, 3))]
+        for trial in range(56):
+            E = random_group_set(rng, groups[trial % len(groups)], zero=rng.random() < 0.2)
+            # half the orders put every torsion column on the grid
+            lcm = E.group.torsion_lcm
+            n = max(2, rng.choice([rng.randint(2, 16), lcm * rng.randint(1, 16 // lcm)]))
+            want = oracles.orbit_minima(shift_group(E, n), len(E), n)
+            assert grid_targets(E, n) == want, (E, n)
+
+    @pytest.mark.parametrize("spec, n", [
+        ("Z3^4 : [1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1],[1,1,1,1]", 3),
+        ("Z^2 : [1,0],[0,1],[1,2]", 9),
+        ("Z11^2 : [1,0],[0,1],[2,5]", 11),
+        # the pivot 4 at n = 6 scales by 2, not a unit: 3 * (4, 0, 1, 4) must stay
+        ("Z : [-8],[-6],[-5],[-2]", 6),
+    ])
+    def test_canonical_targets_on_large_shift_groups(self, spec, n):
+        # shift groups of 81 and 121 elements
+        _, E = parse_set_spec(spec)
+        want = oracles.orbit_minima(shift_group(E, n), len(E), n)
+        assert grid_targets(E, n) == want
 
     def test_orbit_reps_are_orbit_minima(self):
-        from kronset.engine import _orbit_reps, _set_data, _shift_basis, _symmetry_shifts
+        from kronset.engine import _orbit_reps, _set_data, _shift_basis
 
         rng = random.Random(103)
         groups = [GroupSpec(1), GroupSpec(2), GroupSpec(1, (2,)), GroupSpec(0, (4, 6))]
         for trial in range(12):
             E = random_group_set(rng, groups[trial % len(groups)])
             n = rng.choice([4, 6, 8, 16])
-            data = _set_data(E)
-            shifts = _symmetry_shifts(data, n)
             cells = [[rng.randrange(n) for _ in E] for _ in range(20)]
-            reps = _orbit_reps(np.array(cells, dtype=np.int64), _shift_basis(data, n), n)
-            for cell, rep in zip(cells, reps.tolist()):
-                orbit = [[(s * v + d) % n for v, d in zip(cell, sh)]
-                         for s in (1, -1) for sh in shifts]
-                assert rep == min(orbit), (E, n, cell)
+            reps = _orbit_reps(np.array(cells, dtype=np.int64), _shift_basis(_set_data(E), n), n)
+            want = oracles.orbit_least(cells, shift_group(E, n), n)
+            assert list(map(tuple, reps.tolist())) == want, (E, n)
 
     @pytest.mark.parametrize("m, n", [(3, 8), (6, 1024), (7, 1024), (9, 8192)])
     def test_orbit_keys_are_base_n_digits(self, m, n):
@@ -882,8 +887,6 @@ class TestSymmetryQuotient:
         assert engine._orbit_keys(np.array(rows, dtype=np.int64), n) == want
 
     def test_quotient_matches_full_enumeration_on_mixed_group(self):
-        import itertools
-
         rng = random.Random(101)
         for _ in range(4):
             g = GroupSpec(1, (2,))
@@ -900,6 +903,37 @@ class TestSymmetryQuotient:
                 brute = max(brute, br.upper)
             assert res.alpha.lower <= brute + 1e-9
             assert res.alpha.upper >= brute - 1e-9
+
+        # shift groups of 81 and 128 elements; a basis of too large a group
+        # skips the targets that reach the cap
+        g = GroupSpec(0, (2,) * 7)
+        coords = [tuple(int(i == j) for i in range(7)) for j in range(7)] + [(1, 1, 1, 0, 0, 0, 0)]
+        z2 = CharacterSet(g, tuple(Character(g, (), c) for c in coords))
+        _, z3 = parse_set_spec("Z3^4 : [1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1],[1,1,1,1]")
+        for E, n in [(z3, 3), (z2, 2)]:
+            orders, rows = E.group.torsion_orders, [c.torsion_coords for c in E]
+            cap = Fraction(1, 2) if n % 2 == 0 else Fraction(n - 1, 2 * n)
+            sup = Fraction(0)
+            for idx in itertools.product(range(n), repeat=len(E)):
+                value, _ = oracles.best_point_torsion_exhaustive(
+                    orders, rows, [Fraction(j, n) for j in idx])
+                sup = max(sup, value)
+                if sup == cap:  # at the identity no target errs more than the cap
+                    break
+            assert alpha_n(E, n).alpha.exact_turns == sup == cap, E
+
+    def test_enumeration_stays_lazy_past_int64(self):
+        # the product of target rows has 64^11 = 2^66 rows
+        E = CharacterSet.of_integers(range(1, 13))
+        tracemalloc.start()
+        try:
+            res = alpha_n(E, 64, budget=100_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.work.stop_reason == "budget" and not res.certified
+        assert res.work.targets_enumerated > 0
+        assert peak < 16 << 20
 
 
 class TestStructures:
