@@ -567,11 +567,13 @@ def _scan_targets(scan: _Scan, n: int, items, cap: float, radius: float = 0.0,
     Solved cells that stay open are appended to `opened` as (indices,
     upper, lifts), lifts being those within lift_margin of the value.
 
-    items yields (indices, solved): a (solution, cost) pair solved ahead by
-    a pool is used only if the cost fits in the remaining budget, else the
-    target is solved here, so charges and stops match a run without a pool.
-    A solution from lifts (no witness point, see `_children`) skips the
-    probes and is always used; its witness is found if it raises the
+    items yields (indices, solved, verdict), see `_solved_ahead`: a
+    (solution, cost) pair solved ahead is used only if the cost fits in the
+    remaining budget, else the target is solved here, and a probe verdict
+    read ahead only while its incumbent is still the scan's (see `_probe`),
+    so charges and stops match a scan that solves and probes each target in
+    turn.  A solution from lifts (no witness point, see `_children`) skips
+    the probes and is always used; its witness is found if it raises the
     incumbent.
 
     Returns (closed_hi, open_hi, status): the largest bound over closed and
@@ -583,13 +585,13 @@ def _scan_targets(scan: _Scan, n: int, items, cap: float, radius: float = 0.0,
     step = TWO_PI / n
     closed_hi = open_hi = 0.0
     status = "done"
-    for indices, solved in items:
+    for indices, solved, verdict in items:
         lifted = solved is not None and solved[0][2] is None
         if not lifted:
             angles = np.array(indices, dtype=np.float64) * step
         try:
             if best is not None and not lifted:
-                probed = _probe(scan, angles, radius, slack)
+                probed = _probe(scan, angles, radius, slack, verdict)
                 if probed is not None:
                     stats.targets_pruned += 1
                     closed_hi = max(closed_hi, probed)
@@ -623,85 +625,164 @@ def _scan_targets(scan: _Scan, n: int, items, cap: float, radius: float = 0.0,
     return closed_hi, open_hi, status
 
 
-def _probe(scan: _Scan, angles: np.ndarray, radius: float, slack: float):
-    """`_probe_bound` of the scan's probes, charging m per probe read as a
-    loop over them would: at exhaustion one past the room left, which raises."""
-    probed, read = _probe_bound(angles, scan.probes, radius, scan.best.lower, slack)
+def _probe(scan: _Scan, angles: np.ndarray, radius: float, slack: float, verdict=None):
+    """The `_probe_bounds` verdict of the scan's probes on one target,
+    charging m per probe read as a loop over them would: at exhaustion one
+    past the room left, which raises.  A verdict (incumbent, bound, read)
+    read ahead is taken while its incumbent is still the scan's, and with it
+    the probes and lower end it was read against."""
+    if verdict is not None and verdict[0] is scan.best:
+        probed, read = verdict[1:]
+    else:
+        (probed, read), = _probe_bounds(angles[None], scan.probes, radius, scan.best.lower,
+                                        slack)
     m = scan.data.m
     scan.budget.charge(min(read, max(scan.budget.remaining, 0) // m + 1) * m)
     return probed
 
 
-def _probe_bound(angles: np.ndarray, probes: np.ndarray, radius: float, lower: float,
-                 slack: float):
-    """(bound, read): the bound the first probe point (a row of character
-    arguments) to close the cell of radius `radius` around a target against
-    the lower end `lower` puts on it, or None, and the probes read to it."""
-    bounds = _dist_array(angles - probes).max(axis=1) + radius
-    closing = np.flatnonzero(bounds - lower <= slack)
-    if closing.size:
-        return float(bounds[closing[0]]), int(closing[0]) + 1
-    return None, len(bounds)
+def _probe_bounds(angles: np.ndarray, probes: np.ndarray, radius: float, lower: float,
+                  slack: float) -> list:
+    """(bound, read) for each row of target angles: the bound the first
+    probe point (a row of character arguments) to close the cell of radius
+    `radius` around the target against the lower end `lower` puts on it, or
+    None, and the probes read to it; one `_dist_array` call for all rows."""
+    bounds = _dist_array(angles[:, None, :] - probes).max(axis=2) + radius
+    verdicts = []
+    for row, closes in zip(bounds.tolist(), (bounds - lower <= slack).tolist()):
+        i = closes.index(True) if True in closes else None
+        verdicts.append((None, len(closes)) if i is None else (row[i], i + 1))
+    return verdicts
+
+
+def _block_targets(data: _SetData, lift_margin: float | None) -> tuple[int, int]:
+    """(targets, cost): how many targets one `_solve_block` call takes, so
+    that their rows (one per target and torsion selection) hold at most
+    CIRCLE_BLOCK elements, and the budget units each target is charged.
+    Targets is 0 where they are solved one at a time: off free rank 1, with
+    lifts kept, or when one target alone passes the bound."""
+    if data.r != 1 or lift_margin is not None:
+        return 0, 0
+    cost = data.selection_count * circle_pieces(tuple(data.slopes.tolist()))[1]
+    return CIRCLE_BLOCK // cost, cost
+
+
+def _solve_block(data: _SetData, angles: np.ndarray, budget: Budget) -> list:
+    """`_solve_target` on each row of target angles of a set of free rank 1,
+    bit for bit, in one `min_error_circle` call over every (target,
+    selection) row: per target the first selection with the least upper end,
+    and the least lower end."""
+    sel = data.selection_rows(0, data.selection_count)
+    # the stacked matmul shifts each row as tau @ selection does, as in
+    # _solve_target
+    shifts = np.matmul(data.tau, sel.astype(np.float64)[:, :, None])[:, :, 0]
+    psi = (angles[:, None, :] - shifts).reshape(-1, data.m)
+    theta, lower, upper = (v.reshape(len(angles), -1)
+                           for v in min_error_circle(data.slopes, psi, budget))
+    rows, first = np.arange(len(angles)), upper.argmin(axis=1)
+    group, sels = data.chars.group, list(map(tuple, sel.tolist()))
+    return [(lo, up, DualPoint(group, (th,), sels[i]), None, None) for lo, up, th, i in
+            zip(lower.min(axis=1).tolist(), upper[rows, first].tolist(),
+                theta[rows, first].tolist(), first.tolist())]
 
 
 def _solve_run(chars: CharacterSet, n: int, tol: float, limit: int, run,
                lift_margin: float | None = None, probes=None, lower: float | None = None,
                radius: float = 0.0, slack: float = 0.0):
-    """Process-pool worker: (solution, budget units charged) per target of a
-    run, stopping before the first target that takes the run past `limit`.
-    A target that one of the scan's probes closes against its lower end, as
-    they stood when the run was submitted, gets None: the scan will most
-    likely prune it, and solves it itself otherwise."""
+    """Solve the order-n targets of a run ahead of the scan, in the scan's
+    process or in a pool worker.  Per target: its verdict (see
+    `_probe_bounds`) against the scan's probes and lower end as they stood
+    when the run was read, None without an incumbent; and its (solution,
+    budget units charged), or None for a target the verdict closes (the
+    scan will most likely prune it, and solves it itself otherwise) or one
+    that would take the run past `limit`.  Rank-1 sets without lifts are
+    solved `_block_targets` targets per `_solve_block` call."""
     data = _set_data(chars)
+    angles = np.array(run, dtype=np.float64).reshape(len(run), data.m) * (TWO_PI / n)
+    verdicts = ([None] * len(run) if lower is None
+                else _probe_bounds(angles, probes, radius, lower, slack))
+    todo = [t for t, verdict in enumerate(verdicts) if verdict is None or verdict[0] is None]
+    solved = [None] * len(run)
     budget = Budget(limit)
-    solved = []
-    for indices in run:
-        angles = np.array(indices, dtype=np.float64) * (TWO_PI / n)
-        if lower is not None and _probe_bound(angles, probes, radius, lower,
-                                              slack)[0] is not None:
-            solved.append(None)
-            continue
-        used = budget.used
-        try:
-            solution = _solve_target(data, angles, (n, indices), tol, budget, lift_margin)
-        except BudgetExceededError:
-            break
-        solved.append((solution, budget.used - used))
-    return solved
+    size, cost = _block_targets(data, lift_margin)
+    if size:
+        todo = todo[:max(limit, 0) // cost]
+        for start in range(0, len(todo), size):
+            block = todo[start:start + size]
+            for t, solution in zip(block, _solve_block(data, angles[block], budget)):
+                solved[t] = (solution, cost)
+    else:
+        for t in todo:
+            used = budget.used
+            try:
+                solution = _solve_target(data, angles[t], (n, run[t]), tol, budget,
+                                         lift_margin)
+            except BudgetExceededError:
+                break
+            solved[t] = (solution, budget.used - used)
+    return list(zip(verdicts, solved))
 
 
 def _solved_ahead(scan: _Scan, n: int, items, lift_margin: float | None = None,
                   radius: float = 0.0, slack: float = 0.0):
-    """Pass on the (indices, solved) pairs of `items` for `_scan_targets`
-    with cell radius `radius` and closing slack `slack`; with a pool, the
-    pairs without a solution get the (solution, cost) the pool found, or
-    None.  At most 2*threads runs are in flight, each capped by the budget
-    left when submitted and skipping the targets the probes then close;
-    runs double from one target up to MAX_RUN, so short scans still use
-    every worker."""
-    if scan.pool is None:
-        yield from items
+    """The (indices, solved) pairs of `items` as (indices, solved, verdict)
+    triples for `_scan_targets` with cell radius `radius` and closing slack
+    `slack`.  A pair without a solution gets the (solution, cost) that
+    `_solve_run` found ahead, or None, and the verdict (incumbent, bound,
+    read) read with the incumbent of that moment, or None.
+
+    Without a pool, a scan that `_block_targets` batches reads that many
+    targets at a time and solves them in its own process; any other passes
+    its items on unsolved.  With a pool, at most 2*threads runs are in
+    flight, each capped by the budget left when submitted; runs double from
+    one target up to MAX_RUN, so short scans still use every worker.
+    Decisions are taken in scan order by `_scan_targets` either way, so
+    results do not depend on the block size or the thread count."""
+    size = _block_targets(scan.data, lift_margin)[0]
+    if scan.pool is None and not size:
+        for indices, solved in items:
+            yield indices, solved, None
         return
+
+    def read(count: int):
+        run = list(itertools.islice(items, count))
+        todo = [indices for indices, solved in run if solved is None]
+        best = scan.best
+        args = (scan.data.chars, n, scan.tol, scan.budget.remaining, todo, lift_margin,
+                scan.probes, None if best is None else best.lower, radius, slack)
+        if not todo:
+            return run, best, None
+        if scan.pool is None:
+            return run, best, _solve_run(*args)
+        return run, best, scan.pool.submit(_solve_run, *args)
+
+    def passed(run, best, ahead):
+        ahead = iter(ahead or ())
+        for indices, solved in run:
+            verdict = None
+            if solved is None:
+                verdict, solved = next(ahead)
+            yield indices, solved, None if verdict is None else (best, *verdict)
+
+    if scan.pool is None:
+        while True:
+            run, best, ahead = read(size)
+            if not run:
+                return
+            yield from passed(run, best, ahead)
     in_flight = deque()
     size = 1
     while True:
         while len(in_flight) < 2 * scan.threads:
-            run = list(itertools.islice(items, size))
+            run, best, future = read(size)
             if not run:
                 break
-            todo = [indices for indices, solved in run if solved is None]
-            lower = scan.best.lower if scan.best is not None else None
-            future = scan.pool.submit(
-                _solve_run, scan.data.chars, n, scan.tol, scan.budget.remaining, todo,
-                lift_margin, scan.probes, lower, radius, slack) if todo else None
-            in_flight.append((run, future))
+            in_flight.append((run, best, future))
             size = min(2 * size, MAX_RUN)
         if not in_flight:
             return
-        run, future = in_flight.popleft()
-        ahead = iter(future.result() if future is not None else ())
-        for indices, solved in run:
-            yield indices, next(ahead, None) if solved is None else solved
+        run, best, future = in_flight.popleft()
+        yield from passed(run, best, None if future is None else future.result())
 
 
 def _pool(threads: int):

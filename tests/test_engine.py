@@ -24,6 +24,7 @@ from kronset import (
 from kronset import _minimax, engine
 from kronset._minimax import (
     circle_lifts,
+    circle_pieces,
     circle_plan,
     line_distances,
     line_witness,
@@ -397,13 +398,15 @@ class TestAlphaN:
         E = CharacterSet.of_integers([1, 2, 3, 5, 8])
         run = [(0, 0, 0, 0, 0), (1, 2, 3, 4, 5)]
         solved = engine._solve_run(E, 8, 1e-3, 10**7, run)
-        assert None not in solved
+        # without probes there is no verdict and nothing is skipped
+        assert [verdict for verdict, _ in solved] == [None, None]
+        assert None not in [solution for _, solution in solved]
         # the identity closes the all-zero target against a lower end of 0
-        probed = engine._solve_run(E, 8, 1e-3, 10**7, run, None, [np.zeros(len(E))], 0.0)
-        assert probed == [None, solved[1]]
+        probed = engine._solve_run(E, 8, 1e-3, 10**7, run, None, np.zeros((1, len(E))), 0.0)
+        assert probed == [((0.0, 1), None), ((None, 1), solved[1][1])]
 
     def test_probe_charges_match_a_loop_over_the_probes(self, monkeypatch):
-        def probe_loop(scan, angles, radius, slack):
+        def probe_loop(scan, angles, radius, slack, verdict=None):
             # the reference: charge m, then read one probe, until one closes
             for args in scan.probes:
                 scan.budget.charge(scan.data.m)
@@ -413,6 +416,15 @@ class TestAlphaN:
                     return bound
             return None
 
+        # counts the probes read ahead whose verdict the scan takes
+        verdicts = []
+        probe = engine._probe
+
+        def counted(scan, angles, radius, slack, verdict=None):
+            verdicts.append(verdict is not None and verdict[0] is scan.best)
+            return probe(scan, angles, radius, slack, verdict)
+
+        monkeypatch.setattr(engine, "_probe", counted)
         rng = random.Random(331)
         groups = [GroupSpec(1), GroupSpec(2), GroupSpec(1, (2,)), GroupSpec(0, (12,))]
         cases = [(CharacterSet.of_integers([1, 2, 3, 5, 8]), 8)]
@@ -429,6 +441,7 @@ class TestAlphaN:
                 for b, res in zip(limits, got):
                     assert alpha_n(E, n, tol=1e-2, budget=b) == res, (E, n, b)
         assert pruned > 100
+        assert sum(verdicts) > 100, (sum(verdicts), len(verdicts))
 
     def test_seed_targets_raise_lower_bound(self):
         E = CharacterSet.of_integers([-2, 1, 4])
@@ -440,6 +453,154 @@ class TestAlphaN:
     def test_invalid_order(self):
         with pytest.raises(ValueError):
             alpha_n(CharacterSet.of_integers([1]), 1)
+
+
+class TestScanBlocks:
+    """Rank-1 scans solve their targets ahead a block at a time, and read the
+    probes of a block at once; the scan still takes every decision in turn,
+    so no result, witness or charge depends on the block size."""
+
+    block_targets = staticmethod(engine._block_targets)
+
+    @classmethod
+    def blocks_of(cls, patch, size):
+        # at most `size` targets a block; 0 solves and probes each in turn
+        def capped(data, lift_margin):
+            targets, cost = cls.block_targets(data, lift_margin)
+            return min(targets, size), cost
+        patch.setattr(engine, "_block_targets", capped)
+
+    @staticmethod
+    def random_rank1_set(rng, group, zero=False):
+        def draw():
+            return Character(group, [rng.randint(-9, 9)],
+                             [rng.randrange(m) for m in group.torsion_orders])
+        elements = {draw().coords: None for _ in range(rng.randint(2, 5))}
+        if zero:
+            elements[group.zero_character().coords] = None
+        return CharacterSet(group, tuple(Character(group, *c) for c in elements))
+
+    def test_results_do_not_depend_on_the_block_size(self, monkeypatch):
+        rng = random.Random(401)
+        groups = [GroupSpec(1), GroupSpec(1, (2,)), GroupSpec(1, (2, 2)),
+                  GroupSpec(1, (2, 2, 2)), GroupSpec(1, (3, 4))]
+        cases = []
+        for g in groups:
+            for zero in (False, True):
+                E = self.random_rank1_set(rng, g, zero)
+                n = rng.choice((3, 4, 5, 8))
+                kw = {"tol": 1e-2}
+                if rng.random() < 0.5:
+                    kw["seed_targets"] = [[rng.randrange(n) for _ in E]]
+                used = alpha_n(E, n, **kw).work.inner_evals
+                cases.append((E, n, kw))
+                # budgets that stop the scan inside a block, and before it
+                cases += [(E, n, dict(kw, budget=rng.randint(1, used - 1))) for _ in range(3)]
+        batched = 0
+        for E, n, kw in cases:
+            default = alpha_n(E, n, **kw)
+            assert alpha_n(E, n, threads=2, **kw) == default, (E, n, kw)
+            for size in (1, 0):
+                with monkeypatch.context() as patch:
+                    self.blocks_of(patch, size)
+                    assert alpha_n(E, n, **kw) == default, (E, n, kw, size)
+            batched += engine._block_targets(engine._set_data(E), None)[0] > 1
+        assert batched >= 8
+        # alpha batches sets of more than LIFT_MAX_SIZE characters
+        E = CharacterSet.of_integers([1, 2, 3, 5])
+        default = alpha(E, tol=0.05)
+        assert default.certified
+        stopped = alpha(E, tol=0.05, budget=default.work.inner_evals // 2)
+        for size in (1, 0):
+            with monkeypatch.context() as patch:
+                self.blocks_of(patch, size)
+                assert alpha(E, tol=0.05) == default
+                assert alpha(E, tol=0.05, budget=default.work.inner_evals // 2) == stopped
+
+    @pytest.mark.parametrize("orders", [(), (2, 2, 2), (12,), (3, 4)])
+    def test_blocks_match_one_target_at_a_time(self, orders):
+        g = GroupSpec(1, orders)
+        rng = random.Random(409)
+        bits = lambda xs: np.array(xs, dtype=np.float64).view(np.int64).tolist()
+        for _ in range(12):
+            E = self.random_rank1_set(rng, g)
+            data = engine._SetData(E)
+            n = rng.choice((3, 4, 5, 8))
+            run = [tuple(rng.randrange(n) for _ in E) for _ in range(rng.randint(1, 6))]
+            angles = np.array(run, dtype=np.float64) * (TWO_PI / n)
+            block, ref = Budget(10**9), Budget(10**9)
+            got = engine._solve_block(data, angles, block)
+            want, costs = [], []
+            for a in angles:
+                used = ref.used
+                want.append(engine._solve_target(data, a, None, 1e-3, ref))
+                costs.append(ref.used - used)
+            assert block.used == ref.used == len(run) * engine._block_targets(data, None)[1]
+            for (lo, up, point, *rest), (ref_lo, ref_up, ref_point, *ref_rest) in zip(got, want):
+                assert bits([lo, up, *point.torus_angles]) == bits(
+                    [ref_lo, ref_up, *ref_point.torus_angles]), (E, run)
+                assert point == ref_point and rest == ref_rest == [None, None]
+            # the worker returns the same solutions, cut before the run passes its limit
+            limit = rng.randrange(sum(costs) + 1)
+            fit = limit // costs[0]
+            solved = engine._solve_run(E, n, 1e-3, limit, run)
+            assert solved == [(None, (s, c) if t < fit else None)
+                              for t, (s, c) in enumerate(zip(want, costs))]
+
+    def test_stale_verdicts_are_read_again(self, monkeypatch):
+        # in {1,2,3,5,8} at n = 8 the incumbent of target 149 replaces one
+        # whose probe window is full, so the identity probe drops out
+        E, n = CharacterSet.of_integers([1, 2, 3, 5, 8]), 8
+        data = engine._set_data(E)
+        targets = list(engine._grid_targets(engine._shift_basis(data, n), n))[:180]
+        prefix, block = targets[:140], targets[140:]
+
+        def scan(items_of):
+            state = engine._Scan(data, 1e-3, Budget(10**9))
+            status = engine._scan_targets(state, n, items_of(state), grid_cap(n))
+            return status, state.stats, state.budget.used, state.best, state.probes.tolist()
+
+        window, stale = [], []
+        probe = engine._probe
+
+        def spy(state, angles, radius, slack, verdict=None):
+            if verdict is not None and verdict[0] is not state.best:
+                fresh = engine._probe_bounds(angles[None], state.probes, radius,
+                                             state.best.lower, slack)[0]
+                stale.append(fresh != verdict[1:])
+            return probe(state, angles, radius, slack, verdict)
+
+        def batched(state):
+            for t in prefix:
+                yield t, None, None
+            window.append(len(state.probes))
+            yield from engine._solved_ahead(state, n, ((t, None) for t in block))
+
+        reference = scan(lambda state: ((t, None, None) for t in targets))
+        with monkeypatch.context() as patch:
+            self.blocks_of(patch, len(block))
+            patch.setattr(engine, "_probe", spy)
+            got = scan(batched)
+        assert window == [4] and any(stale), (window, stale)
+        assert got == reference
+
+    @pytest.mark.parametrize("solve", [
+        lambda: alpha_n(CharacterSet.of_integers([1, 4, 12, 38, 154]), 8),
+        lambda: alpha_n(parse_set_spec(
+            "Z x Z2^3 : [3,0,0,0],[3,0,0,1],[6,1,0,0],[6,1,1,0],[8,1,1,0]")[1], 5),
+    ], ids=["lacunary Z", "Z x Z2^3"])
+    def test_scan_blocks_stay_within_the_element_bound(self, monkeypatch, solve):
+        sizes = []
+
+        def spy(slopes, psi, budget, lift_margin=None):
+            rows = np.atleast_2d(psi)
+            sizes.append((len(rows), len(rows) * circle_pieces(tuple(slopes.tolist()))[1]))
+            return min_error_circle(slopes, psi, budget, lift_margin)
+
+        monkeypatch.setattr(engine, "min_error_circle", spy)
+        assert solve().certified
+        assert max(elements for _, elements in sizes) <= _minimax.CIRCLE_BLOCK
+        assert max(rows for rows, _ in sizes) > 1
 
 
 class TestAlphaLadder:
