@@ -123,29 +123,29 @@ _small_plan = lru_cache(maxsize=16)(circle_plan)
 def min_error_circle(slopes: np.ndarray, psi: np.ndarray, budget, lift_margin=None):
     """Exact minimum of theta -> max_k dist(a_k*theta, psi_k).
 
-    Returns (theta, lower, upper) with upper attained at theta and lower =
+    Takes the targets as rows psi[s] and returns arrays (theta, lower,
+    upper) of one entry per row, with upper attained at theta and lower =
     upper minus a slack covering floating-point placement of the candidate
-    points.  Rows psi[s] give arrays of one entry per row, every row charged
-    before the candidates or their plan are built.  Given lift_margin (one
-    row only), also returns the lifts within lift_margin of the minimum
-    (see `circle_lifts`) as a fourth item.
+    points; every row is charged before the candidates or their plan are
+    built.  Given lift_margin, also returns as a fourth item a list of each
+    row's lifts within lift_margin of its minimum (see `circle_lifts`).
 
     Candidates and residuals are reduced by `_mod_2pi`, and the characters
     are folded into the objective a block at a time, each block's
     temporaries holding at most CIRCLE_TEMP elements (or one character's).
     """
-    key, rows = tuple(slopes.tolist()), np.atleast_2d(psi)
+    key = tuple(slopes.tolist())
     cost = circle_pieces(key)[1]
-    budget.charge(len(rows) * cost)
+    budget.charge(len(psi) * cost)
     j, k, off, div, mask, amax = (_small_plan if cost <= CIRCLE_BLOCK else circle_plan)(key)
-    const_err = _dist_array(rows[:, ~mask]).max(axis=1, initial=0.0)
-    p = np.concatenate([rows, -rows, np.zeros((len(rows), 1))], axis=1)
+    const_err = _dist_array(psi[:, ~mask]).max(axis=1, initial=0.0)
+    p = np.concatenate([psi, -psi, np.zeros((len(psi), 1))], axis=1)
     cands = p[:, j]
     cands += p[:, k]
     cands += off
     cands /= div
     cands = _mod_2pi(cands)
-    a, u = slopes[mask].astype(np.float64)[:, None], rows[:, mask, None]
+    a, u = slopes[mask].astype(np.float64)[:, None], psi[:, mask, None]
     vals = np.repeat(const_err[:, None], cands.shape[1], axis=1)
     step = max(1, CIRCLE_TEMP // cands.size)
     for c in range(0, len(a), step):
@@ -161,12 +161,10 @@ def min_error_circle(slopes: np.ndarray, psi: np.ndarray, budget, lift_margin=No
     # (zero-slope) constraints bound the objective exactly at every theta
     lower = np.maximum(np.maximum(const_err, np.minimum(vmin, upper)
                                   - 1e-12 * max(1.0, amax)), 0.0)
-    if psi.ndim == 2:
-        return theta, lower, upper
-    result = float(theta[0]), float(lower[0]), float(upper[0])
     if lift_margin is None:
-        return result
-    return (*result, circle_lifts(slopes, psi, cands[0], vals[0], result[2] + lift_margin))
+        return theta, lower, upper
+    return theta, lower, upper, [circle_lifts(slopes, row, c, v, up + lift_margin)
+                                 for row, c, v, up in zip(psi, cands, vals, upper)]
 
 
 # ---------------------------------------------------------------------------

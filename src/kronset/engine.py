@@ -23,7 +23,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -92,6 +92,12 @@ class Budget:
     @property
     def remaining(self) -> int:
         return self.limit - self.used
+
+
+def _check_tol(tol: float):
+    """ValueError unless tol is a number >= 0 (nan is refused too)."""
+    if not tol >= 0:
+        raise ValueError(f"tolerance must be >= 0, got {tol}")
 
 
 def grid_cap(n: int) -> float:
@@ -304,7 +310,7 @@ def _solve_target(data: _SetData, angles: np.ndarray, grid, tol: float,
     which unlocks exact integer arithmetic on purely torsion groups.
     Returns (lower, upper, DualPoint, exact_turns | None, lifts), lifts
     being the circle lifts within lift_margin of the value for a set in Z
-    (see `_minimax.circle_lifts`), else None.
+    (see `_minimax.circle_lifts`), else None.  Free rank 1: `_solve_circle`.
     """
     group = data.chars.group
     if data.r == 0:
@@ -326,34 +332,63 @@ def _solve_target(data: _SetData, angles: np.ndarray, grid, tol: float,
         val = float(val)
         return val, val, DualPoint(group, (), data.selection(index)), None, None
 
-    if data.r == 1 and data.s == 0:
-        theta, lo, up, *lifts = min_error_circle(data.slopes, angles, budget,
-                                                 lift_margin=lift_margin)
-        return lo, up, DualPoint(group, (theta,), ()), None, lifts[0] if lifts else None
-    best, lower = None, math.inf
     if data.r == 1:
-        # one kernel call per block of selections; the stacked matmul shifts
-        # each row as tau @ selection does, bit for bit
-        cost = circle_pieces(tuple(data.slopes.tolist()))[1]
-        rows = max(1, min(TABLE_BLOCK, CIRCLE_BLOCK // cost))
-        for start, stop in budget_blocks(data.selection_count, cost, rows, budget):
-            sel = data.selection_rows(start, stop).astype(np.float64)
-            shifts = np.matmul(data.tau, sel[:, :, None])
-            theta, lo, up = min_error_circle(data.slopes, angles - shifts[:, :, 0], budget)
-            i = int(up.argmin())
-            lower = min(lower, float(lo.min()))
-            if best is None or up[i] < best[0]:
-                best = (float(up[i]), (float(theta[i]),), data.selection(start + i))
-    else:
-        for index in range(data.selection_count):
-            sel = data.selection(index)
-            psi = angles - (data.tau @ np.asarray(sel) if data.s else 0.0)
-            theta_arr, lo, up = min_error_box(data.free, psi, tol, budget)
-            lower = min(lower, lo)
-            if best is None or up < best[0]:
-                best = (up, tuple(float(t) for t in theta_arr), sel)
+        return _solve_circle(data, angles[None], budget, lift_margin=lift_margin)[0]
+    best, lower = None, math.inf
+    for index in range(data.selection_count):
+        sel = data.selection(index)
+        psi = angles - (data.tau @ np.asarray(sel) if data.s else 0.0)
+        theta_arr, lo, up = min_error_box(data.free, psi, tol, budget)
+        lower = min(lower, lo)
+        if best is None or up < best[0]:
+            best = (up, tuple(float(t) for t in theta_arr), sel)
     upper, theta_vec, sel = best
     return lower, upper, DualPoint(group, theta_vec, sel), None, None
+
+
+def _solve_circle(data: _SetData, angles: np.ndarray, budget: Budget,
+                  lift_margin: float | None = None) -> list:
+    """`_solve_target` on each row of target angles of a set of free rank 1.
+
+    Each (target, selection) pair is one `min_error_circle` row.  A call
+    takes whole targets, at most `_block_targets` and what the budget left
+    pays for, while one target's rows fit in a block of selections (at most
+    TABLE_BLOCK and CIRCLE_BLOCK elements), else a block of one target's
+    selections from `budget_blocks`; so the charges are those of a loop that
+    charges each row before solving it, one row past the room at exhaustion.
+    """
+    size, cost = _block_targets(data)
+    count = data.selection_count
+    row_cost = cost // count
+    rows = max(1, min(TABLE_BLOCK, CIRCLE_BLOCK // row_cost))
+    k = len(angles)
+    lower, upper, theta = np.full(k, math.inf), np.full(k, math.inf), np.zeros(k)
+    chosen = np.zeros((k, data.s), dtype=exact_dtype(count))
+    lifts = [None] * k
+    t = 0
+    while t < k:
+        whole = min(size, k - t, max(budget.remaining, 0) // cost) if count <= rows else 0
+        g = whole or 1
+        for start, stop in [(0, count)] if whole else budget_blocks(count, row_cost, rows, budget):
+            sel = data.selection_rows(start, stop)
+            # the stacked matmul shifts each row as tau @ selection does, bit for bit
+            shifts = np.matmul(data.tau, sel.astype(np.float64)[:, :, None])[:, :, 0]
+            psi = (angles[t:t + g, None, :] - shifts).reshape(-1, data.m)
+            out = min_error_circle(data.slopes, psi, budget,
+                                   lift_margin=None if data.s else lift_margin)
+            th, lo, up = (v.reshape(g, -1) for v in out[:3])
+            pick = np.arange(g), up.argmin(axis=1)
+            np.minimum(lower[t:t + g], lo.min(axis=1), out=lower[t:t + g])
+            # strict: across blocks of selections the first least one wins
+            better = up[pick] < upper[t:t + g]
+            for best, new in ((upper, up[pick]), (theta, th[pick]), (chosen, sel[pick[1]])):
+                best[t:t + g][better] = new[better]
+            if len(out) > 3:
+                lifts[t:t + g] = out[3]
+        t += g
+    return [(lo, up, DualPoint(data.chars.group, (th,), tuple(sel)), None, lift)
+            for lo, up, th, sel, lift in zip(lower.tolist(), upper.tolist(), theta.tolist(),
+                                             chosen.tolist(), lifts)]
 
 
 def best_point(chars: CharacterSet, phi: TargetMap, tol: float = DEFAULT_TOL,
@@ -367,6 +402,7 @@ def best_point(chars: CharacterSet, phi: TargetMap, tol: float = DEFAULT_TOL,
     """
     if phi.chars != chars:
         raise ValueError("target map was built for a different character set")
+    _check_tol(tol)
     data = _set_data(chars)
     b = Budget(budget)
     grid = (phi.roots_order, phi.grid_indices) if phi.roots_order else None
@@ -655,35 +691,16 @@ def _probe_bounds(angles: np.ndarray, probes: np.ndarray, radius: float, lower: 
     return verdicts
 
 
-def _block_targets(data: _SetData, lift_margin: float | None) -> tuple[int, int]:
-    """(targets, cost): how many targets one `_solve_block` call takes, so
-    that their rows (one per target and torsion selection) hold at most
-    CIRCLE_BLOCK elements, and the budget units each target is charged.
-    Targets is 0 where they are solved one at a time: off free rank 1, with
-    lifts kept, or when one target alone passes the bound."""
-    if data.r != 1 or lift_margin is not None:
+def _block_targets(data: _SetData) -> tuple[int, int]:
+    """(targets, cost) on free rank 1: how many targets `_solve_circle`
+    takes per kernel call, as many as keep their rows (one per target and
+    torsion selection) within CIRCLE_BLOCK elements but at least 1, and the
+    budget units each target is charged.  (0, 0) off free rank 1, where
+    targets are solved one at a time."""
+    if data.r != 1:
         return 0, 0
     cost = data.selection_count * circle_pieces(tuple(data.slopes.tolist()))[1]
-    return CIRCLE_BLOCK // cost, cost
-
-
-def _solve_block(data: _SetData, angles: np.ndarray, budget: Budget) -> list:
-    """`_solve_target` on each row of target angles of a set of free rank 1,
-    bit for bit, in one `min_error_circle` call over every (target,
-    selection) row: per target the first selection with the least upper end,
-    and the least lower end."""
-    sel = data.selection_rows(0, data.selection_count)
-    # the stacked matmul shifts each row as tau @ selection does, as in
-    # _solve_target
-    shifts = np.matmul(data.tau, sel.astype(np.float64)[:, :, None])[:, :, 0]
-    psi = (angles[:, None, :] - shifts).reshape(-1, data.m)
-    theta, lower, upper = (v.reshape(len(angles), -1)
-                           for v in min_error_circle(data.slopes, psi, budget))
-    rows, first = np.arange(len(angles)), upper.argmin(axis=1)
-    group, sels = data.chars.group, list(map(tuple, sel.tolist()))
-    return [(lo, up, DualPoint(group, (th,), sels[i]), None, None) for lo, up, th, i in
-            zip(lower.min(axis=1).tolist(), upper[rows, first].tolist(),
-                theta[rows, first].tolist(), first.tolist())]
+    return max(1, CIRCLE_BLOCK // cost), cost
 
 
 def _solve_run(chars: CharacterSet, n: int, tol: float, limit: int, run,
@@ -695,8 +712,8 @@ def _solve_run(chars: CharacterSet, n: int, tol: float, limit: int, run,
     when the run was read, None without an incumbent; and its (solution,
     budget units charged), or None for a target the verdict closes (the
     scan will most likely prune it, and solves it itself otherwise) or one
-    that would take the run past `limit`.  Rank-1 sets without lifts are
-    solved `_block_targets` targets per `_solve_block` call."""
+    that would take the run past `limit`.  On free rank 1 the targets that
+    fit in the limit go through one `_solve_circle` call."""
     data = _set_data(chars)
     angles = np.array(run, dtype=np.float64).reshape(len(run), data.m) * (TWO_PI / n)
     verdicts = ([None] * len(run) if lower is None
@@ -704,13 +721,12 @@ def _solve_run(chars: CharacterSet, n: int, tol: float, limit: int, run,
     todo = [t for t, verdict in enumerate(verdicts) if verdict is None or verdict[0] is None]
     solved = [None] * len(run)
     budget = Budget(limit)
-    size, cost = _block_targets(data, lift_margin)
-    if size:
+    if data.r == 1:
+        cost = _block_targets(data)[1]
         todo = todo[:max(limit, 0) // cost]
-        for start in range(0, len(todo), size):
-            block = todo[start:start + size]
-            for t, solution in zip(block, _solve_block(data, angles[block], budget)):
-                solved[t] = (solution, cost)
+        for t, solution in zip(todo, _solve_circle(data, angles[todo], budget,
+                                                   lift_margin=lift_margin)):
+            solved[t] = (solution, cost)
     else:
         for t in todo:
             used = budget.used
@@ -731,17 +747,20 @@ def _solved_ahead(scan: _Scan, n: int, items, lift_margin: float | None = None,
     `_solve_run` found ahead, or None, and the verdict (incumbent, bound,
     read) read with the incumbent of that moment, or None.
 
-    Without a pool, a scan that `_block_targets` batches reads that many
-    targets at a time and solves them in its own process; any other passes
-    its items on unsolved.  With a pool, at most 2*threads runs are in
-    flight, each capped by the budget left when submitted; runs double from
-    one target up to MAX_RUN, so short scans still use every worker.
-    Decisions are taken in scan order by `_scan_targets` either way, so
-    results do not depend on the block size or the thread count."""
-    size = _block_targets(scan.data, lift_margin)[0]
-    if scan.pool is None and not size:
-        for indices, solved in items:
-            yield indices, solved, None
+    Runs in flight are each capped by the budget left when read: with a
+    pool 2*threads runs, doubling from one target up to MAX_RUN so short
+    scans still use every worker; without, one run of `_block_targets`
+    targets, solved in the scan's process once the run before it is decided
+    (off free rank 1 the items pass on unsolved).  `_scan_targets` takes the
+    decisions in scan order either way, so results do not depend on the
+    block size or the thread count."""
+    size = _block_targets(scan.data)[0]
+    if scan.pool is not None:
+        depth, sizes = 2 * scan.threads, (min(1 << i, MAX_RUN) for i in itertools.count())
+    elif size:
+        depth, sizes = 1, itertools.repeat(size)
+    else:
+        yield from ((indices, solved, None) for indices, solved in items)
         return
 
     def read(count: int):
@@ -751,38 +770,27 @@ def _solved_ahead(scan: _Scan, n: int, items, lift_margin: float | None = None,
         args = (scan.data.chars, n, scan.tol, scan.budget.remaining, todo, lift_margin,
                 scan.probes, None if best is None else best.lower, radius, slack)
         if not todo:
-            return run, best, None
+            return run, best, lambda: ()
         if scan.pool is None:
-            return run, best, _solve_run(*args)
-        return run, best, scan.pool.submit(_solve_run, *args)
+            return run, best, partial(_solve_run, *args)
+        return run, best, scan.pool.submit(_solve_run, *args).result
 
-    def passed(run, best, ahead):
-        ahead = iter(ahead or ())
+    in_flight = deque()
+    while True:
+        while len(in_flight) < depth:
+            run, best, ahead = read(next(sizes))
+            if not run:
+                break
+            in_flight.append((run, best, ahead))
+        if not in_flight:
+            return
+        run, best, ahead = in_flight.popleft()
+        ahead = iter(ahead())
         for indices, solved in run:
             verdict = None
             if solved is None:
                 verdict, solved = next(ahead)
             yield indices, solved, None if verdict is None else (best, *verdict)
-
-    if scan.pool is None:
-        while True:
-            run, best, ahead = read(size)
-            if not run:
-                return
-            yield from passed(run, best, ahead)
-    in_flight = deque()
-    size = 1
-    while True:
-        while len(in_flight) < 2 * scan.threads:
-            run, best, future = read(size)
-            if not run:
-                break
-            in_flight.append((run, best, future))
-            size = min(2 * size, MAX_RUN)
-        if not in_flight:
-            return
-        run, best, future = in_flight.popleft()
-        yield from passed(run, best, None if future is None else future.result())
 
 
 def _pool(threads: int):
@@ -818,6 +826,7 @@ def alpha_n(chars: CharacterSet, n: int, tol: float = DEFAULT_TOL,
     """
     if n < 2:
         raise ValueError("roots grid order must be >= 2")
+    _check_tol(tol)
     data = _set_data(chars)
     cap = grid_cap(n)
     seeds = [tuple(int(j) % n for j in seed) for seed in seed_targets]
@@ -883,8 +892,12 @@ def alpha(chars: CharacterSet, tol: float = DEFAULT_TOL, budget: int = DEFAULT_B
     completed levels, of the largest bound over all cells.  Stops certified
     once the bracket is tol wide, uncertified when the next level would
     pass max_order or the budget runs out (see work.stop_reason); each
-    work.ladder entry is (n, lower, upper, level completed).
+    work.ladder entry is (n, lower, upper, level completed).  ValueError for
+    max_order < 2, which leaves no level to scan.
     """
+    if max_order < 2:
+        raise ValueError("max_order must be >= 2")
+    _check_tol(tol)
     with _pool(threads) as pool:
         scan = _Scan(_set_data(chars), tol / 2, Budget(budget), pool, threads)
         upper, lower, ladder, reason = _refine(scan, tol, max_order)

@@ -87,7 +87,12 @@ class TestSubcommands:
     def test_invalid_input_exit_2(self, capsys):
         for argv in (["alpha", "--set", "Z : bogus"],
                      ["alpha", "--set", "Z : [1],[2]", "--threads", "0"],
-                     ["alpha-n", "--set", "Z : [1],[2]", "--n", "3", "--threads", "-3"]):
+                     ["alpha-n", "--set", "Z : [1],[2]", "--n", "3", "--threads", "-3"],
+                     ["alpha", "--set", "Z : [1],[2]", "--max-order", "0"],
+                     ["alpha", "--set", "Z : [1],[2]", "--max-order", "1"],
+                     ["alpha", "--set", "Z : [1],[2]", "--tol", "nan"],
+                     ["alpha-n", "--set", "Z^2 : [1,0],[0,1]", "--n", "3", "--tol", "-1"],
+                     ["alpha-n", "--set", "Z : [1],[2]", "--n", "3", "--tol", "nan"]):
             assert main(argv + ["--no-timestamp"]) == 2, argv
 
     def test_resource_exit_3(self, capsys):

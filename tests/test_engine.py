@@ -1,8 +1,10 @@
+import contextlib
 import itertools
 import math
 import random
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -59,6 +61,14 @@ def random_group_set(rng, group, zero=False):
     if zero:
         elements[group.zero_character().coords] = None
     return CharacterSet(group, tuple(Character(group, *c) for c in elements))
+
+
+def circle_row(slopes, psi, budget, **kw):
+    """`min_error_circle` on one row of target angles: (theta, lower, upper)
+    as floats, and the row's lifts given lift_margin."""
+    theta, lower, upper, *lifts = min_error_circle(slopes, psi[None], budget, **kw)
+    row = float(theta[0]), float(lower[0]), float(upper[0])
+    return (*row, lifts[0][0]) if lifts else row
 
 
 def random_int_set(rng, max_size=3, max_entry=10):
@@ -454,6 +464,20 @@ class TestAlphaN:
         with pytest.raises(ValueError):
             alpha_n(CharacterSet.of_integers([1]), 1)
 
+    def test_invalid_tolerance_and_max_order(self):
+        E = CharacterSet.of_integers([1, 2])
+        phi = TargetMap.from_angles(E, [0.5, 1.0])
+        for tol in (-1.0, math.nan):
+            for solve in (lambda: alpha(E, tol=tol), lambda: alpha_n(E, 3, tol=tol),
+                          lambda: best_point(E, phi, tol=tol)):
+                with pytest.raises(ValueError):
+                    solve()
+        for max_order in (0, 1):
+            with pytest.raises(ValueError):
+                alpha(E, max_order=max_order)
+        # the smallest cap still scans level 2
+        assert alpha(E, max_order=2).work.ladder[0][0] == 2
+
 
 class TestScanBlocks:
     """Rank-1 scans solve their targets ahead a block at a time, and read the
@@ -464,21 +488,29 @@ class TestScanBlocks:
 
     @classmethod
     def blocks_of(cls, patch, size):
-        # at most `size` targets a block; 0 solves and probes each in turn
-        def capped(data, lift_margin):
-            targets, cost = cls.block_targets(data, lift_margin)
+        # at most `size` targets a block; 0 solves and probes each in turn,
+        # and `_solve_circle` then takes one target's selections per call
+        def capped(data):
+            targets, cost = cls.block_targets(data)
             return min(targets, size), cost
         patch.setattr(engine, "_block_targets", capped)
 
     @staticmethod
-    def random_rank1_set(rng, group, zero=False):
+    def random_rank1_set(rng, group, zero=False, most=5):
         def draw():
             return Character(group, [rng.randint(-9, 9)],
                              [rng.randrange(m) for m in group.torsion_orders])
-        elements = {draw().coords: None for _ in range(rng.randint(2, 5))}
+        elements = {draw().coords: None for _ in range(rng.randint(2, most))}
         if zero:
             elements[group.zero_character().coords] = None
         return CharacterSet(group, tuple(Character(group, *c) for c in elements))
+
+    def assert_same_at_every_block_size(self, monkeypatch, solve, want):
+        assert solve(threads=2) == want
+        for size in (1, 0):
+            with monkeypatch.context() as patch:
+                self.blocks_of(patch, size)
+                assert solve() == want, size
 
     def test_results_do_not_depend_on_the_block_size(self, monkeypatch):
         rng = random.Random(401)
@@ -498,54 +530,117 @@ class TestScanBlocks:
                 cases += [(E, n, dict(kw, budget=rng.randint(1, used - 1))) for _ in range(3)]
         batched = 0
         for E, n, kw in cases:
-            default = alpha_n(E, n, **kw)
-            assert alpha_n(E, n, threads=2, **kw) == default, (E, n, kw)
-            for size in (1, 0):
-                with monkeypatch.context() as patch:
-                    self.blocks_of(patch, size)
-                    assert alpha_n(E, n, **kw) == default, (E, n, kw, size)
-            batched += engine._block_targets(engine._set_data(E), None)[0] > 1
+            self.assert_same_at_every_block_size(
+                monkeypatch, lambda **more: alpha_n(E, n, **kw, **more), alpha_n(E, n, **kw))
+            batched += engine._block_targets(engine._set_data(E))[0] > 1
         assert batched >= 8
-        # alpha batches sets of more than LIFT_MAX_SIZE characters
-        E = CharacterSet.of_integers([1, 2, 3, 5])
-        default = alpha(E, tol=0.05)
-        assert default.certified
-        stopped = alpha(E, tol=0.05, budget=default.work.inner_evals // 2)
-        for size in (1, 0):
-            with monkeypatch.context() as patch:
-                self.blocks_of(patch, size)
-                assert alpha(E, tol=0.05) == default
-                assert alpha(E, tol=0.05, budget=default.work.inner_evals // 2) == stopped
+        # alpha: sets of more than LIFT_MAX_SIZE characters, lifted scans on
+        # pairs and triples in Z, and sets of up to three characters in Z x Z2
+        sets = [CharacterSet.of_integers([1, 2, 3, 5])]
+        sets += [CharacterSet.of_integers(rng.sample(range(-9, 10), size))
+                 for size in (2, 2, 3, 3)]
+        sets += [self.random_rank1_set(rng, GroupSpec(1, (2,)), most=3) for _ in range(2)]
+        for E in sets:
+            default = alpha(E, tol=0.05)
+            assert default.certified, E
+            used = default.work.inner_evals
+            cases = [({}, default)]
+            for budget in (used // 2, rng.randint(1, used - 1)):
+                cases.append(({"budget": budget}, alpha(E, tol=0.05, budget=budget)))
+                assert cases[-1][1].work.stop_reason == "budget"
+            for kw, want in cases:
+                self.assert_same_at_every_block_size(
+                    monkeypatch, lambda **more: alpha(E, tol=0.05, **kw, **more), want)
 
-    @pytest.mark.parametrize("orders", [(), (2, 2, 2), (12,), (3, 4)])
+    @staticmethod
+    def reference(E, angles, budget):
+        """(lower, upper, theta, selection) of one target from the loops of
+        `oracles`: one `min_error_circle_loop` in Z, else one per selection."""
+        orders = E.group.torsion_orders
+        slopes = np.array([c.free_coords[0] for c in E])
+        if not orders:
+            theta, lower, upper = oracles.min_error_circle_loop(slopes, angles, budget)
+            return lower, upper, theta, ()
+        tau = np.array([[TWO_PI * t / m for t, m in zip(c.torsion_coords, orders)] for c in E])
+        return oracles.circle_selections_loop(slopes, tau, angles,
+                                              itertools.product(*map(range, orders)), budget)
+
+    @pytest.mark.parametrize("orders", [(), (2, 2, 2), (12,), (3, 4), (2,) * 12])
     def test_blocks_match_one_target_at_a_time(self, orders):
         g = GroupSpec(1, orders)
         rng = random.Random(409)
         bits = lambda xs: np.array(xs, dtype=np.float64).view(np.int64).tolist()
-        for _ in range(12):
+        # a Z x Z2^12 target passes CIRCLE_BLOCK alone: blocks of its selections
+        wide = len(orders) == 12
+        for _ in range(1 if wide else 12):
             E = self.random_rank1_set(rng, g)
             data = engine._SetData(E)
+            size, cost = engine._block_targets(data)
+            assert (cost > _minimax.CIRCLE_BLOCK) == wide
+            margin = rng.choice([None, 0.1, 0.4]) if not orders else None
             n = rng.choice((3, 4, 5, 8))
-            run = [tuple(rng.randrange(n) for _ in E) for _ in range(rng.randint(1, 6))]
+            targets = 2 if wide else rng.randint(1, 6)
+            run = [tuple(rng.randrange(n) for _ in E) for _ in range(targets)]
             angles = np.array(run, dtype=np.float64) * (TWO_PI / n)
             block, ref = Budget(10**9), Budget(10**9)
-            got = engine._solve_block(data, angles, block)
-            want, costs = [], []
-            for a in angles:
-                used = ref.used
-                want.append(engine._solve_target(data, a, None, 1e-3, ref))
-                costs.append(ref.used - used)
-            assert block.used == ref.used == len(run) * engine._block_targets(data, None)[1]
-            for (lo, up, point, *rest), (ref_lo, ref_up, ref_point, *ref_rest) in zip(got, want):
+            got = engine._solve_circle(data, angles, block, lift_margin=margin)
+            want = [self.reference(E, a, ref) for a in angles]
+            assert block.used == ref.used == len(run) * cost
+            for a, (lo, up, point, exact, lifts), (ref_lo, ref_up, theta, sel) in zip(
+                    angles, got, want):
+                ref_point = DualPoint(g, (theta,), sel)
                 assert bits([lo, up, *point.torus_angles]) == bits(
                     [ref_lo, ref_up, *ref_point.torus_angles]), (E, run)
-                assert point == ref_point and rest == ref_rest == [None, None]
+                assert point == ref_point and exact is None
+                # each row's lifts are those of a one-row call
+                row_lifts = None if margin is None else circle_row(
+                    data.slopes, a, Budget(10**9), lift_margin=margin)[3]
+                assert (lifts is None) == (row_lifts is None)
+                if lifts is not None:
+                    assert np.array_equal(lifts[0], row_lifts[0])
+                    assert bits(lifts[1]) == bits(row_lifts[1])
+            # cut short: charged as the loop over the rows, one row past the room
+            limit = rng.randrange(block.used)
+            short, ref = Budget(limit), Budget(limit)
+            with pytest.raises(BudgetExceededError):
+                engine._solve_circle(data, angles, short, lift_margin=margin)
+            with pytest.raises(BudgetExceededError):
+                for a in angles:
+                    self.reference(E, a, ref)
+            assert short.used == ref.used
+            if margin is not None:
+                continue
             # the worker returns the same solutions, cut before the run passes its limit
-            limit = rng.randrange(sum(costs) + 1)
-            fit = limit // costs[0]
+            limit = rng.randrange(block.used + 1)
             solved = engine._solve_run(E, n, 1e-3, limit, run)
-            assert solved == [(None, (s, c) if t < fit else None)
-                              for t, (s, c) in enumerate(zip(want, costs))]
+            assert solved == [(None, (s, cost) if t < limit // cost else None)
+                              for t, s in enumerate(got)]
+
+    def test_pool_keeps_two_runs_a_thread_in_flight(self, monkeypatch):
+        class Pool:
+            # solves each run when submitted, and counts the runs whose
+            # solutions the scan has not taken yet
+            def __init__(self):
+                self.waiting, self.most, self.sizes = 0, 0, []
+
+            def submit(self, fn, *args):
+                self.waiting += 1
+                self.most = max(self.most, self.waiting)
+                self.sizes.append(len(args[4]))
+                solved = fn(*args)
+
+                def result():
+                    self.waiting -= 1
+                    return solved
+                return SimpleNamespace(result=result)
+
+        E = CharacterSet.of_integers([1, 2, 3, 5, 8])
+        serial = alpha_n(E, 8)
+        pool = Pool()
+        monkeypatch.setattr(engine, "_pool", lambda threads: contextlib.nullcontext(pool))
+        assert alpha_n(E, 8, threads=3) == serial
+        assert pool.most == 6
+        assert pool.sizes[:6] == [1, 2, 4, 8, 16, 16]
 
     def test_stale_verdicts_are_read_again(self, monkeypatch):
         # in {1,2,3,5,8} at n = 8 the incumbent of target 149 replaces one
@@ -584,23 +679,26 @@ class TestScanBlocks:
         assert window == [4] and any(stale), (window, stale)
         assert got == reference
 
-    @pytest.mark.parametrize("solve", [
-        lambda: alpha_n(CharacterSet.of_integers([1, 4, 12, 38, 154]), 8),
-        lambda: alpha_n(parse_set_spec(
-            "Z x Z2^3 : [3,0,0,0],[3,0,0,1],[6,1,0,0],[6,1,1,0],[8,1,1,0]")[1], 5),
-    ], ids=["lacunary Z", "Z x Z2^3"])
-    def test_scan_blocks_stay_within_the_element_bound(self, monkeypatch, solve):
+    @pytest.mark.parametrize("solve, lifted", [
+        (lambda: alpha_n(CharacterSet.of_integers([1, 4, 12, 38, 154]), 8), False),
+        (lambda: alpha_n(parse_set_spec(
+            "Z x Z2^3 : [3,0,0,0],[3,0,0,1],[6,1,0,0],[6,1,1,0],[8,1,1,0]")[1], 5), False),
+        (lambda: alpha(CharacterSet.of_integers([-6, 1, 3])), True),
+    ], ids=["lacunary Z", "Z x Z2^3", "lifted Z"])
+    def test_scan_blocks_stay_within_the_element_bound(self, monkeypatch, solve, lifted):
         sizes = []
 
-        def spy(slopes, psi, budget, lift_margin=None):
-            rows = np.atleast_2d(psi)
-            sizes.append((len(rows), len(rows) * circle_pieces(tuple(slopes.tolist()))[1]))
-            return min_error_circle(slopes, psi, budget, lift_margin)
+        # lift_margin arrives by keyword, as tracing hooks that take the
+        # first three arguments positionally need
+        def spy(slopes, psi, budget, **kw):
+            cost = circle_pieces(tuple(slopes.tolist()))[1]
+            sizes.append((len(psi), len(psi) * cost, kw.get("lift_margin") is not None))
+            return min_error_circle(slopes, psi, budget, **kw)
 
         monkeypatch.setattr(engine, "min_error_circle", spy)
         assert solve().certified
-        assert max(elements for _, elements in sizes) <= _minimax.CIRCLE_BLOCK
-        assert max(rows for rows, _ in sizes) > 1
+        assert max(elements for _, elements, _ in sizes) <= _minimax.CIRCLE_BLOCK
+        assert max(rows for rows, _, kept in sizes if kept == lifted) > 1
 
 
 class TestAlphaLadder:
@@ -764,7 +862,7 @@ class TestCircleKernel:
             slopes = self.random_slopes(rng)
             psi = self.random_angles(rng, len(slopes))
             got, want = Budget(10**9), Budget(10**9)
-            assert (min_error_circle(slopes, psi, got)
+            assert (circle_row(slopes, psi, got)
                     == oracles.min_error_circle_loop(slopes, psi, want)), (slopes, psi)
             assert got.used == want.used
 
@@ -822,10 +920,10 @@ class TestCircleKernel:
         for _ in range(6):
             psi = self.random_angles(rng, len(slopes))
             got, want = Budget(10**9), Budget(10**9)
-            theta, lower, upper, lifts = min_error_circle(slopes, psi, got, lift_margin=margin)
+            theta, lower, upper, lifts = circle_row(slopes, psi, got, lift_margin=margin)
             assert (theta, lower, upper) == oracles.min_error_circle_loop(slopes, psi, want)
             assert got.used == want.used
-            assert min_error_circle(slopes, psi, Budget(10**9)) == (theta, lower, upper)
+            assert circle_row(slopes, psi, Budget(10**9)) == (theta, lower, upper)
             cands = oracles.circle_candidates_loop(slopes, psi)
             ref_lifts = circle_lifts(slopes, psi, cands,
                                      oracles.circle_objective_loop(slopes, psi, cands),
@@ -837,7 +935,7 @@ class TestCircleKernel:
             limit = rng.randrange(got.used)
             short, ref = Budget(limit), Budget(limit)
             with pytest.raises(BudgetExceededError):
-                min_error_circle(slopes, psi, short)
+                circle_row(slopes, psi, short)
             with pytest.raises(BudgetExceededError):
                 oracles.min_error_circle_loop(slopes, psi, ref)
             assert short.used == ref.used
@@ -857,10 +955,10 @@ class TestCircleKernel:
         # whole (characters x candidates) temporaries would peak at 1.1 MB
         # here; blocks of CIRCLE_TEMP elements keep them near one row's size
         slopes, psi = np.array([3, 16, 48, 240, 1200]), np.array([0.3, 1.1, 2.0, 4.4, 5.9])
-        min_error_circle(slopes, psi, Budget(10**9))  # the plan is cached from here on
+        circle_row(slopes, psi, Budget(10**9))  # the plan is cached from here on
         tracemalloc.start()
         try:
-            min_error_circle(slopes, psi, Budget(10**9))
+            circle_row(slopes, psi, Budget(10**9))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -941,7 +1039,7 @@ class TestLifts:
             slopes = self.random_slopes(rng)
             psi = np.array([rng.uniform(0, TWO_PI) for _ in slopes])
             radius = rng.choice([0.05, 0.1, 0.2])
-            _, _, upper, lifts = min_error_circle(slopes, psi, Budget(10**6),
+            _, _, upper, lifts = circle_row(slopes, psi, Budget(10**6),
                                                   lift_margin=4 * radius)
             if lifts is None:
                 continue
@@ -952,7 +1050,7 @@ class TestLifts:
             # every target within radius has its best lift among them
             for _ in range(5):
                 near = psi + np.array([rng.uniform(-radius, radius) for _ in slopes])
-                _, _, want, _ = min_error_circle(slopes, near, Budget(10**6), lift_margin=0.0)
+                _, _, want, _ = circle_row(slopes, near, Budget(10**6), lift_margin=0.0)
                 got = line_distances(slopes, near + TWO_PI * nu).min()
                 assert got == pytest.approx(want, abs=1e-9), (slopes, psi, near)
             checked += 1
