@@ -1,18 +1,17 @@
 """Certified minimizers for the worst-coordinate approximation error.
 
-Two continuous solvers live here.  For a single torus coordinate the
-objective theta -> max_k dist(a_k * theta, psi_k) is piecewise linear with
-slopes +-a_k, so its exact minimum is found by enumerating tent kinks and
-the V-shaped crossings between tents.  For several torus coordinates a
-Lipschitz branch-and-bound over boxes produces a bracket of requested
-width instead.  On a purely torsion dual the minimum is exact: every
-selection's error is read, a block at a time, from a table of the
-characters' arguments in integer angle units.  All of them charge their
-evaluation counts against a budget.
+Two exact solvers live here.  On the free part of the dual, a torus, the
+objective s -> max_k dist(A_k.s, psi_k) is piecewise linear, so after a
+unimodular change of coordinates that gives A full column rank its
+minimum sits at one of finitely many vertices: points where one more
+signed piece than the torus has coordinates are equal, found in closed
+form and all evaluated (`min_error_box`, with `min_error_circle` its
+one-coordinate face).  On a purely torsion dual every selection's error is
+read, a block at a time, from a table of the characters' arguments in
+integer angle units.  Both charge their evaluation counts against a budget.
 """
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from functools import lru_cache
@@ -22,7 +21,6 @@ import numpy as np
 from .errors import BudgetExceededError
 
 TWO_PI = 2.0 * math.pi
-BOX_INIT_CELLS = 4  # per free axis, in min_error_box's first grid
 #: most torsion selections read (and table rows held) at a time
 TABLE_BLOCK = 1 << 12
 
@@ -77,94 +75,172 @@ def _dist_array(x: np.ndarray) -> np.ndarray:
 #: most elements of a block's (rows x characters x candidates) array
 CIRCLE_BLOCK = 1 << 16
 #: most float64 elements of one character block's temporaries in
-#: `min_error_circle` (64 KB): glibc serves these from its heap and keeps them
+#: `min_error_box` (64 KB): glibc serves these from its heap and keeps them
 #: for the next block, where larger ones would be mapped and unmapped anew
 CIRCLE_TEMP = 1 << 13
 
 
+def column_echelon(rows):
+    """(H, U, rank): H = A U in lower column echelon form (columns past
+    `rank` zero, positive pivots) for the integer rows of A, U unimodular,
+    both as lists of columns.  For a nonsingular A, prod range(H[j][j])
+    holds one vector of each coset of A's column lattice."""
+    m, r = len(rows), len(rows[0])
+    cols = [[row[j] for row in rows] + [int(i == j) for i in range(r)] for j in range(r)]
+    rank = 0
+    for i in range(m):
+        while any(c[i] for c in cols[rank + 1:]):
+            j = min((j for j in range(rank, r) if cols[j][i]), key=lambda j: abs(cols[j][i]))
+            cols[rank], cols[j] = cols[j], cols[rank]
+            for c in cols[rank + 1:]:
+                q = c[i] // cols[rank][i]
+                c[:] = [x - q * y for x, y in zip(c, cols[rank])]
+        if rank < r and cols[rank][i]:
+            cols[rank] = [x if cols[rank][i] > 0 else -x for x in cols[rank]]
+            rank += 1
+    return [c[:m] for c in cols], [c[m:] for c in cols], rank
+
+
+def _det(rows) -> int:
+    """Exact determinant of a small square integer matrix."""
+    return sum((-1) ** j * a * _det([row[:j] + row[j + 1:] for row in rows[1:]])
+               for j, a in enumerate(rows[0]) if a) if rows else 1
+
+
+def subset_count(free: tuple) -> int:
+    """Signed subsets `vertex_systems` examines: C(2m', r'+1) / 2."""
+    return math.comb(2 * sum(map(any, free)), max(column_echelon(free)[2], 1) + 1) // 2
+
+
 @lru_cache(maxsize=256)
-def circle_pieces(slopes: tuple):
-    """Candidate minimizers of max_k dist(a_k*theta, psi_k) on the circle,
-    as pieces (J, K, step, d, count), and the evaluations one row of
-    `min_error_circle` is charged (candidates times characters).
+def vertex_systems(free: tuple):
+    """Candidates for the least s -> max_k dist(A_k.s, psi_k) on the torus,
+    A the integer rows `free`: (systems, evaluations charged per row, B, U).
 
-    Candidates are the kinks of each tent (its zeros and peaks) and, for
-    every pair of tents, the crossings where one descends into the other:
-    with matching slope signs these satisfy (a_j + a_k) theta = psi_j + psi_k
-    mod 2*pi, with opposite signs (a_j - a_k) theta = psi_j - psi_k mod 2*pi.
-    A piece holds the candidates (P[J] + P[K] + step*t) / d, t < count, with
-    P = [psi, -psi, 0]; the first is the candidate 0."""
-    m = len(slopes)
-    nz = [i for i, a in enumerate(slopes) if a != 0]
-    pieces = [(2 * m, 2 * m, 0.0, 1, 1)]
-    pieces += [(i, 2 * m, math.pi, slopes[i], 2 * abs(slopes[i])) for i in nz]
-    for p, q in itertools.combinations(nz, 2):
-        a, b = slopes[p], slopes[q]
-        d, pk = (a + b, q) if a * b > 0 else (a - b, m + q)
-        pieces.append((p, pk, TWO_PI, d, abs(d)))
-    return tuple(pieces), sum(piece[-1] for piece in pieces) * m
+    B = A U has full column rank r' >= 1, U the first r' columns of a
+    unimodular matrix (`column_echelon`; B = A, U None at full rank), and
+    s = U t.  For a lift u = psi + 2*pi*nu the least max_k |B_k.t - u_k| is
+    at a vertex where r'+1 signed pieces sigma_i (B_{k_i}.t - u_{k_i}) are
+    equal, with affinely independent gradients sigma_i B_{k_i} holding 0 in
+    their hull: mod 2*pi, M t = c with M_i = sigma_0 B_{k_0} - sigma_i B_{k_i}
+    and c_i = sigma_0 psi_{k_0} - sigma_i psi_{k_i}, so t = adj M (c + 2*pi*n)
+    / det M for the |det M| vectors n of M's coset box (at r' = 1: each
+    tent's kinks, each pair's crossings).  A system is (rows k, weights w,
+    adj M, det M, box), sum_t w[t] psi[k[t]] = adj M c, one per pair of
+    opposite subsets; the first is the candidate 0.
+    """
+    h, u, rank = column_echelon(free)
+    r = max(rank, 1)
+    b, cols = (free, None) if r == len(free[0]) else (tuple(zip(*h[:r])), u[:r])
+    pieces = [(k, sign, tuple(sign * x for x in b[k]))
+              for k in range(len(b)) if any(b[k]) for sign in (1, -1)]
+    systems = [((0,) * (r + 1), ((0,) * r,) * (r + 1), ((0,) * r,) * r, 1, (1,) * r)]
+    for subset in itertools.combinations(range(len(pieces)), r + 1):
+        if tuple(sorted(i ^ 1 for i in subset)) < subset:
+            continue
+        (k0, s0, g0), *rest = (pieces[i] for i in subset)
+        mat = [tuple(x - y for x, y in zip(g0, g)) for _, _, g in rest]
+        adj = tuple(tuple((-1) ** (i + j) * _det([row[:i] + row[i + 1:]
+                                                  for k, row in enumerate(mat) if k != j])
+                          for j in range(r)) for i in range(r))
+        det = sum(mat[0][j] * adj[j][0] for j in range(r))
+        # det times the barycentric coordinates of 0 among the gradients
+        bary = [sum(adj[j][i] * g0[j] for j in range(r)) for i in range(r)]
+        if det and min(det * x for x in bary + [det - sum(bary)]) >= 0:
+            weights = [tuple(s0 * sum(row) for row in adj)]
+            weights += [tuple(-s * row[i] for row in adj) for i, (_, s, _) in enumerate(rest)]
+            systems.append(((k0, *(k for k, _, _ in rest)), tuple(weights), adj, det,
+                            tuple(col[j] for j, col in enumerate(column_echelon(mat)[0]))))
+    return systems, sum(abs(s[3]) for s in systems) * len(b), b, cols
 
 
-def circle_plan(slopes: tuple):
-    """The candidates of `circle_pieces` as index and offset arrays, with
-    the nonzero-slope mask and max |a|: (J, K, OFF, DIV, mask, max |a|),
-    candidate c being (P[J[c]] + P[K[c]] + OFF[c]) / DIV[c] mod 2*pi."""
-    pieces = circle_pieces(slopes)[0]
-    size = [piece[-1] for piece in pieces]
-    j, k, step, div = (np.repeat(col, size) for col in list(zip(*pieces))[:4])
-    off = step * np.concatenate([np.arange(c, dtype=np.float64) for c in size])
-    return j, k, off, div, np.array(slopes) != 0, float(max(map(abs, slopes)))
+def vertex_plan(free: tuple):
+    """`vertex_systems` as arrays (terms, weights, system, offsets, divisors,
+    nonzero rows of B by column, their mask, slack, U): candidate c is
+    (y[system[c]] + offsets[c]) / divisors[c] mod 2*pi, y = sum_t weights[t]
+    psi[terms[t]]; the slack 1e-12 max(1, max_k |B_k|_1 max |adj M|) covers
+    the rounding of candidates and residuals."""
+    systems, _, b, cols = vertex_systems(free)
+    size = [abs(s[3]) for s in systems]
+    off = np.concatenate([TWO_PI * (np.array(adj) @ np.array(np.unravel_index(np.arange(n), box)))
+                          for (_, _, adj, _, box), n in zip(systems, size)], axis=1)
+    mask = np.array(list(map(any, b)))
+    slack = 1e-12 * max(1.0, float(max(map(sum, np.abs(b).tolist()))
+                                   * max(np.abs(s[2]).max() for s in systems)))
+    return (np.array([s[0] for s in systems]).T,
+            np.array([s[1] for s in systems], dtype=np.float64).transpose(1, 2, 0)[:, :, None],
+            np.repeat(np.arange(len(systems)), size), off,
+            np.repeat([float(s[3]) for s in systems], size),
+            np.array(b, dtype=np.float64)[mask].T[:, :, None].copy(), mask, slack,
+            None if cols is None else np.array(cols, dtype=np.float64))
 
 
 #: plans of at most CIRCLE_BLOCK evaluations a row, kept for the next call
-_small_plan = lru_cache(maxsize=16)(circle_plan)
+_small_plan = lru_cache(maxsize=16)(vertex_plan)
+
+
+def _residuals(coeffs, coords, u):
+    """sum_j coeffs[j] * coords[j] - u, summed in a fixed order."""
+    resid = coeffs[0] * coords[0]
+    for j in range(1, len(coeffs)):
+        resid += coeffs[j] * coords[j]
+    resid -= u
+    return resid
+
+
+def min_error_box(free: np.ndarray, psi: np.ndarray, budget, lift_margin=None):
+    """Exact minimum of s -> max_k dist(A_k.s, psi_k) on the torus, A the
+    (m x r) integer matrix `free`, for each row psi[i] of targets.
+
+    Returns arrays (s, lower, upper), charging every row before the
+    candidates (`vertex_systems`) or their plan are built: s the least
+    candidate (lexicographically, in B's coordinates t) within 1e-12 of the
+    least value, upper attained at s, lower = upper minus the plan's slack.
+    Given lift_margin (free rank 1 only), also each row's lifts within
+    lift_margin of its minimum (`circle_lifts`).  The rows of A are folded
+    in a block at a time, temporaries of at most CIRCLE_TEMP elements.
+    """
+    key = tuple(map(tuple, free.tolist()))
+    cost = vertex_systems(key)[1]
+    budget.charge(len(psi) * cost)
+    terms, weights, system, off, div, b, mask, slack, cols = (
+        _small_plan if cost <= CIRCLE_BLOCK else vertex_plan)(key)
+    const_err = _dist_array(psi[:, ~mask]).max(axis=1, initial=0.0)
+    # one (rows x candidates) array per coordinate t_j
+    y = weights * psi[:, terms].transpose(1, 0, 2)[:, None]
+    cands = sum(y[1:], y[0])[:, :, system]
+    cands += off[:, None]
+    cands /= div
+    cands = _mod_2pi(cands)
+    vals = np.repeat(const_err[:, None], cands.shape[2], axis=1)
+    step, coords, u = max(1, CIRCLE_TEMP // cands[0].size), cands[:, :, None], psi[:, mask, None]
+    for c in range(0, b.shape[1], step):
+        resid = _residuals(b[:, c:c + step], coords, u[:, c:c + step])
+        np.maximum(vals, _dist_array(resid).max(axis=1), out=vals)
+    vmin = vals.min(axis=1)
+    # the least point among ties keeps results schedule-independent
+    near = vals <= vmin[:, None] + 1e-12
+    theta = np.empty((len(cands), len(psi)))
+    for j, coord in enumerate(cands):
+        coord = np.where(near, coord, np.inf)
+        theta[j] = coord.min(axis=1)
+        if j + 1 < len(cands):
+            near &= coord == theta[j, :, None]
+    upper = np.maximum(_dist_array(_residuals(b, theta[:, :, None, None], u))
+                       .max(axis=1, initial=0.0)[:, 0], const_err)
+    # constant (zero-row) constraints bound the objective exactly everywhere
+    lower = np.maximum(np.maximum(const_err, np.minimum(vmin, upper) - slack), 0.0)
+    s = theta.T if cols is None else _mod_2pi(_residuals(cols, theta[:, :, None], 0.0))
+    if lift_margin is None:
+        return s, lower, upper
+    return s, lower, upper, [circle_lifts(free[:, 0], row, c, v, up + lift_margin)
+                             for row, c, v, up in zip(psi, cands[0], vals, upper)]
 
 
 def min_error_circle(slopes: np.ndarray, psi: np.ndarray, budget, lift_margin=None):
-    """Exact minimum of theta -> max_k dist(a_k*theta, psi_k).
-
-    Takes the targets as rows psi[s] and returns arrays (theta, lower,
-    upper) of one entry per row, with upper attained at theta and lower =
-    upper minus a slack covering floating-point placement of the candidate
-    points; every row is charged before the candidates or their plan are
-    built.  Given lift_margin, also returns as a fourth item a list of each
-    row's lifts within lift_margin of its minimum (see `circle_lifts`).
-
-    Candidates and residuals are reduced by `_mod_2pi`, and the characters
-    are folded into the objective a block at a time, each block's
-    temporaries holding at most CIRCLE_TEMP elements (or one character's).
-    """
-    key = tuple(slopes.tolist())
-    cost = circle_pieces(key)[1]
-    budget.charge(len(psi) * cost)
-    j, k, off, div, mask, amax = (_small_plan if cost <= CIRCLE_BLOCK else circle_plan)(key)
-    const_err = _dist_array(psi[:, ~mask]).max(axis=1, initial=0.0)
-    p = np.concatenate([psi, -psi, np.zeros((len(psi), 1))], axis=1)
-    cands = p[:, j]
-    cands += p[:, k]
-    cands += off
-    cands /= div
-    cands = _mod_2pi(cands)
-    a, u = slopes[mask].astype(np.float64)[:, None], psi[:, mask, None]
-    vals = np.repeat(const_err[:, None], cands.shape[1], axis=1)
-    step = max(1, CIRCLE_TEMP // cands.size)
-    for c in range(0, len(a), step):
-        resid = a[c:c + step] * cands[:, None, :]
-        resid -= u[:, c:c + step]
-        np.maximum(vals, _dist_array(resid).max(axis=1), out=vals)
-    vmin = vals.min(axis=1)
-    # smallest theta among ties keeps results schedule-independent
-    theta = np.where(vals <= vmin[:, None] + 1e-12, cands, np.inf).min(axis=1)
-    upper = np.maximum(_dist_array(a * theta[:, None, None] - u).max(axis=1, initial=0.0)[:, 0],
-                       const_err)
-    # the slack covers floating-point placement of the candidates; constant
-    # (zero-slope) constraints bound the objective exactly at every theta
-    lower = np.maximum(np.maximum(const_err, np.minimum(vmin, upper)
-                                  - 1e-12 * max(1.0, amax)), 0.0)
-    if lift_margin is None:
-        return theta, lower, upper
-    return theta, lower, upper, [circle_lifts(slopes, row, c, v, up + lift_margin)
-                                 for row, c, v, up in zip(psi, cands, vals, upper)]
+    """`min_error_box` on free rank 1, with the slopes and thetas 1-D."""
+    s, *rest = min_error_box(slopes[:, None], psi, budget, lift_margin=lift_margin)
+    return (s[:, 0], *rest)
 
 
 # ---------------------------------------------------------------------------
@@ -253,61 +329,6 @@ def circle_lifts(slopes: np.ndarray, psi: np.ndarray, cands: np.ndarray,
     best = np.full(len(keys), math.inf)
     np.minimum.at(best, inverse.ravel(), vals[near])
     return keys, best
-
-
-def min_error_box(free_matrix: np.ndarray, psi: np.ndarray, tol: float, budget):
-    """Lipschitz-certified bracket for the minimum over the torus power.
-
-    free_matrix is the (m x r) integer matrix of free coordinates; the
-    objective is Lipschitz in coordinate j with constant max_k |A_kj|, and
-    never below the constant error of its all-zero rows.  Splits boxes until
-    incumbent - global lower bound <= tol, charging m evaluations per probed
-    centre.
-    """
-    m, r = free_matrix.shape
-    lip = np.abs(free_matrix).max(axis=0).astype(np.float64)
-    zero_rows = ~free_matrix.any(axis=1)
-    # all-zero rows put a constant floor under the objective everywhere
-    floor = float(_dist_array(psi[zero_rows]).max()) if zero_rows.any() else None
-
-    def value(theta: np.ndarray) -> float:
-        return float(_dist_array(free_matrix @ theta - psi).max())
-
-    def bound(val: float, width: np.ndarray) -> float:
-        lb = val - 0.5 * float(lip @ width)
-        return lb if floor is None else max(lb, floor)
-
-    counter = itertools.count()
-    heap = []
-    best_val, best_theta = math.inf, None
-    steps = [BOX_INIT_CELLS if lip[j] > 0 else 1 for j in range(r)]
-    for corner in itertools.product(*[range(s) for s in steps]):
-        lo = np.array([TWO_PI * c / s for c, s in zip(corner, steps)])
-        width = np.array([TWO_PI / s for s in steps])
-        centre = lo + width / 2.0
-        budget.charge(m)
-        val = value(centre)
-        if val < best_val:
-            best_val, best_theta = val, centre
-        heapq.heappush(heap, (bound(val, width), next(counter), lo, width, val))
-
-    while heap:
-        lb, _, lo, width, val = heapq.heappop(heap)
-        if best_val - lb <= tol:
-            return best_theta, max(0.0, min(lb, best_val)), best_val
-        j = int(np.argmax(lip * width))
-        half = width.copy()
-        half[j] /= 2.0
-        for shift in (0.0, half[j]):
-            clo = lo.copy()
-            clo[j] += shift
-            centre = clo + half / 2.0
-            budget.charge(m)
-            cval = value(centre)
-            if cval < best_val:
-                best_val, best_theta = cval, centre
-            heapq.heappush(heap, (bound(cval, half), next(counter), clo, half, cval))
-    raise BudgetExceededError("box refinement exhausted its candidate heap")
 
 
 def exact_dtype(bound: int):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._minimax import _dist_array
-from .engine import KroneckerResult, _set_data
+from .engine import KroneckerResult, _check_limits, _set_data
 from .errors import BudgetExceededError
 from .groups import (
     ANGLE_ATOL,
@@ -110,6 +110,7 @@ def maximal_separated_set(chars: CharacterSet, epsilon: float,
     """
     if not 0.0 < epsilon:
         raise ValueError("separation threshold must be positive")
+    _check_limits(universe_budget=budget)
     data = _set_data(chars)
     admitted: list[DualPoint] = []
     # arguments of the admitted points in the first rows, grown by doubling
@@ -253,6 +254,7 @@ def quasi_independent(chars: CharacterSet, budget: int = 3**16,
                       method: str = "auto"):
     """True iff no nontrivial {-1,0,1}-relation over the set sums to the
     identity; returns (flag, witness coefficients or None)."""
+    _check_limits(budget=budget)
     m = len(chars)
     if method == "auto":
         method = "direct" if 3**m * m <= min(budget, 3**13) else "mitm"
@@ -270,6 +272,7 @@ def b2_coincidences(chars: CharacterSet, budget: int = 1_000_000):
     Returns (count, quadruples); each quadruple is (g1, g2, g3, g4) with
     g1 + g2 = g3 + g4 and {g3, g4} != {g1, g2}, listed deterministically.
     """
+    _check_limits(budget=budget)
     m = len(chars)
     n_pairs = m * (m + 1) // 2
     if n_pairs > budget:

@@ -34,7 +34,6 @@ from ._minimax import (
     TABLE_BLOCK,
     _dist_array,
     budget_blocks,
-    circle_pieces,
     exact_dtype,
     first_least,
     line_distances,
@@ -43,6 +42,8 @@ from ._minimax import (
     min_error_box,
     min_error_circle,
     solve_torsion_units,
+    subset_count,
+    vertex_systems,
 )
 from .errors import BudgetExceededError
 from .groups import (
@@ -94,10 +95,11 @@ class Budget:
         return self.limit - self.used
 
 
-def _check_tol(tol: float):
-    """ValueError unless tol is a number >= 0 (nan is refused too)."""
-    if not tol >= 0:
-        raise ValueError(f"tolerance must be >= 0, got {tol}")
+def _check_limits(**limits):
+    """ValueError unless every limit is a number >= 0 (nan is refused too)."""
+    for name, value in limits.items():
+        if not value >= 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 def grid_cap(n: int) -> float:
@@ -250,6 +252,7 @@ class _SetData:
         else:
             self.tau = np.zeros((self.m, 0))
         self.slopes = self.free[:, 0].copy() if self.r == 1 else None
+        self.free_key = tuple(map(tuple, self.free.tolist()))
         self.selection_count = g.dual_torsion_size
         self._units = np.array(self.unit_rows, dtype=exact_dtype(
             self.lcm * max(self.orders, default=1))).reshape(self.m, self.s).T
@@ -302,15 +305,15 @@ def approx_error(chars: CharacterSet, phi: TargetMap, x: DualPoint) -> float:
 # single-target inner minimization over the dual group
 # ---------------------------------------------------------------------------
 
-def _solve_target(data: _SetData, angles: np.ndarray, grid, tol: float,
-                  budget: Budget, lift_margin: float | None = None):
+def _solve_target(data: _SetData, angles: np.ndarray, grid, budget: Budget,
+                  lift_margin: float | None = None):
     """Bracket inf over the dual of the worst-coordinate error for one target.
 
     `grid` is (n, indices) when the target lies on the n-th-roots grid,
     which unlocks exact integer arithmetic on purely torsion groups.
     Returns (lower, upper, DualPoint, exact_turns | None, lifts), lifts
     being the circle lifts within lift_margin of the value for a set in Z
-    (see `_minimax.circle_lifts`), else None.  Free rank 1: `_solve_circle`.
+    (see `_minimax.circle_lifts`), else None.  A free part: `_solve_free`.
     """
     group = data.chars.group
     if data.r == 0:
@@ -331,26 +334,14 @@ def _solve_target(data: _SetData, angles: np.ndarray, grid, tol: float,
         val, index = first_least(errors, data.selection_count, data.m, budget)
         val = float(val)
         return val, val, DualPoint(group, (), data.selection(index)), None, None
-
-    if data.r == 1:
-        return _solve_circle(data, angles[None], budget, lift_margin=lift_margin)[0]
-    best, lower = None, math.inf
-    for index in range(data.selection_count):
-        sel = data.selection(index)
-        psi = angles - (data.tau @ np.asarray(sel) if data.s else 0.0)
-        theta_arr, lo, up = min_error_box(data.free, psi, tol, budget)
-        lower = min(lower, lo)
-        if best is None or up < best[0]:
-            best = (up, tuple(float(t) for t in theta_arr), sel)
-    upper, theta_vec, sel = best
-    return lower, upper, DualPoint(group, theta_vec, sel), None, None
+    return _solve_free(data, angles[None], budget, lift_margin=lift_margin)[0]
 
 
-def _solve_circle(data: _SetData, angles: np.ndarray, budget: Budget,
-                  lift_margin: float | None = None) -> list:
-    """`_solve_target` on each row of target angles of a set of free rank 1.
+def _solve_free(data: _SetData, angles: np.ndarray, budget: Budget,
+                lift_margin: float | None = None) -> list:
+    """`_solve_target` on each row of target angles of a set with a free part.
 
-    Each (target, selection) pair is one `min_error_circle` row.  A call
+    Each (target, selection) pair is one `min_error_box` row.  A call
     takes whole targets, at most `_block_targets` and what the budget left
     pays for, while one target's rows fit in a block of selections (at most
     TABLE_BLOCK and CIRCLE_BLOCK elements), else a block of one target's
@@ -362,7 +353,7 @@ def _solve_circle(data: _SetData, angles: np.ndarray, budget: Budget,
     row_cost = cost // count
     rows = max(1, min(TABLE_BLOCK, CIRCLE_BLOCK // row_cost))
     k = len(angles)
-    lower, upper, theta = np.full(k, math.inf), np.full(k, math.inf), np.zeros(k)
+    lower, upper, theta = np.full(k, math.inf), np.full(k, math.inf), np.zeros((k, data.r))
     chosen = np.zeros((k, data.s), dtype=exact_dtype(count))
     lifts = [None] * k
     t = 0
@@ -374,9 +365,9 @@ def _solve_circle(data: _SetData, angles: np.ndarray, budget: Budget,
             # the stacked matmul shifts each row as tau @ selection does, bit for bit
             shifts = np.matmul(data.tau, sel.astype(np.float64)[:, :, None])[:, :, 0]
             psi = (angles[t:t + g, None, :] - shifts).reshape(-1, data.m)
-            out = min_error_circle(data.slopes, psi, budget,
-                                   lift_margin=None if data.s else lift_margin)
-            th, lo, up = (v.reshape(g, -1) for v in out[:3])
+            out = (min_error_box(data.free, psi, budget) if data.r > 1 else min_error_circle(
+                data.slopes, psi, budget, lift_margin=None if data.s else lift_margin))
+            th, lo, up = out[0].reshape(g, -1, data.r), *(v.reshape(g, -1) for v in out[1:3])
             pick = np.arange(g), up.argmin(axis=1)
             np.minimum(lower[t:t + g], lo.min(axis=1), out=lower[t:t + g])
             # strict: across blocks of selections the first least one wins
@@ -386,7 +377,7 @@ def _solve_circle(data: _SetData, angles: np.ndarray, budget: Budget,
             if len(out) > 3:
                 lifts[t:t + g] = out[3]
         t += g
-    return [(lo, up, DualPoint(data.chars.group, (th,), tuple(sel)), None, lift)
+    return [(lo, up, DualPoint(data.chars.group, tuple(th), tuple(sel)), None, lift)
             for lo, up, th, sel, lift in zip(lower.tolist(), upper.tolist(), theta.tolist(),
                                              chosen.tolist(), lifts)]
 
@@ -398,15 +389,16 @@ def best_point(chars: CharacterSet, phi: TargetMap, tol: float = DEFAULT_TOL,
     The bracket encloses the true infimum over the whole dual group; its
     upper end is attained by the returned point.  Raises
     BudgetExceededError when the budget runs out before the bracket is
-    narrower than tol.
+    narrower than tol; with a free part the solve is exact up to rounding.
     """
     if phi.chars != chars:
         raise ValueError("target map was built for a different character set")
-    _check_tol(tol)
+    _check_limits(tolerance=tol, budget=budget)
     data = _set_data(chars)
     b = Budget(budget)
+    b.charge(subset_count(data.free_key) if data.r > 1 else 0)
     grid = (phi.roots_order, phi.grid_indices) if phi.roots_order else None
-    lower, upper, point, exact, _ = _solve_target(data, np.asarray(phi.angles), grid, tol, b)
+    lower, upper, point, exact, _ = _solve_target(data, np.asarray(phi.angles), grid, b)
     attained = approx_error(chars, phi, point)
     bracket = ErrorBracket(min(lower, attained), attained, exact)
     if bracket.width > tol + ANGLE_ATOL:
@@ -574,7 +566,7 @@ class _Scan:
     """What the scans of one computation share: the incumbent worst target,
     the last few witness points as probes (character argument rows, oldest
     first), the budget, the work counters and the pool of `threads` workers,
-    if any, solving ahead.  `tol` is the inner-solve tolerance and cap-exit margin."""
+    if any, solving ahead.  `tol` is the cap-exit margin."""
 
     data: _SetData
     tol: float
@@ -620,6 +612,11 @@ def _scan_targets(scan: _Scan, n: int, items, cap: float, radius: float = 0.0,
     best = scan.best
     step = TWO_PI / n
     closed_hi = open_hi = 0.0
+    try:
+        # the first scan pays for the vertex systems (free rank 2 on) up front
+        budget.charge(0 if budget.used or data.r < 2 else subset_count(data.free_key))
+    except BudgetExceededError:
+        return closed_hi, open_hi, "budget"
     status = "done"
     for indices, solved, verdict in items:
         lifted = solved is not None and solved[0][2] is None
@@ -636,7 +633,7 @@ def _scan_targets(scan: _Scan, n: int, items, cap: float, radius: float = 0.0,
                 solution, cost = solved
                 budget.charge(cost)
             else:
-                solution = _solve_target(data, angles, (n, tuple(indices)), tol, budget,
+                solution = _solve_target(data, angles, (n, tuple(indices)), budget,
                                          lift_margin)
         except BudgetExceededError:
             status = "budget"
@@ -692,18 +689,18 @@ def _probe_bounds(angles: np.ndarray, probes: np.ndarray, radius: float, lower: 
 
 
 def _block_targets(data: _SetData) -> tuple[int, int]:
-    """(targets, cost) on free rank 1: how many targets `_solve_circle`
-    takes per kernel call, as many as keep their rows (one per target and
-    torsion selection) within CIRCLE_BLOCK elements but at least 1, and the
-    budget units each target is charged.  (0, 0) off free rank 1, where
-    targets are solved one at a time."""
-    if data.r != 1:
+    """(targets, cost) on a set with a free part: how many targets
+    `_solve_free` takes per kernel call, as many as keep their rows (one per
+    target and torsion selection) within CIRCLE_BLOCK elements but at least
+    1, and the budget units each target is charged.  (0, 0) on a purely
+    torsion set, whose targets are solved one at a time."""
+    if not data.r:
         return 0, 0
-    cost = data.selection_count * circle_pieces(tuple(data.slopes.tolist()))[1]
+    cost = data.selection_count * vertex_systems(data.free_key)[1]
     return max(1, CIRCLE_BLOCK // cost), cost
 
 
-def _solve_run(chars: CharacterSet, n: int, tol: float, limit: int, run,
+def _solve_run(chars: CharacterSet, n: int, limit: int, run,
                lift_margin: float | None = None, probes=None, lower: float | None = None,
                radius: float = 0.0, slack: float = 0.0):
     """Solve the order-n targets of a run ahead of the scan, in the scan's
@@ -712,8 +709,8 @@ def _solve_run(chars: CharacterSet, n: int, tol: float, limit: int, run,
     when the run was read, None without an incumbent; and its (solution,
     budget units charged), or None for a target the verdict closes (the
     scan will most likely prune it, and solves it itself otherwise) or one
-    that would take the run past `limit`.  On free rank 1 the targets that
-    fit in the limit go through one `_solve_circle` call."""
+    that would take the run past `limit`.  On a set with a free part the
+    targets that fit in the limit go through one `_solve_free` call."""
     data = _set_data(chars)
     angles = np.array(run, dtype=np.float64).reshape(len(run), data.m) * (TWO_PI / n)
     verdicts = ([None] * len(run) if lower is None
@@ -721,18 +718,17 @@ def _solve_run(chars: CharacterSet, n: int, tol: float, limit: int, run,
     todo = [t for t, verdict in enumerate(verdicts) if verdict is None or verdict[0] is None]
     solved = [None] * len(run)
     budget = Budget(limit)
-    if data.r == 1:
+    if data.r:
         cost = _block_targets(data)[1]
         todo = todo[:max(limit, 0) // cost]
-        for t, solution in zip(todo, _solve_circle(data, angles[todo], budget,
-                                                   lift_margin=lift_margin)):
+        for t, solution in zip(todo, _solve_free(data, angles[todo], budget,
+                                                 lift_margin=lift_margin)):
             solved[t] = (solution, cost)
     else:
         for t in todo:
             used = budget.used
             try:
-                solution = _solve_target(data, angles[t], (n, run[t]), tol, budget,
-                                         lift_margin)
+                solution = _solve_target(data, angles[t], (n, run[t]), budget)
             except BudgetExceededError:
                 break
             solved[t] = (solution, budget.used - used)
@@ -751,9 +747,9 @@ def _solved_ahead(scan: _Scan, n: int, items, lift_margin: float | None = None,
     pool 2*threads runs, doubling from one target up to MAX_RUN so short
     scans still use every worker; without, one run of `_block_targets`
     targets, solved in the scan's process once the run before it is decided
-    (off free rank 1 the items pass on unsolved).  `_scan_targets` takes the
-    decisions in scan order either way, so results do not depend on the
-    block size or the thread count."""
+    (on a purely torsion set the items pass on unsolved).  `_scan_targets`
+    takes the decisions in scan order either way, so results do not depend
+    on the block size or the thread count."""
     size = _block_targets(scan.data)[0]
     if scan.pool is not None:
         depth, sizes = 2 * scan.threads, (min(1 << i, MAX_RUN) for i in itertools.count())
@@ -767,7 +763,7 @@ def _solved_ahead(scan: _Scan, n: int, items, lift_margin: float | None = None,
         run = list(itertools.islice(items, count))
         todo = [indices for indices, solved in run if solved is None]
         best = scan.best
-        args = (scan.data.chars, n, scan.tol, scan.budget.remaining, todo, lift_margin,
+        args = (scan.data.chars, n, scan.budget.remaining, todo, lift_margin,
                 scan.probes, None if best is None else best.lower, radius, slack)
         if not todo:
             return run, best, lambda: ()
@@ -826,7 +822,7 @@ def alpha_n(chars: CharacterSet, n: int, tol: float = DEFAULT_TOL,
     """
     if n < 2:
         raise ValueError("roots grid order must be >= 2")
-    _check_tol(tol)
+    _check_limits(tolerance=tol, budget=budget)
     data = _set_data(chars)
     cap = grid_cap(n)
     seeds = [tuple(int(j) % n for j in seed) for seed in seed_targets]
@@ -897,7 +893,7 @@ def alpha(chars: CharacterSet, tol: float = DEFAULT_TOL, budget: int = DEFAULT_B
     """
     if max_order < 2:
         raise ValueError("max_order must be >= 2")
-    _check_tol(tol)
+    _check_limits(tolerance=tol, budget=budget)
     with _pool(threads) as pool:
         scan = _Scan(_set_data(chars), tol / 2, Budget(budget), pool, threads)
         upper, lower, ladder, reason = _refine(scan, tol, max_order)

@@ -62,6 +62,25 @@ def min_error_breakpoints(slopes, targets) -> tuple[float, float]:
     return best_theta, best_val
 
 
+def min_error_torus_slices(free, psi, slices: int) -> tuple[float, float]:
+    """Minimum over the r-torus of s -> max_k dist(A_k.s, psi_k), A = free,
+    from the exact minimum over the last coordinate (`min_error_breakpoints`)
+    on each slice of a grid of slices^(r-1) values of the others.
+
+    Returns (value, slack): the least slice minimum, which is never below
+    the true minimum, and a bound on how far above it lies, since every
+    point is within pi/slices of a slice in each gridded coordinate:
+    pi/slices times max_k sum_{j<r} |A_kj|.
+    """
+    free = [[int(a) for a in row] for row in free]
+    step = TWO_PI / slices
+    best = math.inf
+    for cell in itertools.product(range(slices), repeat=len(free[0]) - 1):
+        targets = [p - sum(a * step * c for a, c in zip(row, cell)) for row, p in zip(free, psi)]
+        best = min(best, min_error_breakpoints([row[-1] for row in free], targets)[1])
+    return best, math.pi / slices * max(sum(abs(a) for a in row[:-1]) for row in free)
+
+
 def alpha_n_exhaustive(slopes, n: int) -> tuple[float, tuple[int, ...]]:
     """sup over all maps E -> nth-roots grid of the inner minimum, by full
     enumeration of the n^|E| targets.  Returns (value, worst grid indices)."""

@@ -1,11 +1,13 @@
 import json
 import math
+import time
 
 import pytest
 
 from kronset import SetSpecError, TargetMap, __version__, approx_error
 from kronset.cli import main, parse_set_spec
 from kronset.groups import DualPoint
+from test_engine import Z4_SET
 
 
 def run_cli(capsys, *argv):
@@ -152,6 +154,28 @@ class TestSubcommands:
         text = out.read_text().splitlines()
         assert text[0].startswith("q,length,start,alpha_lower")
         assert len(text) == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["alpha", "--set", "Z : [1],[2]", "--budget", "-1"],
+        ["alpha-n", "--set", "Z : [1],[2]", "--n", "3", "--budget", "-1"],
+        ["quasi", "--set", "Z : [1],[2],[3]", "--budget", "-1"],
+        ["b2", "--set", "Z : [1],[2],[3]", "--budget", "-1"],
+        ["net", "--set", "Z : [1]", "--grid-cells", "10", "--epsilon", "1",
+         "--universe-budget", "-1"],
+    ], ids=["alpha", "alpha-n", "quasi", "b2", "net"])
+    def test_negative_budget_exit_2(self, capsys, argv):
+        assert main(argv + ["--no-timestamp"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "must be >= 0" in out.err
+
+    def test_budget_stops_a_wide_set_before_its_plan(self, capsys):
+        # 12 characters in Z^4: the budget cannot pay for the 21252 signed
+        # subsets behind the plan, so the scan stops before it is built
+        start = time.perf_counter()
+        code, rep = run_cli(capsys, "alpha-n", "--set", Z4_SET, "--n", "3",
+                            "--budget", "10000", "--no-timestamp")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and rep["result"]["work"]["stop_reason"] == "budget"
 
     @pytest.mark.parametrize("argv,reason,code", [
         (["alpha", "--set", "Z : [1],[2]"], "done", 0),

@@ -26,12 +26,11 @@ from kronset import (
 from kronset import _minimax, engine
 from kronset._minimax import (
     circle_lifts,
-    circle_pieces,
-    circle_plan,
     line_distances,
     line_witness,
     min_error_box,
     min_error_circle,
+    vertex_systems,
 )
 from kronset.cli import parse_set_spec
 from kronset.engine import Budget
@@ -69,6 +68,11 @@ def circle_row(slopes, psi, budget, **kw):
     theta, lower, upper, *lifts = min_error_circle(slopes, psi[None], budget, **kw)
     row = float(theta[0]), float(lower[0]), float(upper[0])
     return (*row, lifts[0][0]) if lifts else row
+
+
+def row_cost(free):
+    """Budget units one kernel row of the integer matrix `free` is charged."""
+    return vertex_systems(tuple(map(tuple, np.asarray(free).tolist())))[1]
 
 
 def random_int_set(rng, max_size=3, max_entry=10):
@@ -211,18 +215,19 @@ class TestBestPoint:
         # the all-zero row fixes the objective at pi everywhere
         budget = Budget(10**4)
         _, lower, upper = min_error_box(np.array([[0, -3], [0, 0], [1, -1]]),
-                                        np.array([0.0, math.pi, 0.0]), 1e-2, budget)
-        assert lower == upper == math.pi
+                                        np.array([[0.0, math.pi, 0.0]]), budget)
+        assert lower[0] == upper[0] == math.pi
 
     def test_rank_two_box_solver(self):
         g = GroupSpec(2)
         E = CharacterSet(g, (Character(g, (1, 0), ()), Character(g, (0, 1), ()),
                              Character(g, (1, 1), ())))
         phi = TargetMap.from_angles(E, [0.0, 0.0, math.pi])
-        point, bracket = best_point(E, phi, tol=5e-3, budget=10**7)
-        assert bracket.width <= 5e-3 + 1e-12
-        # splitting pi across three constraints cannot do better than pi/3
-        assert bracket.upper >= math.pi / 3 - 5e-3
+        point, bracket = best_point(E, phi, budget=10**7)
+        # splitting pi across three constraints cannot do better than pi/3,
+        # and s = (pi/3, pi/3) attains it
+        assert bracket.width <= 1e-9
+        assert bracket.lower <= math.pi / 3 <= bracket.upper <= math.pi / 3 + 1e-12
         assert approx_error(E, phi, point) == pytest.approx(bracket.upper, abs=1e-12)
 
 
@@ -407,12 +412,12 @@ class TestAlphaN:
     def test_pool_worker_skips_targets_the_probes_close(self):
         E = CharacterSet.of_integers([1, 2, 3, 5, 8])
         run = [(0, 0, 0, 0, 0), (1, 2, 3, 4, 5)]
-        solved = engine._solve_run(E, 8, 1e-3, 10**7, run)
+        solved = engine._solve_run(E, 8, 10**7, run)
         # without probes there is no verdict and nothing is skipped
         assert [verdict for verdict, _ in solved] == [None, None]
         assert None not in [solution for _, solution in solved]
         # the identity closes the all-zero target against a lower end of 0
-        probed = engine._solve_run(E, 8, 1e-3, 10**7, run, None, np.zeros((1, len(E))), 0.0)
+        probed = engine._solve_run(E, 8, 10**7, run, None, np.zeros((1, len(E))), 0.0)
         assert probed == [((0.0, 1), None), ((None, 1), solved[1][1])]
 
     def test_probe_charges_match_a_loop_over_the_probes(self, monkeypatch):
@@ -480,16 +485,17 @@ class TestAlphaN:
 
 
 class TestScanBlocks:
-    """Rank-1 scans solve their targets ahead a block at a time, and read the
-    probes of a block at once; the scan still takes every decision in turn,
-    so no result, witness or charge depends on the block size."""
+    """Scans of sets with a free part solve their targets ahead a block at a
+    time, and read the probes of a block at once; the scan still takes every
+    decision in turn, so no result, witness or charge depends on the block
+    size."""
 
     block_targets = staticmethod(engine._block_targets)
 
     @classmethod
     def blocks_of(cls, patch, size):
         # at most `size` targets a block; 0 solves and probes each in turn,
-        # and `_solve_circle` then takes one target's selections per call
+        # and `_solve_free` then takes one target's selections per call
         def capped(data):
             targets, cost = cls.block_targets(data)
             return min(targets, size), cost
@@ -517,9 +523,9 @@ class TestScanBlocks:
         groups = [GroupSpec(1), GroupSpec(1, (2,)), GroupSpec(1, (2, 2)),
                   GroupSpec(1, (2, 2, 2)), GroupSpec(1, (3, 4))]
         cases = []
-        for g in groups:
+        for g in groups + [GroupSpec(2), GroupSpec(2, (2,))]:
             for zero in (False, True):
-                E = self.random_rank1_set(rng, g, zero)
+                E = (self.random_rank1_set if g.free_rank == 1 else random_group_set)(rng, g, zero)
                 n = rng.choice((3, 4, 5, 8))
                 kw = {"tol": 1e-2}
                 if rng.random() < 0.5:
@@ -583,7 +589,7 @@ class TestScanBlocks:
             run = [tuple(rng.randrange(n) for _ in E) for _ in range(targets)]
             angles = np.array(run, dtype=np.float64) * (TWO_PI / n)
             block, ref = Budget(10**9), Budget(10**9)
-            got = engine._solve_circle(data, angles, block, lift_margin=margin)
+            got = engine._solve_free(data, angles, block, lift_margin=margin)
             want = [self.reference(E, a, ref) for a in angles]
             assert block.used == ref.used == len(run) * cost
             for a, (lo, up, point, exact, lifts), (ref_lo, ref_up, theta, sel) in zip(
@@ -603,7 +609,7 @@ class TestScanBlocks:
             limit = rng.randrange(block.used)
             short, ref = Budget(limit), Budget(limit)
             with pytest.raises(BudgetExceededError):
-                engine._solve_circle(data, angles, short, lift_margin=margin)
+                engine._solve_free(data, angles, short, lift_margin=margin)
             with pytest.raises(BudgetExceededError):
                 for a in angles:
                     self.reference(E, a, ref)
@@ -612,7 +618,7 @@ class TestScanBlocks:
                 continue
             # the worker returns the same solutions, cut before the run passes its limit
             limit = rng.randrange(block.used + 1)
-            solved = engine._solve_run(E, n, 1e-3, limit, run)
+            solved = engine._solve_run(E, n, limit, run)
             assert solved == [(None, (s, cost) if t < limit // cost else None)
                               for t, s in enumerate(got)]
 
@@ -626,7 +632,7 @@ class TestScanBlocks:
             def submit(self, fn, *args):
                 self.waiting += 1
                 self.most = max(self.most, self.waiting)
-                self.sizes.append(len(args[4]))
+                self.sizes.append(len(args[3]))
                 solved = fn(*args)
 
                 def result():
@@ -684,18 +690,24 @@ class TestScanBlocks:
         (lambda: alpha_n(parse_set_spec(
             "Z x Z2^3 : [3,0,0,0],[3,0,0,1],[6,1,0,0],[6,1,1,0],[8,1,1,0]")[1], 5), False),
         (lambda: alpha(CharacterSet.of_integers([-6, 1, 3])), True),
-    ], ids=["lacunary Z", "Z x Z2^3", "lifted Z"])
+        (lambda: alpha_n(parse_set_spec("Z^2 : [1,0],[0,1],[1,2],[2,-1]")[1], 5), False),
+        (lambda: alpha_n(parse_set_spec(
+            "Z^2 x Z2 : [1,0,0],[0,1,1],[1,1,1],[2,-1,0]")[1], 6), False),
+    ], ids=["lacunary Z", "Z x Z2^3", "lifted Z", "Z^2", "Z^2 x Z2"])
     def test_scan_blocks_stay_within_the_element_bound(self, monkeypatch, solve, lifted):
         sizes = []
 
         # lift_margin arrives by keyword, as tracing hooks that take the
         # first three arguments positionally need
-        def spy(slopes, psi, budget, **kw):
-            cost = circle_pieces(tuple(slopes.tolist()))[1]
-            sizes.append((len(psi), len(psi) * cost, kw.get("lift_margin") is not None))
-            return min_error_circle(slopes, psi, budget, **kw)
+        def spy_on(kernel):
+            def spy(free, psi, budget, **kw):
+                cost = row_cost(free.reshape(len(free), -1))
+                sizes.append((len(psi), len(psi) * cost, kw.get("lift_margin") is not None))
+                return kernel(free, psi, budget, **kw)
+            return spy
 
-        monkeypatch.setattr(engine, "min_error_circle", spy)
+        for name in ("min_error_circle", "min_error_box"):
+            monkeypatch.setattr(engine, name, spy_on(getattr(engine, name)))
         assert solve().certified
         assert max(elements for _, elements, _ in sizes) <= _minimax.CIRCLE_BLOCK
         assert max(rows for rows, _, kept in sizes if kept == lifted) > 1
@@ -894,7 +906,7 @@ class TestCircleKernel:
                 slopes, tau, angles, itertools.product(*map(range, orders)), budget)
 
         full, ref = Budget(10**9), Budget(10**9)
-        lower, upper, point, _, _ = engine._solve_target(data, angles, None, 1e-3, full)
+        lower, upper, point, _, _ = engine._solve_target(data, angles, None, full)
         ref_lower, ref_upper, theta, sel = reference(ref)
         assert (lower, upper) == (ref_lower, ref_upper), (E, angles)
         assert point == DualPoint(E.group, (theta,), sel)
@@ -902,7 +914,7 @@ class TestCircleKernel:
         limit = rng.randrange(full.used)
         short, ref = Budget(limit), Budget(limit)
         with pytest.raises(BudgetExceededError):
-            engine._solve_target(data, angles, None, 1e-3, short)
+            engine._solve_target(data, angles, None, short)
         with pytest.raises(BudgetExceededError):
             reference(ref)
         assert short.used == ref.used
@@ -913,8 +925,8 @@ class TestCircleKernel:
 
     @pytest.mark.parametrize("slopes", LACUNARY)
     def test_lacunary_rows_match_the_reference(self, slopes):
-        assert len(circle_plan(slopes)[0]) >= _minimax.MOD_CUTOVER
         slopes = np.array(slopes)
+        assert row_cost(slopes[:, None]) // len(slopes) >= _minimax.MOD_CUTOVER
         rng = random.Random(313)
         margin = 0.05
         for _ in range(6):
@@ -947,7 +959,7 @@ class TestCircleKernel:
         rng = random.Random(317)
         torsion = rng.sample(list(itertools.product(range(2), repeat=3)), len(slopes))
         E = CharacterSet(g, tuple(Character(g, (a,), t) for a, t in zip(slopes, torsion)))
-        assert 8 * len(circle_plan(tuple(slopes))[0]) >= _minimax.MOD_CUTOVER
+        assert 8 * row_cost(np.array(slopes)[:, None]) // len(slopes) >= _minimax.MOD_CUTOVER
         for _ in range(4):
             self.check_selections(rng, E, self.random_angles(rng, len(E)))
 
@@ -1022,6 +1034,103 @@ class TestCircleKernel:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+
+class TestTorusVertices:
+    """The exact solve on free rank >= 2 against the slice oracle, on sets
+    with zero rows, collinear pairs and rank-deficient matrices."""
+
+    SLICES = {2: 128, 3: 20}
+
+    @staticmethod
+    def random_rows(rng, r, kind):
+        def vec():
+            return [rng.randint(-3, 3) for _ in range(r)]
+        if kind == "line":
+            while not any(v := vec()):
+                pass
+            g = math.gcd(*v)
+            return [[c * a // g for a in v] for c in rng.sample([-3, -2, -1, 1, 2, 3], 3)]
+        rows = [vec() for _ in range(rng.randint(2, 4))]
+        if kind == "zero":
+            rows.append([0] * r)
+        elif kind == "collinear":
+            rows.append([rng.choice([-2, -1, 2]) * a for a in rows[0]])
+        elif kind == "plane":
+            # rows in the span of two vectors: rank at most 2 in Z^3
+            u, v = rows[:2]
+            rows = [[a * x + b * y for x, y in zip(u, v)]
+                    for a, b in [(1, 0), (0, 1), (1, 1), (1, -1)]]
+        return rows
+
+    @classmethod
+    def random_set(cls, rng, group, kind):
+        rows = cls.random_rows(rng, group.free_rank, kind)
+        coords = {(*row, *(rng.randrange(m) for m in group.torsion_orders)): None
+                  for row in rows}
+        r = group.free_rank
+        return CharacterSet(group, tuple(Character(group, c[:r], c[r:]) for c in coords))
+
+    def test_values_match_the_slice_oracle(self):
+        rng = random.Random(419)
+        kinds = itertools.cycle(("random", "zero", "collinear", "line", "plane"))
+        checked = set()
+        for g, sets in [(GroupSpec(2), 40), (GroupSpec(3), 12), (GroupSpec(2, (2,)), 24)]:
+            for _ in range(sets):
+                kind = next(kinds)
+                E = self.random_set(rng, g, kind)
+                data = engine._SetData(E)
+                angles = TestCircleKernel.random_angles(rng, len(E))
+                lower, upper, point, _, _ = engine._solve_target(data, angles, None,
+                                                                 Budget(10**9))
+                want, slack = math.inf, 0.0
+                for sel in itertools.product(*map(range, g.torsion_orders)):
+                    psi = angles - (data.tau @ np.asarray(sel) if data.s else 0.0)
+                    value, slack = oracles.min_error_torus_slices(
+                        data.free, psi, self.SLICES[g.free_rank])
+                    want = min(want, value)
+                # the lower end also sits the kernel's rounding slack below
+                rounding = _minimax.vertex_plan(data.free_key)[7]
+                assert lower >= want - slack - rounding - 1e-12, (E, angles)
+                assert upper <= want + 1e-12, (E, angles)
+                assert approx_error(E, TargetMap.from_angles(E, angles), point) == \
+                    pytest.approx(upper, abs=1e-12), (E, angles)
+                checked.add((g.free_rank, int(np.linalg.matrix_rank(data.free))))
+        assert checked >= {(2, 1), (2, 2), (3, 1), (3, 2), (3, 3)}, checked
+
+    @pytest.mark.parametrize("spec, slopes", [
+        ("Z^2 : [2,-1],[-4,2],[6,-3]", [1, -2, 3]),
+        ("Z^2 x Z2 : [0,3,1],[0,-1,0],[0,2,1]", [3, -1, 2]),
+        ("Z^3 : [1,1,0],[3,3,0],[0,0,0],[-2,-2,0]", [1, 3, 0, -2]),
+    ])
+    def test_a_set_on_a_line_has_the_value_of_its_slopes(self, spec, slopes):
+        _, E = parse_set_spec(spec)
+        g = GroupSpec(1, E.group.torsion_orders)
+        F = CharacterSet(g, tuple(Character(g, (a,), c.torsion_coords)
+                                  for a, c in zip(slopes, E)))
+        rng = random.Random(421)
+        for _ in range(20):
+            angles = TestCircleKernel.random_angles(rng, len(E))
+            _, got = best_point(E, TargetMap.from_angles(E, angles))
+            _, want = best_point(F, TargetMap.from_angles(F, angles))
+            assert got.upper == pytest.approx(want.upper, abs=1e-12), (spec, angles)
+            assert got.lower == pytest.approx(want.lower, abs=1e-12), (spec, angles)
+
+    def test_budget_is_paid_before_the_systems_are_built(self):
+        # 12 characters in Z^4 make C(24, 5) / 2 = 21252 signed subsets to
+        # examine, seconds of work; a budget below that stops first
+        _, E = parse_set_spec(Z4_SET)
+        assert _minimax.subset_count(engine._set_data(E).free_key) == 21252
+        for solve in (lambda: alpha_n(E, 3, budget=10_000), lambda: alpha(E, budget=10_000)):
+            res = solve()
+            assert res.work.stop_reason == "budget" and res.work.inner_evals == 21252
+        with pytest.raises(BudgetExceededError):
+            best_point(E, TargetMap.from_angles(E, [0.0] * len(E)), budget=10_000)
+
+
+#: twelve characters in Z^4 with entries in [-3, 3]
+Z4_SET = ("Z^4 : [-3,-2,-3,-1],[-3,-2,1,1],[-3,2,-2,0],[-1,-2,3,3],[0,-2,-2,-3],[0,-2,3,3],"
+          "[0,3,-2,0],[0,3,-2,2],[1,-3,1,-2],[1,-1,2,-1],[2,1,-3,3],[3,2,3,2]")
 
 
 class TestLifts:
