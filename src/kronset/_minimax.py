@@ -325,10 +325,12 @@ def circle_lifts(slopes: np.ndarray, psi: np.ndarray, cands: np.ndarray,
     nu = np.rint((slopes[None, :] * theta[:, None] - psi[None, :]) / TWO_PI).astype(np.int64)
     j0 = int(np.flatnonzero(slopes)[0])
     nu -= (nu[:, j0] // slopes[j0])[:, None] * slopes[None, :]
-    keys, inverse = np.unique(nu, axis=0, return_inverse=True)
-    best = np.full(len(keys), math.inf)
-    np.minimum.at(best, inverse.ravel(), vals[near])
-    return keys, best
+    # the distinct rows in lexicographic order, each with its least value
+    order = np.lexsort(nu.T[::-1])
+    nu, vals = nu[order], vals[near][order]
+    head = np.ones(len(nu), dtype=bool)
+    head[1:] = (nu[1:] != nu[:-1]).any(axis=1)
+    return nu[head], np.minimum.reduceat(vals, np.flatnonzero(head))
 
 
 def exact_dtype(bound: int):

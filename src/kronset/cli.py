@@ -14,6 +14,7 @@ import json
 import re
 import sys
 import time
+from functools import lru_cache
 
 from . import __version__
 from .diagnostics import (
@@ -515,9 +516,15 @@ _COMMANDS = {
 }
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """`build_parser()`, built once per process: parsing leaves a parser as
+    it was, and each call returns a fresh namespace."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code, report = _COMMANDS[args.command](args)
     except (SetSpecError, GroupMismatchError, ValueError) as exc:

@@ -65,8 +65,10 @@ DEFAULT_BUDGET = 10**8
 LADDER_MAX_ORDER = 1 << 13
 #: most targets one process-pool task solves ahead of the scan
 MAX_RUN = 16
-#: open cells split per batch of refined children
-PARENT_BATCH = 8
+#: children split from a block of parents at a time (see `_children`).  On
+#: `ladder` 2^11 runs as fast as 2^12 with half the temporaries; 2^10 is
+#: about 10% slower
+CHILD_BLOCK = 1 << 11
 #: an open cell of radius r keeps the lifts within LIFT_REACH * r of its
 #: value: enough to hold the best lift of every descendant cell
 LIFT_REACH = 4
@@ -480,68 +482,140 @@ def _orbit_reps(cells: np.ndarray, basis: list, n: int) -> np.ndarray:
     return np.where(take[:, None], minus, plus)
 
 
-def _orbit_keys(rows: np.ndarray, n: int) -> list:
-    """Integer key of each order-n index row (its digits in base n)."""
+def _orbit_keys(rows: np.ndarray, n: int) -> np.ndarray:
+    """Integer key of each order-n index row (its digits in base n); Python
+    integers (an object array) once n^m nears 2^61."""
     m = rows.shape[1]
     dtype = exact_dtype(n**m)
     weights = np.array([n**d for d in range(m - 1, -1, -1)], dtype=dtype)
-    return (rows.astype(dtype, copy=False) @ weights).tolist()
+    return rows.astype(dtype, copy=False) @ weights
 
 
-def _children(data: _SetData, parents: np.ndarray, lifts: list, basis: list, n: int,
-              seen: set):
+def _fresh(keys: np.ndarray, seen: np.ndarray):
+    """(positions, seen): the position of the first occurrence of each key
+    that is not in `seen`, a non-empty sorted array of keys, in increasing
+    order, and seen with those keys added.  One sort of the keys and one
+    search of `seen`, so every key is kept at its first occurrence in scan
+    order."""
+    keys, first = np.unique(keys, return_index=True)
+    at = np.searchsorted(seen, keys)
+    old = seen[np.minimum(at, len(seen) - 1)] == keys
+    return np.sort(first[~old]), np.insert(seen, at[~old], keys[~old])
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """starts[i], ..., starts[i] + counts[i] - 1 for each i, concatenated."""
+    ends = np.cumsum(counts)
+    return np.repeat(starts - ends + counts, counts) + np.arange(ends[-1] if len(ends) else 0)
+
+
+@dataclass
+class _Cells:
+    """Order-n cells as arrays: index rows (k x m), upper ends and lifts in
+    CSR form, cell i owning the next count[i] rows of nu (lift vectors) and
+    vals (their inner values), in cell order.  A cell without lifts has
+    count 0; a cell with lifts has at least one."""
+
+    rows: np.ndarray
+    upper: np.ndarray
+    count: np.ndarray
+    nu: np.ndarray
+    vals: np.ndarray
+
+    @classmethod
+    def of(cls, indices: tuple, upper: float, lifts) -> "_Cells":
+        """One cell with lifts (nu, vals) or None."""
+        nu, vals = lifts or (np.zeros((0, len(indices)), dtype=np.int64), np.zeros(0))
+        return cls(np.array([indices], dtype=np.int64), np.array([upper]),
+                   np.array([len(vals)]), nu, vals)
+
+    @classmethod
+    def gather(cls, pieces: list, m: int) -> "_Cells":
+        """The cells of `pieces` in turn, as one."""
+        pieces = [cls.of((0,) * m, 0.0, None).take(np.arange(0))] + pieces
+        return cls(*(np.concatenate([getattr(p, name) for p in pieces])
+                     for name in ("rows", "upper", "count", "nu", "vals")))
+
+    def take(self, sel: np.ndarray, cut: np.ndarray | None = None) -> "_Cells":
+        """The cells at the indices `sel`, in that order; given cut, the one
+        at sel[i] keeps only its lifts of value at most cut[i]."""
+        count = self.count[sel]
+        lifts = _ranges((np.cumsum(self.count) - self.count)[sel], count)
+        if cut is not None:
+            owner = np.repeat(np.arange(len(sel)), count)
+            near = self.vals[lifts] <= cut[owner]
+            lifts, count = lifts[near], np.bincount(owner[near], minlength=len(sel))
+        return _Cells(self.rows[sel], self.upper[sel], count, self.nu[lifts], self.vals[lifts])
+
+
+@dataclass
+class _LiftedBlock:
+    """Lifted children of a block of parents, in scan order (see
+    `_children`).  `cells` holds each child's index row, upper end and, as
+    its lifts, every lift of its parent moved to the child with the inner
+    value there; lower and cost are per child, and a child keeps the lifts
+    of value at most cut (see `lifts`)."""
+
+    cells: _Cells
+    lower: np.ndarray
+    cost: np.ndarray
+    cut: np.ndarray
+
+    def lifts(self, sel: np.ndarray) -> _Cells:
+        """The children at the indices `sel` with the lifts they keep."""
+        return self.cells.take(sel, self.cut[sel])
+
+
+def _children(data: _SetData, parents: _Cells, basis: list, n: int, seen: np.ndarray):
     """Order-n targets 2t + d, d in {-1, 0, 1}^m other than 0, whose cells of
     radius pi/n cover the order-n/2 cells of the rows t of `parents`: one per
-    orbit, skipping orbits whose key is in `seen`, as (indices, solved).
+    orbit, skipping orbits whose key is in `seen` (sorted keys, see `_fresh`),
+    in the order of the parents and then of d.
 
-    A parent's lifts (or None) hold the best lift of each of its children,
-    whose value is then the least inner value over them: solved is
-    ((value - slack, value + slack, None, None, child lifts), cost) for such
-    a child, the slack covering the rounding of the closed form, the child
-    keeping the lifts within LIFT_REACH * pi/n of its value.  Children of a
-    parent without lifts have solved None.
+    Parents go in blocks of about CHILD_BLOCK children, each block all with
+    lifts or all without.  Children of parents without lifts come one at a
+    time as (indices, None).  Those of a block of parents with lifts come
+    as one (None, `_LiftedBlock`) item: a parent's lifts hold the best lift
+    of each of its children, so a child's value is the least inner value
+    over them, from one `line_distances` call over every (child, lift) pair
+    of the block.  A child's bracket is value -+ a slack covering the
+    rounding of the closed form, its cost the lifts read times
+    `line_term_count`, and it keeps the lifts within LIFT_REACH * pi/n of
+    its value.
     """
-    m = parents.shape[1]
+    m = data.m
     offsets = mixed_radix_rows((3,) * m, 0, 3**m) - 1
     offsets = offsets[offsets.any(axis=1)]
+    per = max(1, CHILD_BLOCK // len(offsets))
     margin = LIFT_REACH * math.pi / n
     terms = line_term_count(data.slopes) if data.slopes is not None else 0
     slack = 1e-12 * max(1.0, float(np.abs(data.free).max(initial=0))) ** 2
-    for start in range(0, len(parents), PARENT_BATCH):
-        raw = 2 * parents[start:start + PARENT_BATCH, None, :] + offsets
+    lifted = parents.count > 0
+    first = np.cumsum(parents.count) - parents.count
+    start = 0
+    while start < len(lifted):
+        # up to `per` parents, stopping where lifted parents give way to
+        # parents without lifts or the other way round
+        run = lifted[start:start + per] != lifted[start]
+        stop = start + int(run.argmax() if run.any() else len(run))
+        raw = (2 * parents.rows[start:stop, None, :] + offsets).reshape(-1, m)
         kids = raw % n
-        keys = iter(_orbit_keys(_orbit_reps(kids.reshape(-1, m), basis, n), n))
-        for p, parent_lifts in enumerate(lifts[start:start + PARENT_BATCH]):
-            new = []
-            for c, key in zip(range(len(offsets)), keys):
-                if key not in seen:
-                    seen.add(key)
-                    new.append(c)
-            if parent_lifts is None:
-                for row in kids[p, new].tolist():
-                    yield tuple(row), None
-                continue
-            nu = parent_lifts[0]
+        new, seen = _fresh(_orbit_keys(_orbit_reps(kids, basis, n), n), seen)
+        if not lifted[start]:
+            yield from ((tuple(row), None) for row in kids[new].tolist())
+        elif len(new):
+            parent = start + new // len(offsets)
+            count = parents.count[parent]
+            pairs = _ranges(first[parent], count)
+            child = np.repeat(np.arange(len(new)), count)
+            nu = parents.nu[pairs]
             # values at the unwrapped angles raw * 2pi/n, nearest the parent
-            vals = line_distances(data.slopes, raw[p, new][:, None, :] * (TWO_PI / n)
-                                  + TWO_PI * nu[None, :, :])
-            values = vals.min(axis=1)
-            near = vals <= values[:, None] + (margin + LIFT_EPS)
-            wraps = raw[p, new] // n
-            cost = len(nu) * terms
-            for c, (row, value) in enumerate(zip(kids[p, new].tolist(), values.tolist())):
-                child_lifts = (nu[near[c]] + wraps[c], vals[c][near[c]])
-                yield tuple(row), ((max(0.0, value - slack), value + slack, None, None,
-                                    child_lifts), cost)
-
-
-def _near_lifts(lifts, cut: float):
-    """The lifts (nu, values) whose value is at most cut, or None."""
-    if lifts is None:
-        return None
-    nu, vals = lifts
-    near = vals <= cut + LIFT_EPS
-    return nu[near], vals[near]
+            vals = line_distances(data.slopes, (raw[new] * (TWO_PI / n))[child] + TWO_PI * nu)
+            values = np.minimum.reduceat(vals, np.cumsum(count) - count)
+            cells = _Cells(kids[new], values + slack, count, nu + (raw[new] // n)[child], vals)
+            yield None, _LiftedBlock(cells, np.maximum(values - slack, 0.0), count * terms,
+                                     values + (margin + LIFT_EPS))
+        start = stop
 
 
 def _lift_point(data: _SetData, angles: np.ndarray, lifts) -> DualPoint:
@@ -592,17 +666,17 @@ def _scan_targets(scan: _Scan, n: int, items, cap: float, radius: float = 0.0,
     value + radius bounds the whole cell; the cell closes once that bound is
     within `slack` of the incumbent's lower end.  A probe point's error is a
     value bound that closes a cell without solving it (a pruned target).
-    Solved cells that stay open are appended to `opened` as (indices,
-    upper, lifts), lifts being those within lift_margin of the value.
+    Solved cells that stay open are appended to `opened` as `_Cells`, with
+    the lifts within lift_margin of their value.
 
     items yields (indices, solved, verdict), see `_solved_ahead`: a
     (solution, cost) pair solved ahead is used only if the cost fits in the
     remaining budget, else the target is solved here, and a probe verdict
     read ahead only while its incumbent is still the scan's (see `_probe`),
     so charges and stops match a scan that solves and probes each target in
-    turn.  A solution from lifts (no witness point, see `_children`) skips
-    the probes and is always used; its witness is found if it raises the
-    incumbent.
+    turn.  A block of children valued from lifts (indices None, see
+    `_children`) skips the probes and is decided in one pass by
+    `_scan_lifted`, with the same decisions.
 
     Returns (closed_hi, open_hi, status): the largest bound over closed and
     over open cells, and 'capped' when the incumbent reached `cap`, 'done'
@@ -619,17 +693,23 @@ def _scan_targets(scan: _Scan, n: int, items, cap: float, radius: float = 0.0,
         return closed_hi, open_hi, "budget"
     status = "done"
     for indices, solved, verdict in items:
-        lifted = solved is not None and solved[0][2] is None
-        if not lifted:
-            angles = np.array(indices, dtype=np.float64) * step
+        if indices is None:
+            block_closed, block_open, status = _scan_lifted(scan, n, solved, cap, radius,
+                                                            slack, opened)
+            closed_hi, open_hi = max(closed_hi, block_closed), max(open_hi, block_open)
+            best = scan.best
+            if status != "done":
+                break
+            continue
+        angles = np.array(indices, dtype=np.float64) * step
         try:
-            if best is not None and not lifted:
+            if best is not None:
                 probed = _probe(scan, angles, radius, slack, verdict)
                 if probed is not None:
                     stats.targets_pruned += 1
                     closed_hi = max(closed_hi, probed)
                     continue
-            if lifted or (solved is not None and solved[1] <= budget.remaining):
+            if solved is not None and solved[1] <= budget.remaining:
                 solution, cost = solved
                 budget.charge(cost)
             else:
@@ -641,8 +721,6 @@ def _scan_targets(scan: _Scan, n: int, items, cap: float, radius: float = 0.0,
         lower, upper, point, exact, lifts = solution
         stats.targets_enumerated += 1
         if best is None or lower > best.lower:
-            if point is None:
-                point = _lift_point(data, np.array(indices, dtype=np.float64) * step, lifts)
             scan.best = best = _Incumbent(lower, upper, n, tuple(indices), point, exact)
             scan.probes = np.vstack([scan.probes[-3:], data.point_args(point)])  # last four
         bound = upper + radius
@@ -651,11 +729,58 @@ def _scan_targets(scan: _Scan, n: int, items, cap: float, radius: float = 0.0,
         else:
             open_hi = max(open_hi, bound)
             if opened is not None:
-                opened.append((tuple(indices), upper, lifts))
+                opened.append(_Cells.of(tuple(indices), upper, lifts))
         if best.lower >= cap - tol:
             status = "capped"
             break
     return closed_hi, open_hi, status
+
+
+def _scan_lifted(scan: _Scan, n: int, block: _LiftedBlock, cap: float, radius: float,
+                 slack: float, opened: list):
+    """Decide a `_LiftedBlock` in one pass, as `_scan_targets` would decide
+    its children in turn: each is charged its cost and enumerated, becomes
+    the incumbent if its lower end beats the running one, closes or opens
+    against the running incumbent, and the scan stops once the incumbent
+    reaches cap - tol.
+
+    The budget stop is found in the running sum of the costs, and the
+    charge runs one child past the room, as the loop's would.  Only the
+    children that raise the incumbent (for their witness point and probe
+    row) or stay open (appended to `opened`) build their lifts.  Returns
+    (closed_hi, open_hi, status) over the decided children, status 'done'
+    when all were decided.
+    """
+    budget, best, cells = scan.budget, scan.best, block.cells
+    spent = np.cumsum(block.cost)
+    # children whose charges fit, then how far the scan gets
+    fit = int(np.searchsorted(spent, budget.remaining, side="right"))
+    prior = -math.inf if best is None else best.lower
+    running = np.maximum.accumulate(np.maximum(block.lower, prior))
+    capped = np.flatnonzero(running >= cap - scan.tol)
+    done, status = len(spent), "done"
+    if capped.size and capped[0] < fit:
+        done, status = int(capped[0]) + 1, "capped"
+    elif fit < done:
+        done, status = fit, "budget"
+    with contextlib.suppress(BudgetExceededError):
+        budget.charge(int(spent[done] if status == "budget" else spent[done - 1]))
+    scan.stats.targets_enumerated += done
+    before = np.concatenate([[prior], running[:-1]])
+    for i in np.flatnonzero(block.lower[:done] > before[:done]).tolist():
+        cell = block.lifts(np.array([i]))
+        indices = tuple(cell.rows[0].tolist())
+        point = _lift_point(scan.data, np.array(indices, dtype=np.float64) * (TWO_PI / n),
+                            (cell.nu, cell.vals))
+        scan.best = _Incumbent(float(block.lower[i]), float(cell.upper[0]), n, indices,
+                               point, None)
+        scan.probes = np.vstack([scan.probes[-3:], scan.data.point_args(point)])
+    bound = cells.upper[:done] + radius
+    closes = bound - running[:done] <= slack
+    if not closes.all():
+        opened.append(block.lifts(np.flatnonzero(~closes)))
+    return (float(bound[closes].max(initial=0.0)), float(bound[~closes].max(initial=0.0)),
+            status)
 
 
 def _probe(scan: _Scan, angles: np.ndarray, radius: float, slack: float, verdict=None):
@@ -884,8 +1009,12 @@ def alpha(chars: CharacterSet, tol: float = DEFAULT_TOL, budget: int = DEFAULT_B
     orbit under translation and negation.  For a set of at most
     LIFT_MAX_SIZE characters in Z an open cell keeps its nearby lifts (see
     `_minimax.circle_lifts`), which give the exact value of every cell
-    refined from it without a full solve.  The upper end is the least, over
-    completed levels, of the largest bound over all cells.  Stops certified
+    refined from it without a full solve.  A level holds its open cells as
+    arrays (`_Cells`); the lifted children of a block of parents are valued
+    (`_children`) and decided (`_scan_lifted`) in one pass each, with the
+    decisions and charges of a scan that takes them one at a time.  The
+    upper end is the least, over completed levels, of the largest bound
+    over all cells.  Stops certified
     once the bracket is tol wide, uncertified when the next level would
     pass max_order or the budget runs out (see work.stop_reason); each
     work.ladder entry is (n, lower, upper, level completed).  ValueError for
@@ -933,47 +1062,42 @@ def _refine(scan: _Scan, tol: float, max_order: int):
                                                  lift_margin)
         lower = scan.best.lower if scan.best is not None else 0.0
         if status == "done":
+            parents = _Cells.gather(opened, scan.data.m)
             closed_top = max(closed_top, closed_hi)
-            level_top = max([closed_top] + [u + radius for _, u, _ in opened])
+            level_top = max(closed_top, float((parents.upper + radius).max(initial=0.0)))
             upper = max(lower, min(upper, level_top))
         ladder.append((n, lower, upper, status != "budget"))
         if status != "done" or upper - lower <= tol:
             return upper, lower, ladder, status
         if 2 * n > max_order:
             return upper, lower, ladder, "max_order"
-        parents = opened
         n *= 2
 
 
-def _next_level(data: _SetData, n: int, parents: list, lower: float, tol: float,
+def _next_level(data: _SetData, n: int, parents: _Cells, lower: float, tol: float,
                 opened: list):
-    """Split the open order-n/2 cells (indices, upper, lifts) into order-n
-    cells.
+    """Split the open order-n/2 cells `parents` into order-n cells.
 
     A parent still open against `lower` keeps its centre 2t, whose value is
     known, as an order-n cell (appended to `opened` unless it closes, with
     the parent's lifts near enough for the smaller cell) and contributes its
-    other children to the returned (indices, solved) iterator, largest
-    parent bound first.  Returns (children, largest bound of the cells
-    closed here).
+    other children to the returned `_children` iterator, largest parent
+    bound first.  Returns (children, largest bound of the cells closed
+    here).
     """
     radius = math.pi / n
-    uppers = np.array([u for _, u, _ in parents])
-    order = np.argsort(-uppers, kind="stable")
-    uppers = uppers[order]
-    indices = np.array([t for t, _, _ in parents], dtype=np.int64).reshape(-1, data.m)[order]
-    bound = uppers + 2 * radius
+    order = np.argsort(-parents.upper, kind="stable")
+    bound = parents.upper[order] + 2 * radius
     keep = bound - lower > tol
     closed = float(bound[~keep].max(initial=0.0))
-    lifts = [parents[i][2] for i in order[keep]]
-    centres, uppers = 2 * indices[keep], uppers[keep]
-    bound = uppers + radius
+    parents = parents.take(order[keep])
+    bound = parents.upper + radius
     still = bound - lower > tol
     closed = max(closed, float(bound[~still].max(initial=0.0)))
-    for centre, upper, lift, open_ in zip(centres.tolist(), uppers.tolist(), lifts, still):
-        if open_:
-            opened.append((tuple(centre), upper,
-                           _near_lifts(lift, upper + LIFT_REACH * radius)))
+    centres = parents.take(np.flatnonzero(still),
+                           parents.upper[still] + LIFT_REACH * radius + LIFT_EPS)
+    centres.rows *= 2
+    opened.append(centres)
     basis = _shift_basis(data, n)
-    seen = set(_orbit_keys(_orbit_reps(centres, basis, n), n))
-    return _children(data, indices[keep], lifts, basis, n, seen), closed
+    seen = np.unique(_orbit_keys(_orbit_reps(2 * parents.rows, basis, n), n))
+    return _children(data, parents, basis, n, seen), closed

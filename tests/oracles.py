@@ -81,6 +81,44 @@ def min_error_torus_slices(free, psi, slices: int) -> tuple[float, float]:
     return best, math.pi / slices * max(sum(abs(a) for a in row[:-1]) for row in free)
 
 
+def scan_cells_loop(lowers, uppers, costs, incumbent, used: int, limit: int, cap: float,
+                    tol: float, radius: float, slack: float) -> dict:
+    """Reference decisions of the continuous-constant scan on cells whose
+    values are known ahead, one cell at a time in order: charge the cell's
+    cost (past `limit` the scan stops on the budget, the charge made),
+    count it, make its lower end the incumbent's if it beats it (incumbent
+    None: none yet), close the cell if upper + radius is within slack of the
+    incumbent, else open it, and stop once the incumbent reaches cap - tol.
+
+    Returns a dict: used, enumerated, incumbents (the positions of the cells
+    that became the incumbent), closed_hi and open_hi (largest bound over
+    closed and open cells, 0 if none), opened (positions) and status
+    ('done', 'capped' or 'budget').
+    """
+    out = {"enumerated": 0, "incumbents": [], "closed_hi": 0.0, "open_hi": 0.0,
+           "opened": [], "status": "done"}
+    for i, (lower, upper, cost) in enumerate(zip(lowers, uppers, costs)):
+        used += int(cost)
+        if used > limit:
+            out["status"] = "budget"
+            break
+        out["enumerated"] += 1
+        if incumbent is None or lower > incumbent:
+            incumbent = lower
+            out["incumbents"].append(i)
+        bound = upper + radius
+        if bound - incumbent <= slack:
+            out["closed_hi"] = max(out["closed_hi"], bound)
+        else:
+            out["open_hi"] = max(out["open_hi"], bound)
+            out["opened"].append(i)
+        if incumbent >= cap - tol:
+            out["status"] = "capped"
+            break
+    out["used"] = used
+    return out
+
+
 def alpha_n_exhaustive(slopes, n: int) -> tuple[float, tuple[int, ...]]:
     """sup over all maps E -> nth-roots grid of the inner minimum, by full
     enumeration of the n^|E| targets.  Returns (value, worst grid indices)."""

@@ -5,7 +5,9 @@ import time
 import pytest
 
 from kronset import SetSpecError, TargetMap, __version__, approx_error
+from kronset import cli
 from kronset.cli import main, parse_set_spec
+from kronset.engine import DEFAULT_TOL, LADDER_MAX_ORDER
 from kronset.groups import DualPoint
 from test_engine import Z4_SET
 
@@ -228,6 +230,34 @@ class TestReportContract:
             main(argv)
             second = capsys.readouterr().out
             assert first == second
+
+    def test_consecutive_calls_do_not_share_values(self, capsys):
+        # one parser serves every call in a process: no flag or default of
+        # one call may reach the next
+        calls = [["alpha", "--set", "Z : [1],[2]", "--tol", "0.05", "--max-order", "4",
+                  "--no-timestamp"],
+                 ["net", "--set", "Z2^3 : [1,0,0],[0,1,0]", "--epsilon", "1",
+                  "--max-order", "5", "--pretty"],
+                 ["alpha", "--set", "Z : [1],[2]"],
+                 ["alpha-n", "--set", "Z : [1],[3]", "--n", "4", "--budget", "7",
+                  "--no-timestamp"],
+                 ["alpha-n", "--set", "Z : [1],[3]", "--n", "4", "--no-timestamp"]]
+        for argv in calls:
+            assert vars(cli._parser().parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
+        reports = []
+        for argv in calls:
+            main(argv)
+            reports.append(capsys.readouterr().out)
+        assert cli._parser.cache_info().currsize == 1
+        first, second = json.loads(reports[0]), json.loads(reports[2])
+        assert (first["input"]["tol"], first["input"]["max_order"]) == (0.05, 4)
+        assert "timestamp" not in first and "timestamp" in second
+        assert (second["input"]["tol"], second["input"]["max_order"]) == (
+            DEFAULT_TOL, LADDER_MAX_ORDER)
+        assert reports[1].startswith("schema_version: 1\n") and "timestamp: " in reports[1]
+        assert all(r.startswith("{") for r in reports[2:])
+        budgets = [json.loads(r)["input"]["budget"] for r in reports[3:]]
+        assert budgets[0] == 7 and budgets[1] > 7
 
     def test_timestamp_present_by_default(self, capsys):
         main(["alpha", "--set", "Z : [1]"])

@@ -1195,6 +1195,207 @@ class TestLifts:
         assert res.certified and res.work.stop_reason == "done"
         assert res.alpha.width <= 1e-3
 
+    def test_lifts_are_sorted_distinct_rows_with_their_least_values(self, monkeypatch):
+        # the reference: np.unique over the rows, least value per row
+        def unique_lifts(slopes, psi, cands, vals, cut):
+            near = vals <= cut + _minimax.LIFT_EPS
+            nu = np.rint((slopes[None, :] * cands[near][:, None] - psi[None, :])
+                         / TWO_PI).astype(np.int64)
+            j0 = int(np.flatnonzero(slopes)[0])
+            nu -= (nu[:, j0] // slopes[j0])[:, None] * slopes[None, :]
+            keys, inverse = np.unique(nu, axis=0, return_inverse=True)
+            best = np.full(len(keys), math.inf)
+            np.minimum.at(best, inverse.ravel(), vals[near])
+            return keys, best
+
+        rng = random.Random(229)
+        checked = 0
+        for _ in range(150):
+            slopes = self.random_slopes(rng)
+            psi = np.array([rng.uniform(0, TWO_PI) for _ in slopes])
+            # candidates on a coarse grid repeat lifts; values with ties
+            cands = np.array([rng.randrange(24) * TWO_PI / 24 for _ in range(rng.randint(1, 40))])
+            vals = np.array([rng.choice([0.1, 0.2, 0.3, rng.uniform(0, 1)]) for _ in cands])
+            cut = rng.choice([0.15, 0.5, 1.0])
+            got = circle_lifts(slopes, psi, cands, vals, cut)
+            if got is None:
+                continue
+            want = unique_lifts(slopes, psi, cands, vals, cut)
+            assert np.array_equal(got[0], want[0]) and got[0].dtype == want[0].dtype
+            assert np.array_equal(got[1], want[1])
+            checked += 1
+        assert checked > 100
+
+
+class TestLiftedBlocks:
+    N, RADIUS, SLACK, TOL = 16, math.pi / 16, 0.05, 5e-4
+
+    @staticmethod
+    def block(rng, m, k, uniform):
+        """A random block of k lifted cells of order N with distinct rows,
+        lower ends drawn from three values (so ties are common), uniform or
+        mixed costs, and 1-3 lifts a cell, the least at the cell's value."""
+        n = TestLiftedBlocks.N
+        rows = rng.sample(list(itertools.product(range(n), repeat=m)), k)
+        levels = sorted(rng.uniform(0.2, 1.0) for _ in range(3))
+        lower = np.array([rng.choice(levels) for _ in range(k)])
+        upper = lower + np.array([rng.choice([0.0, 1e-12, rng.uniform(0, 0.3)]) for _ in range(k)])
+        cost = np.array([rng.randint(1, 9) for _ in range(k)])
+        if uniform:
+            cost[:] = cost[0]
+        count = np.array([rng.randint(1, 3) for _ in range(k)])
+        vals = []
+        for value, c in zip(lower, count):
+            cell = [value] + [value + rng.choice([0.1, 0.3, 0.6]) for _ in range(c - 1)]
+            rng.shuffle(cell)
+            vals += cell
+        nu = np.array([[rng.randint(-2, 2) for _ in range(m)] for _ in vals], dtype=np.int64)
+        cells = engine._Cells(np.array(rows, dtype=np.int64), upper, count, nu, np.array(vals))
+        return engine._LiftedBlock(cells, lower, cost, lower + 0.35)
+
+    @staticmethod
+    def kept_lifts(block, i):
+        """Cell i's lifts of value at most its cut, read one by one."""
+        start = int(block.cells.count[:i].sum())
+        lifts = [(tuple(nu), v) for nu, v in zip(
+            block.cells.nu[start:start + block.cells.count[i]].tolist(),
+            block.cells.vals[start:start + block.cells.count[i]].tolist())]
+        return [lift for lift in lifts if lift[1] <= block.cut[i]]
+
+    def test_block_decisions_match_the_cell_loop(self, monkeypatch):
+        rng = random.Random(233)
+        E = CharacterSet.of_integers([-3, 1, 4])
+        data = engine._set_data(E)
+        made = []
+        incumbent = engine._Incumbent
+
+        def recorded(*args):
+            made.append(incumbent(*args))
+            return made[-1]
+        monkeypatch.setattr(engine, "_Incumbent", recorded)
+        seen = set()
+        for trial in range(48):
+            k = rng.randint(1, 9)
+            base = self.block(rng, data.m, k, uniform=trial % 2 == 0)
+            prior = None if trial % 3 == 0 else rng.choice(
+                [0.1, float(base.lower.min()), float(np.median(base.lower)), 2.0])
+            # the incumbent never reaches the cap, or first does at the first,
+            # a middle or the last cell, which beats every lower end
+            variants = [(base, 10.0, None)]
+            for j in sorted({0, k // 2, k - 1}):
+                lower = base.lower.copy()
+                lower[j] = max(float(lower.max()), prior or 0.0) + 0.1
+                variants.append((engine._LiftedBlock(base.cells, lower, base.cost, base.cut),
+                                 float(lower[j]) + self.TOL, j))
+            for block, cap, hit in variants:
+                spent = np.cumsum(block.cost)
+                used = rng.randrange(100)
+                # stop on the budget at every cell, and not at all
+                limits = [used + int(spent[p] - block.cost[p]) + rng.randrange(block.cost[p])
+                          for p in range(k)] + [used + int(spent[-1]) + rng.randrange(3)]
+                for limit in limits:
+                    self.check(data, block, prior, used, limit, cap, made)
+                    want = oracles.scan_cells_loop(
+                        block.lower.tolist(), block.cells.upper.tolist(), block.cost.tolist(),
+                        prior, used, limit, cap, self.TOL, self.RADIUS, self.SLACK)
+                    stop = want["enumerated"] - (want["status"] == "capped")
+                    seen.add((want["status"], stop, hit))
+        # every stop: capped at the first, a middle and the last cell,
+        # the budget at every cell of a 9-cell block, and none
+        assert {("capped", 0, 0), ("done", 9, None)} <= seen
+        assert {("capped", j, j) for j in (4, 8)} <= seen
+        assert {("budget", p, None) for p in range(9)} <= seen
+
+    def check(self, data, block, prior, used, limit, cap, made):
+        n, m = self.N, data.m
+        scan = engine._Scan(data, self.TOL, Budget(limit))
+        scan.budget.used = used
+        if prior is not None:
+            scan.best = engine._Incumbent(prior, prior, n // 2, (0,) * m,
+                                          DualPoint(data.chars.group, (0.0,), ()), None)
+        made.clear()
+        probes = scan.probes.tolist()
+        opened = []
+        got = engine._scan_lifted(scan, n, block, cap, self.RADIUS, self.SLACK, opened)
+        want = oracles.scan_cells_loop(
+            block.lower.tolist(), block.cells.upper.tolist(), block.cost.tolist(), prior,
+            used, limit, cap, self.TOL, self.RADIUS, self.SLACK)
+        case = (block, prior, used, limit, cap)
+        assert got == (want["closed_hi"], want["open_hi"], want["status"]), case
+        assert scan.budget.used == want["used"], case
+        assert scan.stats.targets_enumerated == want["enumerated"], case
+        rows = block.cells.rows.tolist()
+        assert [(c.indices, c.lower, c.upper, c.order) for c in made] == [
+            (tuple(rows[i]), block.lower[i], block.cells.upper[i], n)
+            for i in want["incumbents"]], case
+        # each incumbent's witness attains its least kept lift, and the
+        # probes are the last four witnesses' argument rows
+        for c, i in zip(made, want["incumbents"]):
+            nu, vals = zip(*self.kept_lifts(block, i))
+            assert c.point == engine._lift_point(
+                data, np.array(rows[i], dtype=np.float64) * (TWO_PI / n),
+                (np.array(nu), np.array(vals)))
+            probes.append(data.point_args(c.point).tolist())
+        assert scan.probes.tolist() == probes[-4:]
+        assert scan.best is (made[-1] if made else scan.best)
+        cells = engine._Cells.gather(opened, m)
+        assert cells.rows.tolist() == [rows[i] for i in want["opened"]], case
+        assert cells.upper.tolist() == [block.cells.upper[i] for i in want["opened"]]
+        lifts = [(tuple(nu), v) for nu, v in zip(cells.nu.tolist(), cells.vals.tolist())]
+        assert lifts == [lift for i in want["opened"] for lift in self.kept_lifts(block, i)]
+        assert cells.count.tolist() == [len(self.kept_lifts(block, i)) for i in want["opened"]]
+
+    # values recorded before lifted children were decided a block at a time:
+    # the upper end of each completed level
+    UPPERS = {
+        (-3, -1, 6): [2.617993877991495, 1.8325957145940484, 1.4398966328953242,
+                      1.2435470920819598, 1.1453723216572786, 1.0962849364449383,
+                      1.071741243838768, 1.0594693975356828, 1.0533334743841403,
+                      1.050265512808369, 1.0487315320204833],
+        (-6, -3, 1): [2.6179938779914966, 1.8325957145940484, 1.4398966328953242,
+                      1.2435470920819596, 1.1453723216572786, 1.0962849364449383,
+                      1.071741243838768, 1.0594693975356828, 1.0533334743841403,
+                      1.050265512808369, 1.0487315320204833],
+    }
+
+    @pytest.mark.parametrize("elements, budget, levels, lower, evals, solved, pruned, worst, theta", [
+        ((-3, -1, 6), 70_000, 9, 1.0471975511905982, 70_002, 7818, 21, (0, 1, 1),
+         2.4434609527920617),
+        ((-3, -1, 6), 160_000, 11, 1.0471975511905982, 160_005, 22051, 25, (0, 1, 1),
+         2.4434609527920617),
+        ((-6, -3, 1), 70_000, 9, 1.0471975511906, 70_002, 6893, 4, (1, 0, 0),
+         0.3490658503988655),
+        ((-6, -3, 1), 160_000, 11, 1.0471975511906, 160_005, 20911, 4, (1, 0, 0),
+         0.3490658503988655),
+    ])
+    def test_budget_stop_inside_a_lifted_block(self, monkeypatch, elements, budget, levels,
+                                               lower, evals, solved, pruned, worst, theta):
+        E = CharacterSet.of_integers(elements)
+        stops = []
+        scan_lifted = engine._scan_lifted
+
+        def spy(*args):
+            out = scan_lifted(*args)
+            stops.append((out[2], len(args[2].lower)))
+            return out
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "_scan_lifted", spy)
+            res = alpha(E, tol=1e-3, budget=budget)
+        # the budget ran out inside a block of lifted cells, not at its edge
+        status, size = stops[-1]
+        assert status == "budget" and size > 1
+        uppers = self.UPPERS[elements][:levels]
+        ladder = tuple((2 << i, lower, up, True) for i, up in enumerate(uppers))
+        assert res.work.ladder == ladder + ((2 << levels, lower, uppers[-1], False),)
+        assert (res.alpha.lower, res.alpha.upper, res.certified) == (lower, uppers[-1], False)
+        work = res.work
+        assert (work.inner_evals, work.targets_enumerated, work.targets_pruned) == (
+            evals, solved, pruned)
+        assert work.stop_reason == "budget" and work.budget_exhausted
+        assert res.worst_target == TargetMap.from_grid(E, 2, worst)
+        assert res.witness_point == DualPoint(E.group, (theta,), ())
+        assert alpha(E, tol=1e-3, budget=budget, threads=2) == res
+
 
 def shift_group(E, n):
     """The oracle's order-n shift group of a character set."""
@@ -1252,7 +1453,27 @@ class TestSymmetryQuotient:
         rng = random.Random(107)
         rows = [[rng.randrange(n) for _ in range(m)] for _ in range(50)] + [[n - 1] * m]
         want = [sum(c * n**(m - 1 - d) for d, c in enumerate(row)) for row in rows]
-        assert engine._orbit_keys(np.array(rows, dtype=np.int64), n) == want
+        assert engine._orbit_keys(np.array(rows, dtype=np.int64), n).tolist() == want
+
+    @pytest.mark.parametrize("m, n", [(3, 8), (9, 8192)])
+    def test_fresh_keys_match_a_set_loop(self, m, n):
+        # blocks of keys with repeats within and across blocks, int64 and
+        # Python-integer keys: the positions a loop over a set keeps
+        rng = random.Random(109)
+        pool = [[rng.randrange(n) for _ in range(m)] for _ in range(40)]
+        first = engine._orbit_keys(np.array(pool[:5], dtype=np.int64), n)
+        seen, kept = np.unique(first), set(first.tolist())
+        for _ in range(6):
+            keys = engine._orbit_keys(np.array([rng.choice(pool) for _ in range(30)],
+                                               dtype=np.int64), n)
+            want = []
+            for i, key in enumerate(keys.tolist()):
+                if key not in kept:
+                    kept.add(key)
+                    want.append(i)
+            new, seen = engine._fresh(keys, seen)
+            assert new.tolist() == want
+            assert seen.tolist() == sorted(kept)
 
     def test_quotient_matches_full_enumeration_on_mixed_group(self):
         rng = random.Random(101)
