@@ -5,10 +5,13 @@ objective s -> max_k dist(A_k.s, psi_k) is piecewise linear, so after a
 unimodular change of coordinates that gives A full column rank its
 minimum sits at one of finitely many vertices: points where one more
 signed piece than the torus has coordinates are equal, found in closed
-form and all evaluated (`min_error_box`, with `min_error_circle` its
-one-coordinate face).  On a purely torsion dual every selection's error is
-read, a block at a time, from a table of the characters' arguments in
-integer angle units.  Both charge their evaluation counts against a budget.
+form (`min_error_box`, with `min_error_circle` its one-coordinate face).
+Large calls screen the candidates in a cheap pass first and value only the
+survivors exactly; the cut's margin bounds the screen's rounding, so the
+results are those of valuing every candidate.  On a purely torsion dual
+every selection's error is read, a block at a time, from a table of the
+characters' arguments in integer angle units.  Both charge their
+evaluation counts against a budget.
 """
 from __future__ import annotations
 
@@ -101,10 +104,16 @@ def column_echelon(rows):
     return [c[:m] for c in cols], [c[m:] for c in cols], rank
 
 
-def _det(rows) -> int:
-    """Exact determinant of a small square integer matrix."""
-    return sum((-1) ** j * a * _det([row[:j] + row[j + 1:] for row in rows[1:]])
-               for j, a in enumerate(rows[0]) if a) if rows else 1
+def _dets(mats: np.ndarray) -> np.ndarray:
+    """Exact determinants of a stack (S x k x k) of integer matrices, by
+    Laplace expansion along the first row, each step over the whole stack."""
+    if mats.shape[1] == 0:
+        return np.ones(len(mats), dtype=mats.dtype)
+    total = mats[:, 0, 0] * _dets(mats[:, 1:, 1:])
+    for j in range(1, mats.shape[1]):
+        term = mats[:, 0, j] * _dets(np.delete(mats[:, 1:], j, axis=2))
+        total = total - term if j % 2 else total + term
+    return total
 
 
 def subset_count(free: tuple) -> int:
@@ -132,48 +141,97 @@ def vertex_systems(free: tuple):
     h, u, rank = column_echelon(free)
     r = max(rank, 1)
     b, cols = (free, None) if r == len(free[0]) else (tuple(zip(*h[:r])), u[:r])
-    pieces = [(k, sign, tuple(sign * x for x in b[k]))
-              for k in range(len(b)) if any(b[k]) for sign in (1, -1)]
+    pieces = [(k, sign) for k in range(len(b)) if any(b[k]) for sign in (1, -1)]
+    big = max((abs(x) for row in b for x in row), default=0)
+    dtype = exact_dtype(math.factorial(r + 2) * (2 * big + 1) ** (r + 1))
+    grads = np.array([[sign * x for x in b[k]] for k, sign in pieces], dtype=dtype).reshape(-1, r)
+    rows, signs = np.array(pieces, dtype=np.int64).reshape(-1, 2).T
     systems = [((0,) * (r + 1), ((0,) * r,) * (r + 1), ((0,) * r,) * r, 1, (1,) * r)]
-    for subset in itertools.combinations(range(len(pieces)), r + 1):
-        if tuple(sorted(i ^ 1 for i in subset)) < subset:
-            continue
-        (k0, s0, g0), *rest = (pieces[i] for i in subset)
-        mat = [tuple(x - y for x, y in zip(g0, g)) for _, _, g in rest]
-        adj = tuple(tuple((-1) ** (i + j) * _det([row[:i] + row[i + 1:]
-                                                  for k, row in enumerate(mat) if k != j])
-                          for j in range(r)) for i in range(r))
-        det = sum(mat[0][j] * adj[j][0] for j in range(r))
+    subsets = itertools.combinations(range(len(pieces)), r + 1)
+    for chunk in iter(lambda: list(itertools.islice(subsets, TABLE_BLOCK)), []):
+        block = np.array(chunk, dtype=np.int64)
+        # one of each pair of opposite subsets: not above its flip, compared lexicographically
+        flip = np.sort(block ^ 1, axis=1)
+        differ = flip != block
+        first = differ.argmax(axis=1)
+        at = np.arange(len(block))
+        block = block[~(differ.any(axis=1) & (flip[at, first] < block[at, first]))]
+        g0, rest = grads[block[:, 0]], grads[block[:, 1:]]
+        mat = g0[:, None, :] - rest
+        adj = np.empty_like(mat)
+        for i in range(r):
+            for j in range(r):
+                minor = np.delete(np.delete(mat, j, axis=1), i, axis=2)
+                adj[:, i, j] = _dets(minor) if (i + j) % 2 == 0 else -_dets(minor)
+        det = (mat[:, 0, :] * adj[:, :, 0]).sum(axis=1)
         # det times the barycentric coordinates of 0 among the gradients
-        bary = [sum(adj[j][i] * g0[j] for j in range(r)) for i in range(r)]
-        if det and min(det * x for x in bary + [det - sum(bary)]) >= 0:
-            weights = [tuple(s0 * sum(row) for row in adj)]
-            weights += [tuple(-s * row[i] for row in adj) for i, (_, s, _) in enumerate(rest)]
-            systems.append(((k0, *(k for k, _, _ in rest)), tuple(weights), adj, det,
-                            tuple(col[j] for j, col in enumerate(column_echelon(mat)[0]))))
+        bary = (adj * g0[:, :, None]).sum(axis=1)
+        coords = np.concatenate([bary, (det - bary.sum(axis=1))[:, None]], axis=1)
+        take = (det != 0) & np.where(det > 0, (coords >= 0).all(axis=1), (coords <= 0).all(axis=1))
+        block, mat, adj, det = block[take], mat[take], adj[take], det[take]
+        weights = np.concatenate([(signs[block[:, 0], None] * adj.sum(axis=2))[:, None],
+                                  -signs[block[:, 1:], None] * adj.transpose(0, 2, 1)], axis=1)
+        # M's coset box, the diagonal of its column echelon form: g_k / g_{k-1},
+        # g_k the gcd of the k x k minors of M's first k rows (g_r = |det M|)
+        gcds = [np.ones(len(mat), dtype=dtype)]
+        for k in range(1, r):
+            gcds.append(np.gcd.reduce([_dets(mat[:, :k, list(c)])
+                                       for c in itertools.combinations(range(r), k)]))
+        gcds.append(abs(det))
+        box = np.stack([g // f for f, g in zip(gcds, gcds[1:])], axis=1)
+        for ks, w, a, d, n in zip(rows[block].tolist(), weights.tolist(), adj.tolist(),
+                                  det.tolist(), box.tolist()):
+            systems.append((tuple(ks), tuple(map(tuple, w)), tuple(map(tuple, a)), d, tuple(n)))
     return systems, sum(abs(s[3]) for s in systems) * len(b), b, cols
 
 
 def vertex_plan(free: tuple):
     """`vertex_systems` as arrays (terms, weights, system, offsets, divisors,
-    nonzero rows of B by column, their mask, slack, U): candidate c is
-    (y[system[c]] + offsets[c]) / divisors[c] mod 2*pi, y = sum_t weights[t]
-    psi[terms[t]]; the slack 1e-12 max(1, max_k |B_k|_1 max |adj M|) covers
-    the rounding of candidates and residuals."""
+    nonzero rows of B by column, their mask, slack, margin, U): candidate c
+    is (y[system[c]] + offsets[c]) / divisors[c] mod 2*pi, y = sum_t
+    weights[t] psi[terms[t]]; the slack 1e-12 max(1, W A) covers the
+    rounding of candidates and residuals, W = max_k |B_k|_1 and A = max
+    |adj M|.  margin = (gain, floor) bounds the screen's cut in
+    `min_error_box` at gain * max|psi| + floor.
+
+    The margin's bound, with u = 2**-53, P = max|psi| and r' coordinates:
+    an unreduced candidate coordinate is at most A (2 r' P + 2 pi) (its
+    y sums 2 r' weights of at most A, its offset at most 2 pi A (|det M| - 1),
+    both over |det M|), so |B_k.t| <= W C with C = (A + 1) (2 r' P + 2 pi).
+    The exact pass reduces t and the residual mod the float 2*pi, off the
+    true 2 pi by under u 2 pi per turn, and rounds r' + 3 sums of at most
+    W 2 pi + P + pi; the screen rounds r' + 4 sums of at most (W C + P) / 2
+    pi turns and subtracts its nearest integer exactly.  Both values of a
+    candidate stay within E = 8 (r' + 6) u (W (C + 2 pi) + P + 4) of the true
+    arc distance (twice the first-order sum), so a cut at the least
+    screened value plus 2 E + 1e-12 keeps every candidate within 1e-12 of
+    the exact minimum.
+    """
     systems, _, b, cols = vertex_systems(free)
     size = [abs(s[3]) for s in systems]
     off = np.concatenate([TWO_PI * (np.array(adj) @ np.array(np.unravel_index(np.arange(n), box)))
                           for (_, _, adj, _, box), n in zip(systems, size)], axis=1)
     mask = np.array(list(map(any, b)))
-    slack = 1e-12 * max(1.0, float(max(map(sum, np.abs(b).tolist()))
-                                   * max(np.abs(s[2]).max() for s in systems)))
+    r = len(b[0])
+    width = float(max(map(sum, np.abs(b).tolist())))
+    adj = float(max(np.abs(s[2]).max() for s in systems))
+    rounding = 16 * (r + 6) * 2.0 ** -53
+    margin = (rounding * (2 * r * width * (adj + 1) + 1),
+              rounding * (TWO_PI * width * (adj + 2) + 4) + 1e-12)
     return (np.array([s[0] for s in systems]).T,
             np.array([s[1] for s in systems], dtype=np.float64).transpose(1, 2, 0)[:, :, None],
             np.repeat(np.arange(len(systems)), size), off,
             np.repeat([float(s[3]) for s in systems], size),
-            np.array(b, dtype=np.float64)[mask].T[:, :, None].copy(), mask, slack,
+            np.array(b, dtype=np.float64)[mask].T[:, :, None].copy(), mask,
+            1e-12 * max(1.0, width * adj), margin,
             None if cols is None else np.array(cols, dtype=np.float64))
 
+
+#: fewest evaluations (rows x candidates x characters, the call's charge)
+#: for which `min_error_box` screens its candidates before the exact pass;
+#: below it the screen's fixed cost of a few dozen numpy calls outweighs
+#: what it saves
+SCREEN_CUTOVER = 1 << 13
 
 #: plans of at most CIRCLE_BLOCK evaluations a row, kept for the next call
 _small_plan = lru_cache(maxsize=16)(vertex_plan)
@@ -188,35 +246,90 @@ def _residuals(coeffs, coords, u):
     return resid
 
 
+def _screen(b, cands, psi, floor, cut):
+    """Rows x candidates mask of the candidates whose screened value is at
+    most the row's least (or its floor) plus `cut`: the objective at the
+    unreduced candidates `cands`, in turns, each character's residual
+    reduced by its nearest integer (6 array passes a character at free rank
+    1, where `_dist_array` takes about 17)."""
+    turn = 1.0 / TWO_PI
+    coords = np.multiply(cands, turn)
+    psi = (psi * turn).T[:, :, None].copy()
+    best = np.zeros(coords.shape[1:])
+    x, n = np.empty_like(best), np.empty_like(best)
+    for k, slopes in enumerate(b[:, :, 0].T.tolist()):
+        np.multiply(coords[0], slopes[0], out=x)
+        for j in range(1, len(coords)):
+            np.multiply(coords[j], slopes[j], out=n)
+            x += n
+        x -= psi[k]
+        np.rint(x, out=n)
+        x -= n
+        np.abs(x, out=x)
+        np.maximum(best, x, out=best)
+    least = np.maximum(best.min(axis=1), floor * turn)
+    return best <= (least + cut * turn)[:, None]
+
+
+def _survivors(cands, keep):
+    """The candidates `keep` marks, each row's moved to its front in order,
+    the rest of the row zero: (candidates, mask of the ones kept)."""
+    counts = keep.sum(axis=1)
+    index = np.flatnonzero(keep)
+    row = index // keep.shape[1]
+    pos = np.arange(len(index)) - np.repeat(np.cumsum(counts) - counts, counts)
+    out = np.zeros(cands.shape[:2] + (counts.max(),))
+    out[:, row, pos] = cands.reshape(len(cands), -1)[:, index]
+    return out, np.arange(out.shape[2]) < counts[:, None]
+
+
 def min_error_box(free: np.ndarray, psi: np.ndarray, budget, lift_margin=None):
     """Exact minimum of s -> max_k dist(A_k.s, psi_k) on the torus, A the
     (m x r) integer matrix `free`, for each row psi[i] of targets.
 
-    Returns arrays (s, lower, upper), charging every row before the
-    candidates (`vertex_systems`) or their plan are built: s the least
-    candidate (lexicographically, in B's coordinates t) within 1e-12 of the
-    least value, upper attained at s, lower = upper minus the plan's slack.
-    Given lift_margin (free rank 1 only), also each row's lifts within
-    lift_margin of its minimum (`circle_lifts`).  The rows of A are folded
-    in a block at a time, temporaries of at most CIRCLE_TEMP elements.
+    Returns arrays (s, lower, upper), charging every row its share of the
+    full candidate set, `vertex_systems(key)[1]`, before any work; callers
+    pay for the systems themselves up front (`subset_count`).  s is the
+    least candidate (lexicographically, in B's coordinates t) within 1e-12
+    of the least value, upper attained at s, lower = upper minus the plan's
+    slack.  Given lift_margin (free rank 1 only), also each row's lifts
+    within lift_margin of its minimum (`circle_lifts`).
+
+    From SCREEN_CUTOVER evaluations on, `_screen` first drops every
+    candidate whose screened value exceeds the row's least by more than the
+    plan's margin (plus lift_margin + LIFT_EPS): none of them is within
+    1e-12 of the minimum, or within lift_margin of it.  The exact pass
+    values the rest as it values every candidate below the cutover, so
+    values, ties, witnesses and lifts are the same bits.  The rows of A are
+    folded in a block at a time, temporaries of at most CIRCLE_TEMP
+    elements.
     """
     key = tuple(map(tuple, free.tolist()))
     cost = vertex_systems(key)[1]
     budget.charge(len(psi) * cost)
-    terms, weights, system, off, div, b, mask, slack, cols = (
+    terms, weights, system, off, div, b, mask, slack, margin, cols = (
         _small_plan if cost <= CIRCLE_BLOCK else vertex_plan)(key)
     const_err = _dist_array(psi[:, ~mask]).max(axis=1, initial=0.0)
-    # one (rows x candidates) array per coordinate t_j
+    u = psi[:, mask, None]
+    # one (rows x candidates) array per coordinate t_j, not yet reduced
     y = weights * psi[:, terms].transpose(1, 0, 2)[:, None]
-    cands = sum(y[1:], y[0])[:, :, system]
+    cands = np.take(sum(y[1:], y[0]), system, axis=2)
     cands += off[:, None]
     cands /= div
+    kept = None
+    if len(psi) * cost >= SCREEN_CUTOVER:
+        cut = margin[0] * float(np.abs(psi).max()) + margin[1]
+        if lift_margin is not None:
+            cut += lift_margin + LIFT_EPS
+        cands, kept = _survivors(cands, _screen(b, cands, u[:, :, 0], const_err, cut))
     cands = _mod_2pi(cands)
     vals = np.repeat(const_err[:, None], cands.shape[2], axis=1)
-    step, coords, u = max(1, CIRCLE_TEMP // cands[0].size), cands[:, :, None], psi[:, mask, None]
+    step, coords = max(1, CIRCLE_TEMP // cands[0].size), cands[:, :, None]
     for c in range(0, b.shape[1], step):
         resid = _residuals(b[:, c:c + step], coords, u[:, c:c + step])
         np.maximum(vals, _dist_array(resid).max(axis=1), out=vals)
+    if kept is not None:
+        vals[~kept] = np.inf
     vmin = vals.min(axis=1)
     # the least point among ties keeps results schedule-independent
     near = vals <= vmin[:, None] + 1e-12

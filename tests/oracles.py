@@ -3,7 +3,9 @@
 Everything in this file is deliberately kept separate from the library code
 paths: plain target enumeration, a scalar piecewise-linear minimizer, and a
 dense target grid.  The library is checked against these, never the other
-way around.
+way around.  Two exceptions are exhaustive forms of faster library code
+(`vertex_systems_loop`, `min_error_box_full`): they share its helpers, and
+the library must give their results bit for bit.
 """
 from __future__ import annotations
 
@@ -321,6 +323,85 @@ def min_error_circle_loop(slopes, psi, budget):
     upper = max(float(np.max(_dist(act * theta - act_psi))), const_err)
     lower = max(const_err, min(vmin, upper) - 1e-12 * max(1.0, float(np.abs(act).max())))
     return theta, max(0.0, lower), upper
+
+
+def _det(rows) -> int:
+    """Exact determinant of a small square integer matrix."""
+    return sum((-1) ** j * a * _det([row[:j] + row[j + 1:] for row in rows[1:]])
+               for j, a in enumerate(rows[0]) if a) if rows else 1
+
+
+def vertex_systems_loop(free: tuple):
+    """Reference `_minimax.vertex_systems`: each signed subset's adjugate by
+    Laplace expansion in Python, one subset at a time."""
+    from kronset._minimax import column_echelon
+    h, u, rank = column_echelon(free)
+    r = max(rank, 1)
+    b, cols = (free, None) if r == len(free[0]) else (tuple(zip(*h[:r])), u[:r])
+    pieces = [(k, sign, tuple(sign * x for x in b[k]))
+              for k in range(len(b)) if any(b[k]) for sign in (1, -1)]
+    systems = [((0,) * (r + 1), ((0,) * r,) * (r + 1), ((0,) * r,) * r, 1, (1,) * r)]
+    for subset in itertools.combinations(range(len(pieces)), r + 1):
+        if tuple(sorted(i ^ 1 for i in subset)) < subset:
+            continue
+        (k0, s0, g0), *rest = (pieces[i] for i in subset)
+        mat = [tuple(x - y for x, y in zip(g0, g)) for _, _, g in rest]
+        adj = tuple(tuple((-1) ** (i + j) * _det([row[:i] + row[i + 1:]
+                                                  for k, row in enumerate(mat) if k != j])
+                          for j in range(r)) for i in range(r))
+        det = sum(mat[0][j] * adj[j][0] for j in range(r))
+        # det times the barycentric coordinates of 0 among the gradients
+        bary = [sum(adj[j][i] * g0[j] for j in range(r)) for i in range(r)]
+        if det and min(det * x for x in bary + [det - sum(bary)]) >= 0:
+            weights = [tuple(s0 * sum(row) for row in adj)]
+            weights += [tuple(-s * row[i] for row in adj) for i, (_, s, _) in enumerate(rest)]
+            systems.append(((k0, *(k for k, _, _ in rest)), tuple(weights), adj, det,
+                            tuple(col[j] for j, col in enumerate(column_echelon(mat)[0]))))
+    return systems, sum(abs(s[3]) for s in systems) * len(b), b, cols
+
+
+def min_error_box_full(free, psi, budget, lift_margin=None):
+    """Reference vertex kernel: `_minimax.min_error_box` as it was before
+    it screened its candidates, valuing every candidate of every row
+    exactly.  The screened kernel must give the same bits and charges."""
+    from kronset._minimax import (CIRCLE_BLOCK, CIRCLE_TEMP, _dist_array, _mod_2pi,
+                                  _residuals, _small_plan, circle_lifts, vertex_plan,
+                                  vertex_systems)
+    key = tuple(map(tuple, free.tolist()))
+    cost = vertex_systems(key)[1]
+    budget.charge(len(psi) * cost)
+    terms, weights, system, off, div, b, mask, slack, _, cols = (
+        _small_plan if cost <= CIRCLE_BLOCK else vertex_plan)(key)
+    const_err = _dist_array(psi[:, ~mask]).max(axis=1, initial=0.0)
+    # one (rows x candidates) array per coordinate t_j
+    y = weights * psi[:, terms].transpose(1, 0, 2)[:, None]
+    cands = sum(y[1:], y[0])[:, :, system]
+    cands += off[:, None]
+    cands /= div
+    cands = _mod_2pi(cands)
+    vals = np.repeat(const_err[:, None], cands.shape[2], axis=1)
+    step, coords, u = max(1, CIRCLE_TEMP // cands[0].size), cands[:, :, None], psi[:, mask, None]
+    for c in range(0, b.shape[1], step):
+        resid = _residuals(b[:, c:c + step], coords, u[:, c:c + step])
+        np.maximum(vals, _dist_array(resid).max(axis=1), out=vals)
+    vmin = vals.min(axis=1)
+    # the least point among ties keeps results schedule-independent
+    near = vals <= vmin[:, None] + 1e-12
+    theta = np.empty((len(cands), len(psi)))
+    for j, coord in enumerate(cands):
+        coord = np.where(near, coord, np.inf)
+        theta[j] = coord.min(axis=1)
+        if j + 1 < len(cands):
+            near &= coord == theta[j, :, None]
+    upper = np.maximum(_dist_array(_residuals(b, theta[:, :, None, None], u))
+                       .max(axis=1, initial=0.0)[:, 0], const_err)
+    # constant (zero-row) constraints bound the objective exactly everywhere
+    lower = np.maximum(np.maximum(const_err, np.minimum(vmin, upper) - slack), 0.0)
+    s = theta.T if cols is None else _mod_2pi(_residuals(cols, theta[:, :, None], 0.0))
+    if lift_margin is None:
+        return s, lower, upper
+    return s, lower, upper, [circle_lifts(free[:, 0], row, c, v, up + lift_margin)
+                             for row, c, v, up in zip(psi, cands[0], vals, upper)]
 
 
 def circle_selections_loop(slopes, tau, angles, selections, budget):

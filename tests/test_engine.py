@@ -1118,7 +1118,7 @@ class TestTorusVertices:
 
     def test_budget_is_paid_before_the_systems_are_built(self):
         # 12 characters in Z^4 make C(24, 5) / 2 = 21252 signed subsets to
-        # examine, seconds of work; a budget below that stops first
+        # examine before the first target; a budget below that stops first
         _, E = parse_set_spec(Z4_SET)
         assert _minimax.subset_count(engine._set_data(E).free_key) == 21252
         for solve in (lambda: alpha_n(E, 3, budget=10_000), lambda: alpha(E, budget=10_000)):

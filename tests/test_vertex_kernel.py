@@ -1,0 +1,167 @@
+"""The screened vertex kernel and the batched vertex systems against their
+exhaustive references in `oracles`: the same bits, lifts and charges."""
+import itertools
+import math
+import random
+
+import numpy as np
+import pytest
+
+import oracles
+from kronset import _minimax
+from kronset._minimax import min_error_box, vertex_systems
+from kronset.engine import Budget
+from kronset.errors import BudgetExceededError
+
+TWO_PI = 2.0 * math.pi
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+def assert_same(rng, free, psi, lift_margin=None):
+    """`min_error_box` equals `oracles.min_error_box_full` bit for bit, with
+    the same lifts and the same `Budget.used`, in full and cut short."""
+    free, psi = np.asarray(free), np.asarray(psi, dtype=np.float64)
+    got, want = Budget(10**12), Budget(10**12)
+    out = min_error_box(free, psi, got, lift_margin=lift_margin)
+    ref = oracles.min_error_box_full(free, psi, want, lift_margin=lift_margin)
+    assert len(out) == len(ref)
+    for a, b in zip(out[:3], ref[:3]):
+        assert np.array_equal(bits(a), bits(b)), (free.tolist(), psi.tolist())
+    for a, b in zip(*(o[3] if len(o) > 3 else () for o in (out, ref))):
+        assert (a is None) == (b is None), (free.tolist(), psi.tolist())
+        if b is not None:
+            assert np.array_equal(a[0], b[0]) and np.array_equal(bits(a[1]), bits(b[1]))
+    assert got.used == want.used
+    limit = rng.randrange(got.used)
+    short, ref_short = Budget(limit), Budget(limit)
+    with pytest.raises(BudgetExceededError):
+        min_error_box(free, psi, short, lift_margin=lift_margin)
+    with pytest.raises(BudgetExceededError):
+        oracles.min_error_box_full(free, psi, ref_short, lift_margin=lift_margin)
+    assert short.used == ref_short.used
+
+
+def random_angles(rng, rows, m):
+    """Rows of targets: on a roots grid (ties among candidates), all zero
+    (exact ties everywhere) or uniform."""
+    kind = rng.choice(["grid", "zero", "uniform"])
+    if kind == "grid":
+        n = rng.choice([2, 3, 4, 6])
+        return TWO_PI * np.array([[rng.randrange(n) for _ in range(m)] for _ in range(rows)]) / n
+    if kind == "zero":
+        return np.zeros((rows, m))
+    return np.array([[rng.uniform(0, TWO_PI) for _ in range(m)] for _ in range(rows)])
+
+
+@pytest.fixture(params=["screened", "default"])
+def cutover(request, monkeypatch):
+    """Every call screened (cutover 0), or only those at the cutover."""
+    if request.param == "screened":
+        monkeypatch.setattr(_minimax, "SCREEN_CUTOVER", 0)
+    return request.param
+
+
+class TestScreenedKernel:
+    @pytest.mark.parametrize("lift_margin", [None, 0.1, 0.4])
+    def test_rank_one_slopes(self, cutover, lift_margin):
+        rng = random.Random(601)
+        for _ in range(60):
+            slopes = [rng.choice([0, rng.randint(-9, 9)]) for _ in range(rng.randint(1, 5))]
+            if rng.random() < 0.3:
+                a = rng.randint(1, 9)
+                slopes += [a, -a]
+            rng.shuffle(slopes)
+            psi = random_angles(rng, rng.choice([1, 3, 40]), len(slopes))
+            assert_same(rng, np.array(slopes)[:, None], psi, lift_margin)
+
+    @pytest.mark.parametrize("slopes", [(1, 10, 100, 1000, 10000), (-3, 0, 41, -700, 9999),
+                                        (2, 17, 301, 4000), (5, -5, 120, 2400)])
+    @pytest.mark.parametrize("lift_margin", [None, 0.1, 0.4])
+    def test_lacunary_slopes(self, cutover, slopes, lift_margin):
+        rng = random.Random(603)
+        free = np.array(slopes)[:, None]
+        for _ in range(2):
+            assert_same(rng, free, random_angles(rng, 2, len(slopes)), lift_margin)
+
+    @pytest.mark.parametrize("slopes, n, grid", [
+        ((-2504, 9370, -6651, 401), 2, (0, 0, 0, 1)),
+        ((7507, -6255, 5000, -918), 2, (0, 1, 0, 0)),
+        ((430, 7520, 4702), 6, (3, 4, 1)),
+        ((4005, 5337, 5007), 6, (4, 2, 1)),
+    ])
+    def test_ties_the_screen_rounds_apart(self, cutover, slopes, n, grid):
+        # tied minima whose screened values differ by more than the 1e-12
+        # tie window: a cut without the rounding margin drops the least
+        psi = TWO_PI * np.array([grid], dtype=np.float64) / n
+        assert_same(random.Random(619), np.array(slopes)[:, None], psi)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_torsion_shifted_rows(self, cutover, k):
+        # Z x Z2^k: each target is one row per selection, shifted by pi steps
+        rng = random.Random(607 + k)
+        for _ in range(12):
+            m = rng.randint(2, 5)
+            slopes = np.array([rng.choice([0, rng.randint(-40, 40)]) for _ in range(m)])
+            tau = np.pi * np.array([[rng.randrange(2) for _ in range(k)] for _ in range(m)])
+            sel = np.array(list(itertools.product(range(2), repeat=k)), dtype=np.float64)
+            angles = random_angles(rng, 3, m)
+            psi = (angles[:, None, :] - sel @ tau.T).reshape(-1, m)
+            assert_same(rng, slopes[:, None], psi, rng.choice([None, 0.1, 0.4]))
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_plane_and_space_sets(self, cutover, r):
+        rng = random.Random(611 + r)
+        for case in range(24):
+            rows = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(rng.randint(2, 4))]
+            if case % 3 == 0:
+                rows.append([0] * r)
+            if case % 3 == 1:
+                rows.append([rng.choice([-2, -1, 2]) * a for a in rows[0]])
+            rng.shuffle(rows)
+            assert_same(rng, rows, random_angles(rng, rng.choice([1, 5]), len(rows)))
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_every_row_zero(self, cutover, r):
+        # nothing to screen: every candidate keeps the constant floor
+        rng = random.Random(617)
+        for m in (1, 3):
+            assert_same(rng, np.zeros((m, r), dtype=np.int64), random_angles(rng, 64, m))
+
+    def test_the_screen_drops_most_lacunary_candidates(self):
+        slopes = np.array([3, 16, 48, 240, 1200])
+        plan = _minimax.vertex_plan(((3,), (16,), (48,), (240,), (1200,)))
+        terms, weights, system, off, div, b, mask, slack, margin, cols = plan
+        psi = np.array([[0.3, 1.1, 2.0, 4.4, 5.9]])
+        y = weights * psi[:, terms].transpose(1, 0, 2)[:, None]
+        cands = (np.take(sum(y[1:], y[0]), system, axis=2) + off[:, None]) / div
+        keep = _minimax._screen(b, cands, psi, np.zeros(1), margin[0] * 5.9 + margin[1])
+        assert len(slopes) * keep.size > _minimax.SCREEN_CUTOVER
+        assert 1 <= keep.sum() <= keep.size // 100
+
+
+class TestVertexSystems:
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_systems_match_the_loop(self, r):
+        rng = random.Random(701 + r)
+        for case in range(40 if r < 4 else 12):
+            m = rng.randint(1, 7 if r < 4 else 6)
+            big = rng.choice([1, 3, 9])
+            rows = [tuple(rng.randint(-big, big) for _ in range(r)) for _ in range(m)]
+            if case % 2 and m > 1:
+                # rank-deficient: a multiple of another row, or a zero row
+                rows[-1] = tuple(rng.choice([0, -2, 3]) * a for a in rows[0])
+            self.check(tuple(rows))
+
+    def test_entries_beyond_int64(self):
+        self.check(((10**12, 3, 1), (5, -10**13, 2), (1, 1, 10**11), (7, 2, -3)))
+        self.check(((10**18, 1), (3, -10**18), (1, 1)))
+
+    @staticmethod
+    def check(key):
+        got = vertex_systems.__wrapped__(key)
+        assert got == oracles.vertex_systems_loop(key), key
+        assert all(type(x) is int for system in got[0]
+                   for x in (system[3], *system[4], *itertools.chain(*system[1], *system[2])))
