@@ -322,11 +322,13 @@ def _cmd_b2(args) -> tuple[int, dict]:
     report = _base_report("b2", args, {
         "set": args.set, **_set_json(group, chars),
     })
+    # one coordinate list per character, keyed by identity: the quadruples
+    # hold the set's own elements
+    coords = {id(g): list(g.free_coords + g.torsion_coords) for g in chars}
     report["result"] = {
         "coincidences": count,
-        "quadruples": [
-            [list(g.free_coords + g.torsion_coords) for g in quad] for quad in quads
-        ],
+        "quadruples": [[coords[id(g1)], coords[id(g2)], coords[id(g3)], coords[id(g4)]]
+                       for g1, g2, g3, g4 in quads],
     }
     report["certification"] = "certified"
     return EXIT_OK, report

@@ -3,9 +3,12 @@
 Everything in this file is deliberately kept separate from the library code
 paths: plain target enumeration, a scalar piecewise-linear minimizer, and a
 dense target grid.  The library is checked against these, never the other
-way around.  Two exceptions are exhaustive forms of faster library code
-(`vertex_systems_loop`, `min_error_box_full`): they share its helpers, and
-the library must give their results bit for bit.
+way around.  Three exceptions are exhaustive forms of faster library code
+(`vertex_systems_loop`, `min_error_box_full`, `separated_set_loop`): they
+share its helpers, and the library must give their results bit for bit.  The arithmetic
+diagnostics (`quasi_direct_loop`, `quasi_mitm_loop`, `b2_loop`) are the
+scalar loops the library's integer-array forms must match in flag,
+witness, count, quadruple order and budget stops.
 """
 from __future__ import annotations
 
@@ -13,6 +16,8 @@ import itertools
 import math
 
 import numpy as np
+
+from kronset.errors import BudgetExceededError
 
 TWO_PI = 2.0 * math.pi
 
@@ -443,6 +448,131 @@ def greedy_separated(points, floor: float):
                >= floor for _, other in kept):
             kept.append((key, args))
     return [key for key, _ in kept]
+
+
+def _signed_sum(chars, indices, signs):
+    group = chars.group
+    free = [0] * group.free_rank
+    tors = [0] * group.torsion_rank
+    for idx, sign in zip(indices, signs):
+        g = chars[idx]
+        for p, a in enumerate(g.free_coords):
+            free[p] += sign * a
+        for p, t in enumerate(g.torsion_coords):
+            tors[p] += sign * t
+    return tuple(free), tuple(t % m for t, m in zip(tors, group.torsion_orders))
+
+
+def _canonical_witness(coeffs) -> tuple[int, ...]:
+    for c in coeffs:
+        if c != 0:
+            return coeffs if c > 0 else tuple(-v for v in coeffs)
+    return coeffs
+
+
+def quasi_direct_loop(chars, budget):
+    """Smallest-support-first search for a {-1,0,1} relation, one signed
+    sum at a time, charging the support size per signing."""
+    m = len(chars)
+    work = 0
+    for size in range(1, m + 1):
+        for support in itertools.combinations(range(m), size):
+            for rest in itertools.product((1, -1), repeat=size - 1):
+                signs = (1,) + rest
+                work += size
+                if work > budget:
+                    raise BudgetExceededError("signed-sum enumeration exceeded budget")
+                free, tors = _signed_sum(chars, support, signs)
+                if not any(free) and not any(tors):
+                    witness = [0] * m
+                    for idx, sign in zip(support, signs):
+                        witness[idx] = sign
+                    return False, tuple(witness)
+    return True, None
+
+
+def quasi_mitm_loop(chars, budget):
+    """Meet-in-the-middle with a dict: every signed sum of the first half
+    keyed to its first signing, the second half scanned for a negation."""
+    m = len(chars)
+    half = (m + 1) // 2
+    left, right = range(half), range(half, m)
+    if 3 ** len(left) * half > budget:
+        raise BudgetExceededError("half-enumeration exceeds budget")
+
+    sums: dict = {}
+    zero_key_nonzero = None
+    for signs in itertools.product((1, 0, -1), repeat=half):
+        key = _signed_sum(chars, left, signs)
+        sums.setdefault(key, signs)
+        if any(signs) and not any(key[0]) and not any(key[1]) and zero_key_nonzero is None:
+            zero_key_nonzero = signs
+    if zero_key_nonzero is not None:
+        witness = tuple(zero_key_nonzero) + (0,) * (m - half)
+        return False, _canonical_witness(witness)
+
+    for signs in itertools.product((1, 0, -1), repeat=m - half):
+        free, tors = _signed_sum(chars, right, signs)
+        need = (tuple(-a for a in free),
+                tuple((-t) % mm for t, mm in zip(tors, chars.group.torsion_orders)))
+        hit = sums.get(need)
+        if hit is None:
+            continue
+        if not any(signs) and not any(hit):
+            continue
+        witness = tuple(hit) + tuple(signs)
+        return False, _canonical_witness(witness)
+    return True, None
+
+
+def b2_loop(chars, budget):
+    """Pair sums bucketed in a dict; coincidences listed bucket by bucket in
+    sorted key order, pairs within a bucket in loop order.  Charges only
+    the pairs."""
+    m = len(chars)
+    n_pairs = m * (m + 1) // 2
+    if n_pairs > budget:
+        raise BudgetExceededError(f"{n_pairs} pairs exceed budget {budget}")
+    by_sum: dict = {}
+    for i in range(m):
+        for j in range(i, m):
+            key = _signed_sum(chars, (i, j), (1, 1))
+            by_sum.setdefault(key, []).append((i, j))
+    count = 0
+    quads = []
+    for key in sorted(by_sum):
+        group = by_sum[key]
+        for (i, j), (k, l) in itertools.combinations(group, 2):
+            count += 1
+            quads.append((chars[i], chars[j], chars[k], chars[l]))
+    return count, quads
+
+
+def separated_set_loop(chars, epsilon: float, grid_cells=None):
+    """The greedy net pass one candidate at a time, with the library's own
+    argument and distance helpers: ((torus angles, torsion selection) of
+    each admitted point, universe size).  The library's chunked pass must
+    give the same points."""
+    from kronset._minimax import _dist_array
+    from kronset.engine import _set_data
+    from kronset.groups import DualPoint, chordal_of_angle
+
+    group = chars.group
+    r = group.free_rank
+    data = _set_data(chars)
+    ranges = [range(grid_cells) for _ in range(r)] + [range(m) for m in group.torsion_orders]
+    admitted, admitted_args = [], []
+    count = 0
+    for combo in itertools.product(*ranges):
+        count += 1
+        point = DualPoint(group, tuple(TWO_PI * t / grid_cells for t in combo[:r]), combo[r:])
+        args = data.point_args(point)
+        if admitted and chordal_of_angle(float(
+                _dist_array(args - np.array(admitted_args)).max(axis=1).min())) < epsilon - 1e-12:
+            continue
+        admitted_args.append(args)
+        admitted.append((point.torus_angles, point.torsion_selections))
+    return admitted, count
 
 
 def mixed_example_error_curve(big_n: int, u_grid: int = 10_000):

@@ -7,6 +7,7 @@ import pytest
 from kronset import SetSpecError, TargetMap, __version__, approx_error
 from kronset import cli
 from kronset.cli import main, parse_set_spec
+from kronset.diagnostics import b2_coincidences
 from kronset.engine import DEFAULT_TOL, LADDER_MAX_ORDER
 from kronset.groups import DualPoint
 from test_engine import Z4_SET
@@ -132,6 +133,14 @@ class TestSubcommands:
                             "--no-timestamp")
         assert code == 0
         assert rep["result"]["coincidences"] == 1
+
+    def test_b2_quadruples_list_coordinates(self, capsys):
+        spec = "Z x Z3 : [1,0],[2,1],[3,2],[4,0],[5,1],[6,2]"
+        code, rep = run_cli(capsys, "b2", "--set", spec, "--no-timestamp")
+        count, quads = b2_coincidences(parse_set_spec(spec)[1], budget=10**8)
+        assert code == 0 and rep["result"]["coincidences"] == count > 0
+        assert rep["result"]["quadruples"] == [
+            [list(g.free_coords + g.torsion_coords) for g in quad] for quad in quads]
 
     def test_classify(self, capsys):
         code, rep = run_cli(capsys, "classify", "--set", "Z : [1],[2]",

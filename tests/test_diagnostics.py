@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 import oracles
@@ -16,6 +17,7 @@ from kronset import (
     WorkStats,
     alpha,
 )
+from kronset import diagnostics
 from kronset.diagnostics import (
     b2_coincidences,
     classify,
@@ -35,6 +37,48 @@ def basis_set(d):
         Character(g, (), tuple(1 if i == j else 0 for i in range(d))) for j in range(d)
     )
     return CharacterSet(g, chars)
+
+
+def random_set(rng, kind, size):
+    """A random set of about `size` distinct characters of one of the test
+    groups; "big" draws entries of Z beyond 2**62 (Python-integer sums)."""
+    if kind in ("Z", "big"):
+        g = GroupSpec(1)
+        if kind == "Z":
+            draw = lambda: ((rng.randint(-12, 12),), ())
+        else:
+            draw = lambda: ((rng.choice((1, -1)) * rng.randint(0, 3) * 2**62
+                             + rng.randint(-3, 3),), ())
+    elif kind == "Z^2":
+        g = GroupSpec(2)
+        draw = lambda: ((rng.randint(-3, 3), rng.randint(-3, 3)), ())
+    elif kind == "ZxZ2^k":
+        k = rng.randint(1, 3)
+        g = GroupSpec(1, (2,) * k)
+        draw = lambda: ((rng.randint(-4, 4),), tuple(rng.randrange(2) for _ in range(k)))
+    elif kind == "Zm":
+        m = rng.randint(2, 40)
+        g = GroupSpec(0, (m,))
+        draw = lambda: ((), (rng.randrange(m),))
+    else:
+        m = rng.randint(2, 7)
+        g = GroupSpec(0, (m, m))
+        draw = lambda: ((), (rng.randrange(m), rng.randrange(m)))
+    elements = sorted({draw() for _ in range(3 * size)})
+    elements = rng.sample(elements, min(size, len(elements)))
+    if rng.random() < 0.2:
+        elements.append((g.zero_character().free_coords, g.zero_character().torsion_coords))
+    return CharacterSet(g, tuple(Character(g, *e) for e in set(elements)))
+
+
+SET_KINDS = ("Z", "big", "Z^2", "ZxZ2^k", "Zm", "Zm^2")
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except BudgetExceededError:
+        return "budget"
 
 
 def synthetic_result(chars, kappa_upper, n=None, kappa_lower=0.0):
@@ -103,6 +147,45 @@ class TestSeparatedSets:
                                                 g.torsion_orders, cells)
                 expected = oracles.greedy_separated(universe, eps - 1e-12)
                 assert [(p.torus_angles, p.torsion_selections) for p in S.points] == expected
+
+    @pytest.mark.parametrize("chunk,block", [(32, 1 << 14), (5, 64), (1, 1)])
+    def test_matches_candidate_loop(self, chunk, block, monkeypatch):
+        # the chunked pass against the candidate-by-candidate one, bit for
+        # bit, across chunk, gap-block and universe-block boundaries
+        monkeypatch.setattr(diagnostics, "NET_CHUNK", chunk)
+        monkeypatch.setattr(diagnostics, "NET_BLOCK", block)
+        monkeypatch.setattr(diagnostics, "TABLE_BLOCK", 97)
+        rng = random.Random(f"net-{chunk}")
+        cases = [(basis_set(6), 1.0, None),
+                 (CharacterSet.of_integers([1, 3, 7]), 0.4, 150),
+                 (CharacterSet.of_integers([2, -5]), 1.9, 200)]
+        for g, cells in ((GroupSpec(2), 9), (GroupSpec(3), 4), (GroupSpec(1, (2, 3)), 11),
+                         (GroupSpec(0, (13, 13)), None)):
+            elements = {(tuple(rng.randint(-4, 4) for _ in range(g.free_rank)),
+                         tuple(rng.randrange(m) for m in g.torsion_orders)) for _ in range(4)}
+            F = CharacterSet(g, tuple(Character(g, *e) for e in sorted(elements)))
+            cases.append((F, rng.uniform(0.2, 1.9), cells))
+        for F, eps, cells in cases:
+            S = maximal_separated_set(F, eps, grid_cells=cells)
+            points, count = oracles.separated_set_loop(F, eps, cells)
+            assert [(p.torus_angles, p.torsion_selections) for p in S.points] == points
+            assert S.universe_size == count
+
+    def test_universe_arguments_are_point_args(self):
+        from kronset.engine import _set_data
+        for g, cells in ((GroupSpec(3), 5), (GroupSpec(1, (2, 2)), 13), (GroupSpec(0, (7, 5)), None)):
+            rng = random.Random(str(g))
+            elements = {(tuple(rng.randint(-9, 9) for _ in range(g.free_rank)),
+                         tuple(rng.randrange(m) for m in g.torsion_orders)) for _ in range(5)}
+            F = CharacterSet(g, tuple(Character(g, *e) for e in sorted(elements)))
+            data = _set_data(F)
+            for rows, angles, args in diagnostics._universe(data, cells, 10**6):
+                for row, angle, arg in zip(rows.tolist(), angles, args):
+                    point = DualPoint(g, tuple(angle.tolist()), row[g.free_rank:])
+                    assert point.torus_angles == tuple(
+                        2.0 * math.pi * t / cells for t in row[:g.free_rank])
+                    assert np.array_equal(arg.view(np.int64),
+                                          data.point_args(point).view(np.int64))
 
     def test_universe_budget(self):
         F = CharacterSet.of_integers([1])
@@ -231,6 +314,129 @@ class TestB2Coincidences:
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             b2_coincidences(CharacterSet.of_integers(list(range(1, 30))), budget=10)
+
+
+def direct_work(m):
+    """What the direct search charges to examine every signed sum of m."""
+    return sum(math.comb(m, k) * 2 ** (k - 1) * k for k in range(1, m + 1))
+
+
+class TestArithmeticArrays:
+    """The integer-array diagnostics against the scalar loops: same flag,
+    witness, count, quadruples in order, and budget stops."""
+
+    @pytest.mark.parametrize("kind", SET_KINDS)
+    def test_quasi_matches_loops(self, kind):
+        rng = random.Random(f"quasi-{kind}")
+        for _ in range(40):
+            F = random_set(rng, kind, rng.randint(1, 9))
+            for method, loop in (("direct", oracles.quasi_direct_loop),
+                                 ("mitm", oracles.quasi_mitm_loop)):
+                assert quasi_independent(F, 10**7, method) == loop(F, 10**7), (F, method)
+
+    @pytest.mark.parametrize("kind", SET_KINDS)
+    def test_b2_matches_loop(self, kind):
+        rng = random.Random(f"b2-{kind}")
+        for _ in range(30):
+            F = random_set(rng, kind, rng.randint(1, 24))
+            count, quads = b2_coincidences(F, 10**7)
+            assert (count, quads) == oracles.b2_loop(F, 10**7), F
+            for g1, g2, g3, g4 in quads:
+                assert g1 + g2 == g3 + g4
+
+    def test_large_runs_keep_loop_order(self):
+        # runs of equal sums far longer than a sort's insertion cutoff:
+        # only a stable sort lists them, and matches them, in loop order
+        g = GroupSpec(0, (7, 7))
+        cube = CharacterSet(g, tuple(Character(g, (), (a, b))
+                                     for a in range(7) for b in range(7)))
+        dense = [CharacterSet.of_integers(range(1, 41)),
+                 CharacterSet.of_integers(range(-15, 16)), cube]
+        for F in dense:
+            assert b2_coincidences(F, 10**8) == oracles.b2_loop(F, 10**8)
+        for F in (CharacterSet.of_integers(range(1, 15)),
+                  CharacterSet.of_integers([3, 5, 6, 9, 10, 12, 17, 20, 24, 33, 40, 48])):
+            assert quasi_independent(F, 10**7, "mitm") == oracles.quasi_mitm_loop(F, 10**7)
+
+    def test_first_left_match(self):
+        # many left signings share each sum; the loop keys a sum to its first
+        rng = random.Random(83)
+        for _ in range(30):
+            F = CharacterSet.of_integers(rng.sample(range(1, 30), rng.randint(6, 12)))
+            assert quasi_independent(F, 10**7, "mitm") == oracles.quasi_mitm_loop(F, 10**7)
+
+    def test_torsion_sums_wrap(self):
+        # relations that exist only modulo the orders
+        g = GroupSpec(1, (5,))
+        F = CharacterSet(g, (Character(g, (1,), (2,)), Character(g, (2,), (4,)),
+                             Character(g, (3,), (1,))))
+        assert quasi_independent(F, method="mitm") == oracles.quasi_mitm_loop(F, 3**16)
+        assert quasi_independent(F, method="direct") == (False, (1, 1, -1))
+        Z9 = GroupSpec(0, (9,))
+        F = CharacterSet(Z9, tuple(Character(Z9, (), (t,)) for t in (1, 4, 7, 8)))
+        assert b2_coincidences(F) == oracles.b2_loop(F, 10**6)
+        assert b2_coincidences(F)[0] > 0
+
+    def test_sums_beyond_int64(self):
+        big = 2**62
+        F = CharacterSet.of_integers([big, big + 1, 2 * big + 1, 3])
+        assert diagnostics._coordinates(F).dtype == object
+        assert quasi_independent(F, method="direct") == (False, (0, 1, 1, -1))
+        assert quasi_independent(F, method="mitm") == oracles.quasi_mitm_loop(F, 3**16)
+        count, quads = b2_coincidences(F)
+        assert (count, quads) == oracles.b2_loop(F, 10**6)
+
+    @pytest.mark.parametrize("kind", SET_KINDS)
+    def test_direct_stops_where_loop_stops(self, kind):
+        rng = random.Random(f"direct-budget-{kind}")
+        for _ in range(6):
+            F = random_set(rng, kind, rng.randint(1, 5))
+            for budget in range(direct_work(len(F)) + 2):
+                assert (outcome(quasi_independent, F, budget, "direct")
+                        == outcome(oracles.quasi_direct_loop, F, budget)), (F, budget)
+
+    def test_direct_blocks_cut_by_budget(self, monkeypatch):
+        # blocks of a few rows split supports and get cut by the budget
+        monkeypatch.setattr(diagnostics, "TABLE_BLOCK", 3)
+        for entries in ([1, 2, 4, 8, 15], [1, 2, 4, 8, 16]):
+            F = CharacterSet.of_integers(entries)
+            for budget in range(direct_work(5) + 2):
+                assert (outcome(quasi_independent, F, budget, "direct")
+                        == outcome(oracles.quasi_direct_loop, F, budget)), budget
+        assert quasi_independent(F, direct_work(5), "direct") == (True, None)
+
+    def test_mitm_budget_boundary(self):
+        for entries in ([1, 2, 4, 8, 16], [1, 2, 3, 5, 8, 13], [2, 3, 7]):
+            F = CharacterSet.of_integers(entries)
+            h = (len(F) + 1) // 2
+            need = 3**h * h
+            with pytest.raises(BudgetExceededError):
+                quasi_independent(F, need - 1, "mitm")
+            assert quasi_independent(F, need, "mitm") == oracles.quasi_mitm_loop(F, need)
+
+    def test_b2_budget_covers_quadruples(self):
+        F = CharacterSet.of_integers(range(1, 21))
+        pairs = 20 * 21 // 2
+        count, quads = b2_coincidences(F, 10**6)
+        assert count == len(quads) > 0
+        with pytest.raises(BudgetExceededError, match="pairs exceed"):
+            b2_coincidences(F, pairs - 1)
+        with pytest.raises(BudgetExceededError, match="coincidences exceed"):
+            b2_coincidences(F, pairs + count - 1)
+        assert b2_coincidences(F, pairs + count) == (count, quads)
+        clean = CharacterSet.of_integers([1, 2, 4, 8])
+        assert b2_coincidences(clean, 10) == (0, [])
+
+    def test_auto_method_rule(self):
+        # "direct" while 3^m * m is within the budget and 3^13, else "mitm"
+        rng = random.Random(89)
+        for m in range(1, 12):
+            F = CharacterSet.of_integers(rng.sample(range(1, 4 * m + 2), m))
+            for budget in (3**m * m - 1, 3**m * m, 3**13, 10**7):
+                direct = 3**m * m <= min(budget, 3**13)
+                loop = oracles.quasi_direct_loop if direct else oracles.quasi_mitm_loop
+                assert (outcome(quasi_independent, F, budget)
+                        == outcome(loop, F, budget)), (m, budget)
 
 
 class TestClassify:
