@@ -9,9 +9,10 @@ form (`min_error_box`, with `min_error_circle` its one-coordinate face).
 Large calls screen the candidates in a cheap pass first and value only the
 survivors exactly; the cut's margin bounds the screen's rounding, so the
 results are those of valuing every candidate.  On a purely torsion dual
-every selection's error is read, a block at a time, from a table of the
-characters' arguments in integer angle units.  Both charge their
-evaluation counts against a budget.
+every selection's error is read, a block of selections and targets at a
+time, from a table of the characters' arguments in integer angle units.
+`min_error_box` charges its evaluations to a budget when given one; the
+torsion search returns each target's charge for its caller to pay.
 """
 from __future__ import annotations
 
@@ -20,8 +21,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-
-from .errors import BudgetExceededError
 
 TWO_PI = 2.0 * math.pi
 #: most torsion selections read (and table rows held) at a time
@@ -283,17 +282,18 @@ def _survivors(cands, keep):
     return out, np.arange(out.shape[2]) < counts[:, None]
 
 
-def min_error_box(free: np.ndarray, psi: np.ndarray, budget, lift_margin=None):
+def min_error_box(free: np.ndarray, psi: np.ndarray, budget=None, lift_margin=None):
     """Exact minimum of s -> max_k dist(A_k.s, psi_k) on the torus, A the
     (m x r) integer matrix `free`, for each row psi[i] of targets.
 
     Returns arrays (s, lower, upper), charging every row its share of the
-    full candidate set, `vertex_systems(key)[1]`, before any work; callers
-    pay for the systems themselves up front (`subset_count`).  s is the
-    least candidate (lexicographically, in B's coordinates t) within 1e-12
-    of the least value, upper attained at s, lower = upper minus the plan's
-    slack.  Given lift_margin (free rank 1 only), also each row's lifts
-    within lift_margin of its minimum (`circle_lifts`).
+    full candidate set, `vertex_systems(key)[1]`, to `budget` (None: the
+    caller has paid) before any work; callers pay for the systems
+    themselves up front (`subset_count`).  s is the least candidate
+    (lexicographically, in B's coordinates t) within 1e-12 of the least
+    value, upper attained at s, lower = upper minus the plan's slack.
+    Given lift_margin (free rank 1 only), also each row's lifts within
+    lift_margin of its minimum (`circle_lifts`).
 
     From SCREEN_CUTOVER evaluations on, `_screen` first drops every
     candidate whose screened value exceeds the row's least by more than the
@@ -306,7 +306,8 @@ def min_error_box(free: np.ndarray, psi: np.ndarray, budget, lift_margin=None):
     """
     key = tuple(map(tuple, free.tolist()))
     cost = vertex_systems(key)[1]
-    budget.charge(len(psi) * cost)
+    if budget is not None:
+        budget.charge(len(psi) * cost)
     terms, weights, system, off, div, b, mask, slack, margin, cols = (
         _small_plan if cost <= CIRCLE_BLOCK else vertex_plan)(key)
     const_err = _dist_array(psi[:, ~mask]).max(axis=1, initial=0.0)
@@ -350,7 +351,7 @@ def min_error_box(free: np.ndarray, psi: np.ndarray, budget, lift_margin=None):
                              for row, c, v, up in zip(psi, cands[0], vals, upper)]
 
 
-def min_error_circle(slopes: np.ndarray, psi: np.ndarray, budget, lift_margin=None):
+def min_error_circle(slopes: np.ndarray, psi: np.ndarray, budget=None, lift_margin=None):
     """`min_error_box` on free rank 1, with the slopes and thetas 1-D."""
     s, *rest = min_error_box(slopes[:, None], psi, budget, lift_margin=lift_margin)
     return (s[:, 0], *rest)
@@ -452,59 +453,43 @@ def exact_dtype(bound: int):
     return np.int64 if bound < 1 << 61 else object
 
 
-def budget_blocks(count: int, cost: int, rows: int, budget):
-    """(start, stop) blocks of rows 0..count-1, at most `rows` at a time and
-    never more than the budget left pays for at `cost` units each, which the
-    caller charges.  With no room left, charges one row, as a loop charging
-    each row would, which raises."""
-    start = 0
-    while start < count:
-        take = min(rows, count - start, max(budget.remaining, 0) // cost)
-        if take == 0:
-            budget.charge(cost)
-        yield start, start + take
-        start += take
+def first_least(errors, count: int, m: int, k: int, limit: int):
+    """Per target of a block of k: the least of its errors over selections
+    0..count-1, the first selection attaining it and its charge, as lists.
 
-
-def first_least(errors, count: int, m: int, budget):
-    """Least of the per-selection errors over selections 0..count-1 and the
-    first selection attaining it.
-
-    errors(start, stop) gives the errors of selections start..stop-1, read
-    in `budget_blocks`.  The charges equal those of a loop that charges m
-    before it evaluates each selection and stops at the first zero error:
-    m per selection read up to that zero (or all of them), and at
-    exhaustion one selection past the room left, which raises.
+    errors(start, stop, live) gives the errors of the targets `live` (a
+    list) at selections start..stop-1, one row per target, read TABLE_BLOCK
+    selections at a time.  A target is charged as a loop that charges m
+    before it evaluates each selection and stops at the first zero error
+    would be: m per selection read up to that zero, or all of them.  A
+    target whose running charge passes `limit` is read no further.
     """
-    best = best_index = None
-    for start, stop in budget_blocks(count, m, TABLE_BLOCK, budget):
-        worst = errors(start, stop)
-        i = int(worst.argmin())
-        if worst[i] == 0:
-            budget.charge((i + 1) * m)
-            return worst[i], start + i
-        budget.charge((stop - start) * m)
-        if best is None or worst[i] < best:
-            best, best_index = worst[i], start + i
-    return best, best_index
+    least, first, charge = [None] * k, [0] * k, [0] * k
+    live = list(range(k))
+    for start in range(0, count, TABLE_BLOCK):
+        if not live:
+            break
+        stop = min(start + TABLE_BLOCK, count)
+        worst = errors(start, stop, live)
+        at = worst.argmin(axis=1)
+        still = []
+        for t, i, value in zip(live, at.tolist(), worst[np.arange(len(live)), at].tolist()):
+            if least[t] is None or value < least[t]:
+                least[t], first[t] = value, start + i
+            charge[t] += (i + 1 if value == 0 else stop - start) * m
+            if value != 0 and charge[t] <= limit:
+                still.append(t)
+        live = still
+    return least, first, charge
 
 
-def solve_torsion_units(table, count: int, scale: int, modulus: int, target_units, budget):
-    """Exact inner minimum on a purely torsion dual, in integer angle units.
-
-    table(start, stop) gives rows start..stop-1 of the selection table: row
-    s holds every character's argument at the s-th torsion selection, in
-    units of a full turn divided by modulus // scale.  target_units[k] is
-    character k's target in units of a full turn divided by `modulus`.
-    Returns (best_units, index of the first best selection), charging as
-    `first_least` does.
-    """
-    dtype = exact_dtype(modulus)
-    t = np.array(target_units, dtype=dtype)
-
-    def errors(start: int, stop: int) -> np.ndarray:
-        e = (t - table(start, stop).astype(dtype) * scale) % modulus
-        return np.minimum(e, modulus - e).max(axis=1)
-
-    units, index = first_least(errors, count, len(t), budget)
-    return int(units), index
+def solve_torsion_units(table, scale: int, modulus: int, targets: np.ndarray,
+                        start: int, stop: int, live: list) -> np.ndarray:
+    """The exact `first_least` errors on a purely torsion dual, in units of
+    a full turn divided by `modulus`, of the rows `live` of `targets` (one
+    target per row, one column per character, of dtype
+    `exact_dtype(modulus)`) at selections start..stop-1.  table(start, stop)
+    gives those rows of the selection table, whose units are `scale` times
+    larger."""
+    e = (targets[live, None, :] - table(start, stop).astype(targets.dtype) * scale) % modulus
+    return np.minimum(e, modulus - e).max(axis=2)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import re
 import sys
 import time
@@ -226,7 +227,7 @@ def _pretty_print(report: dict, indent: int = 0) -> None:
             print(f"{pad}{key}: {value}")
 
 
-def _base_report(command: str, args, input_fields: dict) -> dict:
+def _base_report(command: str, input_fields: dict) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "tool": {"name": "kronset", "version": __version__},
@@ -243,7 +244,7 @@ def _cmd_alpha(args) -> tuple[int, dict]:
     group, chars = parse_set_spec(args.set)
     res = alpha(chars, tol=args.tol, budget=args.budget, threads=args.threads,
                 max_order=args.max_order)
-    report = _base_report(args.command, args, {
+    report = _base_report(args.command, {
         "set": args.set, **_set_json(group, chars),
         "tol": args.tol, "budget": args.budget, "max_order": args.max_order,
     })
@@ -256,7 +257,7 @@ def _cmd_alpha_n(args) -> tuple[int, dict]:
     group, chars = parse_set_spec(args.set)
     res = alpha_n(chars, args.n, tol=args.tol, budget=args.budget,
                   threads=args.threads)
-    report = _base_report("alpha-n", args, {
+    report = _base_report("alpha-n", {
         "set": args.set, **_set_json(group, chars),
         "n": args.n, "tol": args.tol, "budget": args.budget,
     })
@@ -280,7 +281,7 @@ def _cmd_net(args) -> tuple[int, dict]:
     sep = maximal_separated_set(chars, eps, grid_cells=args.grid_cells,
                                 budget=args.universe_budget)
     rep = pisier_report(chars, sep)
-    report = _base_report("net", args, {
+    report = _base_report("net", {
         "set": args.set, **_set_json(group, chars),
         "epsilon": eps, "grid_cells": args.grid_cells,
     })
@@ -307,7 +308,7 @@ def _cmd_net(args) -> tuple[int, dict]:
 def _cmd_quasi(args) -> tuple[int, dict]:
     group, chars = parse_set_spec(args.set)
     flag, witness = quasi_independent(chars, budget=args.budget, method=args.method)
-    report = _base_report("quasi", args, {
+    report = _base_report("quasi", {
         "set": args.set, **_set_json(group, chars), "method": args.method,
     })
     report["result"] = {"quasi_independent": flag,
@@ -319,7 +320,7 @@ def _cmd_quasi(args) -> tuple[int, dict]:
 def _cmd_b2(args) -> tuple[int, dict]:
     group, chars = parse_set_spec(args.set)
     count, quads = b2_coincidences(chars, budget=args.budget)
-    report = _base_report("b2", args, {
+    report = _base_report("b2", {
         "set": args.set, **_set_json(group, chars),
     })
     # one coordinate list per character, keyed by identity: the quadruples
@@ -342,7 +343,7 @@ def _cmd_classify(args) -> tuple[int, dict]:
     roots = [alpha_n(chars, n, tol=args.tol, budget=args.budget,
                      threads=args.threads) for n in orders]
     verdict = classify(chars, alpha_res, roots)
-    report = _base_report("classify", args, {
+    report = _base_report("classify", {
         "set": args.set, **_set_json(group, chars),
         "orders": orders, "tol": args.tol, "budget": args.budget,
     })
@@ -380,30 +381,36 @@ def _verification_json(rep) -> dict:
 
 
 def _sweep_values(spec: str) -> list[float]:
+    """The ratios q > 1 of a finite start:stop:step sweep, at least one."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise SetSpecError("sweep spec must be start:stop:step")
     start, stop, step = (float(p) for p in parts)
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise SetSpecError("sweep start, stop and step must be finite")
     if step <= 0:
         raise SetSpecError("sweep step must be positive")
     out = []
     q = start
     while q <= stop + 1e-9:
-        out.append(round(q, 10))
+        if q > 1.0:
+            out.append(round(q, 10))
+        if q + step == q:
+            raise SetSpecError("sweep step is too small to advance")
         q += step
+    if not out:
+        raise SetSpecError("sweep has no ratio q > 1")
     return out
 
 
 def _cmd_gallery(args) -> tuple[int, dict]:
-    report = _base_report("gallery", args, {
+    report = _base_report("gallery", {
         "example": args.example, "tol": args.tol, "budget": args.budget,
     })
     if args.example == "hadamard" and args.sweep_q:
         rows = []
         verdicts = []
         for q in _sweep_values(args.sweep_q):
-            if q <= 1.0:
-                continue
             spec = ExampleSpec.hadamard(q, args.length, args.start)
             rep = verify_example(spec, tol=args.tol, budget=args.budget)
             verdicts.append(rep.passed)

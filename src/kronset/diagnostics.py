@@ -45,8 +45,9 @@ NET_BLOCK = 1 << 14
 
 
 def roots_threshold(n: int) -> float:
-    """|1 - e^{i pi (1 - 1/n)}|, the chordal distance from 1 to the farthest
-    n-th root of unity."""
+    """2 sin(pi (1 - 1/n) / 2) = |1 - e^{i pi (1 - 1/n)}|, the chord of an
+    arc of pi (1 - 1/n).  For odd n it is the distance from 1 to the
+    farthest n-th root of unity; for even n that root is -1, at distance 2."""
     if n < 2:
         raise ValueError("root order must be >= 2")
     return chordal_of_angle(math.pi * (1.0 - 1.0 / n))
@@ -96,8 +97,8 @@ def _universe(data, grid_cells: int | None, budget: int):
     """Candidate dual points in canonical order (exact torsion exhaustion,
     an evenly spaced grid on each torus coordinate), TABLE_BLOCK at a time:
     yields each block's rows of grid and torsion indices (see
-    `mixed_radix_rows`), torus angles and character arguments, the latter
-    equal to `_SetData.point_args` bit for bit."""
+    `mixed_radix_rows`), torus angles and character arguments
+    (`_SetData.args_at`)."""
     r = data.r
     if r > 0 and (not grid_cells or grid_cells < 1):
         raise ValueError("groups with free rank need a torus grid resolution")
@@ -108,11 +109,7 @@ def _universe(data, grid_cells: int | None, budget: int):
     for start in range(0, size, TABLE_BLOCK):
         rows = mixed_radix_rows(radices, start, min(start + TABLE_BLOCK, size))
         angles = TWO_PI * rows[:, :r] / grid_cells if r else np.zeros((len(rows), 0))
-        sel = rows[:, r:].astype(np.float64)
-        # the stacked matmuls give free @ angles and tau @ selection bit for bit
-        args = (np.matmul(data.free, angles[:, :, None])[:, :, 0]
-                + np.matmul(data.tau, sel[:, :, None])[:, :, 0])
-        yield rows, angles, args
+        yield rows, angles, data.args_at(angles, rows[:, r:].astype(np.float64))
 
 
 def _gaps(args: np.ndarray, points: np.ndarray) -> np.ndarray:

@@ -33,7 +33,6 @@ from ._minimax import (
     LIFT_EPS,
     TABLE_BLOCK,
     _dist_array,
-    budget_blocks,
     exact_dtype,
     first_least,
     line_distances,
@@ -283,10 +282,17 @@ class _SetData:
             self._table = rows
         return rows
 
+    def args_at(self, angles: np.ndarray | None, sel: np.ndarray) -> np.ndarray:
+        """arg gamma at rows of dual points, one row per point: torus angles
+        (k x r; None for all zero) and torsion selections (k x s, as
+        floats), by the stacked matmuls free @ angles + tau @ selection."""
+        args = np.matmul(self.tau, sel[:, :, None])[:, :, 0]
+        return args if angles is None else np.matmul(self.free, angles[:, :, None])[:, :, 0] + args
+
     def point_args(self, point: DualPoint) -> np.ndarray:
-        """arg gamma(point) for every character, vectorized."""
-        return (self.free @ np.asarray(point.torus_angles, dtype=np.float64)
-                + self.tau @ np.asarray(point.torsion_selections, dtype=np.float64))
+        """arg gamma(point) for every character (see `args_at`)."""
+        return self.args_at(np.array([point.torus_angles], dtype=np.float64),
+                            np.array([point.torsion_selections], dtype=np.float64))[0]
 
 
 @lru_cache(maxsize=256)
@@ -315,60 +321,85 @@ def _solve_target(data: _SetData, angles: np.ndarray, grid, budget: Budget,
     which unlocks exact integer arithmetic on purely torsion groups.
     Returns (lower, upper, DualPoint, exact_turns | None, lifts), lifts
     being the circle lifts within lift_margin of the value for a set in Z
-    (see `_minimax.circle_lifts`), else None.  A free part: `_solve_free`.
+    (see `_minimax.circle_lifts`), else None.  The budget pays the target's
+    charge (see `_solve_rows`) before it is solved; one it cannot pay is
+    charged to one unit (`_block_targets`) past the room left, which raises.
     """
-    group = data.chars.group
-    if data.r == 0:
-        if grid is not None:
-            n, indices = grid
-            modulus = math.lcm(data.lcm, n)
-            targets = [j * (modulus // n) for j in indices]
-            units, index = solve_torsion_units(data.torsion_table, data.selection_count,
-                                               modulus // data.lcm, modulus, targets, budget)
-            val = math.tau * units / modulus
-            return (val, val, DualPoint(group, (), data.selection(index)),
-                    Fraction(units, modulus), None)
+    n, indices = grid or (None, None)
+    solved, = _solve_rows(data, angles[None], n, [indices], budget.remaining, lift_margin)
+    if solved is None:
+        unit = _block_targets(data)[1]
+        budget.charge((max(budget.remaining, 0) // unit + 1) * unit)
+    solution, charge = solved
+    budget.charge(charge)
+    return solution
 
-        def errors(start: int, stop: int) -> np.ndarray:
+
+def _solve_rows(data: _SetData, angles: np.ndarray, n: int | None, indices,
+                limit: int, lift_margin: float | None = None) -> list:
+    """`_solve_target` on each row of target angles while `limit` pays
+    for their charges: (solution, charge) per target, and None from the
+    first target it cannot pay on.
+
+    With a free part a target is charged a unit per selection, so the paid
+    targets are known before `_solve_free` solves them.  On a purely
+    torsion set it is charged m per selection read up to its first zero
+    error (`first_least`), in one pass over the selection table for all
+    targets, in exact integer units when they lie on the order-n grid
+    (`indices` their grid rows; n None: float angles).
+    """
+    if data.r:
+        cost = data.selection_count * _block_targets(data)[1]
+        paid = angles[:max(limit, 0) // cost]
+        solved = [(solution, cost) for solution in _solve_free(data, paid, lift_margin)]
+        return solved + [None] * (len(angles) - len(solved))
+    if n is None:
+        def errors(start: int, stop: int, live: list) -> np.ndarray:
             args = TWO_PI * data.torsion_table(start, stop) / data.lcm
-            return _dist_array(angles - args).max(axis=1)
+            return _dist_array(angles[live, None, :] - args).max(axis=2)
+    else:
+        modulus = math.lcm(data.lcm, n)
+        targets = np.array([[j * (modulus // n) for j in row] for row in indices],
+                           dtype=exact_dtype(modulus)).reshape(len(indices), data.m)
+        errors = partial(solve_torsion_units, data.torsion_table, modulus // data.lcm,
+                         modulus, targets)
+    least, first, charge = first_least(errors, data.selection_count, data.m, len(angles),
+                                       limit)
+    solved = []
+    for value, index, cost, spent in zip(least, first, charge, itertools.accumulate(charge)):
+        if spent > limit:
+            break
+        exact = None if n is None else Fraction(value, modulus)
+        value = value if n is None else math.tau * value / modulus
+        point = DualPoint(data.chars.group, (), data.selection(index))
+        solved.append(((value, value, point, exact, None), cost))
+    return solved + [None] * (len(angles) - len(solved))
 
-        val, index = first_least(errors, data.selection_count, data.m, budget)
-        val = float(val)
-        return val, val, DualPoint(group, (), data.selection(index)), None, None
-    return _solve_free(data, angles[None], budget, lift_margin=lift_margin)[0]
 
-
-def _solve_free(data: _SetData, angles: np.ndarray, budget: Budget,
+def _solve_free(data: _SetData, angles: np.ndarray,
                 lift_margin: float | None = None) -> list:
-    """`_solve_target` on each row of target angles of a set with a free part.
+    """The solutions of `_solve_target` for each row of target angles of a
+    set with a free part, charges paid by the caller.
 
-    Each (target, selection) pair is one `min_error_box` row.  A call
-    takes whole targets, at most `_block_targets` and what the budget left
-    pays for, while one target's rows fit in a block of selections (at most
-    TABLE_BLOCK and CIRCLE_BLOCK elements), else a block of one target's
-    selections from `budget_blocks`; so the charges are those of a loop that
-    charges each row before solving it, one row past the room at exhaustion.
+    Each (target, selection) pair is one `min_error_box` row.  A call takes
+    `_block_targets` targets and a block of their selections, at most
+    TABLE_BLOCK and CIRCLE_BLOCK elements.
     """
-    size, cost = _block_targets(data)
+    size, unit = _block_targets(data)
     count = data.selection_count
-    row_cost = cost // count
-    rows = max(1, min(TABLE_BLOCK, CIRCLE_BLOCK // row_cost))
+    rows = max(1, min(TABLE_BLOCK, CIRCLE_BLOCK // unit))
     k = len(angles)
     lower, upper, theta = np.full(k, math.inf), np.full(k, math.inf), np.zeros((k, data.r))
     chosen = np.zeros((k, data.s), dtype=exact_dtype(count))
     lifts = [None] * k
-    t = 0
-    while t < k:
-        whole = min(size, k - t, max(budget.remaining, 0) // cost) if count <= rows else 0
-        g = whole or 1
-        for start, stop in [(0, count)] if whole else budget_blocks(count, row_cost, rows, budget):
-            sel = data.selection_rows(start, stop)
-            # the stacked matmul shifts each row as tau @ selection does, bit for bit
-            shifts = np.matmul(data.tau, sel.astype(np.float64)[:, :, None])[:, :, 0]
+    for t in range(0, k, size):
+        g = min(size, k - t)
+        for start in range(0, count, rows):
+            sel = data.selection_rows(start, min(start + rows, count))
+            shifts = data.args_at(None, sel.astype(np.float64))
             psi = (angles[t:t + g, None, :] - shifts).reshape(-1, data.m)
-            out = (min_error_box(data.free, psi, budget) if data.r > 1 else min_error_circle(
-                data.slopes, psi, budget, lift_margin=None if data.s else lift_margin))
+            out = (min_error_box(data.free, psi, None) if data.r > 1 else min_error_circle(
+                data.slopes, psi, None, lift_margin=None if data.s else lift_margin))
             th, lo, up = out[0].reshape(g, -1, data.r), *(v.reshape(g, -1) for v in out[1:3])
             pick = np.arange(g), up.argmin(axis=1)
             np.minimum(lower[t:t + g], lo.min(axis=1), out=lower[t:t + g])
@@ -378,7 +409,6 @@ def _solve_free(data: _SetData, angles: np.ndarray, budget: Budget,
                 best[t:t + g][better] = new[better]
             if len(out) > 3:
                 lifts[t:t + g] = out[3]
-        t += g
     return [(lo, up, DualPoint(data.chars.group, tuple(th), tuple(sel)), None, lift)
             for lo, up, th, sel, lift in zip(lower.tolist(), upper.tolist(), theta.tolist(),
                                              chosen.tolist(), lifts)]
@@ -814,15 +844,13 @@ def _probe_bounds(angles: np.ndarray, probes: np.ndarray, radius: float, lower: 
 
 
 def _block_targets(data: _SetData) -> tuple[int, int]:
-    """(targets, cost) on a set with a free part: how many targets
-    `_solve_free` takes per kernel call, as many as keep their rows (one per
-    target and torsion selection) within CIRCLE_BLOCK elements but at least
-    1, and the budget units each target is charged.  (0, 0) on a purely
-    torsion set, whose targets are solved one at a time."""
-    if not data.r:
-        return 0, 0
-    cost = data.selection_count * vertex_systems(data.free_key)[1]
-    return max(1, CIRCLE_BLOCK // cost), cost
+    """(targets, unit): how many targets `_solve_rows` takes per call, as
+    many as keep one element per target, selection and unit within
+    CIRCLE_BLOCK but at least 1, and the budget units one selection of a
+    target is charged: m on a purely torsion set, the vertex candidates of
+    a row (`vertex_systems`) on a set with a free part."""
+    unit = vertex_systems(data.free_key)[1] if data.r else data.m
+    return max(1, CIRCLE_BLOCK // (data.selection_count * unit)), unit
 
 
 def _solve_run(chars: CharacterSet, n: int, limit: int, run,
@@ -832,31 +860,22 @@ def _solve_run(chars: CharacterSet, n: int, limit: int, run,
     process or in a pool worker.  Per target: its verdict (see
     `_probe_bounds`) against the scan's probes and lower end as they stood
     when the run was read, None without an incumbent; and its (solution,
-    budget units charged), or None for a target the verdict closes (the
-    scan will most likely prune it, and solves it itself otherwise) or one
-    that would take the run past `limit`.  On a set with a free part the
-    targets that fit in the limit go through one `_solve_free` call."""
+    budget units charged) from one `_solve_rows` call, or None for a target
+    the verdict closes (the scan will most likely prune it, and solves it
+    itself otherwise) or one that would take the run past `limit`.  A limit
+    that cannot pay the largest charge of one target leaves every target to
+    the scan, so a target the budget cannot pay is read only once."""
     data = _set_data(chars)
     angles = np.array(run, dtype=np.float64).reshape(len(run), data.m) * (TWO_PI / n)
     verdicts = ([None] * len(run) if lower is None
                 else _probe_bounds(angles, probes, radius, lower, slack))
     todo = [t for t, verdict in enumerate(verdicts) if verdict is None or verdict[0] is None]
+    if data.selection_count * _block_targets(data)[1] > limit:
+        todo = []
     solved = [None] * len(run)
-    budget = Budget(limit)
-    if data.r:
-        cost = _block_targets(data)[1]
-        todo = todo[:max(limit, 0) // cost]
-        for t, solution in zip(todo, _solve_free(data, angles[todo], budget,
-                                                 lift_margin=lift_margin)):
-            solved[t] = (solution, cost)
-    else:
-        for t in todo:
-            used = budget.used
-            try:
-                solution = _solve_target(data, angles[t], (n, run[t]), budget)
-            except BudgetExceededError:
-                break
-            solved[t] = (solution, budget.used - used)
+    for t, solution in zip(todo, _solve_rows(data, angles[todo], n, [run[t] for t in todo],
+                                             limit, lift_margin)):
+        solved[t] = solution
     return list(zip(verdicts, solved))
 
 
@@ -871,18 +890,13 @@ def _solved_ahead(scan: _Scan, n: int, items, lift_margin: float | None = None,
     Runs in flight are each capped by the budget left when read: with a
     pool 2*threads runs, doubling from one target up to MAX_RUN so short
     scans still use every worker; without, one run of `_block_targets`
-    targets, solved in the scan's process once the run before it is decided
-    (on a purely torsion set the items pass on unsolved).  `_scan_targets`
-    takes the decisions in scan order either way, so results do not depend
-    on the block size or the thread count."""
-    size = _block_targets(scan.data)[0]
+    targets, solved in the scan's process once the run before it is
+    decided.  `_scan_targets` takes the decisions in scan order either way,
+    so results do not depend on the block size or the thread count."""
     if scan.pool is not None:
         depth, sizes = 2 * scan.threads, (min(1 << i, MAX_RUN) for i in itertools.count())
-    elif size:
-        depth, sizes = 1, itertools.repeat(size)
     else:
-        yield from ((indices, solved, None) for indices, solved in items)
-        return
+        depth, sizes = 1, itertools.repeat(_block_targets(scan.data)[0])
 
     def read(count: int):
         run = list(itertools.islice(items, count))

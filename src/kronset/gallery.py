@@ -10,16 +10,18 @@ only bound the full-set constants from below.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Any
 
 import numpy as np
 
 from ._minimax import _dist_array
+from .diagnostics import quasi_independent
 from .engine import (
     DEFAULT_BUDGET,
     DEFAULT_TOL,
+    ErrorBracket,
     TargetMap,
     _set_data,
     alpha,
@@ -185,8 +187,6 @@ def coset_alpha_series(n: int, truncations, tol: float = DEFAULT_TOL,
     worst target, which keeps certified lower bounds nondecreasing even
     when a budget stops the scan early.
     """
-    from dataclasses import replace
-
     results = []
     prev = None
     floor = 0.0
@@ -204,7 +204,6 @@ def coset_alpha_series(n: int, truncations, tol: float = DEFAULT_TOL,
         if res.alpha.lower < floor:
             # nested sets have nondecreasing constants, so the previous
             # certified lower bound stays valid and absorbs slack jitter
-            from .engine import ErrorBracket
             res = replace(res, alpha=ErrorBracket(min(floor, res.alpha.upper),
                                                   res.alpha.upper,
                                                   res.alpha.exact_turns))
@@ -317,7 +316,6 @@ def _verify_coset(spec, tol, budget) -> VerificationReport:
 def _verify_mixed(spec, tol, budget) -> VerificationReport:
     big_n = spec.big_n
     half_pos, half_neg, union = _mixed_sets(big_n)
-    from .diagnostics import quasi_independent
 
     checks = []
     data: dict = {"big_n": big_n}
@@ -368,7 +366,6 @@ def _verify_hadamard(spec, tol, budget) -> VerificationReport:
         "gap", "consecutive ratios >= q", ratios,
         all(r >= q - 1e-12 for r in ratios)))
 
-    from .diagnostics import quasi_independent
     qi, _ = quasi_independent(chars)
     checks.append(CheckRecord(
         "quasi-independence", "expected for q >= 3", qi,

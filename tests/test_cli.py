@@ -166,6 +166,23 @@ class TestSubcommands:
         assert text[0].startswith("q,length,start,alpha_lower")
         assert len(text) == 3
 
+    @pytest.mark.parametrize("sweep, message", [
+        ("0.5:1:0.5", "no ratio q > 1"),
+        ("2:inf:1", "must be finite"),
+        ("nan:3:1", "must be finite"),
+        ("2:3:inf", "must be finite"),
+        ("2:3:1e-300", "too small to advance"),
+        ("3:4:0", "must be positive"),
+    ])
+    @pytest.mark.parametrize("csv", [False, True])
+    def test_gallery_sweep_without_ratios_exit_2(self, capsys, tmp_path, sweep, message, csv):
+        out = tmp_path / "sweep.csv"
+        argv = ["gallery", "--example", "hadamard", "--sweep-q", sweep, "--no-timestamp"]
+        assert main(argv + (["--csv", str(out)] if csv else [])) == 2
+        printed = capsys.readouterr()
+        assert printed.out == "" and message in printed.err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["alpha", "--set", "Z : [1],[2]", "--budget", "-1"],
         ["alpha-n", "--set", "Z : [1],[2]", "--n", "3", "--budget", "-1"],

@@ -238,16 +238,15 @@ class TestTorsionTable:
     GROUPS = ((12,), (5, 5), (4, 6))
 
     @staticmethod
-    def solve(data, n, indices, budget):
-        """`_solve_target`'s call of the table solver, with the arguments
-        the reference loop takes for the same target."""
+    def solve(data, n, rows, limit):
+        """`_solve_rows` on a block of grid targets, with the arguments the
+        reference loop takes for each of them."""
+        angles = np.array(rows, dtype=np.float64).reshape(len(rows), len(data.chars))
+        got = engine._solve_rows(data, angles * (TWO_PI / n), n, rows, limit)
         modulus = math.lcm(data.lcm, n)
         scale = modulus // data.lcm
-        targets = [j * (modulus // n) for j in indices]
-        got = _minimax.solve_torsion_units(data.torsion_table, data.selection_count, scale,
-                                           modulus, targets, budget)
-        rows = [tuple(u * scale for u in row) for row in data.unit_rows]
-        return got, (rows, modulus, targets)
+        unit_rows = [tuple(u * scale for u in row) for row in data.unit_rows]
+        return got, [(unit_rows, modulus, [j * (modulus // n) for j in idx]) for idx in rows]
 
     def test_exact_values_and_first_selection(self):
         rng = random.Random(43)
@@ -270,37 +269,53 @@ class TestTorsionTable:
             monkeypatch.setattr(_minimax, "TABLE_BLOCK", block)
             monkeypatch.setattr(engine, "TABLE_BLOCK", block)
         rng = random.Random(47)
-        stops = set()
+        stops, cuts = set(), set()
         for orders in self.GROUPS:
             g = GroupSpec(0, orders)
             for n in (3, 4, 6):
                 for _ in range(6):
                     E = random_group_set(rng, g)
                     data = engine._SetData(E)
-                    idx = [rng.randrange(n) for _ in E]
-                    if rng.random() < 0.5:
-                        # a target attained by some selection stops at a zero
-                        sel = data.selection(rng.randrange(data.selection_count))
-                        turns = [c.torsion_turns(sel) * n for c in E]
-                        if all(t.denominator == 1 for t in turns):
-                            idx = [int(t) % n for t in turns]
-                    full = Budget(10**9)
-                    (units, index), args = self.solve(data, n, idx, full)
-                    ref = Budget(10**9)
-                    ref_units, ref_sel = oracles.torsion_units_loop(
-                        *args, itertools.product(*map(range, orders)), ref)
-                    assert (units, data.selection(index)) == (ref_units, ref_sel)
-                    assert full.used == ref.used
-                    stops.add(units == 0)
-                    limit = rng.randrange(full.used)
-                    short, ref = Budget(limit), Budget(limit)
+                    rows = []
+                    for _ in range(rng.randint(1, 6)):
+                        idx = [rng.randrange(n) for _ in E]
+                        if rng.random() < 0.5:
+                            # a target attained by some selection stops at a zero
+                            sel = data.selection(rng.randrange(data.selection_count))
+                            turns = [c.torsion_turns(sel) * n for c in E]
+                            if all(t.denominator == 1 for t in turns):
+                                idx = [int(t) % n for t in turns]
+                        rows.append(tuple(idx))
+                    got, args = self.solve(data, n, rows, 10**9)
+                    refs = []
+                    for (solution, charge), arg in zip(got, args):
+                        ref = Budget(10**9)
+                        units, sel = oracles.torsion_units_loop(
+                            *arg, itertools.product(*map(range, orders)), ref)
+                        assert solution[3] == Fraction(units, arg[1])
+                        assert solution[2].torsion_selections == sel
+                        assert charge == ref.used
+                        stops.add(units == 0)
+                        refs.append(charge)
+                    # cut short: the targets the limit pays, then None; a scan
+                    # solving them in turn stops where the loop's charges do
+                    limit = rng.randrange(sum(refs))
+                    paid = len(list(itertools.takewhile(
+                        lambda total: total <= limit, itertools.accumulate(refs))))
+                    short, _ = self.solve(data, n, rows, limit)
+                    assert short == got[:paid] + [None] * (len(rows) - paid)
+                    cuts.add(paid > 0)
+                    scan, ref = Budget(limit), Budget(limit)
                     with pytest.raises(BudgetExceededError):
-                        self.solve(data, n, idx, short)
+                        for idx in rows:
+                            engine._solve_target(data, np.array(idx) * (TWO_PI / n), (n, idx),
+                                                 scan)
                     with pytest.raises(BudgetExceededError):
-                        oracles.torsion_units_loop(
-                            *args, itertools.product(*map(range, orders)), ref)
-                    assert short.used == ref.used
-        assert stops == {True, False}
+                        for arg in args:
+                            oracles.torsion_units_loop(
+                                *arg, itertools.product(*map(range, orders)), ref)
+                    assert scan.used == ref.used
+        assert stops == {True, False} and cuts == {True, False}
 
     def test_budget_is_consulted_before_the_table_is_built(self):
         # 2^24 selections: a table built whole would take about 400 MB
@@ -315,6 +330,30 @@ class TestTorsionTable:
             tracemalloc.stop()
         assert res.work.stop_reason == "budget"
         assert peak < 64 * 2**20
+
+    def test_orders_beyond_int64(self, monkeypatch):
+        # 2^64 selections and a modulus of 3 * 2^64: selection indices,
+        # targets and charges take Python integers.  The all-zero target
+        # stops at selection 0 (3 units); the next one is charged to one
+        # selection past the room left, and read once, to the first block of
+        # 4096 selections that passes the 99,997 units left (the ninth)
+        reads = []
+
+        def spy(table, scale, modulus, targets, start, stop, live):
+            reads.append((start, stop))
+            return _minimax.solve_torsion_units(table, scale, modulus, targets, start, stop,
+                                                live)
+
+        monkeypatch.setattr(engine, "solve_torsion_units", spy)
+        g = GroupSpec(0, (2**64,))
+        E = CharacterSet(g, tuple(Character(g, (), (u,)) for u in (1, 3, 2**40 + 5)))
+        res = alpha_n(E, 3, budget=10**5)
+        assert (res.work.targets_enumerated, res.work.inner_evals) == (1, 100002)
+        assert reads == [(0, 4096)] + [(b << 12, (b + 1) << 12) for b in range(9)]
+        assert res.work.stop_reason == "budget" and res.alpha.lower == 0.0
+        phi = TargetMap.from_grid(E, 3, (1, 2, 0))
+        with pytest.raises(BudgetExceededError):
+            best_point(E, phi, budget=10**4)
 
 
 class TestAlphaN:
@@ -485,21 +524,27 @@ class TestAlphaN:
 
 
 class TestScanBlocks:
-    """Scans of sets with a free part solve their targets ahead a block at a
-    time, and read the probes of a block at once; the scan still takes every
-    decision in turn, so no result, witness or charge depends on the block
-    size."""
+    """Scans solve their targets ahead a block at a time, and read the
+    probes of a block at once; the scan still takes every decision in turn,
+    so no result, witness or charge depends on the block size."""
 
     block_targets = staticmethod(engine._block_targets)
 
     @classmethod
     def blocks_of(cls, patch, size):
-        # at most `size` targets a block; 0 solves and probes each in turn,
-        # and `_solve_free` then takes one target's selections per call
+        # at most `size` targets a block; 0 feeds the scan its targets
+        # unsolved, so it solves and probes each in turn itself
         def capped(data):
-            targets, cost = cls.block_targets(data)
-            return min(targets, size), cost
-        patch.setattr(engine, "_block_targets", capped)
+            targets, unit = cls.block_targets(data)
+            return min(targets, size), unit
+
+        def unsolved(scan, n, items, *args):
+            yield from ((indices, solved, None) for indices, solved in items)
+
+        if size:
+            patch.setattr(engine, "_block_targets", capped)
+        else:
+            patch.setattr(engine, "_solved_ahead", unsolved)
 
     @staticmethod
     def random_rank1_set(rng, group, zero=False, most=5):
@@ -522,8 +567,9 @@ class TestScanBlocks:
         rng = random.Random(401)
         groups = [GroupSpec(1), GroupSpec(1, (2,)), GroupSpec(1, (2, 2)),
                   GroupSpec(1, (2, 2, 2)), GroupSpec(1, (3, 4))]
+        torsion = [GroupSpec(0, (12,)), GroupSpec(0, (5, 5)), GroupSpec(0, (4, 6))]
         cases = []
-        for g in groups + [GroupSpec(2), GroupSpec(2, (2,))]:
+        for g in groups + [GroupSpec(2), GroupSpec(2, (2,))] + torsion:
             for zero in (False, True):
                 E = (self.random_rank1_set if g.free_rank == 1 else random_group_set)(rng, g, zero)
                 n = rng.choice((3, 4, 5, 8))
@@ -534,12 +580,16 @@ class TestScanBlocks:
                 cases.append((E, n, kw))
                 # budgets that stop the scan inside a block, and before it
                 cases += [(E, n, dict(kw, budget=rng.randint(1, used - 1))) for _ in range(3)]
-        batched = 0
+        batched = inside = 0
         for E, n, kw in cases:
+            want = alpha_n(E, n, **kw)
             self.assert_same_at_every_block_size(
-                monkeypatch, lambda **more: alpha_n(E, n, **kw, **more), alpha_n(E, n, **kw))
+                monkeypatch, lambda **more: alpha_n(E, n, **kw, **more), want)
             batched += engine._block_targets(engine._set_data(E))[0] > 1
-        assert batched >= 8
+            # a torsion scan's targets all fit in its first block
+            inside += (not E.group.free_rank and want.work.budget_exhausted
+                       and want.work.targets_enumerated > 0)
+        assert batched >= 8 and inside >= 3, (batched, inside)
         # alpha: sets of more than LIFT_MAX_SIZE characters, lifted scans on
         # pairs and triples in Z, and sets of up to three characters in Z x Z2
         sets = [CharacterSet.of_integers([1, 2, 3, 5])]
@@ -581,17 +631,19 @@ class TestScanBlocks:
         for _ in range(1 if wide else 12):
             E = self.random_rank1_set(rng, g)
             data = engine._SetData(E)
-            size, cost = engine._block_targets(data)
+            cost = data.selection_count * engine._block_targets(data)[1]
             assert (cost > _minimax.CIRCLE_BLOCK) == wide
             margin = rng.choice([None, 0.1, 0.4]) if not orders else None
             n = rng.choice((3, 4, 5, 8))
             targets = 2 if wide else rng.randint(1, 6)
             run = [tuple(rng.randrange(n) for _ in E) for _ in range(targets)]
             angles = np.array(run, dtype=np.float64) * (TWO_PI / n)
-            block, ref = Budget(10**9), Budget(10**9)
-            got = engine._solve_free(data, angles, block, lift_margin=margin)
+            ref = Budget(10**9)
+            solved = engine._solve_rows(data, angles, n, run, 10**9, margin)
             want = [self.reference(E, a, ref) for a in angles]
-            assert block.used == ref.used == len(run) * cost
+            assert [charge for _, charge in solved] == [cost] * len(run)
+            assert ref.used == len(run) * cost
+            got = [solution for solution, _ in solved]
             for a, (lo, up, point, exact, lifts), (ref_lo, ref_up, theta, sel) in zip(
                     angles, got, want):
                 ref_point = DualPoint(g, (theta,), sel)
@@ -605,11 +657,18 @@ class TestScanBlocks:
                 if lifts is not None:
                     assert np.array_equal(lifts[0], row_lifts[0])
                     assert bits(lifts[1]) == bits(row_lifts[1])
-            # cut short: charged as the loop over the rows, one row past the room
-            limit = rng.randrange(block.used)
+            # cut short: the targets the limit pays, then None; a scan solving
+            # them in turn is charged as the loop over the rows, one row past
+            # the room
+            limit = rng.randrange(ref.used)
+            paid = limit // cost
+            short = engine._solve_rows(data, angles, n, run, limit, margin)
+            assert [s is None for s in short] == [t >= paid for t in range(len(run))]
+            assert [s[0][:4] for s in short[:paid]] == [s[:4] for s in got[:paid]]
             short, ref = Budget(limit), Budget(limit)
             with pytest.raises(BudgetExceededError):
-                engine._solve_free(data, angles, short, lift_margin=margin)
+                for a in angles:
+                    engine._solve_target(data, a, None, short, margin)
             with pytest.raises(BudgetExceededError):
                 for a in angles:
                     self.reference(E, a, ref)
@@ -617,7 +676,7 @@ class TestScanBlocks:
             if margin is not None:
                 continue
             # the worker returns the same solutions, cut before the run passes its limit
-            limit = rng.randrange(block.used + 1)
+            limit = rng.randrange(len(run) * cost + 1)
             solved = engine._solve_run(E, n, limit, run)
             assert solved == [(None, (s, cost) if t < limit // cost else None)
                               for t, s in enumerate(got)]
@@ -1571,3 +1630,25 @@ class TestStructures:
                 assert np.array_equal(got, want), (E, x)
                 assert np.allclose([angular_distance(a, evaluate_arg(c, x))
                                     for a, c in zip(got, E)], 0.0, atol=1e-12)
+
+    def test_rows_of_points_match_one_point_at_a_time(self):
+        # `args_at` on a block of points gives, bit for bit, free @ angles +
+        # tau @ selection of each point alone, and tau @ selection alone
+        # without angles (the torsion shifts of the free-part solve)
+        rng = random.Random(113)
+        bits = lambda xs: np.asarray(xs, dtype=np.float64).view(np.int64).tolist()
+        groups = [GroupSpec(1), GroupSpec(3), GroupSpec(0, (4, 6)), GroupSpec(1, (2, 3)),
+                  GroupSpec(2, (5,))]
+        for g in groups:
+            for _ in range(6):
+                E = random_group_set(rng, g)
+                data = engine._SetData(E)
+                k = rng.randint(1, 40)
+                angles = np.array([[rng.uniform(0, TWO_PI) for _ in range(g.free_rank)]
+                                   for _ in range(k)]).reshape(k, g.free_rank)
+                sel = np.array([[rng.randrange(m) for m in g.torsion_orders]
+                                for _ in range(k)], dtype=np.float64).reshape(k, g.torsion_rank)
+                want = [data.free @ a + data.tau @ t for a, t in zip(angles, sel)]
+                assert bits(data.args_at(angles, sel)) == bits(want), E
+                shifts = data.args_at(None, sel)
+                assert bits(shifts) == bits([data.tau @ t for t in sel]), E
