@@ -21,7 +21,7 @@ import contextlib
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import lru_cache, partial
 from typing import TYPE_CHECKING
@@ -313,6 +313,55 @@ def approx_error(chars: CharacterSet, phi: TargetMap, x: DualPoint) -> float:
 # single-target inner minimization over the dual group
 # ---------------------------------------------------------------------------
 
+@dataclass
+class _Targets:
+    """Targets and their inner solutions as arrays: index rows (None off
+    the grid) and per target its bracket (nan while unsolved), charge,
+    witness torus angles and selection index, exact value in
+    turns/`modulus` (a grid target of a purely torsion set; else modulus
+    None) and circle lifts or None.  Witnesses are built on demand."""
+
+    rows: np.ndarray | None
+    lower: np.ndarray
+    upper: np.ndarray
+    cost: np.ndarray
+    theta: np.ndarray
+    sel: np.ndarray
+    exact: np.ndarray
+    lifts: list
+    modulus: int | None
+
+    @classmethod
+    def empty(cls, data: _SetData, k: int, n: int | None = None, rows=None) -> "_Targets":
+        """k unsolved targets, of the order-n grid (n None: off it)."""
+        modulus = math.lcm(data.lcm, n) if n and not data.r else None
+        return cls(rows, np.full(k, np.nan), np.full(k, np.nan), np.zeros(k, dtype=np.int64),
+                   np.zeros((k, data.r)), np.zeros(k, dtype=exact_dtype(data.selection_count)),
+                   np.zeros(k, dtype=exact_dtype(modulus or 1)), [None] * k, modulus)
+
+    def put(self, at: np.ndarray, new: "_Targets"):
+        """Take the solutions of `new` as those of the targets at `at`."""
+        for name in ("lower", "upper", "cost", "theta", "sel", "exact"):
+            getattr(self, name)[at] = getattr(new, name)
+        for i, lift in zip(at.tolist(), new.lifts):
+            self.lifts[i] = lift
+
+    def part(self, start: int, stop: int) -> "_Targets":
+        """Targets start..stop-1, sharing the arrays of this block."""
+        return _Targets(*(getattr(self, f.name)[start:stop] for f in fields(self)[:-1]),
+                        self.modulus)
+
+    def take(self, sel: np.ndarray) -> _Cells:
+        """The targets at the indices `sel` as cells, with their lifts."""
+        return _Cells.of(self.rows[sel], self.upper[sel], [self.lifts[i] for i in sel.tolist()])
+
+    def witness(self, data: _SetData, n: int | None, i: int):
+        """(DualPoint, exact value or None) of target i."""
+        return (DualPoint(data.chars.group, tuple(self.theta[i].tolist()),
+                          data.selection(int(self.sel[i]))),
+                None if self.modulus is None else Fraction(int(self.exact[i]), self.modulus))
+
+
 def _solve_target(data: _SetData, angles: np.ndarray, grid, budget: Budget,
                   lift_margin: float | None = None):
     """Bracket inf over the dual of the worst-coordinate error for one target.
@@ -326,20 +375,21 @@ def _solve_target(data: _SetData, angles: np.ndarray, grid, budget: Budget,
     charged to one unit (`_block_targets`) past the room left, which raises.
     """
     n, indices = grid or (None, None)
-    solved, = _solve_rows(data, angles[None], n, [indices], budget.remaining, lift_margin)
-    if solved is None:
+    solved = _solve_rows(data, angles[None], n, None if grid is None else np.array([indices]),
+                         budget.remaining, lift_margin)
+    if np.isnan(solved.lower[0]):
         unit = _block_targets(data)[1]
         budget.charge((max(budget.remaining, 0) // unit + 1) * unit)
-    solution, charge = solved
-    budget.charge(charge)
-    return solution
+    budget.charge(int(solved.cost[0]))
+    return (float(solved.lower[0]), float(solved.upper[0]), *solved.witness(data, n, 0),
+            solved.lifts[0])
 
 
 def _solve_rows(data: _SetData, angles: np.ndarray, n: int | None, indices,
-                limit: int, lift_margin: float | None = None) -> list:
-    """`_solve_target` on each row of target angles while `limit` pays
-    for their charges: (solution, charge) per target, and None from the
-    first target it cannot pay on.
+                limit: int, lift_margin: float | None = None) -> _Targets:
+    """`_solve_target` on each row of target angles while `limit` pays for
+    their charges, as `_Targets`: from the first target it cannot pay on,
+    the targets stay unsolved.
 
     With a free part a target is charged a unit per selection, so the paid
     targets are known before `_solve_free` solves them.  On a purely
@@ -348,38 +398,39 @@ def _solve_rows(data: _SetData, angles: np.ndarray, n: int | None, indices,
     targets, in exact integer units when they lie on the order-n grid
     (`indices` their grid rows; n None: float angles).
     """
+    out = _Targets.empty(data, len(angles), n, indices)
     if data.r:
         cost = data.selection_count * _block_targets(data)[1]
-        paid = angles[:max(limit, 0) // cost]
-        solved = [(solution, cost) for solution in _solve_free(data, paid, lift_margin)]
-        return solved + [None] * (len(angles) - len(solved))
+        paid = min(len(angles), max(limit, 0) // cost)
+        out.cost[:paid] = cost if paid else 0  # an unpaid cost may pass int64
+        _solve_free(data, angles[:paid], out, lift_margin)
+        return out
     if n is None:
         def errors(start: int, stop: int, live: list) -> np.ndarray:
             args = TWO_PI * data.torsion_table(start, stop) / data.lcm
             return _dist_array(angles[live, None, :] - args).max(axis=2)
     else:
-        modulus = math.lcm(data.lcm, n)
-        targets = np.array([[j * (modulus // n) for j in row] for row in indices],
-                           dtype=exact_dtype(modulus)).reshape(len(indices), data.m)
+        modulus = out.modulus
+        targets = indices.astype(exact_dtype(modulus)) * (modulus // n)
         errors = partial(solve_torsion_units, data.torsion_table, modulus // data.lcm,
                          modulus, targets)
     least, first, charge = first_least(errors, data.selection_count, data.m, len(angles),
                                        limit)
-    solved = []
-    for value, index, cost, spent in zip(least, first, charge, itertools.accumulate(charge)):
-        if spent > limit:
-            break
-        exact = None if n is None else Fraction(value, modulus)
-        value = value if n is None else math.tau * value / modulus
-        point = DualPoint(data.chars.group, (), data.selection(index))
-        solved.append(((value, value, point, exact, None), cost))
-    return solved + [None] * (len(angles) - len(solved))
+    paid = sum(spent <= limit for spent in itertools.accumulate(charge))
+    value = np.array(least[:paid], dtype=np.float64)
+    if n is not None:
+        out.exact[:paid] = least[:paid]
+        value = TWO_PI * value / out.modulus
+    out.lower[:paid] = out.upper[:paid] = value
+    out.sel[:paid], out.cost[:paid] = first[:paid], charge[:paid]
+    return out
 
 
-def _solve_free(data: _SetData, angles: np.ndarray,
-                lift_margin: float | None = None) -> list:
+def _solve_free(data: _SetData, angles: np.ndarray, out: _Targets,
+                lift_margin: float | None = None):
     """The solutions of `_solve_target` for each row of target angles of a
-    set with a free part, charges paid by the caller.
+    set with a free part, charges paid by the caller, written into the
+    first targets of `out`.
 
     Each (target, selection) pair is one `min_error_box` row.  A call takes
     `_block_targets` targets and a block of their selections, at most
@@ -389,39 +440,35 @@ def _solve_free(data: _SetData, angles: np.ndarray,
     count = data.selection_count
     rows = max(1, min(TABLE_BLOCK, CIRCLE_BLOCK // unit))
     k = len(angles)
-    lower, upper, theta = np.full(k, math.inf), np.full(k, math.inf), np.zeros((k, data.r))
-    chosen = np.zeros((k, data.s), dtype=exact_dtype(count))
-    lifts = [None] * k
+    lower, upper, theta, chosen, lifts = out.lower, out.upper, out.theta, out.sel, out.lifts
+    lower[:k] = upper[:k] = math.inf
     for t in range(0, k, size):
         g = min(size, k - t)
         for start in range(0, count, rows):
             sel = data.selection_rows(start, min(start + rows, count))
             shifts = data.args_at(None, sel.astype(np.float64))
             psi = (angles[t:t + g, None, :] - shifts).reshape(-1, data.m)
-            out = (min_error_box(data.free, psi, None) if data.r > 1 else min_error_circle(
+            got = (min_error_box(data.free, psi, None) if data.r > 1 else min_error_circle(
                 data.slopes, psi, None, lift_margin=None if data.s else lift_margin))
-            th, lo, up = out[0].reshape(g, -1, data.r), *(v.reshape(g, -1) for v in out[1:3])
+            th, lo, up = got[0].reshape(g, -1, data.r), *(v.reshape(g, -1) for v in got[1:3])
             pick = np.arange(g), up.argmin(axis=1)
             np.minimum(lower[t:t + g], lo.min(axis=1), out=lower[t:t + g])
             # strict: across blocks of selections the first least one wins
             better = up[pick] < upper[t:t + g]
-            for best, new in ((upper, up[pick]), (theta, th[pick]), (chosen, sel[pick[1]])):
+            for best, new in ((upper, up[pick]), (theta, th[pick]), (chosen, start + pick[1])):
                 best[t:t + g][better] = new[better]
-            if len(out) > 3:
-                lifts[t:t + g] = out[3]
-    return [(lo, up, DualPoint(data.chars.group, tuple(th), tuple(sel)), None, lift)
-            for lo, up, th, sel, lift in zip(lower.tolist(), upper.tolist(), theta.tolist(),
-                                             chosen.tolist(), lifts)]
+            if len(got) > 3:
+                lifts[t:t + g] = got[3]
 
 
 def best_point(chars: CharacterSet, phi: TargetMap, tol: float = DEFAULT_TOL,
                budget: int = DEFAULT_BUDGET):
-    """Dual point nearly minimizing the error for one target, with a bracket.
+    """Dual point minimizing the error for one target, with a bracket.
 
     The bracket encloses the true infimum over the whole dual group; its
-    upper end is attained by the returned point.  Raises
-    BudgetExceededError when the budget runs out before the bracket is
-    narrower than tol; with a free part the solve is exact up to rounding.
+    upper end is attained by the returned point.  The solve is exact (up to
+    rounding with a free part), so `tol` is only a check: BudgetExceededError
+    when the budget runs out, or when the bracket is wider than tol.
     """
     if phi.chars != chars:
         raise ValueError("target map was built for a different character set")
@@ -553,16 +600,19 @@ class _Cells:
     vals: np.ndarray
 
     @classmethod
-    def of(cls, indices: tuple, upper: float, lifts) -> "_Cells":
-        """One cell with lifts (nu, vals) or None."""
-        nu, vals = lifts or (np.zeros((0, len(indices)), dtype=np.int64), np.zeros(0))
-        return cls(np.array([indices], dtype=np.int64), np.array([upper]),
-                   np.array([len(vals)]), nu, vals)
+    def of(cls, rows: np.ndarray, upper: np.ndarray, lifts: list) -> "_Cells":
+        """Cells of index rows and upper ends, cell i with lifts[i] (or none)."""
+        none = (np.zeros((0, rows.shape[1]), dtype=np.int64), np.zeros(0))
+        lifts = [lift or none for lift in lifts]
+        return cls(rows.astype(np.int64), upper.astype(np.float64),
+                   np.array([len(vals) for _, vals in lifts], dtype=np.int64),
+                   np.concatenate([none[0]] + [nu for nu, _ in lifts]),
+                   np.concatenate([none[1]] + [vals for _, vals in lifts]))
 
     @classmethod
     def gather(cls, pieces: list, m: int) -> "_Cells":
         """The cells of `pieces` in turn, as one."""
-        pieces = [cls.of((0,) * m, 0.0, None).take(np.arange(0))] + pieces
+        pieces = [cls.of(np.zeros((0, m)), np.zeros(0), [])] + pieces
         return cls(*(np.concatenate([getattr(p, name) for p in pieces])
                      for name in ("rows", "upper", "count", "nu", "vals")))
 
@@ -584,16 +634,25 @@ class _LiftedBlock:
     `_children`).  `cells` holds each child's index row, upper end and, as
     its lifts, every lift of its parent moved to the child with the inner
     value there; lower and cost are per child, and a child keeps the lifts
-    of value at most cut (see `lifts`)."""
+    of value at most cut (see `take`)."""
 
     cells: _Cells
     lower: np.ndarray
     cost: np.ndarray
     cut: np.ndarray
+    rows = property(lambda self: self.cells.rows)
+    upper = property(lambda self: self.cells.upper)
 
-    def lifts(self, sel: np.ndarray) -> _Cells:
+    def take(self, sel: np.ndarray) -> _Cells:
         """The children at the indices `sel` with the lifts they keep."""
         return self.cells.take(sel, self.cut[sel])
+
+    def witness(self, data: _SetData, n: int, i: int):
+        """(DualPoint, None): a point attaining child i's least kept lift."""
+        cell = self.take(np.array([i]))
+        s = line_witness(data.slopes, cell.rows[0] * (TWO_PI / n)
+                         + TWO_PI * cell.nu[int(cell.vals.argmin())])
+        return DualPoint(data.chars.group, (s % TWO_PI,), ()), None
 
 
 def _children(data: _SetData, parents: _Cells, basis: list, n: int, seen: np.ndarray):
@@ -604,8 +663,8 @@ def _children(data: _SetData, parents: _Cells, basis: list, n: int, seen: np.nda
 
     Parents go in blocks of about CHILD_BLOCK children, each block all with
     lifts or all without.  Children of parents without lifts come one at a
-    time as (indices, None).  Those of a block of parents with lifts come
-    as one (None, `_LiftedBlock`) item: a parent's lifts hold the best lift
+    time as index tuples.  Those of a block of parents with lifts come as
+    one `_LiftedBlock`: a parent's lifts hold the best lift
     of each of its children, so a child's value is the least inner value
     over them, from one `line_distances` call over every (child, lift) pair
     of the block.  A child's bracket is value -+ a slack covering the
@@ -632,7 +691,7 @@ def _children(data: _SetData, parents: _Cells, basis: list, n: int, seen: np.nda
         kids = raw % n
         new, seen = _fresh(_orbit_keys(_orbit_reps(kids, basis, n), n), seen)
         if not lifted[start]:
-            yield from ((tuple(row), None) for row in kids[new].tolist())
+            yield from map(tuple, kids[new].tolist())
         elif len(new):
             parent = start + new // len(offsets)
             count = parents.count[parent]
@@ -643,22 +702,14 @@ def _children(data: _SetData, parents: _Cells, basis: list, n: int, seen: np.nda
             vals = line_distances(data.slopes, (raw[new] * (TWO_PI / n))[child] + TWO_PI * nu)
             values = np.minimum.reduceat(vals, np.cumsum(count) - count)
             cells = _Cells(kids[new], values + slack, count, nu + (raw[new] // n)[child], vals)
-            yield None, _LiftedBlock(cells, np.maximum(values - slack, 0.0), count * terms,
-                                     values + (margin + LIFT_EPS))
+            yield _LiftedBlock(cells, np.maximum(values - slack, 0.0), count * terms,
+                               values + (margin + LIFT_EPS))
         start = stop
-
-
-def _lift_point(data: _SetData, angles: np.ndarray, lifts) -> DualPoint:
-    """Dual point attaining the least inner value over `lifts` at angles."""
-    nu, vals = lifts
-    s = line_witness(data.slopes, angles + TWO_PI * nu[int(vals.argmin())])
-    return DualPoint(data.chars.group, (s % TWO_PI,), ())
 
 
 @dataclass
 class _Incumbent:
     lower: float
-    upper: float
     order: int
     indices: tuple[int, ...]
     point: DualPoint
@@ -685,11 +736,21 @@ class _Scan:
         # the identity of the dual group is the first probe
         self.probes = np.zeros((1, self.data.m))
 
+    def raise_to(self, best: _Incumbent):
+        """Make `best` the incumbent, its witness the newest of four probes."""
+        self.best = best
+        self.probes = np.vstack([self.probes[-3:], self.data.point_args(best.point)])
+
+
+def _first(mask: np.ndarray) -> int:
+    """Index of the first True of a mask, its length if none."""
+    return int(mask.argmax()) if mask.any() else len(mask)
+
 
 def _scan_targets(scan: _Scan, n: int, items, cap: float, radius: float = 0.0,
                   slack: float = 0.0, opened: list | None = None,
                   lift_margin: float | None = None):
-    """Solve order-n targets in scan order, keeping the incumbent worst target.
+    """Decide order-n targets in scan order, keeping the incumbent worst target.
 
     Each target stands for the cell of targets within `radius` of it in
     every coordinate.  The inner minimum is 1-Lipschitz in the target, so
@@ -699,148 +760,99 @@ def _scan_targets(scan: _Scan, n: int, items, cap: float, radius: float = 0.0,
     Solved cells that stay open are appended to `opened` as `_Cells`, with
     the lifts within lift_margin of their value.
 
-    items yields (indices, solved, verdict), see `_solved_ahead`: a
-    (solution, cost) pair solved ahead is used only if the cost fits in the
-    remaining budget, else the target is solved here, and a probe verdict
-    read ahead only while its incumbent is still the scan's (see `_probe`),
-    so charges and stops match a scan that solves and probes each target in
-    turn.  A block of children valued from lifts (indices None, see
-    `_children`) skips the probes and is decided in one pass by
-    `_scan_lifted`, with the same decisions.
+    items yields blocks (see `_solved_ahead`): `_Targets`, and
+    `_LiftedBlock`s, whose cells skip the probes.  A pass over a block's
+    arrays takes the decisions and charges of a loop over its targets in
+    turn (read the probes, m units each, until one closes the cell, else pay
+    the solve; raise the incumbent; close or open; stop at cap - tol) up to
+    the first change of incumbent, which moves the probes and the lower end:
+    the next pass reads the verdicts on the rest again and solves the
+    targets they reopen.  The budget stop is the first charge past the room
+    left, charged one unit past it (m for a probe, the `_block_targets` unit
+    for a solve, the cost of a lifted cell).  Only the targets that raise
+    the incumbent build witnesses.
 
     Returns (closed_hi, open_hi, status): the largest bound over closed and
     over open cells, and 'capped' when the incumbent reached `cap`, 'done'
     when the iterator was exhausted, 'budget' when the work limit was hit.
     """
-    data, budget, stats, tol = scan.data, scan.budget, scan.stats, scan.tol
-    best = scan.best
-    step = TWO_PI / n
+    data, budget, stats, m = scan.data, scan.budget, scan.stats, scan.data.m
     closed_hi = open_hi = 0.0
     try:
         # the first scan pays for the vertex systems (free rank 2 on) up front
         budget.charge(0 if budget.used or data.r < 2 else subset_count(data.free_key))
     except BudgetExceededError:
         return closed_hi, open_hi, "budget"
-    status = "done"
-    for indices, solved, verdict in items:
-        if indices is None:
-            block_closed, block_open, status = _scan_lifted(scan, n, solved, cap, radius,
-                                                            slack, opened)
-            closed_hi, open_hi = max(closed_hi, block_closed), max(open_hi, block_open)
-            best = scan.best
-            if status != "done":
-                break
-            continue
-        angles = np.array(indices, dtype=np.float64) * step
-        try:
-            if best is not None:
-                probed = _probe(scan, angles, radius, slack, verdict)
-                if probed is not None:
-                    stats.targets_pruned += 1
-                    closed_hi = max(closed_hi, probed)
-                    continue
-            if solved is not None and solved[1] <= budget.remaining:
-                solution, cost = solved
-                budget.charge(cost)
-            else:
-                solution = _solve_target(data, angles, (n, tuple(indices)), budget,
-                                         lift_margin)
-        except BudgetExceededError:
-            status = "budget"
-            break
-        lower, upper, point, exact, lifts = solution
-        stats.targets_enumerated += 1
-        if best is None or lower > best.lower:
-            scan.best = best = _Incumbent(lower, upper, n, tuple(indices), point, exact)
-            scan.probes = np.vstack([scan.probes[-3:], data.point_args(point)])  # last four
-        bound = upper + radius
-        if bound - best.lower <= slack:
-            closed_hi = max(closed_hi, bound)
-        else:
-            open_hi = max(open_hi, bound)
-            if opened is not None:
-                opened.append(_Cells.of(tuple(indices), upper, lifts))
-        if best.lower >= cap - tol:
-            status = "capped"
-            break
-    return closed_hi, open_hi, status
-
-
-def _scan_lifted(scan: _Scan, n: int, block: _LiftedBlock, cap: float, radius: float,
-                 slack: float, opened: list):
-    """Decide a `_LiftedBlock` in one pass, as `_scan_targets` would decide
-    its children in turn: each is charged its cost and enumerated, becomes
-    the incumbent if its lower end beats the running one, closes or opens
-    against the running incumbent, and the scan stops once the incumbent
-    reaches cap - tol.
-
-    The budget stop is found in the running sum of the costs, and the
-    charge runs one child past the room, as the loop's would.  Only the
-    children that raise the incumbent (for their witness point and probe
-    row) or stay open (appended to `opened`) build their lifts.  Returns
-    (closed_hi, open_hi, status) over the decided children, status 'done'
-    when all were decided.
-    """
-    budget, best, cells = scan.budget, scan.best, block.cells
-    spent = np.cumsum(block.cost)
-    # children whose charges fit, then how far the scan gets
-    fit = int(np.searchsorted(spent, budget.remaining, side="right"))
-    prior = -math.inf if best is None else best.lower
-    running = np.maximum.accumulate(np.maximum(block.lower, prior))
-    capped = np.flatnonzero(running >= cap - scan.tol)
-    done, status = len(spent), "done"
-    if capped.size and capped[0] < fit:
-        done, status = int(capped[0]) + 1, "capped"
-    elif fit < done:
-        done, status = fit, "budget"
-    with contextlib.suppress(BudgetExceededError):
-        budget.charge(int(spent[done] if status == "budget" else spent[done - 1]))
-    scan.stats.targets_enumerated += done
-    before = np.concatenate([[prior], running[:-1]])
-    for i in np.flatnonzero(block.lower[:done] > before[:done]).tolist():
-        cell = block.lifts(np.array([i]))
-        indices = tuple(cell.rows[0].tolist())
-        point = _lift_point(scan.data, np.array(indices, dtype=np.float64) * (TWO_PI / n),
-                            (cell.nu, cell.vals))
-        scan.best = _Incumbent(float(block.lower[i]), float(cell.upper[0]), n, indices,
-                               point, None)
-        scan.probes = np.vstack([scan.probes[-3:], scan.data.point_args(point)])
-    bound = cells.upper[:done] + radius
-    closes = bound - running[:done] <= slack
-    if not closes.all():
-        opened.append(block.lifts(np.flatnonzero(~closes)))
-    return (float(bound[closes].max(initial=0.0)), float(bound[~closes].max(initial=0.0)),
-            status)
-
-
-def _probe(scan: _Scan, angles: np.ndarray, radius: float, slack: float, verdict=None):
-    """The `_probe_bounds` verdict of the scan's probes on one target,
-    charging m per probe read as a loop over them would: at exhaustion one
-    past the room left, which raises.  A verdict (incumbent, bound, read)
-    read ahead is taken while its incumbent is still the scan's, and with it
-    the probes and lower end it was read against."""
-    if verdict is not None and verdict[0] is scan.best:
-        probed, read = verdict[1:]
-    else:
-        (probed, read), = _probe_bounds(angles[None], scan.probes, radius, scan.best.lower,
-                                        slack)
-    m = scan.data.m
-    scan.budget.charge(min(read, max(scan.budget.remaining, 0) // m + 1) * m)
-    return probed
+    for block in items:
+        lifted = isinstance(block, _LiftedBlock)
+        rows, lower, upper, cost = block.rows, block.lower, block.upper, block.cost
+        angles = rows * (TWO_PI / n)
+        pos = 0
+        while pos < len(rows):
+            prior = -math.inf if scan.best is None else scan.best.lower
+            probed, read, probe_hi = (None,) * 3 if lifted or scan.best is None else (
+                _probe_bounds(angles[pos:], scan.probes, radius, prior, slack))
+            if not lifted:
+                todo = np.isnan(lower[pos:]) if probed is None else np.isnan(lower[pos:]) & ~probed
+                if todo.any():
+                    # without an incumbent the first target solved ends the pass
+                    todo = pos + np.flatnonzero(todo)[:1 if scan.best is None else None]
+                    block.put(todo, _solve_rows(data, angles[todo], n, rows[todo],
+                                                budget.remaining, lift_margin))
+            # lower ends of the targets a solve decides: nan where pruned, or
+            # unsolved (costs 0) as the budget could not pay
+            low = lower[pos:] if probed is None else np.where(probed, np.nan, lower[pos:])
+            spent = np.cumsum(cost[pos:] if probed is None
+                              else read * m + np.where(probed, 0, cost[pos:]))
+            # the first target whose charges pass the room, or that the room
+            # could not pay for, and the first solved one that raises the
+            # incumbent or finds it at the cap
+            stop = int(np.searchsorted(spent, budget.remaining, side="right"))
+            if not lifted:
+                stop = min(stop, _first(np.isnan(low) if probed is None
+                                        else np.isnan(low) & ~probed))
+            event = _first(low > prior if prior < cap - scan.tol else ~np.isnan(low))
+            end = min(event + 1, stop)
+            status = ("capped" if event < stop and max(low[event], prior) >= cap - scan.tol
+                      else "budget" if stop <= event and stop < len(low) else None)
+            budget.used += int(spent[end - 1]) if end else 0
+            if status == "budget":
+                room, probe = budget.remaining, 0 if probed is None else int(read[stop]) * m
+                unit = int(cost[pos + stop]) if lifted else _block_targets(data)[1]
+                budget.used += ((room // m + 1) * m if probe > room
+                                else probe + ((room - probe) // unit + 1) * unit)
+            stats.targets_pruned += (pruned := 0 if probed is None else int(probed[:end].sum()))
+            stats.targets_enumerated += end - pruned
+            done = pos + (np.arange(end) if probed is None else np.flatnonzero(~probed[:end]))
+            bound = upper[done] + radius
+            shut = bound - np.maximum(lower[done], prior) <= slack
+            closed_hi = max(closed_hi, float(bound[shut].max(initial=0.0)),
+                            0.0 if probed is None else float(probe_hi[:end].max(initial=0.0)))
+            open_hi = max(open_hi, float(bound[~shut].max(initial=0.0)))
+            if opened is not None and not shut.all():
+                opened.append(block.take(done[~shut]))
+            if event < stop and low[event] > prior:
+                i = pos + event
+                scan.raise_to(_Incumbent(float(lower[i]), n, tuple(rows[i].tolist()),
+                                         *block.witness(data, n, i)))
+            pos += end
+            if status:
+                return closed_hi, open_hi, status
+    return closed_hi, open_hi, "done"
 
 
 def _probe_bounds(angles: np.ndarray, probes: np.ndarray, radius: float, lower: float,
-                  slack: float) -> list:
-    """(bound, read) for each row of target angles: the bound the first
-    probe point (a row of character arguments) to close the cell of radius
-    `radius` around the target against the lower end `lower` puts on it, or
-    None, and the probes read to it; one `_dist_array` call for all rows."""
+                  slack: float):
+    """The verdicts of the probe points (rows of character arguments, read
+    in turn) on the cells of radius `radius` around rows of target angles,
+    against the lower end `lower`, as arrays: per row whether a probe closes
+    the cell, the probes read (up to the first that does, else all) and the
+    bound that one puts on the cell (else 0); one `_dist_array` call."""
     bounds = _dist_array(angles[:, None, :] - probes).max(axis=2) + radius
-    verdicts = []
-    for row, closes in zip(bounds.tolist(), (bounds - lower <= slack).tolist()):
-        i = closes.index(True) if True in closes else None
-        verdicts.append((None, len(closes)) if i is None else (row[i], i + 1))
-    return verdicts
+    closes = bounds - lower <= slack
+    hit, first = closes.any(axis=1), closes.argmax(axis=1)
+    return (hit, np.where(hit, first + 1, len(probes)),
+            np.where(hit, bounds[np.arange(len(bounds)), first], 0.0))
 
 
 def _block_targets(data: _SetData) -> tuple[int, int]:
@@ -853,79 +865,67 @@ def _block_targets(data: _SetData) -> tuple[int, int]:
     return max(1, CIRCLE_BLOCK // (data.selection_count * unit)), unit
 
 
-def _solve_run(chars: CharacterSet, n: int, limit: int, run,
+def _solve_run(chars: CharacterSet, n: int, limit: int, rows: np.ndarray,
                lift_margin: float | None = None, probes=None, lower: float | None = None,
-               radius: float = 0.0, slack: float = 0.0):
-    """Solve the order-n targets of a run ahead of the scan, in the scan's
-    process or in a pool worker.  Per target: its verdict (see
-    `_probe_bounds`) against the scan's probes and lower end as they stood
-    when the run was read, None without an incumbent; and its (solution,
-    budget units charged) from one `_solve_rows` call, or None for a target
-    the verdict closes (the scan will most likely prune it, and solves it
-    itself otherwise) or one that would take the run past `limit`.  A limit
-    that cannot pay the largest charge of one target leaves every target to
-    the scan, so a target the budget cannot pay is read only once."""
+               radius: float = 0.0, slack: float = 0.0) -> _Targets:
+    """The order-n targets `rows` of a run read ahead of the scan, solved in
+    the scan's process or in a pool worker while `limit` pays, except those
+    the scan's probes and lower end (None: no incumbent) close as they stood
+    when the run was read.  A limit that cannot pay the largest charge of
+    one target leaves every target to the scan, so a target the budget
+    cannot pay is read only once."""
     data = _set_data(chars)
-    angles = np.array(run, dtype=np.float64).reshape(len(run), data.m) * (TWO_PI / n)
-    verdicts = ([None] * len(run) if lower is None
-                else _probe_bounds(angles, probes, radius, lower, slack))
-    todo = [t for t, verdict in enumerate(verdicts) if verdict is None or verdict[0] is None]
-    if data.selection_count * _block_targets(data)[1] > limit:
-        todo = []
-    solved = [None] * len(run)
-    for t, solution in zip(todo, _solve_rows(data, angles[todo], n, [run[t] for t in todo],
-                                             limit, lift_margin)):
-        solved[t] = solution
-    return list(zip(verdicts, solved))
+    angles = rows * (TWO_PI / n)
+    run = _Targets.empty(data, len(rows), n, rows)
+    todo = (np.arange(len(rows)) if lower is None
+            else np.flatnonzero(~_probe_bounds(angles, probes, radius, lower, slack)[0]))
+    if data.selection_count * _block_targets(data)[1] <= limit:
+        run.put(todo, _solve_rows(data, angles[todo], n, rows[todo], limit, lift_margin))
+    return run
 
 
 def _solved_ahead(scan: _Scan, n: int, items, lift_margin: float | None = None,
                   radius: float = 0.0, slack: float = 0.0):
-    """The (indices, solved) pairs of `items` as (indices, solved, verdict)
-    triples for `_scan_targets` with cell radius `radius` and closing slack
-    `slack`.  A pair without a solution gets the (solution, cost) that
-    `_solve_run` found ahead, or None, and the verdict (incumbent, bound,
-    read) read with the incumbent of that moment, or None.
-
-    Runs in flight are each capped by the budget left when read: with a
-    pool 2*threads runs, doubling from one target up to MAX_RUN so short
-    scans still use every worker; without, one run of `_block_targets`
-    targets, solved in the scan's process once the run before it is
-    decided.  `_scan_targets` takes the decisions in scan order either way,
-    so results do not depend on the block size or the thread count."""
-    if scan.pool is not None:
+    """The items of a scan, index tuples of order-n targets and
+    `_LiftedBlock`s, as blocks for `_scan_targets`: the targets of each run
+    of items go to `_solve_run` with the scan's state as it stands when the
+    run is read (for cell radius `radius` and closing slack `slack`), and
+    each span of them between lifted blocks is one `_Targets`.  With a
+    pool, 2*threads runs are in flight, of one item doubling up to MAX_RUN
+    so short scans still use every worker; without, a run of MAX_RUN items
+    (`_block_targets` if more) is read once the one before is decided.  The
+    scan takes every decision, so results do not depend on either."""
+    data, pool = scan.data, scan.pool
+    if pool is not None:
         depth, sizes = 2 * scan.threads, (min(1 << i, MAX_RUN) for i in itertools.count())
     else:
-        depth, sizes = 1, itertools.repeat(_block_targets(scan.data)[0])
+        depth, sizes = 1, itertools.repeat(max(MAX_RUN, _block_targets(data)[0]))
 
     def read(count: int):
         run = list(itertools.islice(items, count))
-        todo = [indices for indices, solved in run if solved is None]
-        best = scan.best
-        args = (scan.data.chars, n, scan.budget.remaining, todo, lift_margin,
-                scan.probes, None if best is None else best.lower, radius, slack)
-        if not todo:
-            return run, best, lambda: ()
-        if scan.pool is None:
-            return run, best, partial(_solve_run, *args)
-        return run, best, scan.pool.submit(_solve_run, *args).result
+        rows = np.array([t for t in run if type(t) is tuple], dtype=np.int64).reshape(-1, data.m)
+        args = (data.chars, n, scan.budget.remaining, rows, lift_margin, scan.probes,
+                None if scan.best is None else scan.best.lower, radius, slack)
+        if not len(rows):
+            return run, None
+        return run, (partial(_solve_run, *args) if pool is None
+                     else pool.submit(_solve_run, *args).result)
 
     in_flight = deque()
     while True:
-        while len(in_flight) < depth:
-            run, best, ahead = read(next(sizes))
-            if not run:
-                break
-            in_flight.append((run, best, ahead))
+        while len(in_flight) < depth and (ahead := read(next(sizes)))[0]:
+            in_flight.append(ahead)
         if not in_flight:
             return
-        run, best, ahead = in_flight.popleft()
-        ahead = iter(ahead())
-        for indices, solved in run:
-            verdict = None
-            if solved is None:
-                verdict, solved = next(ahead)
-            yield indices, solved, None if verdict is None else (best, *verdict)
+        run, solve = in_flight.popleft()
+        solved, start = solve() if solve else None, 0
+        for kind, group in itertools.groupby(run, key=type):
+            if kind is tuple:
+                stop = start + len(list(group))
+                yield solved.part(start, stop)
+                start = stop
+            else:
+                yield from group
 
 
 def _pool(threads: int):
@@ -972,8 +972,7 @@ def alpha_n(chars: CharacterSet, n: int, tol: float = DEFAULT_TOL,
     idx_iter = itertools.chain(seeds, _grid_targets(_shift_basis(data, n), n))
     with _pool(threads) as pool:
         scan = _Scan(data, tol, Budget(budget), pool, threads)
-        cells = ((indices, None) for indices in idx_iter)
-        with contextlib.closing(_solved_ahead(scan, n, cells)) as items:
+        with contextlib.closing(_solved_ahead(scan, n, idx_iter)) as items:
             closed_hi, open_hi, status = _scan_targets(scan, n, items, cap)
     best, stats = scan.best, scan.stats
     stats.inner_evals = scan.budget.used
@@ -1025,14 +1024,14 @@ def alpha(chars: CharacterSet, tol: float = DEFAULT_TOL, budget: int = DEFAULT_B
     `_minimax.circle_lifts`), which give the exact value of every cell
     refined from it without a full solve.  A level holds its open cells as
     arrays (`_Cells`); the lifted children of a block of parents are valued
-    (`_children`) and decided (`_scan_lifted`) in one pass each, with the
-    decisions and charges of a scan that takes them one at a time.  The
-    upper end is the least, over completed levels, of the largest bound
-    over all cells.  Stops certified
-    once the bracket is tol wide, uncertified when the next level would
-    pass max_order or the budget runs out (see work.stop_reason); each
-    work.ladder entry is (n, lower, upper, level completed).  ValueError for
-    max_order < 2, which leaves no level to scan.
+    in one pass (`_children`) and decided like solved targets by
+    `_scan_targets`, with the decisions and charges of a scan that takes
+    them one at a time.  The upper end is the least, over completed levels,
+    of the largest bound over all cells.  Stops certified once the bracket
+    is tol wide, uncertified when the next level would pass max_order or
+    the budget runs out (see work.stop_reason); each work.ladder entry is
+    (n, lower, upper, level completed).  ValueError for max_order < 2,
+    which leaves no level to scan.
     """
     if max_order < 2:
         raise ValueError("max_order must be >= 2")
@@ -1066,8 +1065,7 @@ def _refine(scan: _Scan, tol: float, max_order: int):
         lift_margin = LIFT_REACH * radius if scan.data.m <= LIFT_MAX_SIZE else None
         opened = []
         if parents is None:
-            targets = _grid_targets(_shift_basis(scan.data, n), n)
-            cells = ((indices, None) for indices in targets)
+            cells = _grid_targets(_shift_basis(scan.data, n), n)
         else:
             cells, closed = _next_level(scan.data, n, parents, scan.best.lower, tol, opened)
             closed_top = max(closed_top, closed)

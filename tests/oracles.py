@@ -3,9 +3,10 @@
 Everything in this file is deliberately kept separate from the library code
 paths: plain target enumeration, a scalar piecewise-linear minimizer, and a
 dense target grid.  The library is checked against these, never the other
-way around.  Three exceptions are exhaustive forms of faster library code
-(`vertex_systems_loop`, `min_error_box_full`, `separated_set_loop`): they
-share its helpers, and the library must give their results bit for bit.  The arithmetic
+way around.  Four exceptions are exhaustive forms of faster library code
+(`vertex_systems_loop`, `min_error_box_full`, `separated_set_loop`, and
+`scan_targets_loop`, the outer scan one target at a time): they share its
+helpers, and the library must give their results bit for bit.  The arithmetic
 diagnostics (`quasi_direct_loop`, `quasi_mitm_loop`, `b2_loop`) are the
 scalar loops the library's integer-array forms must match in flag,
 witness, count, quadruple order and budget stops.
@@ -17,6 +18,8 @@ import math
 
 import numpy as np
 
+from kronset import engine
+from kronset._minimax import subset_count
 from kronset.errors import BudgetExceededError
 
 TWO_PI = 2.0 * math.pi
@@ -124,6 +127,76 @@ def scan_cells_loop(lowers, uppers, costs, incumbent, used: int, limit: int, cap
             break
     out["used"] = used
     return out
+
+
+def scan_targets_loop(scan, n: int, items, cap: float, radius: float = 0.0,
+                      slack: float = 0.0, opened=None, lift_margin=None):
+    """Reference for `engine._scan_targets`, with its arguments and results:
+    the scan decided one target at a time, in order.  A solved target is
+    probed first once there is an incumbent, m units charged before each
+    probe read (past the room the scan stops on the budget, the charge
+    made), and pruned by the first probe whose error bound closes its cell;
+    else `engine._solve_target` solves it, charging its cost or stopping
+    the scan.  A cell of a lifted block is charged its cost and not probed.
+    Then the target is counted, raises the incumbent if its lower end beats
+    it (witness and probe window rolled), closes or opens, and the scan
+    stops once the incumbent reaches cap - tol.  Solutions the blocks carry
+    from a pool are not read."""
+    data, budget, stats = scan.data, scan.budget, scan.stats
+    closed_hi = open_hi = 0.0
+    try:
+        budget.charge(0 if budget.used or data.r < 2 else subset_count(data.free_key))
+    except BudgetExceededError:
+        return closed_hi, open_hi, "budget"
+    for block in items:
+        lifted = isinstance(block, engine._LiftedBlock)
+        for i, indices in enumerate(block.rows.tolist()):
+            angles = np.array(indices, dtype=np.float64) * (TWO_PI / n)
+            try:
+                if lifted:
+                    budget.charge(int(block.cost[i]))
+                    cell = block.take(np.array([i]))
+                    lower, upper = float(block.lower[i]), float(cell.upper[0])
+                else:
+                    probed = None if scan.best is None else probe_loop(scan, angles, radius,
+                                                                       slack)
+                    if probed is not None:
+                        stats.targets_pruned += 1
+                        closed_hi = max(closed_hi, probed)
+                        continue
+                    lower, upper, point, exact, lifts = engine._solve_target(
+                        data, angles, (n, tuple(indices)), budget, lift_margin)
+                    cell = engine._Cells.of(np.array([indices]), np.array([upper]), [lifts])
+            except BudgetExceededError:
+                return closed_hi, open_hi, "budget"
+            stats.targets_enumerated += 1
+            if scan.best is None or lower > scan.best.lower:
+                if lifted:
+                    point, exact = block.witness(data, n, i)
+                scan.best = engine._Incumbent(lower, n, tuple(indices), point, exact)
+                scan.probes = np.vstack([scan.probes, data.point_args(point)])[-4:]
+            bound = upper + radius
+            if bound - scan.best.lower <= slack:
+                closed_hi = max(closed_hi, bound)
+            else:
+                open_hi = max(open_hi, bound)
+                if opened is not None:
+                    opened.append(cell)
+            if scan.best.lower >= cap - scan.tol:
+                return closed_hi, open_hi, "capped"
+    return closed_hi, open_hi, "done"
+
+
+def probe_loop(scan, angles, radius: float, slack: float):
+    """The bound the first of the scan's probes to close the cell of radius
+    `radius` around a target puts on it, or None, charging m before each
+    probe it reads."""
+    for args in scan.probes:
+        scan.budget.charge(scan.data.m)
+        bound = float(np.abs(np.mod(angles - args + math.pi, TWO_PI) - math.pi).max()) + radius
+        if bound - scan.best.lower <= slack:
+            return bound
+    return None
 
 
 def alpha_n_exhaustive(slopes, n: int) -> tuple[float, tuple[int, ...]]:

@@ -4,6 +4,7 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -49,6 +50,14 @@ def z2cube_set():
 def z2cube_flip_target(chars, n=2):
     idx = [1 if c.torsion_coords == (1, 0, 1) else 0 for c in chars]
     return TargetMap.from_grid(chars, n, idx)
+
+
+def solutions(data, solved):
+    """`_Targets` as one ((lower, upper, point, exact, lifts), charge) pair
+    per target, None for a target left unsolved."""
+    return [None if math.isnan(lower) else (
+        (lower, solved.upper[i], *solved.witness(data, None, i), solved.lifts[i]),
+        int(solved.cost[i])) for i, lower in enumerate(solved.lower.tolist())]
 
 
 def random_group_set(rng, group, zero=False):
@@ -241,12 +250,13 @@ class TestTorsionTable:
     def solve(data, n, rows, limit):
         """`_solve_rows` on a block of grid targets, with the arguments the
         reference loop takes for each of them."""
-        angles = np.array(rows, dtype=np.float64).reshape(len(rows), len(data.chars))
-        got = engine._solve_rows(data, angles * (TWO_PI / n), n, rows, limit)
+        rows = np.array(rows, dtype=np.int64).reshape(len(rows), len(data.chars))
+        got = solutions(data, engine._solve_rows(data, rows * (TWO_PI / n), n, rows, limit))
         modulus = math.lcm(data.lcm, n)
         scale = modulus // data.lcm
         unit_rows = [tuple(u * scale for u in row) for row in data.unit_rows]
-        return got, [(unit_rows, modulus, [j * (modulus // n) for j in idx]) for idx in rows]
+        return got, [(unit_rows, modulus, [j * (modulus // n) for j in idx])
+                     for idx in rows.tolist()]
 
     def test_exact_values_and_first_selection(self):
         rng = random.Random(43)
@@ -450,35 +460,30 @@ class TestAlphaN:
 
     def test_pool_worker_skips_targets_the_probes_close(self):
         E = CharacterSet.of_integers([1, 2, 3, 5, 8])
-        run = [(0, 0, 0, 0, 0), (1, 2, 3, 4, 5)]
-        solved = engine._solve_run(E, 8, 10**7, run)
+        data = engine._set_data(E)
+        run = np.array([(0, 0, 0, 0, 0), (1, 2, 3, 4, 5)])
+        solved = solutions(data, engine._solve_run(E, 8, 10**7, run))
         # without probes there is no verdict and nothing is skipped
-        assert [verdict for verdict, _ in solved] == [None, None]
-        assert None not in [solution for _, solution in solved]
-        # the identity closes the all-zero target against a lower end of 0
-        probed = engine._solve_run(E, 8, 10**7, run, None, np.zeros((1, len(E))), 0.0)
-        assert probed == [((0.0, 1), None), ((None, 1), solved[1][1])]
+        assert None not in solved
+        # the identity closes the all-zero target against a lower end of 0,
+        # read as the first probe, and leaves the other open
+        identity = np.zeros((1, len(E)))
+        hit, read, bound = engine._probe_bounds(run * (TWO_PI / 8), identity, 0.0, 0.0, 0.0)
+        assert (hit.tolist(), read.tolist(), bound.tolist()) == ([True, False], [1, 1], [0, 0])
+        probed = solutions(data, engine._solve_run(E, 8, 10**7, run, None, identity, 0.0))
+        assert probed == [None, solved[1]]
 
     def test_probe_charges_match_a_loop_over_the_probes(self, monkeypatch):
-        def probe_loop(scan, angles, radius, slack, verdict=None):
-            # the reference: charge m, then read one probe, until one closes
-            for args in scan.probes:
-                scan.budget.charge(scan.data.m)
-                bound = float(np.abs(np.mod(angles - args + math.pi, TWO_PI)
-                                     - math.pi).max()) + radius
-                if bound - scan.best.lower <= slack:
-                    return bound
-            return None
+        # the reference scan charges m before each probe it reads, one
+        # target at a time (`oracles.probe_loop`)
+        reads = []
+        probe_bounds = engine._probe_bounds
 
-        # counts the probes read ahead whose verdict the scan takes
-        verdicts = []
-        probe = engine._probe
+        def counted(angles, *args):
+            reads.append(len(angles))
+            return probe_bounds(angles, *args)
 
-        def counted(scan, angles, radius, slack, verdict=None):
-            verdicts.append(verdict is not None and verdict[0] is scan.best)
-            return probe(scan, angles, radius, slack, verdict)
-
-        monkeypatch.setattr(engine, "_probe", counted)
+        monkeypatch.setattr(engine, "_probe_bounds", counted)
         rng = random.Random(331)
         groups = [GroupSpec(1), GroupSpec(2), GroupSpec(1, (2,)), GroupSpec(0, (12,))]
         cases = [(CharacterSet.of_integers([1, 2, 3, 5, 8]), 8)]
@@ -490,12 +495,13 @@ class TestAlphaN:
             limits = [rng.randint(1, full.work.inner_evals) for _ in range(8)]
             got = [alpha_n(E, n, tol=1e-2, budget=b) for b in limits]
             with monkeypatch.context() as patch:
-                patch.setattr(engine, "_probe", probe_loop)
+                patch.setattr(engine, "_scan_targets", oracles.scan_targets_loop)
                 assert alpha_n(E, n, tol=1e-2) == full, (E, n)
                 for b, res in zip(limits, got):
                     assert alpha_n(E, n, tol=1e-2, budget=b) == res, (E, n, b)
         assert pruned > 100
-        assert sum(verdicts) > 100, (sum(verdicts), len(verdicts))
+        # the scan reads the verdicts of many targets at once
+        assert sum(reads) > 4 * len(reads), (sum(reads), len(reads))
 
     def test_seed_targets_raise_lower_bound(self):
         E = CharacterSet.of_integers([-2, 1, 4])
@@ -524,27 +530,26 @@ class TestAlphaN:
 
 
 class TestScanBlocks:
-    """Scans solve their targets ahead a block at a time, and read the
-    probes of a block at once; the scan still takes every decision in turn,
-    so no result, witness or charge depends on the block size."""
+    """Scans solve their targets a block at a time, and read the probes of
+    a block at once; the scan's decisions are those of a loop over the
+    targets in turn, so no result, witness or charge depends on the block
+    size."""
 
     block_targets = staticmethod(engine._block_targets)
 
     @classmethod
     def blocks_of(cls, patch, size):
-        # at most `size` targets a block; 0 feeds the scan its targets
-        # unsolved, so it solves and probes each in turn itself
+        # runs and kernel calls of at most `size` targets; 0 decides every
+        # target in turn by the reference loop, which solves and probes each
         def capped(data):
             targets, unit = cls.block_targets(data)
             return min(targets, size), unit
 
-        def unsolved(scan, n, items, *args):
-            yield from ((indices, solved, None) for indices, solved in items)
-
         if size:
             patch.setattr(engine, "_block_targets", capped)
+            patch.setattr(engine, "MAX_RUN", size)
         else:
-            patch.setattr(engine, "_solved_ahead", unsolved)
+            patch.setattr(engine, "_scan_targets", oracles.scan_targets_loop)
 
     @staticmethod
     def random_rank1_set(rng, group, zero=False, most=5):
@@ -636,10 +641,10 @@ class TestScanBlocks:
             margin = rng.choice([None, 0.1, 0.4]) if not orders else None
             n = rng.choice((3, 4, 5, 8))
             targets = 2 if wide else rng.randint(1, 6)
-            run = [tuple(rng.randrange(n) for _ in E) for _ in range(targets)]
-            angles = np.array(run, dtype=np.float64) * (TWO_PI / n)
+            run = np.array([[rng.randrange(n) for _ in E] for _ in range(targets)])
+            angles = run * (TWO_PI / n)
             ref = Budget(10**9)
-            solved = engine._solve_rows(data, angles, n, run, 10**9, margin)
+            solved = solutions(data, engine._solve_rows(data, angles, n, run, 10**9, margin))
             want = [self.reference(E, a, ref) for a in angles]
             assert [charge for _, charge in solved] == [cost] * len(run)
             assert ref.used == len(run) * cost
@@ -662,7 +667,7 @@ class TestScanBlocks:
             # the room
             limit = rng.randrange(ref.used)
             paid = limit // cost
-            short = engine._solve_rows(data, angles, n, run, limit, margin)
+            short = solutions(data, engine._solve_rows(data, angles, n, run, limit, margin))
             assert [s is None for s in short] == [t >= paid for t in range(len(run))]
             assert [s[0][:4] for s in short[:paid]] == [s[:4] for s in got[:paid]]
             short, ref = Budget(limit), Budget(limit)
@@ -677,8 +682,8 @@ class TestScanBlocks:
                 continue
             # the worker returns the same solutions, cut before the run passes its limit
             limit = rng.randrange(len(run) * cost + 1)
-            solved = engine._solve_run(E, n, limit, run)
-            assert solved == [(None, (s, cost) if t < limit // cost else None)
+            solved = solutions(data, engine._solve_run(E, n, limit, run))
+            assert solved == [(s, cost) if t < limit // cost else None
                               for t, s in enumerate(got)]
 
     def test_pool_keeps_two_runs_a_thread_in_flight(self, monkeypatch):
@@ -713,35 +718,41 @@ class TestScanBlocks:
         E, n = CharacterSet.of_integers([1, 2, 3, 5, 8]), 8
         data = engine._set_data(E)
         targets = list(engine._grid_targets(engine._shift_basis(data, n), n))[:180]
-        prefix, block = targets[:140], targets[140:]
 
-        def scan(items_of):
+        def scan(decide):
             state = engine._Scan(data, 1e-3, Budget(10**9))
-            status = engine._scan_targets(state, n, items_of(state), grid_cap(n))
+            status = decide(state, n, blocks(state), grid_cap(n))
             return status, state.stats, state.budget.used, state.best, state.probes.tolist()
 
-        window, stale = [], []
-        probe = engine._probe
+        def blocks(state):
+            # the first 140 targets one a block, then a block of 40
+            for part in [[t] for t in targets[:140]] + [targets[140:]]:
+                if len(part) > 1:
+                    window.append(len(state.probes))
+                rows = np.array(part)
+                yield engine._Targets.empty(data, len(rows), n, rows)
 
-        def spy(state, angles, radius, slack, verdict=None):
-            if verdict is not None and verdict[0] is not state.best:
-                fresh = engine._probe_bounds(angles[None], state.probes, radius,
-                                             state.best.lower, slack)[0]
-                stale.append(fresh != verdict[1:])
-            return probe(state, angles, radius, slack, verdict)
+        window, verdicts = [], []
+        probe_bounds = engine._probe_bounds
 
-        def batched(state):
-            for t in prefix:
-                yield t, None, None
-            window.append(len(state.probes))
-            yield from engine._solved_ahead(state, n, ((t, None) for t in block))
+        def spy(angles, *args):
+            out = probe_bounds(angles, *args)
+            if window:
+                # (closes, read, bound) for the block's targets read again
+                verdicts.append(list(zip(*(v.tolist() for v in out))))
+            return out
 
-        reference = scan(lambda state: ((t, None, None) for t in targets))
+        reference = scan(oracles.scan_targets_loop)
+        window.clear()
         with monkeypatch.context() as patch:
-            self.blocks_of(patch, len(block))
-            patch.setattr(engine, "_probe", spy)
-            got = scan(batched)
-        assert window == [4] and any(stale), (window, stale)
+            patch.setattr(engine, "_probe_bounds", spy)
+            got = scan(engine._scan_targets)
+        # read again after an incumbent change, the verdicts differ, and
+        # some reopen targets pruned before, which the scan then solves
+        pairs = [(old[-len(new):], new) for old, new in zip(verdicts, verdicts[1:])]
+        stale = [old != new for old, new in pairs]
+        reopened = [a[0] and not b[0] for old, new in pairs for a, b in zip(old, new)]
+        assert window == [4] and any(stale) and any(reopened), (window, stale)
         assert got == reference
 
     @pytest.mark.parametrize("solve, lifted", [
@@ -770,6 +781,145 @@ class TestScanBlocks:
         assert solve().certified
         assert max(elements for _, elements, _ in sizes) <= _minimax.CIRCLE_BLOCK
         assert max(rows for rows, _, kept in sizes if kept == lifted) > 1
+
+
+class TestDecisionPass:
+    """One array pass decides every block of a scan, solved or lifted, as
+    the reference loop (`oracles.scan_targets_loop`) decides its targets
+    one at a time."""
+
+    @staticmethod
+    def split(rng, block):
+        """A block cut into up to four random runs, in order."""
+        k = len(block.rows)
+        cuts = sorted(rng.sample(range(1, k), rng.randint(0, min(3, k - 1))))
+        for start, stop in zip([0] + cuts, cuts + [k]):
+            if isinstance(block, engine._LiftedBlock):
+                at = np.arange(start, stop)
+                yield engine._LiftedBlock(block.cells.take(at), block.lower[at],
+                                          block.cost[at], block.cut[at])
+            else:
+                yield block.part(start, stop)
+
+    def test_scans_match_the_reference_loop(self, monkeypatch):
+        rng = random.Random(1601)
+        solved_ahead = engine._solved_ahead
+        read = []
+
+        def random_runs(*args):
+            # random block partitions; counts the targets of the blocks
+            # before the last one the scan takes
+            read.clear()
+            for block in solved_ahead(*args):
+                for part in self.split(rng, block):
+                    read.append(len(part.rows))
+                    yield part
+
+        groups = [GroupSpec(1), GroupSpec(1, (2,)), GroupSpec(2), GroupSpec(0, (12,)),
+                  GroupSpec(0, (2, 2, 2))]
+        cases = []
+        for g in groups:
+            for _ in range(3):
+                E = random_group_set(rng, g)
+                cases.append((partial(alpha_n, E, rng.choice((3, 4, 5, 8)), tol=1e-2), True))
+        for elements in ([1, 3], [-4, 3], [-3, 1, 4]):
+            cases.append((partial(alpha, CharacterSet.of_integers(elements), tol=0.05), False))
+        inside = stops = 0
+        for solve, grid in cases:
+            used = solve().work.inner_evals
+            for budget in [used] + [rng.randint(1, used - 1) for _ in range(3)]:
+                with monkeypatch.context() as patch:
+                    patch.setattr(engine, "_scan_targets", oracles.scan_targets_loop)
+                    want = solve(budget=budget)
+                threads = rng.choice((1, 2))
+                with monkeypatch.context() as patch:
+                    patch.setattr(engine, "MAX_RUN", rng.randint(1, 20))
+                    patch.setattr(engine, "_solved_ahead", random_runs)
+                    got = solve(budget=budget, threads=threads)
+                assert got == want, (solve, budget, threads)
+                if grid and got.work.stop_reason == "budget":
+                    decided = got.work.targets_enumerated + got.work.targets_pruned
+                    stops += 1
+                    inside += sum(read[:-1]) < decided and read[-1] > 1
+        assert stops >= 20 and inside >= 5, (stops, inside)
+
+    def test_targets_solved_ahead_and_pruned_do_not_raise_the_incumbent(self):
+        # a pool solves ahead against stale probes, so a target the probes
+        # prune may carry a value above the incumbent; with a slack this
+        # wide the identity probe prunes every target
+        E, n = CharacterSet.of_integers([1, 3]), 8
+        data = engine._set_data(E)
+        rows = np.array([(1, 2), (3, 7), (5, 4)])
+
+        def scan(decide):
+            state = engine._Scan(data, 1e-3, Budget(10**9))
+            state.best = engine._Incumbent(0.0, n, (0, 0), DualPoint(E.group, (0.0,), ()), None)
+            block = engine._solve_run(E, n, 10**9, rows)
+            assert (block.lower > 0.0).all()
+            out = decide(state, n, iter([block]), math.pi, 0.01, 4.0, [], None)
+            return out, state.best, state.stats, state.budget.used
+
+        got = scan(engine._scan_targets)
+        assert got == scan(oracles.scan_targets_loop)
+        assert got[2].targets_pruned == 3 and got[1].lower == 0.0
+
+    @pytest.mark.parametrize("solve", [
+        lambda: alpha_n(CharacterSet.of_integers([1, 4, 12, 38, 154]), 8),
+        lambda: alpha_n(parse_set_spec(
+            "Z x Z2^3 : [3,0,0,0],[3,0,0,1],[6,1,0,0],[6,1,1,0],[8,1,1,0]")[1], 5),
+        lambda: alpha_n(parse_set_spec("Z13 : [1],[3],[5],[9]")[1], 5),
+        lambda: alpha(CharacterSet.of_integers([-3, 1, 4]), tol=0.05),
+    ], ids=["Z", "Z x Z2^3", "Z13", "lifted Z"])
+    def test_witnesses_are_built_only_for_incumbents(self, monkeypatch, solve):
+        points, raised = [], []
+        dual_point, raise_to = engine.DualPoint, engine._Scan.raise_to
+
+        def counted(*args):
+            points.append(dual_point(*args))
+            return points[-1]
+
+        def spy(scan, best):
+            raised.append(best)
+            raise_to(scan, best)
+
+        monkeypatch.setattr(engine, "DualPoint", counted)
+        monkeypatch.setattr(engine._Scan, "raise_to", spy)
+        res = solve()
+        # one dual point per change of incumbent, not one per solved target
+        assert points == [best.point for best in raised]
+        assert res.work.targets_enumerated > 5 * len(raised)
+
+
+class TestWorkCounters:
+    """`work` blocks of fixed computations: targets enumerated and pruned,
+    inner evaluations, stop reason and ladder."""
+
+    LADDER = ((2, 2.6179938779914966), (4, 1.8325957145940484), (8, 1.4398966328953242),
+              (16, 1.2435470920819596), (32, 1.1453723216572786), (64, 1.0962849364449383),
+              (128, 1.071741243838768), (256, 1.0594693975356828),
+              (512, 1.0533334743841403), (1024, 1.050265512808369),
+              (2048, 1.0487315320204833), (4096, 1.048147158387003))
+
+    @pytest.mark.parametrize("solve, work", [
+        (lambda: alpha_n(CharacterSet.of_integers([1, 4, 12, 38, 154]), 8),
+         (1891, 165, 11905435, "done", ())),
+        (lambda: alpha_n(parse_set_spec(
+            "Z x Z2^3 : [3,0,0,0],[3,0,0,1],[6,1,0,0],[6,1,1,0],[8,1,1,0]")[1], 5),
+         (308, 5, 1940400, "done", ())),
+        (lambda: alpha_n(parse_set_spec("Z^2 : [1,0],[0,1],[1,2],[2,-1]")[1], 5),
+         (13, 0, 4004, "done", ())),
+        (lambda: alpha_n(parse_set_spec("Z13 : [1],[3],[5],[9]")[1], 5),
+         (144, 169, 11688, "done", ())),
+        (lambda: alpha(CharacterSet.of_integers([-6, 1, 3])),
+         (33167, 2, 236976, "done",
+          tuple((n, 1.0471975511906, upper, True) for n, upper in LADDER))),
+        (lambda: alpha_n(CharacterSet.of_integers([1, 2, 3, 5, 8]), 8, budget=200_000),
+         (328, 399, 200045, "budget", ())),
+    ], ids=["lacunary Z", "Z x Z2^3", "Z^2", "Z13", "lifted Z", "budget stop"])
+    def test_work_is_pinned(self, solve, work):
+        w = solve().work
+        assert (w.targets_enumerated, w.targets_pruned, w.inner_evals, w.stop_reason,
+                w.ladder) == work
 
 
 class TestAlphaLadder:
@@ -1370,12 +1520,12 @@ class TestLiftedBlocks:
         scan = engine._Scan(data, self.TOL, Budget(limit))
         scan.budget.used = used
         if prior is not None:
-            scan.best = engine._Incumbent(prior, prior, n // 2, (0,) * m,
+            scan.best = engine._Incumbent(prior, n // 2, (0,) * m,
                                           DualPoint(data.chars.group, (0.0,), ()), None)
         made.clear()
         probes = scan.probes.tolist()
         opened = []
-        got = engine._scan_lifted(scan, n, block, cap, self.RADIUS, self.SLACK, opened)
+        got = engine._scan_targets(scan, n, iter([block]), cap, self.RADIUS, self.SLACK, opened)
         want = oracles.scan_cells_loop(
             block.lower.tolist(), block.cells.upper.tolist(), block.cost.tolist(), prior,
             used, limit, cap, self.TOL, self.RADIUS, self.SLACK)
@@ -1384,16 +1534,15 @@ class TestLiftedBlocks:
         assert scan.budget.used == want["used"], case
         assert scan.stats.targets_enumerated == want["enumerated"], case
         rows = block.cells.rows.tolist()
-        assert [(c.indices, c.lower, c.upper, c.order) for c in made] == [
-            (tuple(rows[i]), block.lower[i], block.cells.upper[i], n)
-            for i in want["incumbents"]], case
+        assert [(c.indices, c.lower, c.order) for c in made] == [
+            (tuple(rows[i]), block.lower[i], n) for i in want["incumbents"]], case
         # each incumbent's witness attains its least kept lift, and the
         # probes are the last four witnesses' argument rows
         for c, i in zip(made, want["incumbents"]):
             nu, vals = zip(*self.kept_lifts(block, i))
-            assert c.point == engine._lift_point(
-                data, np.array(rows[i], dtype=np.float64) * (TWO_PI / n),
-                (np.array(nu), np.array(vals)))
+            angles = np.array(rows[i], dtype=np.float64) * (TWO_PI / n)
+            s = line_witness(data.slopes, angles + TWO_PI * np.array(nu[int(np.argmin(vals))]))
+            assert c.point == DualPoint(data.chars.group, (s % TWO_PI,), ())
             probes.append(data.point_args(c.point).tolist())
         assert scan.probes.tolist() == probes[-4:]
         assert scan.best is (made[-1] if made else scan.best)
@@ -1430,19 +1579,18 @@ class TestLiftedBlocks:
     def test_budget_stop_inside_a_lifted_block(self, monkeypatch, elements, budget, levels,
                                                lower, evals, solved, pruned, worst, theta):
         E = CharacterSet.of_integers(elements)
-        stops = []
-        scan_lifted = engine._scan_lifted
+        blocks = []
+        solved_ahead = engine._solved_ahead
 
         def spy(*args):
-            out = scan_lifted(*args)
-            stops.append((out[2], len(args[2].lower)))
-            return out
+            for block in solved_ahead(*args):
+                blocks.append(block)
+                yield block
         with monkeypatch.context() as patch:
-            patch.setattr(engine, "_scan_lifted", spy)
+            patch.setattr(engine, "_solved_ahead", spy)
             res = alpha(E, tol=1e-3, budget=budget)
         # the budget ran out inside a block of lifted cells, not at its edge
-        status, size = stops[-1]
-        assert status == "budget" and size > 1
+        assert isinstance(blocks[-1], engine._LiftedBlock) and len(blocks[-1].lower) > 1
         uppers = self.UPPERS[elements][:levels]
         ladder = tuple((2 << i, lower, up, True) for i, up in enumerate(uppers))
         assert res.work.ladder == ladder + ((2 << levels, lower, uppers[-1], False),)
