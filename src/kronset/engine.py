@@ -20,8 +20,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
-from collections import deque
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
 from typing import TYPE_CHECKING
@@ -62,8 +61,11 @@ DEFAULT_TOL = 1e-3
 DEFAULT_BUDGET = 10**8
 #: largest roots-grid order the continuous-constant refinement will reach
 LADDER_MAX_ORDER = 1 << 13
-#: most targets one process-pool task solves ahead of the scan
-MAX_RUN = 16
+#: fewest grid targets a scan reads per block (see `_blocks`).  A pooled
+#: scan meets its workers once a block: 32 keeps a kernel-bound 2-process
+#: scan about 4% faster than 16 does, and serial `grid` solves 0.4% more
+#: targets, about as fast
+MAX_RUN = 32
 #: children split from a block of parents at a time (see `_children`).  On
 #: `ladder` 2^11 runs as fast as 2^12 with half the temporaries; 2^10 is
 #: about 10% slower
@@ -94,6 +96,12 @@ class Budget:
     @property
     def remaining(self) -> int:
         return self.limit - self.used
+
+
+def _past_room(room: int, unit: int) -> int:
+    """The charge that stops a computation on work the budget cannot pay:
+    whole units up to one unit past `room`, the budget left."""
+    return (max(room, 0) // unit + 1) * unit
 
 
 def _check_limits(**limits):
@@ -346,11 +354,6 @@ class _Targets:
         for i, lift in zip(at.tolist(), new.lifts):
             self.lifts[i] = lift
 
-    def part(self, start: int, stop: int) -> "_Targets":
-        """Targets start..stop-1, sharing the arrays of this block."""
-        return _Targets(*(getattr(self, f.name)[start:stop] for f in fields(self)[:-1]),
-                        self.modulus)
-
     def take(self, sel: np.ndarray) -> _Cells:
         """The targets at the indices `sel` as cells, with their lifts."""
         return _Cells.of(self.rows[sel], self.upper[sel], [self.lifts[i] for i in sel.tolist()])
@@ -378,8 +381,7 @@ def _solve_target(data: _SetData, angles: np.ndarray, grid, budget: Budget,
     solved = _solve_rows(data, angles[None], n, None if grid is None else np.array([indices]),
                          budget.remaining, lift_margin)
     if np.isnan(solved.lower[0]):
-        unit = _block_targets(data)[1]
-        budget.charge((max(budget.remaining, 0) // unit + 1) * unit)
+        budget.charge(_past_room(budget.remaining, _block_targets(data)[1]))
     budget.charge(int(solved.cost[0]))
     return (float(solved.lower[0]), float(solved.upper[0]), *solved.witness(data, n, 0),
             solved.lifts[0])
@@ -720,8 +722,9 @@ class _Incumbent:
 class _Scan:
     """What the scans of one computation share: the incumbent worst target,
     the last few witness points as probes (character argument rows, oldest
-    first), the budget, the work counters and the pool of `threads` workers,
-    if any, solving ahead.  `tol` is the cap-exit margin."""
+    first), the budget, the work counters and, with `threads` > 1, the pool
+    of `threads` - 1 workers that `solve` shares the scan's solves with.
+    `tol` is the cap-exit margin."""
 
     data: _SetData
     tol: float
@@ -740,6 +743,31 @@ class _Scan:
         """Make `best` the incumbent, its witness the newest of four probes."""
         self.best = best
         self.probes = np.vstack([self.probes[-3:], self.data.point_args(best.point)])
+
+    def solve(self, angles: np.ndarray, n: int, rows: np.ndarray,
+              lift_margin: float | None = None) -> _Targets:
+        """`_solve_rows` on rows of order-n targets, the budget left as its
+        limit.  With a pool, and a limit that pays every target at its
+        largest charge, the targets are split into `threads` parts: this
+        process solves the first while the workers solve the rest.  Each
+        target's solution does not depend on the others, so the result is
+        that of one call."""
+        data, limit = self.data, self.budget.remaining
+        if self.pool is None or len(rows) * data.selection_count * _block_targets(data)[1] > limit:
+            return _solve_rows(data, angles, n, rows, limit, lift_margin)
+        first, *rest = [at for at in np.array_split(np.arange(len(rows)), self.threads) if len(at)]
+        futures = [self.pool.submit(_solve_for, data.chars, angles[at], n, rows[at], limit,
+                                    lift_margin) for at in rest]
+        out = _Targets.empty(data, len(rows), n, rows)
+        out.put(first, _solve_rows(data, angles[first], n, rows[first], limit, lift_margin))
+        for at, future in zip(rest, futures):
+            out.put(at, future.result())
+        return out
+
+
+def _solve_for(chars: CharacterSet, *args) -> _Targets:
+    """`_solve_rows` in a pool worker, which builds its own `_SetData`."""
+    return _solve_rows(_set_data(chars), *args)
 
 
 def _first(mask: np.ndarray) -> int:
@@ -760,17 +788,18 @@ def _scan_targets(scan: _Scan, n: int, items, cap: float, radius: float = 0.0,
     Solved cells that stay open are appended to `opened` as `_Cells`, with
     the lifts within lift_margin of their value.
 
-    items yields blocks (see `_solved_ahead`): `_Targets`, and
-    `_LiftedBlock`s, whose cells skip the probes.  A pass over a block's
-    arrays takes the decisions and charges of a loop over its targets in
-    turn (read the probes, m units each, until one closes the cell, else pay
-    the solve; raise the incumbent; close or open; stop at cap - tol) up to
-    the first change of incumbent, which moves the probes and the lower end:
-    the next pass reads the verdicts on the rest again and solves the
-    targets they reopen.  The budget stop is the first charge past the room
-    left, charged one unit past it (m for a probe, the `_block_targets` unit
-    for a solve, the cost of a lifted cell).  Only the targets that raise
-    the incumbent build witnesses.
+    items yields blocks (see `_blocks`): `_Targets`, and `_LiftedBlock`s,
+    whose cells skip the probes.  A pass over a block's arrays reads the
+    probes on the rest of the block, solves the unsolved targets they leave
+    open in one `_Scan.solve` call, and takes the decisions and charges of a
+    loop over the targets in turn (read the probes, m units each, until one
+    closes the cell, else pay the solve; raise the incumbent; close or open;
+    stop at cap - tol) up to the first change of incumbent, which moves the
+    probes and the lower end: the next pass reads the verdicts on the rest
+    again and solves the targets they reopen.  The budget stop is the first
+    charge past the room left, charged one unit past it (m for a probe, the
+    `_block_targets` unit for a solve, the cost of a lifted cell).  Only the
+    targets that raise the incumbent build witnesses.
 
     Returns (closed_hi, open_hi, status): the largest bound over closed and
     over open cells, and 'capped' when the incumbent reached `cap`, 'done'
@@ -797,8 +826,7 @@ def _scan_targets(scan: _Scan, n: int, items, cap: float, radius: float = 0.0,
                 if todo.any():
                     # without an incumbent the first target solved ends the pass
                     todo = pos + np.flatnonzero(todo)[:1 if scan.best is None else None]
-                    block.put(todo, _solve_rows(data, angles[todo], n, rows[todo],
-                                                budget.remaining, lift_margin))
+                    block.put(todo, scan.solve(angles[todo], n, rows[todo], lift_margin))
             # lower ends of the targets a solve decides: nan where pruned, or
             # unsolved (costs 0) as the budget could not pay
             low = lower[pos:] if probed is None else np.where(probed, np.nan, lower[pos:])
@@ -819,8 +847,8 @@ def _scan_targets(scan: _Scan, n: int, items, cap: float, radius: float = 0.0,
             if status == "budget":
                 room, probe = budget.remaining, 0 if probed is None else int(read[stop]) * m
                 unit = int(cost[pos + stop]) if lifted else _block_targets(data)[1]
-                budget.used += ((room // m + 1) * m if probe > room
-                                else probe + ((room - probe) // unit + 1) * unit)
+                budget.used += (_past_room(room, m) if probe > room
+                                else probe + _past_room(room - probe, unit))
             stats.targets_pruned += (pruned := 0 if probed is None else int(probed[:end].sum()))
             stats.targets_enumerated += end - pruned
             done = pos + (np.arange(end) if probed is None else np.flatnonzero(~probed[:end]))
@@ -865,72 +893,24 @@ def _block_targets(data: _SetData) -> tuple[int, int]:
     return max(1, CIRCLE_BLOCK // (data.selection_count * unit)), unit
 
 
-def _solve_run(chars: CharacterSet, n: int, limit: int, rows: np.ndarray,
-               lift_margin: float | None = None, probes=None, lower: float | None = None,
-               radius: float = 0.0, slack: float = 0.0) -> _Targets:
-    """The order-n targets `rows` of a run read ahead of the scan, solved in
-    the scan's process or in a pool worker while `limit` pays, except those
-    the scan's probes and lower end (None: no incumbent) close as they stood
-    when the run was read.  A limit that cannot pay the largest charge of
-    one target leaves every target to the scan, so a target the budget
-    cannot pay is read only once."""
-    data = _set_data(chars)
-    angles = rows * (TWO_PI / n)
-    run = _Targets.empty(data, len(rows), n, rows)
-    todo = (np.arange(len(rows)) if lower is None
-            else np.flatnonzero(~_probe_bounds(angles, probes, radius, lower, slack)[0]))
-    if data.selection_count * _block_targets(data)[1] <= limit:
-        run.put(todo, _solve_rows(data, angles[todo], n, rows[todo], limit, lift_margin))
-    return run
-
-
-def _solved_ahead(scan: _Scan, n: int, items, lift_margin: float | None = None,
-                  radius: float = 0.0, slack: float = 0.0):
+def _blocks(data: _SetData, n: int, items):
     """The items of a scan, index tuples of order-n targets and
-    `_LiftedBlock`s, as blocks for `_scan_targets`: the targets of each run
-    of items go to `_solve_run` with the scan's state as it stands when the
-    run is read (for cell radius `radius` and closing slack `slack`), and
-    each span of them between lifted blocks is one `_Targets`.  With a
-    pool, 2*threads runs are in flight, of one item doubling up to MAX_RUN
-    so short scans still use every worker; without, a run of MAX_RUN items
-    (`_block_targets` if more) is read once the one before is decided.  The
-    scan takes every decision, so results do not depend on either."""
-    data, pool = scan.data, scan.pool
-    if pool is not None:
-        depth, sizes = 2 * scan.threads, (min(1 << i, MAX_RUN) for i in itertools.count())
-    else:
-        depth, sizes = 1, itertools.repeat(max(MAX_RUN, _block_targets(data)[0]))
-
-    def read(count: int):
-        run = list(itertools.islice(items, count))
-        rows = np.array([t for t in run if type(t) is tuple], dtype=np.int64).reshape(-1, data.m)
-        args = (data.chars, n, scan.budget.remaining, rows, lift_margin, scan.probes,
-                None if scan.best is None else scan.best.lower, radius, slack)
-        if not len(rows):
-            return run, None
-        return run, (partial(_solve_run, *args) if pool is None
-                     else pool.submit(_solve_run, *args).result)
-
-    in_flight = deque()
-    while True:
-        while len(in_flight) < depth and (ahead := read(next(sizes)))[0]:
-            in_flight.append(ahead)
-        if not in_flight:
-            return
-        run, solve = in_flight.popleft()
-        solved, start = solve() if solve else None, 0
+    `_LiftedBlock`s, as blocks for `_scan_targets`, read
+    max(MAX_RUN, `_block_targets`) items at a time: each span of targets
+    between lifted blocks is one `_Targets`, unsolved."""
+    size = max(MAX_RUN, _block_targets(data)[0])
+    while run := list(itertools.islice(items, size)):
         for kind, group in itertools.groupby(run, key=type):
             if kind is tuple:
-                stop = start + len(list(group))
-                yield solved.part(start, stop)
-                start = stop
+                rows = np.array(list(group), dtype=np.int64)
+                yield _Targets.empty(data, len(rows), n, rows)
             else:
                 yield from group
 
 
 def _pool(threads: int):
-    """Worker processes for a computation with `threads` > 1 (none for one
-    thread); ValueError for threads < 1."""
+    """The `threads` - 1 worker processes of a computation with `threads` > 1
+    (none for one thread); ValueError for threads < 1."""
     if threads < 1:
         raise ValueError("threads must be >= 1")
     if threads == 1:
@@ -938,7 +918,7 @@ def _pool(threads: int):
     # imported here: the process machinery is a sizeable share of the
     # library's import time and memory, and single-threaded calls need none
     from concurrent.futures import ProcessPoolExecutor
-    return ProcessPoolExecutor(max_workers=threads)
+    return ProcessPoolExecutor(max_workers=threads - 1)
 
 
 def alpha_n(chars: CharacterSet, n: int, tol: float = DEFAULT_TOL,
@@ -955,9 +935,10 @@ def alpha_n(chars: CharacterSet, n: int, tol: float = DEFAULT_TOL,
     with certified=False: its lower end is still sound, the upper end falls
     back to the universal cap.
 
-    threads > 1 starts worker processes that solve targets ahead of the one
-    scan; every field of the result, work counters included, is the same for
-    any thread count.
+    threads > 1 runs the scan's solves in that many processes, this one and
+    threads - 1 workers, whenever the budget pays every target of a solve;
+    the scan decides, so every field of the result, work counters included,
+    is the same for any thread count.
     """
     if n < 2:
         raise ValueError("roots grid order must be >= 2")
@@ -972,8 +953,7 @@ def alpha_n(chars: CharacterSet, n: int, tol: float = DEFAULT_TOL,
     idx_iter = itertools.chain(seeds, _grid_targets(_shift_basis(data, n), n))
     with _pool(threads) as pool:
         scan = _Scan(data, tol, Budget(budget), pool, threads)
-        with contextlib.closing(_solved_ahead(scan, n, idx_iter)) as items:
-            closed_hi, open_hi, status = _scan_targets(scan, n, items, cap)
+        closed_hi, open_hi, status = _scan_targets(scan, n, _blocks(data, n, idx_iter), cap)
     best, stats = scan.best, scan.stats
     stats.inner_evals = scan.budget.used
 
@@ -1069,9 +1049,8 @@ def _refine(scan: _Scan, tol: float, max_order: int):
         else:
             cells, closed = _next_level(scan.data, n, parents, scan.best.lower, tol, opened)
             closed_top = max(closed_top, closed)
-        with contextlib.closing(_solved_ahead(scan, n, cells, lift_margin, radius, tol)) as items:
-            closed_hi, _, status = _scan_targets(scan, n, items, upper, radius, tol, opened,
-                                                 lift_margin)
+        closed_hi, _, status = _scan_targets(scan, n, _blocks(scan.data, n, cells), upper,
+                                             radius, tol, opened, lift_margin)
         lower = scan.best.lower if scan.best is not None else 0.0
         if status == "done":
             parents = _Cells.gather(opened, scan.data.m)

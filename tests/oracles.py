@@ -140,8 +140,8 @@ def scan_targets_loop(scan, n: int, items, cap: float, radius: float = 0.0,
     the scan.  A cell of a lifted block is charged its cost and not probed.
     Then the target is counted, raises the incumbent if its lower end beats
     it (witness and probe window rolled), closes or opens, and the scan
-    stops once the incumbent reaches cap - tol.  Solutions the blocks carry
-    from a pool are not read."""
+    stops once the incumbent reaches cap - tol.  Solutions a block already
+    carries are not read."""
     data, budget, stats = scan.data, scan.budget, scan.stats
     closed_hi = open_hi = 0.0
     try:

@@ -9,7 +9,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("demo", ["brackets_demo.py", "diagnostics_demo.py", "nets_demo.py"])
+@pytest.mark.parametrize("demo", ["brackets_demo.py", "diagnostics_demo.py", "gallery_demo.py",
+                                  "nets_demo.py"])
 def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))

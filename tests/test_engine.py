@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import itertools
 import math
@@ -58,6 +59,19 @@ def solutions(data, solved):
     return [None if math.isnan(lower) else (
         (lower, solved.upper[i], *solved.witness(data, None, i), solved.lifts[i]),
         int(solved.cost[i])) for i, lower in enumerate(solved.lower.tolist())]
+
+
+class InlinePool:
+    """A process pool stand-in that runs each task in this process when it
+    is submitted and records the arguments of every task."""
+
+    def __init__(self):
+        self.tasks = []
+
+    def submit(self, fn, *args):
+        self.tasks.append(args)
+        solved = fn(*args)
+        return SimpleNamespace(result=lambda: solved)
 
 
 def random_group_set(rng, group, zero=False):
@@ -458,21 +472,6 @@ class TestAlphaN:
         E = CharacterSet.of_integers([1, 3])
         assert alpha(E, tol=1e-2, threads=2) == alpha(E, tol=1e-2)
 
-    def test_pool_worker_skips_targets_the_probes_close(self):
-        E = CharacterSet.of_integers([1, 2, 3, 5, 8])
-        data = engine._set_data(E)
-        run = np.array([(0, 0, 0, 0, 0), (1, 2, 3, 4, 5)])
-        solved = solutions(data, engine._solve_run(E, 8, 10**7, run))
-        # without probes there is no verdict and nothing is skipped
-        assert None not in solved
-        # the identity closes the all-zero target against a lower end of 0,
-        # read as the first probe, and leaves the other open
-        identity = np.zeros((1, len(E)))
-        hit, read, bound = engine._probe_bounds(run * (TWO_PI / 8), identity, 0.0, 0.0, 0.0)
-        assert (hit.tolist(), read.tolist(), bound.tolist()) == ([True, False], [1, 1], [0, 0])
-        probed = solutions(data, engine._solve_run(E, 8, 10**7, run, None, identity, 0.0))
-        assert probed == [None, solved[1]]
-
     def test_probe_charges_match_a_loop_over_the_probes(self, monkeypatch):
         # the reference scan charges m before each probe it reads, one
         # target at a time (`oracles.probe_loop`)
@@ -680,37 +679,92 @@ class TestScanBlocks:
             assert short.used == ref.used
             if margin is not None:
                 continue
-            # the worker returns the same solutions, cut before the run passes its limit
-            limit = rng.randrange(len(run) * cost + 1)
-            solved = solutions(data, engine._solve_run(E, n, limit, run))
-            assert solved == [(s, cost) if t < limit // cost else None
-                              for t, s in enumerate(got)]
+            # a scan with a pool returns the same solutions: shared with a
+            # worker when its limit pays every target, else cut short by
+            # this process alone
+            for limit in (rng.randrange(len(run) * cost), len(run) * cost + rng.randrange(cost)):
+                pool = InlinePool()
+                scan = engine._Scan(data, 1e-3, Budget(limit), pool, 2)
+                solved = solutions(data, scan.solve(angles, n, run))
+                assert solved == [(s, cost) if t < limit // cost else None
+                                  for t, s in enumerate(got)]
+                shared = limit >= len(run) * cost and len(run) > 1
+                assert [len(task[3]) for task in pool.tasks] == ([len(run) // 2] if shared else [])
 
-    def test_pool_keeps_two_runs_a_thread_in_flight(self, monkeypatch):
-        class Pool:
-            # solves each run when submitted, and counts the runs whose
-            # solutions the scan has not taken yet
-            def __init__(self):
-                self.waiting, self.most, self.sizes = 0, 0, []
+    def test_the_pool_solves_the_serial_scans_targets(self, monkeypatch):
+        # the index rows given to `_solve_rows`, in any process, are the
+        # same multiset for one thread and two, and a solve whose targets
+        # the budget left cannot all pay at their largest charge stays in
+        # the scan's process
+        rng = random.Random(419)
+        solve_rows, scan_solve, make_pool = engine._solve_rows, engine._Scan.solve, engine._pool
+        rows, solves = collections.Counter(), []
+
+        def count(n, indices):
+            rows.update((n, *row) for row in indices.tolist())
+
+        def spy_rows(data, angles, n, indices, *args):
+            count(n, indices)
+            return solve_rows(data, angles, n, indices, *args)
+
+        def spy_solve(scan, angles, n, indices, *args):
+            unit = engine._block_targets(scan.data)[1]
+            pays = len(indices) * scan.data.selection_count * unit <= scan.budget.remaining
+            before = len(scan.pool.tasks) if scan.pool else 0
+            out = scan_solve(scan, angles, n, indices, *args)
+            after = len(scan.pool.tasks) if scan.pool else 0
+            solves.append((pays, len(indices), after - before))
+            return out
+
+        class Forked(InlinePool):
+            # a real pool whose tasks' rows are counted when submitted, as
+            # the spy's counts in a worker stay in the worker
+            def __init__(self, workers):
+                super().__init__()
+                self.workers = workers
 
             def submit(self, fn, *args):
-                self.waiting += 1
-                self.most = max(self.most, self.waiting)
-                self.sizes.append(len(args[3]))
-                solved = fn(*args)
+                self.tasks.append(args)
+                count(args[2], args[3])
+                return self.workers.submit(fn, *args)
 
-                def result():
-                    self.waiting -= 1
-                    return solved
-                return SimpleNamespace(result=result)
+        def run(solve, threads, pool=None):
+            rows.clear()
+            solves.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(engine, "_solve_rows", spy_rows)
+                patch.setattr(engine._Scan, "solve", spy_solve)
+                patch.setattr(engine, "_pool", lambda threads: contextlib.nullcontext(pool))
+                return solve(threads=threads), collections.Counter(rows), list(solves)
 
-        E = CharacterSet.of_integers([1, 2, 3, 5, 8])
-        serial = alpha_n(E, 8)
-        pool = Pool()
-        monkeypatch.setattr(engine, "_pool", lambda threads: contextlib.nullcontext(pool))
-        assert alpha_n(E, 8, threads=3) == serial
-        assert pool.most == 6
-        assert pool.sizes[:6] == [1, 2, 4, 8, 16, 16]
+        groups = [GroupSpec(1), GroupSpec(1, (2,)), GroupSpec(2), GroupSpec(0, (12,)),
+                  GroupSpec(0, (2, 2, 2))]
+        cases = [partial(alpha_n, random_group_set(rng, g), rng.choice((3, 4, 5, 8)), tol=1e-2)
+                 for g in groups for _ in range(2)]
+        cases += [partial(alpha, CharacterSet.of_integers(elements), tol=0.05)
+                  for elements in ([1, 3], [-4, 3], [-3, 1, 4])]
+        # scans of many blocks, whose incumbent changes after the first
+        cases += [partial(alpha_n, CharacterSet.of_integers([1, 2, 3, 5, 8]), 8),
+                  partial(alpha_n, parse_set_spec("Z12 : [1],[2],[5],[7]")[1], 8)]
+        shared = kept = 0
+        for solve in cases:
+            used = solve().work.inner_evals
+            for budget in [used] + [rng.randint(1, used - 1) for _ in range(2)]:
+                want, serial, _ = run(partial(solve, budget=budget), 1)
+                got, pooled, calls = run(partial(solve, budget=budget), 2, InlinePool())
+                assert got == want and pooled == serial, (solve, budget)
+                for pays, k, submitted in calls:
+                    assert submitted == (pays and k > 1), (solve, budget)
+                shared += sum(submitted for *_, submitted in calls)
+                kept += sum(not pays and k > 1 for pays, k, _ in calls)
+        assert shared >= 20 and kept >= 3, (shared, kept)
+        # one worker process
+        solve = partial(alpha_n, CharacterSet.of_integers([1, 3, 7]), 8)
+        want, serial, _ = run(solve, 1)
+        with make_pool(2) as workers:
+            pool = Forked(workers)
+            got, pooled, _ = run(solve, 2, pool)
+        assert got == want and pooled == serial and pool.tasks
 
     def test_stale_verdicts_are_read_again(self, monkeypatch):
         # in {1,2,3,5,8} at n = 8 the incumbent of target 149 replaces one
@@ -789,7 +843,7 @@ class TestDecisionPass:
     one at a time."""
 
     @staticmethod
-    def split(rng, block):
+    def split(rng, block, data, n):
         """A block cut into up to four random runs, in order."""
         k = len(block.rows)
         cuts = sorted(rng.sample(range(1, k), rng.randint(0, min(3, k - 1))))
@@ -799,19 +853,19 @@ class TestDecisionPass:
                 yield engine._LiftedBlock(block.cells.take(at), block.lower[at],
                                           block.cost[at], block.cut[at])
             else:
-                yield block.part(start, stop)
+                yield engine._Targets.empty(data, stop - start, n, block.rows[start:stop])
 
     def test_scans_match_the_reference_loop(self, monkeypatch):
         rng = random.Random(1601)
-        solved_ahead = engine._solved_ahead
+        blocks = engine._blocks
         read = []
 
-        def random_runs(*args):
+        def random_runs(data, n, items):
             # random block partitions; counts the targets of the blocks
             # before the last one the scan takes
             read.clear()
-            for block in solved_ahead(*args):
-                for part in self.split(rng, block):
+            for block in blocks(data, n, items):
+                for part in self.split(rng, block, data, n):
                     read.append(len(part.rows))
                     yield part
 
@@ -834,7 +888,7 @@ class TestDecisionPass:
                 threads = rng.choice((1, 2))
                 with monkeypatch.context() as patch:
                     patch.setattr(engine, "MAX_RUN", rng.randint(1, 20))
-                    patch.setattr(engine, "_solved_ahead", random_runs)
+                    patch.setattr(engine, "_blocks", random_runs)
                     got = solve(budget=budget, threads=threads)
                 assert got == want, (solve, budget, threads)
                 if grid and got.work.stop_reason == "budget":
@@ -844,9 +898,9 @@ class TestDecisionPass:
         assert stops >= 20 and inside >= 5, (stops, inside)
 
     def test_targets_solved_ahead_and_pruned_do_not_raise_the_incumbent(self):
-        # a pool solves ahead against stale probes, so a target the probes
-        # prune may carry a value above the incumbent; with a slack this
-        # wide the identity probe prunes every target
+        # a target solved before a change of incumbent in its block may be
+        # pruned by the new probes while its value beats the incumbent; with
+        # a slack this wide the identity probe prunes every target
         E, n = CharacterSet.of_integers([1, 3]), 8
         data = engine._set_data(E)
         rows = np.array([(1, 2), (3, 7), (5, 4)])
@@ -854,7 +908,7 @@ class TestDecisionPass:
         def scan(decide):
             state = engine._Scan(data, 1e-3, Budget(10**9))
             state.best = engine._Incumbent(0.0, n, (0, 0), DualPoint(E.group, (0.0,), ()), None)
-            block = engine._solve_run(E, n, 10**9, rows)
+            block = engine._solve_rows(data, rows * (TWO_PI / n), n, rows, 10**9)
             assert (block.lower > 0.0).all()
             out = decide(state, n, iter([block]), math.pi, 0.01, 4.0, [], None)
             return out, state.best, state.stats, state.budget.used
@@ -1580,14 +1634,14 @@ class TestLiftedBlocks:
                                                lower, evals, solved, pruned, worst, theta):
         E = CharacterSet.of_integers(elements)
         blocks = []
-        solved_ahead = engine._solved_ahead
+        read_blocks = engine._blocks
 
         def spy(*args):
-            for block in solved_ahead(*args):
+            for block in read_blocks(*args):
                 blocks.append(block)
                 yield block
         with monkeypatch.context() as patch:
-            patch.setattr(engine, "_solved_ahead", spy)
+            patch.setattr(engine, "_blocks", spy)
             res = alpha(E, tol=1e-3, budget=budget)
         # the budget ran out inside a block of lifted cells, not at its edge
         assert isinstance(blocks[-1], engine._LiftedBlock) and len(blocks[-1].lower) > 1
