@@ -490,6 +490,12 @@ def solve_torsion_units(table, scale: int, modulus: int, targets: np.ndarray,
     target per row, one column per character, of dtype
     `exact_dtype(modulus)`) at selections start..stop-1.  table(start, stop)
     gives those rows of the selection table, whose units are `scale` times
-    larger."""
-    e = (targets[live, None, :] - table(start, stop).astype(targets.dtype) * scale) % modulus
-    return np.minimum(e, modulus - e).max(axis=2)
+    larger.  One character at a time, its distances folded into the
+    running largest by np.maximum."""
+    rows, targets = table(start, stop).astype(targets.dtype) * scale, targets[live]
+    worst = None
+    for k in range(targets.shape[1]):
+        e = (targets[:, k, None] - rows[:, k]) % modulus
+        e = np.minimum(e, modulus - e)
+        worst = e if worst is None else np.maximum(worst, e, out=worst)
+    return worst

@@ -66,6 +66,14 @@ LADDER_MAX_ORDER = 1 << 13
 #: scan about 4% faster than 16 does, and serial `grid` solves 0.4% more
 #: targets, about as fast
 MAX_RUN = 32
+#: witnesses of solved targets the scan keeps as probes (see `_Scan`).  On
+#: `grid` (seed 4242, 8-s runs) 64 solves a fifth more targets and scans
+#: about 5% slower; 256 solves a tenth fewer and scans within 2%
+PROBES = 128
+#: items of a scan between fixed rolls of the probe window (see `_Scan`):
+#: a count of its own, not `MAX_RUN`, so that no result depends on how the
+#: items are read
+ROLL = 32
 #: children split from a block of parents at a time (see `_children`).  On
 #: `ladder` 2^11 runs as fast as 2^12 with half the temporaries; 2^10 is
 #: about 10% slower
@@ -227,9 +235,13 @@ def mixed_radix_rows(radices, start: int, stop: int) -> np.ndarray:
     """Rows start..stop-1 of the product of range(r) over `radices`, one
     column per radix, in the order of itertools.product; Python integers
     (object arrays) once the row count nears 2^61."""
-    dtype = exact_dtype(math.prod(radices))
-    index = np.arange(start, stop, dtype=dtype)
-    rows = np.empty((stop - start, len(radices)), dtype=dtype)
+    return radix_digits(radices, np.arange(start, stop, dtype=exact_dtype(math.prod(radices))))
+
+
+def radix_digits(radices, index: np.ndarray) -> np.ndarray:
+    """The rows at the positions `index` of the product of range(r) over
+    `radices` (see `mixed_radix_rows`), of the dtype of `index`."""
+    rows = np.empty((len(index), len(radices)), dtype=index.dtype)
     for i in range(len(radices) - 1, -1, -1):
         index, rows[:, i] = index // radices[i], index % radices[i]
     return rows
@@ -357,6 +369,12 @@ class _Targets:
     def take(self, sel: np.ndarray) -> _Cells:
         """The targets at the indices `sel` as cells, with their lifts."""
         return _Cells.of(self.rows[sel], self.upper[sel], [self.lifts[i] for i in sel.tolist()])
+
+    def args(self, data: _SetData, at: np.ndarray) -> np.ndarray:
+        """arg gamma at the witnesses of the targets at the indices `at`, one
+        row per target (see `_SetData.args_at`)."""
+        return data.args_at(self.theta[at],
+                            radix_digits(data.orders, self.sel[at]).astype(np.float64))
 
     def witness(self, data: _SetData, n: int | None, i: int):
         """(DualPoint, exact value or None) of target i."""
@@ -721,10 +739,17 @@ class _Incumbent:
 @dataclass
 class _Scan:
     """What the scans of one computation share: the incumbent worst target,
-    the last few witness points as probes (character argument rows, oldest
-    first), the budget, the work counters and, with `threads` > 1, the pool
-    of `threads` - 1 workers that `solve` shares the scan's solves with.
-    `tol` is the cap-exit margin."""
+    the probe window, the budget, the work counters and, with `threads` > 1,
+    the pool of `threads` - 1 workers that `solve` shares the scan's solves
+    with.  `tol` is the cap-exit margin.
+
+    The probes are the character argument rows of the last PROBES witnesses
+    of solved targets and of lifted incumbents, newest first, the identity
+    last of all.  The window rolls only at fixed points of the scan order,
+    every ROLL-th item of a `_scan_targets` call from its first and after
+    every change of incumbent: `roll` puts the rows `pending` since the last
+    roll, taken in scan order, in front.  So the probes a target meets
+    depend neither on the block size nor on the thread count."""
 
     data: _SetData
     tol: float
@@ -734,15 +759,25 @@ class _Scan:
     stats: WorkStats = field(default_factory=WorkStats)
     best: _Incumbent | None = None
     probes: np.ndarray = field(init=False)
+    pending: list = field(init=False, default_factory=list)
 
     def __post_init__(self):
-        # the identity of the dual group is the first probe
+        # the identity of the dual group is the probe before any witness
         self.probes = np.zeros((1, self.data.m))
 
+    def roll(self):
+        """Put the pending rows, newest first, before the probes, keeping
+        PROBES."""
+        if self.pending:
+            self.probes = np.concatenate([np.concatenate(self.pending)[::-1],
+                                          self.probes])[:PROBES]
+            self.pending = []
+
     def raise_to(self, best: _Incumbent):
-        """Make `best` the incumbent, its witness the newest of four probes."""
+        """Make `best` the incumbent, whose witness's row is the last
+        pending, and roll the window."""
         self.best = best
-        self.probes = np.vstack([self.probes[-3:], self.data.point_args(best.point)])
+        self.roll()
 
     def solve(self, angles: np.ndarray, n: int, rows: np.ndarray,
               lift_margin: float | None = None) -> _Targets:
@@ -789,17 +824,24 @@ def _scan_targets(scan: _Scan, n: int, items, cap: float, radius: float = 0.0,
     the lifts within lift_margin of their value.
 
     items yields blocks (see `_blocks`): `_Targets`, and `_LiftedBlock`s,
-    whose cells skip the probes.  A pass over a block's arrays reads the
-    probes on the rest of the block, solves the unsolved targets they leave
-    open in one `_Scan.solve` call, and takes the decisions and charges of a
-    loop over the targets in turn (read the probes, m units each, until one
-    closes the cell, else pay the solve; raise the incumbent; close or open;
-    stop at cap - tol) up to the first change of incumbent, which moves the
-    probes and the lower end: the next pass reads the verdicts on the rest
-    again and solves the targets they reopen.  The budget stop is the first
-    charge past the room left, charged one unit past it (m for a probe, the
-    `_block_targets` unit for a solve, the cost of a lifted cell).  Only the
-    targets that raise the incumbent build witnesses.
+    whose cells skip the probes.  A target reads at most as many probes,
+    newest first, as the largest charge of its solve pays for at m units a
+    read.  A pass over a block's arrays reads the probes on the block up to
+    the next roll point of the probe window (see `_Scan`), solves the
+    unsolved targets they leave open in one `_Scan.solve` call, and takes
+    the decisions and charges of a loop over the targets in turn (read the
+    probes, m units each, until one closes the cell, else pay the solve;
+    raise the incumbent; close or open; stop at cap - tol) up to the first
+    change of incumbent, which moves the probes and the lower end, or to
+    that roll point: the next pass reads the verdicts on the rest again and
+    solves the targets they reopen.  A pass over lifted cells, which read no
+    probes, runs on past roll points; the window takes them at the next
+    pass, as one roll.  The solved targets a pass decides leave their
+    witnesses' argument rows pending for the window, from one
+    `_SetData.args_at` call.  The budget stop is the first charge past the
+    room left, charged one unit past it (m for a probe, the `_block_targets`
+    unit for a solve, the cost of a lifted cell).  Only the targets that
+    raise the incumbent build witnesses.
 
     Returns (closed_hi, open_hi, status): the largest bound over closed and
     over open cells, and 'capped' when the incumbent reached `cap`, 'done'
@@ -812,26 +854,36 @@ def _scan_targets(scan: _Scan, n: int, items, cap: float, radius: float = 0.0,
         budget.charge(0 if budget.used or data.r < 2 else subset_count(data.free_key))
     except BudgetExceededError:
         return closed_hi, open_hi, "budget"
+    # a target reads the probes its solve's largest charge pays for, m units each
+    reads = max(1, data.selection_count * _block_targets(data)[1] // m)
+    # items decided by this call, and the last roll point the window took:
+    # rolls with no probe read between them are one roll
+    seen, rolled = 0, -1
     for block in items:
         lifted = isinstance(block, _LiftedBlock)
         rows, lower, upper, cost = block.rows, block.lower, block.upper, block.cost
-        angles = rows * (TWO_PI / n)
         pos = 0
         while pos < len(rows):
+            if seen // ROLL != rolled:
+                scan.roll()
+                rolled = seen // ROLL
+            # a pass that reads probes ends at the next roll point
+            here = slice(pos, len(rows) if lifted else min(len(rows), pos + ROLL - seen % ROLL))
             prior = -math.inf if scan.best is None else scan.best.lower
             probed, read, probe_hi = (None,) * 3 if lifted or scan.best is None else (
-                _probe_bounds(angles[pos:], scan.probes, radius, prior, slack))
+                _probe_bounds(rows[here], scan.probes[:reads], n, radius, prior, slack))
             if not lifted:
-                todo = np.isnan(lower[pos:]) if probed is None else np.isnan(lower[pos:]) & ~probed
+                todo = np.isnan(lower[here]) if probed is None else np.isnan(lower[here]) & ~probed
                 if todo.any():
                     # without an incumbent the first target solved ends the pass
                     todo = pos + np.flatnonzero(todo)[:1 if scan.best is None else None]
-                    block.put(todo, scan.solve(angles[todo], n, rows[todo], lift_margin))
+                    block.put(todo, scan.solve(rows[todo] * (TWO_PI / n), n, rows[todo],
+                                               lift_margin))
             # lower ends of the targets a solve decides: nan where pruned, or
             # unsolved (costs 0) as the budget could not pay
-            low = lower[pos:] if probed is None else np.where(probed, np.nan, lower[pos:])
-            spent = np.cumsum(cost[pos:] if probed is None
-                              else read * m + np.where(probed, 0, cost[pos:]))
+            low = lower[here] if probed is None else np.where(probed, np.nan, lower[here])
+            spent = np.cumsum(cost[here] if probed is None
+                              else read * m + np.where(probed, 0, cost[here]))
             # the first target whose charges pass the room, or that the room
             # could not pay for, and the first solved one that raises the
             # incumbent or finds it at the cap
@@ -859,28 +911,49 @@ def _scan_targets(scan: _Scan, n: int, items, cap: float, radius: float = 0.0,
             open_hi = max(open_hi, float(bound[~shut].max(initial=0.0)))
             if opened is not None and not shut.all():
                 opened.append(block.take(done[~shut]))
+            if not lifted and len(done):
+                scan.pending.append(block.args(data, done))
             if event < stop and low[event] > prior:
                 i = pos + event
+                point, exact = block.witness(data, n, i)
+                if lifted:
+                    scan.pending.append(data.point_args(point)[None])
                 scan.raise_to(_Incumbent(float(lower[i]), n, tuple(rows[i].tolist()),
-                                         *block.witness(data, n, i)))
+                                         point, exact))
             pos += end
+            seen += end
             if status:
                 return closed_hi, open_hi, status
     return closed_hi, open_hi, "done"
 
 
-def _probe_bounds(angles: np.ndarray, probes: np.ndarray, radius: float, lower: float,
+def _probe_bounds(rows: np.ndarray, probes: np.ndarray, n: int, radius: float, lower: float,
                   slack: float):
     """The verdicts of the probe points (rows of character arguments, read
-    in turn) on the cells of radius `radius` around rows of target angles,
-    against the lower end `lower`, as arrays: per row whether a probe closes
-    the cell, the probes read (up to the first that does, else all) and the
-    bound that one puts on the cell (else 0); one `_dist_array` call."""
-    bounds = _dist_array(angles[:, None, :] - probes).max(axis=2) + radius
+    in turn) on the cells of radius `radius` around order-n grid targets
+    (index rows), against the lower end `lower`, as arrays: per target
+    whether a probe closes the cell, the probes read (up to the first that
+    does, else all) and the bound that one puts on the cell (else 0).
+
+    A probe's error at a target is the largest over the characters of the
+    distance `_dist_array(angle - probe)`.  With no more grid points than
+    targets, a character's distances are gathered from a (probes x m x n)
+    table of every grid point against every probe, built once; else they
+    are evaluated for the targets directly.  Either way it is one gather or
+    evaluation and one np.maximum per character, with the bits of
+    evaluating every (target, probe, character) at once."""
+    k, m = rows.shape
+    grid = np.arange(n) * (TWO_PI / n)
+    table = _dist_array(grid - probes[:, :, None]) if n <= k else None
+    bounds = np.zeros((len(probes), k))
+    for c in range(m):
+        np.maximum(bounds, _dist_array(grid[rows[:, c]] - probes[:, c, None]) if table is None
+                   else table[:, c, rows[:, c]], out=bounds)
+    bounds += radius
     closes = bounds - lower <= slack
-    hit, first = closes.any(axis=1), closes.argmax(axis=1)
+    hit, first = closes.any(axis=0), closes.argmax(axis=0)
     return (hit, np.where(hit, first + 1, len(probes)),
-            np.where(hit, bounds[np.arange(len(bounds)), first], 0.0))
+            np.where(hit, bounds[first, np.arange(k)], 0.0))
 
 
 def _block_targets(data: _SetData) -> tuple[int, int]:

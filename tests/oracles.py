@@ -137,13 +137,23 @@ def scan_targets_loop(scan, n: int, items, cap: float, radius: float = 0.0,
     probe read (past the room the scan stops on the budget, the charge
     made), and pruned by the first probe whose error bound closes its cell;
     else `engine._solve_target` solves it, charging its cost or stopping
-    the scan.  A cell of a lifted block is charged its cost and not probed.
-    Then the target is counted, raises the incumbent if its lower end beats
-    it (witness and probe window rolled), closes or opens, and the scan
-    stops once the incumbent reaches cap - tol.  Solutions a block already
-    carries are not read."""
+    the scan, and its witness's argument row joins `scan.pending`.  A cell
+    of a lifted block is charged its cost and not probed.  Then the target
+    is counted, raises the incumbent if its lower end beats it (a lifted
+    cell's witness joins `scan.pending`, and the window rolls), closes or
+    opens, and the scan stops once the incumbent reaches cap - tol.  Before
+    every engine.ROLL-th item, from the first, the window rolls too: the
+    pending rows go, newest first, before the probes, which keep
+    engine.PROBES.  Solutions a block already carries are not read."""
     data, budget, stats = scan.data, scan.budget, scan.stats
     closed_hi = open_hi = 0.0
+    seen = 0
+
+    def roll():
+        if scan.pending:
+            scan.probes = np.vstack([np.vstack(scan.pending)[::-1], scan.probes])[:engine.PROBES]
+            scan.pending = []
+
     try:
         budget.charge(0 if budget.used or data.r < 2 else subset_count(data.free_key))
     except BudgetExceededError:
@@ -151,6 +161,9 @@ def scan_targets_loop(scan, n: int, items, cap: float, radius: float = 0.0,
     for block in items:
         lifted = isinstance(block, engine._LiftedBlock)
         for i, indices in enumerate(block.rows.tolist()):
+            if seen % engine.ROLL == 0:
+                roll()
+            seen += 1
             angles = np.array(indices, dtype=np.float64) * (TWO_PI / n)
             try:
                 if lifted:
@@ -167,14 +180,16 @@ def scan_targets_loop(scan, n: int, items, cap: float, radius: float = 0.0,
                     lower, upper, point, exact, lifts = engine._solve_target(
                         data, angles, (n, tuple(indices)), budget, lift_margin)
                     cell = engine._Cells.of(np.array([indices]), np.array([upper]), [lifts])
+                    scan.pending.append(data.point_args(point)[None])
             except BudgetExceededError:
                 return closed_hi, open_hi, "budget"
             stats.targets_enumerated += 1
             if scan.best is None or lower > scan.best.lower:
                 if lifted:
                     point, exact = block.witness(data, n, i)
+                    scan.pending.append(data.point_args(point)[None])
                 scan.best = engine._Incumbent(lower, n, tuple(indices), point, exact)
-                scan.probes = np.vstack([scan.probes, data.point_args(point)])[-4:]
+                roll()
             bound = upper + radius
             if bound - scan.best.lower <= slack:
                 closed_hi = max(closed_hi, bound)
@@ -190,13 +205,26 @@ def scan_targets_loop(scan, n: int, items, cap: float, radius: float = 0.0,
 def probe_loop(scan, angles, radius: float, slack: float):
     """The bound the first of the scan's probes to close the cell of radius
     `radius` around a target puts on it, or None, charging m before each
-    probe it reads."""
-    for args in scan.probes:
+    probe it reads: at most as many as the target's solve at its largest
+    charge (`engine._block_targets` units per selection) pays for."""
+    data = scan.data
+    reads = max(1, data.selection_count * engine._block_targets(data)[1] // data.m)
+    for args in scan.probes[:reads]:
         scan.budget.charge(scan.data.m)
         bound = float(np.abs(np.mod(angles - args + math.pi, TWO_PI) - math.pi).max()) + radius
         if bound - scan.best.lower <= slack:
             return bound
     return None
+
+
+def probe_bounds_stacked(angles, probes, radius: float, lower: float, slack: float):
+    """`engine._probe_bounds` as one (targets x probes x characters)
+    evaluation of rows of target angles: (closes, probes read, bound)."""
+    bounds = engine._dist_array(angles[:, None, :] - probes).max(axis=2) + radius
+    closes = bounds - lower <= slack
+    hit, first = closes.any(axis=1), closes.argmax(axis=1)
+    return (hit, np.where(hit, first + 1, len(probes)),
+            np.where(hit, bounds[np.arange(len(bounds)), first], 0.0))
 
 
 def alpha_n_exhaustive(slopes, n: int) -> tuple[float, tuple[int, ...]]:
@@ -348,6 +376,14 @@ def torsion_units_loop(unit_rows, modulus: int, target_units, selections, budget
             if worst == 0:
                 break
     return best_units, best_sel
+
+
+def torsion_units_stacked(table, scale: int, modulus: int, targets, start: int, stop: int,
+                          live: list):
+    """`_minimax.solve_torsion_units` as one (targets x selections x
+    characters) array reduced over the characters."""
+    e = (targets[live, None, :] - table(start, stop).astype(targets.dtype) * scale) % modulus
+    return np.minimum(e, modulus - e).max(axis=2)
 
 
 def _dist(x):

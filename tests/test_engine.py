@@ -341,6 +341,30 @@ class TestTorsionTable:
                     assert scan.used == ref.used
         assert stops == {True, False} and cuts == {True, False}
 
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_kernel_matches_the_stacked_formula(self, dtype):
+        # the kernel folds one character at a time into the running largest;
+        # the reduce over a (targets x selections x characters) array it
+        # replaced is the oracle, on int64 and on Python integers past it
+        rng = random.Random(53)
+        for _ in range(40):
+            k, count, m = rng.randint(1, 30), rng.randint(1, 300), rng.randint(1, 6)
+            lcm = rng.randint(2, 40)
+            scale = rng.randint(1, 9) << (64 if dtype is object else 0)
+            modulus = lcm * scale
+            table = np.array([[rng.randrange(lcm) for _ in range(m)] for _ in range(count)],
+                             dtype=dtype)
+            targets = np.array([[rng.randrange(modulus) for _ in range(m)] for _ in range(k)],
+                               dtype=dtype)
+            live = sorted(rng.sample(range(k), rng.randint(1, k)))
+            start = rng.randrange(count)
+            stop = rng.randint(start + 1, count)
+            args = (lambda a, b: table[a:b], scale, modulus, targets, start, stop, live)
+            got = _minimax.solve_torsion_units(*args)
+            want = oracles.torsion_units_stacked(*args)
+            assert got.dtype == want.dtype == dtype and got.shape == (len(live), stop - start)
+            assert got.tolist() == want.tolist()
+
     def test_budget_is_consulted_before_the_table_is_built(self):
         # 2^24 selections: a table built whole would take about 400 MB
         g = GroupSpec(0, (2,) * 24)
@@ -767,8 +791,11 @@ class TestScanBlocks:
         assert got == want and pooled == serial and pool.tasks
 
     def test_stale_verdicts_are_read_again(self, monkeypatch):
-        # in {1,2,3,5,8} at n = 8 the incumbent of target 149 replaces one
-        # whose probe window is full, so the identity probe drops out
+        # in {1,2,3,5,8} at n = 8, with a window of 8 probes, the window is
+        # full when the block of targets 140-179 starts, and rolls inside it
+        # (at target 160 and at each change of incumbent): the probes that
+        # fall out of it can no longer close the cells they closed before
+        monkeypatch.setattr(engine, "PROBES", 8)
         E, n = CharacterSet.of_integers([1, 2, 3, 5, 8]), 8
         data = engine._set_data(E)
         targets = list(engine._grid_targets(engine._shift_basis(data, n), n))[:180]
@@ -786,14 +813,15 @@ class TestScanBlocks:
                 rows = np.array(part)
                 yield engine._Targets.empty(data, len(rows), n, rows)
 
-        window, verdicts = [], []
+        window, verdicts = [], collections.defaultdict(list)
         probe_bounds = engine._probe_bounds
 
-        def spy(angles, *args):
-            out = probe_bounds(angles, *args)
+        def spy(rows, *args):
+            out = probe_bounds(rows, *args)
             if window:
-                # (closes, read, bound) for the block's targets read again
-                verdicts.append(list(zip(*(v.tolist() for v in out))))
+                # (closes, read, bound) of each target of the block read
+                for row, verdict in zip(map(tuple, rows.tolist()), zip(*(v.tolist() for v in out))):
+                    verdicts[row].append(verdict)
             return out
 
         reference = scan(oracles.scan_targets_loop)
@@ -801,12 +829,12 @@ class TestScanBlocks:
         with monkeypatch.context() as patch:
             patch.setattr(engine, "_probe_bounds", spy)
             got = scan(engine._scan_targets)
-        # read again after an incumbent change, the verdicts differ, and
-        # some reopen targets pruned before, which the scan then solves
-        pairs = [(old[-len(new):], new) for old, new in zip(verdicts, verdicts[1:])]
-        stale = [old != new for old, new in pairs]
-        reopened = [a[0] and not b[0] for old, new in pairs for a, b in zip(old, new)]
-        assert window == [4] and any(stale) and any(reopened), (window, stale)
+        # targets read again after a roll get other verdicts, and some that
+        # a probe closed before are reopened, which the scan then solves
+        again = [v for v in verdicts.values() if len(v) > 1]
+        stale = [v for v in again if len(set(v)) > 1]
+        reopened = [v for v in again if any(a[0] and not b[0] for a, b in zip(v, v[1:]))]
+        assert window == [8] and stale and reopened, (window, len(stale), len(reopened))
         assert got == reference
 
     @pytest.mark.parametrize("solve, lifted", [
@@ -944,6 +972,98 @@ class TestDecisionPass:
         assert res.work.targets_enumerated > 5 * len(raised)
 
 
+class TestProbeWindow:
+    """The probes are the last PROBES witnesses of solved targets, read from
+    a table of grid distances; they prune soundly."""
+
+    def test_probe_bounds_match_the_stacked_formula(self):
+        # the per-character table gather (n <= targets) and direct evaluation
+        # (n > targets) against one (targets x probes x characters) array
+        rng = np.random.default_rng(1801)
+        bits = lambda a: a.view(np.int64) if a.dtype == np.float64 else a
+        branches = collections.Counter()
+        for _ in range(3000):
+            n, m, k = int(rng.integers(2, 41)), int(rng.integers(1, 7)), int(rng.integers(1, 60))
+            rows = rng.integers(0, n, (k, m))
+            probes = rng.uniform(-2 * TWO_PI, 2 * TWO_PI, (int(rng.integers(1, 140)), m))
+            # some probes on the grid, where distances are 0 or tie
+            grid = rng.random(len(probes)) < 0.3
+            probes[grid] = rng.integers(0, n, (int(grid.sum()), m)) * (TWO_PI / n)
+            radius, slack = float(rng.choice([0.0, math.pi / n])), float(rng.choice([0.0, 1e-3]))
+            angles = rows * (TWO_PI / n)
+            # a lower end that no cell, some cells or every cell closes
+            # against, some exactly at it
+            least = oracles.probe_bounds_stacked(angles, probes, radius, 0.0, math.inf)[2]
+            lower = float(rng.choice(least)) - slack * float(rng.integers(0, 2))
+            lower -= 1.0 if rng.random() < 0.2 else 0.0
+            got = engine._probe_bounds(rows, probes, n, radius, lower, slack)
+            want = oracles.probe_bounds_stacked(angles, probes, radius, lower, slack)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(bits(g), bits(w)), (n, m, k)
+            branches[n <= k, bool(want[0].any()), bool(want[0].all())] += 1
+        assert min(branches.values()) >= 20 and len(branches) == 6, branches
+
+    @staticmethod
+    def exhaustive(E, n):
+        """(least, largest) bound on the roots-grid constant of E at order
+        n from the oracles, over every target of the grid."""
+        g, m = E.group, len(E)
+        tau = np.array([[TWO_PI * t / o for t, o in zip(c.torsion_coords, g.torsion_orders)]
+                        for c in E]).reshape(m, -1)
+        free = [c.free_coords for c in E]
+        least = largest = 0.0
+        for idx in itertools.product(range(n), repeat=m):
+            angles = np.array(idx) * (TWO_PI / n)
+            if not g.free_rank:
+                turns, _ = oracles.best_point_torsion_exhaustive(
+                    g.torsion_orders, [c.torsion_coords for c in E], [Fraction(j, n) for j in idx])
+                lo = hi = TWO_PI * float(turns)
+            elif g.free_rank == 2:
+                hi, slack = oracles.min_error_torus_slices(free, angles, 40)
+                lo = hi - slack
+            else:
+                selections = itertools.product(*map(range, g.torsion_orders))
+                lo = hi = min(oracles.min_error_breakpoints(
+                    [a for a, in free], angles - tau @ np.array(sel, dtype=float))[1]
+                    for sel in selections)
+            least, largest = max(least, lo), max(largest, hi)
+        return least, largest
+
+    def test_pruned_targets_cannot_raise_the_incumbent(self, monkeypatch):
+        # every cell a probe closes holds a target whose exact value is at
+        # most the incumbent's lower end it was read against, and the
+        # brackets contain the exhaustive values
+        rng = random.Random(1803)
+        probe_bounds = engine._probe_bounds
+        closed = []
+
+        def spy(rows, probes, n, radius, lower, slack):
+            out = probe_bounds(rows, probes, n, radius, lower, slack)
+            closed.append((rows[out[0]], n, lower + slack - radius))
+            return out
+
+        monkeypatch.setattr(engine, "_probe_bounds", spy)
+        cases = [(random_group_set(rng, g), n) for g in (GroupSpec(1), GroupSpec(1, (2,)),
+                                                          GroupSpec(0, (12,)))
+                 for n in (3, 4, 5, 6) for _ in range(2)]
+        cases += [(random_group_set(rng, GroupSpec(2)), n) for n in (3, 4)]
+        cases += [(CharacterSet.of_integers([1, 2, 3, 5, 8]), 8)]
+        pruned = 0
+        for E, n in cases:
+            closed.clear()
+            res = alpha_n(E, n)
+            data = engine._set_data(E)
+            for rows, order, lower in closed:
+                solved = engine._solve_rows(data, rows * (TWO_PI / order), order, rows, 10**12)
+                assert (solved.lower <= lower).all(), (E, n, rows, solved.lower, lower)
+            pruned += res.work.targets_pruned
+            if len(E) <= 3:
+                least, largest = self.exhaustive(E, n)
+                assert res.alpha.lower <= largest + 1e-9 and least - 1e-9 <= res.alpha.upper, (
+                    E, n, res.alpha, least, largest)
+        assert pruned > 200, pruned
+
+
 class TestWorkCounters:
     """`work` blocks of fixed computations: targets enumerated and pruned,
     inner evaluations, stop reason and ladder."""
@@ -956,19 +1076,19 @@ class TestWorkCounters:
 
     @pytest.mark.parametrize("solve, work", [
         (lambda: alpha_n(CharacterSet.of_integers([1, 4, 12, 38, 154]), 8),
-         (1891, 165, 11905435, "done", ())),
+         (227, 1829, 1855770, "done", ())),
         (lambda: alpha_n(parse_set_spec(
             "Z x Z2^3 : [3,0,0,0],[3,0,0,1],[6,1,0,0],[6,1,1,0],[8,1,1,0]")[1], 5),
-         (308, 5, 1940400, "done", ())),
+         (179, 134, 1200445, "done", ())),
         (lambda: alpha_n(parse_set_spec("Z^2 : [1,0],[0,1],[1,2],[2,-1]")[1], 5),
-         (13, 0, 4004, "done", ())),
+         (13, 0, 4128, "done", ())),
         (lambda: alpha_n(parse_set_spec("Z13 : [1],[3],[5],[9]")[1], 5),
-         (144, 169, 11688, "done", ())),
+         (37, 276, 6600, "done", ())),
         (lambda: alpha(CharacterSet.of_integers([-6, 1, 3])),
-         (33167, 2, 236976, "done",
+         (33062, 107, 238140, "done",
           tuple((n, 1.0471975511906, upper, True) for n, upper in LADDER))),
-        (lambda: alpha_n(CharacterSet.of_integers([1, 2, 3, 5, 8]), 8, budget=200_000),
-         (328, 399, 200045, "budget", ())),
+        (lambda: alpha_n(CharacterSet.of_integers([1, 2, 3, 5, 8]), 8, budget=60_000),
+         (51, 756, 60005, "budget", ())),
     ], ids=["lacunary Z", "Z x Z2^3", "Z^2", "Z13", "lifted Z", "budget stop"])
     def test_work_is_pinned(self, solve, work):
         w = solve().work
@@ -1536,6 +1656,8 @@ class TestLiftedBlocks:
             made.append(incumbent(*args))
             return made[-1]
         monkeypatch.setattr(engine, "_Incumbent", recorded)
+        # a window of four probes, which the incumbents of a block can fill
+        monkeypatch.setattr(engine, "PROBES", 4)
         seen = set()
         for trial in range(48):
             k = rng.randint(1, 9)
@@ -1591,14 +1713,15 @@ class TestLiftedBlocks:
         assert [(c.indices, c.lower, c.order) for c in made] == [
             (tuple(rows[i]), block.lower[i], n) for i in want["incumbents"]], case
         # each incumbent's witness attains its least kept lift, and the
-        # probes are the last four witnesses' argument rows
+        # probes are the witnesses' argument rows, newest first, before the
+        # probes the scan began with
         for c, i in zip(made, want["incumbents"]):
             nu, vals = zip(*self.kept_lifts(block, i))
             angles = np.array(rows[i], dtype=np.float64) * (TWO_PI / n)
             s = line_witness(data.slopes, angles + TWO_PI * np.array(nu[int(np.argmin(vals))]))
             assert c.point == DualPoint(data.chars.group, (s % TWO_PI,), ())
-            probes.append(data.point_args(c.point).tolist())
-        assert scan.probes.tolist() == probes[-4:]
+            probes.insert(0, data.point_args(c.point).tolist())
+        assert scan.probes.tolist() == probes[:engine.PROBES]
         assert scan.best is (made[-1] if made else scan.best)
         cells = engine._Cells.gather(opened, m)
         assert cells.rows.tolist() == [rows[i] for i in want["opened"]], case
@@ -1621,13 +1744,13 @@ class TestLiftedBlocks:
     }
 
     @pytest.mark.parametrize("elements, budget, levels, lower, evals, solved, pruned, worst, theta", [
-        ((-3, -1, 6), 70_000, 9, 1.0471975511905982, 70_002, 7818, 21, (0, 1, 1),
+        ((-3, -1, 6), 70_000, 9, 1.0471975511905982, 70_002, 7277, 65, (0, 1, 1),
          2.4434609527920617),
-        ((-3, -1, 6), 160_000, 11, 1.0471975511905982, 160_005, 22051, 25, (0, 1, 1),
+        ((-3, -1, 6), 160_000, 11, 1.0471975511905982, 160_005, 21566, 84, (0, 1, 1),
          2.4434609527920617),
-        ((-6, -3, 1), 70_000, 9, 1.0471975511906, 70_002, 6893, 4, (1, 0, 0),
+        ((-6, -3, 1), 70_000, 9, 1.0471975511906, 70_002, 6169, 65, (1, 0, 0),
          0.3490658503988655),
-        ((-6, -3, 1), 160_000, 11, 1.0471975511906, 160_005, 20911, 4, (1, 0, 0),
+        ((-6, -3, 1), 160_000, 11, 1.0471975511906, 160_002, 20352, 89, (1, 0, 0),
          0.3490658503988655),
     ])
     def test_budget_stop_inside_a_lifted_block(self, monkeypatch, elements, budget, levels,
