@@ -8,7 +8,9 @@ signed piece than the torus has coordinates are equal, found in closed
 form (`min_error_box`, with `min_error_circle` its one-coordinate face).
 Large calls screen the candidates in a cheap pass first and value only the
 survivors exactly; the cut's margin bounds the screen's rounding, so the
-results are those of valuing every candidate.  On a purely torsion dual
+results are those of valuing every candidate.  `quick_bound` values only
+the best screened candidate of the first sixteenth, an upper bound on the
+minimum at about a sixteenth of the cost.  On a purely torsion dual
 every selection's error is read, a block of selections and targets at a
 time, from a table of the characters' arguments in integer angle units.
 `min_error_box` charges its evaluations to a budget when given one; the
@@ -236,6 +238,11 @@ SCREEN_CUTOVER = 1 << 13
 _small_plan = lru_cache(maxsize=16)(vertex_plan)
 
 
+def _plan(key: tuple):
+    """`vertex_plan(key)`, kept for the next call if small (`_small_plan`)."""
+    return (_small_plan if vertex_systems(key)[1] <= CIRCLE_BLOCK else vertex_plan)(key)
+
+
 def _residuals(coeffs, coords, u):
     """sum_j coeffs[j] * coords[j] - u, summed in a fixed order."""
     resid = coeffs[0] * coords[0]
@@ -245,12 +252,12 @@ def _residuals(coeffs, coords, u):
     return resid
 
 
-def _screen(b, cands, psi, floor, cut):
-    """Rows x candidates mask of the candidates whose screened value is at
-    most the row's least (or its floor) plus `cut`: the objective at the
-    unreduced candidates `cands`, in turns, each character's residual
-    reduced by its nearest integer (6 array passes a character at free rank
-    1, where `_dist_array` takes about 17)."""
+def _screened(b, cands, psi):
+    """Rows x candidates: the objective at the unreduced candidates `cands`,
+    in turns, each character's residual reduced by its nearest integer (6
+    array passes a character at free rank 1, where `_dist_array` takes
+    about 17).  Within the plan's margin of the exact value (see
+    `vertex_plan`)."""
     turn = 1.0 / TWO_PI
     coords = np.multiply(cands, turn)
     psi = (psi * turn).T[:, :, None].copy()
@@ -266,6 +273,14 @@ def _screen(b, cands, psi, floor, cut):
         x -= n
         np.abs(x, out=x)
         np.maximum(best, x, out=best)
+    return best
+
+
+def _screen(b, cands, psi, floor, cut):
+    """Rows x candidates mask of the candidates whose `_screened` value is
+    at most the row's least (or its floor) plus `cut`."""
+    turn = 1.0 / TWO_PI
+    best = _screened(b, cands, psi)
     least = np.maximum(best.min(axis=1), floor * turn)
     return best <= (least + cut * turn)[:, None]
 
@@ -302,21 +317,18 @@ def min_error_box(free: np.ndarray, psi: np.ndarray, budget=None, lift_margin=No
     values the rest as it values every candidate below the cutover, so
     values, ties, witnesses and lifts are the same bits.  The rows of A are
     folded in a block at a time, temporaries of at most CIRCLE_TEMP
-    elements.
+    elements.  `quick_bound` values the same candidates with the same
+    screen and exact objective, so its value is at least `lower`.
     """
     key = tuple(map(tuple, free.tolist()))
     cost = vertex_systems(key)[1]
     if budget is not None:
         budget.charge(len(psi) * cost)
-    terms, weights, system, off, div, b, mask, slack, margin, cols = (
-        _small_plan if cost <= CIRCLE_BLOCK else vertex_plan)(key)
+    plan = _plan(key)
+    b, mask, slack, margin, cols = plan[5:]
     const_err = _dist_array(psi[:, ~mask]).max(axis=1, initial=0.0)
     u = psi[:, mask, None]
-    # one (rows x candidates) array per coordinate t_j, not yet reduced
-    y = weights * psi[:, terms].transpose(1, 0, 2)[:, None]
-    cands = np.take(sum(y[1:], y[0]), system, axis=2)
-    cands += off[:, None]
-    cands /= div
+    cands = _candidates(plan, psi)
     kept = None
     if len(psi) * cost >= SCREEN_CUTOVER:
         cut = margin[0] * float(np.abs(psi).max()) + margin[1]
@@ -340,15 +352,68 @@ def min_error_box(free: np.ndarray, psi: np.ndarray, budget=None, lift_margin=No
         theta[j] = coord.min(axis=1)
         if j + 1 < len(cands):
             near &= coord == theta[j, :, None]
-    upper = np.maximum(_dist_array(_residuals(b, theta[:, :, None, None], u))
-                       .max(axis=1, initial=0.0)[:, 0], const_err)
+    upper = _objective(b, theta, u, const_err)
     # constant (zero-row) constraints bound the objective exactly everywhere
     lower = np.maximum(np.maximum(const_err, np.minimum(vmin, upper) - slack), 0.0)
-    s = theta.T if cols is None else _mod_2pi(_residuals(cols, theta[:, :, None], 0.0))
+    s = _torus_point(cols, theta)
     if lift_margin is None:
         return s, lower, upper
     return s, lower, upper, [circle_lifts(free[:, 0], row, c, v, up + lift_margin)
                              for row, c, v, up in zip(psi, cands[0], vals, upper)]
+
+
+def _candidates(plan, psi: np.ndarray, stop: int | None = None) -> np.ndarray:
+    """The plan's candidates before `stop` for each row of psi, not yet
+    reduced: one (rows x candidates) array per coordinate t_j."""
+    terms, weights, system, off, div = plan[:5]
+    y = weights * psi[:, terms].transpose(1, 0, 2)[:, None]
+    cands = np.take(sum(y[1:], y[0]), system[:stop], axis=2)
+    cands += off[:, None, :stop]
+    cands /= div[:stop]
+    return cands
+
+
+def _objective(b, theta: np.ndarray, u: np.ndarray, const_err: np.ndarray) -> np.ndarray:
+    """The objective at one reduced point theta[:, i] (B's coordinates) a
+    row, with the bits the exact pass gives that point as a candidate."""
+    return np.maximum(_dist_array(_residuals(b, theta[:, :, None, None], u))
+                      .max(axis=1, initial=0.0)[:, 0], const_err)
+
+
+def _torus_point(cols, theta: np.ndarray) -> np.ndarray:
+    """The torus points s = U t of the rows' points t = theta[:, i]."""
+    return theta.T if cols is None else _mod_2pi(_residuals(cols, theta[:, :, None], 0.0))
+
+
+#: a quick bound reads the first 1/QUICK_PART of a plan's candidates.  On
+#: the lacunary `grid` sets in Z at n = 5 and 6 a sixteenth closed the most
+#: targets per evaluation, against an eighth, a thirty-second and strided
+#: samples
+QUICK_PART = 16
+
+
+def quick_size(free: tuple) -> int:
+    """Candidates a `quick_bound` row reads: the first 1/QUICK_PART of the
+    plan's, at least one.  A row is charged quick_size * m evaluations."""
+    _, cost, b, _ = vertex_systems(free)
+    return max(1, cost // len(b) // QUICK_PART)
+
+
+def quick_bound(free: np.ndarray, psi: np.ndarray):
+    """An upper bound on each row's `min_error_box` minimum at a fraction of
+    its cost: (s, value), value the objective at the torus point s, which is
+    the candidate of least `_screened` value among the plan's first
+    `quick_size`, valued with the bits the exact pass gives it.  So value is
+    at least the row's `min_error_box` lower end.  The caller pays."""
+    key = tuple(map(tuple, free.tolist()))
+    plan = _plan(key)
+    b, mask, _, _, cols = plan[5:]
+    u = psi[:, mask]
+    cands = _candidates(plan, psi, quick_size(key))
+    pick = _screened(b, cands, u).argmin(axis=1)
+    theta = _mod_2pi(cands[:, np.arange(len(psi)), pick])
+    const_err = _dist_array(psi[:, ~mask]).max(axis=1, initial=0.0)
+    return _torus_point(cols, theta), _objective(b, theta, u[:, :, None], const_err)
 
 
 def min_error_circle(slopes: np.ndarray, psi: np.ndarray, budget=None, lift_margin=None):

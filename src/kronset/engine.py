@@ -30,6 +30,7 @@ import numpy as np
 from ._minimax import (
     CIRCLE_BLOCK,
     LIFT_EPS,
+    SCREEN_CUTOVER,
     TABLE_BLOCK,
     _dist_array,
     exact_dtype,
@@ -39,6 +40,8 @@ from ._minimax import (
     line_witness,
     min_error_box,
     min_error_circle,
+    quick_bound,
+    quick_size,
     solve_torsion_units,
     subset_count,
     vertex_systems,
@@ -277,7 +280,7 @@ class _SetData:
         self.selection_count = g.dual_torsion_size
         self._units = np.array(self.unit_rows, dtype=exact_dtype(
             self.lcm * max(self.orders, default=1))).reshape(self.m, self.s).T
-        self._table = None
+        self._table = self._shifts = None
 
     def selection(self, index: int) -> tuple[int, ...]:
         """The index-th torsion selection (see `selection_rows`)."""
@@ -301,6 +304,18 @@ class _SetData:
         if start == 0 and stop == self.selection_count <= TABLE_BLOCK:
             self._table = rows
         return rows
+
+    def shift_rows(self, start: int, stop: int) -> np.ndarray:
+        """Rows start..stop-1 of the torsion shifts, `args_at` with no torus
+        angles at each selection: the target shifts of the free-part solve.
+        With at most TABLE_BLOCK selections every row is built at the first
+        call and kept; callers must not write to the rows."""
+        if self._shifts is None and self.selection_count <= TABLE_BLOCK:
+            self._shifts = self.args_at(None, self.selection_rows(
+                0, self.selection_count).astype(np.float64))
+        if self._shifts is not None:
+            return self._shifts[start:stop]
+        return self.args_at(None, self.selection_rows(start, stop).astype(np.float64))
 
     def args_at(self, angles: np.ndarray | None, sel: np.ndarray) -> np.ndarray:
         """arg gamma at rows of dual points, one row per point: torus angles
@@ -336,14 +351,16 @@ def approx_error(chars: CharacterSet, phi: TargetMap, x: DualPoint) -> float:
 @dataclass
 class _Targets:
     """Targets and their inner solutions as arrays: index rows (None off
-    the grid) and per target its bracket (nan while unsolved), charge,
-    witness torus angles and selection index, exact value in
-    turns/`modulus` (a grid target of a purely torsion set; else modulus
-    None) and circle lifts or None.  Witnesses are built on demand."""
+    the grid) and per target its bracket (nan while unsolved), quick bound
+    (`_quick_bounds`; nan until the scan reads it), charge, witness torus
+    angles and selection index, exact value in turns/`modulus` (a grid
+    target of a purely torsion set; else modulus None) and circle lifts or
+    None.  Witnesses are built on demand."""
 
     rows: np.ndarray | None
     lower: np.ndarray
     upper: np.ndarray
+    quick: np.ndarray
     cost: np.ndarray
     theta: np.ndarray
     sel: np.ndarray
@@ -355,12 +372,13 @@ class _Targets:
     def empty(cls, data: _SetData, k: int, n: int | None = None, rows=None) -> "_Targets":
         """k unsolved targets, of the order-n grid (n None: off it)."""
         modulus = math.lcm(data.lcm, n) if n and not data.r else None
-        return cls(rows, np.full(k, np.nan), np.full(k, np.nan), np.zeros(k, dtype=np.int64),
+        return cls(rows, *(np.full(k, np.nan) for _ in range(3)), np.zeros(k, dtype=np.int64),
                    np.zeros((k, data.r)), np.zeros(k, dtype=exact_dtype(data.selection_count)),
                    np.zeros(k, dtype=exact_dtype(modulus or 1)), [None] * k, modulus)
 
     def put(self, at: np.ndarray, new: "_Targets"):
-        """Take the solutions of `new` as those of the targets at `at`."""
+        """Take the solutions of `new` as those of the targets at `at` (not
+        their quick bounds, which the scan reads itself)."""
         for name in ("lower", "upper", "cost", "theta", "sel", "exact"):
             getattr(self, name)[at] = getattr(new, name)
         for i, lift in zip(at.tolist(), new.lifts):
@@ -450,35 +468,65 @@ def _solve_free(data: _SetData, angles: np.ndarray, out: _Targets,
                 lift_margin: float | None = None):
     """The solutions of `_solve_target` for each row of target angles of a
     set with a free part, charges paid by the caller, written into the
-    first targets of `out`.
-
-    Each (target, selection) pair is one `min_error_box` row.  A call takes
-    `_block_targets` targets and a block of their selections, at most
-    TABLE_BLOCK and CIRCLE_BLOCK elements.
-    """
+    first targets of `out`, from one `min_error_box` call per block of
+    `_kernel_rows` (`_block_targets` targets at a time)."""
     size, unit = _block_targets(data)
-    count = data.selection_count
-    rows = max(1, min(TABLE_BLOCK, CIRCLE_BLOCK // unit))
     k = len(angles)
     lower, upper, theta, chosen, lifts = out.lower, out.upper, out.theta, out.sel, out.lifts
     lower[:k] = upper[:k] = math.inf
-    for t in range(0, k, size):
-        g = min(size, k - t)
+    for t, g, start, psi in _kernel_rows(data, angles, size, unit):
+        got = (min_error_box(data.free, psi, None) if data.r > 1 else min_error_circle(
+            data.slopes, psi, None, lift_margin=None if data.s else lift_margin))
+        th, lo, up = got[0].reshape(g, -1, data.r), *(v.reshape(g, -1) for v in got[1:3])
+        pick = np.arange(g), up.argmin(axis=1)
+        np.minimum(lower[t:t + g], lo.min(axis=1), out=lower[t:t + g])
+        # strict: across blocks of selections the first least one wins
+        better = up[pick] < upper[t:t + g]
+        for best, new in ((upper, up[pick]), (theta, th[pick]), (chosen, start + pick[1])):
+            best[t:t + g][better] = new[better]
+        if len(got) > 3:
+            lifts[t:t + g] = got[3]
+
+
+def _kernel_rows(data: _SetData, angles: np.ndarray, size: int, unit: int):
+    """The kernel rows of targets of a set with a free part, one per
+    (target, selection) pair, the target angles less the selection's
+    `shift_rows`: (t, g, start, psi) per block, psi the rows of the g
+    targets from t at a block of selections from start, as many as keep
+    one element per row and `unit` within CIRCLE_BLOCK (at least one, at
+    most TABLE_BLOCK), `size` targets at a time."""
+    count = data.selection_count
+    rows = max(1, min(TABLE_BLOCK, CIRCLE_BLOCK // unit))
+    for t in range(0, len(angles), size):
+        g = min(size, len(angles) - t)
         for start in range(0, count, rows):
-            sel = data.selection_rows(start, min(start + rows, count))
-            shifts = data.args_at(None, sel.astype(np.float64))
-            psi = (angles[t:t + g, None, :] - shifts).reshape(-1, data.m)
-            got = (min_error_box(data.free, psi, None) if data.r > 1 else min_error_circle(
-                data.slopes, psi, None, lift_margin=None if data.s else lift_margin))
-            th, lo, up = got[0].reshape(g, -1, data.r), *(v.reshape(g, -1) for v in got[1:3])
-            pick = np.arange(g), up.argmin(axis=1)
-            np.minimum(lower[t:t + g], lo.min(axis=1), out=lower[t:t + g])
-            # strict: across blocks of selections the first least one wins
-            better = up[pick] < upper[t:t + g]
-            for best, new in ((upper, up[pick]), (theta, th[pick]), (chosen, start + pick[1])):
-                best[t:t + g][better] = new[better]
-            if len(got) > 3:
-                lifts[t:t + g] = got[3]
+            shifts = data.shift_rows(start, min(start + rows, count))
+            yield t, g, start, (angles[t:t + g, None, :] - shifts).reshape(-1, data.m)
+
+
+def _quick_bounds(data: _SetData, angles: np.ndarray) -> np.ndarray:
+    """The quick bound of each row of target angles of a set with a free
+    part: the least over its selections of `quick_bound`, the objective at
+    a real dual point and so at least the target's inner minimum, at
+    `_quick_charge` evaluations a target."""
+    unit = quick_size(data.free_key) * data.m
+    out = np.full(len(angles), math.inf)
+    size = max(1, CIRCLE_BLOCK // (data.selection_count * unit))
+    for t, g, _, psi in _kernel_rows(data, angles, size, unit):
+        value = quick_bound(data.free, psi)[1].reshape(g, -1).min(axis=1)
+        np.minimum(out[t:t + g], value, out=out[t:t + g])
+    return out
+
+
+def _quick_charge(data: _SetData) -> int:
+    """Evaluations a scan charges a target for its quick bound: its slice
+    (`quick_size`) times m per selection, on a set whose solve charges at
+    least SCREEN_CUTOVER; 0 below it, where the scan reads none.  On such
+    cheap targets the extra kernel call costs more than the solves it
+    saves."""
+    if not data.r or data.selection_count * _block_targets(data)[1] < SCREEN_CUTOVER:
+        return 0
+    return data.selection_count * quick_size(data.free_key) * data.m
 
 
 def best_point(chars: CharacterSet, phi: TargetMap, tol: float = DEFAULT_TOL,
@@ -749,7 +797,10 @@ class _Scan:
     every ROLL-th item of a `_scan_targets` call from its first and after
     every change of incumbent: `roll` puts the rows `pending` since the last
     roll, taken in scan order, in front.  So the probes a target meets
-    depend neither on the block size nor on the thread count."""
+    depend neither on the block size nor on the thread count.  Nor do the
+    quick bounds (see `_scan_targets`), which depend on the target alone
+    and are read in the scan's process before `solve` shares out the
+    targets they leave open."""
 
     data: _SetData
     tol: float
@@ -826,22 +877,29 @@ def _scan_targets(scan: _Scan, n: int, items, cap: float, radius: float = 0.0,
     items yields blocks (see `_blocks`): `_Targets`, and `_LiftedBlock`s,
     whose cells skip the probes.  A target reads at most as many probes,
     newest first, as the largest charge of its solve pays for at m units a
-    read.  A pass over a block's arrays reads the probes on the block up to
-    the next roll point of the probe window (see `_Scan`), solves the
-    unsolved targets they leave open in one `_Scan.solve` call, and takes
-    the decisions and charges of a loop over the targets in turn (read the
-    probes, m units each, until one closes the cell, else pay the solve;
-    raise the incumbent; close or open; stop at cap - tol) up to the first
-    change of incumbent, which moves the probes and the lower end, or to
-    that roll point: the next pass reads the verdicts on the rest again and
-    solves the targets they reopen.  A pass over lifted cells, which read no
-    probes, runs on past roll points; the window takes them at the next
-    pass, as one roll.  The solved targets a pass decides leave their
-    witnesses' argument rows pending for the window, from one
-    `_SetData.args_at` call.  The budget stop is the first charge past the
-    room left, charged one unit past it (m for a probe, the `_block_targets`
-    unit for a solve, the cost of a lifted cell).  Only the targets that
-    raise the incumbent build witnesses.
+    read.  On a set whose solve charges at least SCREEN_CUTOVER, a target
+    the probes leave open then reads its quick bound (`_quick_bounds`),
+    charged `_quick_charge`, which closes the cell as one more probe would.
+    It depends on the target alone, so the block keeps it and each pass
+    judges it again against its own lower end; the quick bounds are read in
+    this process, and for only as many targets as the budget left pays.  A
+    pass over a block's arrays reads the probes and quick bounds on the
+    block up to the next roll point of the probe window (see `_Scan`),
+    solves the unsolved targets they leave open in one `_Scan.solve` call,
+    and takes the decisions and charges of a loop over the targets in turn
+    (read the probes, m units each, until one closes the cell, then the
+    quick bound, else pay the solve; raise the incumbent; close or open;
+    stop at cap - tol) up to the first change of incumbent, which moves the
+    probes and the lower end, or to that roll point: the next pass reads the
+    verdicts on the rest again and solves the targets they reopen.  A pass
+    over lifted cells, which read no probes, runs on past roll points; the
+    window takes them at the next pass, as one roll.  The solved targets a
+    pass decides leave their witnesses' argument rows pending for the
+    window, from one `_SetData.args_at` call.  The budget stop is the first
+    charge past the room left, charged one unit past it (m for a probe, the
+    `_block_targets` unit for a solve, the cost of a lifted cell) or, for a
+    quick bound, charged whole.  Only the targets that raise the incumbent
+    build witnesses.
 
     Returns (closed_hi, open_hi, status): the largest bound over closed and
     over open cells, and 'capped' when the incumbent reached `cap`, 'done'
@@ -856,6 +914,8 @@ def _scan_targets(scan: _Scan, n: int, items, cap: float, radius: float = 0.0,
         return closed_hi, open_hi, "budget"
     # a target reads the probes its solve's largest charge pays for, m units each
     reads = max(1, data.selection_count * _block_targets(data)[1] // m)
+    # a target of a costly set the probes leave open reads its quick bound
+    quick = _quick_charge(data)
     # items decided by this call, and the last roll point the window took:
     # rolls with no probe read between them are one roll
     seen, rolled = 0, -1
@@ -872,8 +932,26 @@ def _scan_targets(scan: _Scan, n: int, items, cap: float, radius: float = 0.0,
             prior = -math.inf if scan.best is None else scan.best.lower
             probed, read, probe_hi = (None,) * 3 if lifted or scan.best is None else (
                 _probe_bounds(rows[here], scan.probes[:reads], n, radius, prior, slack))
+            # per target the charges before its solve: the probes read, then
+            # on a costly set the quick bound, which closes a cell as one more
+            # probe would; it is nan where the budget could not pay it
+            ahead, quick_hi = None if probed is None else read * m, None
+            if quick and probed is not None:
+                left = pos + np.flatnonzero(~probed & np.isnan(block.quick[here]))
+                left = left[:max(budget.remaining, 0) // quick]
+                if len(left):
+                    block.quick[left] = _quick_bounds(data, rows[left] * (TWO_PI / n))
+                quick_hi = block.quick[here] + radius
+                paid = ~probed & ~np.isnan(quick_hi)
+                if paid.any():
+                    ahead = ahead + np.where(paid, quick, 0)
+                closes = paid & (quick_hi - prior <= slack)
+                probe_hi = np.where(closes, quick_hi, probe_hi)
+                probed = probed | closes
             if not lifted:
                 todo = np.isnan(lower[here]) if probed is None else np.isnan(lower[here]) & ~probed
+                if quick_hi is not None:
+                    todo &= ~np.isnan(quick_hi)
                 if todo.any():
                     # without an incumbent the first target solved ends the pass
                     todo = pos + np.flatnonzero(todo)[:1 if scan.best is None else None]
@@ -883,7 +961,7 @@ def _scan_targets(scan: _Scan, n: int, items, cap: float, radius: float = 0.0,
             # unsolved (costs 0) as the budget could not pay
             low = lower[here] if probed is None else np.where(probed, np.nan, lower[here])
             spent = np.cumsum(cost[here] if probed is None
-                              else read * m + np.where(probed, 0, cost[here]))
+                              else ahead + np.where(probed, 0, cost[here]))
             # the first target whose charges pass the room, or that the room
             # could not pay for, and the first solved one that raises the
             # incumbent or finds it at the cap
@@ -899,8 +977,10 @@ def _scan_targets(scan: _Scan, n: int, items, cap: float, radius: float = 0.0,
             if status == "budget":
                 room, probe = budget.remaining, 0 if probed is None else int(read[stop]) * m
                 unit = int(cost[pos + stop]) if lifted else _block_targets(data)[1]
-                budget.used += (_past_room(room, m) if probe > room
-                                else probe + _past_room(room - probe, unit))
+                # the probes left the target open, so it read its quick bound
+                spend = probe + (0 if probed is None else quick)
+                budget.used += (_past_room(room, m) if probe > room else spend if spend > room
+                                else spend + _past_room(room - spend, unit))
             stats.targets_pruned += (pruned := 0 if probed is None else int(probed[:end].sum()))
             stats.targets_enumerated += end - pruned
             done = pos + (np.arange(end) if probed is None else np.flatnonzero(~probed[:end]))

@@ -3,10 +3,11 @@
 Everything in this file is deliberately kept separate from the library code
 paths: plain target enumeration, a scalar piecewise-linear minimizer, and a
 dense target grid.  The library is checked against these, never the other
-way around.  Four exceptions are exhaustive forms of faster library code
-(`vertex_systems_loop`, `min_error_box_full`, `separated_set_loop`, and
-`scan_targets_loop`, the outer scan one target at a time): they share its
-helpers, and the library must give their results bit for bit.  The arithmetic
+way around.  Five exceptions are exhaustive forms of faster library code
+(`vertex_systems_loop`, `min_error_box_full`, `quick_bound_full`,
+`separated_set_loop`, and `scan_targets_loop`, the outer scan one target at
+a time): they share its helpers, and the library must give their results
+bit for bit (`quick_bound_full` within the screen's margin).  The arithmetic
 diagnostics (`quasi_direct_loop`, `quasi_mitm_loop`, `b2_loop`) are the
 scalar loops the library's integer-array forms must match in flag,
 witness, count, quadruple order and budget stops.
@@ -135,9 +136,10 @@ def scan_targets_loop(scan, n: int, items, cap: float, radius: float = 0.0,
     the scan decided one target at a time, in order.  A solved target is
     probed first once there is an incumbent, m units charged before each
     probe read (past the room the scan stops on the budget, the charge
-    made), and pruned by the first probe whose error bound closes its cell;
-    else `engine._solve_target` solves it, charging its cost or stopping
-    the scan, and its witness's argument row joins `scan.pending`.  A cell
+    made), and pruned by the first probe whose error bound closes its cell,
+    or then by its quick bound (`probe_loop`); else `engine._solve_target`
+    solves it, charging its cost or stopping the scan, and its witness's
+    argument row joins `scan.pending`.  A cell
     of a lifted block is charged its cost and not probed.  Then the target
     is counted, raises the incumbent if its lower end beats it (a lifted
     cell's witness joins `scan.pending`, and the window rolls), closes or
@@ -204,14 +206,23 @@ def scan_targets_loop(scan, n: int, items, cap: float, radius: float = 0.0,
 
 def probe_loop(scan, angles, radius: float, slack: float):
     """The bound the first of the scan's probes to close the cell of radius
-    `radius` around a target puts on it, or None, charging m before each
-    probe it reads: at most as many as the target's solve at its largest
-    charge (`engine._block_targets` units per selection) pays for."""
+    `radius` around a target puts on it, or else its quick bound if that
+    closes it, or None.  It charges m before each probe it reads, at most
+    as many as the target's solve at its largest charge
+    (`engine._block_targets` units per selection) pays for; then, on a set
+    whose solve charges at least `engine.SCREEN_CUTOVER`, the quick bound's
+    slice (`engine._quick_charge`) before it reads `engine._quick_bounds`."""
     data = scan.data
     reads = max(1, data.selection_count * engine._block_targets(data)[1] // data.m)
     for args in scan.probes[:reads]:
         scan.budget.charge(scan.data.m)
         bound = float(np.abs(np.mod(angles - args + math.pi, TWO_PI) - math.pi).max()) + radius
+        if bound - scan.best.lower <= slack:
+            return bound
+    quick = engine._quick_charge(data)
+    if quick:
+        scan.budget.charge(quick)
+        bound = float(engine._quick_bounds(data, angles[None])[0]) + radius
         if bound - scan.best.lower <= slack:
             return bound
     return None
@@ -516,6 +527,21 @@ def min_error_box_full(free, psi, budget, lift_margin=None):
         return s, lower, upper
     return s, lower, upper, [circle_lifts(free[:, 0], row, c, v, up + lift_margin)
                              for row, c, v, up in zip(psi, cands[0], vals, upper)]
+
+
+def quick_bound_full(free, psi):
+    """Reference slice of `_minimax.quick_bound`: each row's least value
+    over the plan's first `quick_size` candidates, every one valued
+    exactly, with no screen."""
+    from kronset._minimax import (_dist_array, _mod_2pi, _plan, _residuals, quick_size)
+    key = tuple(map(tuple, np.asarray(free).tolist()))
+    stop = quick_size(key)
+    terms, weights, system, off, div, b, mask, *_ = _plan(key)
+    y = weights * psi[:, terms].transpose(1, 0, 2)[:, None]
+    cands = _mod_2pi((sum(y[1:], y[0])[:, :, system[:stop]] + off[:, None, :stop]) / div[:stop])
+    resid = _residuals(b, cands[:, :, None], psi[:, mask, None])
+    const_err = _dist_array(psi[:, ~mask]).max(axis=1, initial=0.0)
+    return np.maximum(_dist_array(resid).max(axis=1, initial=0.0), const_err[:, None]).min(axis=1)
 
 
 def circle_selections_loop(slopes, tau, angles, selections, budget):

@@ -98,6 +98,23 @@ def row_cost(free):
     return vertex_systems(tuple(map(tuple, np.asarray(free).tolist())))[1]
 
 
+def with_quick_bounds(monkeypatch, test):
+    """Run `test` with every scan of a set with a free part reading quick
+    bounds (`engine.SCREEN_CUTOVER` 0, so small sets engage the path), and
+    check that the scans read them on many targets."""
+    reads = []
+    quick_bounds = engine._quick_bounds
+
+    def spy(data, angles):
+        reads.append(len(angles))
+        return quick_bounds(data, angles)
+
+    monkeypatch.setattr(engine, "SCREEN_CUTOVER", 0)
+    monkeypatch.setattr(engine, "_quick_bounds", spy)
+    test(monkeypatch)
+    assert sum(reads) > 100, sum(reads)
+
+
 def random_int_set(rng, max_size=3, max_entry=10):
     size = rng.randint(1, max_size)
     entries = rng.sample(range(-max_entry, max_entry + 1), size)
@@ -636,6 +653,9 @@ class TestScanBlocks:
                 self.assert_same_at_every_block_size(
                     monkeypatch, lambda **more: alpha(E, tol=0.05, **kw, **more), want)
 
+    def test_results_do_not_depend_on_the_block_size_with_quick_bounds(self, monkeypatch):
+        with_quick_bounds(monkeypatch, self.test_results_do_not_depend_on_the_block_size)
+
     @staticmethod
     def reference(E, angles, budget):
         """(lower, upper, theta, selection) of one target from the loops of
@@ -790,6 +810,9 @@ class TestScanBlocks:
             got, pooled, _ = run(solve, 2, pool)
         assert got == want and pooled == serial and pool.tasks
 
+    def test_the_pool_solves_the_serial_scans_targets_with_quick_bounds(self, monkeypatch):
+        with_quick_bounds(monkeypatch, self.test_the_pool_solves_the_serial_scans_targets)
+
     def test_stale_verdicts_are_read_again(self, monkeypatch):
         # in {1,2,3,5,8} at n = 8, with a window of 8 probes, the window is
         # full when the block of targets 140-179 starts, and rolls inside it
@@ -925,6 +948,9 @@ class TestDecisionPass:
                     inside += sum(read[:-1]) < decided and read[-1] > 1
         assert stops >= 20 and inside >= 5, (stops, inside)
 
+    def test_scans_match_the_reference_loop_with_quick_bounds(self, monkeypatch):
+        with_quick_bounds(monkeypatch, self.test_scans_match_the_reference_loop)
+
     def test_targets_solved_ahead_and_pruned_do_not_raise_the_incumbent(self):
         # a target solved before a change of incumbent in its block may be
         # pruned by the new probes while its value beats the incumbent; with
@@ -974,7 +1000,7 @@ class TestDecisionPass:
 
 class TestProbeWindow:
     """The probes are the last PROBES witnesses of solved targets, read from
-    a table of grid distances; they prune soundly."""
+    a table of grid distances; they and the quick bounds prune soundly."""
 
     def test_probe_bounds_match_the_stacked_formula(self):
         # the per-character table gather (n <= targets) and direct evaluation
@@ -1063,6 +1089,75 @@ class TestProbeWindow:
                     E, n, res.alpha, least, largest)
         assert pruned > 200, pruned
 
+    def test_quick_closed_targets_cannot_raise_the_incumbent(self, monkeypatch):
+        # every open cell whose quick bound closes it against the lower end
+        # its pass read holds a target whose exact value is at most that
+        # lower end, on small sets made to read quick bounds and on a set
+        # above the cutover; the brackets contain the exhaustive values
+        rng = random.Random(1807)
+        probe_bounds = engine._probe_bounds
+        read = []
+
+        def spy(rows, probes, n, radius, lower, slack):
+            out = probe_bounds(rows, probes, n, radius, lower, slack)
+            read.append((rows[~out[0]], n, radius, lower, slack))
+            return out
+
+        monkeypatch.setattr(engine, "_probe_bounds", spy)
+        cases = [(random_group_set(rng, g), n) for g in (GroupSpec(1), GroupSpec(1, (2,)))
+                 for n in (3, 4, 5, 6) for _ in range(2)]
+        cases += [(random_group_set(rng, GroupSpec(2)), n) for n in (3, 4)]
+        cases += [(CharacterSet.of_integers([3, 16, 48, 240, 1200]), 5)]
+        closed = 0
+        for E, n in cases:
+            read.clear()
+            data = engine._set_data(E)
+            with monkeypatch.context() as patch:
+                if len(E) <= 3:
+                    patch.setattr(engine, "SCREEN_CUTOVER", 0)
+                assert engine._quick_charge(data) > 0
+                res = alpha_n(E, n)
+            for rows, order, radius, lower, slack in read:
+                quick = engine._quick_bounds(data, rows * (TWO_PI / order)) + radius
+                shut = rows[quick - lower <= slack]
+                if len(shut):
+                    solved = engine._solve_rows(data, shut * (TWO_PI / order), order, shut,
+                                                10**12)
+                    assert (solved.lower <= lower + slack - radius).all(), (E, n, shut, lower)
+                    closed += len(shut)
+            if len(E) <= 3:
+                least, largest = self.exhaustive(E, n)
+                assert res.alpha.lower <= largest + 1e-9 and least - 1e-9 <= res.alpha.upper, (
+                    E, n, res.alpha, least, largest)
+        assert closed > 200, closed
+
+
+    def test_quick_bounds_are_read_only_as_the_budget_pays(self, monkeypatch):
+        # the first target is solved in full; the budget left then pays for
+        # at most so many quick bounds, and the scan reads no more, stopping
+        # where the reference loop stops
+        E, n = CharacterSet.of_integers([3, 16, 48, 240, 1200]), 5
+        data = engine._set_data(E)
+        solve, quick = engine._block_targets(data)[1], engine._quick_charge(data)
+        quick_bounds = engine._quick_bounds
+        rows = []
+
+        def spy(data, angles):
+            rows.append(len(angles))
+            return quick_bounds(data, angles)
+
+        monkeypatch.setattr(engine, "_quick_bounds", spy)
+        stops = 0
+        for budget in (solve + 5 * quick + 7, solve + 40 * quick, 3 * solve + 100 * quick):
+            rows.clear()
+            got = alpha_n(E, n, budget=budget)
+            assert 0 < sum(rows) * quick <= budget - solve, (budget, rows)
+            with monkeypatch.context() as patch:
+                patch.setattr(engine, "_scan_targets", oracles.scan_targets_loop)
+                assert alpha_n(E, n, budget=budget) == got
+            stops += got.work.stop_reason == "budget"
+        assert stops == 3
+
 
 class TestWorkCounters:
     """`work` blocks of fixed computations: targets enumerated and pruned,
@@ -1089,7 +1184,11 @@ class TestWorkCounters:
           tuple((n, 1.0471975511906, upper, True) for n, upper in LADDER))),
         (lambda: alpha_n(CharacterSet.of_integers([1, 2, 3, 5, 8]), 8, budget=60_000),
          (51, 756, 60005, "budget", ())),
-    ], ids=["lacunary Z", "Z x Z2^3", "Z^2", "Z13", "lifted Z", "budget stop"])
+        # above the cutover: quick bounds close most of the targets
+        (lambda: alpha_n(CharacterSet.of_integers([3, 16, 48, 240, 1200]), 5),
+         (20, 293, 1718800, "done", ())),
+    ], ids=["lacunary Z", "Z x Z2^3", "Z^2", "Z13", "lifted Z", "budget stop",
+            "lacunary Z above the cutover"])
     def test_work_is_pinned(self, solve, work):
         w = solve().work
         assert (w.targets_enumerated, w.targets_pruned, w.inner_evals, w.stop_reason,
@@ -1977,3 +2076,23 @@ class TestStructures:
                 assert bits(data.args_at(angles, sel)) == bits(want), E
                 shifts = data.args_at(None, sel)
                 assert bits(shifts) == bits([data.tau @ t for t in sel]), E
+
+    @pytest.mark.parametrize("block", [None, 2])
+    def test_shift_rows_are_the_torsion_args_of_each_selection(self, monkeypatch, block):
+        # kept whole with at most TABLE_BLOCK selections, else built per call
+        if block is not None:
+            monkeypatch.setattr(engine, "TABLE_BLOCK", block)
+        rng = random.Random(127)
+        bits = lambda xs: np.asarray(xs, dtype=np.float64).view(np.int64).tolist()
+        for g in [GroupSpec(1), GroupSpec(1, (2, 3)), GroupSpec(2, (5,)), GroupSpec(1, (2,) * 4)]:
+            E = random_group_set(rng, g)
+            data = engine._SetData(E)
+            count = data.selection_count
+            whole = data.shift_rows(0, count)
+            assert bits(whole) == bits(data.args_at(None, data.selection_rows(0, count)
+                                                    .astype(np.float64))), E
+            start = rng.randrange(count)
+            stop = rng.randint(start + 1, count)
+            part = data.shift_rows(start, stop)
+            assert bits(part) == bits(whole[start:stop]), E
+            assert np.shares_memory(part, whole) == (count <= (block or engine.TABLE_BLOCK)), E

@@ -133,13 +133,57 @@ class TestScreenedKernel:
     def test_the_screen_drops_most_lacunary_candidates(self):
         slopes = np.array([3, 16, 48, 240, 1200])
         plan = _minimax.vertex_plan(((3,), (16,), (48,), (240,), (1200,)))
-        terms, weights, system, off, div, b, mask, slack, margin, cols = plan
+        b, margin = plan[5], plan[8]
         psi = np.array([[0.3, 1.1, 2.0, 4.4, 5.9]])
-        y = weights * psi[:, terms].transpose(1, 0, 2)[:, None]
-        cands = (np.take(sum(y[1:], y[0]), system, axis=2) + off[:, None]) / div
+        cands = _minimax._candidates(plan, psi)
         keep = _minimax._screen(b, cands, psi, np.zeros(1), margin[0] * 5.9 + margin[1])
         assert len(slopes) * keep.size > _minimax.SCREEN_CUTOVER
         assert 1 <= keep.sum() <= keep.size // 100
+
+
+class TestQuickBound:
+    """`quick_bound` is the exact objective at one candidate of the plan's
+    first sixteenth, the best screened one: at least the row's minimum, and
+    within the screen's margin of the slice's least, valued in full."""
+
+    @staticmethod
+    def check(free, psi):
+        free = np.asarray(free)
+        s, value = _minimax.quick_bound(free, psi)
+        *_, slack, margin, _ = _minimax.vertex_plan(tuple(map(tuple, free.tolist())))
+        full = oracles.quick_bound_full(free, psi)
+        cut = margin[0] * float(np.abs(psi).max()) + margin[1]
+        assert (value >= min_error_box(free, psi)[1]).all(), (free.tolist(), psi.tolist())
+        # its own candidate, a torus point, attains it
+        at_s = np.abs(np.mod(s @ free.T - psi + math.pi, TWO_PI) - math.pi).max(axis=1)
+        assert np.abs(value - at_s).max() <= slack, (free.tolist(), psi.tolist())
+        assert (value >= full - slack).all() and (value <= full + cut).all()
+
+    @pytest.mark.parametrize("r, k", [(1, 0), (1, 2), (2, 0), (2, 1)])
+    def test_bounds_the_minimum_from_its_slice(self, r, k):
+        # Z^r x Z2^k: one row per target and selection, shifted by pi steps
+        rng = random.Random(641 + 4 * r + k)
+        sel = np.array(list(itertools.product(range(2), repeat=k)), dtype=np.float64)
+        for case in range(30):
+            m = rng.randint(2, 5)
+            big = rng.choice([3, 9, 40]) if r == 1 else rng.choice([2, 4])
+            free = [[rng.choice([0, rng.randint(-big, big)]) for _ in range(r)] for _ in range(m)]
+            if case % 3 == 1:
+                free[-1] = [rng.choice([-2, 3]) * a for a in free[0]]
+            tau = np.pi * np.array([[rng.randrange(2) for _ in range(k)] for _ in range(m)])
+            angles = random_angles(rng, 3, m)
+            self.check(free, (angles[:, None, :] - sel.reshape(2**k, k) @ tau.reshape(m, k).T)
+                       .reshape(-1, m))
+
+    @pytest.mark.parametrize("slopes", [(3, 16, 48, 240, 1200), (1, 4, 12, 38, 154)])
+    def test_lacunary_slopes(self, slopes):
+        # the slice is a sixteenth of the candidates, and a row of it is
+        # charged a sixteenth of the solve
+        key = tuple((a,) for a in slopes)
+        assert _minimax.quick_size(key) * len(slopes) * 16 <= vertex_systems(key)[1]
+        rng = random.Random(643)
+        for _ in range(4):
+            self.check(np.array(slopes)[:, None], random_angles(rng, 8, len(slopes)))
 
 
 class TestVertexSystems:
