@@ -456,6 +456,17 @@ def line_term_count(slopes: np.ndarray) -> int:
     return max(1, len(j) + len(zero))
 
 
+def _line_values(slopes: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The signed terms of `line_distances` over the last axis of u: each
+    pair's (a_k u_j - a_j u_k) / (|a_j| + |a_k|), then each zero slope's
+    u_k.  Each is linear in u with a gradient of L1 norm 1 that is
+    orthogonal to the slopes (`_line_pieces`)."""
+    a = slopes.astype(np.float64)
+    j, k, zero = _line_terms(slopes)
+    terms = (u[..., j] * a[k] - u[..., k] * a[j]) / (np.abs(a[j]) + np.abs(a[k]))
+    return np.concatenate([terms, u[..., zero]], axis=-1) if zero.size else terms
+
+
 def line_distances(slopes: np.ndarray, u: np.ndarray) -> np.ndarray:
     """min over real s of max_k |a_k*s - u_k|, over the last axis of u.
 
@@ -464,12 +475,7 @@ def line_distances(slopes: np.ndarray, u: np.ndarray) -> np.ndarray:
     crossing height |a_k u_j - a_j u_k| / (|a_j| + |a_k|); a zero slope
     adds the constant |u_k|.
     """
-    a = slopes.astype(np.float64)
-    j, k, zero = _line_terms(slopes)
-    terms = np.abs(u[..., j] * a[k] - u[..., k] * a[j]) / (np.abs(a[j]) + np.abs(a[k]))
-    if zero.size:
-        terms = np.concatenate([terms, np.abs(u[..., zero])], axis=-1)
-    return terms.max(axis=-1, initial=0.0)
+    return np.abs(_line_values(slopes, u)).max(axis=-1, initial=0.0)
 
 
 def line_witness(slopes: np.ndarray, u: np.ndarray) -> float:
@@ -484,6 +490,196 @@ def line_witness(slopes: np.ndarray, u: np.ndarray) -> float:
     s = np.concatenate([cross, u[nz] / a[nz]])
     vals = np.abs(a[None, nz] * s[:, None] - u[None, nz]).max(axis=1)
     return float(s[vals.argmin()])
+
+
+#: most (selection, dual system) pairs `cell_maxima` examines for one cell;
+#: a cell past it gets no bound, so its caller keeps value + radius.  The
+#: `ladder` triples need at most 81 selections of 26 systems a cell at
+#: order 8; {-12,5,11} reaches 1,296 selections there, and its cells close
+#: an order later
+CELL_SYSTEMS = 1 << 13
+
+
+@lru_cache(maxsize=256)
+def _line_pieces(slopes: tuple) -> np.ndarray:
+    """Gradients (P x m) of the affine pieces whose largest is
+    `line_distances`: the terms of `_line_values`, then their negatives; one
+    zero piece when there are no terms (a single character)."""
+    a = np.array(slopes, dtype=np.float64)
+    j, k, zero = _line_terms_of(slopes)
+    grads = np.zeros((len(j) + len(zero), len(a)))
+    pair = np.arange(len(j))
+    grads[pair, j] = a[k] / (np.abs(a[j]) + np.abs(a[k]))
+    grads[pair, k] = -a[j] / (np.abs(a[j]) + np.abs(a[k]))
+    grads[len(j) + np.arange(len(zero)), zero] = 1.0
+    return np.concatenate([grads, -grads]) if len(grads) else np.zeros((1, len(a)))
+
+
+@lru_cache(maxsize=64)
+def _dual_systems(k: int, m: int, j0: int):
+    """The dual systems `cell_maxima` tries on k lifts of m characters, by
+    support size s = 1 .. min(k, m): (S, J) with one system a row, S its s
+    lifts and J s - 1 of the m coordinates.  At s = m one J is enough: the
+    gradients lie in the plane orthogonal to the slopes, on which the
+    coordinates other than j0, a character of nonzero slope, determine the
+    last."""
+    out = []
+    for s in range(1, min(k, m) + 1):
+        coords = [tuple(j for j in range(m) if j != j0)] if s == m else list(
+            itertools.combinations(range(m), s - 1))
+        rows = list(itertools.product(itertools.combinations(range(k), s), coords))
+        out.append((np.array([S for S, _ in rows], dtype=np.int64),
+                    np.array([J for _, J in rows], dtype=np.int64).reshape(len(rows), s - 1)))
+    return out
+
+
+@lru_cache(maxsize=64)
+def _system_counts(most: int, m: int) -> np.ndarray:
+    """The dual systems `_dual_systems` lists per selection on k = 0 ..
+    most lifts of m characters: the sum over s < m of C(k, s) C(m, s - 1),
+    plus C(k, m)."""
+    return np.array([sum(math.comb(k, s) * (1 if s == m else math.comb(m, s - 1))
+                         for s in range(1, min(k, m) + 1)) for k in range(most + 1)])
+
+
+def _dual_least(c: np.ndarray, g: np.ndarray, radius: float, least: np.ndarray, systems):
+    """`least` lowered to the least dual bound sum_i l_i c_i + radius |sum_i
+    l_i g_i|_1 over the systems of support 2 and more, for each row of
+    piece values c (rows x k) and gradients g (rows x k x m).
+
+    A system's l solves (sum_i l_i g_i)_j = 0 for j in J, sum_i l_i = 1 on
+    its support S of two or three lifts (LIFT_MAX_SIZE keeps m at most 3):
+    l is proportional to the signed minors of the J columns of the
+    support's gradients (at three, the cross product of the two columns).  Negative parts are dropped before l is
+    scaled to sum 1, so every l tried lies in the simplex and its bound
+    holds; a singular system gives none."""
+    for S, J in systems[1:]:
+        gs = g[:, S]
+        gj = g[:, S[:, :, None], J[:, None, :]]
+        if S.shape[1] == 2:
+            w = gj[..., ::-1, 0] * np.array([1.0, -1.0])
+        else:
+            a, b = gj[..., 0], gj[..., 1]
+            w = a[..., [1, 2, 0]] * b[..., [2, 0, 1]] - a[..., [2, 0, 1]] * b[..., [1, 2, 0]]
+        w *= np.sign(w.sum(axis=-1, keepdims=True))
+        np.maximum(w, 0.0, out=w)
+        total = w.sum(axis=-1)
+        lam = w / np.where(total > 0.0, total, np.nan)[..., None]
+        bound = np.einsum("rqs,rqs->rq", lam, c[:, S])
+        bound += radius * np.abs(np.einsum("rqs,rqsj->rqj", lam, gs)).sum(axis=-1)
+        np.fmin(least, bound.min(axis=1, initial=np.inf, where=total > 0.0), out=least)
+    return least
+
+
+def cell_maxima(slopes: np.ndarray, u: np.ndarray, cell: np.ndarray, cells: int,
+                radius: float):
+    """Upper bounds on the largest inner value over cells of targets, each
+    every target within `radius` of its centre in every coordinate, from
+    lifts: u (L x m) the lifts' unwrapped targets phi + 2 pi nu at the
+    centres and `cell` the cell of each, non-decreasing, each of the
+    `cells` cells owning at least one.  Returns (bound, work) per cell:
+    bound at least the largest over the cell of the least over its lifts of
+    `line_distances` (inf for a cell past CELL_SYSTEMS), and the
+    (selection, system) pairs examined.
+
+    A lift's distance is the largest of affine pieces c + g.x of the
+    offset x from the centre, |g|_1 = 1 (`_line_pieces`), so only pieces
+    within 2 radius of its value at the centre can be the largest on the
+    cell.  The least over lifts of the largest over those pieces is the
+    largest over selections sigma, one kept piece a lift, of the least over
+    lifts; by LP duality the largest over the cell of min_i c_i + g_i.x is
+    the least over l in the simplex of sum_i l_i c_i + radius |sum_i l_i
+    g_i|_1.  That is piecewise linear, least at a vertex of the arrangement
+    of the planes (sum_i l_i g_i)_j = 0 in the simplex, and as the g_i span
+    at most m - 1 dimensions such a vertex has at most m lifts in its
+    support: `_dual_systems` lists them all, so the bound is the maximum
+    up to rounding.  The selections of a cell go in two rounds: first the
+    one of largest singleton bound min_i c_i + radius, then only those
+    whose singleton bound beats that one's bound.
+
+    The cells of one lift take the largest of their selections' singleton
+    bounds at once.  The others are valued together, those of fewer lifts
+    than the most padded with a constant lift above every value on the
+    cells, which is never least there; a cell's work counts its own lifts'
+    systems.
+    """
+    m = u.shape[1]
+    terms = _line_values(slopes, u)
+    c = np.concatenate([terms, -terms], axis=1) if terms.shape[1] else np.zeros((len(u), 1))
+    keep = c >= c.max(axis=1, keepdims=True) - (2 * radius + LIFT_EPS)
+    radix = keep.sum(axis=1)
+    k = np.bincount(cell, minlength=cells)
+    first = np.cumsum(k) - k
+    sels = np.multiply.reduceat(radix.astype(np.float64), first)
+    count = _system_counts(int(k.max()), m)[k]
+    bound, work = np.full(cells, np.inf), np.zeros(cells, dtype=np.int64)
+    grads = _line_pieces(tuple(slopes.tolist()))
+    fits = sels * count <= CELL_SYSTEMS
+    one = np.flatnonzero(fits & (k == 1))
+    bound[one] = np.where(keep, c + radius * np.abs(grads).sum(axis=1), -np.inf)[first[one]].max(
+        axis=1)
+    work[one] = radix[first[one]]
+    at = np.flatnonzero(fits & (k > 1))
+    if not len(at):
+        return bound, work
+    size = int(k[at].max())
+    systems = _dual_systems(size, m, int(np.flatnonzero(slopes)[0]))
+    # each lift's kept pieces first, in order; the padding lift (row L) has
+    # one piece, of gradient 0 and a value above the cells' largest, in a
+    # column P of its own
+    P = c.shape[1]
+    piece = np.concatenate([np.argsort(~keep, axis=1, kind="stable"), np.full((1, P), P)])
+    c = np.concatenate([np.concatenate([c, np.full((len(c), 1), -np.inf)], axis=1),
+                        np.full((1, P + 1), -np.inf)])
+    c[-1, -1] = float(c.max()) + 2 * radius + 1.0
+    grads = np.concatenate([grads, np.zeros((1, m))])
+    radix = np.append(radix, 1)
+    lifts = np.where(np.arange(size) < k[at, None], first[at, None] + np.arange(size), len(u))
+    sel = sels[at].astype(np.int64)
+    # cells a chunk, about CIRCLE_BLOCK elements of gradients at a time
+    ends = np.cumsum(sel)
+    start = 0
+    while start < len(at):
+        base = ends[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, base + CIRCLE_BLOCK // (size * m),
+                                                  side="right")))
+        part = at[start:stop]
+        bound[part], seen = _selections_max(c, grads, piece, radix, lifts[start:stop],
+                                            sel[start:stop], radius, systems)
+        work[part] = sel[start:stop] * k[part] + seen * (count[part] - k[part])
+        start = stop
+    return bound, work
+
+
+def _selections_max(c, grads, piece, radix, lifts: np.ndarray, sel: np.ndarray,
+                    radius: float, systems):
+    """(bound, selections valued in full) of each of a chunk of cells of
+    `cell_maxima`: `lifts` (cells x k) their lifts, sel their selection
+    counts."""
+    k = lifts.shape[1]
+    owner = np.repeat(np.arange(len(lifts)), sel)
+    q = np.arange(len(owner)) - np.repeat(np.cumsum(sel) - sel, sel)
+    chosen = np.empty((len(owner), k), dtype=np.int64)
+    for i in range(k - 1, -1, -1):
+        lift = lifts[owner, i]
+        q, digit = np.divmod(q, radix[lift])
+        chosen[:, i] = piece[lift, digit]
+    cs, gs = c[lifts[owner], chosen], grads[chosen]
+    # the singleton bounds; a selection's value is at most their least
+    single = (cs + radius * np.abs(gs).sum(axis=2)).min(axis=1)
+    starts = np.cumsum(sel) - sel
+    largest = np.maximum.reduceat(single, starts)
+    hit = np.flatnonzero(single == largest[owner])
+    lead = hit[np.unique(owner[hit], return_index=True)[1]]
+    bound = _dual_least(cs[lead], gs[lead], radius, single[lead], systems)
+    rest = np.flatnonzero(single > bound[owner])
+    rest = rest[rest != lead[owner[rest]]]
+    step = max(1, CIRCLE_BLOCK // (len(systems[-1][0]) * k * gs.shape[2]))
+    for at in range(0, len(rest), step):
+        rows = rest[at:at + step]
+        got = _dual_least(cs[rows], gs[rows], radius, single[rows], systems)
+        np.maximum.at(bound, owner[rows], got)
+    return bound, 1 + np.bincount(owner[rest], minlength=len(lifts))
 
 
 def circle_lifts(slopes: np.ndarray, psi: np.ndarray, cands: np.ndarray,

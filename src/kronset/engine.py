@@ -10,10 +10,12 @@ with targets ranging either over maps into the n-th-roots angle grid
 (`alpha_n`) or over all angle-valued maps (`alpha`, bracketed by refining
 grid cells of the target torus).  Every returned bracket is two-sided and
 sound: lower ends come from solved targets, upper ends from exhaustive
-enumeration, the universal farthest-root cap, or the cell bound
-value(t) + pi/n over order-n cells that cover the target torus.  For sets
-in Z, refined cells take their values from a few integer lifts of the
-target kept by the cell they were split from.
+enumeration, the universal farthest-root cap, or bounds on order-n cells
+that cover the target torus: value(t) + pi/n, or a cell's certified
+maximum.  For sets of up to three characters in Z, refined cells take
+their values from a few integer lifts of the target kept by the cell they
+were split from, and those lifts certify the cell's maximum
+(`_minimax.cell_maxima`).
 """
 from __future__ import annotations
 
@@ -33,6 +35,7 @@ from ._minimax import (
     SCREEN_CUTOVER,
     TABLE_BLOCK,
     _dist_array,
+    cell_maxima,
     exact_dtype,
     first_least,
     line_distances,
@@ -82,7 +85,9 @@ ROLL = 32
 #: about 10% slower
 CHILD_BLOCK = 1 << 11
 #: an open cell of radius r keeps the lifts within LIFT_REACH * r of its
-#: value: enough to hold the best lift of every descendant cell
+#: value: enough to hold, for each cell refined from it, every lift within
+#: two radii of that cell's value, which its certified maximum reads, and
+#: so its best lift
 LIFT_REACH = 4
 #: largest set whose cells carry lifts.  A split makes 3^m - 1 children, so
 #: for larger sets cheap cells let the budget reach open levels of ~10^6
@@ -355,7 +360,9 @@ class _Targets:
     (`_quick_bounds`; nan until the scan reads it), charge, witness torus
     angles and selection index, exact value in turns/`modulus` (a grid
     target of a purely torsion set; else modulus None) and circle lifts or
-    None.  Witnesses are built on demand."""
+    None.  Witnesses are built on demand.  `top` holds the bounds on the
+    cells of solved targets (`certify`), value + radius for those without
+    lifts; it is None until a scan that keeps lifts solves a target."""
 
     rows: np.ndarray | None
     lower: np.ndarray
@@ -367,6 +374,7 @@ class _Targets:
     exact: np.ndarray
     lifts: list
     modulus: int | None
+    top: np.ndarray | None = None
 
     @classmethod
     def empty(cls, data: _SetData, k: int, n: int | None = None, rows=None) -> "_Targets":
@@ -384,9 +392,21 @@ class _Targets:
         for i, lift in zip(at.tolist(), new.lifts):
             self.lifts[i] = lift
 
-    def take(self, sel: np.ndarray) -> _Cells:
-        """The targets at the indices `sel` as cells, with their lifts."""
-        return _Cells.of(self.rows[sel], self.upper[sel], [self.lifts[i] for i in sel.tolist()])
+    def take(self, sel: np.ndarray, top: np.ndarray) -> _Cells:
+        """The targets at the indices `sel` as cells bounded by `top`, with
+        their lifts."""
+        return _Cells.of(self.rows[sel], self.upper[sel], top,
+                         [self.lifts[i] for i in sel.tolist()])
+
+    def certify(self, data: _SetData, n: int, at: np.ndarray):
+        """Bound the order-n cells of the solved targets at `at` by their
+        certified maxima (`_cell_tops`), and add that work to their charges."""
+        radius = math.pi / n
+        if self.top is None:
+            self.top = self.upper + radius
+        cells = self.take(at, self.upper[at] + radius)
+        self.top[at], work = _cell_tops(data, cells, n)
+        self.cost[at] += work
 
     def args(self, data: _SetData, at: np.ndarray) -> np.ndarray:
         """arg gamma at the witnesses of the targets at the indices `at`, one
@@ -638,13 +658,13 @@ def _orbit_keys(rows: np.ndarray, n: int) -> np.ndarray:
 
 def _fresh(keys: np.ndarray, seen: np.ndarray):
     """(positions, seen): the position of the first occurrence of each key
-    that is not in `seen`, a non-empty sorted array of keys, in increasing
+    that is not in `seen`, a sorted array of keys, in increasing
     order, and seen with those keys added.  One sort of the keys and one
     search of `seen`, so every key is kept at its first occurrence in scan
     order."""
     keys, first = np.unique(keys, return_index=True)
     at = np.searchsorted(seen, keys)
-    old = seen[np.minimum(at, len(seen) - 1)] == keys
+    old = seen[np.minimum(at, len(seen) - 1)] == keys if len(seen) else at < 0
     return np.sort(first[~old]), np.insert(seen, at[~old], keys[~old])
 
 
@@ -656,23 +676,27 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _Cells:
-    """Order-n cells as arrays: index rows (k x m), upper ends and lifts in
-    CSR form, cell i owning the next count[i] rows of nu (lift vectors) and
-    vals (their inner values), in cell order.  A cell without lifts has
-    count 0; a cell with lifts has at least one."""
+    """Order-n cells as arrays: index rows (k x m), upper ends (of the
+    centres' values), tops (bounds on the whole cells) and lifts in CSR
+    form, cell i owning the next count[i] rows of nu (lift vectors) and vals
+    (their inner values at the centre), in cell order.  A cell without
+    lifts has count 0 and top value + radius; a cell with lifts has at
+    least one, and its top from `_cell_tops`."""
 
     rows: np.ndarray
     upper: np.ndarray
+    top: np.ndarray
     count: np.ndarray
     nu: np.ndarray
     vals: np.ndarray
 
     @classmethod
-    def of(cls, rows: np.ndarray, upper: np.ndarray, lifts: list) -> "_Cells":
-        """Cells of index rows and upper ends, cell i with lifts[i] (or none)."""
+    def of(cls, rows: np.ndarray, upper: np.ndarray, top: np.ndarray, lifts: list) -> "_Cells":
+        """Cells of index rows, upper ends and tops, cell i with lifts[i] (or
+        none)."""
         none = (np.zeros((0, rows.shape[1]), dtype=np.int64), np.zeros(0))
         lifts = [lift or none for lift in lifts]
-        return cls(rows.astype(np.int64), upper.astype(np.float64),
+        return cls(rows.astype(np.int64), upper.astype(np.float64), top.astype(np.float64),
                    np.array([len(vals) for _, vals in lifts], dtype=np.int64),
                    np.concatenate([none[0]] + [nu for nu, _ in lifts]),
                    np.concatenate([none[1]] + [vals for _, vals in lifts]))
@@ -680,9 +704,9 @@ class _Cells:
     @classmethod
     def gather(cls, pieces: list, m: int) -> "_Cells":
         """The cells of `pieces` in turn, as one."""
-        pieces = [cls.of(np.zeros((0, m)), np.zeros(0), [])] + pieces
+        pieces = [cls.of(np.zeros((0, m)), np.zeros(0), np.zeros(0), [])] + pieces
         return cls(*(np.concatenate([getattr(p, name) for p in pieces])
-                     for name in ("rows", "upper", "count", "nu", "vals")))
+                     for name in ("rows", "upper", "top", "count", "nu", "vals")))
 
     def take(self, sel: np.ndarray, cut: np.ndarray | None = None) -> "_Cells":
         """The cells at the indices `sel`, in that order; given cut, the one
@@ -693,14 +717,15 @@ class _Cells:
             owner = np.repeat(np.arange(len(sel)), count)
             near = self.vals[lifts] <= cut[owner]
             lifts, count = lifts[near], np.bincount(owner[near], minlength=len(sel))
-        return _Cells(self.rows[sel], self.upper[sel], count, self.nu[lifts], self.vals[lifts])
+        return _Cells(self.rows[sel], self.upper[sel], self.top[sel], count, self.nu[lifts],
+                      self.vals[lifts])
 
 
 @dataclass
 class _LiftedBlock:
     """Lifted children of a block of parents, in scan order (see
-    `_children`).  `cells` holds each child's index row, upper end and, as
-    its lifts, every lift of its parent moved to the child with the inner
+    `_children`).  `cells` holds each child's index row, upper end, top and,
+    as its lifts, every lift of its parent moved to the child with the inner
     value there; lower and cost are per child, and a child keeps the lifts
     of value at most cut (see `take`)."""
 
@@ -710,6 +735,7 @@ class _LiftedBlock:
     cut: np.ndarray
     rows = property(lambda self: self.cells.rows)
     upper = property(lambda self: self.cells.upper)
+    top = property(lambda self: self.cells.top)
 
     def take(self, sel: np.ndarray) -> _Cells:
         """The children at the indices `sel` with the lifts they keep."""
@@ -723,30 +749,65 @@ class _LiftedBlock:
         return DualPoint(data.chars.group, (s % TWO_PI,), ()), None
 
 
+def _lift_margin(data: _SetData, n: int) -> float | None:
+    """How far above its value a solved order-n target keeps lifts, on a
+    set of at most LIFT_MAX_SIZE characters in Z (else None): LIFT_REACH
+    radii of its cell."""
+    if data.slopes is None or data.s or data.m > LIFT_MAX_SIZE:
+        return None
+    return LIFT_REACH * math.pi / n
+
+
+def _lift_slack(data: _SetData) -> float:
+    """Rounding slack of inner values and cell bounds taken from lifts."""
+    return 1e-12 * max(1.0, float(np.abs(data.free).max(initial=0))) ** 2
+
+
+def _cell_tops(data: _SetData, cells: _Cells, n: int):
+    """(top, work) of order-n cells: a cell with lifts is bounded by its
+    certified maximum (`_minimax.cell_maxima`) plus the lift slack when that
+    is below its top, value + radius; work is what `cell_maxima` examined.
+    The certificate reads the lifts within two radii of the centre's value,
+    the only ones that can be least anywhere on the cell."""
+    radius = math.pi / n
+    top, work = cells.top.copy(), np.zeros(len(cells.top), dtype=np.int64)
+    lifted = np.flatnonzero(cells.count)
+    if len(lifted):
+        owner = np.repeat(np.arange(len(cells.count)), cells.count)
+        value = np.minimum.reduceat(cells.vals, (np.cumsum(cells.count) - cells.count)[lifted])
+        slot = np.cumsum(cells.count > 0) - 1
+        near = cells.vals <= value[slot[owner]] + (2 * radius + LIFT_EPS)
+        u = cells.rows[owner[near]] * (TWO_PI / n) + TWO_PI * cells.nu[near]
+        bound, work[lifted] = cell_maxima(data.slopes, u, slot[owner[near]], len(lifted), radius)
+        top[lifted] = np.minimum(top[lifted], bound + _lift_slack(data))
+    return top, work
+
+
 def _children(data: _SetData, parents: _Cells, basis: list, n: int, seen: np.ndarray):
-    """Order-n targets 2t + d, d in {-1, 0, 1}^m other than 0, whose cells of
-    radius pi/n cover the order-n/2 cells of the rows t of `parents`: one per
-    orbit, skipping orbits whose key is in `seen` (sorted keys, see `_fresh`),
-    in the order of the parents and then of d.
+    """Order-n targets 2t + d, d in {-1, 0, 1}^m, whose cells of radius pi/n
+    cover the order-n/2 cells of the rows t of `parents`: one per orbit,
+    skipping orbits whose key is in `seen` (sorted keys, see `_fresh`), in
+    the order of the parents and then of d.  The centre 2t (d = 0) is a
+    child of a parent with lifts only; `_next_level` keeps the others'.
 
     Parents go in blocks of about CHILD_BLOCK children, each block all with
     lifts or all without.  Children of parents without lifts come one at a
     time as index tuples.  Those of a block of parents with lifts come as
-    one `_LiftedBlock`: a parent's lifts hold the best lift
-    of each of its children, so a child's value is the least inner value
-    over them, from one `line_distances` call over every (child, lift) pair
-    of the block.  A child's bracket is value -+ a slack covering the
+    one `_LiftedBlock`: a parent's lifts hold every lift within two radii
+    of each of its children's values, so a child's value is the least inner
+    value over them, from one `line_distances` call over every (child,
+    lift) pair of the block, and its top is its certified maximum
+    (`_cell_tops`).  A child's bracket is value -+ a slack covering the
     rounding of the closed form, its cost the lifts read times
-    `line_term_count`, and it keeps the lifts within LIFT_REACH * pi/n of
-    its value.
+    `line_term_count` plus the certificate's work, and it keeps the lifts
+    within LIFT_REACH * pi/n of its value.
     """
     m = data.m
-    offsets = mixed_radix_rows((3,) * m, 0, 3**m) - 1
-    offsets = offsets[offsets.any(axis=1)]
-    per = max(1, CHILD_BLOCK // len(offsets))
-    margin = LIFT_REACH * math.pi / n
+    steps = mixed_radix_rows((3,) * m, 0, 3**m) - 1
+    per = max(1, CHILD_BLOCK // len(steps))
+    radius = math.pi / n
     terms = line_term_count(data.slopes) if data.slopes is not None else 0
-    slack = 1e-12 * max(1.0, float(np.abs(data.free).max(initial=0))) ** 2
+    slack = _lift_slack(data)
     lifted = parents.count > 0
     first = np.cumsum(parents.count) - parents.count
     start = 0
@@ -755,6 +816,7 @@ def _children(data: _SetData, parents: _Cells, basis: list, n: int, seen: np.nda
         # parents without lifts or the other way round
         run = lifted[start:start + per] != lifted[start]
         stop = start + int(run.argmax() if run.any() else len(run))
+        offsets = steps if lifted[start] else steps[steps.any(axis=1)]
         raw = (2 * parents.rows[start:stop, None, :] + offsets).reshape(-1, m)
         kids = raw % n
         new, seen = _fresh(_orbit_keys(_orbit_reps(kids, basis, n), n), seen)
@@ -769,9 +831,11 @@ def _children(data: _SetData, parents: _Cells, basis: list, n: int, seen: np.nda
             # values at the unwrapped angles raw * 2pi/n, nearest the parent
             vals = line_distances(data.slopes, (raw[new] * (TWO_PI / n))[child] + TWO_PI * nu)
             values = np.minimum.reduceat(vals, np.cumsum(count) - count)
-            cells = _Cells(kids[new], values + slack, count, nu + (raw[new] // n)[child], vals)
-            yield _LiftedBlock(cells, np.maximum(values - slack, 0.0), count * terms,
-                               values + (margin + LIFT_EPS))
+            cells = _Cells(kids[new], values + slack, values + slack + radius, count,
+                           nu + (raw[new] // n)[child], vals)
+            cells.top, work = _cell_tops(data, cells, n)
+            yield _LiftedBlock(cells, np.maximum(values - slack, 0.0), count * terms + work,
+                               values + (LIFT_REACH * radius + LIFT_EPS))
         start = stop
 
 
@@ -868,11 +932,14 @@ def _scan_targets(scan: _Scan, n: int, items, cap: float, radius: float = 0.0,
 
     Each target stands for the cell of targets within `radius` of it in
     every coordinate.  The inner minimum is 1-Lipschitz in the target, so
-    value + radius bounds the whole cell; the cell closes once that bound is
-    within `slack` of the incumbent's lower end.  A probe point's error is a
-    value bound that closes a cell without solving it (a pruned target).
-    Solved cells that stay open are appended to `opened` as `_Cells`, with
-    the lifts within lift_margin of their value.
+    value + radius bounds the whole cell, and given lift_margin a solved
+    target with lifts is bounded by its certified maximum instead
+    (`_Targets.certify`, which adds that work to its charge), as lifted
+    cells are (their top); the cell closes once its bound is within `slack`
+    of the incumbent's lower end.  A probe point's error is a value bound
+    that closes a cell without solving it (a pruned target).  Solved cells
+    that stay open are appended to `opened` as `_Cells`, with the lifts
+    within lift_margin of their value.
 
     items yields blocks (see `_blocks`): `_Targets`, and `_LiftedBlock`s,
     whose cells skip the probes.  A target reads at most as many probes,
@@ -897,9 +964,10 @@ def _scan_targets(scan: _Scan, n: int, items, cap: float, radius: float = 0.0,
     pass decides leave their witnesses' argument rows pending for the
     window, from one `_SetData.args_at` call.  The budget stop is the first
     charge past the room left, charged one unit past it (m for a probe, the
-    `_block_targets` unit for a solve, the cost of a lifted cell) or, for a
-    quick bound, charged whole.  Only the targets that raise the incumbent
-    build witnesses.
+    `_block_targets` unit for a solve) or, for a quick bound, a lifted cell
+    and a solved target whose solve the room pays but not its certificate,
+    charged whole.  Only the targets that raise the incumbent build
+    witnesses.
 
     Returns (closed_hi, open_hi, status): the largest bound over closed and
     over open cells, and 'capped' when the incumbent reached `cap`, 'done'
@@ -957,6 +1025,8 @@ def _scan_targets(scan: _Scan, n: int, items, cap: float, radius: float = 0.0,
                     todo = pos + np.flatnonzero(todo)[:1 if scan.best is None else None]
                     block.put(todo, scan.solve(rows[todo] * (TWO_PI / n), n, rows[todo],
                                                lift_margin))
+                    if lift_margin is not None:
+                        block.certify(data, n, todo)
             # lower ends of the targets a solve decides: nan where pruned, or
             # unsolved (costs 0) as the budget could not pay
             low = lower[here] if probed is None else np.where(probed, np.nan, lower[here])
@@ -976,21 +1046,27 @@ def _scan_targets(scan: _Scan, n: int, items, cap: float, radius: float = 0.0,
             budget.used += int(spent[end - 1]) if end else 0
             if status == "budget":
                 room, probe = budget.remaining, 0 if probed is None else int(read[stop]) * m
-                unit = int(cost[pos + stop]) if lifted else _block_targets(data)[1]
+                at, unit = pos + stop, _block_targets(data)[1]
                 # the probes left the target open, so it read its quick bound
                 spend = probe + (0 if probed is None else quick)
+                # a lifted cell is charged whole, and so is a solved target
+                # whose solve the room pays but not the certificate after it
+                whole = lifted or (not np.isnan(lower[at])
+                                   and data.selection_count * unit <= room - spend)
                 budget.used += (_past_room(room, m) if probe > room else spend if spend > room
-                                else spend + _past_room(room - spend, unit))
+                                else spend + (int(cost[at]) if whole
+                                              else _past_room(room - spend, unit)))
             stats.targets_pruned += (pruned := 0 if probed is None else int(probed[:end].sum()))
             stats.targets_enumerated += end - pruned
             done = pos + (np.arange(end) if probed is None else np.flatnonzero(~probed[:end]))
-            bound = upper[done] + radius
+            bound = upper[done] + radius if block.top is None else block.top[done]
             shut = bound - np.maximum(lower[done], prior) <= slack
             closed_hi = max(closed_hi, float(bound[shut].max(initial=0.0)),
                             0.0 if probed is None else float(probe_hi[:end].max(initial=0.0)))
             open_hi = max(open_hi, float(bound[~shut].max(initial=0.0)))
             if opened is not None and not shut.all():
-                opened.append(block.take(done[~shut]))
+                opened.append(block.take(done[~shut]) if lifted
+                              else block.take(done[~shut], bound[~shut]))
             if not lifted and len(done):
                 scan.pending.append(block.args(data, done))
             if event < stop and low[event] > prior:
@@ -1155,11 +1231,13 @@ def alpha(chars: CharacterSet, tol: float = DEFAULT_TOL, budget: int = DEFAULT_B
     orbit under translation and negation.  For a set of at most
     LIFT_MAX_SIZE characters in Z an open cell keeps its nearby lifts (see
     `_minimax.circle_lifts`), which give the exact value of every cell
-    refined from it without a full solve.  A level holds its open cells as
-    arrays (`_Cells`); the lifted children of a block of parents are valued
-    in one pass (`_children`) and decided like solved targets by
-    `_scan_targets`, with the decisions and charges of a scan that takes
-    them one at a time.  The upper end is the least, over completed levels,
+    refined from it without a full solve, and a cell with lifts is bounded
+    by its certified maximum (`_cell_tops`) in place of value(t) + pi/n, so
+    the upper end need not trail the lower one by pi/n.  A level holds its
+    open cells as arrays (`_Cells`); the lifted children of a block of
+    parents are valued and bounded in one pass (`_children`) and decided
+    like solved targets by `_scan_targets`, with the decisions and charges
+    of a scan that takes them one at a time.  The upper end is the least, over completed levels,
     of the largest bound over all cells.  Stops certified once the bracket
     is tol wide, uncertified when the next level would pass max_order or
     the budget runs out (see work.stop_reason); each work.ladder entry is
@@ -1188,14 +1266,15 @@ def alpha(chars: CharacterSet, tol: float = DEFAULT_TOL, budget: int = DEFAULT_B
 
 
 def _refine(scan: _Scan, tol: float, max_order: int):
-    """The level loop of `alpha`: returns (upper, lower, ladder, stop reason)."""
+    """The level loop of `alpha`: returns (upper, lower, ladder, stop reason).
+    A completed level's upper end is the largest bound (top) over the cells
+    closed so far and the cells left open."""
     upper = math.pi
     closed_top = 0.0  # largest bound over cells closed at earlier levels
     ladder = []
     n, parents = 2, None
     while True:
         radius = math.pi / n
-        lift_margin = LIFT_REACH * radius if scan.data.m <= LIFT_MAX_SIZE else None
         opened = []
         if parents is None:
             cells = _grid_targets(_shift_basis(scan.data, n), n)
@@ -1203,12 +1282,12 @@ def _refine(scan: _Scan, tol: float, max_order: int):
             cells, closed = _next_level(scan.data, n, parents, scan.best.lower, tol, opened)
             closed_top = max(closed_top, closed)
         closed_hi, _, status = _scan_targets(scan, n, _blocks(scan.data, n, cells), upper,
-                                             radius, tol, opened, lift_margin)
+                                             radius, tol, opened, _lift_margin(scan.data, n))
         lower = scan.best.lower if scan.best is not None else 0.0
         if status == "done":
             parents = _Cells.gather(opened, scan.data.m)
             closed_top = max(closed_top, closed_hi)
-            level_top = max(closed_top, float((parents.upper + radius).max(initial=0.0)))
+            level_top = max(closed_top, float(parents.top.max(initial=0.0)))
             upper = max(lower, min(upper, level_top))
         ladder.append((n, lower, upper, status != "budget"))
         if status != "done" or upper - lower <= tol:
@@ -1222,26 +1301,34 @@ def _next_level(data: _SetData, n: int, parents: _Cells, lower: float, tol: floa
                 opened: list):
     """Split the open order-n/2 cells `parents` into order-n cells.
 
-    A parent still open against `lower` keeps its centre 2t, whose value is
-    known, as an order-n cell (appended to `opened` unless it closes, with
-    the parent's lifts near enough for the smaller cell) and contributes its
-    other children to the returned `_children` iterator, largest parent
-    bound first.  Returns (children, largest bound of the cells closed
-    here).
+    A parent still open against `lower` (its top) contributes its children
+    to the returned iterator (`_children`), largest parent value first.  A
+    parent with lifts has its centre 2t among them, valued and bounded
+    again for the smaller cell.  One without lifts keeps its centre's
+    value: unless its order-n cell closes at value + pi/n, the centre is an
+    open cell (appended to `opened`), or, when the smaller cell now takes
+    lifts (`_lift_margin`), it is solved again with them, before the
+    children.  Returns (targets, largest bound of the cells closed here).
     """
     radius = math.pi / n
     order = np.argsort(-parents.upper, kind="stable")
-    bound = parents.upper[order] + 2 * radius
-    keep = bound - lower > tol
-    closed = float(bound[~keep].max(initial=0.0))
+    keep = parents.top[order] - lower > tol
+    closed = float(parents.top[order[~keep]].max(initial=0.0))
     parents = parents.take(order[keep])
-    bound = parents.upper + radius
+    bare = np.flatnonzero(parents.count == 0)
+    bound = parents.upper[bare] + radius
     still = bound - lower > tol
     closed = max(closed, float(bound[~still].max(initial=0.0)))
-    centres = parents.take(np.flatnonzero(still),
-                           parents.upper[still] + LIFT_REACH * radius + LIFT_EPS)
+    # a centre whose smaller cell now takes lifts is solved again, with them
+    margin = _lift_margin(data, n)
+    again = still & (margin is not None and parents.upper[bare] + margin < math.pi - LIFT_EPS)
+    centres = parents.take(bare[still & ~again])
     centres.rows *= 2
+    centres.top = bound[still & ~again]
     opened.append(centres)
     basis = _shift_basis(data, n)
-    seen = np.unique(_orbit_keys(_orbit_reps(2 * parents.rows, basis, n), n))
-    return _children(data, parents, basis, n, seen), closed
+    keys = _orbit_keys(_orbit_reps(2 * parents.rows[bare], basis, n), n)
+    solve = 2 * parents.rows[bare[again]]
+    first = np.sort(np.unique(keys[again], return_index=True)[1])
+    return itertools.chain(map(tuple, solve[first].tolist()),
+                           _children(data, parents, basis, n, np.unique(keys))), closed

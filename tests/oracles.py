@@ -92,14 +92,15 @@ def min_error_torus_slices(free, psi, slices: int) -> tuple[float, float]:
     return best, math.pi / slices * max(sum(abs(a) for a in row[:-1]) for row in free)
 
 
-def scan_cells_loop(lowers, uppers, costs, incumbent, used: int, limit: int, cap: float,
-                    tol: float, radius: float, slack: float) -> dict:
+def scan_cells_loop(lowers, tops, costs, incumbent, used: int, limit: int, cap: float,
+                    tol: float, slack: float) -> dict:
     """Reference decisions of the continuous-constant scan on cells whose
-    values are known ahead, one cell at a time in order: charge the cell's
-    cost (past `limit` the scan stops on the budget, the charge made),
-    count it, make its lower end the incumbent's if it beats it (incumbent
-    None: none yet), close the cell if upper + radius is within slack of the
-    incumbent, else open it, and stop once the incumbent reaches cap - tol.
+    values and bounds (tops) are known ahead, one cell at a time in order:
+    charge the cell's cost (past `limit` the scan stops on the budget, the
+    charge made), count it, make its lower end the incumbent's if it beats
+    it (incumbent None: none yet), close the cell if its top is within
+    slack of the incumbent, else open it, and stop once the incumbent
+    reaches cap - tol.
 
     Returns a dict: used, enumerated, incumbents (the positions of the cells
     that became the incumbent), closed_hi and open_hi (largest bound over
@@ -108,7 +109,7 @@ def scan_cells_loop(lowers, uppers, costs, incumbent, used: int, limit: int, cap
     """
     out = {"enumerated": 0, "incumbents": [], "closed_hi": 0.0, "open_hi": 0.0,
            "opened": [], "status": "done"}
-    for i, (lower, upper, cost) in enumerate(zip(lowers, uppers, costs)):
+    for i, (lower, bound, cost) in enumerate(zip(lowers, tops, costs)):
         used += int(cost)
         if used > limit:
             out["status"] = "budget"
@@ -117,7 +118,6 @@ def scan_cells_loop(lowers, uppers, costs, incumbent, used: int, limit: int, cap
         if incumbent is None or lower > incumbent:
             incumbent = lower
             out["incumbents"].append(i)
-        bound = upper + radius
         if bound - incumbent <= slack:
             out["closed_hi"] = max(out["closed_hi"], bound)
         else:
@@ -138,14 +138,16 @@ def scan_targets_loop(scan, n: int, items, cap: float, radius: float = 0.0,
     probe read (past the room the scan stops on the budget, the charge
     made), and pruned by the first probe whose error bound closes its cell,
     or then by its quick bound (`probe_loop`); else `engine._solve_target`
-    solves it, charging its cost or stopping the scan, and its witness's
-    argument row joins `scan.pending`.  A cell
-    of a lifted block is charged its cost and not probed.  Then the target
-    is counted, raises the incumbent if its lower end beats it (a lifted
-    cell's witness joins `scan.pending`, and the window rolls), closes or
-    opens, and the scan stops once the incumbent reaches cap - tol.  Before
-    every engine.ROLL-th item, from the first, the window rolls too: the
-    pending rows go, newest first, before the probes, which keep
+    solves it, charging its cost or stopping the scan, and, given
+    lift_margin, the work of its cell's certified maximum
+    (`engine._cell_tops`), and its witness's argument row joins
+    `scan.pending`.  A cell of a lifted block is charged its cost and not
+    probed.  Then the target is counted, raises the incumbent if its lower
+    end beats it (a lifted cell's witness joins `scan.pending`, and the
+    window rolls), closes or opens by its top (value + radius without
+    lifts), and the scan stops once the incumbent reaches cap - tol.
+    Before every engine.ROLL-th item, from the first, the window rolls too:
+    the pending rows go, newest first, before the probes, which keep
     engine.PROBES.  Solutions a block already carries are not read."""
     data, budget, stats = scan.data, scan.budget, scan.stats
     closed_hi = open_hi = 0.0
@@ -181,7 +183,11 @@ def scan_targets_loop(scan, n: int, items, cap: float, radius: float = 0.0,
                         continue
                     lower, upper, point, exact, lifts = engine._solve_target(
                         data, angles, (n, tuple(indices)), budget, lift_margin)
-                    cell = engine._Cells.of(np.array([indices]), np.array([upper]), [lifts])
+                    cell = engine._Cells.of(np.array([indices]), np.array([upper]),
+                                            np.array([upper + radius]), [lifts])
+                    if lift_margin is not None:
+                        cell.top, work = engine._cell_tops(data, cell, n)
+                        budget.charge(int(work[0]))
                     scan.pending.append(data.point_args(point)[None])
             except BudgetExceededError:
                 return closed_hi, open_hi, "budget"
@@ -192,7 +198,7 @@ def scan_targets_loop(scan, n: int, items, cap: float, radius: float = 0.0,
                     scan.pending.append(data.point_args(point)[None])
                 scan.best = engine._Incumbent(lower, n, tuple(indices), point, exact)
                 roll()
-            bound = upper + radius
+            bound = float(cell.top[0])
             if bound - scan.best.lower <= slack:
                 closed_hi = max(closed_hi, bound)
             else:
@@ -304,6 +310,72 @@ def alpha_pair_grid(a: int, b: int, grid: int = 600, zoom_rounds: int = 6):
         lo1, hi1 = phi1[i] - 2 * w1, phi1[i] + 2 * w1
         lo2, hi2 = phi2[j] - 2 * w2, phi2[j] + 2 * w2
         grid = 40
+    return best
+
+
+def alpha_pair_exact(a: int, b: int) -> float:
+    """The continuous-target constant of the pair {a, b} of nonzero
+    integers in closed form: pi gcd(a, b) / (|a| + |b|).
+
+    With u = phi + 2 pi nu a lift of the target phi, the inner value is
+    the least over nu in Z^2 of min over real s of max(|a s - u_1|,
+    |b s - u_2|).  Two V-shaped functions of s have the larger least at
+    their crossing, of height |b u_1 - a u_2| / (|a| + |b|).  As nu ranges
+    over Z^2, b u_1 - a u_2 = (b phi_1 - a phi_2) + 2 pi (b nu_1 - a nu_2)
+    ranges over b phi_1 - a phi_2 + 2 pi gcd(a, b) Z (Bezout), so
+
+        V(phi) = dist(b phi_1 - a phi_2, 2 pi gcd(a, b) Z) / (|a| + |b|).
+
+    b phi_1 - a phi_2 takes every value modulo 2 pi gcd(a, b) on the torus,
+    so the supremum of V is pi gcd(a, b) / (|a| + |b|)."""
+    return math.pi * math.gcd(a, b) / (abs(a) + abs(b))
+
+
+def cell_max_lp(slopes, t, radius: float, lifts) -> float:
+    """The largest, over the targets t + x with every |x_j| <= radius, of
+    the least over the lifts nu (rows of `lifts`) of the distance
+    D_nu(u) = min over real s of max_k |a_k s - u_k|, u = t + x + 2 pi nu.
+
+    D_nu is the largest of the affine functions +-(a_k u_j - a_j u_k) /
+    (|a_j| + |a_k|) over pairs of nonzero slopes and +-u_k over zero slopes
+    (0 when there are none).  The least over lifts of the largest over
+    pieces is the largest over selections sigma, one piece a lift, of the
+    least over lifts; for each sigma the linear program max z subject to z
+    <= c_i + g_i.x and |x_j| <= radius is solved by enumerating its
+    vertices, the points where m + 1 linearly independent constraints are
+    tight, and keeping the feasible one of largest z.  Every selection is
+    enumerated, so keep the lifts few (the cost is P^L selections)."""
+    a = [int(v) for v in slopes]
+    m = len(a)
+    grads = []
+    for j, k in itertools.combinations(range(m), 2):
+        if a[j] and a[k]:
+            g = np.zeros(m)
+            g[j], g[k] = a[k] / (abs(a[j]) + abs(a[k])), -a[j] / (abs(a[j]) + abs(a[k]))
+            grads += [g, -g]
+    for k in range(m):
+        if not a[k]:
+            g = np.zeros(m)
+            g[k] = 1.0
+            grads += [g, -g]
+    grads = np.array(grads or [np.zeros(m)])
+    u = np.asarray(t, dtype=np.float64) + TWO_PI * np.asarray(lifts, dtype=np.float64)
+    values = u @ grads.T
+    # constraints rows . (x, z) <= rhs: the box, then one per lift
+    box = np.zeros((2 * m, m + 1))
+    box[np.arange(m), np.arange(m)] = 1.0
+    box[m + np.arange(m), np.arange(m)] = -1.0
+    subsets = np.array(list(itertools.combinations(range(2 * m + len(u)), m + 1)))
+    best = -math.inf
+    for sigma in itertools.product(range(len(grads)), repeat=len(u)):
+        rows = np.concatenate([box, np.concatenate([-grads[list(sigma)], np.ones((len(u), 1))],
+                                                   axis=1)])
+        rhs = np.concatenate([np.full(2 * m, radius), values[np.arange(len(u)), list(sigma)]])
+        mats = rows[subsets]
+        ok = np.abs(np.linalg.det(mats)) > 1e-12
+        points = np.linalg.solve(mats[ok], rhs[subsets[ok]][:, :, None])[:, :, 0]
+        feasible = (points @ rows.T <= rhs + 1e-12).all(axis=1)
+        best = max(best, float(points[feasible, m].max(initial=-math.inf)))
     return best
 
 

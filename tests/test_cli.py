@@ -208,8 +208,8 @@ class TestSubcommands:
     @pytest.mark.parametrize("argv,reason,code", [
         (["alpha", "--set", "Z : [1],[2]"], "done", 0),
         (["alpha-n", "--set", "Z : [0]", "--n", "2"], "capped", 0),
-        (["alpha", "--set", "Z : [1],[2],[3]", "--budget", "5000"], "budget", 1),
-        (["alpha", "--set", "Z : [1],[2]", "--max-order", "8"], "max_order", 1),
+        (["alpha", "--set", "Z : [1],[2],[3]", "--budget", "2000"], "budget", 1),
+        (["alpha", "--set", "Z : [1],[2]", "--max-order", "4"], "max_order", 1),
     ])
     def test_stop_reason(self, capsys, argv, reason, code):
         got, rep = run_cli(capsys, *argv, "--no-timestamp")

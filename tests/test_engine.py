@@ -1163,11 +1163,8 @@ class TestWorkCounters:
     """`work` blocks of fixed computations: targets enumerated and pruned,
     inner evaluations, stop reason and ladder."""
 
-    LADDER = ((2, 2.6179938779914966), (4, 1.8325957145940484), (8, 1.4398966328953242),
-              (16, 1.2435470920819596), (32, 1.1453723216572786), (64, 1.0962849364449383),
-              (128, 1.071741243838768), (256, 1.0594693975356828),
-              (512, 1.0533334743841403), (1024, 1.050265512808369),
-              (2048, 1.0487315320204833), (4096, 1.048147158387003))
+    # the cells of order 8 close by their certified maxima
+    LADDER = ((2, 2.6179938779914966), (4, 1.8325957145940484), (8, 1.0471975512325988))
 
     @pytest.mark.parametrize("solve, work", [
         (lambda: alpha_n(CharacterSet.of_integers([1, 4, 12, 38, 154]), 8),
@@ -1180,7 +1177,7 @@ class TestWorkCounters:
         (lambda: alpha_n(parse_set_spec("Z13 : [1],[3],[5],[9]")[1], 5),
          (37, 276, 6600, "done", ())),
         (lambda: alpha(CharacterSet.of_integers([-6, 1, 3])),
-         (33062, 107, 238140, "done",
+         (36, 5, 12713, "done",
           tuple((n, 1.0471975511906, upper, True) for n, upper in LADDER))),
         (lambda: alpha_n(CharacterSet.of_integers([1, 2, 3, 5, 8]), 8, budget=60_000),
          (51, 756, 60005, "budget", ())),
@@ -1261,7 +1258,7 @@ class TestAlphaLadder:
                 assert alpha(E, tol=tol, threads=2) == res
 
     def test_budget_flag(self):
-        res = alpha(CharacterSet.of_integers([1, 2, 3]), budget=5000)
+        res = alpha(CharacterSet.of_integers([1, 2, 3]), budget=2000)
         assert not res.certified
 
     def test_kappa_variants_order_preserved(self):
@@ -1657,6 +1654,8 @@ class TestLifts:
                 float(line_distances(slopes, u)), abs=1e-12)
 
     def test_lifted_refinement_matches_full_solves(self, monkeypatch):
+        # lifted cells are bounded by their certified maxima, full solves by
+        # value + pi/n, so the lifted upper ends are lower and not equal
         rng = random.Random(227)
         sets = [CharacterSet.of_integers([-3, -1, 6]), CharacterSet.of_integers([2, 5])]
         sets += [random_int_set(rng, max_size=3, max_entry=6) for _ in range(4)]
@@ -1666,13 +1665,28 @@ class TestLifts:
             full = alpha(E, tol=1e-2)
             assert res.certified == full.certified
             assert res.alpha.lower == pytest.approx(full.alpha.lower, abs=1e-9), E
-            assert res.alpha.upper == pytest.approx(full.alpha.upper, abs=1e-9), E
-            assert [lv[0] for lv in res.work.ladder] == [lv[0] for lv in full.work.ladder]
-            assert res.work.inner_evals <= full.work.inner_evals
+            assert res.alpha.upper <= full.alpha.upper + 1e-9, E
+            assert len(res.work.ladder) <= len(full.work.ladder)
+            # a single character's full solves stop charging after order 2,
+            # as its one open cell keeps its centre's known value, while the
+            # lifted refinement solves that centre again for its lifts
+            if len(E) > 1:
+                assert res.work.inner_evals <= full.work.inner_evals, E
+            slopes = [c.free_coords[0] for c in E]
+            if len(E) == 2:
+                value = oracles.alpha_pair_exact(*slopes)
+                for bracket in (res.alpha, full.alpha):
+                    assert bracket.lower - 1e-9 <= value <= bracket.upper + 1e-9, E
+            else:
+                # the exhaustive grid values are lower ends of alpha
+                for n in (3, 4, 6):
+                    value = oracles.alpha_n_exhaustive(slopes, n)[0]
+                    assert value <= min(res.alpha.upper, full.alpha.upper) + 1e-9, (E, n)
 
     def test_hard_triple_certifies_within_half_a_million_evaluations(self):
         # the costliest three-element set with entries up to 12 and 36-44
-        # circle candidates certifies at tol 1e-3 in about 2.6e5 evaluations
+        # circle candidates certifies at tol 1e-3 in about 1.3e4 evaluations,
+        # at order 8
         res = alpha(CharacterSet.of_integers([-6, 1, 3]), tol=1e-3, budget=500_000)
         assert res.certified and res.work.stop_reason == "done"
         assert res.alpha.width <= 1e-3
@@ -1709,13 +1723,154 @@ class TestLifts:
         assert checked > 100
 
 
+def lift_classes(slopes, nu) -> set:
+    """The lift vectors nu as classes modulo the slopes (nu and nu + a give
+    the same inner values), each as the representative whose first nonzero
+    slope's entry lies in [0, |a|)."""
+    j0 = int(np.flatnonzero(slopes)[0])
+    nu = np.asarray(nu, dtype=np.int64).reshape(-1, len(slopes))
+    nu = nu - (nu[:, j0] // slopes[j0])[:, None] * slopes[None, :]
+    return set(map(tuple, nu.tolist()))
+
+
+class TestCellMaxima:
+    """Cells with lifts are bounded by their certified maxima
+    (`_minimax.cell_maxima`, through `engine._cell_tops`)."""
+
+    @staticmethod
+    def random_cell(rng):
+        """(slopes, n, index row, lifts within LIFT_REACH radii, upper) of a
+        random order-n cell of a set of 1-3 characters in Z, or None when
+        its centre takes no lifts."""
+        while True:
+            # in the set's own (sorted) order
+            slopes = np.array(sorted(rng.sample(range(-12, 13), rng.randint(1, 3))))
+            if slopes.any():
+                break
+        n = rng.choice([8, 16, 32, 64])
+        row = np.array([rng.randrange(n) for _ in slopes])
+        _, _, upper, lifts = circle_row(slopes, row * (TWO_PI / n), Budget(10**9),
+                                        lift_margin=engine.LIFT_REACH * math.pi / n)
+        return None if lifts is None else (slopes, n, row, lifts, upper)
+
+    @staticmethod
+    def tops(slopes, n, row, lifts, upper):
+        """(top, work) of the one cell from `engine._cell_tops`."""
+        data = engine._set_data(CharacterSet.of_integers(slopes.tolist()))
+        cell = engine._Cells.of(row[None], np.array([upper]), np.array([upper + math.pi / n]),
+                                [lifts])
+        top, work = engine._cell_tops(data, cell, n)
+        return float(top[0]), int(work[0])
+
+    def test_certificates_match_the_lp_oracle(self):
+        rng = random.Random(241)
+        exact = 0
+        for _ in range(160):
+            drawn = self.random_cell(rng)
+            if drawn is None:
+                continue
+            slopes, n, row, (nu, vals), upper = drawn
+            radius = math.pi / n
+            slack = engine._lift_slack(engine._set_data(CharacterSet.of_integers(slopes.tolist())))
+            top, work = self.tops(slopes, n, row, (nu, vals), upper)
+            assert top <= upper + radius + slack
+            # the lifts the certificate reads: within two radii of the value
+            near = nu[vals <= vals.min() + 2 * radius + _minimax.LIFT_EPS]
+            pieces = len(_minimax._line_pieces(tuple(slopes.tolist())))
+            if pieces ** len(near) > 300:
+                continue
+            centre = row * (TWO_PI / n)
+            want = oracles.cell_max_lp(slopes, centre, radius, near)
+            assert top >= want - 1e-12, (slopes, n, row)
+            bound, _ = _minimax.cell_maxima(slopes, centre + TWO_PI * near,
+                                            np.zeros(len(near), dtype=np.int64), 1, radius)
+            if np.isfinite(bound[0]):
+                assert top == pytest.approx(want, abs=1e-9), (slopes, n, row)
+                assert work > 0
+                exact += 1
+            # the true inner value at the cell's corners and inside it
+            corners = np.array(list(itertools.product((-radius, radius), repeat=len(slopes))))
+            inside = np.array([[rng.uniform(-radius, radius) for _ in slopes]
+                               for _ in range(200)])
+            for x in np.concatenate([corners, inside]):
+                value = oracles.min_error_breakpoints(slopes, centre + x)[1]
+                assert top >= value - 1e-12, (slopes, n, row, x)
+        assert exact > 30, exact
+
+    def test_cells_past_the_cap_keep_value_plus_radius(self, monkeypatch):
+        monkeypatch.setattr(_minimax, "CELL_SYSTEMS", 1)
+        rng = random.Random(251)
+        checked = 0
+        for _ in range(60):
+            drawn = self.random_cell(rng)
+            if drawn is None:
+                continue
+            slopes, n, row, (nu, vals), upper = drawn
+            if len(nu) < 2 or (vals <= vals.min() + 2 * math.pi / n).sum() < 2:
+                continue
+            assert self.tops(slopes, n, row, (nu, vals), upper) == (upper + math.pi / n, 0)
+            checked += 1
+        assert checked > 10
+
+    def test_open_cells_keep_every_lift_within_two_radii(self, monkeypatch):
+        # each open cell's lifts hold every lift class within two radii of
+        # its centre's value, solved afresh, with its value there
+        rng = random.Random(257)
+        next_level = engine._next_level
+        levels = []
+
+        def spy(data, n, parents, *args):
+            levels.append((data, n // 2, parents))
+            return next_level(data, n, parents, *args)
+        monkeypatch.setattr(engine, "_next_level", spy)
+        checked = 0
+        for _ in range(10):
+            E = random_int_set(rng, max_size=3, max_entry=12)
+            levels.clear()
+            alpha(E, tol=1e-3)
+            for data, n, cells in levels:
+                radius = math.pi / n
+                start = np.cumsum(cells.count) - cells.count
+                for row, first, count in zip(cells.rows, start, cells.count):
+                    if not count:
+                        continue
+                    angles = row * (TWO_PI / n)
+                    lifts = circle_row(data.slopes, angles, Budget(10**9),
+                                       lift_margin=2 * radius)[3]
+                    nu, vals = cells.nu[first:first + count], cells.vals[first:first + count]
+                    assert lift_classes(data.slopes, lifts[0]) <= lift_classes(data.slopes, nu)
+                    fresh = line_distances(data.slopes, angles + TWO_PI * nu)
+                    assert np.allclose(fresh, vals, atol=1e-9)
+                    checked += 1
+        assert checked > 100, checked
+
+
+class TestPairs:
+    def test_closed_form_matches_the_grid_oracle(self):
+        for a, b in [(1, 2), (-3, 5), (-4, 6)]:
+            grid, _ = oracles.alpha_pair_grid(a, b, grid=200)
+            assert grid <= oracles.alpha_pair_exact(a, b) + 1e-12
+            assert grid >= oracles.alpha_pair_exact(a, b) - 1e-3
+
+    def test_every_coprime_pair_certifies_by_order_16(self):
+        pairs = [(a, b) for a in range(-12, 13) for b in range(a + 1, 13)
+                 if a and b and math.gcd(a, b) == 1]
+        for a, b in pairs:
+            res = alpha(CharacterSet.of_integers([a, b]), tol=1e-3)
+            value = oracles.alpha_pair_exact(a, b)
+            assert res.certified, (a, b)
+            assert res.alpha.lower - 1e-12 <= value <= res.alpha.upper + 1e-12, (a, b)
+            assert res.work.ladder[-1][0] <= 16, (a, b)
+
+
 class TestLiftedBlocks:
     N, RADIUS, SLACK, TOL = 16, math.pi / 16, 0.05, 5e-4
 
     @staticmethod
     def block(rng, m, k, uniform):
         """A random block of k lifted cells of order N with distinct rows,
-        lower ends drawn from three values (so ties are common), uniform or
+        lower ends drawn from three values (so ties are common), tops
+        between the upper end and the upper end plus the radius, uniform or
         mixed costs, and 1-3 lifts a cell, the least at the cell's value."""
         n = TestLiftedBlocks.N
         rows = rng.sample(list(itertools.product(range(n), repeat=m)), k)
@@ -1732,7 +1887,10 @@ class TestLiftedBlocks:
             rng.shuffle(cell)
             vals += cell
         nu = np.array([[rng.randint(-2, 2) for _ in range(m)] for _ in vals], dtype=np.int64)
-        cells = engine._Cells(np.array(rows, dtype=np.int64), upper, count, nu, np.array(vals))
+        top = upper + np.array([rng.choice([TestLiftedBlocks.RADIUS, rng.uniform(0, 0.2)])
+                                for _ in range(k)])
+        cells = engine._Cells(np.array(rows, dtype=np.int64), upper, top, count, nu,
+                              np.array(vals))
         return engine._LiftedBlock(cells, lower, cost, lower + 0.35)
 
     @staticmethod
@@ -1780,8 +1938,8 @@ class TestLiftedBlocks:
                 for limit in limits:
                     self.check(data, block, prior, used, limit, cap, made)
                     want = oracles.scan_cells_loop(
-                        block.lower.tolist(), block.cells.upper.tolist(), block.cost.tolist(),
-                        prior, used, limit, cap, self.TOL, self.RADIUS, self.SLACK)
+                        block.lower.tolist(), block.cells.top.tolist(), block.cost.tolist(),
+                        prior, used, limit, cap, self.TOL, self.SLACK)
                     stop = want["enumerated"] - (want["status"] == "capped")
                     seen.add((want["status"], stop, hit))
         # every stop: capped at the first, a middle and the last cell,
@@ -1802,8 +1960,8 @@ class TestLiftedBlocks:
         opened = []
         got = engine._scan_targets(scan, n, iter([block]), cap, self.RADIUS, self.SLACK, opened)
         want = oracles.scan_cells_loop(
-            block.lower.tolist(), block.cells.upper.tolist(), block.cost.tolist(), prior,
-            used, limit, cap, self.TOL, self.RADIUS, self.SLACK)
+            block.lower.tolist(), block.cells.top.tolist(), block.cost.tolist(), prior,
+            used, limit, cap, self.TOL, self.SLACK)
         case = (block, prior, used, limit, cap)
         assert got == (want["closed_hi"], want["open_hi"], want["status"]), case
         assert scan.budget.used == want["used"], case
@@ -1825,35 +1983,43 @@ class TestLiftedBlocks:
         cells = engine._Cells.gather(opened, m)
         assert cells.rows.tolist() == [rows[i] for i in want["opened"]], case
         assert cells.upper.tolist() == [block.cells.upper[i] for i in want["opened"]]
+        assert cells.top.tolist() == [block.cells.top[i] for i in want["opened"]]
         lifts = [(tuple(nu), v) for nu, v in zip(cells.nu.tolist(), cells.vals.tolist())]
         assert lifts == [lift for i in want["opened"] for lift in self.kept_lifts(block, i)]
         assert cells.count.tolist() == [len(self.kept_lifts(block, i)) for i in want["opened"]]
 
-    # values recorded before lifted children were decided a block at a time:
-    # the upper end of each completed level
-    UPPERS = {
-        (-3, -1, 6): [2.617993877991495, 1.8325957145940484, 1.4398966328953242,
-                      1.2435470920819598, 1.1453723216572786, 1.0962849364449383,
-                      1.071741243838768, 1.0594693975356828, 1.0533334743841403,
-                      1.050265512808369, 1.0487315320204833],
-        (-6, -3, 1): [2.6179938779914966, 1.8325957145940484, 1.4398966328953242,
-                      1.2435470920819596, 1.1453723216572786, 1.0962849364449383,
-                      1.071741243838768, 1.0594693975356828, 1.0533334743841403,
-                      1.050265512808369, 1.0487315320204833],
+    # {-2,1,7} and {-7,-2,1}: alpha is off every dyadic grid, so cell maxima
+    # hold the upper end at alpha from order 8 on while the lower end climbs
+    # with the grid; the completed levels (n, lower, upper) recorded once
+    LADDERS = {
+        (-2, 1, 7): [(2, 1.178097245089172, 2.7488935718910685),
+                     (4, 1.178097245089172, 1.9634954084936203),
+                     (8, 1.178097245089172, 1.22931886449718),
+                     (16, 1.178097245089172, 1.22931886449718),
+                     (32, 1.2026409376533427, 1.22931886449718),
+                     (64, 1.2149127839564278, 1.22931886449718)],
+        (-7, -2, 1): [(2, 1.1780972450891756, 2.748893571891072),
+                      (4, 1.1780972450891756, 1.9634954084936238),
+                      (8, 1.1780972450891756, 1.2293188644971802),
+                      (16, 1.1780972450891756, 1.2293188644971802),
+                      (32, 1.2026409376533427, 1.22931886449718),
+                      (64, 1.2149127839564278, 1.22931886449718)],
     }
 
-    @pytest.mark.parametrize("elements, budget, levels, lower, evals, solved, pruned, worst, theta", [
-        ((-3, -1, 6), 70_000, 9, 1.0471975511905982, 70_002, 7277, 65, (0, 1, 1),
-         2.4434609527920617),
-        ((-3, -1, 6), 160_000, 11, 1.0471975511905982, 160_005, 21566, 84, (0, 1, 1),
-         2.4434609527920617),
-        ((-6, -3, 1), 70_000, 9, 1.0471975511906, 70_002, 6169, 65, (1, 0, 0),
-         0.3490658503988655),
-        ((-6, -3, 1), 160_000, 11, 1.0471975511906, 160_002, 20352, 89, (1, 0, 0),
-         0.3490658503988655),
-    ])
+    @pytest.mark.parametrize("elements, budget, levels, lower, evals, solved, pruned, order, "
+                             "worst, theta", [
+        ((-2, 1, 7), 12_000, 4, 1.178097245089172, 12_025, 119, 15, 2, (1, 0, 1),
+         1.1780972450961724),
+        ((-2, 1, 7), 20_000, 6, 1.227184630259513, 20_006, 672, 15, 128, (53, 0, 55),
+         1.227184630308513),
+        ((-7, -2, 1), 12_000, 4, 1.1780972450891756, 12_011, 123, 13, 2, (0, 1, 1),
+         1.9634954084936211),
+        ((-7, -2, 1), 20_000, 6, 1.227184630259513, 20_013, 676, 13, 128, (119, 75, 64),
+         1.9144080232812801),
+    ], ids=["-2,1,7 at 12000", "-2,1,7 at 20000", "-7,-2,1 at 12000", "-7,-2,1 at 20000"])
     def test_budget_stop_inside_a_lifted_block(self, monkeypatch, elements, budget, levels,
-                                               lower, evals, solved, pruned, worst, theta):
+                                               lower, evals, solved, pruned, order, worst,
+                                               theta):
         E = CharacterSet.of_integers(elements)
         blocks = []
         read_blocks = engine._blocks
@@ -1867,15 +2033,16 @@ class TestLiftedBlocks:
             res = alpha(E, tol=1e-3, budget=budget)
         # the budget ran out inside a block of lifted cells, not at its edge
         assert isinstance(blocks[-1], engine._LiftedBlock) and len(blocks[-1].lower) > 1
-        uppers = self.UPPERS[elements][:levels]
-        ladder = tuple((2 << i, lower, up, True) for i, up in enumerate(uppers))
-        assert res.work.ladder == ladder + ((2 << levels, lower, uppers[-1], False),)
-        assert (res.alpha.lower, res.alpha.upper, res.certified) == (lower, uppers[-1], False)
+        done = self.LADDERS[elements][:levels]
+        upper = done[-1][2]
+        ladder = tuple((n, lo, up, True) for n, lo, up in done)
+        assert res.work.ladder == ladder + ((2 << levels, lower, upper, False),)
+        assert (res.alpha.lower, res.alpha.upper, res.certified) == (lower, upper, False)
         work = res.work
         assert (work.inner_evals, work.targets_enumerated, work.targets_pruned) == (
             evals, solved, pruned)
         assert work.stop_reason == "budget" and work.budget_exhausted
-        assert res.worst_target == TargetMap.from_grid(E, 2, worst)
+        assert res.worst_target == TargetMap.from_grid(E, order, worst)
         assert res.witness_point == DualPoint(E.group, (theta,), ())
         assert alpha(E, tol=1e-3, budget=budget, threads=2) == res
 
