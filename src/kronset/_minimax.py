@@ -505,14 +505,8 @@ def _line_pieces(slopes: tuple) -> np.ndarray:
     """Gradients (P x m) of the affine pieces whose largest is
     `line_distances`: the terms of `_line_values`, then their negatives; one
     zero piece when there are no terms (a single character)."""
-    a = np.array(slopes, dtype=np.float64)
-    j, k, zero = _line_terms_of(slopes)
-    grads = np.zeros((len(j) + len(zero), len(a)))
-    pair = np.arange(len(j))
-    grads[pair, j] = a[k] / (np.abs(a[j]) + np.abs(a[k]))
-    grads[pair, k] = -a[j] / (np.abs(a[j]) + np.abs(a[k]))
-    grads[len(j) + np.arange(len(zero)), zero] = 1.0
-    return np.concatenate([grads, -grads]) if len(grads) else np.zeros((1, len(a)))
+    grads = _line_values(np.array(slopes), np.eye(len(slopes))).T
+    return np.concatenate([grads, -grads]) if len(grads) else np.zeros((1, len(slopes)))
 
 
 @lru_cache(maxsize=64)

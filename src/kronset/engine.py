@@ -1307,8 +1307,9 @@ def _next_level(data: _SetData, n: int, parents: _Cells, lower: float, tol: floa
     again for the smaller cell.  One without lifts keeps its centre's
     value: unless its order-n cell closes at value + pi/n, the centre is an
     open cell (appended to `opened`), or, when the smaller cell now takes
-    lifts (`_lift_margin`), it is solved again with them, before the
-    children.  Returns (targets, largest bound of the cells closed here).
+    lifts (`_lift_margin`) and the set has more than one character, it is
+    solved again with them, before the children.  Returns (targets,
+    largest bound of the cells closed here).
     """
     radius = math.pi / n
     order = np.argsort(-parents.upper, kind="stable")
@@ -1319,9 +1320,12 @@ def _next_level(data: _SetData, n: int, parents: _Cells, lower: float, tol: floa
     bound = parents.upper[bare] + radius
     still = bound - lower > tol
     closed = max(closed, float(bound[~still].max(initial=0.0)))
-    # a centre whose smaller cell now takes lifts is solved again, with them
+    # a centre whose smaller cell now takes lifts is solved again, with them;
+    # a single character's is not: it keeps its centre's value at no charge,
+    # as without lifts
     margin = _lift_margin(data, n)
-    again = still & (margin is not None and parents.upper[bare] + margin < math.pi - LIFT_EPS)
+    again = still & (margin is not None and data.m > 1
+                     and parents.upper[bare] + margin < math.pi - LIFT_EPS)
     centres = parents.take(bare[still & ~again])
     centres.rows *= 2
     centres.top = bound[still & ~again]
