@@ -9,10 +9,10 @@ form (`min_error_box`, with `min_error_circle` its one-coordinate face).
 Large calls screen the candidates in a cheap pass first and value only the
 survivors exactly; the cut's margin bounds the screen's rounding, so the
 results are those of valuing every candidate.  `quick_bound` values only
-the best screened candidate of the first sixteenth, an upper bound on the
-minimum at about a sixteenth of the cost.  On a purely torsion dual
-every selection's error is read, a block of selections and targets at a
-time, from a table of the characters' arguments in integer angle units.
+the best screened candidate of the first 1/QUICK_PART, an upper bound on
+the minimum at that share of the cost.  On a purely torsion dual every
+selection's error is read, a block of selections and targets at a time,
+from a table of the characters' arguments in integer angle units.
 `min_error_box` charges its evaluations to a budget when given one; the
 torsion search returns each target's charge for its caller to pay.
 """
@@ -135,9 +135,10 @@ def vertex_systems(free: tuple):
     their hull: mod 2*pi, M t = c with M_i = sigma_0 B_{k_0} - sigma_i B_{k_i}
     and c_i = sigma_0 psi_{k_0} - sigma_i psi_{k_i}, so t = adj M (c + 2*pi*n)
     / det M for the |det M| vectors n of M's coset box (at r' = 1: each
-    tent's kinks, each pair's crossings).  A system is (rows k, weights w,
-    adj M, det M, box), sum_t w[t] psi[k[t]] = adj M c, one per pair of
-    opposite subsets; the first is the candidate 0.
+    pair's crossings, and a lone nonzero row's kinks, as a row's two signs
+    tie for largest only at value 0, where crossings lie too).  A system is
+    (rows k, weights w, adj M, det M, box), sum_t w[t] psi[k[t]] = adj M c,
+    one per pair of opposite subsets; the first is the candidate 0.
     """
     h, u, rank = column_echelon(free)
     r = max(rank, 1)
@@ -157,6 +158,7 @@ def vertex_systems(free: tuple):
         first = differ.argmax(axis=1)
         at = np.arange(len(block))
         block = block[~(differ.any(axis=1) & (flip[at, first] < block[at, first]))]
+        block = block[(block[:, 0] ^ 1 != block[:, 1]) | (r > 1) | (len(pieces) == 2)]
         g0, rest = grads[block[:, 0]], grads[block[:, 1:]]
         mat = g0[:, None, :] - rest
         adj = np.empty_like(mat)
@@ -189,10 +191,10 @@ def vertex_systems(free: tuple):
 def vertex_plan(free: tuple):
     """`vertex_systems` as arrays (terms, weights, system, offsets, divisors,
     nonzero rows of B by column, their mask, slack, margin, U): candidate c
-    is (y[system[c]] + offsets[c]) / divisors[c] mod 2*pi, y = sum_t
-    weights[t] psi[terms[t]]; the slack 1e-12 max(1, W A) covers the
-    rounding of candidates and residuals, W = max_k |B_k|_1 and A = max
-    |adj M|.  margin = (gain, floor) bounds the screen's cut in
+    of the kept systems is (y[system[c]] + offsets[c]) / divisors[c] mod
+    2*pi, y = sum_t weights[t] psi[terms[t]]; the slack 1e-12 max(1, W A)
+    covers the rounding of candidates and residuals, W = max_k |B_k|_1 and
+    A = max |adj M|.  margin = (gain, floor) bounds the screen's cut in
     `min_error_box` at gain * max|psi| + floor.
 
     The margin's bound, with u = 2**-53, P = max|psi| and r' coordinates:
@@ -301,8 +303,8 @@ def min_error_box(free: np.ndarray, psi: np.ndarray, budget=None, lift_margin=No
     """Exact minimum of s -> max_k dist(A_k.s, psi_k) on the torus, A the
     (m x r) integer matrix `free`, for each row psi[i] of targets.
 
-    Returns arrays (s, lower, upper), charging every row its share of the
-    full candidate set, `vertex_systems(key)[1]`, to `budget` (None: the
+    Returns arrays (s, lower, upper), charging every row m per candidate
+    the plan keeps, `vertex_systems(key)[1]`, to `budget` (None: the
     caller has paid) before any work; callers pay for the systems
     themselves up front (`subset_count`).  s is the least candidate
     (lexicographically, in B's coordinates t) within 1e-12 of the least
@@ -385,11 +387,9 @@ def _torus_point(cols, theta: np.ndarray) -> np.ndarray:
     return theta.T if cols is None else _mod_2pi(_residuals(cols, theta[:, :, None], 0.0))
 
 
-#: a quick bound reads the first 1/QUICK_PART of a plan's candidates.  On
-#: the lacunary `grid` sets in Z at n = 5 and 6 a sixteenth closed the most
-#: targets per evaluation, against an eighth, a thirty-second and strided
-#: samples
-QUICK_PART = 16
+#: a quick bound reads the first 1/QUICK_PART of a plan's candidates: of 8, 12
+#: and 16, 12 closed the most lacunary `grid` targets (n = 5, 6) per evaluation
+QUICK_PART = 12
 
 
 def quick_size(free: tuple) -> int:

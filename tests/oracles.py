@@ -475,10 +475,13 @@ def _dist(x):
 
 def circle_candidates_loop(slopes, psi) -> np.ndarray:
     """Reference candidate list of the rank-1 solve, built piece by piece:
-    0, the kinks of each nonzero tent, then the crossings of each pair."""
+    0, the kinks of the tent when only one slope is nonzero, then the
+    crossings of each pair.  Once two slopes are nonzero, a point where a
+    tent's two sides are both largest has objective 0, which some pair's
+    crossing attains too, so no minimum needs the kinks."""
     parts = [np.zeros(1)]
     nz = [(int(a), float(p)) for a, p in zip(slopes, psi) if a != 0]
-    for a, p in nz:
+    for a, p in nz if len(nz) == 1 else ():
         t = np.arange(2 * abs(a), dtype=np.float64)
         parts.append((p + math.pi * t) / a)
     for (a, pa), (b, pb) in itertools.combinations(nz, 2):
@@ -540,6 +543,9 @@ def vertex_systems_loop(free: tuple):
     systems = [((0,) * (r + 1), ((0,) * r,) * (r + 1), ((0,) * r,) * r, 1, (1,) * r)]
     for subset in itertools.combinations(range(len(pieces)), r + 1):
         if tuple(sorted(i ^ 1 for i in subset)) < subset:
+            continue
+        # at r' = 1, a tent's own kinks only while no other row is nonzero
+        if r == 1 and len(pieces) > 2 and subset[0] ^ 1 == subset[1]:
             continue
         (k0, s0, g0), *rest = (pieces[i] for i in subset)
         mat = [tuple(x - y for x, y in zip(g0, g)) for _, _, g in rest]

@@ -1168,22 +1168,22 @@ class TestWorkCounters:
 
     @pytest.mark.parametrize("solve, work", [
         (lambda: alpha_n(CharacterSet.of_integers([1, 4, 12, 38, 154]), 8),
-         (227, 1829, 1855770, "done", ())),
+         (227, 1829, 1381340, "done", ())),
         (lambda: alpha_n(parse_set_spec(
             "Z x Z2^3 : [3,0,0,0],[3,0,0,1],[6,1,0,0],[6,1,1,0],[8,1,1,0]")[1], 5),
-         (179, 134, 1200445, "done", ())),
+         (179, 134, 828125, "done", ())),
         (lambda: alpha_n(parse_set_spec("Z^2 : [1,0],[0,1],[1,2],[2,-1]")[1], 5),
          (13, 0, 4128, "done", ())),
         (lambda: alpha_n(parse_set_spec("Z13 : [1],[3],[5],[9]")[1], 5),
          (37, 276, 6600, "done", ())),
         (lambda: alpha(CharacterSet.of_integers([-6, 1, 3])),
-         (36, 5, 12713, "done",
+         (36, 5, 10553, "done",
           tuple((n, 1.0471975511906, upper, True) for n, upper in LADDER))),
         (lambda: alpha_n(CharacterSet.of_integers([1, 2, 3, 5, 8]), 8, budget=60_000),
-         (51, 756, 60005, "budget", ())),
+         (53, 1034, 60005, "budget", ())),
         # above the cutover: quick bounds close most of the targets
         (lambda: alpha_n(CharacterSet.of_integers([3, 16, 48, 240, 1200]), 5),
-         (20, 293, 1718800, "done", ())),
+         (20, 293, 1329200, "done", ())),
     ], ids=["lacunary Z", "Z x Z2^3", "Z^2", "Z13", "lifted Z", "budget stop",
             "lacunary Z above the cutover"])
     def test_work_is_pinned(self, solve, work):
@@ -1347,15 +1347,23 @@ class TestCircleKernel:
             return np.array([TWO_PI * rng.randrange(n) / n for _ in range(m)])
         return np.array([rng.uniform(0, TWO_PI) for _ in range(m)])
 
+    @staticmethod
+    def assert_breakpoint_value(slopes, psi, upper):
+        """upper is within the plan's slack of the minimum over every tent
+        kink and crossing, the kinks the kernel skips included."""
+        slack = _minimax.vertex_plan(tuple((int(a),) for a in slopes))[7]
+        assert abs(upper - oracles.min_error_breakpoints(slopes, psi)[1]) <= slack, (slopes, psi)
+
     def test_one_row_matches_the_reference(self):
         rng = random.Random(307)
         for _ in range(300):
             slopes = self.random_slopes(rng)
             psi = self.random_angles(rng, len(slopes))
             got, want = Budget(10**9), Budget(10**9)
-            assert (circle_row(slopes, psi, got)
-                    == oracles.min_error_circle_loop(slopes, psi, want)), (slopes, psi)
+            row = circle_row(slopes, psi, got)
+            assert row == oracles.min_error_circle_loop(slopes, psi, want), (slopes, psi)
             assert got.used == want.used
+            self.assert_breakpoint_value(slopes, psi, row[2])
 
     @pytest.mark.parametrize("block", [None, 1])
     def test_selection_blocks_match_the_reference_loop(self, monkeypatch, block):
@@ -1415,6 +1423,7 @@ class TestCircleKernel:
             assert (theta, lower, upper) == oracles.min_error_circle_loop(slopes, psi, want)
             assert got.used == want.used
             assert circle_row(slopes, psi, Budget(10**9)) == (theta, lower, upper)
+            self.assert_breakpoint_value(slopes, psi, upper)
             cands = oracles.circle_candidates_loop(slopes, psi)
             ref_lifts = circle_lifts(slopes, psi, cands,
                                      oracles.circle_objective_loop(slopes, psi, cands),
@@ -1431,7 +1440,7 @@ class TestCircleKernel:
                 oracles.min_error_circle_loop(slopes, psi, ref)
             assert short.used == ref.used
 
-    @pytest.mark.parametrize("slopes", [(3, 16, 48, 100), (5, 17, 45), (-5, 17, 0, 45)])
+    @pytest.mark.parametrize("slopes", [(3, 16, 48, 100), (11, 31, 90), (-11, 31, 0, 90)])
     def test_wide_selection_blocks_match_the_reference_loop(self, slopes):
         # 8 selections of hundreds of candidates, all in one kernel call
         g = GroupSpec(1, (2, 2, 2))
@@ -1993,24 +2002,26 @@ class TestLiftedBlocks:
                      (8, 1.178097245089172, 1.22931886449718),
                      (16, 1.178097245089172, 1.22931886449718),
                      (32, 1.2026409376533427, 1.22931886449718),
-                     (64, 1.2149127839564278, 1.22931886449718)],
+                     (64, 1.2149127839564278, 1.22931886449718),
+                     (128, 1.227184630259513, 1.22931886449718)],
         (-7, -2, 1): [(2, 1.1780972450891756, 2.748893571891072),
                       (4, 1.1780972450891756, 1.9634954084936238),
                       (8, 1.1780972450891756, 1.2293188644971802),
                       (16, 1.1780972450891756, 1.2293188644971802),
                       (32, 1.2026409376533427, 1.22931886449718),
-                      (64, 1.2149127839564278, 1.22931886449718)],
+                      (64, 1.2149127839564278, 1.22931886449718),
+                      (128, 1.227184630259513, 1.2293188644971798)],
     }
 
     @pytest.mark.parametrize("elements, budget, levels, lower, evals, solved, pruned, order, "
                              "worst, theta", [
-        ((-2, 1, 7), 12_000, 4, 1.178097245089172, 12_025, 119, 15, 2, (1, 0, 1),
-         1.1780972450961724),
-        ((-2, 1, 7), 20_000, 6, 1.227184630259513, 20_006, 672, 15, 128, (53, 0, 55),
+        ((-2, 1, 7), 12_000, 4, 1.2026409376533427, 12_010, 188, 15, 32, (13, 0, 15),
+         5.080544369477243),
+        ((-2, 1, 7), 20_000, 7, 1.227184630259513, 20_003, 786, 15, 128, (53, 0, 55),
          1.227184630308513),
-        ((-7, -2, 1), 12_000, 4, 1.1780972450891756, 12_011, 123, 13, 2, (0, 1, 1),
-         1.9634954084936211),
-        ((-7, -2, 1), 20_000, 6, 1.227184630259513, 20_013, 676, 13, 128, (119, 75, 64),
+        ((-7, -2, 1), 12_000, 4, 1.2026409376533427, 12_009, 200, 13, 32, (31, 19, 16),
+         4.344233591292136),
+        ((-7, -2, 1), 20_000, 7, 1.227184630259513, 20_003, 799, 13, 128, (119, 75, 64),
          1.9144080232812801),
     ], ids=["-2,1,7 at 12000", "-2,1,7 at 20000", "-7,-2,1 at 12000", "-7,-2,1 at 20000"])
     def test_budget_stop_inside_a_lifted_block(self, monkeypatch, elements, budget, levels,

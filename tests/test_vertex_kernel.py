@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import oracles
-from kronset import _minimax
+from kronset import _minimax, engine
 from kronset._minimax import min_error_box, vertex_systems
+from kronset.cli import parse_set_spec
 from kronset.engine import Budget
 from kronset.errors import BudgetExceededError
 
@@ -143,7 +144,7 @@ class TestScreenedKernel:
 
 class TestQuickBound:
     """`quick_bound` is the exact objective at one candidate of the plan's
-    first sixteenth, the best screened one: at least the row's minimum, and
+    first 1/QUICK_PART, the best screened one: at least the row's minimum, and
     within the screen's margin of the slice's least, valued in full."""
 
     @staticmethod
@@ -177,10 +178,11 @@ class TestQuickBound:
 
     @pytest.mark.parametrize("slopes", [(3, 16, 48, 240, 1200), (1, 4, 12, 38, 154)])
     def test_lacunary_slopes(self, slopes):
-        # the slice is a sixteenth of the candidates, and a row of it is
-        # charged a sixteenth of the solve
+        # the slice is 1/QUICK_PART of the candidates, and a row of it is
+        # charged 1/QUICK_PART of the solve
         key = tuple((a,) for a in slopes)
-        assert _minimax.quick_size(key) * len(slopes) * 16 <= vertex_systems(key)[1]
+        assert (_minimax.quick_size(key) * len(slopes) * _minimax.QUICK_PART
+                <= vertex_systems(key)[1])
         rng = random.Random(643)
         for _ in range(4):
             self.check(np.array(slopes)[:, None], random_angles(rng, 8, len(slopes)))
@@ -209,3 +211,67 @@ class TestVertexSystems:
         assert got == oracles.vertex_systems_loop(key), key
         assert all(type(x) is int for system in got[0]
                    for x in (system[3], *system[4], *itertools.chain(*system[1], *system[2])))
+
+
+class TestTentKinks:
+    """At free rank 1 with two or more nonzero rows, no system pairs the two
+    signs of one row: both largest means a value of 0, which every pair's
+    crossing then attains too.  One nonzero row keeps its kinks, and free
+    rank 2 and more keeps every system."""
+
+    @staticmethod
+    def per_row(b):
+        """Candidates a row of B = `b` (r' = 1) is valued at: 0, then the
+        kinks of a lone nonzero slope or the crossings of each pair."""
+        nz = [a for (a,) in b if a]
+        if len(nz) == 1:
+            return 1 + 2 * abs(nz[0])
+        return 1 + sum(abs(x) + abs(y) for x, y in itertools.combinations(nz, 2))
+
+    @pytest.mark.parametrize("spec", [
+        "Z : [3],[16],[48],[240],[1200]", "Z : [2],[-7]", "Z : [0],[5],[-9],[4]",
+        "Z : [0],[7]", "Z x Z2^3 : [3,0,0,0],[3,0,0,1],[6,1,0,0],[6,1,1,0],[8,1,1,0]",
+        "Z x Z2^3 : [0,1,0,0],[5,0,0,1],[5,1,1,0]", "Z x Z2^3 : [0,1,0,0],[4,0,1,1]",
+        "Z^2 : [1,2],[2,4],[-3,-6]", "Z^2 : [1,0],[0,1]", "Z^2 : [1,0],[0,1],[2,-1]"])
+    def test_targets_of_minimum_zero(self, spec):
+        # psi_k = a_k.s0 plus a torsion selection's shift: the minimum is 0,
+        # and a kernel missing the vertex there gives it a positive upper end
+        E = parse_set_spec(spec)[1]
+        data = engine._set_data(E)
+        slack = _minimax.vertex_plan(data.free_key)[7]
+        rng = random.Random(659)
+        for _ in range(8):
+            s0 = [rng.uniform(0, TWO_PI) for _ in range(E.group.free_rank)]
+            sel = [rng.randrange(m) for m in E.group.torsion_orders]
+            angles = np.array([math.fsum(a * s for a, s in zip(c.free_coords, s0))
+                               + TWO_PI * sum(t * x / m for t, x, m in
+                                              zip(c.torsion_coords, sel, E.group.torsion_orders))
+                               for c in E]) % TWO_PI
+            lower, upper, *_ = engine._solve_target(data, angles, None, Budget(10**9))
+            assert lower == 0.0 and upper <= slack, (spec, angles.tolist())
+
+    def test_one_nonzero_slope_keeps_its_kinks(self):
+        # the candidates are 0 and the kinks, whose targets are every angle
+        for slopes in ((7,), (0, -5), (0, 3, 0, 0)):
+            key = tuple((a,) for a in slopes)
+            nz = [a for a in slopes if a][0]
+            assert vertex_systems(key)[1] == len(slopes) * (1 + 2 * abs(nz))
+
+    @pytest.mark.parametrize("key", [((1, 2), (2, 4), (-3, -6)), ((2, -2), (0, 0), (-1, 1)),
+                                     ((1, 2), (0, 0))])
+    def test_collinear_plane_sets_follow_the_rule(self, key):
+        # column_echelon leaves one column, so the rank-1 rule applies to it
+        systems, cost, b, cols = vertex_systems(key)
+        assert len(b[0]) == 1 and cols is not None
+        assert cost == len(key) * self.per_row(b)
+        assert vertex_systems.__wrapped__(key) == oracles.vertex_systems_loop(key)
+
+    def test_the_charge_a_row_is_pinned(self):
+        # m (1 + sum_{j<k} |a_j| + |a_k|), or m (1 + 2|a|) for one nonzero slope
+        rng = random.Random(661)
+        for _ in range(200):
+            slopes = [rng.choice([0, rng.randint(-30, 30)]) for _ in range(rng.randint(1, 6))]
+            key = tuple((a,) for a in slopes)
+            assert vertex_systems(key)[1] == len(slopes) * self.per_row(key), slopes
+        key = ((3,), (16,), (48,), (240,), (1200,))
+        assert vertex_systems(key)[1] == 5 * 6029
