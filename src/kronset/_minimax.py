@@ -1,20 +1,24 @@
 """Certified minimizers for the worst-coordinate approximation error.
 
-Two exact solvers live here.  On the free part of the dual, a torus, the
-objective s -> max_k dist(A_k.s, psi_k) is piecewise linear, so after a
-unimodular change of coordinates that gives A full column rank its
-minimum sits at one of finitely many vertices: points where one more
-signed piece than the torus has coordinates are equal, found in closed
-form (`min_error_box`, with `min_error_circle` its one-coordinate face).
-Large calls screen the candidates in a cheap pass first and value only the
-survivors exactly; the cut's margin bounds the screen's rounding, so the
-results are those of valuing every candidate.  `quick_bound` values only
-the best screened candidate of the first 1/QUICK_PART, an upper bound on
-the minimum at that share of the cost.  On a purely torsion dual every
-selection's error is read, a block of selections and targets at a time,
-from a table of the characters' arguments in integer angle units.
-`min_error_box` charges its evaluations to a budget when given one; the
-torsion search returns each target's charge for its caller to pay.
+Three exact solvers live here.  On a free part of reduced rank 1 (sets in
+Z, Z times torsion factors, collinear sets in Z^r) `min_error_circle`
+sieves the circle: the points within U of every target are the
+intersections of one arc per character, found in increasing |a_k|, and
+each nonempty intersection is a lift class valued in closed form
+(`line_distances`).  Given a cap it lists only the classes below it, so a
+scan can decide a target against its incumbent at the cost of the few
+classes near it.  On a free part of rank r' >= 2 the objective s -> max_k
+dist(A_k.s, psi_k) is piecewise linear, so after a unimodular change of
+coordinates that gives A full column rank its minimum sits at one of
+finitely many vertices: points where r' + 1 signed pieces are equal, found
+in closed form (`min_error_box`).  Large calls screen the candidates in a
+cheap pass first and value only the survivors exactly; the cut's margin
+bounds the screen's rounding, so the results are those of valuing every
+candidate.  On a purely torsion dual every selection's error is read, a
+block of selections and targets at a time, from a table of the characters'
+arguments in integer angle units.  The free-part solvers charge their
+evaluations to a budget when given one; the torsion search returns each
+target's charge for its caller to pay.
 """
 from __future__ import annotations
 
@@ -134,11 +138,11 @@ def vertex_systems(free: tuple):
     equal, with affinely independent gradients sigma_i B_{k_i} holding 0 in
     their hull: mod 2*pi, M t = c with M_i = sigma_0 B_{k_0} - sigma_i B_{k_i}
     and c_i = sigma_0 psi_{k_0} - sigma_i psi_{k_i}, so t = adj M (c + 2*pi*n)
-    / det M for the |det M| vectors n of M's coset box (at r' = 1: each
-    pair's crossings, and a lone nonzero row's kinks, as a row's two signs
-    tie for largest only at value 0, where crossings lie too).  A system is
-    (rows k, weights w, adj M, det M, box), sum_t w[t] psi[k[t]] = adj M c,
-    one per pair of opposite subsets; the first is the candidate 0.
+    / det M for the |det M| vectors n of M's coset box.  A system is (rows
+    k, weights w, adj M, det M, box), sum_t w[t] psi[k[t]] = adj M c, one
+    per pair of opposite subsets; the first is the candidate 0.  The
+    engine solves free parts of reduced rank 1 on the circle instead
+    (`min_error_circle`), so it asks for these from r' = 2 on.
     """
     h, u, rank = column_echelon(free)
     r = max(rank, 1)
@@ -158,7 +162,6 @@ def vertex_systems(free: tuple):
         first = differ.argmax(axis=1)
         at = np.arange(len(block))
         block = block[~(differ.any(axis=1) & (flip[at, first] < block[at, first]))]
-        block = block[(block[:, 0] ^ 1 != block[:, 1]) | (r > 1) | (len(pieces) == 2)]
         g0, rest = grads[block[:, 0]], grads[block[:, 1:]]
         mat = g0[:, None, :] - rest
         adj = np.empty_like(mat)
@@ -299,7 +302,7 @@ def _survivors(cands, keep):
     return out, np.arange(out.shape[2]) < counts[:, None]
 
 
-def min_error_box(free: np.ndarray, psi: np.ndarray, budget=None, lift_margin=None):
+def min_error_box(free: np.ndarray, psi: np.ndarray, budget=None):
     """Exact minimum of s -> max_k dist(A_k.s, psi_k) on the torus, A the
     (m x r) integer matrix `free`, for each row psi[i] of targets.
 
@@ -309,18 +312,13 @@ def min_error_box(free: np.ndarray, psi: np.ndarray, budget=None, lift_margin=No
     themselves up front (`subset_count`).  s is the least candidate
     (lexicographically, in B's coordinates t) within 1e-12 of the least
     value, upper attained at s, lower = upper minus the plan's slack.
-    Given lift_margin (free rank 1 only), also each row's lifts within
-    lift_margin of its minimum (`circle_lifts`).
 
     From SCREEN_CUTOVER evaluations on, `_screen` first drops every
     candidate whose screened value exceeds the row's least by more than the
-    plan's margin (plus lift_margin + LIFT_EPS): none of them is within
-    1e-12 of the minimum, or within lift_margin of it.  The exact pass
-    values the rest as it values every candidate below the cutover, so
-    values, ties, witnesses and lifts are the same bits.  The rows of A are
-    folded in a block at a time, temporaries of at most CIRCLE_TEMP
-    elements.  `quick_bound` values the same candidates with the same
-    screen and exact objective, so its value is at least `lower`.
+    plan's margin: none of them is within 1e-12 of the minimum.  The exact
+    pass values the rest as it values every candidate below the cutover, so
+    values, ties and witnesses are the same bits.  The rows of A are folded
+    in a block at a time, temporaries of at most CIRCLE_TEMP elements.
     """
     key = tuple(map(tuple, free.tolist()))
     cost = vertex_systems(key)[1]
@@ -334,8 +332,6 @@ def min_error_box(free: np.ndarray, psi: np.ndarray, budget=None, lift_margin=No
     kept = None
     if len(psi) * cost >= SCREEN_CUTOVER:
         cut = margin[0] * float(np.abs(psi).max()) + margin[1]
-        if lift_margin is not None:
-            cut += lift_margin + LIFT_EPS
         cands, kept = _survivors(cands, _screen(b, cands, u[:, :, 0], const_err, cut))
     cands = _mod_2pi(cands)
     vals = np.repeat(const_err[:, None], cands.shape[2], axis=1)
@@ -357,21 +353,17 @@ def min_error_box(free: np.ndarray, psi: np.ndarray, budget=None, lift_margin=No
     upper = _objective(b, theta, u, const_err)
     # constant (zero-row) constraints bound the objective exactly everywhere
     lower = np.maximum(np.maximum(const_err, np.minimum(vmin, upper) - slack), 0.0)
-    s = _torus_point(cols, theta)
-    if lift_margin is None:
-        return s, lower, upper
-    return s, lower, upper, [circle_lifts(free[:, 0], row, c, v, up + lift_margin)
-                             for row, c, v, up in zip(psi, cands[0], vals, upper)]
+    return _torus_point(cols, theta), lower, upper
 
 
-def _candidates(plan, psi: np.ndarray, stop: int | None = None) -> np.ndarray:
-    """The plan's candidates before `stop` for each row of psi, not yet
-    reduced: one (rows x candidates) array per coordinate t_j."""
+def _candidates(plan, psi: np.ndarray) -> np.ndarray:
+    """The plan's candidates for each row of psi, not yet reduced: one
+    (rows x candidates) array per coordinate t_j."""
     terms, weights, system, off, div = plan[:5]
     y = weights * psi[:, terms].transpose(1, 0, 2)[:, None]
-    cands = np.take(sum(y[1:], y[0]), system[:stop], axis=2)
-    cands += off[:, None, :stop]
-    cands /= div[:stop]
+    cands = np.take(sum(y[1:], y[0]), system, axis=2)
+    cands += off[:, None]
+    cands /= div
     return cands
 
 
@@ -385,41 +377,6 @@ def _objective(b, theta: np.ndarray, u: np.ndarray, const_err: np.ndarray) -> np
 def _torus_point(cols, theta: np.ndarray) -> np.ndarray:
     """The torus points s = U t of the rows' points t = theta[:, i]."""
     return theta.T if cols is None else _mod_2pi(_residuals(cols, theta[:, :, None], 0.0))
-
-
-#: a quick bound reads the first 1/QUICK_PART of a plan's candidates: of 8, 12
-#: and 16, 12 closed the most lacunary `grid` targets (n = 5, 6) per evaluation
-QUICK_PART = 12
-
-
-def quick_size(free: tuple) -> int:
-    """Candidates a `quick_bound` row reads: the first 1/QUICK_PART of the
-    plan's, at least one.  A row is charged quick_size * m evaluations."""
-    _, cost, b, _ = vertex_systems(free)
-    return max(1, cost // len(b) // QUICK_PART)
-
-
-def quick_bound(free: np.ndarray, psi: np.ndarray):
-    """An upper bound on each row's `min_error_box` minimum at a fraction of
-    its cost: (s, value), value the objective at the torus point s, which is
-    the candidate of least `_screened` value among the plan's first
-    `quick_size`, valued with the bits the exact pass gives it.  So value is
-    at least the row's `min_error_box` lower end.  The caller pays."""
-    key = tuple(map(tuple, free.tolist()))
-    plan = _plan(key)
-    b, mask, _, _, cols = plan[5:]
-    u = psi[:, mask]
-    cands = _candidates(plan, psi, quick_size(key))
-    pick = _screened(b, cands, u).argmin(axis=1)
-    theta = _mod_2pi(cands[:, np.arange(len(psi)), pick])
-    const_err = _dist_array(psi[:, ~mask]).max(axis=1, initial=0.0)
-    return _torus_point(cols, theta), _objective(b, theta, u[:, :, None], const_err)
-
-
-def min_error_circle(slopes: np.ndarray, psi: np.ndarray, budget=None, lift_margin=None):
-    """`min_error_box` on free rank 1, with the slopes and thetas 1-D."""
-    s, *rest = min_error_box(slopes[:, None], psi, budget, lift_margin=lift_margin)
-    return (s[:, 0], *rest)
 
 
 # ---------------------------------------------------------------------------
@@ -479,17 +436,196 @@ def line_distances(slopes: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def line_witness(slopes: np.ndarray, u: np.ndarray) -> float:
-    """A real s attaining `line_distances` for one lift u: the best of the
-    pairwise crossings and, for a single nonzero slope, its zero."""
+    """A real s attaining `line_distances` for one lift u (`_crossings`)."""
+    return float(_crossings(slopes, u[None], np.abs(_line_values(slopes, u[None])))[0])
+
+
+def _crossings(slopes: np.ndarray, u: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """A real s attaining `line_distances` for each row of lifts u, given
+    their `_line_values` terms' sizes: the crossing of the pair of largest
+    term, where the largest of the V-shapes is least, or the zero of a lone
+    nonzero slope (0 with none)."""
     a = slopes.astype(np.float64)
     j, k, _ = _line_terms(slopes)
+    if not len(j):
+        nz = np.flatnonzero(slopes)[:1]
+        return u[:, nz].sum(axis=1) / a[nz].sum() if len(nz) else np.zeros(len(u))
+    pick = terms[:, :len(j)].argmax(axis=1)
+    j, k = j[pick], k[pick]
+    at = np.arange(len(u))
     same = a[j] * a[k] > 0
-    cross = np.where(same, (u[j] + u[k]) / np.where(same, a[j] + a[k], 1.0),
-                     (u[j] - u[k]) / np.where(same, 1.0, a[j] - a[k]))
-    nz = np.flatnonzero(slopes)
-    s = np.concatenate([cross, u[nz] / a[nz]])
-    vals = np.abs(a[None, nz] * s[:, None] - u[None, nz]).max(axis=1)
-    return float(s[vals.argmin()])
+    return np.where(same, u[at, j] + u[at, k], u[at, j] - u[at, k]) / np.where(
+        same, a[j] + a[k], a[j] - a[k])
+
+
+def circle_unit(slopes) -> int:
+    """Budget units a row of `min_error_circle` is charged: m per crossing
+    of two tents (or kink of a lone one) and 1, m (1 + (m' - 1) sum_k |a_k|)
+    over m' nonzero slopes, m (1 + 2|a|) for one; it bounds the sieve's
+    intervals."""
+    nz = [abs(int(a)) for a in slopes if a]
+    return len(slopes) * (1 + (2 * nz[0] if len(nz) == 1 else (len(nz) - 1) * sum(nz)))
+
+
+def circle_slack(slopes: np.ndarray) -> float:
+    """Rounding slack of `min_error_circle`'s values, far above the error of
+    valuing a lift or a point in float64."""
+    return 1e-12 * max(1.0, float(np.abs(slopes).max(initial=0)))
+
+
+def _sieve(a: np.ndarray, q: np.ndarray, reach: float):
+    """(row, arcs) of every nonempty intersection of one arc a character,
+    {t : |a_i t - q_i - j_i| <= reach} in turns, for the rows q (k x m') of
+    targets, slopes a positive and non-decreasing: each intersection's row
+    and arc indices j.  Each character after the first cuts every interval
+    by the (at most K) arcs meeting it, as (intervals x K) arrays; rows whose
+    step would pass CIRCLE_BLOCK elements are halved and sieved again."""
+    k, count = q.shape
+    a0 = int(a[0])
+    step = max(1, CIRCLE_BLOCK // a0)
+    chunks = [np.arange(start, min(start + step, k)) for start in range(0, k, step)][::-1]
+    rows, arcs = [], []
+    while chunks:
+        part = chunks.pop()
+        row = np.repeat(part, a0)
+        j = np.tile(np.arange(a0), len(part))
+        lo = (q[row, 0] + j - reach) / a0
+        hi = lo + 2 * reach / a0
+        back, picks = [], [j]
+        for i in range(1, count):
+            ai = float(a[i])
+            x = q[row, i]
+            first = np.ceil(ai * lo - reach - x)
+            width = int((np.floor(ai * hi + reach - x) - first).max(initial=-1)) + 1
+            if width * len(row) > CIRCLE_BLOCK and len(part) > 1:
+                chunks += [part[len(part) // 2:], part[:len(part) // 2]]
+                break
+            j = first[:, None] + np.arange(width)
+            c = (x[:, None] + j - reach) / ai
+            lo = np.maximum(lo[:, None], c)
+            c += 2 * reach / ai
+            hi = np.minimum(hi[:, None], c)
+            src, at = np.nonzero(lo <= hi)
+            lo, hi, row = lo[src, at], hi[src, at], row[src]
+            back.append(src)
+            picks.append(j[src, at].astype(np.int64))
+        else:
+            # each interval's arcs, by the intervals it was cut from
+            out = np.empty((len(row), count), dtype=np.int64)
+            at = np.arange(len(row))
+            for i in range(count - 1, -1, -1):
+                out[:, i] = picks[i][at]
+                if i:
+                    at = back[i - 1][at]
+            rows.append(row)
+            arcs.append(out)
+    return (np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64),
+            np.concatenate(arcs) if arcs else np.zeros((0, count), dtype=np.int64))
+
+
+@lru_cache(maxsize=256)
+def _circle_plan(slopes: tuple):
+    """(zero mask, nonzero indices, those in increasing |a|, their signs,
+    their |a|, `circle_slack`) of a slope tuple."""
+    a = np.array(slopes, dtype=np.int64)
+    nz = np.flatnonzero(a)
+    order = nz[np.argsort(np.abs(a[nz]), kind="stable")]
+    return a == 0, nz, order, np.sign(a[order]), np.abs(a[order]), circle_slack(a)
+
+
+def min_error_circle(slopes: np.ndarray, psi: np.ndarray, budget=None, *, cap=None,
+                     lift_margin=None):
+    """Exact minimum over theta of max_k dist(a_k theta, psi_k), a the
+    integer `slopes`, for each row psi[i] of targets: (theta, lower, upper),
+    each row charged `circle_unit` to `budget` (None: the caller has paid).
+
+    `_sieve` lists a row's lift classes (lifts nu modulo the slopes) below
+    its reach, valued by `line_distances`.  theta is the least reduced
+    `_crossings` point of the classes whose nonzero slopes' part is within
+    1e-12 of its least (the zero slopes add a constant), upper the
+    objective there, lower = min(least value, upper) - `circle_slack`.
+    Without a cap the reach is pi (1 - 1/m') for m' nonzero slopes, which
+    always holds the minimum: m' sets of measure 2 (pi - U) cannot cover
+    the circle once U > pi (1 - 1/m').  With one, the rows whose lower end
+    passes it get theta nan and lower = upper = inf; the others get the
+    results they get without a cap, bit for bit.  Given lift_margin, each
+    solved row's classes of value at most upper + lift_margin (+ LIFT_EPS)
+    too (`_lift_classes`); the sieve then reaches lift_margin further.
+    """
+    if budget is not None:
+        budget.charge(len(psi) * circle_unit(slopes.tolist()))
+    k, m = psi.shape
+    zero, nz, order, sign, steps, slack = _circle_plan(tuple(slopes.tolist()))
+    const_err = _dist_array(psi[:, zero]).max(axis=1) if len(nz) < m else np.zeros(k)
+    limit = math.pi * (1 - 1 / max(len(nz), 1)) if cap is None else cap
+    live = np.flatnonzero(const_err <= limit) if cap is not None else np.arange(k)
+    if len(nz):
+        # with lifts and no cap a row's value may be its zero slopes' constant
+        span = (max(limit, float(const_err.max(initial=0.0)))
+                if cap is None and lift_margin is not None else limit)
+        reach = min(span + (lift_margin or 0.0), math.pi - LIFT_EPS) + LIFT_EPS + 2 * slack
+        row, arcs = _sieve(steps, psi[live][:, order] * (sign / TWO_PI), reach / TWO_PI)
+        row = live[row]
+        nu = np.empty((len(row), m), dtype=np.int64)
+        nu[:, order] = arcs * sign
+    else:
+        row, nu = live, np.empty((len(live), m), dtype=np.int64)
+    if len(nz) < m:
+        nu[:, zero] = np.rint(-psi[row][:, zero] / TWO_PI)
+    u = psi[row] + TWO_PI * nu
+    terms = np.abs(_line_values(slopes, u))
+    vals = terms.max(axis=-1, initial=0.0)
+    vmin = np.full(k, np.inf)
+    np.minimum.at(vmin, row, vals)
+    # the witness is the least point among the classes whose nonzero slopes'
+    # terms are within 1e-12 of least: those, unlike the ties of the zero
+    # slopes' constant, are found under any cap that solves the row
+    pairs = terms[:, :len(nz) * (len(nz) - 1) // 2].max(axis=-1, initial=0.0)
+    least = np.full(k, np.inf)
+    np.minimum.at(least, row, pairs)
+    near = pairs <= least[row] + 1e-12
+    theta = np.full(k, np.inf)
+    np.minimum.at(theta, row[near], np.mod(_crossings(slopes, u[near], terms[near]), TWO_PI))
+    upper, lower = np.full(k, np.inf), np.full(k, np.inf)
+    got = np.flatnonzero(np.isfinite(vmin))
+    upper[got] = _objective(slopes[nz].astype(np.float64)[None, :, None], theta[None, got],
+                            psi[got][:, nz, None], const_err[got])
+    lower[got] = np.maximum(np.maximum(const_err[got],
+                                       np.minimum(vmin[got], upper[got]) - slack), 0.0)
+    missed = lower > limit if cap is not None else ~np.isfinite(lower)
+    theta[missed], lower[missed], upper[missed] = np.nan, np.inf, np.inf
+    if lift_margin is None:
+        return theta, lower, upper
+    return theta, lower, upper, _lift_classes(slopes, row, nu, vals, upper + lift_margin)
+
+
+def _lift_classes(slopes: np.ndarray, row: np.ndarray, nu: np.ndarray, vals: np.ndarray,
+                  cut: np.ndarray) -> list:
+    """Per row, its classes (rows of nu, in `row`) of value at most its cut
+    + LIFT_EPS, as (nu - (nu_j // a_j) a at the first nonzero slope j,
+    values) in lexicographic order; None for a row whose cut reaches pi -
+    LIFT_EPS, where a class has no longer one arc a character, or when
+    every slope is 0."""
+    lifts = [None] * len(cut)
+    if not slopes.any():
+        return lifts
+    ok = cut < math.pi - LIFT_EPS
+    near = ok[row] & (vals <= np.where(ok, cut, -np.inf)[row] + LIFT_EPS)
+    row, nu, vals = row[near], nu[near], vals[near]
+    j0 = int(np.flatnonzero(slopes)[0])
+    nu -= (nu[:, j0] // slopes[j0])[:, None] * slopes[None, :]
+    order = np.lexsort((*nu.T[::-1], row))
+    row, nu, vals = row[order], nu[order], vals[order]
+    head = np.ones(len(row), dtype=bool)
+    head[1:] = (row[1:] != row[:-1]) | (nu[1:] != nu[:-1]).any(axis=1)
+    if not len(row):
+        return lifts
+    at = np.flatnonzero(head)
+    row, nu, vals = row[at], nu[at], np.minimum.reduceat(vals, at)
+    bounds = np.flatnonzero(np.diff(row)) + 1
+    for r, n, v in zip(np.split(row, bounds), np.split(nu, bounds), np.split(vals, bounds)):
+        lifts[int(r[0])] = (n, v)
+    return lifts
 
 
 #: most (selection, dual system) pairs `cell_maxima` examines for one cell;
@@ -674,32 +810,6 @@ def _selections_max(c, grads, piece, radix, lifts: np.ndarray, sel: np.ndarray,
         got = _dual_least(cs[rows], gs[rows], radius, single[rows], systems)
         np.maximum.at(bound, owner[rows], got)
     return bound, 1 + np.bincount(owner[rest], minlength=len(lifts))
-
-
-def circle_lifts(slopes: np.ndarray, psi: np.ndarray, cands: np.ndarray,
-                 vals: np.ndarray, cut: float):
-    """Every lift nu (one per class modulo the slopes) whose inner value is
-    at most `cut`, with those values, from the circle candidates and their
-    objective values; None when every slope is 0 or cut reaches pi, where
-    residuals stop determining their lift.
-
-    A lift's inner minimum sits at a crossing of two of its lines, which is
-    a circle candidate whose residuals a*theta - u all lie in [-pi, pi], so
-    rounding the candidate's residuals recovers the lift and its value.
-    """
-    if cut >= math.pi - LIFT_EPS or not slopes.any():
-        return None
-    near = vals <= cut + LIFT_EPS
-    theta = cands[near]
-    nu = np.rint((slopes[None, :] * theta[:, None] - psi[None, :]) / TWO_PI).astype(np.int64)
-    j0 = int(np.flatnonzero(slopes)[0])
-    nu -= (nu[:, j0] // slopes[j0])[:, None] * slopes[None, :]
-    # the distinct rows in lexicographic order, each with its least value
-    order = np.lexsort(nu.T[::-1])
-    nu, vals = nu[order], vals[near][order]
-    head = np.ones(len(nu), dtype=bool)
-    head[1:] = (nu[1:] != nu[:-1]).any(axis=1)
-    return nu[head], np.minimum.reduceat(vals, np.flatnonzero(head))
 
 
 def exact_dtype(bound: int):

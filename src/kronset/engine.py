@@ -32,10 +32,12 @@ import numpy as np
 from ._minimax import (
     CIRCLE_BLOCK,
     LIFT_EPS,
-    SCREEN_CUTOVER,
     TABLE_BLOCK,
     _dist_array,
     cell_maxima,
+    circle_slack,
+    circle_unit,
+    column_echelon,
     exact_dtype,
     first_least,
     line_distances,
@@ -43,8 +45,6 @@ from ._minimax import (
     line_witness,
     min_error_box,
     min_error_circle,
-    quick_bound,
-    quick_size,
     solve_torsion_units,
     subset_count,
     vertex_systems,
@@ -72,6 +72,15 @@ LADDER_MAX_ORDER = 1 << 13
 #: scan about 4% faster than 16 does, and serial `grid` solves 0.4% more
 #: targets, about as fast
 MAX_RUN = 32
+#: most grid targets a block holds on a set the sieve solves (see
+#: `_blocks`): each pass sieves every unsolved target of its block at once.
+#: On the free-rank-1 `grid` tasks, 64 and 1024 ran about 20% and 40%
+#: slower than 256, and 128 and 512 about 8% and 3% slower
+SIEVE_RUN = 256
+#: how far past its threshold a threshold pass solves targets (see
+#: `_scan_targets`): on the same tasks 0.3 ran about 40% faster than 0,
+#: 0.2 to 0.6 within 5% of it, and 1.2 about as slow as 0
+SIEVE_REACH = 0.3
 #: witnesses of solved targets the scan keeps as probes (see `_Scan`).  On
 #: `grid` (seed 4242, 8-s runs) 64 solves a fifth more targets and scans
 #: about 5% slower; 256 solves a tenth fewer and scans within 2%
@@ -282,6 +291,15 @@ class _SetData:
             self.tau = np.zeros((self.m, 0))
         self.slopes = self.free[:, 0].copy() if self.r == 1 else None
         self.free_key = tuple(map(tuple, self.free.tolist()))
+        # a free part of reduced rank at most 1, B = A U with one column, is
+        # solved on the circle: line holds B's slopes and turn U's column
+        # (None in Z^1, where B = A), so the torus point is theta * turn
+        self.line = self.turn = None
+        if self.r:
+            h, u, rank = column_echelon(self.free_key)
+            if rank <= 1:
+                self.line = self.slopes if self.r == 1 else np.array(h[0], dtype=np.int64)
+                self.turn = None if self.r == 1 else np.array(u[0], dtype=np.float64)
         self.selection_count = g.dual_torsion_size
         self._units = np.array(self.unit_rows, dtype=exact_dtype(
             self.lcm * max(self.orders, default=1))).reshape(self.m, self.s).T
@@ -356,18 +374,17 @@ def approx_error(chars: CharacterSet, phi: TargetMap, x: DualPoint) -> float:
 @dataclass
 class _Targets:
     """Targets and their inner solutions as arrays: index rows (None off
-    the grid) and per target its bracket (nan while unsolved), quick bound
-    (`_quick_bounds`; nan until the scan reads it), charge, witness torus
-    angles and selection index, exact value in turns/`modulus` (a grid
-    target of a purely torsion set; else modulus None) and circle lifts or
-    None.  Witnesses are built on demand.  `top` holds the bounds on the
-    cells of solved targets (`certify`), value + radius for those without
-    lifts; it is None until a scan that keeps lifts solves a target."""
+    the grid) and per target its bracket (nan while unsolved), charge,
+    witness torus angles and selection index, exact value in
+    turns/`modulus` (a grid target of a purely torsion set; else modulus
+    None) and circle lifts or None.  Witnesses are built on demand.  `top`
+    holds the bounds on the cells of solved targets (`certify`), value +
+    radius for those without lifts; it is None until a scan that keeps
+    lifts solves a target."""
 
     rows: np.ndarray | None
     lower: np.ndarray
     upper: np.ndarray
-    quick: np.ndarray
     cost: np.ndarray
     theta: np.ndarray
     sel: np.ndarray
@@ -380,13 +397,12 @@ class _Targets:
     def empty(cls, data: _SetData, k: int, n: int | None = None, rows=None) -> "_Targets":
         """k unsolved targets, of the order-n grid (n None: off it)."""
         modulus = math.lcm(data.lcm, n) if n and not data.r else None
-        return cls(rows, *(np.full(k, np.nan) for _ in range(3)), np.zeros(k, dtype=np.int64),
+        return cls(rows, np.full(k, np.nan), np.full(k, np.nan), np.zeros(k, dtype=np.int64),
                    np.zeros((k, data.r)), np.zeros(k, dtype=exact_dtype(data.selection_count)),
                    np.zeros(k, dtype=exact_dtype(modulus or 1)), [None] * k, modulus)
 
     def put(self, at: np.ndarray, new: "_Targets"):
-        """Take the solutions of `new` as those of the targets at `at` (not
-        their quick bounds, which the scan reads itself)."""
+        """Take the solutions of `new` as those of the targets at `at`."""
         for name in ("lower", "upper", "cost", "theta", "sel", "exact"):
             getattr(self, name)[at] = getattr(new, name)
         for i, lift in zip(at.tolist(), new.lifts):
@@ -422,35 +438,42 @@ class _Targets:
 
 
 def _solve_target(data: _SetData, angles: np.ndarray, grid, budget: Budget,
-                  lift_margin: float | None = None):
+                  lift_margin: float | None = None, cap: float | None = None):
     """Bracket inf over the dual of the worst-coordinate error for one target.
 
     `grid` is (n, indices) when the target lies on the n-th-roots grid,
     which unlocks exact integer arithmetic on purely torsion groups.
     Returns (lower, upper, DualPoint, exact_turns | None, lifts), lifts
     being the circle lifts within lift_margin of the value for a set in Z
-    (see `_minimax.circle_lifts`), else None.  The budget pays the target's
+    (see `_minimax.min_error_circle`), else None.  Given a cap, a target
+    the sieve solves whose lower end would pass it is left unsolved and
+    charged: (nan, nan, None, None, None).  The budget pays the target's
     charge (see `_solve_rows`) before it is solved; one it cannot pay is
     charged to one unit (`_block_targets`) past the room left, which raises.
     """
     n, indices = grid or (None, None)
     solved = _solve_rows(data, angles[None], n, None if grid is None else np.array([indices]),
-                         budget.remaining, lift_margin)
-    if np.isnan(solved.lower[0]):
+                         budget.remaining, lift_margin, cap)
+    if not solved.cost[0]:
         budget.charge(_past_room(budget.remaining, _block_targets(data)[1]))
     budget.charge(int(solved.cost[0]))
+    if np.isnan(solved.lower[0]):
+        return math.nan, math.nan, None, None, None
     return (float(solved.lower[0]), float(solved.upper[0]), *solved.witness(data, n, 0),
             solved.lifts[0])
 
 
 def _solve_rows(data: _SetData, angles: np.ndarray, n: int | None, indices,
-                limit: int, lift_margin: float | None = None) -> _Targets:
+                limit: int, lift_margin: float | None = None,
+                cap: float | None = None) -> _Targets:
     """`_solve_target` on each row of target angles while `limit` pays for
     their charges, as `_Targets`: from the first target it cannot pay on,
-    the targets stay unsolved.
+    the targets stay unsolved, at no charge.
 
     With a free part a target is charged a unit per selection, so the paid
-    targets are known before `_solve_free` solves them.  On a purely
+    targets are known before `_solve_free` solves them; given a cap, the
+    sieve leaves unsolved (but charged) the targets whose lower end would
+    pass it.  On a purely
     torsion set it is charged m per selection read up to its first zero
     error (`first_least`), in one pass over the selection table for all
     targets, in exact integer units when they lie on the order-n grid
@@ -461,7 +484,7 @@ def _solve_rows(data: _SetData, angles: np.ndarray, n: int | None, indices,
         cost = data.selection_count * _block_targets(data)[1]
         paid = min(len(angles), max(limit, 0) // cost)
         out.cost[:paid] = cost if paid else 0  # an unpaid cost may pass int64
-        _solve_free(data, angles[:paid], out, lift_margin)
+        _solve_free(data, angles[:paid], out, lift_margin, cap)
         return out
     if n is None:
         def errors(start: int, stop: int, live: list) -> np.ndarray:
@@ -485,18 +508,31 @@ def _solve_rows(data: _SetData, angles: np.ndarray, n: int | None, indices,
 
 
 def _solve_free(data: _SetData, angles: np.ndarray, out: _Targets,
-                lift_margin: float | None = None):
+                lift_margin: float | None = None, cap: float | None = None):
     """The solutions of `_solve_target` for each row of target angles of a
     set with a free part, charges paid by the caller, written into the
-    first targets of `out`, from one `min_error_box` call per block of
-    `_kernel_rows` (`_block_targets` targets at a time)."""
-    size, unit = _block_targets(data)
+    first targets of `out`, from one kernel call per block of `_kernel_rows`
+    (`_block_targets` targets at a time): `min_error_circle` at reduced
+    rank 1, with `cap` (a target is solved if one of its selections is),
+    else `min_error_box`."""
+    size = _block_targets(data)[0]
     k = len(angles)
     lower, upper, theta, chosen, lifts = out.lower, out.upper, out.theta, out.sel, out.lifts
     lower[:k] = upper[:k] = math.inf
-    for t, g, start, psi in _kernel_rows(data, angles, size, unit):
-        got = (min_error_box(data.free, psi, None) if data.r > 1 else min_error_circle(
-            data.slopes, psi, None, lift_margin=None if data.s else lift_margin))
+    width = data.m if data.line is not None else vertex_systems(data.free_key)[1]
+    # the kernel solves every row a little past the cap, so a target it
+    # solves has no unsolved selection that could beat its best one
+    reach = None if cap is None else cap + 2 * circle_slack(data.line) + LIFT_EPS
+    for t, g, start, psi in _kernel_rows(data, angles, size, width):
+        if data.line is None:
+            got = min_error_box(data.free, psi, None)
+        else:
+            # the kernel's first three arguments go by position, as tracing
+            # hooks that read them need
+            got = min_error_circle(data.line, psi, None, cap=reach,
+                                   lift_margin=None if data.s else lift_margin)
+            got = (got[0][:, None] if data.turn is None
+                   else np.mod(got[0][:, None] * data.turn, TWO_PI), *got[1:])
         th, lo, up = got[0].reshape(g, -1, data.r), *(v.reshape(g, -1) for v in got[1:3])
         pick = np.arange(g), up.argmin(axis=1)
         np.minimum(lower[t:t + g], lo.min(axis=1), out=lower[t:t + g])
@@ -506,47 +542,25 @@ def _solve_free(data: _SetData, angles: np.ndarray, out: _Targets,
             best[t:t + g][better] = new[better]
         if len(got) > 3:
             lifts[t:t + g] = got[3]
+    # targets whose lower end the sieve did not find within the cap
+    missed = np.isinf(upper[:k]) if cap is None else ~(lower[:k] <= cap)
+    lower[:k][missed] = upper[:k][missed] = np.nan
 
 
-def _kernel_rows(data: _SetData, angles: np.ndarray, size: int, unit: int):
+def _kernel_rows(data: _SetData, angles: np.ndarray, size: int, width: int):
     """The kernel rows of targets of a set with a free part, one per
     (target, selection) pair, the target angles less the selection's
     `shift_rows`: (t, g, start, psi) per block, psi the rows of the g
     targets from t at a block of selections from start, as many as keep
-    one element per row and `unit` within CIRCLE_BLOCK (at least one, at
+    one element per row and `width` within CIRCLE_BLOCK (at least one, at
     most TABLE_BLOCK), `size` targets at a time."""
     count = data.selection_count
-    rows = max(1, min(TABLE_BLOCK, CIRCLE_BLOCK // unit))
+    rows = max(1, min(TABLE_BLOCK, CIRCLE_BLOCK // width))
     for t in range(0, len(angles), size):
         g = min(size, len(angles) - t)
         for start in range(0, count, rows):
             shifts = data.shift_rows(start, min(start + rows, count))
             yield t, g, start, (angles[t:t + g, None, :] - shifts).reshape(-1, data.m)
-
-
-def _quick_bounds(data: _SetData, angles: np.ndarray) -> np.ndarray:
-    """The quick bound of each row of target angles of a set with a free
-    part: the least over its selections of `quick_bound`, the objective at
-    a real dual point and so at least the target's inner minimum, at
-    `_quick_charge` evaluations a target."""
-    unit = quick_size(data.free_key) * data.m
-    out = np.full(len(angles), math.inf)
-    size = max(1, CIRCLE_BLOCK // (data.selection_count * unit))
-    for t, g, _, psi in _kernel_rows(data, angles, size, unit):
-        value = quick_bound(data.free, psi)[1].reshape(g, -1).min(axis=1)
-        np.minimum(out[t:t + g], value, out=out[t:t + g])
-    return out
-
-
-def _quick_charge(data: _SetData) -> int:
-    """Evaluations a scan charges a target for its quick bound: its slice
-    (`quick_size`) times m per selection, on a set whose solve charges at
-    least SCREEN_CUTOVER; 0 below it, where the scan reads none.  On such
-    cheap targets the extra kernel call costs more than the solves it
-    saves."""
-    if not data.r or data.selection_count * _block_targets(data)[1] < SCREEN_CUTOVER:
-        return 0
-    return data.selection_count * quick_size(data.free_key) * data.m
 
 
 def best_point(chars: CharacterSet, phi: TargetMap, tol: float = DEFAULT_TOL,
@@ -563,7 +577,7 @@ def best_point(chars: CharacterSet, phi: TargetMap, tol: float = DEFAULT_TOL,
     _check_limits(tolerance=tol, budget=budget)
     data = _set_data(chars)
     b = Budget(budget)
-    b.charge(subset_count(data.free_key) if data.r > 1 else 0)
+    b.charge(_system_charge(data))
     grid = (phi.roots_order, phi.grid_indices) if phi.roots_order else None
     lower, upper, point, exact, _ = _solve_target(data, np.asarray(phi.angles), grid, b)
     attained = approx_error(chars, phi, point)
@@ -856,15 +870,13 @@ class _Scan:
     with.  `tol` is the cap-exit margin.
 
     The probes are the character argument rows of the last PROBES witnesses
-    of solved targets and of lifted incumbents, newest first, the identity
-    last of all.  The window rolls only at fixed points of the scan order,
-    every ROLL-th item of a `_scan_targets` call from its first and after
-    every change of incumbent: `roll` puts the rows `pending` since the last
-    roll, taken in scan order, in front.  So the probes a target meets
-    depend neither on the block size nor on the thread count.  Nor do the
-    quick bounds (see `_scan_targets`), which depend on the target alone
-    and are read in the scan's process before `solve` shares out the
-    targets they leave open."""
+    of solved targets, newest first, the identity last of all; a set the
+    sieve solves reads none and keeps none.  The window rolls only at fixed
+    points of the scan order, every ROLL-th item of a `_scan_targets` call
+    from its first and after every change of incumbent: `roll` puts the
+    rows `pending` since the last roll, taken in scan order, in front.  So
+    the probes a target meets depend neither on the block size nor on the
+    thread count."""
 
     data: _SetData
     tol: float
@@ -895,21 +907,21 @@ class _Scan:
         self.roll()
 
     def solve(self, angles: np.ndarray, n: int, rows: np.ndarray,
-              lift_margin: float | None = None) -> _Targets:
+              lift_margin: float | None = None, cap: float | None = None) -> _Targets:
         """`_solve_rows` on rows of order-n targets, the budget left as its
-        limit.  With a pool, and a limit that pays every target at its
+        limit, under `cap`.  With a pool, and a limit that pays every target at its
         largest charge, the targets are split into `threads` parts: this
         process solves the first while the workers solve the rest.  Each
         target's solution does not depend on the others, so the result is
         that of one call."""
         data, limit = self.data, self.budget.remaining
         if self.pool is None or len(rows) * data.selection_count * _block_targets(data)[1] > limit:
-            return _solve_rows(data, angles, n, rows, limit, lift_margin)
+            return _solve_rows(data, angles, n, rows, limit, lift_margin, cap)
         first, *rest = [at for at in np.array_split(np.arange(len(rows)), self.threads) if len(at)]
         futures = [self.pool.submit(_solve_for, data.chars, angles[at], n, rows[at], limit,
-                                    lift_margin) for at in rest]
+                                    lift_margin, cap) for at in rest]
         out = _Targets.empty(data, len(rows), n, rows)
-        out.put(first, _solve_rows(data, angles[first], n, rows[first], limit, lift_margin))
+        out.put(first, _solve_rows(data, angles[first], n, rows[first], limit, lift_margin, cap))
         for at, future in zip(rest, futures):
             out.put(at, future.result())
         return out
@@ -936,38 +948,41 @@ def _scan_targets(scan: _Scan, n: int, items, cap: float, radius: float = 0.0,
     target with lifts is bounded by its certified maximum instead
     (`_Targets.certify`, which adds that work to its charge), as lifted
     cells are (their top); the cell closes once its bound is within `slack`
-    of the incumbent's lower end.  A probe point's error is a value bound
-    that closes a cell without solving it (a pruned target).  Solved cells
-    that stay open are appended to `opened` as `_Cells`, with the lifts
-    within lift_margin of their value.
+    of the incumbent's lower end.  Solved cells that stay open are appended
+    to `opened` as `_Cells`, with the lifts within lift_margin of their
+    value.
 
     items yields blocks (see `_blocks`): `_Targets`, and `_LiftedBlock`s,
-    whose cells skip the probes.  A target reads at most as many probes,
-    newest first, as the largest charge of its solve pays for at m units a
-    read.  On a set whose solve charges at least SCREEN_CUTOVER, a target
-    the probes leave open then reads its quick bound (`_quick_bounds`),
-    charged `_quick_charge`, which closes the cell as one more probe would.
-    It depends on the target alone, so the block keeps it and each pass
-    judges it again against its own lower end; the quick bounds are read in
-    this process, and for only as many targets as the budget left pays.  A
-    pass over a block's arrays reads the probes and quick bounds on the
-    block up to the next roll point of the probe window (see `_Scan`),
-    solves the unsolved targets they leave open in one `_Scan.solve` call,
-    and takes the decisions and charges of a loop over the targets in turn
-    (read the probes, m units each, until one closes the cell, then the
-    quick bound, else pay the solve; raise the incumbent; close or open;
-    stop at cap - tol) up to the first change of incumbent, which moves the
-    probes and the lower end, or to that roll point: the next pass reads the
-    verdicts on the rest again and solves the targets they reopen.  A pass
-    over lifted cells, which read no probes, runs on past roll points; the
-    window takes them at the next pass, as one roll.  The solved targets a
-    pass decides leave their witnesses' argument rows pending for the
-    window, from one `_SetData.args_at` call.  The budget stop is the first
-    charge past the room left, charged one unit past it (m for a probe, the
-    `_block_targets` unit for a solve) or, for a quick bound, a lifted cell
-    and a solved target whose solve the room pays but not its certificate,
-    charged whole.  Only the targets that raise the incumbent build
-    witnesses.
+    whose cells are valued already.  Every pass over a block's arrays takes
+    the decisions and charges of a loop over its targets in turn up to the
+    first change of incumbent, which moves the lower end, or to the first
+    budget stop or cap exit, and the next pass reads the rest again.  How a
+    target of a `_Targets` block is decided depends on its set:
+
+    - Solved by the sieve (free part of reduced rank 1): each target is
+      sieved at the threshold U = the incumbent's lower end + slack
+      (`min_error_circle`'s cap; none before the first incumbent, whose
+      target ends the pass), which solves it exactly when its lower end is
+      at most U; a target it leaves unsolved would raise the incumbent, so
+      it is sieved again without a cap and ends the pass.  One
+      `_Scan.solve` call sieves every undecided target of the block.  Each
+      target is charged its solve, a second time when sieved again, and a
+      target the threshold sieve closes counts as pruned.  No probes are
+      read.
+    - Else the probe window (see `_Scan`) is read first: a probe point's
+      error is a value bound that closes a cell without solving it (a
+      pruned target).  A target reads at most as many probes, newest first,
+      as the largest charge of its solve pays for, m units a read; the
+      targets they leave open are solved in one `_Scan.solve` call.  A pass
+      ends at the next roll point of the window too, and the solved targets
+      it decides leave their witnesses' argument rows pending for the
+      window, from one `_SetData.args_at` call.
+
+    The budget stop is the first charge past the room left, charged one
+    unit past it (m for a probe, the `_block_targets` unit for a solve) or,
+    for a lifted cell and a solved target whose solve the room pays but not
+    its certificate, charged whole.  Only the targets that raise the
+    incumbent build witnesses.
 
     Returns (closed_hi, open_hi, status): the largest bound over closed and
     over open cells, and 'capped' when the incumbent reached `cap`, 'done'
@@ -976,62 +991,81 @@ def _scan_targets(scan: _Scan, n: int, items, cap: float, radius: float = 0.0,
     data, budget, stats, m = scan.data, scan.budget, scan.stats, scan.data.m
     closed_hi = open_hi = 0.0
     try:
-        # the first scan pays for the vertex systems (free rank 2 on) up front
-        budget.charge(0 if budget.used or data.r < 2 else subset_count(data.free_key))
+        budget.charge(0 if budget.used else _system_charge(data))
     except BudgetExceededError:
         return closed_hi, open_hi, "budget"
+    sieve = data.line is not None
+    unit = _block_targets(data)[1]
+    solve = data.selection_count * unit
     # a target reads the probes its solve's largest charge pays for, m units each
-    reads = max(1, data.selection_count * _block_targets(data)[1] // m)
-    # a target of a costly set the probes leave open reads its quick bound
-    quick = _quick_charge(data)
+    reads = max(1, solve // m)
     # items decided by this call, and the last roll point the window took:
     # rolls with no probe read between them are one roll
     seen, rolled = 0, -1
     for block in items:
         lifted = isinstance(block, _LiftedBlock)
         rows, lower, upper, cost = block.rows, block.lower, block.upper, block.cost
+        certified = np.zeros(len(rows), dtype=bool)
         pos = 0
         while pos < len(rows):
-            if seen // ROLL != rolled:
+            if not sieve and seen // ROLL != rolled:
                 scan.roll()
                 rolled = seen // ROLL
             # a pass that reads probes ends at the next roll point
-            here = slice(pos, len(rows) if lifted else min(len(rows), pos + ROLL - seen % ROLL))
+            here = slice(pos, len(rows) if lifted or sieve
+                         else min(len(rows), pos + ROLL - seen % ROLL))
             prior = -math.inf if scan.best is None else scan.best.lower
-            probed, read, probe_hi = (None,) * 3 if lifted or scan.best is None else (
+            probed, read, probe_hi = (None,) * 3 if lifted or sieve or scan.best is None else (
                 _probe_bounds(rows[here], scan.probes[:reads], n, radius, prior, slack))
-            # per target the charges before its solve: the probes read, then
-            # on a costly set the quick bound, which closes a cell as one more
-            # probe would; it is nan where the budget could not pay it
-            ahead, quick_hi = None if probed is None else read * m, None
-            if quick and probed is not None:
-                left = pos + np.flatnonzero(~probed & np.isnan(block.quick[here]))
-                left = left[:max(budget.remaining, 0) // quick]
-                if len(left):
-                    block.quick[left] = _quick_bounds(data, rows[left] * (TWO_PI / n))
-                quick_hi = block.quick[here] + radius
-                paid = ~probed & ~np.isnan(quick_hi)
-                if paid.any():
-                    ahead = ahead + np.where(paid, quick, 0)
-                closes = paid & (quick_hi - prior <= slack)
-                probe_hi = np.where(closes, quick_hi, probe_hi)
-                probed = probed | closes
-            if not lifted:
+            # per target the charges before its solve: the probes read, or
+            # the threshold sieve of a target sieved again
+            ahead = np.zeros(here.stop - pos, dtype=np.int64) if probed is None else read * m
+            full = None
+            if sieve and not lifted:
+                # the unsolved targets of the block, or the first one before
+                # an incumbent.  A target solved under a cap keeps its
+                # solution, which is its solution under any other, and the
+                # cap reaches SIEVE_REACH past the threshold, so a target
+                # that would raise the incumbent is often solved already
+                todo = pos + np.flatnonzero(np.isnan(lower[here]))[:1 if scan.best is None else None]
+                threshold = None if scan.best is None else prior + slack
+                if len(todo):
+                    block.put(todo, scan.solve(
+                        rows[todo] * (TWO_PI / n), n, rows[todo], lift_margin,
+                        None if threshold is None else threshold + SIEVE_REACH))
+                full = np.zeros(len(ahead), dtype=bool)
+                full[0] = threshold is None
+                # the first target the threshold sieve leaves unsolved is
+                # sieved again without a cap, and ends the pass
+                over = np.flatnonzero(~(lower[here] <= threshold) & (cost[here] > 0)
+                                      if threshold is not None else full[:0])
+                if len(over):
+                    at = pos + over[:1]
+                    here = slice(pos, int(at[0]) + 1)
+                    ahead, full = ahead[:over[0] + 1], full[:over[0] + 1]
+                    ahead[-1], full[-1] = solve, True
+                    if np.isnan(lower[at[0]]):
+                        block.put(at, scan.solve(rows[at] * (TWO_PI / n), n, rows[at],
+                                                 lift_margin))
+            elif not lifted:
                 todo = np.isnan(lower[here]) if probed is None else np.isnan(lower[here]) & ~probed
-                if quick_hi is not None:
-                    todo &= ~np.isnan(quick_hi)
                 if todo.any():
                     # without an incumbent the first target solved ends the pass
                     todo = pos + np.flatnonzero(todo)[:1 if scan.best is None else None]
                     block.put(todo, scan.solve(rows[todo] * (TWO_PI / n), n, rows[todo],
                                                lift_margin))
-                    if lift_margin is not None:
-                        block.certify(data, n, todo)
             # lower ends of the targets a solve decides: nan where pruned, or
             # unsolved (costs 0) as the budget could not pay
             low = lower[here] if probed is None else np.where(probed, np.nan, lower[here])
-            spent = np.cumsum(cost[here] if probed is None
-                              else ahead + np.where(probed, 0, cost[here]))
+            event = _first(low > prior if prior < cap - scan.tol else ~np.isnan(low))
+            if lift_margin is not None and not lifted:
+                # the certificates of the solved targets up to the event
+                done = pos + np.flatnonzero(~np.isnan(low[:event + 1]) & ~certified[here][:event + 1])
+                if len(done):
+                    block.certify(data, n, done)
+                    certified[done] = True
+            spent = np.cumsum(ahead + (cost[here] if probed is None
+                                       else np.where(probed, 0, cost[here])))
             # the first target whose charges pass the room, or that the room
             # could not pay for, and the first solved one that raises the
             # incumbent or finds it at the cap
@@ -1039,41 +1073,37 @@ def _scan_targets(scan: _Scan, n: int, items, cap: float, radius: float = 0.0,
             if not lifted:
                 stop = min(stop, _first(np.isnan(low) if probed is None
                                         else np.isnan(low) & ~probed))
-            event = _first(low > prior if prior < cap - scan.tol else ~np.isnan(low))
             end = min(event + 1, stop)
             status = ("capped" if event < stop and max(low[event], prior) >= cap - scan.tol
                       else "budget" if stop <= event and stop < len(low) else None)
             budget.used += int(spent[end - 1]) if end else 0
             if status == "budget":
-                room, probe = budget.remaining, 0 if probed is None else int(read[stop]) * m
-                at, unit = pos + stop, _block_targets(data)[1]
-                # the probes left the target open, so it read its quick bound
-                spend = probe + (0 if probed is None else quick)
+                room, before = budget.remaining, int(ahead[stop])
+                at = pos + stop
                 # a lifted cell is charged whole, and so is a solved target
                 # whose solve the room pays but not the certificate after it
-                whole = lifted or (not np.isnan(lower[at])
-                                   and data.selection_count * unit <= room - spend)
-                budget.used += (_past_room(room, m) if probe > room else spend if spend > room
-                                else spend + (int(cost[at]) if whole
-                                              else _past_room(room - spend, unit)))
-            stats.targets_pruned += (pruned := 0 if probed is None else int(probed[:end].sum()))
-            stats.targets_enumerated += end - pruned
+                whole = lifted or (not np.isnan(lower[at]) and solve <= room - before)
+                budget.used += (_past_room(room, m if probed is not None else unit)
+                                if before > room else before + (
+                                    int(cost[at]) if whole else _past_room(room - before, unit)))
             done = pos + (np.arange(end) if probed is None else np.flatnonzero(~probed[:end]))
             bound = upper[done] + radius if block.top is None else block.top[done]
             shut = bound - np.maximum(lower[done], prior) <= slack
+            pruned = (0 if probed is None else int(probed[:end].sum())) + (
+                0 if full is None else int((shut & ~full[done - pos]).sum()))
+            stats.targets_pruned += pruned
+            stats.targets_enumerated += end - pruned
             closed_hi = max(closed_hi, float(bound[shut].max(initial=0.0)),
                             0.0 if probed is None else float(probe_hi[:end].max(initial=0.0)))
             open_hi = max(open_hi, float(bound[~shut].max(initial=0.0)))
             if opened is not None and not shut.all():
                 opened.append(block.take(done[~shut]) if lifted
                               else block.take(done[~shut], bound[~shut]))
-            if not lifted and len(done):
+            if not lifted and not sieve and len(done):
                 scan.pending.append(block.args(data, done))
             if event < stop and low[event] > prior:
                 i = pos + event
                 point, exact = block.witness(data, n, i)
-                if lifted:
-                    scan.pending.append(data.point_args(point)[None])
                 scan.raise_to(_Incumbent(float(lower[i]), n, tuple(rows[i].tolist()),
                                          point, exact))
             pos += end
@@ -1113,20 +1143,32 @@ def _probe_bounds(rows: np.ndarray, probes: np.ndarray, n: int, radius: float, l
 
 
 def _block_targets(data: _SetData) -> tuple[int, int]:
-    """(targets, unit): how many targets `_solve_rows` takes per call, as
-    many as keep one element per target, selection and unit within
-    CIRCLE_BLOCK but at least 1, and the budget units one selection of a
-    target is charged: m on a purely torsion set, the vertex candidates of
-    a row (`vertex_systems`) on a set with a free part."""
+    """(targets, unit): how many targets `_solve_rows` takes per kernel
+    call, and the budget units one selection of a target is charged: m on a
+    purely torsion set, `circle_unit` on one the sieve solves, the vertex
+    candidates of a row (`vertex_systems`) on the others.  A call takes as
+    many targets as keep one element per target, selection and unit (m for
+    the sieve, which bounds its own temporaries) within CIRCLE_BLOCK, at
+    least 1; the sieve takes at most SIEVE_RUN."""
+    if data.line is not None:
+        unit = circle_unit(data.line.tolist())
+        return max(1, min(SIEVE_RUN, CIRCLE_BLOCK // (data.selection_count * data.m))), unit
     unit = vertex_systems(data.free_key)[1] if data.r else data.m
     return max(1, CIRCLE_BLOCK // (data.selection_count * unit)), unit
+
+
+def _system_charge(data: _SetData) -> int:
+    """What a computation pays up front for the vertex systems of its free
+    part (`subset_count`): nothing unless the vertex kernel solves it."""
+    return subset_count(data.free_key) if data.r and data.line is None else 0
 
 
 def _blocks(data: _SetData, n: int, items):
     """The items of a scan, index tuples of order-n targets and
     `_LiftedBlock`s, as blocks for `_scan_targets`, read
-    max(MAX_RUN, `_block_targets`) items at a time: each span of targets
-    between lifted blocks is one `_Targets`, unsolved."""
+    max(MAX_RUN, `_block_targets`) items at a time (up to SIEVE_RUN on a set
+    the sieve solves): each span of targets between lifted blocks is one
+    `_Targets`, unsolved."""
     size = max(MAX_RUN, _block_targets(data)[0])
     while run := list(itertools.islice(items, size)):
         for kind, group in itertools.groupby(run, key=type):
@@ -1230,7 +1272,7 @@ def alpha(chars: CharacterSet, tol: float = DEFAULT_TOL, budget: int = DEFAULT_B
     split into the order-2n cells around 2t + {-1, 0, 1}^m, one target per
     orbit under translation and negation.  For a set of at most
     LIFT_MAX_SIZE characters in Z an open cell keeps its nearby lifts (see
-    `_minimax.circle_lifts`), which give the exact value of every cell
+    `_minimax.min_error_circle`), which give the exact value of every cell
     refined from it without a full solve, and a cell with lifts is bounded
     by its certified maximum (`_cell_tops`) in place of value(t) + pi/n, so
     the upper end need not trail the lower one by pi/n.  A level holds its

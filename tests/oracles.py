@@ -1,13 +1,13 @@
 """Independent brute-force oracles used to pin expected values in the tests.
 
 Everything in this file is deliberately kept separate from the library code
-paths: plain target enumeration, a scalar piecewise-linear minimizer, and a
-dense target grid.  The library is checked against these, never the other
-way around.  Five exceptions are exhaustive forms of faster library code
-(`vertex_systems_loop`, `min_error_box_full`, `quick_bound_full`,
-`separated_set_loop`, and `scan_targets_loop`, the outer scan one target at
-a time): they share its helpers, and the library must give their results
-bit for bit (`quick_bound_full` within the screen's margin).  The arithmetic
+paths: plain target enumeration, a scalar piecewise-linear minimizer, a
+lift enumeration (`lifts_within`), and a dense target grid.  The library is
+checked against these, never the other way around.  Four exceptions are
+exhaustive forms of faster library code (`vertex_systems_loop`,
+`min_error_box_full`, `separated_set_loop`, and `scan_targets_loop`, the
+outer scan one target at a time): they share its helpers, and the library
+must give their results bit for bit.  The arithmetic
 diagnostics (`quasi_direct_loop`, `quasi_mitm_loop`, `b2_loop`) are the
 scalar loops the library's integer-array forms must match in flag,
 witness, count, quadruple order and budget stops.
@@ -133,25 +133,33 @@ def scan_cells_loop(lowers, tops, costs, incumbent, used: int, limit: int, cap: 
 def scan_targets_loop(scan, n: int, items, cap: float, radius: float = 0.0,
                       slack: float = 0.0, opened=None, lift_margin=None):
     """Reference for `engine._scan_targets`, with its arguments and results:
-    the scan decided one target at a time, in order.  A solved target is
-    probed first once there is an incumbent, m units charged before each
-    probe read (past the room the scan stops on the budget, the charge
-    made), and pruned by the first probe whose error bound closes its cell,
-    or then by its quick bound (`probe_loop`); else `engine._solve_target`
-    solves it, charging its cost or stopping the scan, and, given
-    lift_margin, the work of its cell's certified maximum
-    (`engine._cell_tops`), and its witness's argument row joins
-    `scan.pending`.  A cell of a lifted block is charged its cost and not
-    probed.  Then the target is counted, raises the incumbent if its lower
-    end beats it (a lifted cell's witness joins `scan.pending`, and the
-    window rolls), closes or opens by its top (value + radius without
-    lifts), and the scan stops once the incumbent reaches cap - tol.
-    Before every engine.ROLL-th item, from the first, the window rolls too:
-    the pending rows go, newest first, before the probes, which keep
-    engine.PROBES.  Solutions a block already carries are not read."""
+    the scan decided one target at a time, in order.
+
+    On a set the sieve solves (`data.line`), a target is solved by
+    `engine._solve_target` under the threshold cap = the incumbent's lower
+    end + slack (no cap before the first incumbent), its charge paid or
+    the scan stopped; one it leaves unsolved is solved again without a cap,
+    charged again.  It reads no probes and adds no row to the window.
+    Otherwise a target is probed first once there is an incumbent, m units
+    charged before each probe read (past the room the scan stops on the
+    budget, the charge made), and pruned by the first probe whose error
+    bound closes its cell (`probe_loop`); else `engine._solve_target`
+    solves it, charging its cost or stopping the scan, and its witness's
+    argument row joins `scan.pending`.  Given lift_margin, a solved target
+    is charged the work of its cell's certified maximum
+    (`engine._cell_tops`).  A cell of a lifted block is charged its cost and
+    not probed.  Then the target raises the incumbent if its lower end
+    beats it, closes or opens by its top (value + radius without lifts), and
+    is counted: as pruned if its threshold sieve solved it and it closes,
+    else as enumerated; the scan stops once the incumbent reaches cap - tol.
+    Before every engine.ROLL-th item, from the first, the window rolls too
+    (on a set that reads probes): the pending rows go, newest first, before
+    the probes, which keep engine.PROBES.  Solutions a block already carries
+    are not read."""
     data, budget, stats = scan.data, scan.budget, scan.stats
     closed_hi = open_hi = 0.0
     seen = 0
+    sieve = data.line is not None
 
     def roll():
         if scan.pending:
@@ -159,47 +167,61 @@ def scan_targets_loop(scan, n: int, items, cap: float, radius: float = 0.0,
             scan.pending = []
 
     try:
-        budget.charge(0 if budget.used or data.r < 2 else subset_count(data.free_key))
+        budget.charge(0 if budget.used or data.r < 2 or sieve else subset_count(data.free_key))
     except BudgetExceededError:
         return closed_hi, open_hi, "budget"
     for block in items:
         lifted = isinstance(block, engine._LiftedBlock)
         for i, indices in enumerate(block.rows.tolist()):
-            if seen % engine.ROLL == 0:
+            if not sieve and seen % engine.ROLL == 0:
                 roll()
             seen += 1
             angles = np.array(indices, dtype=np.float64) * (TWO_PI / n)
+            threshold = None
             try:
                 if lifted:
                     budget.charge(int(block.cost[i]))
                     cell = block.take(np.array([i]))
                     lower, upper = float(block.lower[i]), float(cell.upper[0])
                 else:
-                    probed = None if scan.best is None else probe_loop(scan, angles, radius,
-                                                                       slack)
-                    if probed is not None:
-                        stats.targets_pruned += 1
-                        closed_hi = max(closed_hi, probed)
-                        continue
-                    lower, upper, point, exact, lifts = engine._solve_target(
-                        data, angles, (n, tuple(indices)), budget, lift_margin)
+                    if sieve:
+                        threshold = None if scan.best is None else scan.best.lower + slack
+                        solved = engine._solve_target(data, angles, (n, tuple(indices)), budget,
+                                                      lift_margin, threshold)
+                        if math.isnan(solved[0]):
+                            threshold = None
+                            solved = engine._solve_target(data, angles, (n, tuple(indices)),
+                                                          budget, lift_margin)
+                    else:
+                        probed = None if scan.best is None else probe_loop(scan, angles,
+                                                                           radius, slack)
+                        if probed is not None:
+                            stats.targets_pruned += 1
+                            closed_hi = max(closed_hi, probed)
+                            continue
+                        solved = engine._solve_target(data, angles, (n, tuple(indices)), budget,
+                                                      lift_margin)
+                        scan.pending.append(data.point_args(solved[2])[None])
+                    lower, upper, point, exact, lifts = solved
                     cell = engine._Cells.of(np.array([indices]), np.array([upper]),
                                             np.array([upper + radius]), [lifts])
                     if lift_margin is not None:
                         cell.top, work = engine._cell_tops(data, cell, n)
                         budget.charge(int(work[0]))
-                    scan.pending.append(data.point_args(point)[None])
             except BudgetExceededError:
                 return closed_hi, open_hi, "budget"
-            stats.targets_enumerated += 1
             if scan.best is None or lower > scan.best.lower:
                 if lifted:
                     point, exact = block.witness(data, n, i)
-                    scan.pending.append(data.point_args(point)[None])
                 scan.best = engine._Incumbent(lower, n, tuple(indices), point, exact)
                 roll()
             bound = float(cell.top[0])
-            if bound - scan.best.lower <= slack:
+            shut = bound - scan.best.lower <= slack
+            if shut and threshold is not None:
+                stats.targets_pruned += 1
+            else:
+                stats.targets_enumerated += 1
+            if shut:
                 closed_hi = max(closed_hi, bound)
             else:
                 open_hi = max(open_hi, bound)
@@ -212,23 +234,14 @@ def scan_targets_loop(scan, n: int, items, cap: float, radius: float = 0.0,
 
 def probe_loop(scan, angles, radius: float, slack: float):
     """The bound the first of the scan's probes to close the cell of radius
-    `radius` around a target puts on it, or else its quick bound if that
-    closes it, or None.  It charges m before each probe it reads, at most
-    as many as the target's solve at its largest charge
-    (`engine._block_targets` units per selection) pays for; then, on a set
-    whose solve charges at least `engine.SCREEN_CUTOVER`, the quick bound's
-    slice (`engine._quick_charge`) before it reads `engine._quick_bounds`."""
+    `radius` around a target puts on it, or None.  It charges m before each
+    probe it reads, at most as many as the target's solve at its largest
+    charge (`engine._block_targets` units per selection) pays for."""
     data = scan.data
     reads = max(1, data.selection_count * engine._block_targets(data)[1] // data.m)
     for args in scan.probes[:reads]:
         scan.budget.charge(scan.data.m)
         bound = float(np.abs(np.mod(angles - args + math.pi, TWO_PI) - math.pi).max()) + radius
-        if bound - scan.best.lower <= slack:
-            return bound
-    quick = engine._quick_charge(data)
-    if quick:
-        scan.budget.charge(quick)
-        bound = float(engine._quick_bounds(data, angles[None])[0]) + radius
         if bound - scan.best.lower <= slack:
             return bound
     return None
@@ -544,9 +557,6 @@ def vertex_systems_loop(free: tuple):
     for subset in itertools.combinations(range(len(pieces)), r + 1):
         if tuple(sorted(i ^ 1 for i in subset)) < subset:
             continue
-        # at r' = 1, a tent's own kinks only while no other row is nonzero
-        if r == 1 and len(pieces) > 2 and subset[0] ^ 1 == subset[1]:
-            continue
         (k0, s0, g0), *rest = (pieces[i] for i in subset)
         mat = [tuple(x - y for x, y in zip(g0, g)) for _, _, g in rest]
         adj = tuple(tuple((-1) ** (i + j) * _det([row[:i] + row[i + 1:]
@@ -563,13 +573,12 @@ def vertex_systems_loop(free: tuple):
     return systems, sum(abs(s[3]) for s in systems) * len(b), b, cols
 
 
-def min_error_box_full(free, psi, budget, lift_margin=None):
+def min_error_box_full(free, psi, budget):
     """Reference vertex kernel: `_minimax.min_error_box` as it was before
     it screened its candidates, valuing every candidate of every row
     exactly.  The screened kernel must give the same bits and charges."""
     from kronset._minimax import (CIRCLE_BLOCK, CIRCLE_TEMP, _dist_array, _mod_2pi,
-                                  _residuals, _small_plan, circle_lifts, vertex_plan,
-                                  vertex_systems)
+                                  _residuals, _small_plan, vertex_plan, vertex_systems)
     key = tuple(map(tuple, free.tolist()))
     cost = vertex_systems(key)[1]
     budget.charge(len(psi) * cost)
@@ -601,25 +610,72 @@ def min_error_box_full(free, psi, budget, lift_margin=None):
     # constant (zero-row) constraints bound the objective exactly everywhere
     lower = np.maximum(np.maximum(const_err, np.minimum(vmin, upper) - slack), 0.0)
     s = theta.T if cols is None else _mod_2pi(_residuals(cols, theta[:, :, None], 0.0))
-    if lift_margin is None:
-        return s, lower, upper
-    return s, lower, upper, [circle_lifts(free[:, 0], row, c, v, up + lift_margin)
-                             for row, c, v, up in zip(psi, cands[0], vals, upper)]
+    return s, lower, upper
 
 
-def quick_bound_full(free, psi):
-    """Reference slice of `_minimax.quick_bound`: each row's least value
-    over the plan's first `quick_size` candidates, every one valued
-    exactly, with no screen."""
-    from kronset._minimax import (_dist_array, _mod_2pi, _plan, _residuals, quick_size)
-    key = tuple(map(tuple, np.asarray(free).tolist()))
-    stop = quick_size(key)
-    terms, weights, system, off, div, b, mask, *_ = _plan(key)
-    y = weights * psi[:, terms].transpose(1, 0, 2)[:, None]
-    cands = _mod_2pi((sum(y[1:], y[0])[:, :, system[:stop]] + off[:, None, :stop]) / div[:stop])
-    resid = _residuals(b, cands[:, :, None], psi[:, mask, None])
-    const_err = _dist_array(psi[:, ~mask]).max(axis=1, initial=0.0)
-    return np.maximum(_dist_array(resid).max(axis=1, initial=0.0), const_err[:, None]).min(axis=1)
+def line_value(slopes, u) -> float:
+    """min over real s of max_k |a_k s - u_k| for one lift u (a zero slope
+    adds the constant |u_k|), by valuing the largest at every pairwise
+    crossing and every zero of a nonzero slope, one at a time."""
+    nz = [(int(a), float(x)) for a, x in zip(slopes, u) if a]
+    floor = max([abs(float(x)) for a, x in zip(slopes, u) if not a], default=0.0)
+    points = [x / a for a, x in nz]
+    for (a, x), (b, y) in itertools.combinations(nz, 2):
+        points += [(x + y) / (a + b)] if a * b > 0 else [(x - y) / (a - b)]
+    best = min((max(abs(a * s - x) for a, x in nz) for s in points), default=0.0)
+    return max(best, floor)
+
+
+def lifts_within(slopes, psi, cap: float) -> dict:
+    """Every lift class of inner value at most cap, as {nu: value}: nu the
+    representative whose first nonzero slope's entry lies in [0, |a|) (that
+    is nu_j - (nu_j // a_j) a, in Python's floor division), value its
+    `line_value` at u = psi + 2 pi nu.  For cap < pi.
+
+    Brute force over lift vectors, with the nonzero slopes taken in
+    increasing |a|: the first runs over one representative per class, and
+    each next nu_k over the box its pair with the previous one allows
+    (|a_k u_p - a_p u_k| <= cap (|a_p| + |a_k|) is necessary), so no
+    vector of value at most cap is skipped; a zero slope takes the nu_k
+    nearest -psi_k / 2 pi, the only one with |u_k| < pi."""
+    slopes = [int(a) for a in slopes]
+    psi = [float(p) for p in psi]
+    m = len(slopes)
+    nz = sorted((k for k in range(m) if slopes[k]), key=lambda k: abs(slopes[k]))
+    base = [0] * m
+    for k in range(m):
+        if not slopes[k]:
+            base[k] = round(-psi[k] / TWO_PI)
+    out = {}
+    if not nz:
+        return out
+
+    def extend(nu, rest):
+        if not rest:
+            u = [p + TWO_PI * v for p, v in zip(psi, nu)]
+            value = line_value(slopes, u)
+            if value <= cap:
+                j = next(k for k in range(m) if slopes[k])
+                shift = nu[j] // slopes[j]
+                out[tuple(v - shift * a for v, a in zip(nu, slopes))] = value
+            return
+        p, k = next(j for j in reversed(nz) if j not in rest), rest[0]
+        a, b = slopes[p], slopes[k]
+        up = psi[p] + TWO_PI * nu[p]
+        # |b up - a uk| <= cap (|a| + |b|): uk within cap (|a| + |b|) / |a| of b up / a
+        centre, half = b * up / a, cap * (abs(a) + abs(b)) / abs(a)
+        lo = math.floor((centre - half - psi[k]) / TWO_PI)
+        hi = math.ceil((centre + half - psi[k]) / TWO_PI)
+        for v in range(lo, hi + 1):
+            nu[k] = v
+            extend(nu, rest[1:])
+
+    first = nz[0]
+    for v in range(abs(slopes[first])):
+        nu = list(base)
+        nu[first] = v
+        extend(nu, nz[1:])
+    return out
 
 
 def circle_selections_loop(slopes, tau, angles, selections, budget):

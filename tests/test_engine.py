@@ -27,7 +27,6 @@ from kronset import (
 )
 from kronset import _minimax, engine
 from kronset._minimax import (
-    circle_lifts,
     line_distances,
     line_witness,
     min_error_box,
@@ -51,6 +50,10 @@ def z2cube_set():
 def z2cube_flip_target(chars, n=2):
     idx = [1 if c.torsion_coords == (1, 0, 1) else 0 for c in chars]
     return TargetMap.from_grid(chars, n, idx)
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64).tolist()
 
 
 def solutions(data, solved):
@@ -94,25 +97,12 @@ def circle_row(slopes, psi, budget, **kw):
 
 
 def row_cost(free):
-    """Budget units one kernel row of the integer matrix `free` is charged."""
-    return vertex_systems(tuple(map(tuple, np.asarray(free).tolist())))[1]
-
-
-def with_quick_bounds(monkeypatch, test):
-    """Run `test` with every scan of a set with a free part reading quick
-    bounds (`engine.SCREEN_CUTOVER` 0, so small sets engage the path), and
-    check that the scans read them on many targets."""
-    reads = []
-    quick_bounds = engine._quick_bounds
-
-    def spy(data, angles):
-        reads.append(len(angles))
-        return quick_bounds(data, angles)
-
-    monkeypatch.setattr(engine, "SCREEN_CUTOVER", 0)
-    monkeypatch.setattr(engine, "_quick_bounds", spy)
-    test(monkeypatch)
-    assert sum(reads) > 100, sum(reads)
+    """Budget units one kernel row of the integer matrix `free` is charged:
+    the sieve's on one column, the vertex kernel's on more."""
+    free = np.asarray(free)
+    if free.shape[1] == 1:
+        return _minimax.circle_unit(free[:, 0].tolist())
+    return vertex_systems(tuple(map(tuple, free.tolist())))[1]
 
 
 def random_int_set(rng, max_size=3, max_entry=10):
@@ -653,9 +643,6 @@ class TestScanBlocks:
                 self.assert_same_at_every_block_size(
                     monkeypatch, lambda **more: alpha(E, tol=0.05, **kw, **more), want)
 
-    def test_results_do_not_depend_on_the_block_size_with_quick_bounds(self, monkeypatch):
-        with_quick_bounds(monkeypatch, self.test_results_do_not_depend_on_the_block_size)
-
     @staticmethod
     def reference(E, angles, budget):
         """(lower, upper, theta, selection) of one target from the loops of
@@ -692,12 +679,14 @@ class TestScanBlocks:
             assert [charge for _, charge in solved] == [cost] * len(run)
             assert ref.used == len(run) * cost
             got = [solution for solution, _ in solved]
+            slack = _minimax.circle_slack(data.line)
             for a, (lo, up, point, exact, lifts), (ref_lo, ref_up, theta, sel) in zip(
                     angles, got, want):
-                ref_point = DualPoint(g, (theta,), sel)
-                assert bits([lo, up, *point.torus_angles]) == bits(
-                    [ref_lo, ref_up, *ref_point.torus_angles]), (E, run)
-                assert point == ref_point and exact is None
+                # the sieve's bracket holds the reference's value, its upper
+                # end within the slack, attained at its point
+                assert lo <= ref_up + 1e-12 and ref_up - 1e-12 <= up <= ref_up + slack, (E, run)
+                attained = approx_error(E, TargetMap.from_angles(E, a), point)
+                assert attained == pytest.approx(up, abs=1e-12) and exact is None
                 # each row's lifts are those of a one-row call
                 row_lifts = None if margin is None else circle_row(
                     data.slopes, a, Budget(10**9), lift_margin=margin)[3]
@@ -810,54 +799,40 @@ class TestScanBlocks:
             got, pooled, _ = run(solve, 2, pool)
         assert got == want and pooled == serial and pool.tasks
 
-    def test_the_pool_solves_the_serial_scans_targets_with_quick_bounds(self, monkeypatch):
-        with_quick_bounds(monkeypatch, self.test_the_pool_solves_the_serial_scans_targets)
-
     def test_stale_verdicts_are_read_again(self, monkeypatch):
-        # in {1,2,3,5,8} at n = 8, with a window of 8 probes, the window is
-        # full when the block of targets 140-179 starts, and rolls inside it
-        # (at target 160 and at each change of incumbent): the probes that
-        # fall out of it can no longer close the cells they closed before
-        monkeypatch.setattr(engine, "PROBES", 8)
+        # in {1,2,3,5,8} at n = 8, read as one block of 40 targets, the
+        # incumbent changes inside the block: the targets a threshold sieve
+        # left unsolved are sieved again under the next threshold, and many
+        # are solved then; the decisions are the reference loop's
         E, n = CharacterSet.of_integers([1, 2, 3, 5, 8]), 8
         data = engine._set_data(E)
-        targets = list(engine._grid_targets(engine._shift_basis(data, n), n))[:180]
+        targets = list(engine._grid_targets(engine._shift_basis(data, n), n))[:40]
 
         def scan(decide):
             state = engine._Scan(data, 1e-3, Budget(10**9))
-            status = decide(state, n, blocks(state), grid_cap(n))
+            rows = np.array(targets)
+            status = decide(state, n, iter([engine._Targets.empty(data, len(rows), n, rows)]),
+                            grid_cap(n))
             return status, state.stats, state.budget.used, state.best, state.probes.tolist()
 
-        def blocks(state):
-            # the first 140 targets one a block, then a block of 40
-            for part in [[t] for t in targets[:140]] + [targets[140:]]:
-                if len(part) > 1:
-                    window.append(len(state.probes))
-                rows = np.array(part)
-                yield engine._Targets.empty(data, len(rows), n, rows)
+        verdicts = collections.defaultdict(list)
+        solve = engine._Scan.solve
 
-        window, verdicts = [], collections.defaultdict(list)
-        probe_bounds = engine._probe_bounds
-
-        def spy(rows, *args):
-            out = probe_bounds(rows, *args)
-            if window:
-                # (closes, read, bound) of each target of the block read
-                for row, verdict in zip(map(tuple, rows.tolist()), zip(*(v.tolist() for v in out))):
-                    verdicts[row].append(verdict)
+        def spy(state, angles, order, rows, lift_margin=None, cap=None):
+            out = solve(state, angles, order, rows, lift_margin, cap)
+            for row, lower in zip(map(tuple, rows.tolist()), out.lower.tolist()):
+                verdicts[row].append((cap, not math.isnan(lower)))
             return out
 
         reference = scan(oracles.scan_targets_loop)
-        window.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(engine, "_probe_bounds", spy)
+            patch.setattr(engine._Scan, "solve", spy)
             got = scan(engine._scan_targets)
-        # targets read again after a roll get other verdicts, and some that
-        # a probe closed before are reopened, which the scan then solves
         again = [v for v in verdicts.values() if len(v) > 1]
-        stale = [v for v in again if len(set(v)) > 1]
-        reopened = [v for v in again if any(a[0] and not b[0] for a, b in zip(v, v[1:]))]
-        assert window == [8] and stale and reopened, (window, len(stale), len(reopened))
+        # read again under a higher threshold, and solved there
+        stale = [v for v in again if len({cap for cap, _ in v}) > 1]
+        reopened = [v for v in again if not v[0][1] and any(ok for _, ok in v[1:])]
+        assert len(stale) > 10 and len(reopened) > 10, (len(stale), len(reopened))
         assert got == reference
 
     @pytest.mark.parametrize("solve, lifted", [
@@ -872,11 +847,13 @@ class TestScanBlocks:
     def test_scan_blocks_stay_within_the_element_bound(self, monkeypatch, solve, lifted):
         sizes = []
 
-        # lift_margin arrives by keyword, as tracing hooks that take the
-        # first three arguments positionally need
+        # cap and lift_margin arrive by keyword, as tracing hooks that take
+        # the first three arguments positionally need; the sieve's elements
+        # are its target angles (it bounds its own temporaries), the vertex
+        # kernel's its candidates times characters
         def spy_on(kernel):
             def spy(free, psi, budget, **kw):
-                cost = row_cost(free.reshape(len(free), -1))
+                cost = psi.shape[1] if free.ndim == 1 else row_cost(free)
                 sizes.append((len(psi), len(psi) * cost, kw.get("lift_margin") is not None))
                 return kernel(free, psi, budget, **kw)
             return spy
@@ -929,7 +906,12 @@ class TestDecisionPass:
                 cases.append((partial(alpha_n, E, rng.choice((3, 4, 5, 8)), tol=1e-2), True))
         for elements in ([1, 3], [-4, 3], [-3, 1, 4]):
             cases.append((partial(alpha, CharacterSet.of_integers(elements), tol=0.05), False))
-        inside = stops = 0
+        # threshold passes whose incumbent changes inside a block of hundreds
+        sieved = [partial(alpha_n, CharacterSet.of_integers([1, 4, 12, 38, 154]), 5),
+                  partial(alpha_n, parse_set_spec(
+                      "Z x Z2^3 : [1,0,1,0],[2,1,0,0],[4,1,1,1],[7,0,0,1]")[1], 4)]
+        cases += [(solve, True) for solve in sieved]
+        inside = stops = sieve_inside = 0
         for solve, grid in cases:
             used = solve().work.inner_evals
             for budget in [used] + [rng.randint(1, used - 1) for _ in range(3)]:
@@ -939,6 +921,9 @@ class TestDecisionPass:
                 threads = rng.choice((1, 2))
                 with monkeypatch.context() as patch:
                     patch.setattr(engine, "MAX_RUN", rng.randint(1, 20))
+                    # blocks of a set the sieve solves from 1 to TABLE_BLOCK targets
+                    patch.setattr(engine, "SIEVE_RUN",
+                                  rng.choice([1, 7, 64, engine.SIEVE_RUN, engine.TABLE_BLOCK]))
                     patch.setattr(engine, "_blocks", random_runs)
                     got = solve(budget=budget, threads=threads)
                 assert got == want, (solve, budget, threads)
@@ -946,22 +931,22 @@ class TestDecisionPass:
                     decided = got.work.targets_enumerated + got.work.targets_pruned
                     stops += 1
                     inside += sum(read[:-1]) < decided and read[-1] > 1
-        assert stops >= 20 and inside >= 5, (stops, inside)
-
-    def test_scans_match_the_reference_loop_with_quick_bounds(self, monkeypatch):
-        with_quick_bounds(monkeypatch, self.test_scans_match_the_reference_loop)
+                    sieve_inside += (solve in sieved and sum(read[:-1]) < decided
+                                     and read[-1] > 1)
+        assert stops >= 20 and inside >= 5 and sieve_inside >= 2, (stops, inside, sieve_inside)
 
     def test_targets_solved_ahead_and_pruned_do_not_raise_the_incumbent(self):
         # a target solved before a change of incumbent in its block may be
         # pruned by the new probes while its value beats the incumbent; with
-        # a slack this wide the identity probe prunes every target
-        E, n = CharacterSet.of_integers([1, 3]), 8
+        # a slack this wide the identity probe prunes every target (of a set
+        # that reads probes: the sieve reads none)
+        E, n = parse_set_spec("Z12 : [1],[5]")[1], 8
         data = engine._set_data(E)
         rows = np.array([(1, 2), (3, 7), (5, 4)])
 
         def scan(decide):
             state = engine._Scan(data, 1e-3, Budget(10**9))
-            state.best = engine._Incumbent(0.0, n, (0, 0), DualPoint(E.group, (0.0,), ()), None)
+            state.best = engine._Incumbent(0.0, n, (0, 0), E.group.identity_point(), None)
             block = engine._solve_rows(data, rows * (TWO_PI / n), n, rows, 10**9)
             assert (block.lower > 0.0).all()
             out = decide(state, n, iter([block]), math.pi, 0.01, 4.0, [], None)
@@ -993,14 +978,19 @@ class TestDecisionPass:
         monkeypatch.setattr(engine, "DualPoint", counted)
         monkeypatch.setattr(engine._Scan, "raise_to", spy)
         res = solve()
-        # one dual point per change of incumbent, not one per solved target
+        # one dual point per change of incumbent, not one per solved target;
+        # on a set the sieve solves, the targets its threshold sieve closes
+        # are solved too, and count as pruned
         assert points == [best.point for best in raised]
-        assert res.work.targets_enumerated > 5 * len(raised)
+        solved = res.work.targets_enumerated + (
+            res.work.targets_pruned if engine._set_data(res.chars).line is not None else 0)
+        assert solved > 5 * len(raised)
 
 
 class TestProbeWindow:
     """The probes are the last PROBES witnesses of solved targets, read from
-    a table of grid distances; they and the quick bounds prune soundly."""
+    a table of grid distances; they, and the threshold sieves of the sets
+    that read no probes, prune soundly."""
 
     def test_probe_bounds_match_the_stacked_formula(self):
         # the per-character table gather (n <= targets) and direct evaluation
@@ -1089,74 +1079,58 @@ class TestProbeWindow:
                     E, n, res.alpha, least, largest)
         assert pruned > 200, pruned
 
-    def test_quick_closed_targets_cannot_raise_the_incumbent(self, monkeypatch):
-        # every open cell whose quick bound closes it against the lower end
-        # its pass read holds a target whose exact value is at most that
-        # lower end, on small sets made to read quick bounds and on a set
-        # above the cutover; the brackets contain the exhaustive values
+    def test_threshold_sieves_solve_exactly_or_leave_targets_above(self, monkeypatch):
+        # every target a threshold sieve solves gets its uncapped solution,
+        # bit for bit, and every one it leaves unsolved lies above its cap,
+        # on sets in Z, Z x Z2^k and collinear Z^2; the brackets contain the
+        # exhaustive values
         rng = random.Random(1807)
-        probe_bounds = engine._probe_bounds
-        read = []
+        solve = engine._Scan.solve
+        calls = []
 
-        def spy(rows, probes, n, radius, lower, slack):
-            out = probe_bounds(rows, probes, n, radius, lower, slack)
-            read.append((rows[~out[0]], n, radius, lower, slack))
+        def spy(scan, angles, n, rows, lift_margin=None, cap=None):
+            out = solve(scan, angles, n, rows, lift_margin, cap)
+            if cap is not None:
+                calls.append((scan.data, angles, n, rows, cap, out))
             return out
 
-        monkeypatch.setattr(engine, "_probe_bounds", spy)
+        monkeypatch.setattr(engine._Scan, "solve", spy)
         cases = [(random_group_set(rng, g), n) for g in (GroupSpec(1), GroupSpec(1, (2,)))
                  for n in (3, 4, 5, 6) for _ in range(2)]
-        cases += [(random_group_set(rng, GroupSpec(2)), n) for n in (3, 4)]
-        cases += [(CharacterSet.of_integers([3, 16, 48, 240, 1200]), 5)]
-        closed = 0
+        cases += [(parse_set_spec("Z^2 : [1,-2],[-2,4],[3,-6]")[1], 6),
+                  (CharacterSet.of_integers([3, 16, 48, 240, 1200]), 5)]
+        solved = unsolved = 0
         for E, n in cases:
-            read.clear()
-            data = engine._set_data(E)
-            with monkeypatch.context() as patch:
-                if len(E) <= 3:
-                    patch.setattr(engine, "SCREEN_CUTOVER", 0)
-                assert engine._quick_charge(data) > 0
-                res = alpha_n(E, n)
-            for rows, order, radius, lower, slack in read:
-                quick = engine._quick_bounds(data, rows * (TWO_PI / order)) + radius
-                shut = rows[quick - lower <= slack]
-                if len(shut):
-                    solved = engine._solve_rows(data, shut * (TWO_PI / order), order, shut,
-                                                10**12)
-                    assert (solved.lower <= lower + slack - radius).all(), (E, n, shut, lower)
-                    closed += len(shut)
+            calls.clear()
+            res = alpha_n(E, n)
+            for data, angles, order, rows, cap, out in calls:
+                fresh = engine._solve_rows(data, angles, order, rows, 10**12)
+                got = ~np.isnan(out.lower) & (out.cost > 0)
+                for name in ("lower", "upper", "theta", "sel"):
+                    assert bits(getattr(out, name)[got]) == bits(getattr(fresh, name)[got])
+                missed = np.isnan(out.lower) & (out.cost > 0)
+                assert (fresh.lower[missed] > cap).all(), (E, n, cap)
+                solved, unsolved = solved + got.sum(), unsolved + missed.sum()
             if len(E) <= 3:
                 least, largest = self.exhaustive(E, n)
                 assert res.alpha.lower <= largest + 1e-9 and least - 1e-9 <= res.alpha.upper, (
                     E, n, res.alpha, least, largest)
-        assert closed > 200, closed
+        assert solved > 200 and unsolved > 20, (solved, unsolved)
 
-
-    def test_quick_bounds_are_read_only_as_the_budget_pays(self, monkeypatch):
-        # the first target is solved in full; the budget left then pays for
-        # at most so many quick bounds, and the scan reads no more, stopping
-        # where the reference loop stops
+    def test_threshold_passes_stop_where_the_loop_stops(self, monkeypatch):
+        # budgets that stop a lacunary scan in its first threshold pass, after
+        # a change of incumbent and late: the reference loop's charges
         E, n = CharacterSet.of_integers([3, 16, 48, 240, 1200]), 5
         data = engine._set_data(E)
-        solve, quick = engine._block_targets(data)[1], engine._quick_charge(data)
-        quick_bounds = engine._quick_bounds
-        rows = []
-
-        def spy(data, angles):
-            rows.append(len(angles))
-            return quick_bounds(data, angles)
-
-        monkeypatch.setattr(engine, "_quick_bounds", spy)
+        solve = data.selection_count * engine._block_targets(data)[1]
         stops = 0
-        for budget in (solve + 5 * quick + 7, solve + 40 * quick, 3 * solve + 100 * quick):
-            rows.clear()
+        for budget in (solve + 7, 3 * solve + 1, 40 * solve + solve // 2, 200 * solve):
             got = alpha_n(E, n, budget=budget)
-            assert 0 < sum(rows) * quick <= budget - solve, (budget, rows)
             with monkeypatch.context() as patch:
                 patch.setattr(engine, "_scan_targets", oracles.scan_targets_loop)
                 assert alpha_n(E, n, budget=budget) == got
             stops += got.work.stop_reason == "budget"
-        assert stops == 3
+        assert stops == 4
 
 
 class TestWorkCounters:
@@ -1164,26 +1138,26 @@ class TestWorkCounters:
     inner evaluations, stop reason and ladder."""
 
     # the cells of order 8 close by their certified maxima
-    LADDER = ((2, 2.6179938779914966), (4, 1.8325957145940484), (8, 1.0471975512325988))
+    LADDER = ((2, 2.617993877991495), (4, 1.8325957145940466), (8, 1.0471975512325988))
 
     @pytest.mark.parametrize("solve, work", [
         (lambda: alpha_n(CharacterSet.of_integers([1, 4, 12, 38, 154]), 8),
-         (227, 1829, 1381340, "done", ())),
+         (20, 2036, 8683875, "done", ())),
         (lambda: alpha_n(parse_set_spec(
             "Z x Z2^3 : [3,0,0,0],[3,0,0,1],[6,1,0,0],[6,1,1,0],[8,1,1,0]")[1], 5),
-         (179, 134, 828125, "done", ())),
+         (21, 292, 1344000, "done", ())),
         (lambda: alpha_n(parse_set_spec("Z^2 : [1,0],[0,1],[1,2],[2,-1]")[1], 5),
          (13, 0, 4128, "done", ())),
         (lambda: alpha_n(parse_set_spec("Z13 : [1],[3],[5],[9]")[1], 5),
          (37, 276, 6600, "done", ())),
         (lambda: alpha(CharacterSet.of_integers([-6, 1, 3])),
-         (36, 5, 10553, "done",
-          tuple((n, 1.0471975511906, upper, True) for n, upper in LADDER))),
+         (10, 31, 10026, "done",
+          tuple((n, 1.0471975511905975, upper, True) for n, upper in LADDER))),
         (lambda: alpha_n(CharacterSet.of_integers([1, 2, 3, 5, 8]), 8, budget=60_000),
-         (53, 1034, 60005, "budget", ())),
-        # above the cutover: quick bounds close most of the targets
+         (9, 138, 60060, "budget", ())),
+        # the threshold sieves close most of the targets
         (lambda: alpha_n(CharacterSet.of_integers([3, 16, 48, 240, 1200]), 5),
-         (20, 293, 1329200, "done", ())),
+         (17, 296, 9736835, "done", ())),
     ], ids=["lacunary Z", "Z x Z2^3", "Z^2", "Z13", "lifted Z", "budget stop",
             "lacunary Z above the cutover"])
     def test_work_is_pinned(self, solve, work):
@@ -1261,6 +1235,40 @@ class TestAlphaLadder:
         res = alpha(CharacterSet.of_integers([1, 2, 3]), budget=2000)
         assert not res.certified
 
+    @pytest.mark.parametrize("elements, kw", [
+        ([-3, -1, 6], {"tol": 1e-2}),
+        ([1, 4, 16, 64, 256], {"tol": 1e-3, "budget": 3 * 10**6}),
+    ], ids=["-3,-1,6 by full solves", "Hadamard q=4"])
+    def test_closed_top_is_the_largest_own_bound_of_the_closed_cells(self, monkeypatch,
+                                                                     elements, kw):
+        # cells of sets in Z read no probes, so every closed cell's bound is
+        # its own (value + radius), never a probe's error + radius: each
+        # level's largest closed bound, and the alpha it gives, are the
+        # reference loop's, which bounds closed cells by their own tops
+        monkeypatch.setattr(engine, "LIFT_MAX_SIZE", 0)
+        E = CharacterSet.of_integers(elements)
+
+        def probes(*args):
+            raise AssertionError("a set in Z read probes")
+
+        def run(decide):
+            closed = []
+
+            def spy(*args):
+                out = decide(*args)
+                closed.append(out[0])
+                return out
+
+            with monkeypatch.context() as patch:
+                patch.setattr(engine, "_scan_targets", spy)
+                patch.setattr(engine, "_probe_bounds", probes)
+                return alpha(E, **kw), closed
+
+        got, closed = run(engine._scan_targets)
+        want, ref_closed = run(oracles.scan_targets_loop)
+        assert got == want and closed == ref_closed
+        assert len(closed) >= 3 and max(closed) > 0.0
+
     def test_kappa_variants_order_preserved(self):
         res = alpha(CharacterSet.of_integers([1, 2]))
         lo, hi = res.kappa
@@ -1330,8 +1338,9 @@ class TestModTwoPi:
 
 
 class TestCircleKernel:
-    """The block kernel of the rank-1 solve against the per-selection
-    reference loop: same values, ties, selections and budget charges."""
+    """The rank-1 sieve, alone and over blocks of selections, against the
+    per-selection reference loop: values within the sieve's slack, points
+    attaining them, and the same budget charges."""
 
     GROUPS = ((2, 2, 2), (12,), (3, 4))
 
@@ -1349,10 +1358,21 @@ class TestCircleKernel:
 
     @staticmethod
     def assert_breakpoint_value(slopes, psi, upper):
-        """upper is within the plan's slack of the minimum over every tent
-        kink and crossing, the kinks the kernel skips included."""
-        slack = _minimax.vertex_plan(tuple((int(a),) for a in slopes))[7]
+        """upper is within the sieve's slack of the minimum over every tent
+        kink and crossing."""
+        slack = _minimax.circle_slack(np.asarray(slopes))
         assert abs(upper - oracles.min_error_breakpoints(slopes, psi)[1]) <= slack, (slopes, psi)
+
+    @staticmethod
+    def assert_row(slopes, psi, row, ref):
+        """A sieved row (theta, lower, upper) holds the reference loop's
+        value (lower <= it, upper within the slack of it, upper attained at
+        theta)."""
+        slack = _minimax.circle_slack(np.asarray(slopes))
+        theta, lower, upper = row[:3]
+        assert lower <= ref[2] + 1e-12 and ref[2] - 1e-12 <= upper <= ref[2] + slack, (slopes, psi)
+        at = oracles.circle_objective_loop(slopes, psi, np.array([theta]))[0]
+        assert at == pytest.approx(upper, abs=1e-12), (slopes, psi)
 
     def test_one_row_matches_the_reference(self):
         rng = random.Random(307)
@@ -1361,7 +1381,7 @@ class TestCircleKernel:
             psi = self.random_angles(rng, len(slopes))
             got, want = Budget(10**9), Budget(10**9)
             row = circle_row(slopes, psi, got)
-            assert row == oracles.min_error_circle_loop(slopes, psi, want), (slopes, psi)
+            self.assert_row(slopes, psi, row, oracles.min_error_circle_loop(slopes, psi, want))
             assert got.used == want.used
             self.assert_breakpoint_value(slopes, psi, row[2])
 
@@ -1395,8 +1415,11 @@ class TestCircleKernel:
         full, ref = Budget(10**9), Budget(10**9)
         lower, upper, point, _, _ = engine._solve_target(data, angles, None, full)
         ref_lower, ref_upper, theta, sel = reference(ref)
-        assert (lower, upper) == (ref_lower, ref_upper), (E, angles)
-        assert point == DualPoint(E.group, (theta,), sel)
+        slack = _minimax.circle_slack(slopes)
+        assert lower <= ref_upper + 1e-12 and ref_upper - 1e-12 <= upper <= ref_upper + slack, (
+            E, angles)
+        attained = approx_error(E, TargetMap.from_angles(E, angles), point)
+        assert attained == pytest.approx(upper, abs=1e-12), (E, angles)
         assert full.used == ref.used
         limit = rng.randrange(full.used)
         short, ref = Budget(limit), Budget(limit)
@@ -1420,18 +1443,21 @@ class TestCircleKernel:
             psi = self.random_angles(rng, len(slopes))
             got, want = Budget(10**9), Budget(10**9)
             theta, lower, upper, lifts = circle_row(slopes, psi, got, lift_margin=margin)
-            assert (theta, lower, upper) == oracles.min_error_circle_loop(slopes, psi, want)
+            self.assert_row(slopes, psi, (theta, lower, upper),
+                            oracles.min_error_circle_loop(slopes, psi, want))
             assert got.used == want.used
             assert circle_row(slopes, psi, Budget(10**9)) == (theta, lower, upper)
             self.assert_breakpoint_value(slopes, psi, upper)
-            cands = oracles.circle_candidates_loop(slopes, psi)
-            ref_lifts = circle_lifts(slopes, psi, cands,
-                                     oracles.circle_objective_loop(slopes, psi, cands),
-                                     upper + margin)
-            assert (lifts is None) == (ref_lifts is None)
-            if ref_lifts is not None:
-                assert np.array_equal(lifts[0], ref_lifts[0])
-                assert np.array_equal(lifts[1].view(np.int64), ref_lifts[1].view(np.int64))
+            # the lift classes of the brute-force oracle, those within 1e-9
+            # of the cut either way
+            cut = upper + margin
+            assert (lifts is None) == (cut >= math.pi - _minimax.LIFT_EPS)
+            if lifts is not None:
+                found = dict(zip(map(tuple, lifts[0].tolist()), lifts[1].tolist()))
+                inner = oracles.lifts_within(slopes, psi, cut - 1e-9)
+                outer = oracles.lifts_within(slopes, psi, cut + _minimax.LIFT_EPS + 1e-9)
+                assert set(inner) <= set(found) <= set(outer)
+                assert all(abs(found[c] - outer[c]) <= 1e-9 for c in found)
             limit = rng.randrange(got.used)
             short, ref = Budget(limit), Budget(limit)
             with pytest.raises(BudgetExceededError):
@@ -1697,13 +1723,14 @@ class TestLifts:
         assert res.alpha.width <= 1e-3
 
     def test_lifts_are_sorted_distinct_rows_with_their_least_values(self, monkeypatch):
-        # the reference: np.unique over the rows, least value per row
-        def unique_lifts(slopes, psi, cands, vals, cut):
+        # `_minimax._lift_classes` on lift vectors with repeats, in and across
+        # classes, and tied values; the reference: np.unique over the
+        # canonical rows, least value per row
+        def unique_lifts(slopes, nu, vals, cut):
             near = vals <= cut + _minimax.LIFT_EPS
-            nu = np.rint((slopes[None, :] * cands[near][:, None] - psi[None, :])
-                         / TWO_PI).astype(np.int64)
+            nu = nu[near]
             j0 = int(np.flatnonzero(slopes)[0])
-            nu -= (nu[:, j0] // slopes[j0])[:, None] * slopes[None, :]
+            nu = nu - (nu[:, j0] // slopes[j0])[:, None] * slopes[None, :]
             keys, inverse = np.unique(nu, axis=0, return_inverse=True)
             best = np.full(len(keys), math.inf)
             np.minimum.at(best, inverse.ravel(), vals[near])
@@ -1718,10 +1745,14 @@ class TestLifts:
             cands = np.array([rng.randrange(24) * TWO_PI / 24 for _ in range(rng.randint(1, 40))])
             vals = np.array([rng.choice([0.1, 0.2, 0.3, rng.uniform(0, 1)]) for _ in cands])
             cut = rng.choice([0.15, 0.5, 1.0])
-            got = circle_lifts(slopes, psi, cands, vals, cut)
+            nu = np.rint((slopes[None, :] * cands[:, None] - psi[None, :]) / TWO_PI).astype(np.int64)
+            # the same classes again, moved by multiples of the slopes
+            nu[::3] += rng.randint(-2, 2) * slopes
+            got = _minimax._lift_classes(slopes, np.zeros(len(nu), dtype=np.int64), nu.copy(),
+                                         vals, np.array([cut]))[0]
             if got is None:
                 continue
-            want = unique_lifts(slopes, psi, cands, vals, cut)
+            want = unique_lifts(slopes, nu, vals, cut)
             assert np.array_equal(got[0], want[0]) and got[0].dtype == want[0].dtype
             assert np.array_equal(got[1], want[1])
             checked += 1
@@ -1975,15 +2006,14 @@ class TestLiftedBlocks:
         assert [(c.indices, c.lower, c.order) for c in made] == [
             (tuple(rows[i]), block.lower[i], n) for i in want["incumbents"]], case
         # each incumbent's witness attains its least kept lift, and the
-        # probes are the witnesses' argument rows, newest first, before the
-        # probes the scan began with
+        # probes are those the scan began with: a set the sieve solves reads
+        # and keeps none
         for c, i in zip(made, want["incumbents"]):
             nu, vals = zip(*self.kept_lifts(block, i))
             angles = np.array(rows[i], dtype=np.float64) * (TWO_PI / n)
             s = line_witness(data.slopes, angles + TWO_PI * np.array(nu[int(np.argmin(vals))]))
             assert c.point == DualPoint(data.chars.group, (s % TWO_PI,), ())
-            probes.insert(0, data.point_args(c.point).tolist())
-        assert scan.probes.tolist() == probes[:engine.PROBES]
+        assert scan.probes.tolist() == probes
         assert scan.best is (made[-1] if made else scan.best)
         cells = engine._Cells.gather(opened, m)
         assert cells.rows.tolist() == [rows[i] for i in want["opened"]], case
@@ -2004,10 +2034,10 @@ class TestLiftedBlocks:
                      (32, 1.2026409376533427, 1.22931886449718),
                      (64, 1.2149127839564278, 1.22931886449718),
                      (128, 1.227184630259513, 1.22931886449718)],
-        (-7, -2, 1): [(2, 1.1780972450891756, 2.748893571891072),
-                      (4, 1.1780972450891756, 1.9634954084936238),
-                      (8, 1.1780972450891756, 1.2293188644971802),
-                      (16, 1.1780972450891756, 1.2293188644971802),
+        (-7, -2, 1): [(2, 1.1780972450891725, 2.748893571891069),
+                      (4, 1.1780972450891725, 1.9634954084936207),
+                      (8, 1.1780972450891725, 1.2293188644971802),
+                      (16, 1.1780972450891725, 1.2293188644971802),
                       (32, 1.2026409376533427, 1.22931886449718),
                       (64, 1.2149127839564278, 1.22931886449718),
                       (128, 1.227184630259513, 1.2293188644971798)],
@@ -2015,13 +2045,13 @@ class TestLiftedBlocks:
 
     @pytest.mark.parametrize("elements, budget, levels, lower, evals, solved, pruned, order, "
                              "worst, theta", [
-        ((-2, 1, 7), 12_000, 4, 1.2026409376533427, 12_010, 188, 15, 32, (13, 0, 15),
+        ((-2, 1, 7), 12_000, 4, 1.2026409376533427, 12_002, 140, 19, 32, (13, 0, 15),
          5.080544369477243),
-        ((-2, 1, 7), 20_000, 7, 1.227184630259513, 20_003, 786, 15, 128, (53, 0, 55),
+        ((-2, 1, 7), 20_000, 7, 1.227184630259513, 20_012, 711, 19, 128, (53, 0, 55),
          1.227184630308513),
-        ((-7, -2, 1), 12_000, 4, 1.2026409376533427, 12_009, 200, 13, 32, (31, 19, 16),
+        ((-7, -2, 1), 12_000, 4, 1.2026409376533427, 12_005, 170, 19, 32, (31, 19, 16),
          4.344233591292136),
-        ((-7, -2, 1), 20_000, 7, 1.227184630259513, 20_003, 799, 13, 128, (119, 75, 64),
+        ((-7, -2, 1), 20_000, 7, 1.227184630259513, 20_010, 758, 19, 128, (119, 75, 64),
          1.9144080232812801),
     ], ids=["-2,1,7 at 12000", "-2,1,7 at 20000", "-7,-2,1 at 12000", "-7,-2,1 at 20000"])
     def test_budget_stop_inside_a_lifted_block(self, monkeypatch, elements, budget, levels,

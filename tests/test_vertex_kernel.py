@@ -1,5 +1,7 @@
 """The screened vertex kernel and the batched vertex systems against their
-exhaustive references in `oracles`: the same bits, lifts and charges."""
+exhaustive references in `oracles` (the same bits and charges), and the
+rank-1 sieve against the brute-force oracles (values within its slack, the
+same lift classes and charges)."""
 import itertools
 import math
 import random
@@ -8,8 +10,8 @@ import numpy as np
 import pytest
 
 import oracles
-from kronset import _minimax, engine
-from kronset._minimax import min_error_box, vertex_systems
+from kronset import Character, CharacterSet, GroupSpec, _minimax, engine
+from kronset._minimax import min_error_box, min_error_circle, vertex_systems
 from kronset.cli import parse_set_spec
 from kronset.engine import Budget
 from kronset.errors import BudgetExceededError
@@ -21,28 +23,66 @@ def bits(x):
     return np.asarray(x, dtype=np.float64).view(np.int64)
 
 
-def assert_same(rng, free, psi, lift_margin=None):
+def assert_same(rng, free, psi):
     """`min_error_box` equals `oracles.min_error_box_full` bit for bit, with
-    the same lifts and the same `Budget.used`, in full and cut short."""
+    the same `Budget.used`, in full and cut short."""
     free, psi = np.asarray(free), np.asarray(psi, dtype=np.float64)
     got, want = Budget(10**12), Budget(10**12)
-    out = min_error_box(free, psi, got, lift_margin=lift_margin)
-    ref = oracles.min_error_box_full(free, psi, want, lift_margin=lift_margin)
+    out = min_error_box(free, psi, got)
+    ref = oracles.min_error_box_full(free, psi, want)
     assert len(out) == len(ref)
-    for a, b in zip(out[:3], ref[:3]):
+    for a, b in zip(out, ref):
         assert np.array_equal(bits(a), bits(b)), (free.tolist(), psi.tolist())
-    for a, b in zip(*(o[3] if len(o) > 3 else () for o in (out, ref))):
-        assert (a is None) == (b is None), (free.tolist(), psi.tolist())
-        if b is not None:
-            assert np.array_equal(a[0], b[0]) and np.array_equal(bits(a[1]), bits(b[1]))
     assert got.used == want.used
     limit = rng.randrange(got.used)
     short, ref_short = Budget(limit), Budget(limit)
     with pytest.raises(BudgetExceededError):
-        min_error_box(free, psi, short, lift_margin=lift_margin)
+        min_error_box(free, psi, short)
     with pytest.raises(BudgetExceededError):
-        oracles.min_error_box_full(free, psi, ref_short, lift_margin=lift_margin)
+        oracles.min_error_box_full(free, psi, ref_short)
     assert short.used == ref_short.used
+
+
+def assert_sieved(rng, slopes, psi, lift_margin=None):
+    """`min_error_circle` on rows of targets against the oracles: each
+    value within the sieve's slack of `oracles.min_error_breakpoints`',
+    lower <= value <= upper, upper attained at theta, the lift classes of
+    `oracles.lifts_within` (each value within 1e-9), and the charge of
+    `oracles.min_error_circle_loop` (m per candidate of the old kernel), in
+    full and cut short."""
+    slopes, psi = np.asarray(slopes), np.asarray(psi, dtype=np.float64)
+    got, want = Budget(10**12), Budget(10**12)
+    theta, lower, upper, *lifts = min_error_circle(slopes, psi, got, lift_margin=lift_margin)
+    slack = _minimax.circle_slack(slopes)
+    # the oracle's own rounding, which grows with the slopes
+    eps = 1e-14 * max(1, int(np.abs(slopes).max()))
+    for i, row in enumerate(psi):
+        value = oracles.min_error_breakpoints(slopes.tolist(), row.tolist())[1]
+        oracles.min_error_circle_loop(slopes, row, want)
+        case = (slopes.tolist(), row.tolist())
+        assert lower[i] <= value + eps and value - eps <= upper[i] <= value + slack, case
+        at = oracles.circle_objective_loop(slopes, row, np.array([theta[i]]))[0]
+        assert abs(at - upper[i]) <= 1e-12, case
+        if lift_margin is None:
+            continue
+        cut = upper[i] + lift_margin
+        if not slopes.any() or cut >= math.pi - _minimax.LIFT_EPS:
+            assert lifts[0][i] is None, case
+            continue
+        nu, vals = lifts[0][i]
+        assert [tuple(v) for v in nu.tolist()] == sorted(map(tuple, nu.tolist()))
+        found = dict(zip(map(tuple, nu.tolist()), vals.tolist()))
+        # classes within 1e-9 of the cut may fall either side of it
+        inner = oracles.lifts_within(slopes, row, cut - 1e-9)
+        outer = oracles.lifts_within(slopes, row, cut + _minimax.LIFT_EPS + 1e-9)
+        assert set(inner) <= set(found) <= set(outer), case
+        assert all(abs(found[c] - outer[c]) <= 1e-9 for c in found), case
+    assert got.used == want.used
+    # the whole call is charged before any work
+    short = Budget(rng.randrange(got.used))
+    with pytest.raises(BudgetExceededError):
+        min_error_circle(slopes, psi, short, lift_margin=lift_margin)
+    assert short.used == got.used
 
 
 def random_angles(rng, rows, m):
@@ -59,13 +99,18 @@ def random_angles(rng, rows, m):
 
 @pytest.fixture(params=["screened", "default"])
 def cutover(request, monkeypatch):
-    """Every call screened (cutover 0), or only those at the cutover."""
+    """Every vertex call screened (cutover 0) and every sieve step cut into
+    blocks of a few elements, or the defaults."""
     if request.param == "screened":
         monkeypatch.setattr(_minimax, "SCREEN_CUTOVER", 0)
+        monkeypatch.setattr(_minimax, "CIRCLE_BLOCK", 8)
     return request.param
 
 
 class TestScreenedKernel:
+    """The vertex kernel at free rank 2 and more; at rank 1 (the rank-1
+    tests) the sieve that replaced it there."""
+
     @pytest.mark.parametrize("lift_margin", [None, 0.1, 0.4])
     def test_rank_one_slopes(self, cutover, lift_margin):
         rng = random.Random(601)
@@ -76,16 +121,15 @@ class TestScreenedKernel:
                 slopes += [a, -a]
             rng.shuffle(slopes)
             psi = random_angles(rng, rng.choice([1, 3, 40]), len(slopes))
-            assert_same(rng, np.array(slopes)[:, None], psi, lift_margin)
+            assert_sieved(rng, slopes, psi, lift_margin)
 
     @pytest.mark.parametrize("slopes", [(1, 10, 100, 1000, 10000), (-3, 0, 41, -700, 9999),
                                         (2, 17, 301, 4000), (5, -5, 120, 2400)])
     @pytest.mark.parametrize("lift_margin", [None, 0.1, 0.4])
     def test_lacunary_slopes(self, cutover, slopes, lift_margin):
         rng = random.Random(603)
-        free = np.array(slopes)[:, None]
         for _ in range(2):
-            assert_same(rng, free, random_angles(rng, 2, len(slopes)), lift_margin)
+            assert_sieved(rng, slopes, random_angles(rng, 2, len(slopes)), lift_margin)
 
     @pytest.mark.parametrize("slopes, n, grid", [
         ((-2504, 9370, -6651, 401), 2, (0, 0, 0, 1)),
@@ -94,10 +138,10 @@ class TestScreenedKernel:
         ((4005, 5337, 5007), 6, (4, 2, 1)),
     ])
     def test_ties_the_screen_rounds_apart(self, cutover, slopes, n, grid):
-        # tied minima whose screened values differ by more than the 1e-12
-        # tie window: a cut without the rounding margin drops the least
+        # tied minima that the vertex screen once rounded apart: the sieve
+        # finds the value and a point attaining it
         psi = TWO_PI * np.array([grid], dtype=np.float64) / n
-        assert_same(random.Random(619), np.array(slopes)[:, None], psi)
+        assert_sieved(random.Random(619), slopes, psi)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_torsion_shifted_rows(self, cutover, k):
@@ -110,7 +154,7 @@ class TestScreenedKernel:
             sel = np.array(list(itertools.product(range(2), repeat=k)), dtype=np.float64)
             angles = random_angles(rng, 3, m)
             psi = (angles[:, None, :] - sel @ tau.T).reshape(-1, m)
-            assert_same(rng, slopes[:, None], psi, rng.choice([None, 0.1, 0.4]))
+            assert_sieved(rng, slopes, psi, rng.choice([None, 0.1, 0.4]))
 
     @pytest.mark.parametrize("r", [2, 3])
     def test_plane_and_space_sets(self, cutover, r):
@@ -126,10 +170,19 @@ class TestScreenedKernel:
 
     @pytest.mark.parametrize("r", [1, 2])
     def test_every_row_zero(self, cutover, r):
-        # nothing to screen: every candidate keeps the constant floor
+        # nothing to sieve: every row keeps the constant floor, exactly; a
+        # zero free part of any rank reduces to zero slopes
         rng = random.Random(617)
         for m in (1, 3):
-            assert_same(rng, np.zeros((m, r), dtype=np.int64), random_angles(rng, 64, m))
+            g = GroupSpec(r, (4,))
+            E = CharacterSet(g, tuple(Character(g, [0] * r, (t,)) for t in range(m)))
+            data = engine._SetData(E)
+            assert data.line.tolist() == [0] * m and (data.turn is None) == (r == 1)
+            psi = random_angles(rng, 64, m)
+            assert_sieved(rng, data.line, psi)
+            floor = np.abs(np.mod(psi + math.pi, TWO_PI) - math.pi).max(axis=1)
+            _, lower, upper = min_error_circle(data.line, psi)
+            assert np.array_equal(lower, upper) and np.allclose(upper, floor, atol=1e-15)
 
     def test_the_screen_drops_most_lacunary_candidates(self):
         slopes = np.array([3, 16, 48, 240, 1200])
@@ -142,50 +195,76 @@ class TestScreenedKernel:
         assert 1 <= keep.sum() <= keep.size // 100
 
 
-class TestQuickBound:
-    """`quick_bound` is the exact objective at one candidate of the plan's
-    first 1/QUICK_PART, the best screened one: at least the row's minimum, and
-    within the screen's margin of the slice's least, valued in full."""
+class TestSieve:
+    """The rank-1 sieve under caps below, at and above each row's minimum:
+    a row is solved exactly when its lower end is at most the cap, and then
+    as it is without a cap, bit for bit."""
 
     @staticmethod
-    def check(free, psi):
-        free = np.asarray(free)
-        s, value = _minimax.quick_bound(free, psi)
-        *_, slack, margin, _ = _minimax.vertex_plan(tuple(map(tuple, free.tolist())))
-        full = oracles.quick_bound_full(free, psi)
-        cut = margin[0] * float(np.abs(psi).max()) + margin[1]
-        assert (value >= min_error_box(free, psi)[1]).all(), (free.tolist(), psi.tolist())
-        # its own candidate, a torus point, attains it
-        at_s = np.abs(np.mod(s @ free.T - psi + math.pi, TWO_PI) - math.pi).max(axis=1)
-        assert np.abs(value - at_s).max() <= slack, (free.tolist(), psi.tolist())
-        assert (value >= full - slack).all() and (value <= full + cut).all()
+    def check_caps(slopes, psi, lift_margin=None):
+        slopes = np.asarray(slopes)
+        full = min_error_circle(slopes, psi, lift_margin=lift_margin)
+        slack = _minimax.circle_slack(slopes)
+        for cap in (full[1] - 0.3, full[1] - 2 * slack, full[1], full[2], full[2] + 0.2):
+            for i, value in enumerate(cap.tolist()):
+                got = min_error_circle(slopes, psi[i:i + 1], cap=value, lift_margin=lift_margin)
+                if full[1][i] <= value:
+                    assert bits([g[0] for g in got[:3]]).tolist() == bits([f[i] for f in full[:3]]).tolist()
+                    if lift_margin is not None and full[3][i] is not None:
+                        assert np.array_equal(got[3][0][0], full[3][i][0])
+                        assert np.array_equal(bits(got[3][0][1]), bits(full[3][i][1]))
+                else:
+                    assert np.isnan(got[0][0]) and got[1][0] == got[2][0] == math.inf
+                    assert lift_margin is None or got[3][0] is None
 
-    @pytest.mark.parametrize("r, k", [(1, 0), (1, 2), (2, 0), (2, 1)])
-    def test_bounds_the_minimum_from_its_slice(self, r, k):
-        # Z^r x Z2^k: one row per target and selection, shifted by pi steps
-        rng = random.Random(641 + 4 * r + k)
-        sel = np.array(list(itertools.product(range(2), repeat=k)), dtype=np.float64)
-        for case in range(30):
-            m = rng.randint(2, 5)
-            big = rng.choice([3, 9, 40]) if r == 1 else rng.choice([2, 4])
-            free = [[rng.choice([0, rng.randint(-big, big)]) for _ in range(r)] for _ in range(m)]
-            if case % 3 == 1:
-                free[-1] = [rng.choice([-2, 3]) * a for a in free[0]]
-            tau = np.pi * np.array([[rng.randrange(2) for _ in range(k)] for _ in range(m)])
-            angles = random_angles(rng, 3, m)
-            self.check(free, (angles[:, None, :] - sel.reshape(2**k, k) @ tau.reshape(m, k).T)
-                       .reshape(-1, m))
+    def test_random_slopes_under_caps(self):
+        # zeros, negatives and repeated slopes in [-12, 12]
+        rng = random.Random(631)
+        for _ in range(80):
+            slopes = [rng.choice([0, rng.randint(-12, 12)]) for _ in range(rng.randint(1, 5))]
+            if rng.random() < 0.3:
+                slopes.append(rng.choice(slopes) or 5)
+            psi = random_angles(rng, 3, len(slopes))
+            self.check_caps(slopes, psi, rng.choice([None, 0.1, 0.4]))
 
-    @pytest.mark.parametrize("slopes", [(3, 16, 48, 240, 1200), (1, 4, 12, 38, 154)])
-    def test_lacunary_slopes(self, slopes):
-        # the slice is 1/QUICK_PART of the candidates, and a row of it is
-        # charged 1/QUICK_PART of the solve
-        key = tuple((a,) for a in slopes)
-        assert (_minimax.quick_size(key) * len(slopes) * _minimax.QUICK_PART
-                <= vertex_systems(key)[1])
+    @pytest.mark.parametrize("slopes", [(1, 4, 16, 64, 256, 1024, 4096), (3, 16, 48, 240, 1200),
+                                        (-4096, 512, -64, 8, 1)])
+    def test_lacunary_slopes_under_caps(self, slopes):
+        rng = random.Random(637)
+        self.check_caps(slopes, random_angles(rng, 4, len(slopes)))
+        assert_sieved(rng, slopes, random_angles(rng, 3, len(slopes)), 0.05)
+
+    def test_no_minimum_exceeds_the_full_cap(self):
+        # m' nonzero slopes leave a point within pi (1 - 1/m') of every target
+        rng = random.Random(641)
+        worst = 0.0
+        for _ in range(300):
+            slopes = np.array([rng.choice([-1, 1]) * rng.randint(1, 12)
+                               for _ in range(rng.randint(1, 5))])
+            psi = random_angles(rng, 8, len(slopes))
+            bound = math.pi * (1 - 1 / len(slopes))
+            _, lower, upper = min_error_circle(slopes, psi)
+            assert (lower <= bound + 1e-12).all(), (slopes.tolist(), psi.tolist())
+            worst = max(worst, float((upper - bound).max()))
+        assert worst > -0.5
+
+    @pytest.mark.parametrize("spec", ["Z^2 : [1,2],[2,4],[-3,-6]", "Z^2 : [2,-1],[-4,2],[6,-3]",
+                                      "Z^3 : [1,1,0],[3,3,0],[0,0,0],[-2,-2,0]"])
+    def test_collinear_sets_sieve_their_line(self, spec):
+        # B = A U has one column: the sieve runs on its slopes, and the torus
+        # point U theta attains the value
+        E = parse_set_spec(spec)[1]
+        data = engine._SetData(E)
+        assert data.line is not None and data.turn is not None
         rng = random.Random(643)
-        for _ in range(4):
-            self.check(np.array(slopes)[:, None], random_angles(rng, 8, len(slopes)))
+        for _ in range(10):
+            angles = random_angles(rng, 1, len(E))[0]
+            lower, upper, point, _, _ = engine._solve_target(data, angles, None, Budget(10**9))
+            value = oracles.min_error_breakpoints(data.line.tolist(), angles.tolist())[1]
+            assert lower <= value + 1e-12 <= upper + 2e-12
+            assert upper <= value + _minimax.circle_slack(data.line)
+            phi = engine.TargetMap.from_angles(E, angles)
+            assert engine.approx_error(E, phi, point) == pytest.approx(upper, abs=1e-12)
 
 
 class TestVertexSystems:
@@ -214,14 +293,14 @@ class TestVertexSystems:
 
 
 class TestTentKinks:
-    """At free rank 1 with two or more nonzero rows, no system pairs the two
-    signs of one row: both largest means a value of 0, which every pair's
-    crossing then attains too.  One nonzero row keeps its kinks, and free
-    rank 2 and more keeps every system."""
+    """The charge of a rank-1 row (`_minimax.circle_unit`) is that of the
+    old rank-1 vertex kernel without each tent's own kinks: m per crossing
+    of two nonzero rows, or m per kink of a lone one; and the sieve finds a
+    minimum of 0, where every pair's crossing meets."""
 
     @staticmethod
     def per_row(b):
-        """Candidates a row of B = `b` (r' = 1) is valued at: 0, then the
+        """Candidates a row of B = `b` (r' = 1) is charged for: 0, then the
         kinks of a lone nonzero slope or the crossings of each pair."""
         nz = [a for (a,) in b if a]
         if len(nz) == 1:
@@ -235,10 +314,11 @@ class TestTentKinks:
         "Z^2 : [1,2],[2,4],[-3,-6]", "Z^2 : [1,0],[0,1]", "Z^2 : [1,0],[0,1],[2,-1]"])
     def test_targets_of_minimum_zero(self, spec):
         # psi_k = a_k.s0 plus a torsion selection's shift: the minimum is 0,
-        # and a kernel missing the vertex there gives it a positive upper end
+        # and a kernel missing the point there gives it a positive upper end
         E = parse_set_spec(spec)[1]
         data = engine._set_data(E)
-        slack = _minimax.vertex_plan(data.free_key)[7]
+        slack = (_minimax.vertex_plan(data.free_key)[7] if data.line is None
+                 else _minimax.circle_slack(data.line))
         rng = random.Random(659)
         for _ in range(8):
             s0 = [rng.uniform(0, TWO_PI) for _ in range(E.group.free_rank)]
@@ -251,19 +331,20 @@ class TestTentKinks:
             assert lower == 0.0 and upper <= slack, (spec, angles.tolist())
 
     def test_one_nonzero_slope_keeps_its_kinks(self):
-        # the candidates are 0 and the kinks, whose targets are every angle
+        # 0 and the 2|a| kinks, whose targets are every angle
         for slopes in ((7,), (0, -5), (0, 3, 0, 0)):
-            key = tuple((a,) for a in slopes)
             nz = [a for a in slopes if a][0]
-            assert vertex_systems(key)[1] == len(slopes) * (1 + 2 * abs(nz))
+            assert _minimax.circle_unit(slopes) == len(slopes) * (1 + 2 * abs(nz))
 
     @pytest.mark.parametrize("key", [((1, 2), (2, 4), (-3, -6)), ((2, -2), (0, 0), (-1, 1)),
                                      ((1, 2), (0, 0))])
     def test_collinear_plane_sets_follow_the_rule(self, key):
-        # column_echelon leaves one column, so the rank-1 rule applies to it
-        systems, cost, b, cols = vertex_systems(key)
-        assert len(b[0]) == 1 and cols is not None
-        assert cost == len(key) * self.per_row(b)
+        # column_echelon leaves one column, whose slopes a row is charged for
+        g = GroupSpec(2)
+        data = engine._SetData(CharacterSet(g, tuple(Character(g, row, ()) for row in key)))
+        b = tuple((a,) for a in data.line.tolist())
+        assert data.turn is not None
+        assert engine._block_targets(data)[1] == len(key) * self.per_row(b)
         assert vertex_systems.__wrapped__(key) == oracles.vertex_systems_loop(key)
 
     def test_the_charge_a_row_is_pinned(self):
@@ -272,6 +353,5 @@ class TestTentKinks:
         for _ in range(200):
             slopes = [rng.choice([0, rng.randint(-30, 30)]) for _ in range(rng.randint(1, 6))]
             key = tuple((a,) for a in slopes)
-            assert vertex_systems(key)[1] == len(slopes) * self.per_row(key), slopes
-        key = ((3,), (16,), (48,), (240,), (1200,))
-        assert vertex_systems(key)[1] == 5 * 6029
+            assert _minimax.circle_unit(slopes) == len(slopes) * self.per_row(key), slopes
+        assert _minimax.circle_unit((3, 16, 48, 240, 1200)) == 5 * 6029
