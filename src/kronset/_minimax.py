@@ -259,10 +259,9 @@ def _residuals(coeffs, coords, u):
 
 def _screened(b, cands, psi):
     """Rows x candidates: the objective at the unreduced candidates `cands`,
-    in turns, each character's residual reduced by its nearest integer (6
-    array passes a character at free rank 1, where `_dist_array` takes
-    about 17).  Within the plan's margin of the exact value (see
-    `vertex_plan`)."""
+    in turns, each character's residual reduced by its nearest integer (a
+    few array passes a character, where `_dist_array` takes about 17).
+    Within the plan's margin of the exact value (see `vertex_plan`)."""
     turn = 1.0 / TWO_PI
     coords = np.multiply(cands, turn)
     psi = (psi * turn).T[:, :, None].copy()
@@ -395,21 +394,20 @@ def _torus_point(cols, theta: np.ndarray) -> np.ndarray:
 LIFT_EPS = 1e-9
 
 
-def _line_terms(slopes: np.ndarray):
-    """Index pairs (j, k) of nonzero slopes and indices of zero slopes."""
-    return _line_terms_of(tuple(slopes.tolist()))
-
-
 @lru_cache(maxsize=256)
-def _line_terms_of(slopes: tuple):
+def _line_terms(slopes: tuple):
+    """Index pairs (j, k) of nonzero slopes, indices of zero slopes, and
+    a_j, a_k and |a_j| + |a_k| over the pairs as floats."""
     nz = np.flatnonzero(slopes)
     j, k = np.triu_indices(len(nz), 1)
-    return nz[j], nz[k], np.flatnonzero(np.asarray(slopes) == 0)
+    a = np.array(slopes, dtype=np.float64)
+    j, k = nz[j], nz[k]
+    return j, k, np.flatnonzero(a == 0), a[j], a[k], np.abs(a[j]) + np.abs(a[k])
 
 
 def line_term_count(slopes: np.ndarray) -> int:
     """Terms `line_distances` takes the largest of, per lift (at least 1)."""
-    j, _, zero = _line_terms(slopes)
+    j, _, zero, *_ = _line_terms(tuple(slopes.tolist()))
     return max(1, len(j) + len(zero))
 
 
@@ -418,9 +416,8 @@ def _line_values(slopes: np.ndarray, u: np.ndarray) -> np.ndarray:
     pair's (a_k u_j - a_j u_k) / (|a_j| + |a_k|), then each zero slope's
     u_k.  Each is linear in u with a gradient of L1 norm 1 that is
     orthogonal to the slopes (`_line_pieces`)."""
-    a = slopes.astype(np.float64)
-    j, k, zero = _line_terms(slopes)
-    terms = (u[..., j] * a[k] - u[..., k] * a[j]) / (np.abs(a[j]) + np.abs(a[k]))
+    j, k, zero, aj, ak, norm = _line_terms(tuple(slopes.tolist()))
+    terms = (u[..., j] * ak - u[..., k] * aj) / norm
     return np.concatenate([terms, u[..., zero]], axis=-1) if zero.size else terms
 
 
@@ -437,25 +434,22 @@ def line_distances(slopes: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def line_witness(slopes: np.ndarray, u: np.ndarray) -> float:
     """A real s attaining `line_distances` for one lift u (`_crossings`)."""
-    return float(_crossings(slopes, u[None], np.abs(_line_values(slopes, u[None])))[0])
+    return float(_crossings(slopes, u[None])[0])
 
 
-def _crossings(slopes: np.ndarray, u: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """A real s attaining `line_distances` for each row of lifts u, given
-    their `_line_values` terms' sizes: the crossing of the pair of largest
-    term, where the largest of the V-shapes is least, or the zero of a lone
-    nonzero slope (0 with none)."""
-    a = slopes.astype(np.float64)
-    j, k, _ = _line_terms(slopes)
+def _crossings(slopes: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """A real s attaining `line_distances` for each row of lifts u: the
+    crossing of the pair of largest term, where the largest of the V-shapes
+    is least, or the zero of a lone nonzero slope (0 with none)."""
+    j, k, _, aj, ak, _ = _line_terms(tuple(slopes.tolist()))
     if not len(j):
         nz = np.flatnonzero(slopes)[:1]
-        return u[:, nz].sum(axis=1) / a[nz].sum() if len(nz) else np.zeros(len(u))
-    pick = terms[:, :len(j)].argmax(axis=1)
-    j, k = j[pick], k[pick]
+        return u[:, nz].sum(axis=1) / float(slopes[nz].sum()) if len(nz) else np.zeros(len(u))
+    pick = np.abs(_line_values(slopes, u)[:, :len(j)]).argmax(axis=1)
     at = np.arange(len(u))
-    same = a[j] * a[k] > 0
-    return np.where(same, u[at, j] + u[at, k], u[at, j] - u[at, k]) / np.where(
-        same, a[j] + a[k], a[j] - a[k])
+    uj, uk, aj, ak = u[at, j[pick]], u[at, k[pick]], aj[pick], ak[pick]
+    same = aj * ak > 0
+    return np.where(same, uj + uk, uj - uk) / np.where(same, aj + ak, aj - ak)
 
 
 def circle_unit(slopes) -> int:
@@ -476,61 +470,46 @@ def circle_slack(slopes: np.ndarray) -> float:
 def _sieve(a: np.ndarray, q: np.ndarray, reach: float):
     """(row, arcs) of every nonempty intersection of one arc a character,
     {t : |a_i t - q_i - j_i| <= reach} in turns, for the rows q (k x m') of
-    targets, slopes a positive and non-decreasing: each intersection's row
-    and arc indices j.  Each character after the first cuts every interval
-    by the (at most K) arcs meeting it, as (intervals x K) arrays; rows whose
-    step would pass CIRCLE_BLOCK elements are halved and sieved again."""
+    targets, slopes a positive and non-decreasing: each intersection's row,
+    in order, and its arcs' indices j (as floats).  Each character after
+    the first cuts every interval by the (at most K) arcs meeting it, as
+    (intervals x K) arrays; where that would pass CIRCLE_BLOCK elements the
+    rows are halved and each half sieved on its own."""
     k, count = q.shape
     a0 = int(a[0])
-    step = max(1, CIRCLE_BLOCK // a0)
-    chunks = [np.arange(start, min(start + step, k)) for start in range(0, k, step)][::-1]
-    rows, arcs = [], []
-    while chunks:
-        part = chunks.pop()
-        row = np.repeat(part, a0)
-        j = np.tile(np.arange(a0), len(part))
-        lo = (q[row, 0] + j - reach) / a0
-        hi = lo + 2 * reach / a0
-        back, picks = [], [j]
-        for i in range(1, count):
-            ai = float(a[i])
-            x = q[row, i]
-            first = np.ceil(ai * lo - reach - x)
-            width = int((np.floor(ai * hi + reach - x) - first).max(initial=-1)) + 1
-            if width * len(row) > CIRCLE_BLOCK and len(part) > 1:
-                chunks += [part[len(part) // 2:], part[:len(part) // 2]]
-                break
-            j = first[:, None] + np.arange(width)
-            c = (x[:, None] + j - reach) / ai
-            lo = np.maximum(lo[:, None], c)
-            c += 2 * reach / ai
-            hi = np.minimum(hi[:, None], c)
-            src, at = np.nonzero(lo <= hi)
-            lo, hi, row = lo[src, at], hi[src, at], row[src]
-            back.append(src)
-            picks.append(j[src, at].astype(np.int64))
-        else:
-            # each interval's arcs, by the intervals it was cut from
-            out = np.empty((len(row), count), dtype=np.int64)
-            at = np.arange(len(row))
-            for i in range(count - 1, -1, -1):
-                out[:, i] = picks[i][at]
-                if i:
-                    at = back[i - 1][at]
-            rows.append(row)
-            arcs.append(out)
-    return (np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64),
-            np.concatenate(arcs) if arcs else np.zeros((0, count), dtype=np.int64))
+    row = np.repeat(np.arange(k), a0)
+    arcs = np.tile(np.arange(a0, dtype=np.float64), k)[:, None]
+    lo = (q[row, 0] + arcs[:, 0] - reach) / a0
+    hi = lo + 2 * reach / a0
+    for i in range(1, count):
+        x = q[row, i]
+        first = np.ceil(a[i] * lo - reach - x)
+        width = int((np.floor(a[i] * hi + reach - x) - first).max(initial=-1)) + 1
+        if width * len(row) > CIRCLE_BLOCK and k > 1:
+            (r0, n0), (r1, n1) = _sieve(a, q[:k // 2], reach), _sieve(a, q[k // 2:], reach)
+            return np.concatenate([r0, r1 + k // 2]), np.concatenate([n0, n1])
+        j = first[:, None] + np.arange(width)
+        c = (x[:, None] + j - reach) / a[i]
+        lo = np.maximum(lo[:, None], c)
+        c += 2 * reach / a[i]
+        hi = np.minimum(hi[:, None], c)
+        src, at = np.nonzero(lo <= hi)
+        lo, hi, row = lo[src, at], hi[src, at], row[src]
+        arcs = np.concatenate([arcs[src], j[src, at, None]], axis=1)
+    return row, arcs
 
 
 @lru_cache(maxsize=256)
 def _circle_plan(slopes: tuple):
-    """(zero mask, nonzero indices, those in increasing |a|, their signs,
-    their |a|, `circle_slack`) of a slope tuple."""
+    """(zero mask, nonzero indices in increasing |a|, their slopes, signs
+    and |a| as floats, `circle_slack`, pairs of nonzero slopes) of a slope
+    tuple."""
     a = np.array(slopes, dtype=np.int64)
     nz = np.flatnonzero(a)
     order = nz[np.argsort(np.abs(a[nz]), kind="stable")]
-    return a == 0, nz, order, np.sign(a[order]), np.abs(a[order]), circle_slack(a)
+    line = a[order].astype(np.float64)
+    return (a == 0, order, line[None, :, None], np.sign(line) / TWO_PI, np.abs(line),
+            circle_slack(a), len(nz) * (len(nz) - 1) // 2)
 
 
 def min_error_circle(slopes: np.ndarray, psi: np.ndarray, budget=None, *, cap=None,
@@ -540,59 +519,65 @@ def min_error_circle(slopes: np.ndarray, psi: np.ndarray, budget=None, *, cap=No
     each row charged `circle_unit` to `budget` (None: the caller has paid).
 
     `_sieve` lists a row's lift classes (lifts nu modulo the slopes) below
-    its reach, valued by `line_distances`.  theta is the least reduced
-    `_crossings` point of the classes whose nonzero slopes' part is within
-    1e-12 of its least (the zero slopes add a constant), upper the
-    objective there, lower = min(least value, upper) - `circle_slack`.
-    Without a cap the reach is pi (1 - 1/m') for m' nonzero slopes, which
-    always holds the minimum: m' sets of measure 2 (pi - U) cannot cover
-    the circle once U > pi (1 - 1/m').  With one, the rows whose lower end
-    passes it get theta nan and lower = upper = inf; the others get the
-    results they get without a cap, bit for bit.  Given lift_margin, each
-    solved row's classes of value at most upper + lift_margin (+ LIFT_EPS)
-    too (`_lift_classes`); the sieve then reaches lift_margin further.
+    its reach, valued by `line_distances` a block of about CIRCLE_BLOCK
+    terms at a time.  theta is the least reduced `_crossings` point of the
+    classes whose nonzero slopes' part is within 1e-12 of its least (the
+    zero slopes add a constant), upper the objective there, lower =
+    min(least value, upper) - `circle_slack`.  Without a cap the reach is
+    pi (1 - 1/m') for m' nonzero slopes, which always holds the minimum: m'
+    sets of measure 2 (pi - U) cannot cover the circle once U > pi (1 -
+    1/m').  With one, the rows whose lower end passes it get theta nan and
+    lower = upper = inf; the others get the results they get without a cap,
+    bit for bit.  Given lift_margin, each solved row's classes of value at
+    most upper + lift_margin (+ LIFT_EPS) too (`_lift_classes`); the sieve
+    then reaches lift_margin further.
     """
     if budget is not None:
         budget.charge(len(psi) * circle_unit(slopes.tolist()))
     k, m = psi.shape
-    zero, nz, order, sign, steps, slack = _circle_plan(tuple(slopes.tolist()))
-    const_err = _dist_array(psi[:, zero]).max(axis=1) if len(nz) < m else np.zeros(k)
-    limit = math.pi * (1 - 1 / max(len(nz), 1)) if cap is None else cap
-    live = np.flatnonzero(const_err <= limit) if cap is not None else np.arange(k)
-    if len(nz):
+    zero, order, line, turn, steps, slack, pairs = _circle_plan(tuple(slopes.tolist()))
+    flat = len(order) < m
+    const_err = _dist_array(psi[:, zero]).max(axis=1) if flat else np.zeros(k)
+    limit = math.pi * (1 - 1 / max(len(order), 1)) if cap is None else cap
+    row = np.flatnonzero(const_err <= limit) if cap is not None and flat else np.arange(k)
+    nu = np.empty((len(row), m), dtype=np.int64)
+    if len(order):
         # with lifts and no cap a row's value may be its zero slopes' constant
         span = (max(limit, float(const_err.max(initial=0.0)))
                 if cap is None and lift_margin is not None else limit)
         reach = min(span + (lift_margin or 0.0), math.pi - LIFT_EPS) + LIFT_EPS + 2 * slack
-        row, arcs = _sieve(steps, psi[live][:, order] * (sign / TWO_PI), reach / TWO_PI)
-        row = live[row]
-        nu = np.empty((len(row), m), dtype=np.int64)
-        nu[:, order] = arcs * sign
-    else:
-        row, nu = live, np.empty((len(live), m), dtype=np.int64)
-    if len(nz) < m:
+        at, arcs = _sieve(steps, psi[row][:, order] * turn, reach / TWO_PI)
+        row, nu = row[at], np.empty((len(at), m), dtype=np.int64)
+        nu[:, order] = arcs * (turn * TWO_PI)
+    if flat:
         nu[:, zero] = np.rint(-psi[row][:, zero] / TWO_PI)
     u = psi[row] + TWO_PI * nu
-    terms = np.abs(_line_values(slopes, u))
-    vals = terms.max(axis=-1, initial=0.0)
+    # the largest pair term of each class, a block at a time; zero slopes
+    # add theirs
+    part = np.zeros(len(u))
+    step = max(1, CIRCLE_BLOCK // max(pairs, 1))
+    for c in range(0, len(u) if pairs else 0, step):
+        part[c:c + step] = np.abs(_line_values(slopes, u[c:c + step])[:, :pairs]).max(axis=1)
+    vals = np.maximum(part, np.abs(u[:, zero]).max(axis=1)) if flat else part
     vmin = np.full(k, np.inf)
     np.minimum.at(vmin, row, vals)
-    # the witness is the least point among the classes whose nonzero slopes'
-    # terms are within 1e-12 of least: those, unlike the ties of the zero
-    # slopes' constant, are found under any cap that solves the row
-    pairs = terms[:, :len(nz) * (len(nz) - 1) // 2].max(axis=-1, initial=0.0)
-    least = np.full(k, np.inf)
-    np.minimum.at(least, row, pairs)
-    near = pairs <= least[row] + 1e-12
-    theta = np.full(k, np.inf)
-    np.minimum.at(theta, row[near], np.mod(_crossings(slopes, u[near], terms[near]), TWO_PI))
-    upper, lower = np.full(k, np.inf), np.full(k, np.inf)
-    got = np.flatnonzero(np.isfinite(vmin))
-    upper[got] = _objective(slopes[nz].astype(np.float64)[None, :, None], theta[None, got],
-                            psi[got][:, nz, None], const_err[got])
-    lower[got] = np.maximum(np.maximum(const_err[got],
-                                       np.minimum(vmin[got], upper[got]) - slack), 0.0)
-    missed = lower > limit if cap is not None else ~np.isfinite(lower)
+    # the witness is the least point among the classes whose pair part is
+    # within 1e-12 of least: those, unlike the ties of the zero slopes'
+    # constant, are found under any cap that solves the row
+    least = vmin
+    if flat:
+        least = np.full(k, np.inf)
+        np.minimum.at(least, row, part)
+    near = part <= least[row] + 1e-12
+    # 2 pi stands for no point: np.mod may round a point up to it
+    theta = np.full(k, TWO_PI)
+    np.minimum.at(theta, row[near], np.mod(_crossings(slopes, u[near]), TWO_PI))
+    upper = np.maximum(_dist_array(line * theta[:, None, None] - psi[:, order, None]).max(
+        axis=1, initial=0.0)[:, 0], const_err)
+    lower = np.maximum(np.maximum(const_err, np.minimum(vmin, upper) - slack), 0.0)
+    missed = np.isinf(vmin)
+    if cap is not None:
+        missed |= lower > limit
     theta[missed], lower[missed], upper[missed] = np.nan, np.inf, np.inf
     if lift_margin is None:
         return theta, lower, upper
@@ -603,28 +588,25 @@ def _lift_classes(slopes: np.ndarray, row: np.ndarray, nu: np.ndarray, vals: np.
                   cut: np.ndarray) -> list:
     """Per row, its classes (rows of nu, in `row`) of value at most its cut
     + LIFT_EPS, as (nu - (nu_j // a_j) a at the first nonzero slope j,
-    values) in lexicographic order; None for a row whose cut reaches pi -
-    LIFT_EPS, where a class has no longer one arc a character, or when
-    every slope is 0."""
+    values), distinct, in lexicographic order, each with its least value;
+    None for a row whose cut reaches pi - LIFT_EPS, where a class has no
+    longer one arc a character, or when every slope is 0."""
     lifts = [None] * len(cut)
-    if not slopes.any():
+    near = vals <= np.where(cut < math.pi - LIFT_EPS, cut, -np.inf)[row] + LIFT_EPS
+    if not slopes.any() or not near.any():
         return lifts
-    ok = cut < math.pi - LIFT_EPS
-    near = ok[row] & (vals <= np.where(ok, cut, -np.inf)[row] + LIFT_EPS)
     row, nu, vals = row[near], nu[near], vals[near]
     j0 = int(np.flatnonzero(slopes)[0])
-    nu -= (nu[:, j0] // slopes[j0])[:, None] * slopes[None, :]
+    nu -= (nu[:, j0] // slopes[j0])[:, None] * slopes
     order = np.lexsort((*nu.T[::-1], row))
     row, nu, vals = row[order], nu[order], vals[order]
     head = np.ones(len(row), dtype=bool)
     head[1:] = (row[1:] != row[:-1]) | (nu[1:] != nu[:-1]).any(axis=1)
-    if not len(row):
-        return lifts
     at = np.flatnonzero(head)
-    row, nu, vals = row[at], nu[at], np.minimum.reduceat(vals, at)
-    bounds = np.flatnonzero(np.diff(row)) + 1
-    for r, n, v in zip(np.split(row, bounds), np.split(nu, bounds), np.split(vals, bounds)):
-        lifts[int(r[0])] = (n, v)
+    row, nu, vals = row[at].tolist(), nu[at], np.minimum.reduceat(vals, at)
+    bounds = [i for i in range(len(row) + 1) if i in (0, len(row)) or row[i] != row[i - 1]]
+    for start, stop in zip(bounds, bounds[1:]):
+        lifts[row[start]] = (nu[start:stop], vals[start:stop])
     return lifts
 
 

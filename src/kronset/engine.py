@@ -289,16 +289,15 @@ class _SetData:
             )
         else:
             self.tau = np.zeros((self.m, 0))
-        self.slopes = self.free[:, 0].copy() if self.r == 1 else None
         self.free_key = tuple(map(tuple, self.free.tolist()))
         # a free part of reduced rank at most 1, B = A U with one column, is
-        # solved on the circle: line holds B's slopes and turn U's column
-        # (None in Z^1, where B = A), so the torus point is theta * turn
+        # solved on the circle: line holds B's slopes (the set's own in Z)
+        # and turn U's column (None in Z), so the torus point is theta * turn
         self.line = self.turn = None
         if self.r:
             h, u, rank = column_echelon(self.free_key)
             if rank <= 1:
-                self.line = self.slopes if self.r == 1 else np.array(h[0], dtype=np.int64)
+                self.line = self.free[:, 0].copy() if self.r == 1 else np.array(h[0])
                 self.turn = None if self.r == 1 else np.array(u[0], dtype=np.float64)
         self.selection_count = g.dual_torsion_size
         self._units = np.array(self.unit_rows, dtype=exact_dtype(
@@ -527,8 +526,7 @@ def _solve_free(data: _SetData, angles: np.ndarray, out: _Targets,
         if data.line is None:
             got = min_error_box(data.free, psi, None)
         else:
-            # the kernel's first three arguments go by position, as tracing
-            # hooks that read them need
+            # the first three arguments go by position, as tracing hooks need
             got = min_error_circle(data.line, psi, None, cap=reach,
                                    lift_margin=None if data.s else lift_margin)
             got = (got[0][:, None] if data.turn is None
@@ -542,9 +540,10 @@ def _solve_free(data: _SetData, angles: np.ndarray, out: _Targets,
             best[t:t + g][better] = new[better]
         if len(got) > 3:
             lifts[t:t + g] = got[3]
-    # targets whose lower end the sieve did not find within the cap
-    missed = np.isinf(upper[:k]) if cap is None else ~(lower[:k] <= cap)
-    lower[:k][missed] = upper[:k][missed] = np.nan
+    if cap is not None:
+        # targets whose lower end the sieve did not find within the cap
+        missed = ~(lower[:k] <= cap)
+        lower[:k][missed] = upper[:k][missed] = np.nan
 
 
 def _kernel_rows(data: _SetData, angles: np.ndarray, size: int, width: int):
@@ -577,7 +576,7 @@ def best_point(chars: CharacterSet, phi: TargetMap, tol: float = DEFAULT_TOL,
     _check_limits(tolerance=tol, budget=budget)
     data = _set_data(chars)
     b = Budget(budget)
-    b.charge(_system_charge(data))
+    b.charge(subset_count(data.free_key) if data.r and data.line is None else 0)
     grid = (phi.roots_order, phi.grid_indices) if phi.roots_order else None
     lower, upper, point, exact, _ = _solve_target(data, np.asarray(phi.angles), grid, b)
     attained = approx_error(chars, phi, point)
@@ -758,7 +757,7 @@ class _LiftedBlock:
     def witness(self, data: _SetData, n: int, i: int):
         """(DualPoint, None): a point attaining child i's least kept lift."""
         cell = self.take(np.array([i]))
-        s = line_witness(data.slopes, cell.rows[0] * (TWO_PI / n)
+        s = line_witness(data.line, cell.rows[0] * (TWO_PI / n)
                          + TWO_PI * cell.nu[int(cell.vals.argmin())])
         return DualPoint(data.chars.group, (s % TWO_PI,), ()), None
 
@@ -767,7 +766,7 @@ def _lift_margin(data: _SetData, n: int) -> float | None:
     """How far above its value a solved order-n target keeps lifts, on a
     set of at most LIFT_MAX_SIZE characters in Z (else None): LIFT_REACH
     radii of its cell."""
-    if data.slopes is None or data.s or data.m > LIFT_MAX_SIZE:
+    if data.r != 1 or data.s or data.m > LIFT_MAX_SIZE:
         return None
     return LIFT_REACH * math.pi / n
 
@@ -792,7 +791,7 @@ def _cell_tops(data: _SetData, cells: _Cells, n: int):
         slot = np.cumsum(cells.count > 0) - 1
         near = cells.vals <= value[slot[owner]] + (2 * radius + LIFT_EPS)
         u = cells.rows[owner[near]] * (TWO_PI / n) + TWO_PI * cells.nu[near]
-        bound, work[lifted] = cell_maxima(data.slopes, u, slot[owner[near]], len(lifted), radius)
+        bound, work[lifted] = cell_maxima(data.line, u, slot[owner[near]], len(lifted), radius)
         top[lifted] = np.minimum(top[lifted], bound + _lift_slack(data))
     return top, work
 
@@ -820,7 +819,7 @@ def _children(data: _SetData, parents: _Cells, basis: list, n: int, seen: np.nda
     steps = mixed_radix_rows((3,) * m, 0, 3**m) - 1
     per = max(1, CHILD_BLOCK // len(steps))
     radius = math.pi / n
-    terms = line_term_count(data.slopes) if data.slopes is not None else 0
+    terms = line_term_count(data.line) if data.line is not None else 0
     slack = _lift_slack(data)
     lifted = parents.count > 0
     first = np.cumsum(parents.count) - parents.count
@@ -843,7 +842,7 @@ def _children(data: _SetData, parents: _Cells, basis: list, n: int, seen: np.nda
             child = np.repeat(np.arange(len(new)), count)
             nu = parents.nu[pairs]
             # values at the unwrapped angles raw * 2pi/n, nearest the parent
-            vals = line_distances(data.slopes, (raw[new] * (TWO_PI / n))[child] + TWO_PI * nu)
+            vals = line_distances(data.line, (raw[new] * (TWO_PI / n))[child] + TWO_PI * nu)
             values = np.minimum.reduceat(vals, np.cumsum(count) - count)
             cells = _Cells(kids[new], values + slack, values + slack + radius, count,
                            nu + (raw[new] // n)[child], vals)
@@ -966,9 +965,9 @@ def _scan_targets(scan: _Scan, n: int, items, cap: float, radius: float = 0.0,
       at most U; a target it leaves unsolved would raise the incumbent, so
       it is sieved again without a cap and ends the pass.  One
       `_Scan.solve` call sieves every undecided target of the block.  Each
-      target is charged its solve, a second time when sieved again, and a
-      target the threshold sieve closes counts as pruned.  No probes are
-      read.
+      target is charged its solve, a second time when sieved again.  A
+      target the threshold sieve closes counts as pruned, the one that
+      raises the incumbent as enumerated.  No probes are read.
     - Else the probe window (see `_Scan`) is read first: a probe point's
       error is a value bound that closes a cell without solving it (a
       pruned target).  A target reads at most as many probes, newest first,
@@ -991,7 +990,8 @@ def _scan_targets(scan: _Scan, n: int, items, cap: float, radius: float = 0.0,
     data, budget, stats, m = scan.data, scan.budget, scan.stats, scan.data.m
     closed_hi = open_hi = 0.0
     try:
-        budget.charge(0 if budget.used else _system_charge(data))
+        budget.charge(0 if budget.used or not data.r or data.line is not None
+                      else subset_count(data.free_key))
     except BudgetExceededError:
         return closed_hi, open_hi, "budget"
     sieve = data.line is not None
@@ -1005,7 +1005,13 @@ def _scan_targets(scan: _Scan, n: int, items, cap: float, radius: float = 0.0,
     for block in items:
         lifted = isinstance(block, _LiftedBlock)
         rows, lower, upper, cost = block.rows, block.lower, block.upper, block.cost
-        certified = np.zeros(len(rows), dtype=bool)
+
+        def put(at: np.ndarray, cap: float | None = None):
+            """Solve the targets at `at` under `cap`, and certify their cells."""
+            block.put(at, scan.solve(rows[at] * (TWO_PI / n), n, rows[at], lift_margin, cap))
+            if lift_margin is not None:
+                block.certify(data, n, at)
+
         pos = 0
         while pos < len(rows):
             if not sieve and seen // ROLL != rolled:
@@ -1020,50 +1026,30 @@ def _scan_targets(scan: _Scan, n: int, items, cap: float, radius: float = 0.0,
             # per target the charges before its solve: the probes read, or
             # the threshold sieve of a target sieved again
             ahead = np.zeros(here.stop - pos, dtype=np.int64) if probed is None else read * m
-            full = None
             if sieve and not lifted:
-                # the unsolved targets of the block, or the first one before
-                # an incumbent.  A target solved under a cap keeps its
-                # solution, which is its solution under any other, and the
-                # cap reaches SIEVE_REACH past the threshold, so a target
-                # that would raise the incumbent is often solved already
+                # every unsolved target (the first alone before an incumbent),
+                # sieved SIEVE_REACH past the threshold: a target solved under
+                # one cap keeps its solution, which is its solution under any
+                threshold = math.inf if scan.best is None else prior + slack
                 todo = pos + np.flatnonzero(np.isnan(lower[here]))[:1 if scan.best is None else None]
-                threshold = None if scan.best is None else prior + slack
                 if len(todo):
-                    block.put(todo, scan.solve(
-                        rows[todo] * (TWO_PI / n), n, rows[todo], lift_margin,
-                        None if threshold is None else threshold + SIEVE_REACH))
-                full = np.zeros(len(ahead), dtype=bool)
-                full[0] = threshold is None
-                # the first target the threshold sieve leaves unsolved is
-                # sieved again without a cap, and ends the pass
-                over = np.flatnonzero(~(lower[here] <= threshold) & (cost[here] > 0)
-                                      if threshold is not None else full[:0])
-                if len(over):
-                    at = pos + over[:1]
-                    here = slice(pos, int(at[0]) + 1)
-                    ahead, full = ahead[:over[0] + 1], full[:over[0] + 1]
-                    ahead[-1], full[-1] = solve, True
-                    if np.isnan(lower[at[0]]):
-                        block.put(at, scan.solve(rows[at] * (TWO_PI / n), n, rows[at],
-                                                 lift_margin))
+                    put(todo, None if scan.best is None else threshold + SIEVE_REACH)
+                # the first paid target above the threshold is sieved again
+                # without a cap, charged again, and ends the pass
+                over = _first(~(lower[here] <= threshold) & (cost[here] > 0))
+                if over < len(ahead):
+                    here, ahead = slice(pos, pos + over + 1), ahead[:over + 1]
+                    ahead[-1] = solve
+                    if np.isnan(lower[pos + over]):
+                        put(np.array([pos + over]))
             elif not lifted:
                 todo = np.isnan(lower[here]) if probed is None else np.isnan(lower[here]) & ~probed
                 if todo.any():
                     # without an incumbent the first target solved ends the pass
-                    todo = pos + np.flatnonzero(todo)[:1 if scan.best is None else None]
-                    block.put(todo, scan.solve(rows[todo] * (TWO_PI / n), n, rows[todo],
-                                               lift_margin))
+                    put(pos + np.flatnonzero(todo)[:1 if scan.best is None else None])
             # lower ends of the targets a solve decides: nan where pruned, or
             # unsolved (costs 0) as the budget could not pay
             low = lower[here] if probed is None else np.where(probed, np.nan, lower[here])
-            event = _first(low > prior if prior < cap - scan.tol else ~np.isnan(low))
-            if lift_margin is not None and not lifted:
-                # the certificates of the solved targets up to the event
-                done = pos + np.flatnonzero(~np.isnan(low[:event + 1]) & ~certified[here][:event + 1])
-                if len(done):
-                    block.certify(data, n, done)
-                    certified[done] = True
             spent = np.cumsum(ahead + (cost[here] if probed is None
                                        else np.where(probed, 0, cost[here])))
             # the first target whose charges pass the room, or that the room
@@ -1073,7 +1059,9 @@ def _scan_targets(scan: _Scan, n: int, items, cap: float, radius: float = 0.0,
             if not lifted:
                 stop = min(stop, _first(np.isnan(low) if probed is None
                                         else np.isnan(low) & ~probed))
+            event = _first(low > prior if prior < cap - scan.tol else ~np.isnan(low))
             end = min(event + 1, stop)
+            raised = event < stop and low[event] > prior
             status = ("capped" if event < stop and max(low[event], prior) >= cap - scan.tol
                       else "budget" if stop <= event and stop < len(low) else None)
             budget.used += int(spent[end - 1]) if end else 0
@@ -1089,8 +1077,10 @@ def _scan_targets(scan: _Scan, n: int, items, cap: float, radius: float = 0.0,
             done = pos + (np.arange(end) if probed is None else np.flatnonzero(~probed[:end]))
             bound = upper[done] + radius if block.top is None else block.top[done]
             shut = bound - np.maximum(lower[done], prior) <= slack
-            pruned = (0 if probed is None else int(probed[:end].sum())) + (
-                0 if full is None else int((shut & ~full[done - pos]).sum()))
+            # cells the probes or the threshold sieve close are pruned; the
+            # target that raises the incumbent is enumerated
+            pruned = (int(probed[:end].sum()) if probed is not None
+                      else int(shut[:end - raised].sum()) if sieve and not lifted else 0)
             stats.targets_pruned += pruned
             stats.targets_enumerated += end - pruned
             closed_hi = max(closed_hi, float(bound[shut].max(initial=0.0)),
@@ -1101,7 +1091,7 @@ def _scan_targets(scan: _Scan, n: int, items, cap: float, radius: float = 0.0,
                               else block.take(done[~shut], bound[~shut]))
             if not lifted and not sieve and len(done):
                 scan.pending.append(block.args(data, done))
-            if event < stop and low[event] > prior:
+            if raised:
                 i = pos + event
                 point, exact = block.witness(data, n, i)
                 scan.raise_to(_Incumbent(float(lower[i]), n, tuple(rows[i].tolist()),
@@ -1155,12 +1145,6 @@ def _block_targets(data: _SetData) -> tuple[int, int]:
         return max(1, min(SIEVE_RUN, CIRCLE_BLOCK // (data.selection_count * data.m))), unit
     unit = vertex_systems(data.free_key)[1] if data.r else data.m
     return max(1, CIRCLE_BLOCK // (data.selection_count * unit)), unit
-
-
-def _system_charge(data: _SetData) -> int:
-    """What a computation pays up front for the vertex systems of its free
-    part (`subset_count`): nothing unless the vertex kernel solves it."""
-    return subset_count(data.free_key) if data.r and data.line is None else 0
 
 
 def _blocks(data: _SetData, n: int, items):

@@ -150,8 +150,8 @@ def scan_targets_loop(scan, n: int, items, cap: float, radius: float = 0.0,
     (`engine._cell_tops`).  A cell of a lifted block is charged its cost and
     not probed.  Then the target raises the incumbent if its lower end
     beats it, closes or opens by its top (value + radius without lifts), and
-    is counted: as pruned if its threshold sieve solved it and it closes,
-    else as enumerated; the scan stops once the incumbent reaches cap - tol.
+    is counted: as pruned if its threshold sieve solved it and it closes
+    without raising the incumbent, else as enumerated; the scan stops once the incumbent reaches cap - tol.
     Before every engine.ROLL-th item, from the first, the window rolls too
     (on a set that reads probes): the pending rows go, newest first, before
     the probes, which keep engine.PROBES.  Solutions a block already carries
@@ -210,14 +210,15 @@ def scan_targets_loop(scan, n: int, items, cap: float, radius: float = 0.0,
                         budget.charge(int(work[0]))
             except BudgetExceededError:
                 return closed_hi, open_hi, "budget"
-            if scan.best is None or lower > scan.best.lower:
+            raised = scan.best is None or lower > scan.best.lower
+            if raised:
                 if lifted:
                     point, exact = block.witness(data, n, i)
                 scan.best = engine._Incumbent(lower, n, tuple(indices), point, exact)
                 roll()
             bound = float(cell.top[0])
             shut = bound - scan.best.lower <= slack
-            if shut and threshold is not None:
+            if shut and threshold is not None and not raised:
                 stats.targets_pruned += 1
             else:
                 stats.targets_enumerated += 1

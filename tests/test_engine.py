@@ -689,7 +689,7 @@ class TestScanBlocks:
                 assert attained == pytest.approx(up, abs=1e-12) and exact is None
                 # each row's lifts are those of a one-row call
                 row_lifts = None if margin is None else circle_row(
-                    data.slopes, a, Budget(10**9), lift_margin=margin)[3]
+                    data.line, a, Budget(10**9), lift_margin=margin)[3]
                 assert (lifts is None) == (row_lifts is None)
                 if lifts is not None:
                     assert np.array_equal(lifts[0], row_lifts[0])
@@ -1871,11 +1871,11 @@ class TestCellMaxima:
                     if not count:
                         continue
                     angles = row * (TWO_PI / n)
-                    lifts = circle_row(data.slopes, angles, Budget(10**9),
+                    lifts = circle_row(data.line, angles, Budget(10**9),
                                        lift_margin=2 * radius)[3]
                     nu, vals = cells.nu[first:first + count], cells.vals[first:first + count]
-                    assert lift_classes(data.slopes, lifts[0]) <= lift_classes(data.slopes, nu)
-                    fresh = line_distances(data.slopes, angles + TWO_PI * nu)
+                    assert lift_classes(data.line, lifts[0]) <= lift_classes(data.line, nu)
+                    fresh = line_distances(data.line, angles + TWO_PI * nu)
                     assert np.allclose(fresh, vals, atol=1e-9)
                     checked += 1
         assert checked > 100, checked
@@ -2011,7 +2011,7 @@ class TestLiftedBlocks:
         for c, i in zip(made, want["incumbents"]):
             nu, vals = zip(*self.kept_lifts(block, i))
             angles = np.array(rows[i], dtype=np.float64) * (TWO_PI / n)
-            s = line_witness(data.slopes, angles + TWO_PI * np.array(nu[int(np.argmin(vals))]))
+            s = line_witness(data.line, angles + TWO_PI * np.array(nu[int(np.argmin(vals))]))
             assert c.point == DualPoint(data.chars.group, (s % TWO_PI,), ())
         assert scan.probes.tolist() == probes
         assert scan.best is (made[-1] if made else scan.best)
