@@ -2,23 +2,15 @@
 
 Three exact solvers live here.  On a free part of reduced rank 1 (sets in
 Z, Z times torsion factors, collinear sets in Z^r) `min_error_circle`
-sieves the circle: the points within U of every target are the
-intersections of one arc per character, found in increasing |a_k|, and
-each nonempty intersection is a lift class valued in closed form
-(`line_distances`).  Given a cap it lists only the classes below it, so a
-scan can decide a target against its incumbent at the cost of the few
-classes near it.  On a free part of rank r' >= 2 the objective s -> max_k
-dist(A_k.s, psi_k) is piecewise linear, so after a unimodular change of
-coordinates that gives A full column rank its minimum sits at one of
-finitely many vertices: points where r' + 1 signed pieces are equal, found
-in closed form (`min_error_box`).  Large calls screen the candidates in a
-cheap pass first and value only the survivors exactly; the cut's margin
-bounds the screen's rounding, so the results are those of valuing every
-candidate.  On a purely torsion dual every selection's error is read, a
-block of selections and targets at a time, from a table of the characters'
-arguments in integer angle units.  The free-part solvers charge their
-evaluations to a budget when given one; the torsion search returns each
-target's charge for its caller to pay.
+sieves the circle for the lift classes within a cap of the target and
+values each in closed form (`line_distances`).  On a free part of rank
+r' >= 2 the objective is piecewise linear, so after a unimodular change of
+coordinates its minimum sits at one of finitely many vertices, found in
+closed form and, on large calls, screened in a cheap pass first
+(`min_error_box`).  On a purely torsion dual every selection's error is
+read from a table of the characters' arguments in integer angle units.
+The free-part solvers charge their evaluations to a budget when given one;
+the torsion search returns each target's charge for its caller to pay.
 """
 from __future__ import annotations
 
@@ -82,9 +74,10 @@ def _dist_array(x: np.ndarray) -> np.ndarray:
 
 #: most elements of a block's (rows x characters x candidates) array
 CIRCLE_BLOCK = 1 << 16
-#: most float64 elements of one character block's temporaries in
-#: `min_error_box` (64 KB): glibc serves these from its heap and keeps them
-#: for the next block, where larger ones would be mapped and unmapped anew
+#: most float64 elements of one temporary in `min_error_box`'s character
+#: blocks and the sieve's steps (64 KB): glibc serves these from its heap and
+#: keeps them for the next block, where larger ones would be mapped anew and
+#: add to the peak resident size
 CIRCLE_TEMP = 1 << 13
 
 
@@ -397,12 +390,15 @@ LIFT_EPS = 1e-9
 @lru_cache(maxsize=256)
 def _line_terms(slopes: tuple):
     """Index pairs (j, k) of nonzero slopes, indices of zero slopes, and
-    a_j, a_k and |a_j| + |a_k| over the pairs as floats."""
+    over the pairs as floats a_j, a_k, |a_j| + |a_k|, the sign s of a_j a_k
+    and a_j + s a_k."""
     nz = np.flatnonzero(slopes)
     j, k = np.triu_indices(len(nz), 1)
     a = np.array(slopes, dtype=np.float64)
     j, k = nz[j], nz[k]
-    return j, k, np.flatnonzero(a == 0), a[j], a[k], np.abs(a[j]) + np.abs(a[k])
+    s = np.where(a[j] * a[k] > 0, 1.0, -1.0)
+    return (j, k, np.flatnonzero(a == 0), a[j], a[k], np.abs(a[j]) + np.abs(a[k]), s,
+            a[j] + s * a[k])
 
 
 def line_term_count(slopes: np.ndarray) -> int:
@@ -416,7 +412,7 @@ def _line_values(slopes: np.ndarray, u: np.ndarray) -> np.ndarray:
     pair's (a_k u_j - a_j u_k) / (|a_j| + |a_k|), then each zero slope's
     u_k.  Each is linear in u with a gradient of L1 norm 1 that is
     orthogonal to the slopes (`_line_pieces`)."""
-    j, k, zero, aj, ak, norm = _line_terms(tuple(slopes.tolist()))
+    j, k, zero, aj, ak, norm, *_ = _line_terms(tuple(slopes.tolist()))
     terms = (u[..., j] * ak - u[..., k] * aj) / norm
     return np.concatenate([terms, u[..., zero]], axis=-1) if zero.size else terms
 
@@ -441,15 +437,15 @@ def _crossings(slopes: np.ndarray, u: np.ndarray) -> np.ndarray:
     """A real s attaining `line_distances` for each row of lifts u: the
     crossing of the pair of largest term, where the largest of the V-shapes
     is least, or the zero of a lone nonzero slope (0 with none)."""
-    j, k, _, aj, ak, _ = _line_terms(tuple(slopes.tolist()))
+    j, k, _, _, _, _, sign, den = _line_terms(tuple(slopes.tolist()))
     if not len(j):
         nz = np.flatnonzero(slopes)[:1]
         return u[:, nz].sum(axis=1) / float(slopes[nz].sum()) if len(nz) else np.zeros(len(u))
+    if len(j) == 1:
+        return (u[:, j[0]] + sign[0] * u[:, k[0]]) / den[0]
     pick = np.abs(_line_values(slopes, u)[:, :len(j)]).argmax(axis=1)
     at = np.arange(len(u))
-    uj, uk, aj, ak = u[at, j[pick]], u[at, k[pick]], aj[pick], ak[pick]
-    same = aj * ak > 0
-    return np.where(same, uj + uk, uj - uk) / np.where(same, aj + ak, aj - ak)
+    return (u[at, j[pick]] + sign[pick] * u[at, k[pick]]) / den[pick]
 
 
 def circle_unit(slopes) -> int:
@@ -473,7 +469,7 @@ def _sieve(a: np.ndarray, q: np.ndarray, reach: float):
     targets, slopes a positive and non-decreasing: each intersection's row,
     in order, and its arcs' indices j (as floats).  Each character after
     the first cuts every interval by the (at most K) arcs meeting it, as
-    (intervals x K) arrays; where that would pass CIRCLE_BLOCK elements the
+    (intervals x K) arrays; where that would pass CIRCLE_TEMP elements the
     rows are halved and each half sieved on its own."""
     k, count = q.shape
     a0 = int(a[0])
@@ -485,7 +481,7 @@ def _sieve(a: np.ndarray, q: np.ndarray, reach: float):
         x = q[row, i]
         first = np.ceil(a[i] * lo - reach - x)
         width = int((np.floor(a[i] * hi + reach - x) - first).max(initial=-1)) + 1
-        if width * len(row) > CIRCLE_BLOCK and k > 1:
+        if width * len(row) > CIRCLE_TEMP and k > 1:
             (r0, n0), (r1, n1) = _sieve(a, q[:k // 2], reach), _sieve(a, q[k // 2:], reach)
             return np.concatenate([r0, r1 + k // 2]), np.concatenate([n0, n1])
         j = first[:, None] + np.arange(width)
@@ -508,8 +504,8 @@ def _circle_plan(slopes: tuple):
     nz = np.flatnonzero(a)
     order = nz[np.argsort(np.abs(a[nz]), kind="stable")]
     line = a[order].astype(np.float64)
-    return (a == 0, order, line[None, :, None], np.sign(line) / TWO_PI, np.abs(line),
-            circle_slack(a), len(nz) * (len(nz) - 1) // 2)
+    return (a == 0, order, line[None, :, None], np.sign(line), np.abs(line), circle_slack(a),
+            len(nz) * (len(nz) - 1) // 2)
 
 
 def min_error_circle(slopes: np.ndarray, psi: np.ndarray, budget=None, *, cap=None,
@@ -518,44 +514,43 @@ def min_error_circle(slopes: np.ndarray, psi: np.ndarray, budget=None, *, cap=No
     integer `slopes`, for each row psi[i] of targets: (theta, lower, upper),
     each row charged `circle_unit` to `budget` (None: the caller has paid).
 
-    `_sieve` lists a row's lift classes (lifts nu modulo the slopes) below
-    its reach, valued by `line_distances` a block of about CIRCLE_BLOCK
-    terms at a time.  theta is the least reduced `_crossings` point of the
-    classes whose nonzero slopes' part is within 1e-12 of its least (the
-    zero slopes add a constant), upper the objective there, lower =
+    `_sieve` lists a row's lift classes (lifts nu modulo the slopes) within
+    its reach, valued by `line_distances` a block at a time.  theta is the
+    least reduced `_crossings` point of the classes whose nonzero slopes'
+    part is within 1e-12 of least, upper the objective there, lower =
     min(least value, upper) - `circle_slack`.  Without a cap the reach is
-    pi (1 - 1/m') for m' nonzero slopes, which always holds the minimum: m'
-    sets of measure 2 (pi - U) cannot cover the circle once U > pi (1 -
-    1/m').  With one, the rows whose lower end passes it get theta nan and
-    lower = upper = inf; the others get the results they get without a cap,
-    bit for bit.  Given lift_margin, each solved row's classes of value at
-    most upper + lift_margin (+ LIFT_EPS) too (`_lift_classes`); the sieve
-    then reaches lift_margin further.
+    pi (1 - 1/m') for m' nonzero slopes: m' arcs of measure 2 (pi - U)
+    cannot cover the circle, so every minimum lies below it.  With a cap,
+    rows whose lower end passes it get theta nan and lower = upper = inf,
+    the others their uncapped results bit for bit.  Given lift_margin, also
+    each solved row's classes of value at most upper + lift_margin
+    (`_lift_classes`); the sieve then reaches lift_margin further.
     """
     if budget is not None:
         budget.charge(len(psi) * circle_unit(slopes.tolist()))
     k, m = psi.shape
-    zero, order, line, turn, steps, slack, pairs = _circle_plan(tuple(slopes.tolist()))
+    zero, order, line, sign, steps, slack, pairs = _circle_plan(tuple(slopes.tolist()))
     flat = len(order) < m
     const_err = _dist_array(psi[:, zero]).max(axis=1) if flat else np.zeros(k)
     limit = math.pi * (1 - 1 / max(len(order), 1)) if cap is None else cap
     row = np.flatnonzero(const_err <= limit) if cap is not None and flat else np.arange(k)
-    nu = np.empty((len(row), m), dtype=np.int64)
-    if len(order):
+    if not len(order):
+        nu = np.empty((len(row), m), dtype=np.int64)
+    else:
         # with lifts and no cap a row's value may be its zero slopes' constant
         span = (max(limit, float(const_err.max(initial=0.0)))
                 if cap is None and lift_margin is not None else limit)
         reach = min(span + (lift_margin or 0.0), math.pi - LIFT_EPS) + LIFT_EPS + 2 * slack
-        at, arcs = _sieve(steps, psi[row][:, order] * turn, reach / TWO_PI)
+        at, arcs = _sieve(steps, psi[row][:, order] * (sign / TWO_PI), reach / TWO_PI)
         row, nu = row[at], np.empty((len(at), m), dtype=np.int64)
-        nu[:, order] = arcs * (turn * TWO_PI)
+        nu[:, order] = arcs * sign
     if flat:
         nu[:, zero] = np.rint(-psi[row][:, zero] / TWO_PI)
     u = psi[row] + TWO_PI * nu
     # the largest pair term of each class, a block at a time; zero slopes
     # add theirs
     part = np.zeros(len(u))
-    step = max(1, CIRCLE_BLOCK // max(pairs, 1))
+    step = max(1, CIRCLE_TEMP // max(pairs, 1))
     for c in range(0, len(u) if pairs else 0, step):
         part[c:c + step] = np.abs(_line_values(slopes, u[c:c + step])[:, :pairs]).max(axis=1)
     vals = np.maximum(part, np.abs(u[:, zero]).max(axis=1)) if flat else part
@@ -578,7 +573,8 @@ def min_error_circle(slopes: np.ndarray, psi: np.ndarray, budget=None, *, cap=No
     missed = np.isinf(vmin)
     if cap is not None:
         missed |= lower > limit
-    theta[missed], lower[missed], upper[missed] = np.nan, np.inf, np.inf
+    if missed.any():
+        theta[missed], lower[missed], upper[missed] = np.nan, np.inf, np.inf
     if lift_margin is None:
         return theta, lower, upper
     return theta, lower, upper, _lift_classes(slopes, row, nu, vals, upper + lift_margin)
@@ -592,21 +588,22 @@ def _lift_classes(slopes: np.ndarray, row: np.ndarray, nu: np.ndarray, vals: np.
     None for a row whose cut reaches pi - LIFT_EPS, where a class has no
     longer one arc a character, or when every slope is 0."""
     lifts = [None] * len(cut)
-    near = vals <= np.where(cut < math.pi - LIFT_EPS, cut, -np.inf)[row] + LIFT_EPS
-    if not slopes.any() or not near.any():
+    nz = np.flatnonzero(slopes)
+    near = vals <= np.where(cut < math.pi - LIFT_EPS, cut + LIFT_EPS, -np.inf)[row]
+    if not len(nz) or not near.any():
         return lifts
-    row, nu, vals = row[near], nu[near], vals[near]
-    j0 = int(np.flatnonzero(slopes)[0])
-    nu -= (nu[:, j0] // slopes[j0])[:, None] * slopes
-    order = np.lexsort((*nu.T[::-1], row))
-    row, nu, vals = row[order], nu[order], vals[order]
-    head = np.ones(len(row), dtype=bool)
-    head[1:] = (row[1:] != row[:-1]) | (nu[1:] != nu[:-1]).any(axis=1)
-    at = np.flatnonzero(head)
-    row, nu, vals = row[at].tolist(), nu[at], np.minimum.reduceat(vals, at)
+    nu, vals = nu[near], vals[near]
+    nu -= (nu[:, nz[0]] // slopes[nz[0]])[:, None] * slopes
+    # (row, class) keys, sorted; each distinct one keeps its least value
+    key = np.column_stack([row[near], nu])
+    order = np.lexsort(key.T[::-1])
+    key, vals = key[order], vals[order]
+    at = np.flatnonzero(np.concatenate([[True], (key[1:] != key[:-1]).any(axis=1)]))
+    key, vals = key[at], np.minimum.reduceat(vals, at)
+    row = key[:, 0].tolist()
     bounds = [i for i in range(len(row) + 1) if i in (0, len(row)) or row[i] != row[i - 1]]
     for start, stop in zip(bounds, bounds[1:]):
-        lifts[row[start]] = (nu[start:stop], vals[start:stop])
+        lifts[row[start]] = (key[start:stop, 1:], vals[start:stop])
     return lifts
 
 

@@ -104,6 +104,7 @@ def cutover(request, monkeypatch):
     if request.param == "screened":
         monkeypatch.setattr(_minimax, "SCREEN_CUTOVER", 0)
         monkeypatch.setattr(_minimax, "CIRCLE_BLOCK", 8)
+        monkeypatch.setattr(_minimax, "CIRCLE_TEMP", 8)
     return request.param
 
 
