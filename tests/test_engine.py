@@ -687,6 +687,11 @@ class TestScanBlocks:
                 assert lo <= ref_up + 1e-12 and ref_up - 1e-12 <= up <= ref_up + slack, (E, run)
                 attained = approx_error(E, TargetMap.from_angles(E, a), point)
                 assert attained == pytest.approx(up, abs=1e-12) and exact is None
+                # and are a one-target solve's, bit for bit
+                one = engine._solve_target(data, a, None, Budget(10**9), margin)
+                assert bits([lo, up, *point.torus_angles]) == bits(
+                    [one[0], one[1], *one[2].torus_angles]), (E, run)
+                assert point == one[2]
                 # each row's lifts are those of a one-row call
                 row_lifts = None if margin is None else circle_row(
                     data.line, a, Budget(10**9), lift_margin=margin)[3]
@@ -1421,6 +1426,13 @@ class TestCircleKernel:
         attained = approx_error(E, TargetMap.from_angles(E, angles), point)
         assert attained == pytest.approx(upper, abs=1e-12), (E, angles)
         assert full.used == ref.used
+        # the blocked selections give, bit for bit, the least of one-row
+        # sieves, one per selection (the first least upper end's point)
+        rows = [circle_row(slopes, psi, Budget(10**9))
+                for psi in angles - data.shift_rows(0, data.selection_count)]
+        best = min(range(len(rows)), key=lambda s: rows[s][2])
+        assert bits([lower, upper, *point.torus_angles]) == bits(
+            [min(row[1] for row in rows), rows[best][2], rows[best][0]]), (E, angles)
         limit = rng.randrange(full.used)
         short, ref = Budget(limit), Budget(limit)
         with pytest.raises(BudgetExceededError):
