@@ -472,11 +472,10 @@ def _solve_rows(data: _SetData, angles: np.ndarray, n: int | None, indices,
     With a free part a target is charged a unit per selection, so the paid
     targets are known before `_solve_free` solves them; given a cap, the
     sieve leaves unsolved (but charged) the targets whose lower end would
-    pass it.  On a purely
-    torsion set it is charged m per selection read up to its first zero
-    error (`first_least`), in one pass over the selection table for all
-    targets, in exact integer units when they lie on the order-n grid
-    (`indices` their grid rows; n None: float angles).
+    pass it.  On a purely torsion set it is charged m per selection read up
+    to its first zero error (`first_least`), in one pass over the selection
+    table for all targets, in exact integer units when they lie on the
+    order-n grid (`indices` their grid rows; n None: float angles).
     """
     out = _Targets.empty(data, len(angles), n, indices)
     if data.r:
@@ -908,9 +907,9 @@ class _Scan:
     def solve(self, angles: np.ndarray, n: int, rows: np.ndarray,
               lift_margin: float | None = None, cap: float | None = None) -> _Targets:
         """`_solve_rows` on rows of order-n targets, the budget left as its
-        limit, under `cap`.  With a pool, and a limit that pays every target at its
-        largest charge, the targets are split into `threads` parts: this
-        process solves the first while the workers solve the rest.  Each
+        limit, under `cap`.  With a pool, and a limit that pays every target
+        at its largest charge, the targets are split into `threads` parts:
+        this process solves the first while the workers solve the rest.  Each
         target's solution does not depend on the others, so the result is
         that of one call."""
         data, limit = self.data, self.budget.remaining
@@ -1030,10 +1029,11 @@ def _scan_targets(scan: _Scan, n: int, items, cap: float, radius: float = 0.0,
                 # every unsolved target (the first alone before an incumbent),
                 # sieved SIEVE_REACH past the threshold: a target solved under
                 # one cap keeps its solution, which is its solution under any
-                threshold = math.inf if scan.best is None else prior + slack
-                todo = pos + np.flatnonzero(np.isnan(lower[here]))[:1 if scan.best is None else None]
+                alone = scan.best is None
+                threshold = math.inf if alone else prior + slack
+                todo = pos + np.flatnonzero(np.isnan(lower[here]))[:1 if alone else None]
                 if len(todo):
-                    put(todo, None if scan.best is None else threshold + SIEVE_REACH)
+                    put(todo, None if alone else threshold + SIEVE_REACH)
                 # the first paid target above the threshold is sieved again
                 # without a cap, charged again, and ends the pass
                 over = _first(~(lower[here] <= threshold) & (cost[here] > 0))
