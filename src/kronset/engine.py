@@ -72,14 +72,17 @@ LADDER_MAX_ORDER = 1 << 13
 #: scan about 4% faster than 16 does, and serial `grid` solves 0.4% more
 #: targets, about as fast
 MAX_RUN = 32
-#: most grid targets a block holds on a set the sieve solves (see
-#: `_blocks`): each pass sieves every unsolved target of its block at once.
-#: On the free-rank-1 `grid` tasks, 64 and 1024 ran about 20% and 40%
-#: slower than 256, and 128 and 512 about 8% and 3% slower
-SIEVE_RUN = 256
-#: how far past its threshold a threshold pass solves targets (see
-#: `_scan_targets`): on the same tasks 0.3 ran about 40% faster than 0,
-#: 0.2 to 0.6 within 5% of it, and 1.2 about as slow as 0
+#: grid targets a block holds on a set the sieve solves (see `_blocks`).
+#: On the free-rank-1 `grid` tasks and its coset scan, 256, 512 and 1024
+#: ran about 55%, 35% and 20% slower than 2048, and 4096 as fast
+SIEVE_RUN = 2048
+#: most grid targets one sieve call takes (see `_block_targets`): 2048 ran
+#: about 5% faster, but raised a `grid` pass's peak resident size by 2.8 MB
+SIEVE_CALL = 256
+#: how far past its threshold a pass sieves a block, as a share of the gap
+#: from the incumbent to pi (see `_scan_targets`).  On the same tasks and
+#: the `grid` coset scan, fixed reaches of 0.5 and 1.0 ran about 20% and
+#: 15% slower than 0.3 of the gap, and 0.4 of it 25% slower
 SIEVE_REACH = 0.3
 #: witnesses of solved targets the scan keeps as probes (see `_Scan`).  On
 #: `grid` (seed 4242, 8-s runs) 64 solves a fifth more targets and scans
@@ -594,16 +597,17 @@ def best_point(chars: CharacterSet, phi: TargetMap, tol: float = DEFAULT_TOL,
 def _shift_basis(data: _SetData, n: int) -> list:
     """Echelon (Hermite) basis over Z_n of the order-n shift group, the
     target shifts phi -> phi + arg gamma(y) generated by the free columns
-    mod n (y a 2pi/n step of one torus angle) and by each torsion column
-    whose arguments lie on the n-grid (y one step of that factor).  The d-th
-    row has zeros before coordinate d and, at d, the least positive value (a
-    divisor of n) over group elements with zeros before d; None if they all
-    have 0 there."""
+    mod n (y a 2pi/n step of one torus angle) and by each torsion factor (y
+    the least multiple k = order / gcd(order, n g) of one step of that
+    factor that puts every argument on the n-grid, g the gcd of the
+    factor's column).  The d-th row has zeros before coordinate d and, at
+    d, the least positive value (a divisor of n) over group elements with
+    zeros before d; None if they all have 0 there."""
     gens = [data.free[:, j] % n for j in range(data.r)]
     for i, order in enumerate(data.orders):
         col = [row[i] for row in data.torsion]
-        if all(n * t % order == 0 for t in col):
-            gens.append(np.array([n * t // order % n for t in col], dtype=np.int64))
+        k = order // math.gcd(order, n * math.gcd(*col))
+        gens.append(np.array([n * k * t // order % n for t in col], dtype=np.int64))
     basis = []
     for d in range(data.m):
         pivot, rest = np.zeros(data.m, dtype=np.int64), []
@@ -625,19 +629,18 @@ def _shift_basis(data: _SetData, n: int) -> list:
 
 def _grid_targets(basis: list, n: int):
     """The least target of each order-n orbit of `_orbit_reps`, in
-    lexicographic order.  Every least element lies in the product of
-    range(h[d]) at the pivots d of `basis` and range(n) elsewhere; the rows
-    of that product that are their own representatives are kept.  It is
-    built about TABLE_BLOCK entries at a time, so a scan stopped early
-    builds only what it read and the temporaries stay small enough for the
-    allocator to reuse."""
+    lexicographic order, as arrays of index rows.  Every least element lies
+    in the product of range(h[d]) at the pivots d of `basis` and range(n)
+    elsewhere; the rows of that product that are their own representatives
+    are kept.  It is built about TABLE_BLOCK entries at a time, so a scan
+    stopped early builds only what it read and the temporaries stay small
+    enough for the allocator to reuse."""
     radices = [n if h is None else int(h[d]) for d, h in enumerate(basis)]
     count = math.prod(radices)
     block = max(1, TABLE_BLOCK // len(radices))
     for start in range(0, count, block):
         rows = mixed_radix_rows(radices, start, min(start + block, count)).astype(np.int64)
-        keep = (_orbit_reps(rows, basis, n) == rows).all(axis=1)
-        yield from map(tuple, rows[keep].tolist())
+        yield rows[(_orbit_reps(rows, basis, n) == rows).all(axis=1)]
 
 
 def _orbit_reps(cells: np.ndarray, basis: list, n: int) -> np.ndarray:
@@ -803,8 +806,8 @@ def _children(data: _SetData, parents: _Cells, basis: list, n: int, seen: np.nda
     child of a parent with lifts only; `_next_level` keeps the others'.
 
     Parents go in blocks of about CHILD_BLOCK children, each block all with
-    lifts or all without.  Children of parents without lifts come one at a
-    time as index tuples.  Those of a block of parents with lifts come as
+    lifts or all without.  Children of a block of parents without lifts
+    come as one array of index rows.  Those of a block with lifts come as
     one `_LiftedBlock`: a parent's lifts hold every lift within two radii
     of each of its children's values, so a child's value is the least inner
     value over them, from one `line_distances` call over every (child,
@@ -833,7 +836,7 @@ def _children(data: _SetData, parents: _Cells, basis: list, n: int, seen: np.nda
         kids = raw % n
         new, seen = _fresh(_orbit_keys(_orbit_reps(kids, basis, n), n), seen)
         if not lifted[start]:
-            yield from map(tuple, kids[new].tolist())
+            yield kids[new]
         elif len(new):
             parent = start + new // len(offsets)
             count = parents.count[parent]
@@ -865,7 +868,8 @@ class _Scan:
     """What the scans of one computation share: the incumbent worst target,
     the probe window, the budget, the work counters and, with `threads` > 1,
     the pool of `threads` - 1 workers that `solve` shares the scan's solves
-    with.  `tol` is the cap-exit margin.
+    with.  `tol` is the cap-exit margin, and `passes` counts the decision
+    passes of its scans.
 
     The probes are the character argument rows of the last PROBES witnesses
     of solved targets, newest first, the identity last of all; a set the
@@ -885,6 +889,7 @@ class _Scan:
     best: _Incumbent | None = None
     probes: np.ndarray = field(init=False)
     pending: list = field(init=False, default_factory=list)
+    passes: int = field(init=False, default=0)
 
     def __post_init__(self):
         # the identity of the dual group is the probe before any witness
@@ -951,36 +956,38 @@ def _scan_targets(scan: _Scan, n: int, items, cap: float, radius: float = 0.0,
     value.
 
     items yields blocks (see `_blocks`): `_Targets`, and `_LiftedBlock`s,
-    whose cells are valued already.  Every pass over a block's arrays takes
-    the decisions and charges of a loop over its targets in turn up to the
-    first change of incumbent, which moves the lower end, or to the first
-    budget stop or cap exit, and the next pass reads the rest again.  How a
-    target of a `_Targets` block is decided depends on its set:
+    whose cells are valued already.  A pass over a block's arrays takes the
+    decisions and charges of a loop over its targets in turn, each against
+    the incumbent as it stood there (a running maximum of lower ends), up
+    to the first budget stop or cap exit; only the pass's last incumbent
+    builds its witness.  A lifted block takes one pass.  How a `_Targets`
+    block is read depends on its set:
 
-    - Solved by the sieve (free part of reduced rank 1): each target is
-      sieved at the threshold U = the incumbent's lower end + slack
-      (`min_error_circle`'s cap; none before the first incumbent, whose
-      target ends the pass), which solves it exactly when its lower end is
-      at most U; a target it leaves unsolved would raise the incumbent, so
-      it is sieved again without a cap and ends the pass.  One
-      `_Scan.solve` call sieves every undecided target of the block.  Each
-      target is charged its solve, a second time when sieved again.  A
-      target the threshold sieve closes counts as pruned, the one that
-      raises the incumbent as enumerated.  No probes are read.
+    - Solved by the sieve (free part of reduced rank 1): the loop sieves a
+      target at its threshold U = the incumbent's lower end + slack
+      (`min_error_circle`'s cap), which solves it exactly when its lower
+      end is at most U, else once more without a cap, and charges each
+      sieve (one, uncapped, before the first incumbent).  A pass sieves
+      every unsolved target of the block in one `_Scan.solve` call, past U
+      by SIEVE_REACH of the gap from the incumbent to pi, and ends before
+      the next target that sieve left unsolved.  The pass that starts there sieves
+      it without a cap when the room pays both its sieves.  A target closed
+      under its threshold counts as pruned, one that raises the incumbent
+      or is sieved again as enumerated.  No probes are read.
     - Else the probe window (see `_Scan`) is read first: a probe point's
       error is a value bound that closes a cell without solving it (a
       pruned target).  A target reads at most as many probes, newest first,
       as the largest charge of its solve pays for, m units a read; the
       targets they leave open are solved in one `_Scan.solve` call.  A pass
-      ends at the next roll point of the window too, and the solved targets
-      it decides leave their witnesses' argument rows pending for the
-      window, from one `_SetData.args_at` call.
+      ends at the first change of incumbent and at the next roll point of
+      the window, and the solved targets it decides leave their witnesses'
+      argument rows pending for the window, from one `_SetData.args_at`
+      call.
 
     The budget stop is the first charge past the room left, charged one
     unit past it (m for a probe, the `_block_targets` unit for a solve) or,
     for a lifted cell and a solved target whose solve the room pays but not
-    its certificate, charged whole.  Only the targets that raise the
-    incumbent build witnesses.
+    its certificate, charged whole.
 
     Returns (closed_hi, open_hi, status): the largest bound over closed and
     over open cells, and 'capped' when the incumbent reached `cap`, 'done'
@@ -1017,53 +1024,52 @@ def _scan_targets(scan: _Scan, n: int, items, cap: float, radius: float = 0.0,
                 scan.roll()
                 rolled = seen // ROLL
             # a pass that reads probes ends at the next roll point
-            here = slice(pos, len(rows) if lifted or sieve
-                         else min(len(rows), pos + ROLL - seen % ROLL))
+            here = slice(pos, len(rows) if sieve else min(len(rows), pos + ROLL - seen % ROLL))
             prior = -math.inf if scan.best is None else scan.best.lower
-            probed, read, probe_hi = (None,) * 3 if lifted or sieve or scan.best is None else (
+            probed, read, probe_hi = (None,) * 3 if sieve or scan.best is None else (
                 _probe_bounds(rows[here], scan.probes[:reads], n, radius, prior, slack))
-            # per target the charges before its solve: the probes read, or
-            # the threshold sieve of a target sieved again
-            ahead = np.zeros(here.stop - pos, dtype=np.int64) if probed is None else read * m
             if sieve and not lifted:
-                # every unsolved target (the first alone before an incumbent),
-                # sieved SIEVE_REACH past the threshold: a target solved under
-                # one cap keeps its solution, which is its solution under any
-                alone = scan.best is None
-                threshold = math.inf if alone else prior + slack
-                todo = pos + np.flatnonzero(np.isnan(lower[here]))[:1 if alone else None]
-                if len(todo):
-                    put(todo, None if alone else threshold + SIEVE_REACH)
-                # the first paid target above the threshold is sieved again
-                # without a cap, charged again, and ends the pass
-                over = _first(~(lower[here] <= threshold) & (cost[here] > 0))
-                if over < len(ahead):
-                    here, ahead = slice(pos, pos + over + 1), ahead[:over + 1]
-                    ahead[-1] = solve
-                    if np.isnan(lower[pos + over]):
-                        put(np.array([pos + over]))
-            elif not lifted:
+                # every unsolved target, sieved past the threshold (a target
+                # solved under one cap keeps its solution, which is its
+                # solution under any); the first, before an incumbent or left
+                # above the cap, without one when the room pays its sieves
+                todo = pos + np.flatnonzero(np.isnan(lower[here]))
+                if len(todo) and scan.best is not None:
+                    put(todo, prior + slack + SIEVE_REACH * (math.pi - prior))
+                if np.isnan(lower[pos]) and budget.remaining >= solve * (1 + (prior > -math.inf)):
+                    put(np.array([pos]))
+            elif not sieve:
                 todo = np.isnan(lower[here]) if probed is None else np.isnan(lower[here]) & ~probed
                 if todo.any():
                     # without an incumbent the first target solved ends the pass
                     put(pos + np.flatnonzero(todo)[:1 if scan.best is None else None])
             # lower ends of the targets a solve decides: nan where pruned, or
-            # unsolved (costs 0) as the budget could not pay
+            # unsolved (costs 0) as the budget could not pay, or left above
+            # the sieve's cap, where a pass on a sieved block ends
             low = lower[here] if probed is None else np.where(probed, np.nan, lower[here])
-            spent = np.cumsum(ahead + (cost[here] if probed is None
-                                       else np.where(probed, 0, cost[here])))
+            size = (len(low) if lifted else 1 + _first(np.isnan(low[1:])) if sieve
+                    else min(len(low), _first(low > prior) + 1))
+            low, paid = low[:size], cost[pos:pos + size]
+            if probed is not None:
+                probed, paid = probed[:size], np.where(probed[:size], 0, paid)
+            # the incumbent's lower end before each target, and after the last
+            run = np.fmax.accumulate(np.concatenate([[prior], low]))
+            # per target the charges before its last solve: the probes read,
+            # or a sieve at a threshold its lower end passes
+            ahead = read[:size] * m if probed is not None else np.zeros(size, dtype=np.int64)
+            if sieve and not lifted:
+                again = ~(low <= run[:-1] + slack) & (paid > 0) & (run[:-1] > -math.inf)
+                if again.any():
+                    ahead[again] = solve
+            spent = np.cumsum(ahead + paid)
             # the first target whose charges pass the room, or that the room
-            # could not pay for, and the first solved one that raises the
-            # incumbent or finds it at the cap
-            stop = int(np.searchsorted(spent, budget.remaining, side="right"))
-            if not lifted:
-                stop = min(stop, _first(np.isnan(low) if probed is None
-                                        else np.isnan(low) & ~probed))
-            event = _first(low > prior if prior < cap - scan.tol else ~np.isnan(low))
-            end = min(event + 1, stop)
-            raised = event < stop and low[event] > prior
-            status = ("capped" if event < stop and max(low[event], prior) >= cap - scan.tol
-                      else "budget" if stop <= event and stop < len(low) else None)
+            # could not pay for, and the first solved one that finds the
+            # incumbent at the cap
+            stop = min(int(np.searchsorted(spent, budget.remaining, side="right")),
+                       _first(np.isnan(low) if probed is None else np.isnan(low) & ~probed))
+            at_cap = _first(~np.isnan(low) & (run[1:] >= cap - scan.tol))
+            end = min(at_cap + 1, stop)
+            status = "capped" if at_cap < stop else "budget" if stop < size else None
             budget.used += int(spent[end - 1]) if end else 0
             if status == "budget":
                 room, before = budget.remaining, int(ahead[stop])
@@ -1074,13 +1080,16 @@ def _scan_targets(scan: _Scan, n: int, items, cap: float, radius: float = 0.0,
                 budget.used += (_past_room(room, m if probed is not None else unit)
                                 if before > room else before + (
                                     int(cost[at]) if whole else _past_room(room - before, unit)))
-            done = pos + (np.arange(end) if probed is None else np.flatnonzero(~probed[:end]))
+            rel = np.arange(end) if probed is None else np.flatnonzero(~probed[:end])
+            done = pos + rel
             bound = upper[done] + radius if block.top is None else block.top[done]
-            shut = bound - np.maximum(lower[done], prior) <= slack
-            # cells the probes or the threshold sieve close are pruned; the
-            # target that raises the incumbent is enumerated
+            shut = bound - run[rel + 1] <= slack
+            raised = low[rel] > run[rel]
+            # cells the probes or the threshold sieve close are pruned; a
+            # target that raises the incumbent or was sieved again is enumerated
             pruned = (int(probed[:end].sum()) if probed is not None
-                      else int(shut[:end - raised].sum()) if sieve and not lifted else 0)
+                      else int((shut & ~raised & (ahead[rel] == 0)).sum())
+                      if sieve and not lifted else 0)
             stats.targets_pruned += pruned
             stats.targets_enumerated += end - pruned
             closed_hi = max(closed_hi, float(bound[shut].max(initial=0.0)),
@@ -1089,15 +1098,17 @@ def _scan_targets(scan: _Scan, n: int, items, cap: float, radius: float = 0.0,
             if opened is not None and not shut.all():
                 opened.append(block.take(done[~shut]) if lifted
                               else block.take(done[~shut], bound[~shut]))
-            if not lifted and not sieve and len(done):
+            if not sieve and len(done):
                 scan.pending.append(block.args(data, done))
-            if raised:
-                i = pos + event
+            if raised.any():
+                # the pass's last raise is the incumbent, and builds its witness
+                i = int(done[np.flatnonzero(raised)[-1]])
                 point, exact = block.witness(data, n, i)
                 scan.raise_to(_Incumbent(float(lower[i]), n, tuple(rows[i].tolist()),
                                          point, exact))
             pos += end
             seen += end
+            scan.passes += 1
             if status:
                 return closed_hi, open_hi, status
     return closed_hi, open_hi, "done"
@@ -1139,28 +1150,32 @@ def _block_targets(data: _SetData) -> tuple[int, int]:
     candidates of a row (`vertex_systems`) on the others.  A call takes as
     many targets as keep one element per target, selection and unit (m for
     the sieve, which bounds its own temporaries) within CIRCLE_BLOCK, at
-    least 1; the sieve takes at most SIEVE_RUN."""
+    least 1; the sieve takes at most SIEVE_CALL."""
     if data.line is not None:
         unit = circle_unit(data.line.tolist())
-        return max(1, min(SIEVE_RUN, CIRCLE_BLOCK // (data.selection_count * data.m))), unit
+        return max(1, min(SIEVE_CALL, CIRCLE_BLOCK // (data.selection_count * data.m))), unit
     unit = vertex_systems(data.free_key)[1] if data.r else data.m
     return max(1, CIRCLE_BLOCK // (data.selection_count * unit)), unit
 
 
 def _blocks(data: _SetData, n: int, items):
-    """The items of a scan, index tuples of order-n targets and
-    `_LiftedBlock`s, as blocks for `_scan_targets`, read
-    max(MAX_RUN, `_block_targets`) items at a time (up to SIEVE_RUN on a set
-    the sieve solves): each span of targets between lifted blocks is one
-    `_Targets`, unsolved."""
-    size = max(MAX_RUN, _block_targets(data)[0])
-    while run := list(itertools.islice(items, size)):
-        for kind, group in itertools.groupby(run, key=type):
-            if kind is tuple:
-                rows = np.array(list(group), dtype=np.int64)
-                yield _Targets.empty(data, len(rows), n, rows)
-            else:
-                yield from group
+    """The items of a scan, arrays of index rows of order-n targets and
+    `_LiftedBlock`s, as blocks for `_scan_targets`, in order: the rows are
+    sliced into unsolved `_Targets` of max(MAX_RUN, `_block_targets`) rows
+    (SIEVE_RUN on a set the sieve solves), the last before a lifted block
+    or the end shorter."""
+    size = SIEVE_RUN if data.line is not None else max(MAX_RUN, _block_targets(data)[0])
+    rows = np.zeros((0, data.m), dtype=np.int64)
+    for item in itertools.chain(items, [None]):
+        if isinstance(item, np.ndarray):
+            rows = np.concatenate([rows, item])
+        # whole blocks, and every row left before a lifted block or the end
+        cut = len(rows) - len(rows) % size if isinstance(item, np.ndarray) else len(rows)
+        for start in range(0, cut, size):
+            yield _Targets.empty(data, min(size, cut - start), n, rows[start:start + size])
+        rows = rows[cut:]
+        if item is not None and not isinstance(item, np.ndarray):
+            yield item
 
 
 def _pool(threads: int):
@@ -1184,11 +1199,11 @@ def alpha_n(chars: CharacterSet, n: int, tol: float = DEFAULT_TOL,
     Enumerates the least target of each orbit of the target grid under
     negation and the full translation group of `_shift_basis`, in
     lexicographic order (see `_grid_targets`), solving the inner
-    minimization for each.  seed_targets (index tuples) are solved first, which both raises
-    the incumbent early and, across growing sets, keeps certified lower
-    bounds monotone.  If the budget runs out a partial result is returned
-    with certified=False: its lower end is still sound, the upper end falls
-    back to the universal cap.
+    minimization for each.  seed_targets (rows of indices) are solved
+    first, which both raises the incumbent early and, across growing sets,
+    keeps certified lower bounds monotone.  If the budget runs out a partial
+    result is returned with certified=False: its lower end is still sound,
+    the upper end falls back to the universal cap.
 
     threads > 1 runs the scan's solves in that many processes, this one and
     threads - 1 workers, whenever the budget pays every target of a solve;
@@ -1200,47 +1215,30 @@ def alpha_n(chars: CharacterSet, n: int, tol: float = DEFAULT_TOL,
     _check_limits(tolerance=tol, budget=budget)
     data = _set_data(chars)
     cap = grid_cap(n)
-    seeds = [tuple(int(j) % n for j in seed) for seed in seed_targets]
-    for seed in seeds:
-        if len(seed) != data.m:
-            raise ValueError("seed target has wrong number of entries")
+    seeds = [[int(j) % n for j in seed] for seed in seed_targets]
+    if any(len(seed) != data.m for seed in seeds):
+        raise ValueError("seed target has wrong number of entries")
 
-    idx_iter = itertools.chain(seeds, _grid_targets(_shift_basis(data, n), n))
+    rows = itertools.chain([np.array(seeds, dtype=np.int64).reshape(-1, data.m)],
+                           _grid_targets(_shift_basis(data, n), n))
     with _pool(threads) as pool:
         scan = _Scan(data, tol, Budget(budget), pool, threads)
-        closed_hi, open_hi, status = _scan_targets(scan, n, _blocks(data, n, idx_iter), cap)
+        closed_hi, open_hi, status = _scan_targets(scan, n, _blocks(data, n, rows), cap)
     best, stats = scan.best, scan.stats
     stats.inner_evals = scan.budget.used
-
-    if best is None:
-        bracket = ErrorBracket(0.0, cap)
-        worst = witness = None
-        certified = False
-    else:
-        worst = TargetMap.from_grid(chars, n, best.indices)
-        witness = best.point
-        if status == "capped":
-            bracket = ErrorBracket(best.lower, cap, _cap_turns(n, best.exact))
-            certified = True
-        elif status == "done":
-            global_hi = max(closed_hi, open_hi)
-            bracket = ErrorBracket(best.lower, min(max(global_hi, best.lower), cap),
-                                   best.exact)
-            certified = True
-        else:
-            bracket = ErrorBracket(best.lower, cap)
-            certified = False
     stats.budget_exhausted = status == "budget"
     stats.stop_reason = status
-    return KroneckerResult(chars, bracket, n, worst, witness, stats, certified)
-
-
-def _cap_turns(n: int, exact: Fraction | None) -> Fraction | None:
-    """Keep the exact value on a cap exit only when it equals the cap."""
-    if exact is None:
-        return None
-    cap_turns = Fraction(1, 2) if n % 2 == 0 else Fraction(n - 1, 2 * n)
-    return exact if exact == cap_turns else None
+    if best is None:
+        return KroneckerResult(chars, ErrorBracket(0.0, cap), n, None, None, stats, False)
+    upper, exact = cap, None
+    if status == "done":
+        upper, exact = min(max(closed_hi, open_hi, best.lower), cap), best.exact
+    elif status == "capped" and best.exact == Fraction(n // 2, n):
+        # a cap exit keeps the exact value only when it equals the cap
+        exact = best.exact
+    return KroneckerResult(chars, ErrorBracket(best.lower, upper, exact), n,
+                           TargetMap.from_grid(chars, n, best.indices), best.point, stats,
+                           status != "budget")
 
 
 def alpha(chars: CharacterSet, tol: float = DEFAULT_TOL, budget: int = DEFAULT_BUDGET,
@@ -1360,5 +1358,5 @@ def _next_level(data: _SetData, n: int, parents: _Cells, lower: float, tol: floa
     keys = _orbit_keys(_orbit_reps(2 * parents.rows[bare], basis, n), n)
     solve = 2 * parents.rows[bare[again]]
     first = np.sort(np.unique(keys[again], return_index=True)[1])
-    return itertools.chain(map(tuple, solve[first].tolist()),
-                           _children(data, parents, basis, n, np.unique(keys))), closed
+    children = _children(data, parents, basis, n, np.unique(keys))
+    return itertools.chain([solve[first]], children), closed

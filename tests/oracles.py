@@ -418,13 +418,14 @@ def best_point_torsion_exhaustive(orders, torsion_rows, target_turns):
 def shift_group(free_rows, torsion_rows, orders, n: int) -> list:
     """Every order-n target shift phi -> phi + arg gamma(y), as index rows,
     by breadth-first closure with no size cap.  The generators are the free
-    columns mod n and each torsion column whose arguments, t/order turns,
-    all lie on the n-grid."""
+    columns mod n and, for each torsion factor, every multiple j of one
+    step whose arguments, j t/order turns, all lie on the n-grid, found by
+    trying each j < order."""
     gens = [tuple(a % n for a in col) for col in zip(*free_rows)]
     for i, order in enumerate(orders):
         col = [row[i] for row in torsion_rows]
-        if all(n * t % order == 0 for t in col):
-            gens.append(tuple(n * t // order % n for t in col))
+        gens += [tuple(n * j * t // order % n for t in col) for j in range(1, order)
+                 if all(n * j * t % order == 0 for t in col)]
     zero = (0,) * len(free_rows)
     group, frontier = {zero}, [zero]
     while frontier:

@@ -578,6 +578,7 @@ class TestScanBlocks:
         if size:
             patch.setattr(engine, "_block_targets", capped)
             patch.setattr(engine, "MAX_RUN", size)
+            patch.setattr(engine, "SIEVE_RUN", size)
         else:
             patch.setattr(engine, "_scan_targets", oracles.scan_targets_loop)
 
@@ -784,18 +785,25 @@ class TestScanBlocks:
         # scans of many blocks, whose incumbent changes after the first
         cases += [partial(alpha_n, CharacterSet.of_integers([1, 2, 3, 5, 8]), 8),
                   partial(alpha_n, parse_set_spec("Z12 : [1],[2],[5],[7]")[1], 8)]
-        shared = kept = 0
-        for solve in cases:
+        # sets the sieve solves whose passes take several raisers each: 20
+        # and 21 changes of incumbent in 2,056 and 313 targets
+        sieved = [partial(alpha_n, CharacterSet.of_integers([1, 4, 12, 38, 154]), 8),
+                  partial(alpha_n, parse_set_spec(
+                      "Z x Z2^3 : [3,0,0,0],[3,0,0,1],[6,1,0,0],[6,1,1,0],[8,1,1,0]")[1], 5)]
+        shared = kept = sieve_shared = 0
+        for solve in cases + sieved:
             used = solve().work.inner_evals
             for budget in [used] + [rng.randint(1, used - 1) for _ in range(2)]:
                 want, serial, _ = run(partial(solve, budget=budget), 1)
                 got, pooled, calls = run(partial(solve, budget=budget), 2, InlinePool())
                 assert got == want and pooled == serial, (solve, budget)
+                assert got.work == want.work, (solve, budget)
                 for pays, k, submitted in calls:
                     assert submitted == (pays and k > 1), (solve, budget)
                 shared += sum(submitted for *_, submitted in calls)
                 kept += sum(not pays and k > 1 for pays, k, _ in calls)
-        assert shared >= 20 and kept >= 3, (shared, kept)
+                sieve_shared += (solve in sieved) * sum(submitted for *_, submitted in calls)
+        assert shared >= 20 and kept >= 3 and sieve_shared >= 4, (shared, kept, sieve_shared)
         # one worker process
         solve = partial(alpha_n, CharacterSet.of_integers([1, 3, 7]), 8)
         want, serial, _ = run(solve, 1)
@@ -811,7 +819,7 @@ class TestScanBlocks:
         # are solved then; the decisions are the reference loop's
         E, n = CharacterSet.of_integers([1, 2, 3, 5, 8]), 8
         data = engine._set_data(E)
-        targets = list(engine._grid_targets(engine._shift_basis(data, n), n))[:40]
+        targets = grid_targets(E, n)[:40]
 
         def scan(decide):
             state = engine._Scan(data, 1e-3, Budget(10**9))
@@ -960,6 +968,134 @@ class TestDecisionPass:
         got = scan(engine._scan_targets)
         assert got == scan(oracles.scan_targets_loop)
         assert got[2].targets_pruned == 3 and got[1].lower == 0.0
+
+    @staticmethod
+    def sieved_block(monkeypatch, data, n, rows, prior, cap, slack=0.0, limit=10**12,
+                     lift_margin=None):
+        """`_scan_targets` on one unsolved block of index rows, from an
+        incumbent of lower end `prior`, checked against the reference loop:
+        (status, stats, budget used, incumbent, kernel solves, passes)."""
+        radius = 0.0 if lift_margin is None else math.pi / n
+        solves = []
+        solve = engine._Scan.solve
+
+        def spy(scan, *args):
+            solves.append(len(args[2]))
+            return solve(scan, *args)
+
+        def scan(decide):
+            state = engine._Scan(data, 1e-3, Budget(limit))
+            state.best = engine._Incumbent(prior, n, (0,) * data.m,
+                                           data.chars.group.identity_point(), None)
+            opened = []
+            block = engine._Targets.empty(data, len(rows), n, rows)
+            out = decide(state, n, iter([block]), cap, radius, slack, opened, lift_margin)
+            cells = engine._Cells.gather(opened, data.m)
+            return (out, state.stats, state.budget.used, state.best, cells.rows.tolist(),
+                    cells.top.tolist()), state.passes
+
+        want, _ = scan(oracles.scan_targets_loop)
+        with monkeypatch.context() as patch:
+            patch.setattr(engine._Scan, "solve", spy)
+            got, passes = scan(engine._scan_targets)
+        assert got == want
+        return got[0][2], got[1], got[2], got[3], solves, passes
+
+    @staticmethod
+    def values(data, n, rows):
+        """Exact lower ends of the order-n targets at index rows."""
+        return engine._solve_rows(data, rows * (TWO_PI / n), n, rows, 10**12).lower
+
+    @staticmethod
+    def pick(data, n, want):
+        """Canonical order-n targets whose lower ends are nearest each value
+        of `want`, in that order, and their lower ends."""
+        rows = np.concatenate(list(engine._grid_targets(engine._shift_basis(data, n), n)))
+        lower = TestDecisionPass.values(data, n, rows)
+        at = [int(np.abs(lower - v).argmin()) for v in want]
+        return rows[at], lower[at]
+
+    def test_one_pass_decides_several_raisers_under_one_sieve(self, monkeypatch):
+        # from an incumbent of 0.5 the threshold sieve reaches past every
+        # value of the block: its six raisers are solved by one sieve call
+        # and decided in one pass, with the loop's decisions and charges
+        E, n = CharacterSet.of_integers([1, 4, 12, 38, 154]), 8
+        data = engine._set_data(E)
+        rows, lower = self.pick(data, n, [0.3, 0.6, 0.4, 0.7, 0.2, 0.8, 0.9, 0.5, 1.0, 0.6,
+                                          1.05, 0.1])
+        raises = int((np.diff(np.maximum.accumulate(np.r_[0.5, lower])) > 0).sum())
+        status, stats, used, best, solves, passes = self.sieved_block(
+            monkeypatch, data, n, rows, 0.5, grid_cap(n))
+        assert raises >= 5 and (status, solves, passes) == ("done", [len(rows)], 1)
+        assert best.lower == lower.max() and stats.targets_enumerated == raises
+        # from 0, targets left above the cap end passes and are sieved again
+        status, _, _, _, solves, passes = self.sieved_block(
+            monkeypatch, data, n, rows, 0.0, grid_cap(n))
+        assert status == "done" and len(solves) == passes > 1
+
+    def test_a_raiser_inside_the_slack_is_solved_once(self, monkeypatch):
+        # alpha's cells close within a slack of the incumbent: a target
+        # whose lower end beats the incumbent by less than the slack is
+        # solved under its threshold, charged once, and raises the incumbent
+        E, n, slack = CharacterSet.of_integers([-3, 1, 4]), 8, 0.05
+        data = engine._set_data(E)
+        rows, lower = self.pick(data, n, [0.3, 0.9, 0.5, 1.0, 0.2, 0.95])
+        prior = float(lower[1]) - slack / 2
+        assert prior < lower[1] <= prior + slack and lower[3] > prior + slack
+        unit = data.selection_count * engine._block_targets(data)[1]
+        status, stats, used, best, _, passes = self.sieved_block(
+            monkeypatch, data, n, rows, prior, grid_cap(n), slack,
+            lift_margin=engine._lift_margin(data, n))
+        assert status == "done" and best.lower == lower.max() and passes == 1
+        # one sieve a target, a second for each past its threshold (target
+        # 3, not target 1), and the cells' certificates
+        before = np.maximum.accumulate(np.r_[prior, lower[:-1]])
+        assert (lower > before + slack).tolist() == [False] * 3 + [True] + [False] * 2
+        assert used > (len(rows) + 1) * unit and stats.targets_enumerated >= 2
+
+    def test_budget_stops_and_cap_exits_inside_a_pass(self, monkeypatch):
+        # every budget stop in a block with raisers before and after it, and
+        # cap exits at a raiser in the middle of the block
+        E, n = CharacterSet.of_integers([1, 4, 12, 38, 154]), 8
+        data = engine._set_data(E)
+        rows, lower = self.pick(data, n, [0.6, 0.3, 0.7, 0.2, 0.8, 0.4, 0.9, 0.5, 1.0, 0.1])
+        unit = data.selection_count * engine._block_targets(data)[1]
+        between = 0
+        for limit in [unit * t + unit // 2 for t in range(len(rows) + 1)]:
+            status, stats, used, best, _, _ = self.sieved_block(
+                monkeypatch, data, n, rows, 0.5, grid_cap(n), limit=limit)
+            decided = stats.targets_enumerated + stats.targets_pruned
+            # stopped after a raise, with a raiser still ahead
+            between += (status == "budget" and best.lower > 0.5
+                        and lower[decided:].max() > best.lower)
+        assert between >= 3, between
+        for j in (4, 6):
+            status, stats, _, best, _, passes = self.sieved_block(
+                monkeypatch, data, n, rows, 0.5, float(lower[j]) + 5e-4)
+            assert (status, best.lower, passes) == ("capped", lower[j], 1)
+            assert stats.targets_enumerated + stats.targets_pruned == j + 1
+        # an incumbent at the cap already exits at the first target decided
+        status, stats, _, _, _, _ = self.sieved_block(monkeypatch, data, n, rows[1:], 0.5, 0.5)
+        assert status == "capped" and stats.targets_enumerated + stats.targets_pruned == 1
+
+    def test_a_lacunary_scan_takes_few_passes_and_sieve_calls(self, monkeypatch):
+        # 2,056 targets in blocks of SIEVE_RUN, each sieved at once in calls
+        # of SIEVE_CALL targets; passes ended at every change of incumbent
+        # before (29 passes, 21 sieve calls)
+        scans, calls = [], []
+        scan_targets, circle = engine._scan_targets, engine.min_error_circle
+
+        def spy(scan, *args):
+            scans.append(scan)
+            return scan_targets(scan, *args)
+
+        monkeypatch.setattr(engine, "_scan_targets", spy)
+        monkeypatch.setattr(engine, "min_error_circle",
+                            lambda *args, **kw: calls.append(len(args[1])) or circle(*args, **kw))
+        res = alpha_n(CharacterSet.of_integers([1, 4, 12, 38, 154]), 8)
+        assert (res.work.targets_enumerated, res.work.targets_pruned) == (20, 2036)
+        assert (len(calls), scans[0].passes) == (11, 4)
+        assert max(calls) == engine.SIEVE_CALL
 
     @pytest.mark.parametrize("solve", [
         lambda: alpha_n(CharacterSet.of_integers([1, 4, 12, 38, 154]), 8),
@@ -2015,12 +2151,14 @@ class TestLiftedBlocks:
         assert scan.budget.used == want["used"], case
         assert scan.stats.targets_enumerated == want["enumerated"], case
         rows = block.cells.rows.tolist()
+        # the block is decided in one pass: only the loop's last incumbent
+        # is made, with its witness
         assert [(c.indices, c.lower, c.order) for c in made] == [
-            (tuple(rows[i]), block.lower[i], n) for i in want["incumbents"]], case
-        # each incumbent's witness attains its least kept lift, and the
+            (tuple(rows[i]), block.lower[i], n) for i in want["incumbents"][-1:]], case
+        # the incumbent's witness attains its least kept lift, and the
         # probes are those the scan began with: a set the sieve solves reads
         # and keeps none
-        for c, i in zip(made, want["incumbents"]):
+        for c, i in zip(made, want["incumbents"][-1:]):
             nu, vals = zip(*self.kept_lifts(block, i))
             angles = np.array(rows[i], dtype=np.float64) * (TWO_PI / n)
             s = line_witness(data.line, angles + TWO_PI * np.array(nu[int(np.argmin(vals))]))
@@ -2103,8 +2241,10 @@ def shift_group(E, n):
 
 
 def grid_targets(E, n):
+    """The canonical order-n targets of a set, as index tuples."""
     data = engine._set_data(E)
-    return list(engine._grid_targets(engine._shift_basis(data, n), n))
+    rows = engine._grid_targets(engine._shift_basis(data, n), n)
+    return [tuple(row) for block in rows for row in block.tolist()]
 
 
 class TestSymmetryQuotient:
@@ -2132,6 +2272,102 @@ class TestSymmetryQuotient:
         _, E = parse_set_spec(spec)
         want = oracles.orbit_minima(shift_group(E, n), len(E), n)
         assert grid_targets(E, n) == want
+
+    @pytest.mark.parametrize("spec, n, orbits", [
+        ("Z4 : [1],[3]", 2, 2),
+        ("Z130 : [7],[13],[16],[97]", 5, 63),
+        ("Z140 : [11],[35],[52],[119]", 5, 63),
+        ("Z2 x Z6 : [0,4],[1,0],[1,1],[1,4]", 3, 14),
+        ("Z x Z4 : [1,1],[2,3],[3,2]", 2, None),
+    ])
+    def test_torsion_steps_join_the_shift_group_at_their_least_grid_multiple(
+            self, spec, n, orbits):
+        # a factor whose one step leaves some argument off the n-grid still
+        # shifts the targets by its least multiple that lands them all on
+        # it: one target per orbit of the oracle's group, which tries every
+        # multiple, and the bracket of every target solved
+        _, E = parse_set_spec(spec)
+        want = oracles.orbit_minima(shift_group(E, n), len(E), n)
+        assert grid_targets(E, n) == want and len(want) == (orbits or len(want))
+        data = engine._set_data(E)
+        rows = np.array(list(itertools.product(range(n), repeat=len(E))))
+        every = engine._solve_rows(data, rows * (TWO_PI / n), n, rows, 10**12)
+        res = alpha_n(E, n)
+        assert res.certified
+        if data.r:
+            # targets of one orbit agree up to rounding
+            assert res.alpha.lower == pytest.approx(every.lower.max(), abs=1e-12)
+        else:
+            assert res.alpha.lower == every.lower.max()
+            assert res.alpha.exact_turns == Fraction(int(every.exact.max()), every.modulus)
+
+    def test_blocks_stream_the_seeds_then_the_orbit_minima(self, monkeypatch):
+        # alpha_n's scan reads unsolved blocks of index rows: the seeds
+        # reduced mod n, in the order given, then one target per orbit in
+        # lexicographic order, cut into blocks of the scan's size
+        rng = random.Random(113)
+        groups = [GroupSpec(1), GroupSpec(2), GroupSpec(1, (2,)), GroupSpec(1, (2, 2, 2)),
+                  GroupSpec(0, (4, 6)), GroupSpec(0, (12,))]
+        blocks = []
+
+        def drain(scan, n, items, *args):
+            blocks.extend(items)
+            return 0.0, 0.0, "done"
+
+        monkeypatch.setattr(engine, "_scan_targets", drain)
+        monkeypatch.setattr(engine, "MAX_RUN", 3)
+        for trial in range(36):
+            E = random_group_set(rng, groups[trial % len(groups)], zero=rng.random() < 0.2)
+            n = rng.randint(2, 9)
+            seeds = [[rng.randrange(-2 * n, 2 * n) for _ in E] for _ in range(rng.randint(0, 4))]
+            monkeypatch.setattr(engine, "SIEVE_RUN", rng.randint(1, 8))
+            blocks.clear()
+            alpha_n(E, n, seed_targets=seeds)
+            data = engine._set_data(E)
+            size = (engine.SIEVE_RUN if data.line is not None
+                    else max(engine.MAX_RUN, engine._block_targets(data)[0]))
+            assert all(isinstance(b, engine._Targets) and np.isnan(b.lower).all()
+                       and b.rows.dtype == np.int64 for b in blocks)
+            assert [len(b.rows) for b in blocks[:-1]] == [size] * (len(blocks) - 1)
+            assert 0 < len(blocks[-1].rows) <= size
+            rows = [tuple(row) for b in blocks for row in b.rows.tolist()]
+            assert rows == [tuple(j % n for j in seed) for seed in seeds] + oracles.orbit_minima(
+                shift_group(E, n), len(E), n), (E, n, seeds)
+
+    def test_next_level_streams_solved_centres_before_children(self, monkeypatch):
+        # a level's targets: the centres of parents without lifts that are
+        # solved again, as one array of rows 2t, then the children, arrays
+        # of rows 2t + d (d != 0) and lifted blocks; no orbit comes twice
+        rng = random.Random(131)
+        next_level = engine._next_level
+        levels = []
+
+        def spy(data, n, *args):
+            items, closed = next_level(data, n, *args)
+            levels.append((data, n, list(items)))
+            return iter(levels[-1][2]), closed
+
+        monkeypatch.setattr(engine, "_next_level", spy)
+        sets = [random_int_set(rng, max_size=3, max_entry=9) for _ in range(6)]
+        sets += [CharacterSet.of_integers([1, 2, 3, 5]),
+                 parse_set_spec("Z x Z2 : [1,0],[2,1],[3,1]")[1]]
+        centres = lifted = 0
+        for E in sets:
+            levels.clear()
+            alpha(E, tol=1e-2)
+            for data, n, items in levels:
+                first, *rest = items
+                assert isinstance(first, np.ndarray) and (first % 2 == 0).all()
+                for item in rest:
+                    if isinstance(item, np.ndarray):
+                        assert not (item % 2 == 0).all(axis=1).any(), (E, n)
+                    lifted += 0 if isinstance(item, np.ndarray) else len(item.rows)
+                rows = np.concatenate([first] + [getattr(item, "rows", item) for item in rest])
+                keys = engine._orbit_keys(engine._orbit_reps(
+                    rows, engine._shift_basis(data, n), n), n)
+                assert len(np.unique(keys)) == len(keys), (E, n)
+                centres += len(first)
+        assert centres > 10 and lifted > 10, (centres, lifted)
 
     def test_orbit_reps_are_orbit_minima(self):
         from kronset.engine import _orbit_reps, _set_data, _shift_basis
