@@ -242,8 +242,7 @@ def _base_report(command: str, input_fields: dict) -> dict:
 
 def _cmd_alpha(args) -> tuple[int, dict]:
     group, chars = parse_set_spec(args.set)
-    res = alpha(chars, tol=args.tol, budget=args.budget, threads=args.threads,
-                max_order=args.max_order)
+    res = alpha(chars, tol=args.tol, budget=args.budget, max_order=args.max_order)
     report = _base_report(args.command, {
         "set": args.set, **_set_json(group, chars),
         "tol": args.tol, "budget": args.budget, "max_order": args.max_order,
@@ -255,8 +254,7 @@ def _cmd_alpha(args) -> tuple[int, dict]:
 
 def _cmd_alpha_n(args) -> tuple[int, dict]:
     group, chars = parse_set_spec(args.set)
-    res = alpha_n(chars, args.n, tol=args.tol, budget=args.budget,
-                  threads=args.threads)
+    res = alpha_n(chars, args.n, tol=args.tol, budget=args.budget)
     report = _base_report("alpha-n", {
         "set": args.set, **_set_json(group, chars),
         "n": args.n, "tol": args.tol, "budget": args.budget,
@@ -272,7 +270,7 @@ def _cmd_net(args) -> tuple[int, dict]:
     alpha_res = None
     if eps is None:
         alpha_res = alpha(chars, tol=args.tol, budget=args.budget,
-                          threads=args.threads, max_order=args.max_order)
+                          max_order=args.max_order)
         kappa_up = alpha_res.kappa[1]
         if kappa_up >= 2.0:
             raise BudgetExceededError(
@@ -338,10 +336,8 @@ def _cmd_b2(args) -> tuple[int, dict]:
 def _cmd_classify(args) -> tuple[int, dict]:
     group, chars = parse_set_spec(args.set)
     orders = [int(v) for v in args.n_list.split(",")] if args.n_list else [2, 3, 4]
-    alpha_res = alpha(chars, tol=args.tol, budget=args.budget,
-                      threads=args.threads, max_order=args.max_order)
-    roots = [alpha_n(chars, n, tol=args.tol, budget=args.budget,
-                     threads=args.threads) for n in orders]
+    alpha_res = alpha(chars, tol=args.tol, budget=args.budget, max_order=args.max_order)
+    roots = [alpha_n(chars, n, tol=args.tol, budget=args.budget) for n in orders]
     verdict = classify(chars, alpha_res, roots)
     report = _base_report("classify", {
         "set": args.set, **_set_json(group, chars),
@@ -464,7 +460,8 @@ def _add_common(p: argparse.ArgumentParser, with_set=True) -> None:
                        help="set spec, e.g. \"Z : [1],[2]\" or \"Z2^3 : [0,1,0],[1,0,1]\"")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted and checked (>= 1) but ignored: every run is serial")
     p.add_argument("--pretty", action="store_true")
     p.add_argument("--no-timestamp", action="store_true")
 
@@ -535,6 +532,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ValueError("threads must be >= 1")
         code, report = _COMMANDS[args.command](args)
     except (SetSpecError, GroupMismatchError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

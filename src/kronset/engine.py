@@ -19,13 +19,11 @@ were split from, and those lifts certify the cell's maximum
 """
 from __future__ import annotations
 
-import contextlib
 import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -60,17 +58,18 @@ from .groups import (
     evaluate_arg,
 )
 
-if TYPE_CHECKING:
-    from concurrent.futures import ProcessPoolExecutor
-
 DEFAULT_TOL = 1e-3
 DEFAULT_BUDGET = 10**8
 #: largest roots-grid order the continuous-constant refinement will reach
 LADDER_MAX_ORDER = 1 << 13
-#: fewest grid targets a scan reads per block (see `_blocks`).  A pooled
-#: scan meets its workers once a block: 32 keeps a kernel-bound 2-process
-#: scan about 4% faster than 16 does, and serial `grid` solves 0.4% more
-#: targets, about as fast
+#: fewest grid targets a scan reads per block (see `_blocks`), on sets
+#: whose solves fill a kernel call with fewer.  A pass that reads probes
+#: ends at the next roll point anyway, every ROLL items, and a shorter
+#: block splits the passes: on a 6-character `Z^2` set at n = 5, with 27
+#: targets a kernel call, 16 made 15 solve calls against 11 and ran about
+#: 40% slower (2 vCPUs); 64 and 128 ran as fast as 32.  The floor also
+#: bounds the targets a pass solves before the scan stops, so it sets
+#: which are solved
 MAX_RUN = 32
 #: grid targets a block holds on a set the sieve solves (see `_blocks`).
 #: On the free-rank-1 `grid` tasks and its coset scan, 256, 512 and 1024
@@ -866,10 +865,8 @@ class _Incumbent:
 @dataclass
 class _Scan:
     """What the scans of one computation share: the incumbent worst target,
-    the probe window, the budget, the work counters and, with `threads` > 1,
-    the pool of `threads` - 1 workers that `solve` shares the scan's solves
-    with.  `tol` is the cap-exit margin, and `passes` counts the decision
-    passes of its scans.
+    the probe window, the budget and the work counters.  `tol` is the
+    cap-exit margin, and `passes` counts the decision passes of its scans.
 
     The probes are the character argument rows of the last PROBES witnesses
     of solved targets, newest first, the identity last of all; a set the
@@ -877,14 +874,11 @@ class _Scan:
     points of the scan order, every ROLL-th item of a `_scan_targets` call
     from its first and after every change of incumbent: `roll` puts the
     rows `pending` since the last roll, taken in scan order, in front.  So
-    the probes a target meets depend neither on the block size nor on the
-    thread count."""
+    the probes a target meets do not depend on the block size."""
 
     data: _SetData
     tol: float
     budget: Budget
-    pool: ProcessPoolExecutor | None = None
-    threads: int = 1
     stats: WorkStats = field(default_factory=WorkStats)
     best: _Incumbent | None = None
     probes: np.ndarray = field(init=False)
@@ -908,31 +902,6 @@ class _Scan:
         pending, and roll the window."""
         self.best = best
         self.roll()
-
-    def solve(self, angles: np.ndarray, n: int, rows: np.ndarray,
-              lift_margin: float | None = None, cap: float | None = None) -> _Targets:
-        """`_solve_rows` on rows of order-n targets, the budget left as its
-        limit, under `cap`.  With a pool, and a limit that pays every target
-        at its largest charge, the targets are split into `threads` parts:
-        this process solves the first while the workers solve the rest.  Each
-        target's solution does not depend on the others, so the result is
-        that of one call."""
-        data, limit = self.data, self.budget.remaining
-        if self.pool is None or len(rows) * data.selection_count * _block_targets(data)[1] > limit:
-            return _solve_rows(data, angles, n, rows, limit, lift_margin, cap)
-        first, *rest = [at for at in np.array_split(np.arange(len(rows)), self.threads) if len(at)]
-        futures = [self.pool.submit(_solve_for, data.chars, angles[at], n, rows[at], limit,
-                                    lift_margin, cap) for at in rest]
-        out = _Targets.empty(data, len(rows), n, rows)
-        out.put(first, _solve_rows(data, angles[first], n, rows[first], limit, lift_margin, cap))
-        for at, future in zip(rest, futures):
-            out.put(at, future.result())
-        return out
-
-
-def _solve_for(chars: CharacterSet, *args) -> _Targets:
-    """`_solve_rows` in a pool worker, which builds its own `_SetData`."""
-    return _solve_rows(_set_data(chars), *args)
 
 
 def _first(mask: np.ndarray) -> int:
@@ -968,7 +937,7 @@ def _scan_targets(scan: _Scan, n: int, items, cap: float, radius: float = 0.0,
       (`min_error_circle`'s cap), which solves it exactly when its lower
       end is at most U, else once more without a cap, and charges each
       sieve (one, uncapped, before the first incumbent).  A pass sieves
-      every unsolved target of the block in one `_Scan.solve` call, past U
+      every unsolved target of the block in one `_solve_rows` call, past U
       by SIEVE_REACH of the gap from the incumbent to pi, and ends before
       the next target that sieve left unsolved.  The pass that starts there sieves
       it without a cap when the room pays both its sieves.  A target closed
@@ -978,7 +947,7 @@ def _scan_targets(scan: _Scan, n: int, items, cap: float, radius: float = 0.0,
       error is a value bound that closes a cell without solving it (a
       pruned target).  A target reads at most as many probes, newest first,
       as the largest charge of its solve pays for, m units a read; the
-      targets they leave open are solved in one `_Scan.solve` call.  A pass
+      targets they leave open are solved in one `_solve_rows` call.  A pass
       ends at the first change of incumbent and at the next roll point of
       the window, and the solved targets it decides leave their witnesses'
       argument rows pending for the window, from one `_SetData.args_at`
@@ -1014,7 +983,8 @@ def _scan_targets(scan: _Scan, n: int, items, cap: float, radius: float = 0.0,
 
         def put(at: np.ndarray, cap: float | None = None):
             """Solve the targets at `at` under `cap`, and certify their cells."""
-            block.put(at, scan.solve(rows[at] * (TWO_PI / n), n, rows[at], lift_margin, cap))
+            block.put(at, _solve_rows(data, rows[at] * (TWO_PI / n), n, rows[at],
+                                      budget.remaining, lift_margin, cap))
             if lift_margin is not None:
                 block.certify(data, n, at)
 
@@ -1178,22 +1148,8 @@ def _blocks(data: _SetData, n: int, items):
             yield item
 
 
-def _pool(threads: int):
-    """The `threads` - 1 worker processes of a computation with `threads` > 1
-    (none for one thread); ValueError for threads < 1."""
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-    if threads == 1:
-        return contextlib.nullcontext()
-    # imported here: the process machinery is a sizeable share of the
-    # library's import time and memory, and single-threaded calls need none
-    from concurrent.futures import ProcessPoolExecutor
-    return ProcessPoolExecutor(max_workers=threads - 1)
-
-
 def alpha_n(chars: CharacterSet, n: int, tol: float = DEFAULT_TOL,
-            budget: int = DEFAULT_BUDGET, threads: int = 1,
-            seed_targets=()) -> KroneckerResult:
+            budget: int = DEFAULT_BUDGET, seed_targets=()) -> KroneckerResult:
     """Certified bracket for the n-th-roots-grid interpolation constant.
 
     Enumerates the least target of each orbit of the target grid under
@@ -1204,11 +1160,6 @@ def alpha_n(chars: CharacterSet, n: int, tol: float = DEFAULT_TOL,
     keeps certified lower bounds monotone.  If the budget runs out a partial
     result is returned with certified=False: its lower end is still sound,
     the upper end falls back to the universal cap.
-
-    threads > 1 runs the scan's solves in that many processes, this one and
-    threads - 1 workers, whenever the budget pays every target of a solve;
-    the scan decides, so every field of the result, work counters included,
-    is the same for any thread count.
     """
     if n < 2:
         raise ValueError("roots grid order must be >= 2")
@@ -1221,9 +1172,8 @@ def alpha_n(chars: CharacterSet, n: int, tol: float = DEFAULT_TOL,
 
     rows = itertools.chain([np.array(seeds, dtype=np.int64).reshape(-1, data.m)],
                            _grid_targets(_shift_basis(data, n), n))
-    with _pool(threads) as pool:
-        scan = _Scan(data, tol, Budget(budget), pool, threads)
-        closed_hi, open_hi, status = _scan_targets(scan, n, _blocks(data, n, rows), cap)
+    scan = _Scan(data, tol, Budget(budget))
+    closed_hi, open_hi, status = _scan_targets(scan, n, _blocks(data, n, rows), cap)
     best, stats = scan.best, scan.stats
     stats.inner_evals = scan.budget.used
     stats.budget_exhausted = status == "budget"
@@ -1242,7 +1192,7 @@ def alpha_n(chars: CharacterSet, n: int, tol: float = DEFAULT_TOL,
 
 
 def alpha(chars: CharacterSet, tol: float = DEFAULT_TOL, budget: int = DEFAULT_BUDGET,
-          threads: int = 1, max_order: int = LADDER_MAX_ORDER) -> KroneckerResult:
+          max_order: int = LADDER_MAX_ORDER) -> KroneckerResult:
     """Certified bracket for the continuous-target interpolation constant.
 
     Lipschitz refinement of cells over the target torus, one level per
@@ -1271,9 +1221,8 @@ def alpha(chars: CharacterSet, tol: float = DEFAULT_TOL, budget: int = DEFAULT_B
     if max_order < 2:
         raise ValueError("max_order must be >= 2")
     _check_limits(tolerance=tol, budget=budget)
-    with _pool(threads) as pool:
-        scan = _Scan(_set_data(chars), tol / 2, Budget(budget), pool, threads)
-        upper, lower, ladder, reason = _refine(scan, tol, max_order)
+    scan = _Scan(_set_data(chars), tol / 2, Budget(budget))
+    upper, lower, ladder, reason = _refine(scan, tol, max_order)
     best, stats = scan.best, scan.stats
     stats.inner_evals = scan.budget.used
     stats.budget_exhausted = reason == "budget"

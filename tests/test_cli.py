@@ -93,6 +93,8 @@ class TestSubcommands:
         for argv in (["alpha", "--set", "Z : bogus"],
                      ["alpha", "--set", "Z : [1],[2]", "--threads", "0"],
                      ["alpha-n", "--set", "Z : [1],[2]", "--n", "3", "--threads", "-3"],
+                     ["quasi", "--set", "Z : [1],[2]", "--threads", "0"],
+                     ["gallery", "--example", "z2cube", "--threads", "0"],
                      ["alpha", "--set", "Z : [1],[2]", "--max-order", "0"],
                      ["alpha", "--set", "Z : [1],[2]", "--max-order", "1"],
                      ["alpha", "--set", "Z : [1],[2]", "--tol", "nan"],
@@ -256,6 +258,17 @@ class TestReportContract:
             main(argv)
             second = capsys.readouterr().out
             assert first == second
+
+    def test_threads_flag_changes_no_output(self, capsys):
+        # --threads is accepted and ignored: the report is the serial run's
+        for argv in (["alpha", "--set", "Z : [1],[3]", "--tol", "1e-2"],
+                     ["alpha-n", "--set", "Z2^3 : [1,0,0],[0,1,1],[1,1,0]", "--n", "4"],
+                     ["classify", "--set", "Z : [1],[2],[5]", "--tol", "1e-2"]):
+            outputs = []
+            for extra in ([], ["--threads", "2"]):
+                main(argv + extra + ["--no-timestamp"])
+                outputs.append(capsys.readouterr().out)
+            assert outputs[0] and outputs[1] == outputs[0], argv
 
     def test_consecutive_calls_do_not_share_values(self, capsys):
         # one parser serves every call in a process: no flag or default of

@@ -1,12 +1,10 @@
 import collections
-import contextlib
 import itertools
 import math
 import random
 import tracemalloc
 from fractions import Fraction
 from functools import partial
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -62,19 +60,6 @@ def solutions(data, solved):
     return [None if math.isnan(lower) else (
         (lower, solved.upper[i], *solved.witness(data, None, i), solved.lifts[i]),
         int(solved.cost[i])) for i, lower in enumerate(solved.lower.tolist())]
-
-
-class InlinePool:
-    """A process pool stand-in that runs each task in this process when it
-    is submitted and records the arguments of every task."""
-
-    def __init__(self):
-        self.tasks = []
-
-    def submit(self, fn, *args):
-        self.tasks.append(args)
-        solved = fn(*args)
-        return SimpleNamespace(result=lambda: solved)
 
 
 def random_group_set(rng, group, zero=False):
@@ -478,31 +463,6 @@ class TestAlphaN:
         assert res.work.budget_exhausted
         assert res.alpha.upper == math.pi  # even-n fallback cap
 
-    def test_thread_pool_matches_serial(self):
-        # the whole result, work counters included, must not depend on the
-        # thread count: plain, seeded, capped and budget-limited scans
-        rng = random.Random(61)
-        orders = itertools.cycle((3, 4, 5, 8))
-        groups = [GroupSpec(1), GroupSpec(2), GroupSpec(1, (2,)),
-                  GroupSpec(0, (12,)), GroupSpec(0, (5, 5))]
-        cases = [(CharacterSet.of_integers([0, 1]), 2, {"seed_targets": [(1, 1)]}, 3)]
-        for g in groups:
-            for mode in ("plain", "seeded", "budget", "capped"):
-                E = random_group_set(rng, g, zero=mode == "capped")
-                n = next(orders)
-                kw = {"tol": 1e-2}
-                if mode == "seeded":
-                    kw["seed_targets"] = [[rng.randrange(n) for _ in E] for _ in range(2)]
-                if mode == "budget":
-                    kw["budget"] = rng.randint(1, alpha_n(E, n, **kw).work.inner_evals - 1)
-                cases.append((E, n, kw, 2))
-        for E, n, kw, threads in cases:
-            serial = alpha_n(E, n, **kw)
-            assert alpha_n(E, n, threads=threads, **kw) == serial, (E, n, kw)
-            assert serial.work.budget_exhausted == ("budget" in kw)
-        E = CharacterSet.of_integers([1, 3])
-        assert alpha(E, tol=1e-2, threads=2) == alpha(E, tol=1e-2)
-
     def test_probe_charges_match_a_loop_over_the_probes(self, monkeypatch):
         # the reference scan charges m before each probe it reads, one
         # target at a time (`oracles.probe_loop`)
@@ -593,7 +553,6 @@ class TestScanBlocks:
         return CharacterSet(group, tuple(Character(group, *c) for c in elements))
 
     def assert_same_at_every_block_size(self, monkeypatch, solve, want):
-        assert solve(threads=2) == want
         for size in (1, 0):
             with monkeypatch.context() as patch:
                 self.blocks_of(patch, size)
@@ -619,8 +578,8 @@ class TestScanBlocks:
         batched = inside = 0
         for E, n, kw in cases:
             want = alpha_n(E, n, **kw)
-            self.assert_same_at_every_block_size(
-                monkeypatch, lambda **more: alpha_n(E, n, **kw, **more), want)
+            assert want.work.budget_exhausted == ("budget" in kw)
+            self.assert_same_at_every_block_size(monkeypatch, lambda: alpha_n(E, n, **kw), want)
             batched += engine._block_targets(engine._set_data(E))[0] > 1
             # a torsion scan's targets all fit in its first block
             inside += (not E.group.free_rank and want.work.budget_exhausted
@@ -642,7 +601,7 @@ class TestScanBlocks:
                 assert cases[-1][1].work.stop_reason == "budget"
             for kw, want in cases:
                 self.assert_same_at_every_block_size(
-                    monkeypatch, lambda **more: alpha(E, tol=0.05, **kw, **more), want)
+                    monkeypatch, lambda: alpha(E, tol=0.05, **kw), want)
 
     @staticmethod
     def reference(E, angles, budget):
@@ -716,101 +675,6 @@ class TestScanBlocks:
                 for a in angles:
                     self.reference(E, a, ref)
             assert short.used == ref.used
-            if margin is not None:
-                continue
-            # a scan with a pool returns the same solutions: shared with a
-            # worker when its limit pays every target, else cut short by
-            # this process alone
-            for limit in (rng.randrange(len(run) * cost), len(run) * cost + rng.randrange(cost)):
-                pool = InlinePool()
-                scan = engine._Scan(data, 1e-3, Budget(limit), pool, 2)
-                solved = solutions(data, scan.solve(angles, n, run))
-                assert solved == [(s, cost) if t < limit // cost else None
-                                  for t, s in enumerate(got)]
-                shared = limit >= len(run) * cost and len(run) > 1
-                assert [len(task[3]) for task in pool.tasks] == ([len(run) // 2] if shared else [])
-
-    def test_the_pool_solves_the_serial_scans_targets(self, monkeypatch):
-        # the index rows given to `_solve_rows`, in any process, are the
-        # same multiset for one thread and two, and a solve whose targets
-        # the budget left cannot all pay at their largest charge stays in
-        # the scan's process
-        rng = random.Random(419)
-        solve_rows, scan_solve, make_pool = engine._solve_rows, engine._Scan.solve, engine._pool
-        rows, solves = collections.Counter(), []
-
-        def count(n, indices):
-            rows.update((n, *row) for row in indices.tolist())
-
-        def spy_rows(data, angles, n, indices, *args):
-            count(n, indices)
-            return solve_rows(data, angles, n, indices, *args)
-
-        def spy_solve(scan, angles, n, indices, *args):
-            unit = engine._block_targets(scan.data)[1]
-            pays = len(indices) * scan.data.selection_count * unit <= scan.budget.remaining
-            before = len(scan.pool.tasks) if scan.pool else 0
-            out = scan_solve(scan, angles, n, indices, *args)
-            after = len(scan.pool.tasks) if scan.pool else 0
-            solves.append((pays, len(indices), after - before))
-            return out
-
-        class Forked(InlinePool):
-            # a real pool whose tasks' rows are counted when submitted, as
-            # the spy's counts in a worker stay in the worker
-            def __init__(self, workers):
-                super().__init__()
-                self.workers = workers
-
-            def submit(self, fn, *args):
-                self.tasks.append(args)
-                count(args[2], args[3])
-                return self.workers.submit(fn, *args)
-
-        def run(solve, threads, pool=None):
-            rows.clear()
-            solves.clear()
-            with monkeypatch.context() as patch:
-                patch.setattr(engine, "_solve_rows", spy_rows)
-                patch.setattr(engine._Scan, "solve", spy_solve)
-                patch.setattr(engine, "_pool", lambda threads: contextlib.nullcontext(pool))
-                return solve(threads=threads), collections.Counter(rows), list(solves)
-
-        groups = [GroupSpec(1), GroupSpec(1, (2,)), GroupSpec(2), GroupSpec(0, (12,)),
-                  GroupSpec(0, (2, 2, 2))]
-        cases = [partial(alpha_n, random_group_set(rng, g), rng.choice((3, 4, 5, 8)), tol=1e-2)
-                 for g in groups for _ in range(2)]
-        cases += [partial(alpha, CharacterSet.of_integers(elements), tol=0.05)
-                  for elements in ([1, 3], [-4, 3], [-3, 1, 4])]
-        # scans of many blocks, whose incumbent changes after the first
-        cases += [partial(alpha_n, CharacterSet.of_integers([1, 2, 3, 5, 8]), 8),
-                  partial(alpha_n, parse_set_spec("Z12 : [1],[2],[5],[7]")[1], 8)]
-        # sets the sieve solves whose passes take several raisers each: 20
-        # and 21 changes of incumbent in 2,056 and 313 targets
-        sieved = [partial(alpha_n, CharacterSet.of_integers([1, 4, 12, 38, 154]), 8),
-                  partial(alpha_n, parse_set_spec(
-                      "Z x Z2^3 : [3,0,0,0],[3,0,0,1],[6,1,0,0],[6,1,1,0],[8,1,1,0]")[1], 5)]
-        shared = kept = sieve_shared = 0
-        for solve in cases + sieved:
-            used = solve().work.inner_evals
-            for budget in [used] + [rng.randint(1, used - 1) for _ in range(2)]:
-                want, serial, _ = run(partial(solve, budget=budget), 1)
-                got, pooled, calls = run(partial(solve, budget=budget), 2, InlinePool())
-                assert got == want and pooled == serial, (solve, budget)
-                assert got.work == want.work, (solve, budget)
-                for pays, k, submitted in calls:
-                    assert submitted == (pays and k > 1), (solve, budget)
-                shared += sum(submitted for *_, submitted in calls)
-                kept += sum(not pays and k > 1 for pays, k, _ in calls)
-                sieve_shared += (solve in sieved) * sum(submitted for *_, submitted in calls)
-        assert shared >= 20 and kept >= 3 and sieve_shared >= 4, (shared, kept, sieve_shared)
-        # one worker process
-        solve = partial(alpha_n, CharacterSet.of_integers([1, 3, 7]), 8)
-        want, serial, _ = run(solve, 1)
-        with make_pool(2) as workers:
-            pool = Forked(workers)
-            got, pooled, _ = run(solve, 2, pool)
-        assert got == want and pooled == serial and pool.tasks
 
     def test_stale_verdicts_are_read_again(self, monkeypatch):
         # in {1,2,3,5,8} at n = 8, read as one block of 40 targets, the
@@ -829,17 +693,17 @@ class TestScanBlocks:
             return status, state.stats, state.budget.used, state.best, state.probes.tolist()
 
         verdicts = collections.defaultdict(list)
-        solve = engine._Scan.solve
+        solve_rows = engine._solve_rows
 
-        def spy(state, angles, order, rows, lift_margin=None, cap=None):
-            out = solve(state, angles, order, rows, lift_margin, cap)
+        def spy(data, angles, order, rows, limit, lift_margin=None, cap=None):
+            out = solve_rows(data, angles, order, rows, limit, lift_margin, cap)
             for row, lower in zip(map(tuple, rows.tolist()), out.lower.tolist()):
                 verdicts[row].append((cap, not math.isnan(lower)))
             return out
 
         reference = scan(oracles.scan_targets_loop)
         with monkeypatch.context() as patch:
-            patch.setattr(engine._Scan, "solve", spy)
+            patch.setattr(engine, "_solve_rows", spy)
             got = scan(engine._scan_targets)
         again = [v for v in verdicts.values() if len(v) > 1]
         # read again under a higher threshold, and solved there
@@ -931,15 +795,14 @@ class TestDecisionPass:
                 with monkeypatch.context() as patch:
                     patch.setattr(engine, "_scan_targets", oracles.scan_targets_loop)
                     want = solve(budget=budget)
-                threads = rng.choice((1, 2))
                 with monkeypatch.context() as patch:
                     patch.setattr(engine, "MAX_RUN", rng.randint(1, 20))
                     # blocks of a set the sieve solves from 1 to TABLE_BLOCK targets
                     patch.setattr(engine, "SIEVE_RUN",
                                   rng.choice([1, 7, 64, engine.SIEVE_RUN, engine.TABLE_BLOCK]))
                     patch.setattr(engine, "_blocks", random_runs)
-                    got = solve(budget=budget, threads=threads)
-                assert got == want, (solve, budget, threads)
+                    got = solve(budget=budget)
+                assert got == want, (solve, budget)
                 if grid and got.work.stop_reason == "budget":
                     decided = got.work.targets_enumerated + got.work.targets_pruned
                     stops += 1
@@ -977,11 +840,11 @@ class TestDecisionPass:
         (status, stats, budget used, incumbent, kernel solves, passes)."""
         radius = 0.0 if lift_margin is None else math.pi / n
         solves = []
-        solve = engine._Scan.solve
+        solve_rows = engine._solve_rows
 
-        def spy(scan, *args):
-            solves.append(len(args[2]))
-            return solve(scan, *args)
+        def spy(data, angles, n, rows, *args):
+            solves.append(len(rows))
+            return solve_rows(data, angles, n, rows, *args)
 
         def scan(decide):
             state = engine._Scan(data, 1e-3, Budget(limit))
@@ -996,7 +859,7 @@ class TestDecisionPass:
 
         want, _ = scan(oracles.scan_targets_loop)
         with monkeypatch.context() as patch:
-            patch.setattr(engine._Scan, "solve", spy)
+            patch.setattr(engine, "_solve_rows", spy)
             got, passes = scan(engine._scan_targets)
         assert got == want
         return got[0][2], got[1], got[2], got[3], solves, passes
@@ -1226,16 +1089,16 @@ class TestProbeWindow:
         # on sets in Z, Z x Z2^k and collinear Z^2; the brackets contain the
         # exhaustive values
         rng = random.Random(1807)
-        solve = engine._Scan.solve
+        solve_rows = engine._solve_rows
         calls = []
 
-        def spy(scan, angles, n, rows, lift_margin=None, cap=None):
-            out = solve(scan, angles, n, rows, lift_margin, cap)
+        def spy(data, angles, n, rows, limit, lift_margin=None, cap=None):
+            out = solve_rows(data, angles, n, rows, limit, lift_margin, cap)
             if cap is not None:
-                calls.append((scan.data, angles, n, rows, cap, out))
+                calls.append((data, angles, n, rows, cap, out))
             return out
 
-        monkeypatch.setattr(engine._Scan, "solve", spy)
+        monkeypatch.setattr(engine, "_solve_rows", spy)
         cases = [(random_group_set(rng, g), n) for g in (GroupSpec(1), GroupSpec(1, (2,)))
                  for n in (3, 4, 5, 6) for _ in range(2)]
         cases += [(parse_set_spec("Z^2 : [1,-2],[-2,4],[3,-6]")[1], 6),
@@ -1245,7 +1108,7 @@ class TestProbeWindow:
             calls.clear()
             res = alpha_n(E, n)
             for data, angles, order, rows, cap, out in calls:
-                fresh = engine._solve_rows(data, angles, order, rows, 10**12)
+                fresh = solve_rows(data, angles, order, rows, 10**12)
                 got = ~np.isnan(out.lower) & (out.cost > 0)
                 for name in ("lower", "upper", "theta", "sel"):
                     assert bits(getattr(out, name)[got]) == bits(getattr(fresh, name)[got])
@@ -1350,7 +1213,6 @@ class TestAlphaLadder:
     def test_refinement_properties(self):
         rng = random.Random(68)
         tol, grid = 1e-2, 100
-        pooled = 0
         for _ in range(12):
             E = random_int_set(rng, max_size=3, max_entry=6)
             res = alpha(E, tol=tol)
@@ -1368,9 +1230,6 @@ class TestAlphaLadder:
             assert orders == [2 << i for i in range(len(orders))]
             uppers = [level[2] for level in res.work.ladder]
             assert all(b <= a for a, b in zip(uppers, uppers[1:]))
-            if len(E) >= 2 and pooled < 2:
-                pooled += 1
-                assert alpha(E, tol=tol, threads=2) == res
 
     def test_budget_flag(self):
         res = alpha(CharacterSet.of_integers([1, 2, 3]), budget=2000)
@@ -2231,7 +2090,6 @@ class TestLiftedBlocks:
         assert work.stop_reason == "budget" and work.budget_exhausted
         assert res.worst_target == TargetMap.from_grid(E, order, worst)
         assert res.witness_point == DualPoint(E.group, (theta,), ())
-        assert alpha(E, tol=1e-3, budget=budget, threads=2) == res
 
 
 def shift_group(E, n):
