@@ -62,15 +62,6 @@ DEFAULT_TOL = 1e-3
 DEFAULT_BUDGET = 10**8
 #: largest roots-grid order the continuous-constant refinement will reach
 LADDER_MAX_ORDER = 1 << 13
-#: fewest grid targets a scan reads per block (see `_blocks`), on sets
-#: whose solves fill a kernel call with fewer.  A pass that reads probes
-#: ends at the next roll point anyway, every ROLL items, and a shorter
-#: block splits the passes: on a 6-character `Z^2` set at n = 5, with 27
-#: targets a kernel call, 16 made 15 solve calls against 11 and ran about
-#: 40% slower (2 vCPUs); 64 and 128 ran as fast as 32.  The floor also
-#: bounds the targets a pass solves before the scan stops, so it sets
-#: which are solved
-MAX_RUN = 32
 #: grid targets a block holds on a set the sieve solves (see `_blocks`).
 #: On the free-rank-1 `grid` tasks and its coset scan, 256, 512 and 1024
 #: ran about 55%, 35% and 20% slower than 2048, and 4096 as fast
@@ -83,14 +74,6 @@ SIEVE_CALL = 256
 #: the `grid` coset scan, fixed reaches of 0.5 and 1.0 ran about 20% and
 #: 15% slower than 0.3 of the gap, and 0.4 of it 25% slower
 SIEVE_REACH = 0.3
-#: witnesses of solved targets the scan keeps as probes (see `_Scan`).  On
-#: `grid` (seed 4242, 8-s runs) 64 solves a fifth more targets and scans
-#: about 5% slower; 256 solves a tenth fewer and scans within 2%
-PROBES = 128
-#: items of a scan between fixed rolls of the probe window (see `_Scan`):
-#: a count of its own, not `MAX_RUN`, so that no result depends on how the
-#: items are read
-ROLL = 32
 #: children split from a block of parents at a time (see `_children`).  On
 #: `ladder` 2^11 runs as fast as 2^12 with half the temporaries; 2^10 is
 #: about 10% slower
@@ -424,12 +407,6 @@ class _Targets:
         cells = self.take(at, self.upper[at] + radius)
         self.top[at], work = _cell_tops(data, cells, n)
         self.cost[at] += work
-
-    def args(self, data: _SetData, at: np.ndarray) -> np.ndarray:
-        """arg gamma at the witnesses of the targets at the indices `at`, one
-        row per target (see `_SetData.args_at`)."""
-        return data.args_at(self.theta[at],
-                            radix_digits(data.orders, self.sel[at]).astype(np.float64))
 
     def witness(self, data: _SetData, n: int | None, i: int):
         """(DualPoint, exact value or None) of target i."""
@@ -865,43 +842,15 @@ class _Incumbent:
 @dataclass
 class _Scan:
     """What the scans of one computation share: the incumbent worst target,
-    the probe window, the budget and the work counters.  `tol` is the
-    cap-exit margin, and `passes` counts the decision passes of its scans.
-
-    The probes are the character argument rows of the last PROBES witnesses
-    of solved targets, newest first, the identity last of all; a set the
-    sieve solves reads none and keeps none.  The window rolls only at fixed
-    points of the scan order, every ROLL-th item of a `_scan_targets` call
-    from its first and after every change of incumbent: `roll` puts the
-    rows `pending` since the last roll, taken in scan order, in front.  So
-    the probes a target meets do not depend on the block size."""
+    the budget and the work counters.  `tol` is the cap-exit margin, and
+    `passes` counts the decision passes of its scans."""
 
     data: _SetData
     tol: float
     budget: Budget
     stats: WorkStats = field(default_factory=WorkStats)
     best: _Incumbent | None = None
-    probes: np.ndarray = field(init=False)
-    pending: list = field(init=False, default_factory=list)
     passes: int = field(init=False, default=0)
-
-    def __post_init__(self):
-        # the identity of the dual group is the probe before any witness
-        self.probes = np.zeros((1, self.data.m))
-
-    def roll(self):
-        """Put the pending rows, newest first, before the probes, keeping
-        PROBES."""
-        if self.pending:
-            self.probes = np.concatenate([np.concatenate(self.pending)[::-1],
-                                          self.probes])[:PROBES]
-            self.pending = []
-
-    def raise_to(self, best: _Incumbent):
-        """Make `best` the incumbent, whose witness's row is the last
-        pending, and roll the window."""
-        self.best = best
-        self.roll()
 
 
 def _first(mask: np.ndarray) -> int:
@@ -929,40 +878,30 @@ def _scan_targets(scan: _Scan, n: int, items, cap: float, radius: float = 0.0,
     decisions and charges of a loop over its targets in turn, each against
     the incumbent as it stood there (a running maximum of lower ends), up
     to the first budget stop or cap exit; only the pass's last incumbent
-    builds its witness.  A lifted block takes one pass.  How a `_Targets`
-    block is read depends on its set:
-
-    - Solved by the sieve (free part of reduced rank 1): the loop sieves a
-      target at its threshold U = the incumbent's lower end + slack
-      (`min_error_circle`'s cap), which solves it exactly when its lower
-      end is at most U, else once more without a cap, and charges each
-      sieve (one, uncapped, before the first incumbent).  A pass sieves
-      every unsolved target of the block in one `_solve_rows` call, past U
-      by SIEVE_REACH of the gap from the incumbent to pi, and ends before
-      the next target that sieve left unsolved.  The pass that starts there sieves
-      it without a cap when the room pays both its sieves.  A target closed
-      under its threshold counts as pruned, one that raises the incumbent
-      or is sieved again as enumerated.  No probes are read.
-    - Else the probe window (see `_Scan`) is read first: a probe point's
-      error is a value bound that closes a cell without solving it (a
-      pruned target).  A target reads at most as many probes, newest first,
-      as the largest charge of its solve pays for, m units a read; the
-      targets they leave open are solved in one `_solve_rows` call.  A pass
-      ends at the first change of incumbent and at the next roll point of
-      the window, and the solved targets it decides leave their witnesses'
-      argument rows pending for the window, from one `_SetData.args_at`
-      call.
+    builds its witness.  A lifted block takes one pass, and so does a
+    `_Targets` block of a set the sieve does not solve: its unsolved
+    targets are solved in one `_solve_rows` call, as far as the room pays.
+    On a set the sieve solves (free part of reduced rank 1) the loop sieves
+    a target at its threshold U = the incumbent's lower end + slack
+    (`min_error_circle`'s cap), which solves it exactly when its lower end
+    is at most U, else once more without a cap, and charges each sieve
+    (one, uncapped, before the first incumbent).  A pass sieves every
+    unsolved target of the block in one `_solve_rows` call, past U by
+    SIEVE_REACH of the gap from the incumbent to pi, and ends before the
+    next target that sieve left unsolved.  The pass that starts there sieves
+    it without a cap when the room pays both its sieves.  A target closed
+    under its threshold counts as pruned, one that raises the incumbent or
+    is sieved again as enumerated.
 
     The budget stop is the first charge past the room left, charged one
-    unit past it (m for a probe, the `_block_targets` unit for a solve) or,
-    for a lifted cell and a solved target whose solve the room pays but not
-    its certificate, charged whole.
+    `_block_targets` unit past it or, for a lifted cell and a solved target
+    whose solve the room pays but not its certificate, charged whole.
 
     Returns (closed_hi, open_hi, status): the largest bound over closed and
     over open cells, and 'capped' when the incumbent reached `cap`, 'done'
     when the iterator was exhausted, 'budget' when the work limit was hit.
     """
-    data, budget, stats, m = scan.data, scan.budget, scan.stats, scan.data.m
+    data, budget, stats = scan.data, scan.budget, scan.stats
     closed_hi = open_hi = 0.0
     try:
         budget.charge(0 if budget.used or not data.r or data.line is not None
@@ -972,13 +911,10 @@ def _scan_targets(scan: _Scan, n: int, items, cap: float, radius: float = 0.0,
     sieve = data.line is not None
     unit = _block_targets(data)[1]
     solve = data.selection_count * unit
-    # a target reads the probes its solve's largest charge pays for, m units each
-    reads = max(1, solve // m)
-    # items decided by this call, and the last roll point the window took:
-    # rolls with no probe read between them are one roll
-    seen, rolled = 0, -1
     for block in items:
         lifted = isinstance(block, _LiftedBlock)
+        # targets decided against the sieve's thresholds
+        threshold = sieve and not lifted
         rows, lower, upper, cost = block.rows, block.lower, block.upper, block.cost
 
         def put(at: np.ndarray, cap: float | None = None):
@@ -990,53 +926,41 @@ def _scan_targets(scan: _Scan, n: int, items, cap: float, radius: float = 0.0,
 
         pos = 0
         while pos < len(rows):
-            if not sieve and seen // ROLL != rolled:
-                scan.roll()
-                rolled = seen // ROLL
-            # a pass that reads probes ends at the next roll point
-            here = slice(pos, len(rows) if sieve else min(len(rows), pos + ROLL - seen % ROLL))
             prior = -math.inf if scan.best is None else scan.best.lower
-            probed, read, probe_hi = (None,) * 3 if sieve or scan.best is None else (
-                _probe_bounds(rows[here], scan.probes[:reads], n, radius, prior, slack))
-            if sieve and not lifted:
+            todo = pos + np.flatnonzero(np.isnan(lower[pos:]))
+            if len(todo) and not sieve:
+                put(todo)
+            elif len(todo):
                 # every unsolved target, sieved past the threshold (a target
                 # solved under one cap keeps its solution, which is its
                 # solution under any); the first, before an incumbent or left
                 # above the cap, without one when the room pays its sieves
-                todo = pos + np.flatnonzero(np.isnan(lower[here]))
-                if len(todo) and scan.best is not None:
+                if scan.best is not None:
                     put(todo, prior + slack + SIEVE_REACH * (math.pi - prior))
                 if np.isnan(lower[pos]) and budget.remaining >= solve * (1 + (prior > -math.inf)):
                     put(np.array([pos]))
-            elif not sieve:
-                todo = np.isnan(lower[here]) if probed is None else np.isnan(lower[here]) & ~probed
-                if todo.any():
-                    # without an incumbent the first target solved ends the pass
-                    put(pos + np.flatnonzero(todo)[:1 if scan.best is None else None])
-            # lower ends of the targets a solve decides: nan where pruned, or
-            # unsolved (costs 0) as the budget could not pay, or left above
-            # the sieve's cap, where a pass on a sieved block ends
-            low = lower[here] if probed is None else np.where(probed, np.nan, lower[here])
-            size = (len(low) if lifted else 1 + _first(np.isnan(low[1:])) if sieve
-                    else min(len(low), _first(low > prior) + 1))
-            low, paid = low[:size], cost[pos:pos + size]
-            if probed is not None:
-                probed, paid = probed[:size], np.where(probed[:size], 0, paid)
+            # lower ends of the targets a solve decides: nan where unsolved
+            # (costs 0) as the budget could not pay, or left above the sieve's
+            # cap, where a pass on a sieved block ends
+            low = lower[pos:]
+            if sieve:
+                low = low[:1 + _first(np.isnan(low[1:]))]
+            size = len(low)
+            paid = cost[pos:pos + size]
             # the incumbent's lower end before each target, and after the last
             run = np.fmax.accumulate(np.concatenate([[prior], low]))
-            # per target the charges before its last solve: the probes read,
-            # or a sieve at a threshold its lower end passes
-            ahead = read[:size] * m if probed is not None else np.zeros(size, dtype=np.int64)
-            if sieve and not lifted:
-                again = ~(low <= run[:-1] + slack) & (paid > 0) & (run[:-1] > -math.inf)
-                if again.any():
-                    ahead[again] = solve
+            # per target the charges before its last solve: a sieve at a
+            # threshold its lower end passes
+            ahead = np.zeros(size, dtype=np.int64)
+            again = threshold & ~(low <= run[:-1] + slack) & (paid > 0) & (run[:-1] > -math.inf)
+            if again.any():  # a solve's charge may not fit in int64
+                ahead[again] = solve
             spent = np.cumsum(ahead + paid)
             # the first target whose charges pass the room, or that the room
             # could not pay for, and the first solved one that finds the
             # incumbent at the cap
             stop = min(int(np.searchsorted(spent, budget.remaining, side="right")),
-                       _first(np.isnan(low) if probed is None else np.isnan(low) & ~probed))
+                       _first(np.isnan(low)))
             at_cap = _first(~np.isnan(low) & (run[1:] >= cap - scan.tol))
             end = min(at_cap + 1, stop)
             status = "capped" if at_cap < stop else "budget" if stop < size else None
@@ -1047,80 +971,44 @@ def _scan_targets(scan: _Scan, n: int, items, cap: float, radius: float = 0.0,
                 # a lifted cell is charged whole, and so is a solved target
                 # whose solve the room pays but not the certificate after it
                 whole = lifted or (not np.isnan(lower[at]) and solve <= room - before)
-                budget.used += (_past_room(room, m if probed is not None else unit)
-                                if before > room else before + (
-                                    int(cost[at]) if whole else _past_room(room - before, unit)))
-            rel = np.arange(end) if probed is None else np.flatnonzero(~probed[:end])
-            done = pos + rel
+                budget.used += (_past_room(room, unit) if before > room else before + (
+                    int(cost[at]) if whole else _past_room(room - before, unit)))
+            done = pos + np.arange(end)
             bound = upper[done] + radius if block.top is None else block.top[done]
-            shut = bound - run[rel + 1] <= slack
-            raised = low[rel] > run[rel]
-            # cells the probes or the threshold sieve close are pruned; a
-            # target that raises the incumbent or was sieved again is enumerated
-            pruned = (int(probed[:end].sum()) if probed is not None
-                      else int((shut & ~raised & (ahead[rel] == 0)).sum())
-                      if sieve and not lifted else 0)
+            shut = bound - run[1:end + 1] <= slack
+            raised = low[:end] > run[:end]
+            # cells the threshold sieve closes are pruned; a target that
+            # raises the incumbent or was sieved again is enumerated
+            pruned = int((shut & ~raised & (ahead[:end] == 0)).sum()) if threshold else 0
             stats.targets_pruned += pruned
             stats.targets_enumerated += end - pruned
-            closed_hi = max(closed_hi, float(bound[shut].max(initial=0.0)),
-                            0.0 if probed is None else float(probe_hi[:end].max(initial=0.0)))
+            closed_hi = max(closed_hi, float(bound[shut].max(initial=0.0)))
             open_hi = max(open_hi, float(bound[~shut].max(initial=0.0)))
             if opened is not None and not shut.all():
                 opened.append(block.take(done[~shut]) if lifted
                               else block.take(done[~shut], bound[~shut]))
-            if not sieve and len(done):
-                scan.pending.append(block.args(data, done))
             if raised.any():
                 # the pass's last raise is the incumbent, and builds its witness
                 i = int(done[np.flatnonzero(raised)[-1]])
                 point, exact = block.witness(data, n, i)
-                scan.raise_to(_Incumbent(float(lower[i]), n, tuple(rows[i].tolist()),
-                                         point, exact))
+                scan.best = _Incumbent(float(lower[i]), n, tuple(rows[i].tolist()), point,
+                                       exact)
             pos += end
-            seen += end
             scan.passes += 1
             if status:
                 return closed_hi, open_hi, status
     return closed_hi, open_hi, "done"
 
 
-def _probe_bounds(rows: np.ndarray, probes: np.ndarray, n: int, radius: float, lower: float,
-                  slack: float):
-    """The verdicts of the probe points (rows of character arguments, read
-    in turn) on the cells of radius `radius` around order-n grid targets
-    (index rows), against the lower end `lower`, as arrays: per target
-    whether a probe closes the cell, the probes read (up to the first that
-    does, else all) and the bound that one puts on the cell (else 0).
-
-    A probe's error at a target is the largest over the characters of the
-    distance `_dist_array(angle - probe)`.  With no more grid points than
-    targets, a character's distances are gathered from a (probes x m x n)
-    table of every grid point against every probe, built once; else they
-    are evaluated for the targets directly.  Either way it is one gather or
-    evaluation and one np.maximum per character, with the bits of
-    evaluating every (target, probe, character) at once."""
-    k, m = rows.shape
-    grid = np.arange(n) * (TWO_PI / n)
-    table = _dist_array(grid - probes[:, :, None]) if n <= k else None
-    bounds = np.zeros((len(probes), k))
-    for c in range(m):
-        np.maximum(bounds, _dist_array(grid[rows[:, c]] - probes[:, c, None]) if table is None
-                   else table[:, c, rows[:, c]], out=bounds)
-    bounds += radius
-    closes = bounds - lower <= slack
-    hit, first = closes.any(axis=0), closes.argmax(axis=0)
-    return (hit, np.where(hit, first + 1, len(probes)),
-            np.where(hit, bounds[first, np.arange(k)], 0.0))
-
-
 def _block_targets(data: _SetData) -> tuple[int, int]:
     """(targets, unit): how many targets `_solve_rows` takes per kernel
-    call, and the budget units one selection of a target is charged: m on a
-    purely torsion set, `circle_unit` on one the sieve solves, the vertex
-    candidates of a row (`vertex_systems`) on the others.  A call takes as
-    many targets as keep one element per target, selection and unit (m for
-    the sieve, which bounds its own temporaries) within CIRCLE_BLOCK, at
-    least 1; the sieve takes at most SIEVE_CALL."""
+    call, which is also the block a scan reads on a set the sieve does not
+    solve (see `_blocks`), and the budget units one selection of a target
+    is charged: m on a purely torsion set, `circle_unit` on one the sieve
+    solves, the vertex candidates of a row (`vertex_systems`) on the
+    others.  A call takes as many targets as keep one element per target,
+    selection and unit (m for the sieve, which bounds its own temporaries)
+    within CIRCLE_BLOCK, at least 1; the sieve takes at most SIEVE_CALL."""
     if data.line is not None:
         unit = circle_unit(data.line.tolist())
         return max(1, min(SIEVE_CALL, CIRCLE_BLOCK // (data.selection_count * data.m))), unit
@@ -1131,10 +1019,10 @@ def _block_targets(data: _SetData) -> tuple[int, int]:
 def _blocks(data: _SetData, n: int, items):
     """The items of a scan, arrays of index rows of order-n targets and
     `_LiftedBlock`s, as blocks for `_scan_targets`, in order: the rows are
-    sliced into unsolved `_Targets` of max(MAX_RUN, `_block_targets`) rows
-    (SIEVE_RUN on a set the sieve solves), the last before a lifted block
-    or the end shorter."""
-    size = SIEVE_RUN if data.line is not None else max(MAX_RUN, _block_targets(data)[0])
+    sliced into unsolved `_Targets` of SIEVE_RUN rows on a set the sieve
+    solves, else of one kernel call's targets (`_block_targets`), the last
+    before a lifted block or the end shorter."""
+    size = SIEVE_RUN if data.line is not None else _block_targets(data)[0]
     rows = np.zeros((0, data.m), dtype=np.int64)
     for item in itertools.chain(items, [None]):
         if isinstance(item, np.ndarray):

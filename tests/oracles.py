@@ -139,33 +139,18 @@ def scan_targets_loop(scan, n: int, items, cap: float, radius: float = 0.0,
     `engine._solve_target` under the threshold cap = the incumbent's lower
     end + slack (no cap before the first incumbent), its charge paid or
     the scan stopped; one it leaves unsolved is solved again without a cap,
-    charged again.  It reads no probes and adds no row to the window.
-    Otherwise a target is probed first once there is an incumbent, m units
-    charged before each probe read (past the room the scan stops on the
-    budget, the charge made), and pruned by the first probe whose error
-    bound closes its cell (`probe_loop`); else `engine._solve_target`
-    solves it, charging its cost or stopping the scan, and its witness's
-    argument row joins `scan.pending`.  Given lift_margin, a solved target
-    is charged the work of its cell's certified maximum
-    (`engine._cell_tops`).  A cell of a lifted block is charged its cost and
-    not probed.  Then the target raises the incumbent if its lower end
-    beats it, closes or opens by its top (value + radius without lifts), and
-    is counted: as pruned if its threshold sieve solved it and it closes
-    without raising the incumbent, else as enumerated; the scan stops once the incumbent reaches cap - tol.
-    Before every engine.ROLL-th item, from the first, the window rolls too
-    (on a set that reads probes): the pending rows go, newest first, before
-    the probes, which keep engine.PROBES.  Solutions a block already carries
-    are not read."""
+    charged again.  Otherwise `engine._solve_target` solves it, charging
+    its cost or stopping the scan.  Given lift_margin, a solved target is
+    charged the work of its cell's certified maximum (`engine._cell_tops`).
+    A cell of a lifted block is charged its cost.  Then the target raises
+    the incumbent if its lower end beats it, closes or opens by its top
+    (value + radius without lifts), and is counted: as pruned if its
+    threshold sieve solved it and it closes without raising the incumbent,
+    else as enumerated; the scan stops once the incumbent reaches cap - tol.
+    Solutions a block already carries are not read."""
     data, budget, stats = scan.data, scan.budget, scan.stats
     closed_hi = open_hi = 0.0
-    seen = 0
     sieve = data.line is not None
-
-    def roll():
-        if scan.pending:
-            scan.probes = np.vstack([np.vstack(scan.pending)[::-1], scan.probes])[:engine.PROBES]
-            scan.pending = []
-
     try:
         budget.charge(0 if budget.used or data.r < 2 or sieve else subset_count(data.free_key))
     except BudgetExceededError:
@@ -173,9 +158,6 @@ def scan_targets_loop(scan, n: int, items, cap: float, radius: float = 0.0,
     for block in items:
         lifted = isinstance(block, engine._LiftedBlock)
         for i, indices in enumerate(block.rows.tolist()):
-            if not sieve and seen % engine.ROLL == 0:
-                roll()
-            seen += 1
             angles = np.array(indices, dtype=np.float64) * (TWO_PI / n)
             threshold = None
             try:
@@ -184,24 +166,14 @@ def scan_targets_loop(scan, n: int, items, cap: float, radius: float = 0.0,
                     cell = block.take(np.array([i]))
                     lower, upper = float(block.lower[i]), float(cell.upper[0])
                 else:
-                    if sieve:
-                        threshold = None if scan.best is None else scan.best.lower + slack
-                        solved = engine._solve_target(data, angles, (n, tuple(indices)), budget,
-                                                      lift_margin, threshold)
-                        if math.isnan(solved[0]):
-                            threshold = None
-                            solved = engine._solve_target(data, angles, (n, tuple(indices)),
-                                                          budget, lift_margin)
-                    else:
-                        probed = None if scan.best is None else probe_loop(scan, angles,
-                                                                           radius, slack)
-                        if probed is not None:
-                            stats.targets_pruned += 1
-                            closed_hi = max(closed_hi, probed)
-                            continue
-                        solved = engine._solve_target(data, angles, (n, tuple(indices)), budget,
-                                                      lift_margin)
-                        scan.pending.append(data.point_args(solved[2])[None])
+                    if sieve and scan.best is not None:
+                        threshold = scan.best.lower + slack
+                    solved = engine._solve_target(data, angles, (n, tuple(indices)), budget,
+                                                  lift_margin, threshold)
+                    if math.isnan(solved[0]):
+                        threshold = None
+                        solved = engine._solve_target(data, angles, (n, tuple(indices)),
+                                                      budget, lift_margin)
                     lower, upper, point, exact, lifts = solved
                     cell = engine._Cells.of(np.array([indices]), np.array([upper]),
                                             np.array([upper + radius]), [lifts])
@@ -215,7 +187,6 @@ def scan_targets_loop(scan, n: int, items, cap: float, radius: float = 0.0,
                 if lifted:
                     point, exact = block.witness(data, n, i)
                 scan.best = engine._Incumbent(lower, n, tuple(indices), point, exact)
-                roll()
             bound = float(cell.top[0])
             shut = bound - scan.best.lower <= slack
             if shut and threshold is not None and not raised:
@@ -231,31 +202,6 @@ def scan_targets_loop(scan, n: int, items, cap: float, radius: float = 0.0,
             if scan.best.lower >= cap - scan.tol:
                 return closed_hi, open_hi, "capped"
     return closed_hi, open_hi, "done"
-
-
-def probe_loop(scan, angles, radius: float, slack: float):
-    """The bound the first of the scan's probes to close the cell of radius
-    `radius` around a target puts on it, or None.  It charges m before each
-    probe it reads, at most as many as the target's solve at its largest
-    charge (`engine._block_targets` units per selection) pays for."""
-    data = scan.data
-    reads = max(1, data.selection_count * engine._block_targets(data)[1] // data.m)
-    for args in scan.probes[:reads]:
-        scan.budget.charge(scan.data.m)
-        bound = float(np.abs(np.mod(angles - args + math.pi, TWO_PI) - math.pi).max()) + radius
-        if bound - scan.best.lower <= slack:
-            return bound
-    return None
-
-
-def probe_bounds_stacked(angles, probes, radius: float, lower: float, slack: float):
-    """`engine._probe_bounds` as one (targets x probes x characters)
-    evaluation of rows of target angles: (closes, probes read, bound)."""
-    bounds = engine._dist_array(angles[:, None, :] - probes).max(axis=2) + radius
-    closes = bounds - lower <= slack
-    hit, first = closes.any(axis=1), closes.argmax(axis=1)
-    return (hit, np.where(hit, first + 1, len(probes)),
-            np.where(hit, bounds[np.arange(len(bounds)), first], 0.0))
 
 
 def alpha_n_exhaustive(slopes, n: int) -> tuple[float, tuple[int, ...]]:

@@ -463,25 +463,15 @@ class TestAlphaN:
         assert res.work.budget_exhausted
         assert res.alpha.upper == math.pi  # even-n fallback cap
 
-    def test_probe_charges_match_a_loop_over_the_probes(self, monkeypatch):
-        # the reference scan charges m before each probe it reads, one
-        # target at a time (`oracles.probe_loop`)
-        reads = []
-        probe_bounds = engine._probe_bounds
-
-        def counted(angles, *args):
-            reads.append(len(angles))
-            return probe_bounds(angles, *args)
-
-        monkeypatch.setattr(engine, "_probe_bounds", counted)
+    def test_budget_stops_match_the_reference_loop(self, monkeypatch):
+        # budgets that stop the scan anywhere: the charges and decisions of
+        # the reference loop, which solves one target at a time
         rng = random.Random(331)
         groups = [GroupSpec(1), GroupSpec(2), GroupSpec(1, (2,)), GroupSpec(0, (12,))]
         cases = [(CharacterSet.of_integers([1, 2, 3, 5, 8]), 8)]
         cases += [(random_group_set(rng, g), n) for g in groups for n in (3, 4, 5, 8)]
-        pruned = 0
         for E, n in cases:
             full = alpha_n(E, n, tol=1e-2)
-            pruned += full.work.targets_pruned
             limits = [rng.randint(1, full.work.inner_evals) for _ in range(8)]
             got = [alpha_n(E, n, tol=1e-2, budget=b) for b in limits]
             with monkeypatch.context() as patch:
@@ -489,9 +479,6 @@ class TestAlphaN:
                 assert alpha_n(E, n, tol=1e-2) == full, (E, n)
                 for b, res in zip(limits, got):
                     assert alpha_n(E, n, tol=1e-2, budget=b) == res, (E, n, b)
-        assert pruned > 100
-        # the scan reads the verdicts of many targets at once
-        assert sum(reads) > 4 * len(reads), (sum(reads), len(reads))
 
     def test_seed_targets_raise_lower_bound(self):
         E = CharacterSet.of_integers([-2, 1, 4])
@@ -520,24 +507,22 @@ class TestAlphaN:
 
 
 class TestScanBlocks:
-    """Scans solve their targets a block at a time, and read the probes of
-    a block at once; the scan's decisions are those of a loop over the
-    targets in turn, so no result, witness or charge depends on the block
-    size."""
+    """Scans solve and decide their targets a block at a time; the scan's
+    decisions are those of a loop over the targets in turn, so no result,
+    witness or charge depends on the block size."""
 
     block_targets = staticmethod(engine._block_targets)
 
     @classmethod
     def blocks_of(cls, patch, size):
-        # runs and kernel calls of at most `size` targets; 0 decides every
-        # target in turn by the reference loop, which solves and probes each
+        # blocks and kernel calls of at most `size` targets; 0 decides every
+        # target in turn by the reference loop, which solves each
         def capped(data):
             targets, unit = cls.block_targets(data)
             return min(targets, size), unit
 
         if size:
             patch.setattr(engine, "_block_targets", capped)
-            patch.setattr(engine, "MAX_RUN", size)
             patch.setattr(engine, "SIEVE_RUN", size)
         else:
             patch.setattr(engine, "_scan_targets", oracles.scan_targets_loop)
@@ -690,7 +675,7 @@ class TestScanBlocks:
             rows = np.array(targets)
             status = decide(state, n, iter([engine._Targets.empty(data, len(rows), n, rows)]),
                             grid_cap(n))
-            return status, state.stats, state.budget.used, state.best, state.probes.tolist()
+            return status, state.stats, state.budget.used, state.best
 
         verdicts = collections.defaultdict(list)
         solve_rows = engine._solve_rows
@@ -796,7 +781,7 @@ class TestDecisionPass:
                     patch.setattr(engine, "_scan_targets", oracles.scan_targets_loop)
                     want = solve(budget=budget)
                 with monkeypatch.context() as patch:
-                    patch.setattr(engine, "MAX_RUN", rng.randint(1, 20))
+                    TestScanBlocks.blocks_of(patch, rng.randint(1, 20))
                     # blocks of a set the sieve solves from 1 to TABLE_BLOCK targets
                     patch.setattr(engine, "SIEVE_RUN",
                                   rng.choice([1, 7, 64, engine.SIEVE_RUN, engine.TABLE_BLOCK]))
@@ -811,26 +796,27 @@ class TestDecisionPass:
                                      and read[-1] > 1)
         assert stops >= 20 and inside >= 5 and sieve_inside >= 2, (stops, inside, sieve_inside)
 
-    def test_targets_solved_ahead_and_pruned_do_not_raise_the_incumbent(self):
-        # a target solved before a change of incumbent in its block may be
-        # pruned by the new probes while its value beats the incumbent; with
-        # a slack this wide the identity probe prunes every target (of a set
-        # that reads probes: the sieve reads none)
+    def test_targets_solved_ahead_are_not_solved_again(self, monkeypatch):
+        # a block whose targets carry their solutions is decided, and
+        # charged, as the loop that solves each target decides it, with no
+        # solve call; every target beats the incumbent, and none is pruned
         E, n = parse_set_spec("Z12 : [1],[5]")[1], 8
         data = engine._set_data(E)
         rows = np.array([(1, 2), (3, 7), (5, 4)])
+        block = engine._solve_rows(data, rows * (TWO_PI / n), n, rows, 10**9)
+        assert (block.lower > 0.0).all()
 
         def scan(decide):
             state = engine._Scan(data, 1e-3, Budget(10**9))
             state.best = engine._Incumbent(0.0, n, (0, 0), E.group.identity_point(), None)
-            block = engine._solve_rows(data, rows * (TWO_PI / n), n, rows, 10**9)
-            assert (block.lower > 0.0).all()
             out = decide(state, n, iter([block]), math.pi, 0.01, 4.0, [], None)
             return out, state.best, state.stats, state.budget.used
 
+        want = scan(oracles.scan_targets_loop)
+        monkeypatch.setattr(engine, "_solve_rows", lambda *args: pytest.fail("solved again"))
         got = scan(engine._scan_targets)
-        assert got == scan(oracles.scan_targets_loop)
-        assert got[2].targets_pruned == 3 and got[1].lower == 0.0
+        assert got == want
+        assert got[2].targets_pruned == 0 and got[1].lower == block.lower.max()
 
     @staticmethod
     def sieved_block(monkeypatch, data, n, rows, prior, cap, slack=0.0, limit=10**12,
@@ -944,7 +930,8 @@ class TestDecisionPass:
     def test_a_lacunary_scan_takes_few_passes_and_sieve_calls(self, monkeypatch):
         # 2,056 targets in blocks of SIEVE_RUN, each sieved at once in calls
         # of SIEVE_CALL targets; passes ended at every change of incumbent
-        # before (29 passes, 21 sieve calls)
+        # before (29 passes, 21 sieve calls).  A purely torsion set's block
+        # is solved whole and decided in one pass
         scans, calls = [], []
         scan_targets, circle = engine._scan_targets, engine.min_error_circle
 
@@ -959,6 +946,9 @@ class TestDecisionPass:
         assert (res.work.targets_enumerated, res.work.targets_pruned) == (20, 2036)
         assert (len(calls), scans[0].passes) == (11, 4)
         assert max(calls) == engine.SIEVE_CALL
+        scans.clear()
+        res = alpha_n(parse_set_spec("Z13 : [1],[3],[5],[9]")[1], 5)
+        assert res.work.targets_enumerated == 313 and scans[0].passes == 1
 
     @pytest.mark.parametrize("solve", [
         lambda: alpha_n(CharacterSet.of_integers([1, 4, 12, 38, 154]), 8),
@@ -969,18 +959,18 @@ class TestDecisionPass:
     ], ids=["Z", "Z x Z2^3", "Z13", "lifted Z"])
     def test_witnesses_are_built_only_for_incumbents(self, monkeypatch, solve):
         points, raised = [], []
-        dual_point, raise_to = engine.DualPoint, engine._Scan.raise_to
+        dual_point, incumbent = engine.DualPoint, engine._Incumbent
 
         def counted(*args):
             points.append(dual_point(*args))
             return points[-1]
 
-        def spy(scan, best):
-            raised.append(best)
-            raise_to(scan, best)
+        def spy(*args):
+            raised.append(incumbent(*args))
+            return raised[-1]
 
         monkeypatch.setattr(engine, "DualPoint", counted)
-        monkeypatch.setattr(engine._Scan, "raise_to", spy)
+        monkeypatch.setattr(engine, "_Incumbent", spy)
         res = solve()
         # one dual point per change of incumbent, not one per solved target;
         # on a set the sieve solves, the targets its threshold sieve closes
@@ -992,36 +982,10 @@ class TestDecisionPass:
 
 
 class TestProbeWindow:
-    """The probes are the last PROBES witnesses of solved targets, read from
-    a table of grid distances; they, and the threshold sieves of the sets
-    that read no probes, prune soundly."""
-
-    def test_probe_bounds_match_the_stacked_formula(self):
-        # the per-character table gather (n <= targets) and direct evaluation
-        # (n > targets) against one (targets x probes x characters) array
-        rng = np.random.default_rng(1801)
-        bits = lambda a: a.view(np.int64) if a.dtype == np.float64 else a
-        branches = collections.Counter()
-        for _ in range(3000):
-            n, m, k = int(rng.integers(2, 41)), int(rng.integers(1, 7)), int(rng.integers(1, 60))
-            rows = rng.integers(0, n, (k, m))
-            probes = rng.uniform(-2 * TWO_PI, 2 * TWO_PI, (int(rng.integers(1, 140)), m))
-            # some probes on the grid, where distances are 0 or tie
-            grid = rng.random(len(probes)) < 0.3
-            probes[grid] = rng.integers(0, n, (int(grid.sum()), m)) * (TWO_PI / n)
-            radius, slack = float(rng.choice([0.0, math.pi / n])), float(rng.choice([0.0, 1e-3]))
-            angles = rows * (TWO_PI / n)
-            # a lower end that no cell, some cells or every cell closes
-            # against, some exactly at it
-            least = oracles.probe_bounds_stacked(angles, probes, radius, 0.0, math.inf)[2]
-            lower = float(rng.choice(least)) - slack * float(rng.integers(0, 2))
-            lower -= 1.0 if rng.random() < 0.2 else 0.0
-            got = engine._probe_bounds(rows, probes, n, radius, lower, slack)
-            want = oracles.probe_bounds_stacked(angles, probes, radius, lower, slack)
-            for g, w in zip(got, want):
-                assert g.dtype == w.dtype and np.array_equal(bits(g), bits(w)), (n, m, k)
-            branches[n <= k, bool(want[0].any()), bool(want[0].all())] += 1
-        assert min(branches.values()) >= 20 and len(branches) == 6, branches
+    """Pruning is sound: the threshold sieves, the only rule that closes a
+    target unsolved, keep every target that could raise the incumbent.
+    (The class keeps the name of the probe window it tested before, so
+    that its test ids stay stable.)"""
 
     @staticmethod
     def exhaustive(E, n):
@@ -1049,20 +1013,11 @@ class TestProbeWindow:
             least, largest = max(least, lo), max(largest, hi)
         return least, largest
 
-    def test_pruned_targets_cannot_raise_the_incumbent(self, monkeypatch):
-        # every cell a probe closes holds a target whose exact value is at
-        # most the incumbent's lower end it was read against, and the
-        # brackets contain the exhaustive values
+    def test_pruned_targets_cannot_raise_the_incumbent(self):
+        # the lower end is the largest exact value over every canonical
+        # target (up to tol on a cap exit), so no target the scan pruned
+        # could have raised it, and the brackets contain the exhaustive values
         rng = random.Random(1803)
-        probe_bounds = engine._probe_bounds
-        closed = []
-
-        def spy(rows, probes, n, radius, lower, slack):
-            out = probe_bounds(rows, probes, n, radius, lower, slack)
-            closed.append((rows[out[0]], n, lower + slack - radius))
-            return out
-
-        monkeypatch.setattr(engine, "_probe_bounds", spy)
         cases = [(random_group_set(rng, g), n) for g in (GroupSpec(1), GroupSpec(1, (2,)),
                                                           GroupSpec(0, (12,)))
                  for n in (3, 4, 5, 6) for _ in range(2)]
@@ -1070,12 +1025,12 @@ class TestProbeWindow:
         cases += [(CharacterSet.of_integers([1, 2, 3, 5, 8]), 8)]
         pruned = 0
         for E, n in cases:
-            closed.clear()
             res = alpha_n(E, n)
             data = engine._set_data(E)
-            for rows, order, lower in closed:
-                solved = engine._solve_rows(data, rows * (TWO_PI / order), order, rows, 10**12)
-                assert (solved.lower <= lower).all(), (E, n, rows, solved.lower, lower)
+            rows = np.concatenate(list(engine._grid_targets(engine._shift_basis(data, n), n)))
+            best = engine._solve_rows(data, rows * (TWO_PI / n), n, rows, 10**12).lower.max()
+            tol = engine.DEFAULT_TOL if res.work.stop_reason == "capped" else 0.0
+            assert best - tol <= res.alpha.lower <= best, (E, n, res.alpha, best)
             pruned += res.work.targets_pruned
             if len(E) <= 3:
                 least, largest = self.exhaustive(E, n)
@@ -1151,9 +1106,9 @@ class TestWorkCounters:
             "Z x Z2^3 : [3,0,0,0],[3,0,0,1],[6,1,0,0],[6,1,1,0],[8,1,1,0]")[1], 5),
          (21, 292, 1344000, "done", ())),
         (lambda: alpha_n(parse_set_spec("Z^2 : [1,0],[0,1],[1,2],[2,-1]")[1], 5),
-         (13, 0, 4128, "done", ())),
+         (13, 0, 3824, "done", ())),
         (lambda: alpha_n(parse_set_spec("Z13 : [1],[3],[5],[9]")[1], 5),
-         (37, 276, 6600, "done", ())),
+         (313, 0, 16228, "done", ())),
         (lambda: alpha(CharacterSet.of_integers([-6, 1, 3])),
          (10, 31, 10026, "done",
           tuple((n, 1.0471975511905975, upper, True) for n, upper in LADDER))),
@@ -1241,15 +1196,11 @@ class TestAlphaLadder:
     ], ids=["-3,-1,6 by full solves", "Hadamard q=4"])
     def test_closed_top_is_the_largest_own_bound_of_the_closed_cells(self, monkeypatch,
                                                                      elements, kw):
-        # cells of sets in Z read no probes, so every closed cell's bound is
-        # its own (value + radius), never a probe's error + radius: each
+        # every closed cell's bound is its own (value + radius): each
         # level's largest closed bound, and the alpha it gives, are the
         # reference loop's, which bounds closed cells by their own tops
         monkeypatch.setattr(engine, "LIFT_MAX_SIZE", 0)
         E = CharacterSet.of_integers(elements)
-
-        def probes(*args):
-            raise AssertionError("a set in Z read probes")
 
         def run(decide):
             closed = []
@@ -1261,7 +1212,6 @@ class TestAlphaLadder:
 
             with monkeypatch.context() as patch:
                 patch.setattr(engine, "_scan_targets", spy)
-                patch.setattr(engine, "_probe_bounds", probes)
                 return alpha(E, **kw), closed
 
         got, closed = run(engine._scan_targets)
@@ -1956,8 +1906,6 @@ class TestLiftedBlocks:
             made.append(incumbent(*args))
             return made[-1]
         monkeypatch.setattr(engine, "_Incumbent", recorded)
-        # a window of four probes, which the incumbents of a block can fill
-        monkeypatch.setattr(engine, "PROBES", 4)
         seen = set()
         for trial in range(48):
             k = rng.randint(1, 9)
@@ -1999,7 +1947,6 @@ class TestLiftedBlocks:
             scan.best = engine._Incumbent(prior, n // 2, (0,) * m,
                                           DualPoint(data.chars.group, (0.0,), ()), None)
         made.clear()
-        probes = scan.probes.tolist()
         opened = []
         got = engine._scan_targets(scan, n, iter([block]), cap, self.RADIUS, self.SLACK, opened)
         want = oracles.scan_cells_loop(
@@ -2014,15 +1961,12 @@ class TestLiftedBlocks:
         # is made, with its witness
         assert [(c.indices, c.lower, c.order) for c in made] == [
             (tuple(rows[i]), block.lower[i], n) for i in want["incumbents"][-1:]], case
-        # the incumbent's witness attains its least kept lift, and the
-        # probes are those the scan began with: a set the sieve solves reads
-        # and keeps none
+        # the incumbent's witness attains its least kept lift
         for c, i in zip(made, want["incumbents"][-1:]):
             nu, vals = zip(*self.kept_lifts(block, i))
             angles = np.array(rows[i], dtype=np.float64) * (TWO_PI / n)
             s = line_witness(data.line, angles + TWO_PI * np.array(nu[int(np.argmin(vals))]))
             assert c.point == DualPoint(data.chars.group, (s % TWO_PI,), ())
-        assert scan.probes.tolist() == probes
         assert scan.best is (made[-1] if made else scan.best)
         cells = engine._Cells.gather(opened, m)
         assert cells.rows.tolist() == [rows[i] for i in want["opened"]], case
@@ -2172,8 +2116,10 @@ class TestSymmetryQuotient:
             blocks.extend(items)
             return 0.0, 0.0, "done"
 
+        block_targets = engine._block_targets
         monkeypatch.setattr(engine, "_scan_targets", drain)
-        monkeypatch.setattr(engine, "MAX_RUN", 3)
+        monkeypatch.setattr(engine, "_block_targets",
+                            lambda data: (min(3, block_targets(data)[0]), block_targets(data)[1]))
         for trial in range(36):
             E = random_group_set(rng, groups[trial % len(groups)], zero=rng.random() < 0.2)
             n = rng.randint(2, 9)
@@ -2183,7 +2129,7 @@ class TestSymmetryQuotient:
             alpha_n(E, n, seed_targets=seeds)
             data = engine._set_data(E)
             size = (engine.SIEVE_RUN if data.line is not None
-                    else max(engine.MAX_RUN, engine._block_targets(data)[0]))
+                    else engine._block_targets(data)[0])
             assert all(isinstance(b, engine._Targets) and np.isnan(b.lower).all()
                        and b.rows.dtype == np.int64 for b in blocks)
             assert [len(b.rows) for b in blocks[:-1]] == [size] * (len(blocks) - 1)
