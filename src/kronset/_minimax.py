@@ -9,8 +9,8 @@ coordinates its minimum sits at one of finitely many vertices, found in
 closed form and, on large calls, screened in a cheap pass first
 (`min_error_box`).  On a purely torsion dual every selection's error is
 read from a table of the characters' arguments in integer angle units.
-The free-part solvers charge their evaluations to a budget when given one;
-the torsion search returns each target's charge for its caller to pay.
+No solver here charges a budget: the engine pays before each free-part
+call, and the torsion search returns each target's charge for it to pay.
 """
 from __future__ import annotations
 
@@ -294,14 +294,13 @@ def _survivors(cands, keep):
     return out, np.arange(out.shape[2]) < counts[:, None]
 
 
-def min_error_box(free: np.ndarray, psi: np.ndarray, budget=None):
+def min_error_box(free: np.ndarray, psi: np.ndarray):
     """Exact minimum of s -> max_k dist(A_k.s, psi_k) on the torus, A the
     (m x r) integer matrix `free`, for each row psi[i] of targets.
 
-    Returns arrays (s, lower, upper), charging every row m per candidate
-    the plan keeps, `vertex_systems(key)[1]`, to `budget` (None: the
-    caller has paid) before any work; callers pay for the systems
-    themselves up front (`subset_count`).  s is the least candidate
+    Returns arrays (s, lower, upper).  Callers pay for the work first: the
+    systems up front (`subset_count`), then m per candidate the plan keeps
+    a row, `vertex_systems(key)[1]`.  s is the least candidate
     (lexicographically, in B's coordinates t) within 1e-12 of the least
     value, upper attained at s, lower = upper minus the plan's slack.
 
@@ -314,8 +313,6 @@ def min_error_box(free: np.ndarray, psi: np.ndarray, budget=None):
     """
     key = tuple(map(tuple, free.tolist()))
     cost = vertex_systems(key)[1]
-    if budget is not None:
-        budget.charge(len(psi) * cost)
     plan = _plan(key)
     b, mask, slack, margin, cols = plan[5:]
     const_err = _dist_array(psi[:, ~mask]).max(axis=1, initial=0.0)
@@ -508,11 +505,10 @@ def _circle_plan(slopes: tuple):
             len(nz) * (len(nz) - 1) // 2)
 
 
-def min_error_circle(slopes: np.ndarray, psi: np.ndarray, budget=None, *, cap=None,
-                     lift_margin=None):
+def min_error_circle(slopes: np.ndarray, psi: np.ndarray, cap=None, *, lift_margin=None):
     """Exact minimum over theta of max_k dist(a_k theta, psi_k), a the
-    integer `slopes`, for each row psi[i] of targets: (theta, lower, upper),
-    each row charged `circle_unit` to `budget` (None: the caller has paid).
+    integer `slopes`, for each row psi[i] of targets: (theta, lower, upper).
+    Callers pay for the work first, `circle_unit` a row.
 
     `_sieve` lists a row's lift classes (lifts nu modulo the slopes) within
     its reach, valued by `line_distances` a block at a time.  theta is the
@@ -526,8 +522,6 @@ def min_error_circle(slopes: np.ndarray, psi: np.ndarray, budget=None, *, cap=No
     each solved row's classes of value at most upper + lift_margin
     (`_lift_classes`); the sieve then reaches lift_margin further.
     """
-    if budget is not None:
-        budget.charge(len(psi) * circle_unit(slopes.tolist()))
     k, m = psi.shape
     zero, order, line, sign, steps, slack, pairs = _circle_plan(tuple(slopes.tolist()))
     flat = len(order) < m

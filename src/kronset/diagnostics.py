@@ -109,7 +109,7 @@ def _universe(data, grid_cells: int | None, budget: int):
     for start in range(0, size, TABLE_BLOCK):
         rows = mixed_radix_rows(radices, start, min(start + TABLE_BLOCK, size))
         angles = TWO_PI * rows[:, :r] / grid_cells if r else np.zeros((len(rows), 0))
-        yield rows, angles, data.args_at(angles, rows[:, r:].astype(np.float64))
+        yield rows, angles, data.args_at(angles, rows[:, r:])
 
 
 def _gaps(args: np.ndarray, points: np.ndarray) -> np.ndarray:

@@ -53,9 +53,10 @@ from .groups import (
     TWO_PI,
     CharacterSet,
     DualPoint,
-    angular_distance,
+    _check_same_group,
     chordal_of_angle,
-    evaluate_arg,
+    torsion_angles,
+    torsion_table,
 )
 
 DEFAULT_TOL = 1e-3
@@ -164,9 +165,8 @@ class TargetMap:
 
     def translated(self, y: DualPoint) -> "TargetMap":
         """Target shifted by the character arguments of a dual point."""
-        return TargetMap.from_angles(
-            self.chars, [a + evaluate_arg(g, y) for a, g in zip(self.angles, self.chars)]
-        )
+        return TargetMap.from_angles(self.chars, np.add(self.angles,
+                                                        _set_data(self.chars).point_args(y)))
 
     def negated(self) -> "TargetMap":
         if self.roots_order is not None:
@@ -262,18 +262,6 @@ class _SetData:
             [c.free_coords for c in chars], dtype=np.int64
         ).reshape(self.m, self.r)
         self.torsion = [c.torsion_coords for c in chars]
-        # one torsion step of factor i moves character k by unit_rows[k][i],
-        # measured in turns/lcm
-        self.unit_rows = tuple(
-            tuple(t * (self.lcm // m) for t, m in zip(row, self.orders))
-            for row in self.torsion
-        )
-        if self.s:
-            self.tau = np.array(
-                [[TWO_PI * t / m for t, m in zip(row, self.orders)] for row in self.torsion]
-            )
-        else:
-            self.tau = np.zeros((self.m, 0))
         self.free_key = tuple(map(tuple, self.free.tolist()))
         # a free part of reduced rank at most 1, B = A U with one column, is
         # solved on the circle: line holds B's slopes (the set's own in Z)
@@ -285,8 +273,6 @@ class _SetData:
                 self.line = self.free[:, 0].copy() if self.r == 1 else np.array(h[0])
                 self.turn = None if self.r == 1 else np.array(u[0], dtype=np.float64)
         self.selection_count = g.dual_torsion_size
-        self._units = np.array(self.unit_rows, dtype=exact_dtype(
-            self.lcm * max(self.orders, default=1))).reshape(self.m, self.s).T
         self._table = self._shifts = None
 
     def selection(self, index: int) -> tuple[int, ...]:
@@ -300,41 +286,40 @@ class _SetData:
 
     def torsion_table(self, start: int, stop: int) -> np.ndarray:
         """Rows start..stop-1 of the selection table: row s holds every
-        character's argument at `selection(s)`, in turns/lcm.  A table of at
-        most TABLE_BLOCK rows is kept once built whole; callers must not
-        write to the rows."""
+        character's torsion argument at `selection(s)`, in turns/lcm
+        (`groups.torsion_table`).  A table of at most TABLE_BLOCK rows is
+        kept once built whole; callers must not write to the rows."""
         if self._table is not None:
             return self._table[start:stop]
-        rows = np.zeros((stop - start, self.m), dtype=self._units.dtype)
-        for digit, units in zip(self.selection_rows(start, stop).T, self._units):
-            rows = (rows + digit[:, None] * units) % self.lcm
+        rows = torsion_table(self.chars.group, self.torsion, self.selection_rows(start, stop))
         if start == 0 and stop == self.selection_count <= TABLE_BLOCK:
             self._table = rows
         return rows
 
     def shift_rows(self, start: int, stop: int) -> np.ndarray:
-        """Rows start..stop-1 of the torsion shifts, `args_at` with no torus
-        angles at each selection: the target shifts of the free-part solve.
-        With at most TABLE_BLOCK selections every row is built at the first
-        call and kept; callers must not write to the rows."""
+        """Rows start..stop-1 of the torsion shifts, the float view of
+        `torsion_table` (`groups.torsion_angles`): the target shifts of the
+        free-part solve and the torsion arguments of the float torsion
+        solve.  With at most TABLE_BLOCK selections every row is built at
+        the first call and kept; callers must not write to the rows."""
         if self._shifts is None and self.selection_count <= TABLE_BLOCK:
-            self._shifts = self.args_at(None, self.selection_rows(
-                0, self.selection_count).astype(np.float64))
+            self._shifts = torsion_angles(self.torsion_table(0, self.selection_count), self.lcm)
         if self._shifts is not None:
             return self._shifts[start:stop]
-        return self.args_at(None, self.selection_rows(start, stop).astype(np.float64))
+        return torsion_angles(self.torsion_table(start, stop), self.lcm)
 
-    def args_at(self, angles: np.ndarray | None, sel: np.ndarray) -> np.ndarray:
+    def args_at(self, angles: np.ndarray, sel: np.ndarray) -> np.ndarray:
         """arg gamma at rows of dual points, one row per point: torus angles
-        (k x r; None for all zero) and torsion selections (k x s, as
-        floats), by the stacked matmuls free @ angles + tau @ selection."""
-        args = np.matmul(self.tau, sel[:, :, None])[:, :, 0]
-        return args if angles is None else np.matmul(self.free, angles[:, :, None])[:, :, 0] + args
+        (k x r) and torsion selections (k x s, integers), free @ angles plus
+        the float view of the points' torsion table."""
+        torsion = torsion_angles(torsion_table(self.chars.group, self.torsion, sel), self.lcm)
+        return np.matmul(self.free, angles[:, :, None])[:, :, 0] + torsion
 
     def point_args(self, point: DualPoint) -> np.ndarray:
         """arg gamma(point) for every character (see `args_at`)."""
+        _check_same_group(self.chars, point)
         return self.args_at(np.array([point.torus_angles], dtype=np.float64),
-                            np.array([point.torsion_selections], dtype=np.float64))[0]
+                            np.array([point.torsion_selections], dtype=np.int64))[0]
 
 
 @lru_cache(maxsize=256)
@@ -343,12 +328,11 @@ def _set_data(chars: CharacterSet) -> _SetData:
 
 
 def approx_error(chars: CharacterSet, phi: TargetMap, x: DualPoint) -> float:
-    """max over the set of the arc distance between target and evaluation."""
+    """max over the set of the arc distance between target and evaluation
+    (`_SetData.point_args`)."""
     if phi.chars != chars:
         raise ValueError("target map was built for a different character set")
-    return max(
-        angular_distance(a, evaluate_arg(g, x)) for a, g in zip(phi.angles, chars)
-    )
+    return float(_dist_array(np.subtract(phi.angles, _set_data(chars).point_args(x))).max())
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +449,7 @@ def _solve_rows(data: _SetData, angles: np.ndarray, n: int | None, indices,
         return out
     if n is None:
         def errors(start: int, stop: int, live: list) -> np.ndarray:
-            args = TWO_PI * data.torsion_table(start, stop) / data.lcm
-            return _dist_array(angles[live, None, :] - args).max(axis=2)
+            return _dist_array(angles[live, None, :] - data.shift_rows(start, stop)).max(axis=2)
     else:
         modulus = out.modulus
         targets = indices.astype(exact_dtype(modulus)) * (modulus // n)
@@ -502,10 +485,10 @@ def _solve_free(data: _SetData, angles: np.ndarray, out: _Targets,
     reach = None if cap is None else cap + 2 * circle_slack(data.line) + LIFT_EPS
     for t, g, start, psi in _kernel_rows(data, angles, size, width):
         if data.line is None:
-            got = min_error_box(data.free, psi, None)
+            got = min_error_box(data.free, psi)
         else:
             # the first three arguments go by position, as tracing hooks need
-            got = min_error_circle(data.line, psi, None, cap=reach,
+            got = min_error_circle(data.line, psi, reach,
                                    lift_margin=None if data.s else lift_margin)
             got = (got[0][:, None] if data.turn is None
                    else np.mod(got[0][:, None] * data.turn, TWO_PI), *got[1:])
@@ -540,30 +523,24 @@ def _kernel_rows(data: _SetData, angles: np.ndarray, size: int, width: int):
             yield t, g, start, (angles[t:t + g, None, :] - shifts).reshape(-1, data.m)
 
 
-def best_point(chars: CharacterSet, phi: TargetMap, tol: float = DEFAULT_TOL,
-               budget: int = DEFAULT_BUDGET):
+def best_point(chars: CharacterSet, phi: TargetMap, budget: int = DEFAULT_BUDGET):
     """Dual point minimizing the error for one target, with a bracket.
 
     The bracket encloses the true infimum over the whole dual group; its
     upper end is attained by the returned point.  The solve is exact (up to
-    rounding with a free part), so `tol` is only a check: BudgetExceededError
-    when the budget runs out, or when the bracket is wider than tol.
+    rounding with a free part); BudgetExceededError when the budget runs
+    out.
     """
     if phi.chars != chars:
         raise ValueError("target map was built for a different character set")
-    _check_limits(tolerance=tol, budget=budget)
+    _check_limits(budget=budget)
     data = _set_data(chars)
     b = Budget(budget)
     b.charge(subset_count(data.free_key) if data.r and data.line is None else 0)
     grid = (phi.roots_order, phi.grid_indices) if phi.roots_order else None
     lower, upper, point, exact, _ = _solve_target(data, np.asarray(phi.angles), grid, b)
     attained = approx_error(chars, phi, point)
-    bracket = ErrorBracket(min(lower, attained), attained, exact)
-    if bracket.width > tol + ANGLE_ATOL:
-        raise BudgetExceededError(
-            f"bracket width {bracket.width:.3g} exceeds tolerance {tol:.3g}"
-        )
-    return point, bracket
+    return point, ErrorBracket(min(lower, attained), attained, exact)
 
 
 # ---------------------------------------------------------------------------
@@ -575,15 +552,18 @@ def _shift_basis(data: _SetData, n: int) -> list:
     target shifts phi -> phi + arg gamma(y) generated by the free columns
     mod n (y a 2pi/n step of one torus angle) and by each torsion factor (y
     the least multiple k = order / gcd(order, n g) of one step of that
-    factor that puts every argument on the n-grid, g the gcd of the
-    factor's column).  The d-th row has zeros before coordinate d and, at
-    d, the least positive value (a divisor of n) over group elements with
-    zeros before d; None if they all have 0 there."""
+    factor that puts every argument, read from `torsion_table`, on the
+    n-grid, g the gcd of the factor's column).  The d-th row has zeros
+    before coordinate d and, at d, the least positive value (a divisor of
+    n) over group elements with zeros before d; None if they all have 0
+    there."""
     gens = [data.free[:, j] % n for j in range(data.r)]
     for i, order in enumerate(data.orders):
-        col = [row[i] for row in data.torsion]
-        k = order // math.gcd(order, n * math.gcd(*col))
-        gens.append(np.array([n * k * t // order % n for t in col], dtype=np.int64))
+        k = order // math.gcd(order, n * math.gcd(*(row[i] for row in data.torsion)))
+        # the selection k (mod order) at factor i, 0 elsewhere (`selection`)
+        at = k % order * math.prod(data.orders[i + 1:])
+        args = data.torsion_table(at, at + 1)[0].tolist()
+        gens.append(np.array([a * n // data.lcm for a in args], dtype=np.int64))
     basis = []
     for d in range(data.m):
         pivot, rest = np.zeros(data.m, dtype=np.int64), []

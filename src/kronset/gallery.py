@@ -238,7 +238,7 @@ def _verify_z2cube(spec, tol, budget) -> VerificationReport:
     # the obstruction target: angle pi on the (1,0,1) character, 0 elsewhere
     flip = [1 if c.torsion_coords == (1, 0, 1) else 0 for c in chars]
     phi = TargetMap.from_grid(chars, 2, flip)
-    point, bracket = best_point(chars, phi, tol=tol, budget=budget)
+    point, bracket = best_point(chars, phi, budget=budget)
     data["obstruction_error_turns"] = str(bracket.exact_turns)
     checks.append(CheckRecord(
         "obstruction target error", "best error == pi, exactly",
@@ -266,7 +266,7 @@ def _verify_z2cube(spec, tol, budget) -> VerificationReport:
     n = 3
     odd_idx = [((n - 1) // 2) if c.torsion_coords == (1, 0, 1) else 0 for c in chars]
     phi_odd = TargetMap.from_grid(chars, n, odd_idx)
-    _, br_odd = best_point(chars, phi_odd, tol=tol, budget=budget)
+    _, br_odd = best_point(chars, phi_odd, budget=budget)
     checks.append(CheckRecord(
         "odd-variant target", "best error == pi - pi/3, exactly",
         br_odd.upper, br_odd.exact_turns == Fraction(1, 3)))

@@ -3,8 +3,8 @@
 A group here is Z^r (+) Z_{m_1} (+) ... (+) Z_{m_s}.  Characters carry
 integer coordinates on the free factors and residues on the torsion
 factors; dual points carry torus angles and residue selections.  Character
-evaluation is split into a floating free part and an exact rational torsion
-part so that computations on purely torsion groups stay bit-exact.
+evaluation is split into a floating free part and an exact torsion part,
+an integer in turns/lcm (`torsion_table`) floated only by `torsion_angles`.
 """
 from __future__ import annotations
 
@@ -12,6 +12,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
+from ._minimax import exact_dtype
 from .errors import GroupMismatchError
 
 TWO_PI = 2.0 * math.pi
@@ -138,13 +141,6 @@ class Character(object):
     def is_identity(self) -> bool:
         return not any(self.free_coords) and not any(self.torsion_coords)
 
-    def torsion_turns(self, selections: tuple[int, ...]) -> Fraction:
-        """Exact torsion contribution to arg gamma(x), as a fraction of a turn."""
-        total = Fraction(0)
-        for t, c, m in zip(self.torsion_coords, selections, self.group.torsion_orders):
-            total += Fraction(t * c, m)
-        return total % 1
-
 
 @dataclass(frozen=True)
 class DualPoint:
@@ -170,26 +166,49 @@ class DualPoint:
         object.__setattr__(self, "torsion_selections", sel)
 
 
-def evaluate_arg(gamma: Character, x: DualPoint) -> float:
-    """arg gamma(x) in [0, 2*pi).
+def torsion_table(group: GroupSpec, torsion_rows, selections) -> np.ndarray:
+    """The torsion part of arg gamma at rows of residue selections, for the
+    characters of torsion coordinates `torsion_rows`, in turns/lcm: row p,
+    column k holds sum_i t_ki s_pi (lcm / m_i) mod lcm, reduced after each
+    factor so the sums stay exact in int64 (Python integers past it).  The
+    one rule for torsion arguments."""
+    lcm, orders = group.torsion_lcm, group.torsion_orders
+    steps = np.array([[t * (lcm // m) for t, m in zip(row, orders)] for row in torsion_rows],
+                     dtype=exact_dtype(lcm * max(orders, default=1)))
+    rows = np.zeros((len(selections), len(torsion_rows)), dtype=steps.dtype)
+    for digit, step in zip(np.asarray(selections).T, steps.T):
+        rows = (rows + digit[:, None] * step) % lcm
+    return rows
 
-    The torsion part is accumulated as an exact rational multiple of a turn
-    before being floated, so purely torsion groups see no rounding noise.
-    """
+
+def torsion_angles(table: np.ndarray, lcm: int) -> np.ndarray:
+    """The float view of `torsion_table`: 2 pi num / den with num/den = k/lcm
+    in lowest terms, in [0, 2 pi).  Reduced first, so a half turn is pi
+    exactly whatever lcm is."""
+    g = np.gcd(table, lcm)
+    return np.asarray(TWO_PI * (table // g) / (lcm // g), dtype=np.float64)
+
+
+def _turns(gamma: Character, x: DualPoint) -> np.ndarray:
+    """arg gamma(x)'s torsion part in turns/lcm, as the 1 x 1 `torsion_table`."""
     _check_same_group(gamma, x)
+    return torsion_table(gamma.group, [gamma.torsion_coords], [x.torsion_selections])
+
+
+def evaluate_arg(gamma: Character, x: DualPoint) -> float:
+    """arg gamma(x) in [0, 2*pi): the free part plus the torsion part's
+    `torsion_angles`, so purely torsion groups see no rounding noise."""
+    torsion = float(torsion_angles(_turns(gamma, x), gamma.group.torsion_lcm)[0, 0])
     free = sum(a * theta for a, theta in zip(gamma.free_coords, x.torus_angles))
-    turns = gamma.torsion_turns(x.torsion_selections)
-    if free == 0.0:
-        return _reduce_angle(TWO_PI * turns.numerator / turns.denominator)
-    return _reduce_angle(free + TWO_PI * turns.numerator / turns.denominator)
+    return _reduce_angle(free + torsion)
 
 
 def evaluate_turns(gamma: Character, x: DualPoint) -> Fraction:
     """Exact arg gamma(x) as a fraction of a turn; purely torsion groups only."""
-    _check_same_group(gamma, x)
+    turns = _turns(gamma, x)
     if gamma.group.free_rank != 0:
         raise ValueError("exact evaluation requires a purely torsion group")
-    return gamma.torsion_turns(x.torsion_selections)
+    return Fraction(int(turns[0, 0]), gamma.group.torsion_lcm)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -402,6 +403,20 @@ def orbit_minima(shifts, m: int, n: int) -> list:
     characters under v -> +-v + h, h in shifts."""
     targets = list(itertools.product(range(n), repeat=m))
     return sorted(set(orbit_least(targets, shifts, n)))
+
+
+def torsion_turns(chars, selection) -> list:
+    """Each character's torsion argument at a residue selection, as a
+    fraction of a turn summed one factor at a time."""
+    orders = chars.group.torsion_orders
+    return [sum((Fraction(t * c, m) for t, c, m in zip(g.torsion_coords, selection, orders)),
+                Fraction(0)) % 1 for g in chars]
+
+
+def torsion_args(chars, selection) -> np.ndarray:
+    """`torsion_turns` as angles, 2 pi num / den in lowest terms."""
+    return np.array([TWO_PI * f.numerator / f.denominator
+                     for f in torsion_turns(chars, selection)])
 
 
 def torsion_units_loop(unit_rows, modulus: int, target_units, selections, budget):

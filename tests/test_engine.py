@@ -73,10 +73,10 @@ def random_group_set(rng, group, zero=False):
     return CharacterSet(group, tuple(Character(group, *c) for c in elements))
 
 
-def circle_row(slopes, psi, budget, **kw):
+def circle_row(slopes, psi, **kw):
     """`min_error_circle` on one row of target angles: (theta, lower, upper)
     as floats, and the row's lifts given lift_margin."""
-    theta, lower, upper, *lifts = min_error_circle(slopes, psi[None], budget, **kw)
+    theta, lower, upper, *lifts = min_error_circle(slopes, psi[None], **kw)
     row = float(theta[0]), float(lower[0]), float(upper[0])
     return (*row, lifts[0][0]) if lifts else row
 
@@ -228,9 +228,8 @@ class TestBestPoint:
 
     def test_box_solver_zero_row_floor(self):
         # the all-zero row fixes the objective at pi everywhere
-        budget = Budget(10**4)
         _, lower, upper = min_error_box(np.array([[0, -3], [0, 0], [1, -1]]),
-                                        np.array([[0.0, math.pi, 0.0]]), budget)
+                                        np.array([[0.0, math.pi, 0.0]]))
         assert lower[0] == upper[0] == math.pi
 
     def test_rank_two_box_solver(self):
@@ -259,8 +258,8 @@ class TestTorsionTable:
         rows = np.array(rows, dtype=np.int64).reshape(len(rows), len(data.chars))
         got = solutions(data, engine._solve_rows(data, rows * (TWO_PI / n), n, rows, limit))
         modulus = math.lcm(data.lcm, n)
-        scale = modulus // data.lcm
-        unit_rows = [tuple(u * scale for u in row) for row in data.unit_rows]
+        unit_rows = [tuple(t * (modulus // m) for t, m in zip(row, data.orders))
+                     for row in data.torsion]
         return got, [(unit_rows, modulus, [j * (modulus // n) for j in idx])
                      for idx in rows.tolist()]
 
@@ -298,7 +297,7 @@ class TestTorsionTable:
                         if rng.random() < 0.5:
                             # a target attained by some selection stops at a zero
                             sel = data.selection(rng.randrange(data.selection_count))
-                            turns = [c.torsion_turns(sel) * n for c in E]
+                            turns = [t * n for t in oracles.torsion_turns(E, sel)]
                             if all(t.denominator == 1 for t in turns):
                                 idx = [int(t) % n for t in turns]
                         rows.append(tuple(idx))
@@ -493,10 +492,8 @@ class TestAlphaN:
 
     def test_invalid_tolerance_and_max_order(self):
         E = CharacterSet.of_integers([1, 2])
-        phi = TargetMap.from_angles(E, [0.5, 1.0])
         for tol in (-1.0, math.nan):
-            for solve in (lambda: alpha(E, tol=tol), lambda: alpha_n(E, 3, tol=tol),
-                          lambda: best_point(E, phi, tol=tol)):
+            for solve in (lambda: alpha(E, tol=tol), lambda: alpha_n(E, 3, tol=tol)):
                 with pytest.raises(ValueError):
                     solve()
         for max_order in (0, 1):
@@ -639,7 +636,7 @@ class TestScanBlocks:
                 assert point == one[2]
                 # each row's lifts are those of a one-row call
                 row_lifts = None if margin is None else circle_row(
-                    data.line, a, Budget(10**9), lift_margin=margin)[3]
+                    data.line, a, lift_margin=margin)[3]
                 assert (lifts is None) == (row_lifts is None)
                 if lifts is not None:
                     assert np.array_equal(lifts[0], row_lifts[0])
@@ -709,15 +706,17 @@ class TestScanBlocks:
     def test_scan_blocks_stay_within_the_element_bound(self, monkeypatch, solve, lifted):
         sizes = []
 
-        # cap and lift_margin arrive by keyword, as tracing hooks that take
-        # the first three arguments positionally need; the sieve's elements
-        # are its target angles (it bounds its own temporaries), the vertex
-        # kernel's its candidates times characters
+        # the sieve takes exactly three arguments by position (the cap
+        # third), as tracing hooks that bind them need, and lift_margin by
+        # keyword; the sieve's elements are its target angles (it bounds its
+        # own temporaries), the vertex kernel's its candidates times
+        # characters
         def spy_on(kernel):
-            def spy(free, psi, budget, **kw):
+            def spy(free, psi, *args, **kw):
+                assert len(args) == (free.ndim == 1)
                 cost = psi.shape[1] if free.ndim == 1 else row_cost(free)
                 sizes.append((len(psi), len(psi) * cost, kw.get("lift_margin") is not None))
-                return kernel(free, psi, budget, **kw)
+                return kernel(free, psi, *args, **kw)
             return spy
 
         for name in ("min_error_circle", "min_error_box"):
@@ -1329,10 +1328,11 @@ class TestCircleKernel:
         for _ in range(300):
             slopes = self.random_slopes(rng)
             psi = self.random_angles(rng, len(slopes))
-            got, want = Budget(10**9), Budget(10**9)
-            row = circle_row(slopes, psi, got)
+            want = Budget(10**9)
+            row = circle_row(slopes, psi)
             self.assert_row(slopes, psi, row, oracles.min_error_circle_loop(slopes, psi, want))
-            assert got.used == want.used
+            # the reference loop's charge is the unit the engine pays a row
+            assert want.used == _minimax.circle_unit(slopes.tolist())
             self.assert_breakpoint_value(slopes, psi, row[2])
 
     @pytest.mark.parametrize("block", [None, 1])
@@ -1373,7 +1373,7 @@ class TestCircleKernel:
         assert full.used == ref.used
         # the blocked selections give, bit for bit, the least of one-row
         # sieves, one per selection (the first least upper end's point)
-        rows = [circle_row(slopes, psi, Budget(10**9))
+        rows = [circle_row(slopes, psi)
                 for psi in angles - data.shift_rows(0, data.selection_count)]
         best = min(range(len(rows)), key=lambda s: rows[s][2])
         assert bits([lower, upper, *point.torus_angles]) == bits(
@@ -1398,12 +1398,12 @@ class TestCircleKernel:
         margin = 0.05
         for _ in range(6):
             psi = self.random_angles(rng, len(slopes))
-            got, want = Budget(10**9), Budget(10**9)
-            theta, lower, upper, lifts = circle_row(slopes, psi, got, lift_margin=margin)
+            want = Budget(10**9)
+            theta, lower, upper, lifts = circle_row(slopes, psi, lift_margin=margin)
             self.assert_row(slopes, psi, (theta, lower, upper),
                             oracles.min_error_circle_loop(slopes, psi, want))
-            assert got.used == want.used
-            assert circle_row(slopes, psi, Budget(10**9)) == (theta, lower, upper)
+            assert want.used == _minimax.circle_unit(slopes.tolist())
+            assert circle_row(slopes, psi) == (theta, lower, upper)
             self.assert_breakpoint_value(slopes, psi, upper)
             # the lift classes of the brute-force oracle, those within 1e-9
             # of the cut either way
@@ -1415,13 +1415,6 @@ class TestCircleKernel:
                 outer = oracles.lifts_within(slopes, psi, cut + _minimax.LIFT_EPS + 1e-9)
                 assert set(inner) <= set(found) <= set(outer)
                 assert all(abs(found[c] - outer[c]) <= 1e-9 for c in found)
-            limit = rng.randrange(got.used)
-            short, ref = Budget(limit), Budget(limit)
-            with pytest.raises(BudgetExceededError):
-                circle_row(slopes, psi, short)
-            with pytest.raises(BudgetExceededError):
-                oracles.min_error_circle_loop(slopes, psi, ref)
-            assert short.used == ref.used
 
     @pytest.mark.parametrize("slopes", [(3, 16, 48, 100), (11, 31, 90), (-11, 31, 0, 90)])
     def test_wide_selection_blocks_match_the_reference_loop(self, slopes):
@@ -1438,10 +1431,10 @@ class TestCircleKernel:
         # whole (characters x candidates) temporaries would peak at 1.1 MB
         # here; blocks of CIRCLE_TEMP elements keep them near one row's size
         slopes, psi = np.array([3, 16, 48, 240, 1200]), np.array([0.3, 1.1, 2.0, 4.4, 5.9])
-        circle_row(slopes, psi, Budget(10**9))  # the plan is cached from here on
+        circle_row(slopes, psi)  # the plan is cached from here on
         tracemalloc.start()
         try:
-            circle_row(slopes, psi, Budget(10**9))
+            circle_row(slopes, psi)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1556,7 +1549,7 @@ class TestTorusVertices:
                                                                  Budget(10**9))
                 want, slack = math.inf, 0.0
                 for sel in itertools.product(*map(range, g.torsion_orders)):
-                    psi = angles - (data.tau @ np.asarray(sel) if data.s else 0.0)
+                    psi = angles - (oracles.torsion_args(E, sel) if data.s else 0.0)
                     value, slack = oracles.min_error_torus_slices(
                         data.free, psi, self.SLICES[g.free_rank])
                     want = min(want, value)
@@ -1619,8 +1612,7 @@ class TestLifts:
             slopes = self.random_slopes(rng)
             psi = np.array([rng.uniform(0, TWO_PI) for _ in slopes])
             radius = rng.choice([0.05, 0.1, 0.2])
-            _, _, upper, lifts = circle_row(slopes, psi, Budget(10**6),
-                                                  lift_margin=4 * radius)
+            _, _, upper, lifts = circle_row(slopes, psi, lift_margin=4 * radius)
             if lifts is None:
                 continue
             nu, vals = lifts
@@ -1630,7 +1622,7 @@ class TestLifts:
             # every target within radius has its best lift among them
             for _ in range(5):
                 near = psi + np.array([rng.uniform(-radius, radius) for _ in slopes])
-                _, _, want, _ = circle_row(slopes, near, Budget(10**6), lift_margin=0.0)
+                _, _, want, _ = circle_row(slopes, near, lift_margin=0.0)
                 got = line_distances(slopes, near + TWO_PI * nu).min()
                 assert got == pytest.approx(want, abs=1e-9), (slopes, psi, near)
             checked += 1
@@ -1742,7 +1734,7 @@ class TestCellMaxima:
                 break
         n = rng.choice([8, 16, 32, 64])
         row = np.array([rng.randrange(n) for _ in slopes])
-        _, _, upper, lifts = circle_row(slopes, row * (TWO_PI / n), Budget(10**9),
+        _, _, upper, lifts = circle_row(slopes, row * (TWO_PI / n),
                                         lift_margin=engine.LIFT_REACH * math.pi / n)
         return None if lifts is None else (slopes, n, row, lifts, upper)
 
@@ -1828,8 +1820,7 @@ class TestCellMaxima:
                     if not count:
                         continue
                     angles = row * (TWO_PI / n)
-                    lifts = circle_row(data.line, angles, Budget(10**9),
-                                       lift_margin=2 * radius)[3]
+                    lifts = circle_row(data.line, angles, lift_margin=2 * radius)[3]
                     nu, vals = cells.nu[first:first + count], cells.vals[first:first + count]
                     assert lift_classes(data.line, lifts[0]) <= lift_classes(data.line, nu)
                     fresh = line_distances(data.line, angles + TWO_PI * nu)
@@ -2227,7 +2218,7 @@ class TestSymmetryQuotient:
             brute = -1.0
             for idx in itertools.product(range(n), repeat=len(E)):
                 phi = TargetMap.from_grid(E, n, idx)
-                _, br = best_point(E, phi, tol=1e-6)
+                _, br = best_point(E, phi)
                 brute = max(brute, br.upper)
             assert res.alpha.lower <= brute + 1e-9
             assert res.alpha.upper >= brute - 1e-9
@@ -2292,7 +2283,8 @@ class TestStructures:
             grid_cap(1)
 
     def test_point_args_match_the_summed_parts(self):
-        # free part plus torsion part, each left out on a group without it
+        # free part plus torsion part (the Fraction sum floated in lowest
+        # terms), each left out on a group without it
         rng = random.Random(109)
         groups = [GroupSpec(1), GroupSpec(2), GroupSpec(0, (4, 6)), GroupSpec(1, (2, 3))]
         for g in groups:
@@ -2305,16 +2297,15 @@ class TestStructures:
                 if g.free_rank:
                     want += data.free @ np.asarray(x.torus_angles)
                 if g.torsion_rank:
-                    want += data.tau @ np.asarray(x.torsion_selections)
+                    want += oracles.torsion_args(E, x.torsion_selections)
                 got = data.point_args(x)
                 assert np.array_equal(got, want), (E, x)
                 assert np.allclose([angular_distance(a, evaluate_arg(c, x))
                                     for a, c in zip(got, E)], 0.0, atol=1e-12)
 
     def test_rows_of_points_match_one_point_at_a_time(self):
-        # `args_at` on a block of points gives, bit for bit, free @ angles +
-        # tau @ selection of each point alone, and tau @ selection alone
-        # without angles (the torsion shifts of the free-part solve)
+        # `args_at` on a block of points gives, bit for bit, free @ angles
+        # plus the torsion arguments of each point alone
         rng = random.Random(113)
         bits = lambda xs: np.asarray(xs, dtype=np.float64).view(np.int64).tolist()
         groups = [GroupSpec(1), GroupSpec(3), GroupSpec(0, (4, 6)), GroupSpec(1, (2, 3)),
@@ -2327,11 +2318,9 @@ class TestStructures:
                 angles = np.array([[rng.uniform(0, TWO_PI) for _ in range(g.free_rank)]
                                    for _ in range(k)]).reshape(k, g.free_rank)
                 sel = np.array([[rng.randrange(m) for m in g.torsion_orders]
-                                for _ in range(k)], dtype=np.float64).reshape(k, g.torsion_rank)
-                want = [data.free @ a + data.tau @ t for a, t in zip(angles, sel)]
+                                for _ in range(k)], dtype=np.int64).reshape(k, g.torsion_rank)
+                want = [data.free @ a + oracles.torsion_args(E, t) for a, t in zip(angles, sel)]
                 assert bits(data.args_at(angles, sel)) == bits(want), E
-                shifts = data.args_at(None, sel)
-                assert bits(shifts) == bits([data.tau @ t for t in sel]), E
 
     @pytest.mark.parametrize("block", [None, 2])
     def test_shift_rows_are_the_torsion_args_of_each_selection(self, monkeypatch, block):
@@ -2345,8 +2334,8 @@ class TestStructures:
             data = engine._SetData(E)
             count = data.selection_count
             whole = data.shift_rows(0, count)
-            assert bits(whole) == bits(data.args_at(None, data.selection_rows(0, count)
-                                                    .astype(np.float64))), E
+            assert bits(whole) == bits([oracles.torsion_args(E, t)
+                                        for t in data.selection_rows(0, count).tolist()]), E
             start = rng.randrange(count)
             stop = rng.randint(start + 1, count)
             part = data.shift_rows(start, stop)

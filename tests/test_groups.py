@@ -2,19 +2,26 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import oracles
 from kronset import (
     Character,
     CharacterSet,
     DualPoint,
     GroupMismatchError,
     GroupSpec,
+    TargetMap,
     angular_distance,
+    approx_error,
+    best_point,
     chordal_of_angle,
     evaluate_arg,
     evaluate_turns,
 )
+from kronset.cli import parse_set_spec
+from kronset.engine import _set_data
 
 TWO_PI = 2.0 * math.pi
 
@@ -94,6 +101,48 @@ class TestEvaluateArg:
         g = GroupSpec(1)
         with pytest.raises(ValueError):
             evaluate_turns(Character(g, (1,), ()), DualPoint(g, (0.0,), ()))
+
+
+class TestOneTorsionRule:
+    """Every torsion argument is the set's integer table in turns/lcm,
+    floated as 2 pi num / den in lowest terms, whoever reads it."""
+
+    @staticmethod
+    def bits(xs):
+        return np.asarray(xs, dtype=np.float64).view(np.int64).tolist()
+
+    def test_point_args_are_the_integer_rule_at_every_selection(self):
+        _, E = parse_set_spec("Z3 x Z5 x Z7 : [1,1,1],[2,3,4],[1,4,6],[0,2,5]")
+        data = _set_data(E)
+        assert data.selection_count == 105
+        for index in range(data.selection_count):
+            x = DualPoint(E.group, (), data.selection(index))
+            got = data.point_args(x)
+            want = oracles.torsion_args(E, x.torsion_selections)
+            assert self.bits(got) == self.bits(want), x
+            assert self.bits(got) == self.bits([evaluate_arg(g, x) for g in E]), x
+            assert ((0.0 <= got) & (got < TWO_PI)).all(), x
+
+    @pytest.mark.parametrize("m", [22, 26, 30])
+    def test_half_turns_are_pi_exactly(self, m):
+        # 2 pi (m/2) / m is not pi in floats for these m; 2 pi 1 / 2 is
+        g = GroupSpec(0, (m,))
+        E = CharacterSet(g, (Character(g, (), (1,)), Character(g, (), (m // 2,))))
+        data = _set_data(E)
+        for sel in (1, 3, m - 1):
+            x = DualPoint(g, (), (sel,))
+            assert evaluate_turns(E[1], x) == Fraction(1, 2)
+            assert evaluate_arg(E[1], x) == math.pi
+            assert data.point_args(x)[1] == math.pi
+            assert approx_error(E, TargetMap.from_angles(E, [0.0, 0.0]), x) == math.pi
+
+    def test_solver_and_attained_error_read_the_same_floats(self):
+        # the float torsion solve and `approx_error` at its witness agree to
+        # the bit, so the bracket closes
+        _, E = parse_set_spec("Z22 : [1],[11]")
+        phi = TargetMap.from_angles(E, [math.pi, TWO_PI / 22])
+        point, bracket = best_point(E, phi)
+        assert bracket.lower == bracket.upper == approx_error(E, phi, point)
 
 
 class TestAngularDistance:

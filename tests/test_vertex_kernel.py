@@ -14,7 +14,6 @@ from kronset import Character, CharacterSet, GroupSpec, _minimax, engine
 from kronset._minimax import min_error_box, min_error_circle, vertex_systems
 from kronset.cli import parse_set_spec
 from kronset.engine import Budget
-from kronset.errors import BudgetExceededError
 
 TWO_PI = 2.0 * math.pi
 
@@ -23,36 +22,29 @@ def bits(x):
     return np.asarray(x, dtype=np.float64).view(np.int64)
 
 
-def assert_same(rng, free, psi):
-    """`min_error_box` equals `oracles.min_error_box_full` bit for bit, with
-    the same `Budget.used`, in full and cut short."""
+def assert_same(free, psi):
+    """`min_error_box` equals `oracles.min_error_box_full` bit for bit, and
+    the oracle's charge is the engine's unit a row, `vertex_systems`'."""
     free, psi = np.asarray(free), np.asarray(psi, dtype=np.float64)
-    got, want = Budget(10**12), Budget(10**12)
-    out = min_error_box(free, psi, got)
+    want = Budget(10**12)
+    out = min_error_box(free, psi)
     ref = oracles.min_error_box_full(free, psi, want)
     assert len(out) == len(ref)
     for a, b in zip(out, ref):
         assert np.array_equal(bits(a), bits(b)), (free.tolist(), psi.tolist())
-    assert got.used == want.used
-    limit = rng.randrange(got.used)
-    short, ref_short = Budget(limit), Budget(limit)
-    with pytest.raises(BudgetExceededError):
-        min_error_box(free, psi, short)
-    with pytest.raises(BudgetExceededError):
-        oracles.min_error_box_full(free, psi, ref_short)
-    assert short.used == ref_short.used
+    assert want.used == len(psi) * vertex_systems(tuple(map(tuple, free.tolist())))[1]
 
 
-def assert_sieved(rng, slopes, psi, lift_margin=None):
+def assert_sieved(slopes, psi, lift_margin=None):
     """`min_error_circle` on rows of targets against the oracles: each
     value within the sieve's slack of `oracles.min_error_breakpoints`',
     lower <= value <= upper, upper attained at theta, the lift classes of
     `oracles.lifts_within` (each value within 1e-9), and the charge of
-    `oracles.min_error_circle_loop` (m per candidate of the old kernel), in
-    full and cut short."""
+    `oracles.min_error_circle_loop` (m per candidate of the old kernel) the
+    engine's unit a row, `circle_unit`."""
     slopes, psi = np.asarray(slopes), np.asarray(psi, dtype=np.float64)
-    got, want = Budget(10**12), Budget(10**12)
-    theta, lower, upper, *lifts = min_error_circle(slopes, psi, got, lift_margin=lift_margin)
+    want = Budget(10**12)
+    theta, lower, upper, *lifts = min_error_circle(slopes, psi, lift_margin=lift_margin)
     slack = _minimax.circle_slack(slopes)
     # the oracle's own rounding, which grows with the slopes
     eps = 1e-14 * max(1, int(np.abs(slopes).max()))
@@ -77,12 +69,7 @@ def assert_sieved(rng, slopes, psi, lift_margin=None):
         outer = oracles.lifts_within(slopes, row, cut + _minimax.LIFT_EPS + 1e-9)
         assert set(inner) <= set(found) <= set(outer), case
         assert all(abs(found[c] - outer[c]) <= 1e-9 for c in found), case
-    assert got.used == want.used
-    # the whole call is charged before any work
-    short = Budget(rng.randrange(got.used))
-    with pytest.raises(BudgetExceededError):
-        min_error_circle(slopes, psi, short, lift_margin=lift_margin)
-    assert short.used == got.used
+    assert want.used == len(psi) * _minimax.circle_unit(slopes.tolist())
 
 
 def random_angles(rng, rows, m):
@@ -122,7 +109,7 @@ class TestScreenedKernel:
                 slopes += [a, -a]
             rng.shuffle(slopes)
             psi = random_angles(rng, rng.choice([1, 3, 40]), len(slopes))
-            assert_sieved(rng, slopes, psi, lift_margin)
+            assert_sieved(slopes, psi, lift_margin)
 
     @pytest.mark.parametrize("slopes", [(1, 10, 100, 1000, 10000), (-3, 0, 41, -700, 9999),
                                         (2, 17, 301, 4000), (5, -5, 120, 2400)])
@@ -130,7 +117,7 @@ class TestScreenedKernel:
     def test_lacunary_slopes(self, cutover, slopes, lift_margin):
         rng = random.Random(603)
         for _ in range(2):
-            assert_sieved(rng, slopes, random_angles(rng, 2, len(slopes)), lift_margin)
+            assert_sieved(slopes, random_angles(rng, 2, len(slopes)), lift_margin)
 
     @pytest.mark.parametrize("slopes, n, grid", [
         ((-2504, 9370, -6651, 401), 2, (0, 0, 0, 1)),
@@ -142,7 +129,7 @@ class TestScreenedKernel:
         # tied minima that the vertex screen once rounded apart: the sieve
         # finds the value and a point attaining it
         psi = TWO_PI * np.array([grid], dtype=np.float64) / n
-        assert_sieved(random.Random(619), slopes, psi)
+        assert_sieved(slopes, psi)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_torsion_shifted_rows(self, cutover, k):
@@ -155,7 +142,7 @@ class TestScreenedKernel:
             sel = np.array(list(itertools.product(range(2), repeat=k)), dtype=np.float64)
             angles = random_angles(rng, 3, m)
             psi = (angles[:, None, :] - sel @ tau.T).reshape(-1, m)
-            assert_sieved(rng, slopes, psi, rng.choice([None, 0.1, 0.4]))
+            assert_sieved(slopes, psi, rng.choice([None, 0.1, 0.4]))
 
     @pytest.mark.parametrize("r", [2, 3])
     def test_plane_and_space_sets(self, cutover, r):
@@ -167,7 +154,7 @@ class TestScreenedKernel:
             if case % 3 == 1:
                 rows.append([rng.choice([-2, -1, 2]) * a for a in rows[0]])
             rng.shuffle(rows)
-            assert_same(rng, rows, random_angles(rng, rng.choice([1, 5]), len(rows)))
+            assert_same(rows, random_angles(rng, rng.choice([1, 5]), len(rows)))
 
     @pytest.mark.parametrize("r", [1, 2])
     def test_every_row_zero(self, cutover, r):
@@ -180,7 +167,7 @@ class TestScreenedKernel:
             data = engine._SetData(E)
             assert data.line.tolist() == [0] * m and (data.turn is None) == (r == 1)
             psi = random_angles(rng, 64, m)
-            assert_sieved(rng, data.line, psi)
+            assert_sieved(data.line, psi)
             floor = np.abs(np.mod(psi + math.pi, TWO_PI) - math.pi).max(axis=1)
             _, lower, upper = min_error_circle(data.line, psi)
             assert np.array_equal(lower, upper) and np.allclose(upper, floor, atol=1e-15)
@@ -233,7 +220,7 @@ class TestSieve:
     def test_lacunary_slopes_under_caps(self, slopes):
         rng = random.Random(637)
         self.check_caps(slopes, random_angles(rng, 4, len(slopes)))
-        assert_sieved(rng, slopes, random_angles(rng, 3, len(slopes)), 0.05)
+        assert_sieved(slopes, random_angles(rng, 3, len(slopes)), 0.05)
 
     def test_no_minimum_exceeds_the_full_cap(self):
         # m' nonzero slopes leave a point within pi (1 - 1/m') of every target
