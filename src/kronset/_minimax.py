@@ -519,7 +519,8 @@ def min_error_circle(slopes: np.ndarray, psi: np.ndarray, cap=None, *, lift_marg
     cannot cover the circle, so every minimum lies below it.  With a cap,
     rows whose lower end passes it get theta nan and lower = upper = inf,
     the others their uncapped results bit for bit.  Given lift_margin, also
-    each solved row's classes of value at most upper + lift_margin
+    the solved rows' classes of value at most upper + lift_margin, as flat
+    arrays (row, nu, vals) ordered by row and then by class
     (`_lift_classes`); the sieve then reaches lift_margin further.
     """
     k, m = psi.shape
@@ -575,17 +576,17 @@ def min_error_circle(slopes: np.ndarray, psi: np.ndarray, cap=None, *, lift_marg
 
 
 def _lift_classes(slopes: np.ndarray, row: np.ndarray, nu: np.ndarray, vals: np.ndarray,
-                  cut: np.ndarray) -> list:
-    """Per row, its classes (rows of nu, in `row`) of value at most its cut
-    + LIFT_EPS, as (nu - (nu_j // a_j) a at the first nonzero slope j,
-    values), distinct, in lexicographic order, each with its least value;
-    None for a row whose cut reaches pi - LIFT_EPS, where a class has no
-    longer one arc a character, or when every slope is 0."""
-    lifts = [None] * len(cut)
+                  cut: np.ndarray):
+    """(row, nu, vals): the classes (rows of nu, in `row`) of value at most
+    their row's cut + LIFT_EPS, as nu - (nu_j // a_j) a at the first
+    nonzero slope j, distinct per row, ordered by row and then
+    lexicographically, each with its least value.  A row whose cut reaches
+    pi - LIFT_EPS, where a class has no longer one arc a character, has
+    none, and no row has any when every slope is 0."""
     nz = np.flatnonzero(slopes)
     near = vals <= np.where(cut < math.pi - LIFT_EPS, cut + LIFT_EPS, -np.inf)[row]
     if not len(nz) or not near.any():
-        return lifts
+        return row[:0], nu[:0], vals[:0]
     nu, vals = nu[near], vals[near]
     nu -= (nu[:, nz[0]] // slopes[nz[0]])[:, None] * slopes
     # (row, class) keys, sorted; each distinct one keeps its least value
@@ -593,12 +594,7 @@ def _lift_classes(slopes: np.ndarray, row: np.ndarray, nu: np.ndarray, vals: np.
     order = np.lexsort(key.T[::-1])
     key, vals = key[order], vals[order]
     at = np.flatnonzero(np.concatenate([[True], (key[1:] != key[:-1]).any(axis=1)]))
-    key, vals = key[at], np.minimum.reduceat(vals, at)
-    row = key[:, 0].tolist()
-    bounds = [i for i in range(len(row) + 1) if i in (0, len(row)) or row[i] != row[i - 1]]
-    for start, stop in zip(bounds, bounds[1:]):
-        lifts[row[start]] = (key[start:stop, 1:], vals[start:stop])
-    return lifts
+    return key[at, 0], key[at, 1:], np.minimum.reduceat(vals, at)
 
 
 #: most (selection, dual system) pairs `cell_maxima` examines for one cell;

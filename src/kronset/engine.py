@@ -15,7 +15,10 @@ that cover the target torus: value(t) + pi/n, or a cell's certified
 maximum.  For sets of up to three characters in Z, refined cells take
 their values from a few integer lifts of the target kept by the cell they
 were split from, and those lifts certify the cell's maximum
-(`_minimax.cell_maxima`).
+(`_minimax.cell_maxima`).  Lifts take one flat form, rows of lift vectors
+with their values and owners, from `_minimax.min_error_circle` through
+`_Targets` and `_Cells` to the certificate; a lifted child keeps those
+within LIFT_REACH radii of its value from the moment it is made.
 """
 from __future__ import annotations
 
@@ -343,12 +346,15 @@ def approx_error(chars: CharacterSet, phi: TargetMap, x: DualPoint) -> float:
 class _Targets:
     """Targets and their inner solutions as arrays: index rows (None off
     the grid) and per target its bracket (nan while unsolved), charge,
-    witness torus angles and selection index, exact value in
+    witness torus angles and selection index and exact value in
     turns/`modulus` (a grid target of a purely torsion set; else modulus
-    None) and circle lifts or None.  Witnesses are built on demand.  `top`
-    holds the bounds on the cells of solved targets (`certify`), value +
-    radius for those without lifts; it is None until a scan that keeps
-    lifts solves a target."""
+    None).  Circle lifts are flat: lift i of target owner[i] is nu[i], of
+    inner value vals[i], each target's in class order.  Witnesses are built
+    on demand.  `top` holds the bounds on the cells of solved targets
+    (`certify`), value + radius for those without lifts; it is None until
+    a scan that keeps lifts solves a target.  `valued` marks lifted
+    children (`_children`), valued and bounded when made, whose witnesses
+    attain their least lifts."""
 
     rows: np.ndarray | None
     lower: np.ndarray
@@ -357,9 +363,12 @@ class _Targets:
     theta: np.ndarray
     sel: np.ndarray
     exact: np.ndarray
-    lifts: list
+    owner: np.ndarray
+    nu: np.ndarray
+    vals: np.ndarray
     modulus: int | None
     top: np.ndarray | None = None
+    valued: bool = False
 
     @classmethod
     def empty(cls, data: _SetData, k: int, n: int | None = None, rows=None) -> "_Targets":
@@ -367,20 +376,32 @@ class _Targets:
         modulus = math.lcm(data.lcm, n) if n and not data.r else None
         return cls(rows, np.full(k, np.nan), np.full(k, np.nan), np.zeros(k, dtype=np.int64),
                    np.zeros((k, data.r)), np.zeros(k, dtype=exact_dtype(data.selection_count)),
-                   np.zeros(k, dtype=exact_dtype(modulus or 1)), [None] * k, modulus)
+                   np.zeros(k, dtype=exact_dtype(modulus or 1)), np.zeros(0, dtype=np.int64),
+                   np.zeros((0, data.m), dtype=np.int64), np.zeros(0), modulus)
+
+    def add_lifts(self, owner: np.ndarray, nu: np.ndarray, vals: np.ndarray):
+        """Append lifts of the targets at `owner`."""
+        self.owner, self.nu, self.vals = (np.concatenate(pair) for pair in zip(
+            (self.owner, self.nu, self.vals), (owner, nu, vals)))
 
     def put(self, at: np.ndarray, new: "_Targets"):
-        """Take the solutions of `new` as those of the targets at `at`."""
+        """Take the solutions and lifts of `new` as those of the targets at
+        `at`."""
         for name in ("lower", "upper", "cost", "theta", "sel", "exact"):
             getattr(self, name)[at] = getattr(new, name)
-        for i, lift in zip(at.tolist(), new.lifts):
-            self.lifts[i] = lift
+        self.add_lifts(at[new.owner], new.nu, new.vals)
 
     def take(self, sel: np.ndarray, top: np.ndarray) -> _Cells:
         """The targets at the indices `sel` as cells bounded by `top`, with
-        their lifts."""
-        return _Cells.of(self.rows[sel], self.upper[sel], top,
-                         [self.lifts[i] for i in sel.tolist()])
+        their lifts, gathered by one stable sort."""
+        where = np.full(len(self.lower), -1)
+        where[sel] = np.arange(len(sel))
+        cell = where[self.owner]
+        order = np.flatnonzero(cell >= 0)
+        order = order[np.argsort(cell[order], kind="stable")]
+        return _Cells(self.rows[sel], self.upper[sel], top,
+                      np.bincount(cell[order], minlength=len(sel)), self.nu[order],
+                      self.vals[order])
 
     def certify(self, data: _SetData, n: int, at: np.ndarray):
         """Bound the order-n cells of the solved targets at `at` by their
@@ -394,43 +415,24 @@ class _Targets:
 
     def witness(self, data: _SetData, n: int | None, i: int):
         """(DualPoint, exact value or None) of target i."""
-        return (DualPoint(data.chars.group, tuple(self.theta[i].tolist()),
-                          data.selection(int(self.sel[i]))),
+        theta = tuple(self.theta[i].tolist())
+        if self.valued:
+            mine = np.flatnonzero(self.owner == i)
+            nu = self.nu[mine[int(self.vals[mine].argmin())]]
+            theta = (line_witness(data.line, self.rows[i] * (TWO_PI / n) + TWO_PI * nu)
+                     % TWO_PI,)
+        return (DualPoint(data.chars.group, theta, data.selection(int(self.sel[i]))),
                 None if self.modulus is None else Fraction(int(self.exact[i]), self.modulus))
-
-
-def _solve_target(data: _SetData, angles: np.ndarray, grid, budget: Budget,
-                  lift_margin: float | None = None, cap: float | None = None):
-    """Bracket inf over the dual of the worst-coordinate error for one target.
-
-    `grid` is (n, indices) when the target lies on the n-th-roots grid,
-    which unlocks exact integer arithmetic on purely torsion groups.
-    Returns (lower, upper, DualPoint, exact_turns | None, lifts), lifts
-    being the circle lifts within lift_margin of the value for a set in Z
-    (see `_minimax.min_error_circle`), else None.  Given a cap, a target
-    the sieve solves whose lower end would pass it is left unsolved and
-    charged: (nan, nan, None, None, None).  The budget pays the target's
-    charge (see `_solve_rows`) before it is solved; one it cannot pay is
-    charged to one unit (`_block_targets`) past the room left, which raises.
-    """
-    n, indices = grid or (None, None)
-    solved = _solve_rows(data, angles[None], n, None if grid is None else np.array([indices]),
-                         budget.remaining, lift_margin, cap)
-    if not solved.cost[0]:
-        budget.charge(_past_room(budget.remaining, _block_targets(data)[1]))
-    budget.charge(int(solved.cost[0]))
-    if np.isnan(solved.lower[0]):
-        return math.nan, math.nan, None, None, None
-    return (float(solved.lower[0]), float(solved.upper[0]), *solved.witness(data, n, 0),
-            solved.lifts[0])
 
 
 def _solve_rows(data: _SetData, angles: np.ndarray, n: int | None, indices,
                 limit: int, lift_margin: float | None = None,
                 cap: float | None = None) -> _Targets:
-    """`_solve_target` on each row of target angles while `limit` pays for
-    their charges, as `_Targets`: from the first target it cannot pay on,
-    the targets stay unsolved, at no charge.
+    """Bracket inf over the dual of the worst-coordinate error for each row
+    of target angles while `limit` pays for their charges, as `_Targets`:
+    from the first target it cannot pay on, the targets stay unsolved, at
+    no charge.  Given lift_margin, a target of a set in Z keeps the circle
+    lifts within lift_margin of its value (`_minimax.min_error_circle`).
 
     With a free part a target is charged a unit per selection, so the paid
     targets are known before `_solve_free` solves them; given a cap, the
@@ -438,7 +440,8 @@ def _solve_rows(data: _SetData, angles: np.ndarray, n: int | None, indices,
     pass it.  On a purely torsion set it is charged m per selection read up
     to its first zero error (`first_least`), in one pass over the selection
     table for all targets, in exact integer units when they lie on the
-    order-n grid (`indices` their grid rows; n None: float angles).
+    order-n grid (`indices` their grid rows; n None: float angles), floated
+    in lowest terms (`groups.torsion_angles`).
     """
     out = _Targets.empty(data, len(angles), n, indices)
     if data.r:
@@ -458,10 +461,11 @@ def _solve_rows(data: _SetData, angles: np.ndarray, n: int | None, indices,
     least, first, charge = first_least(errors, data.selection_count, data.m, len(angles),
                                        limit)
     paid = sum(spent <= limit for spent in itertools.accumulate(charge))
-    value = np.array(least[:paid], dtype=np.float64)
-    if n is not None:
+    if n is None:
+        value = np.array(least[:paid], dtype=np.float64)
+    else:
         out.exact[:paid] = least[:paid]
-        value = TWO_PI * value / out.modulus
+        value = torsion_angles(out.exact[:paid], out.modulus)
     out.lower[:paid] = out.upper[:paid] = value
     out.sel[:paid], out.cost[:paid] = first[:paid], charge[:paid]
     return out
@@ -469,7 +473,7 @@ def _solve_rows(data: _SetData, angles: np.ndarray, n: int | None, indices,
 
 def _solve_free(data: _SetData, angles: np.ndarray, out: _Targets,
                 lift_margin: float | None = None, cap: float | None = None):
-    """The solutions of `_solve_target` for each row of target angles of a
+    """The solutions of `_solve_rows` for each row of target angles of a
     set with a free part, charges paid by the caller, written into the
     first targets of `out`, from one kernel call per block of `_kernel_rows`
     (`_block_targets` targets at a time): `min_error_circle` at reduced
@@ -477,7 +481,7 @@ def _solve_free(data: _SetData, angles: np.ndarray, out: _Targets,
     else `min_error_box`."""
     size = _block_targets(data)[0]
     k = len(angles)
-    lower, upper, theta, chosen, lifts = out.lower, out.upper, out.theta, out.sel, out.lifts
+    lower, upper, theta, chosen = out.lower, out.upper, out.theta, out.sel
     lower[:k] = upper[:k] = math.inf
     width = data.m if data.line is not None else vertex_systems(data.free_key)[1]
     # the kernel solves every row a little past the cap, so a target it
@@ -500,7 +504,8 @@ def _solve_free(data: _SetData, angles: np.ndarray, out: _Targets,
         for best, new in ((upper, up[pick]), (theta, th[pick]), (chosen, start + pick[1])):
             best[t:t + g][better] = new[better]
         if len(got) > 3:
-            lifts[t:t + g] = got[3]
+            # one selection: kernel row i is target t + i
+            out.add_lifts(t + got[3][0], *got[3][1:])
     if cap is not None:
         # targets whose lower end the sieve did not find within the cap
         missed = ~(lower[:k] <= cap)
@@ -537,10 +542,14 @@ def best_point(chars: CharacterSet, phi: TargetMap, budget: int = DEFAULT_BUDGET
     data = _set_data(chars)
     b = Budget(budget)
     b.charge(subset_count(data.free_key) if data.r and data.line is None else 0)
-    grid = (phi.roots_order, phi.grid_indices) if phi.roots_order else None
-    lower, upper, point, exact, _ = _solve_target(data, np.asarray(phi.angles), grid, b)
+    n = phi.roots_order
+    solved = _solve_rows(data, np.array([phi.angles]), n,
+                         None if n is None else np.array([phi.grid_indices]), b.remaining)
+    # the row's charge, or one unit past the room when the budget cannot pay
+    b.charge(int(solved.cost[0]) or _past_room(b.remaining, _block_targets(data)[1]))
+    point, exact = solved.witness(data, n, 0)
     attained = approx_error(chars, phi, point)
-    return point, ErrorBracket(min(lower, attained), attained, exact)
+    return point, ErrorBracket(min(float(solved.lower[0]), attained), attained, exact)
 
 
 # ---------------------------------------------------------------------------
@@ -662,62 +671,19 @@ class _Cells:
     vals: np.ndarray
 
     @classmethod
-    def of(cls, rows: np.ndarray, upper: np.ndarray, top: np.ndarray, lifts: list) -> "_Cells":
-        """Cells of index rows, upper ends and tops, cell i with lifts[i] (or
-        none)."""
-        none = (np.zeros((0, rows.shape[1]), dtype=np.int64), np.zeros(0))
-        lifts = [lift or none for lift in lifts]
-        return cls(rows.astype(np.int64), upper.astype(np.float64), top.astype(np.float64),
-                   np.array([len(vals) for _, vals in lifts], dtype=np.int64),
-                   np.concatenate([none[0]] + [nu for nu, _ in lifts]),
-                   np.concatenate([none[1]] + [vals for _, vals in lifts]))
-
-    @classmethod
     def gather(cls, pieces: list, m: int) -> "_Cells":
         """The cells of `pieces` in turn, as one."""
-        pieces = [cls.of(np.zeros((0, m)), np.zeros(0), np.zeros(0), [])] + pieces
+        none = np.zeros((0, m), dtype=np.int64)
+        pieces = [cls(none, np.zeros(0), np.zeros(0), np.zeros(0, dtype=np.int64), none,
+                      np.zeros(0))] + pieces
         return cls(*(np.concatenate([getattr(p, name) for p in pieces])
                      for name in ("rows", "upper", "top", "count", "nu", "vals")))
 
-    def take(self, sel: np.ndarray, cut: np.ndarray | None = None) -> "_Cells":
-        """The cells at the indices `sel`, in that order; given cut, the one
-        at sel[i] keeps only its lifts of value at most cut[i]."""
-        count = self.count[sel]
-        lifts = _ranges((np.cumsum(self.count) - self.count)[sel], count)
-        if cut is not None:
-            owner = np.repeat(np.arange(len(sel)), count)
-            near = self.vals[lifts] <= cut[owner]
-            lifts, count = lifts[near], np.bincount(owner[near], minlength=len(sel))
-        return _Cells(self.rows[sel], self.upper[sel], self.top[sel], count, self.nu[lifts],
-                      self.vals[lifts])
-
-
-@dataclass
-class _LiftedBlock:
-    """Lifted children of a block of parents, in scan order (see
-    `_children`).  `cells` holds each child's index row, upper end, top and,
-    as its lifts, every lift of its parent moved to the child with the inner
-    value there; lower and cost are per child, and a child keeps the lifts
-    of value at most cut (see `take`)."""
-
-    cells: _Cells
-    lower: np.ndarray
-    cost: np.ndarray
-    cut: np.ndarray
-    rows = property(lambda self: self.cells.rows)
-    upper = property(lambda self: self.cells.upper)
-    top = property(lambda self: self.cells.top)
-
-    def take(self, sel: np.ndarray) -> _Cells:
-        """The children at the indices `sel` with the lifts they keep."""
-        return self.cells.take(sel, self.cut[sel])
-
-    def witness(self, data: _SetData, n: int, i: int):
-        """(DualPoint, None): a point attaining child i's least kept lift."""
-        cell = self.take(np.array([i]))
-        s = line_witness(data.line, cell.rows[0] * (TWO_PI / n)
-                         + TWO_PI * cell.nu[int(cell.vals.argmin())])
-        return DualPoint(data.chars.group, (s % TWO_PI,), ()), None
+    def take(self, sel: np.ndarray) -> "_Cells":
+        """The cells at the indices `sel`, in that order."""
+        lifts = _ranges((np.cumsum(self.count) - self.count)[sel], self.count[sel])
+        return _Cells(self.rows[sel], self.upper[sel], self.top[sel], self.count[sel],
+                      self.nu[lifts], self.vals[lifts])
 
 
 def _lift_margin(data: _SetData, n: int) -> float | None:
@@ -764,14 +730,15 @@ def _children(data: _SetData, parents: _Cells, basis: list, n: int, seen: np.nda
     Parents go in blocks of about CHILD_BLOCK children, each block all with
     lifts or all without.  Children of a block of parents without lifts
     come as one array of index rows.  Those of a block with lifts come as
-    one `_LiftedBlock`: a parent's lifts hold every lift within two radii
-    of each of its children's values, so a child's value is the least inner
-    value over them, from one `line_distances` call over every (child,
-    lift) pair of the block, and its top is its certified maximum
-    (`_cell_tops`).  A child's bracket is value -+ a slack covering the
-    rounding of the closed form, its cost the lifts read times
-    `line_term_count` plus the certificate's work, and it keeps the lifts
-    within LIFT_REACH * pi/n of its value.
+    one `_Targets` marked valued: a parent's lifts hold every lift within
+    two radii of each of its children's values, so a child's value is the
+    least inner value over them, from one `line_distances` call over every
+    (child, lift) pair of the block.  A child keeps the lifts within
+    LIFT_REACH * pi/n of its value, which hold the ones within two radii
+    that its certified maximum, its top, reads (`_Targets.certify`).  Its
+    bracket is value -+ a slack covering the rounding of the closed form,
+    its cost every parent lift read times `line_term_count` plus the
+    certificate's work.
     """
     m = data.m
     steps = mixed_radix_rows((3,) * m, 0, 3**m) - 1
@@ -802,11 +769,14 @@ def _children(data: _SetData, parents: _Cells, basis: list, n: int, seen: np.nda
             # values at the unwrapped angles raw * 2pi/n, nearest the parent
             vals = line_distances(data.line, (raw[new] * (TWO_PI / n))[child] + TWO_PI * nu)
             values = np.minimum.reduceat(vals, np.cumsum(count) - count)
-            cells = _Cells(kids[new], values + slack, values + slack + radius, count,
-                           nu + (raw[new] // n)[child], vals)
-            cells.top, work = _cell_tops(data, cells, n)
-            yield _LiftedBlock(cells, np.maximum(values - slack, 0.0), count * terms + work,
-                               values + (LIFT_REACH * radius + LIFT_EPS))
+            keep = vals <= (values + (LIFT_REACH * radius + LIFT_EPS))[child]
+            block = _Targets.empty(data, len(new), n, kids[new])
+            block.lower[:], block.upper[:] = np.maximum(values - slack, 0.0), values + slack
+            block.cost[:] = count * terms
+            block.add_lifts(child[keep], (nu + (raw[new] // n)[child])[keep], vals[keep])
+            block.certify(data, n, np.arange(len(new)))
+            block.valued = True
+            yield block
         start = stop
 
 
@@ -849,12 +819,14 @@ def _scan_targets(scan: _Scan, n: int, items, cap: float, radius: float = 0.0,
     target with lifts is bounded by its certified maximum instead
     (`_Targets.certify`, which adds that work to its charge), as lifted
     cells are (their top); the cell closes once its bound is within `slack`
-    of the incumbent's lower end.  Solved cells that stay open are appended
-    to `opened` as `_Cells`, with the lifts within lift_margin of their
-    value.
+    of the incumbent's lower end.  Cells that stay open are appended to
+    `opened` as `_Cells` with the lifts their targets keep: a solved
+    target those within lift_margin of its value, a lifted child those
+    within LIFT_REACH radii.
 
-    items yields blocks (see `_blocks`): `_Targets`, and `_LiftedBlock`s,
-    whose cells are valued already.  A pass over a block's arrays takes the
+    items yields `_Targets` blocks (see `_blocks`), unsolved or lifted
+    children marked valued, whose cells are valued and bounded already.  A
+    pass over a block's arrays takes the
     decisions and charges of a loop over its targets in turn, each against
     the incumbent as it stood there (a running maximum of lower ends), up
     to the first budget stop or cap exit; only the pass's last incumbent
@@ -892,9 +864,8 @@ def _scan_targets(scan: _Scan, n: int, items, cap: float, radius: float = 0.0,
     unit = _block_targets(data)[1]
     solve = data.selection_count * unit
     for block in items:
-        lifted = isinstance(block, _LiftedBlock)
         # targets decided against the sieve's thresholds
-        threshold = sieve and not lifted
+        threshold = sieve and not block.valued
         rows, lower, upper, cost = block.rows, block.lower, block.upper, block.cost
 
         def put(at: np.ndarray, cap: float | None = None):
@@ -950,7 +921,7 @@ def _scan_targets(scan: _Scan, n: int, items, cap: float, radius: float = 0.0,
                 at = pos + stop
                 # a lifted cell is charged whole, and so is a solved target
                 # whose solve the room pays but not the certificate after it
-                whole = lifted or (not np.isnan(lower[at]) and solve <= room - before)
+                whole = block.valued or (not np.isnan(lower[at]) and solve <= room - before)
                 budget.used += (_past_room(room, unit) if before > room else before + (
                     int(cost[at]) if whole else _past_room(room - before, unit)))
             done = pos + np.arange(end)
@@ -965,8 +936,7 @@ def _scan_targets(scan: _Scan, n: int, items, cap: float, radius: float = 0.0,
             closed_hi = max(closed_hi, float(bound[shut].max(initial=0.0)))
             open_hi = max(open_hi, float(bound[~shut].max(initial=0.0)))
             if opened is not None and not shut.all():
-                opened.append(block.take(done[~shut]) if lifted
-                              else block.take(done[~shut], bound[~shut]))
+                opened.append(block.take(done[~shut], bound[~shut]))
             if raised.any():
                 # the pass's last raise is the incumbent, and builds its witness
                 i = int(done[np.flatnonzero(raised)[-1]])
@@ -998,21 +968,22 @@ def _block_targets(data: _SetData) -> tuple[int, int]:
 
 def _blocks(data: _SetData, n: int, items):
     """The items of a scan, arrays of index rows of order-n targets and
-    `_LiftedBlock`s, as blocks for `_scan_targets`, in order: the rows are
-    sliced into unsolved `_Targets` of SIEVE_RUN rows on a set the sieve
-    solves, else of one kernel call's targets (`_block_targets`), the last
-    before a lifted block or the end shorter."""
+    valued `_Targets` (lifted children), as blocks for `_scan_targets`, in
+    order: the rows are sliced into unsolved `_Targets` of SIEVE_RUN rows
+    on a set the sieve solves, else of one kernel call's targets
+    (`_block_targets`), the last before a valued block or the end shorter."""
     size = SIEVE_RUN if data.line is not None else _block_targets(data)[0]
     rows = np.zeros((0, data.m), dtype=np.int64)
     for item in itertools.chain(items, [None]):
-        if isinstance(item, np.ndarray):
+        bare = isinstance(item, np.ndarray)
+        if bare:
             rows = np.concatenate([rows, item])
-        # whole blocks, and every row left before a lifted block or the end
-        cut = len(rows) - len(rows) % size if isinstance(item, np.ndarray) else len(rows)
+        # whole blocks, and every row left before a valued block or the end
+        cut = len(rows) - len(rows) % size if bare else len(rows)
         for start in range(0, cut, size):
             yield _Targets.empty(data, min(size, cut - start), n, rows[start:start + size])
         rows = rows[cut:]
-        if item is not None and not isinstance(item, np.ndarray):
+        if item is not None and not bare:
             yield item
 
 
@@ -1077,14 +1048,15 @@ def alpha(chars: CharacterSet, tol: float = DEFAULT_TOL, budget: int = DEFAULT_B
     by its certified maximum (`_cell_tops`) in place of value(t) + pi/n, so
     the upper end need not trail the lower one by pi/n.  A level holds its
     open cells as arrays (`_Cells`); the lifted children of a block of
-    parents are valued and bounded in one pass (`_children`) and decided
-    like solved targets by `_scan_targets`, with the decisions and charges
-    of a scan that takes them one at a time.  The upper end is the least, over completed levels,
-    of the largest bound over all cells.  Stops certified once the bracket
-    is tol wide, uncertified when the next level would pass max_order or
-    the budget runs out (see work.stop_reason); each work.ladder entry is
-    (n, lower, upper, level completed).  ValueError for max_order < 2,
-    which leaves no level to scan.
+    parents are valued and bounded in one pass (`_children`), each keeping
+    the lifts within LIFT_REACH radii of its value, and decided like solved
+    targets by `_scan_targets`, with the decisions and charges of a scan
+    that takes them one at a time.  The upper end is the least, over
+    completed levels, of the largest bound over all cells.  Stops certified
+    once the bracket is tol wide, uncertified when the next level would
+    pass max_order or the budget runs out (see work.stop_reason); each
+    work.ladder entry is (n, lower, upper, level completed).  ValueError
+    for max_order < 2, which leaves no level to scan.
     """
     if max_order < 2:
         raise ValueError("max_order must be >= 2")

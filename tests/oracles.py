@@ -6,8 +6,10 @@ lift enumeration (`lifts_within`), and a dense target grid.  The library is
 checked against these, never the other way around.  Four exceptions are
 exhaustive forms of faster library code (`vertex_systems_loop`,
 `min_error_box_full`, `separated_set_loop`, and `scan_targets_loop`, the
-outer scan one target at a time): they share its helpers, and the library
-must give their results bit for bit.  The arithmetic
+outer scan one target at a time over `_Targets` blocks and their flat
+lifts, each target solved by `solve_target`): they share its helpers, and
+the library must give their results bit for bit.  `row_lifts` reads one
+row's lifts out of the flat arrays the library keeps.  The arithmetic
 diagnostics (`quasi_direct_loop`, `quasi_mitm_loop`, `b2_loop`) are the
 scalar loops the library's integer-array forms must match in flag,
 witness, count, quadruple order and budget stops.
@@ -131,24 +133,49 @@ def scan_cells_loop(lowers, tops, costs, incumbent, used: int, limit: int, cap: 
     return out
 
 
+def row_lifts(lifts, i: int):
+    """Row i's (nu, vals) of flat lifts (row, nu, vals), as
+    `min_error_circle` returns them and `_Targets` keeps them (owner, nu,
+    vals); None when it has none."""
+    row, nu, vals = lifts
+    mine = row == i
+    return (nu[mine], vals[mine]) if mine.any() else None
+
+
+def solve_target(data, angles, grid, budget, lift_margin=None, cap=None):
+    """One target solved by `engine._solve_rows` on its own row, as a
+    one-target `_Targets`, and charged as a loop over targets charges it:
+    the row's charge, or, when the budget cannot pay it, one
+    `_block_targets` unit past the room left, which raises.  grid is (n,
+    indices) for a roots-grid target, else None; given a cap, a target the
+    sieve leaves above it stays unsolved (nan), charged."""
+    n, indices = grid or (None, None)
+    one = engine._solve_rows(data, np.asarray(angles, dtype=np.float64)[None], n,
+                             None if grid is None else np.array([indices], dtype=np.int64),
+                             budget.remaining, lift_margin, cap)
+    budget.charge(int(one.cost[0])
+                  or engine._past_room(budget.remaining, engine._block_targets(data)[1]))
+    return one
+
+
 def scan_targets_loop(scan, n: int, items, cap: float, radius: float = 0.0,
                       slack: float = 0.0, opened=None, lift_margin=None):
     """Reference for `engine._scan_targets`, with its arguments and results:
     the scan decided one target at a time, in order.
 
     On a set the sieve solves (`data.line`), a target is solved by
-    `engine._solve_target` under the threshold cap = the incumbent's lower
-    end + slack (no cap before the first incumbent), its charge paid or
-    the scan stopped; one it leaves unsolved is solved again without a cap,
-    charged again.  Otherwise `engine._solve_target` solves it, charging
-    its cost or stopping the scan.  Given lift_margin, a solved target is
-    charged the work of its cell's certified maximum (`engine._cell_tops`).
-    A cell of a lifted block is charged its cost.  Then the target raises
-    the incumbent if its lower end beats it, closes or opens by its top
-    (value + radius without lifts), and is counted: as pruned if its
-    threshold sieve solved it and it closes without raising the incumbent,
-    else as enumerated; the scan stops once the incumbent reaches cap - tol.
-    Solutions a block already carries are not read."""
+    `solve_target` under the threshold cap = the incumbent's lower end +
+    slack (no cap before the first incumbent), its charge paid or the scan
+    stopped; one it leaves unsolved is solved again without a cap, charged
+    again.  Otherwise `solve_target` solves it, charging its cost or
+    stopping the scan.  Given lift_margin, a solved target is charged the
+    work of its cell's certified maximum (`engine._cell_tops`).  A target
+    of a valued block (lifted children) is charged its cost.  Then the
+    target raises the incumbent if its lower end beats it, closes or opens
+    by its top (value + radius without lifts), and is counted: as pruned if
+    its threshold sieve solved it and it closes without raising the
+    incumbent, else as enumerated; the scan stops once the incumbent
+    reaches cap - tol.  Solutions a block already carries are not read."""
     data, budget, stats = scan.data, scan.budget, scan.stats
     closed_hi = open_hi = 0.0
     sieve = data.line is not None
@@ -157,37 +184,33 @@ def scan_targets_loop(scan, n: int, items, cap: float, radius: float = 0.0,
     except BudgetExceededError:
         return closed_hi, open_hi, "budget"
     for block in items:
-        lifted = isinstance(block, engine._LiftedBlock)
         for i, indices in enumerate(block.rows.tolist()):
+            grid = (n, indices)
             angles = np.array(indices, dtype=np.float64) * (TWO_PI / n)
             threshold = None
             try:
-                if lifted:
+                if block.valued:
                     budget.charge(int(block.cost[i]))
-                    cell = block.take(np.array([i]))
-                    lower, upper = float(block.lower[i]), float(cell.upper[0])
+                    one, at = block, i
+                    cell = block.take(np.array([i]), block.top[[i]])
                 else:
                     if sieve and scan.best is not None:
                         threshold = scan.best.lower + slack
-                    solved = engine._solve_target(data, angles, (n, tuple(indices)), budget,
-                                                  lift_margin, threshold)
-                    if math.isnan(solved[0]):
+                    one, at = solve_target(data, angles, grid, budget, lift_margin, threshold), 0
+                    if math.isnan(one.lower[0]):
                         threshold = None
-                        solved = engine._solve_target(data, angles, (n, tuple(indices)),
-                                                      budget, lift_margin)
-                    lower, upper, point, exact, lifts = solved
-                    cell = engine._Cells.of(np.array([indices]), np.array([upper]),
-                                            np.array([upper + radius]), [lifts])
+                        one = solve_target(data, angles, grid, budget, lift_margin)
+                    cell = one.take(np.array([0]), one.upper + radius)
                     if lift_margin is not None:
                         cell.top, work = engine._cell_tops(data, cell, n)
                         budget.charge(int(work[0]))
             except BudgetExceededError:
                 return closed_hi, open_hi, "budget"
+            lower = float(one.lower[at])
             raised = scan.best is None or lower > scan.best.lower
             if raised:
-                if lifted:
-                    point, exact = block.witness(data, n, i)
-                scan.best = engine._Incumbent(lower, n, tuple(indices), point, exact)
+                scan.best = engine._Incumbent(lower, n, tuple(indices),
+                                              *one.witness(data, n, at))
             bound = float(cell.top[0])
             shut = bound - scan.best.lower <= slack
             if shut and threshold is not None and not raised:

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import itertools
 import math
 import random
@@ -56,9 +57,11 @@ def bits(x):
 
 def solutions(data, solved):
     """`_Targets` as one ((lower, upper, point, exact, lifts), charge) pair
-    per target, None for a target left unsolved."""
+    per target, None for a target left unsolved; lifts as
+    `oracles.row_lifts` reads them."""
+    lifts = solved.owner, solved.nu, solved.vals
     return [None if math.isnan(lower) else (
-        (lower, solved.upper[i], *solved.witness(data, None, i), solved.lifts[i]),
+        (lower, solved.upper[i], *solved.witness(data, None, i), oracles.row_lifts(lifts, i)),
         int(solved.cost[i])) for i, lower in enumerate(solved.lower.tolist())]
 
 
@@ -75,10 +78,10 @@ def random_group_set(rng, group, zero=False):
 
 def circle_row(slopes, psi, **kw):
     """`min_error_circle` on one row of target angles: (theta, lower, upper)
-    as floats, and the row's lifts given lift_margin."""
+    as floats, and the row's lifts given lift_margin (`oracles.row_lifts`)."""
     theta, lower, upper, *lifts = min_error_circle(slopes, psi[None], **kw)
     row = float(theta[0]), float(lower[0]), float(upper[0])
-    return (*row, lifts[0][0]) if lifts else row
+    return (*row, oracles.row_lifts(lifts[0], 0)) if lifts else row
 
 
 def row_cost(free):
@@ -244,6 +247,39 @@ class TestBestPoint:
         assert bracket.lower <= math.pi / 3 <= bracket.upper <= math.pi / 3 + 1e-12
         assert approx_error(E, phi, point) == pytest.approx(bracket.upper, abs=1e-12)
 
+    @pytest.mark.parametrize("spec, grid, path", [
+        ("Z12 : [1],[5],[8]", (6, (1, 5, 2)), "torsion grid"),
+        ("Z12 : [1],[5],[8]", None, "torsion off-grid"),
+        ("Z x Z2 : [1,0],[3,1],[-4,1]", None, "sieve"),
+        ("Z^2 : [1,0],[0,1],[1,2],[2,-1]", None, "vertex kernel"),
+    ], ids=lambda v: v if isinstance(v, str) else None)
+    def test_budget_boundary_on_each_solve_path(self, spec, grid, path):
+        # a budget equal to the charge pays for the solve, one unit less
+        # stops it: the charge is the reference loop's on the torsion grid
+        # (the selections up to the first zero error), m per selection off
+        # it, a unit per selection on a free part, and the vertex systems
+        # up front at r' = 2
+        E = parse_set_spec(spec)[1]
+        data = engine._set_data(E)
+        phi = (TargetMap.from_angles(E, [0.3, 2.2, 4.1, 5.0][:len(E)]) if grid is None
+               else TargetMap.from_grid(E, *grid))
+        if grid is not None:
+            _, args = TestTorsionTable.solve(data, grid[0], [grid[1]], 10**9)
+            ref = Budget(10**9)
+            oracles.torsion_units_loop(*args[0], itertools.product(*map(range, data.orders)),
+                                       ref)
+            charge = ref.used
+            assert charge < data.m * data.selection_count
+        else:
+            unit = engine._block_targets(data)[1]
+            charge = data.selection_count * unit
+            if path == "vertex kernel":
+                charge += _minimax.subset_count(data.free_key)
+        want = best_point(E, phi)
+        assert best_point(E, phi, budget=charge) == want
+        with pytest.raises(BudgetExceededError):
+            best_point(E, phi, budget=charge - 1)
+
 
 class TestTorsionTable:
     """The selection-table solve against the exhaustive oracle and against
@@ -323,7 +359,7 @@ class TestTorsionTable:
                     scan, ref = Budget(limit), Budget(limit)
                     with pytest.raises(BudgetExceededError):
                         for idx in rows:
-                            engine._solve_target(data, np.array(idx) * (TWO_PI / n), (n, idx),
+                            oracles.solve_target(data, np.array(idx) * (TWO_PI / n), (n, idx),
                                                  scan)
                     with pytest.raises(BudgetExceededError):
                         for arg in args:
@@ -486,6 +522,26 @@ class TestAlphaN:
                          seed_targets=[full.worst_target.grid_indices])
         assert seeded.alpha.lower >= full.alpha.lower - 1e-12
 
+    def test_exact_lower_ends_follow_the_torsion_rule(self):
+        # a purely torsion bracket with exact_turns p/q has both ends at
+        # 2 pi p / q in lowest terms (`groups.torsion_angles`), bit for bit:
+        # a half turn is pi and a quarter turn pi/2 whatever the modulus
+        rng = random.Random(337)
+        cases = [(parse_set_spec(spec)[1], n) for spec, n in [
+            ("Z30 : [0],[15]", 2), ("Z22 : [1],[11]", 4), ("Z99 : [46],[53],[69],[89]", 5)]]
+        for _ in range(16):
+            g = rng.choice([GroupSpec(0, (rng.randint(6, 120),)),
+                            GroupSpec(0, (rng.choice((3, 5, 7)),) * 2)])
+            cases.append((random_group_set(rng, g), rng.choice((2, 3, 4, 5, 6, 8))))
+        results = [alpha_n(E, n) for E, n in cases]
+        assert results[0].alpha.lower == math.pi and results[1].alpha.lower == math.pi / 2
+        exact = [res for res in results if res.alpha.exact_turns is not None]
+        for res in exact:
+            turns = res.alpha.exact_turns
+            value = TWO_PI * turns.numerator / turns.denominator
+            assert res.alpha.lower == res.alpha.upper == value, (res.chars, res.roots_order)
+        assert len(exact) >= 15, len(exact)
+
     def test_invalid_order(self):
         with pytest.raises(ValueError):
             alpha_n(CharacterSet.of_integers([1]), 1)
@@ -630,10 +686,11 @@ class TestScanBlocks:
                 attained = approx_error(E, TargetMap.from_angles(E, a), point)
                 assert attained == pytest.approx(up, abs=1e-12) and exact is None
                 # and are a one-target solve's, bit for bit
-                one = engine._solve_target(data, a, None, Budget(10**9), margin)
+                one = oracles.solve_target(data, a, None, Budget(10**9), margin)
+                one_point = one.witness(data, None, 0)[0]
                 assert bits([lo, up, *point.torus_angles]) == bits(
-                    [one[0], one[1], *one[2].torus_angles]), (E, run)
-                assert point == one[2]
+                    [one.lower[0], one.upper[0], *one_point.torus_angles]), (E, run)
+                assert point == one_point
                 # each row's lifts are those of a one-row call
                 row_lifts = None if margin is None else circle_row(
                     data.line, a, lift_margin=margin)[3]
@@ -652,7 +709,7 @@ class TestScanBlocks:
             short, ref = Budget(limit), Budget(limit)
             with pytest.raises(BudgetExceededError):
                 for a in angles:
-                    engine._solve_target(data, a, None, short, margin)
+                    oracles.solve_target(data, a, None, short, margin)
             with pytest.raises(BudgetExceededError):
                 for a in angles:
                     self.reference(E, a, ref)
@@ -732,17 +789,18 @@ class TestDecisionPass:
     one at a time."""
 
     @staticmethod
-    def split(rng, block, data, n):
-        """A block cut into up to four random runs, in order."""
+    def split(rng, block):
+        """A block cut into up to four random runs, in order, each target
+        with its solution, top and lifts."""
         k = len(block.rows)
         cuts = sorted(rng.sample(range(1, k), rng.randint(0, min(3, k - 1))))
         for start, stop in zip([0] + cuts, cuts + [k]):
-            if isinstance(block, engine._LiftedBlock):
-                at = np.arange(start, stop)
-                yield engine._LiftedBlock(block.cells.take(at), block.lower[at],
-                                          block.cost[at], block.cut[at])
-            else:
-                yield engine._Targets.empty(data, stop - start, n, block.rows[start:stop])
+            mine = (block.owner >= start) & (block.owner < stop)
+            yield dataclasses.replace(
+                block, owner=block.owner[mine] - start, nu=block.nu[mine],
+                vals=block.vals[mine], top=None if block.top is None else block.top[start:stop],
+                **{name: getattr(block, name)[start:stop]
+                   for name in ("rows", "lower", "upper", "cost", "theta", "sel", "exact")})
 
     def test_scans_match_the_reference_loop(self, monkeypatch):
         rng = random.Random(1601)
@@ -754,7 +812,7 @@ class TestDecisionPass:
             # before the last one the scan takes
             read.clear()
             for block in blocks(data, n, items):
-                for part in self.split(rng, block, data, n):
+                for part in self.split(rng, block):
                     read.append(len(part.rows))
                     yield part
 
@@ -1351,8 +1409,9 @@ class TestCircleKernel:
 
     @staticmethod
     def check_selections(rng, E, angles):
-        """`_solve_target` on free rank 1 plus torsion against the loop over
-        selections: brackets, witness and charges, in full and cut short."""
+        """A one-target solve (`oracles.solve_target`) on free rank 1 plus
+        torsion against the loop over selections: brackets, witness and
+        charges, in full and cut short."""
         orders = E.group.torsion_orders
         slopes = np.array([c.free_coords[0] for c in E])
         tau = np.array([[TWO_PI * t / m for t, m in zip(c.torsion_coords, orders)] for c in E])
@@ -1363,7 +1422,8 @@ class TestCircleKernel:
                 slopes, tau, angles, itertools.product(*map(range, orders)), budget)
 
         full, ref = Budget(10**9), Budget(10**9)
-        lower, upper, point, _, _ = engine._solve_target(data, angles, None, full)
+        one = oracles.solve_target(data, angles, None, full)
+        lower, upper, point = one.lower[0], one.upper[0], one.witness(data, None, 0)[0]
         ref_lower, ref_upper, theta, sel = reference(ref)
         slack = _minimax.circle_slack(slopes)
         assert lower <= ref_upper + 1e-12 and ref_upper - 1e-12 <= upper <= ref_upper + slack, (
@@ -1381,7 +1441,7 @@ class TestCircleKernel:
         limit = rng.randrange(full.used)
         short, ref = Budget(limit), Budget(limit)
         with pytest.raises(BudgetExceededError):
-            engine._solve_target(data, angles, None, short)
+            oracles.solve_target(data, angles, None, short)
         with pytest.raises(BudgetExceededError):
             reference(ref)
         assert short.used == ref.used
@@ -1545,8 +1605,8 @@ class TestTorusVertices:
                 E = self.random_set(rng, g, kind)
                 data = engine._SetData(E)
                 angles = TestCircleKernel.random_angles(rng, len(E))
-                lower, upper, point, _, _ = engine._solve_target(data, angles, None,
-                                                                 Budget(10**9))
+                one = oracles.solve_target(data, angles, None, Budget(10**9))
+                lower, upper, point = one.lower[0], one.upper[0], one.witness(data, None, 0)[0]
                 want, slack = math.inf, 0.0
                 for sel in itertools.product(*map(range, g.torsion_orders)):
                     psi = angles - (oracles.torsion_args(E, sel) if data.s else 0.0)
@@ -1672,11 +1732,15 @@ class TestLifts:
         assert res.alpha.width <= 1e-3
 
     def test_lifts_are_sorted_distinct_rows_with_their_least_values(self, monkeypatch):
-        # `_minimax._lift_classes` on lift vectors with repeats, in and across
-        # classes, and tied values; the reference: np.unique over the
-        # canonical rows, least value per row
+        # `_minimax._lift_classes` on lift vectors of three rows with
+        # repeats, in and across classes, and tied values; the reference,
+        # row by row: np.unique over the canonical rows, least value per
+        # row.  The flat result is ordered by row, and a row whose cut
+        # reaches pi - LIFT_EPS keeps none
         def unique_lifts(slopes, nu, vals, cut):
             near = vals <= cut + _minimax.LIFT_EPS
+            if not near.any():
+                return nu[:0], vals[:0]
             nu = nu[near]
             j0 = int(np.flatnonzero(slopes)[0])
             nu = nu - (nu[:, j0] // slopes[j0])[:, None] * slopes[None, :]
@@ -1693,19 +1757,20 @@ class TestLifts:
             # candidates on a coarse grid repeat lifts; values with ties
             cands = np.array([rng.randrange(24) * TWO_PI / 24 for _ in range(rng.randint(1, 40))])
             vals = np.array([rng.choice([0.1, 0.2, 0.3, rng.uniform(0, 1)]) for _ in cands])
-            cut = rng.choice([0.15, 0.5, 1.0])
+            cuts = np.array([rng.choice([0.15, 0.5, 1.0]) for _ in range(2)] + [math.pi])
             nu = np.rint((slopes[None, :] * cands[:, None] - psi[None, :]) / TWO_PI).astype(np.int64)
             # the same classes again, moved by multiples of the slopes
             nu[::3] += rng.randint(-2, 2) * slopes
-            got = _minimax._lift_classes(slopes, np.zeros(len(nu), dtype=np.int64), nu.copy(),
-                                         vals, np.array([cut]))[0]
-            if got is None:
-                continue
-            want = unique_lifts(slopes, nu, vals, cut)
-            assert np.array_equal(got[0], want[0]) and got[0].dtype == want[0].dtype
-            assert np.array_equal(got[1], want[1])
-            checked += 1
-        assert checked > 100
+            row = np.array([rng.randrange(3) for _ in cands])
+            got = _minimax._lift_classes(slopes, row, nu.copy(), vals, cuts)
+            assert (np.diff(got[0]) >= 0).all() and (got[0] != 2).all()
+            for r in (0, 1):
+                want = unique_lifts(slopes, nu[row == r], vals[row == r], cuts[r])
+                mine = got[0] == r
+                assert np.array_equal(got[1][mine], want[0]) and got[1].dtype == want[0].dtype
+                assert np.array_equal(got[2][mine], want[1])
+                checked += len(want[1]) > 0
+        assert checked > 150
 
 
 def lift_classes(slopes, nu) -> set:
@@ -1742,8 +1807,9 @@ class TestCellMaxima:
     def tops(slopes, n, row, lifts, upper):
         """(top, work) of the one cell from `engine._cell_tops`."""
         data = engine._set_data(CharacterSet.of_integers(slopes.tolist()))
-        cell = engine._Cells.of(row[None], np.array([upper]), np.array([upper + math.pi / n]),
-                                [lifts])
+        nu, vals = lifts
+        cell = engine._Cells(row[None], np.array([upper]), np.array([upper + math.pi / n]),
+                             np.array([len(vals)]), nu, vals)
         top, work = engine._cell_tops(data, cell, n)
         return float(top[0]), int(work[0])
 
@@ -1796,6 +1862,49 @@ class TestCellMaxima:
             assert self.tops(slopes, n, row, (nu, vals), upper) == (upper + math.pi / n, 0)
             checked += 1
         assert checked > 10
+
+    def test_children_keep_the_lifts_their_certificates_read(self):
+        # a lifted child keeps only the lifts within LIFT_REACH radii of its
+        # value: `_cell_tops` on those gives the top and work, bit for bit,
+        # of `_cell_tops` on every lift of its parent moved to the child,
+        # and the child's charge still counts every parent lift read
+        rng = random.Random(271)
+        checked = dropped = 0
+        for _ in range(40):
+            E = CharacterSet.of_integers(rng.sample(range(-9, 10), rng.randint(2, 3)))
+            data = engine._set_data(E)
+            n = rng.choice([8, 16, 32])
+            radius = math.pi / n
+            row = np.array([rng.randrange(n // 2) for _ in E])
+            _, _, upper, lifts = circle_row(data.line, row * (TWO_PI / (n // 2)),
+                                            lift_margin=engine.LIFT_REACH * 2 * radius)
+            if lifts is None:
+                continue
+            nu, vals = lifts
+            parent = engine._Cells(row[None], np.array([upper]), np.array([upper + 2 * radius]),
+                                   np.array([len(vals)]), nu, vals)
+            (block,) = engine._children(data, parent, engine._shift_basis(data, n), n,
+                                        np.zeros(0, dtype=np.int64))
+            assert block.valued
+            # every parent lift moved to each child, with its value there
+            raw = 2 * row + (block.rows - 2 * row + 1) % n - 1
+            every = line_distances(data.line, (raw * (TWO_PI / n))[:, None] + TWO_PI * nu)
+            k = len(block.rows)
+            top = block.upper + radius
+            full = engine._Cells(block.rows, block.upper, top, np.full(k, len(nu)),
+                                 (nu + (raw // n)[:, None]).reshape(-1, len(E)), every.ravel())
+            kept = block.take(np.arange(k), top)
+            want, got = engine._cell_tops(data, full, n), engine._cell_tops(data, kept, n)
+            assert bits(got[0]) == bits(want[0]) == bits(block.top), (E, n, row)
+            assert got[1].tolist() == want[1].tolist(), (E, n, row)
+            terms = _minimax.line_term_count(data.line)
+            assert block.cost.tolist() == (len(nu) * terms + want[1]).tolist()
+            near = every <= (every.min(axis=1) + engine.LIFT_REACH * radius
+                             + _minimax.LIFT_EPS)[:, None]
+            assert kept.count.tolist() == near.sum(axis=1).tolist()
+            dropped += int((kept.count < len(nu)).sum())
+            checked += k
+        assert checked > 100 and dropped > 20, (checked, dropped)
 
     def test_open_cells_keep_every_lift_within_two_radii(self, monkeypatch):
         # each open cell's lifts hold every lift class within two radii of
@@ -1851,12 +1960,12 @@ class TestLiftedBlocks:
     N, RADIUS, SLACK, TOL = 16, math.pi / 16, 0.05, 5e-4
 
     @staticmethod
-    def block(rng, m, k, uniform):
-        """A random block of k lifted cells of order N with distinct rows,
-        lower ends drawn from three values (so ties are common), tops
+    def block(rng, data, k, uniform):
+        """A random valued block of k lifted cells of order N with distinct
+        rows, lower ends drawn from three values (so ties are common), tops
         between the upper end and the upper end plus the radius, uniform or
         mixed costs, and 1-3 lifts a cell, the least at the cell's value."""
-        n = TestLiftedBlocks.N
+        n, m = TestLiftedBlocks.N, data.m
         rows = rng.sample(list(itertools.product(range(n), repeat=m)), k)
         levels = sorted(rng.uniform(0.2, 1.0) for _ in range(3))
         lower = np.array([rng.choice(levels) for _ in range(k)])
@@ -1867,24 +1976,23 @@ class TestLiftedBlocks:
         count = np.array([rng.randint(1, 3) for _ in range(k)])
         vals = []
         for value, c in zip(lower, count):
-            cell = [value] + [value + rng.choice([0.1, 0.3, 0.6]) for _ in range(c - 1)]
+            cell = [value] + [value + rng.choice([0.1, 0.3]) for _ in range(c - 1)]
             rng.shuffle(cell)
             vals += cell
         nu = np.array([[rng.randint(-2, 2) for _ in range(m)] for _ in vals], dtype=np.int64)
         top = upper + np.array([rng.choice([TestLiftedBlocks.RADIUS, rng.uniform(0, 0.2)])
                                 for _ in range(k)])
-        cells = engine._Cells(np.array(rows, dtype=np.int64), upper, top, count, nu,
-                              np.array(vals))
-        return engine._LiftedBlock(cells, lower, cost, lower + 0.35)
+        block = engine._Targets.empty(data, k, n, np.array(rows, dtype=np.int64))
+        block.lower[:], block.upper[:], block.cost[:] = lower, upper, cost
+        block.add_lifts(np.repeat(np.arange(k), count), nu, np.array(vals))
+        block.top, block.valued = top, True
+        return block
 
     @staticmethod
     def kept_lifts(block, i):
-        """Cell i's lifts of value at most its cut, read one by one."""
-        start = int(block.cells.count[:i].sum())
-        lifts = [(tuple(nu), v) for nu, v in zip(
-            block.cells.nu[start:start + block.cells.count[i]].tolist(),
-            block.cells.vals[start:start + block.cells.count[i]].tolist())]
-        return [lift for lift in lifts if lift[1] <= block.cut[i]]
+        """Cell i's lifts, read one by one."""
+        return [(tuple(nu), v) for nu, v, owner in zip(
+            block.nu.tolist(), block.vals.tolist(), block.owner.tolist()) if owner == i]
 
     def test_block_decisions_match_the_cell_loop(self, monkeypatch):
         rng = random.Random(233)
@@ -1900,7 +2008,7 @@ class TestLiftedBlocks:
         seen = set()
         for trial in range(48):
             k = rng.randint(1, 9)
-            base = self.block(rng, data.m, k, uniform=trial % 2 == 0)
+            base = self.block(rng, data, k, uniform=trial % 2 == 0)
             prior = None if trial % 3 == 0 else rng.choice(
                 [0.1, float(base.lower.min()), float(np.median(base.lower)), 2.0])
             # the incumbent never reaches the cap, or first does at the first,
@@ -1909,7 +2017,7 @@ class TestLiftedBlocks:
             for j in sorted({0, k // 2, k - 1}):
                 lower = base.lower.copy()
                 lower[j] = max(float(lower.max()), prior or 0.0) + 0.1
-                variants.append((engine._LiftedBlock(base.cells, lower, base.cost, base.cut),
+                variants.append((dataclasses.replace(base, lower=lower),
                                  float(lower[j]) + self.TOL, j))
             for block, cap, hit in variants:
                 spent = np.cumsum(block.cost)
@@ -1920,7 +2028,7 @@ class TestLiftedBlocks:
                 for limit in limits:
                     self.check(data, block, prior, used, limit, cap, made)
                     want = oracles.scan_cells_loop(
-                        block.lower.tolist(), block.cells.top.tolist(), block.cost.tolist(),
+                        block.lower.tolist(), block.top.tolist(), block.cost.tolist(),
                         prior, used, limit, cap, self.TOL, self.SLACK)
                     stop = want["enumerated"] - (want["status"] == "capped")
                     seen.add((want["status"], stop, hit))
@@ -1941,18 +2049,18 @@ class TestLiftedBlocks:
         opened = []
         got = engine._scan_targets(scan, n, iter([block]), cap, self.RADIUS, self.SLACK, opened)
         want = oracles.scan_cells_loop(
-            block.lower.tolist(), block.cells.top.tolist(), block.cost.tolist(), prior,
+            block.lower.tolist(), block.top.tolist(), block.cost.tolist(), prior,
             used, limit, cap, self.TOL, self.SLACK)
         case = (block, prior, used, limit, cap)
         assert got == (want["closed_hi"], want["open_hi"], want["status"]), case
         assert scan.budget.used == want["used"], case
         assert scan.stats.targets_enumerated == want["enumerated"], case
-        rows = block.cells.rows.tolist()
+        rows = block.rows.tolist()
         # the block is decided in one pass: only the loop's last incumbent
         # is made, with its witness
         assert [(c.indices, c.lower, c.order) for c in made] == [
             (tuple(rows[i]), block.lower[i], n) for i in want["incumbents"][-1:]], case
-        # the incumbent's witness attains its least kept lift
+        # the incumbent's witness attains its least lift
         for c, i in zip(made, want["incumbents"][-1:]):
             nu, vals = zip(*self.kept_lifts(block, i))
             angles = np.array(rows[i], dtype=np.float64) * (TWO_PI / n)
@@ -1961,8 +2069,8 @@ class TestLiftedBlocks:
         assert scan.best is (made[-1] if made else scan.best)
         cells = engine._Cells.gather(opened, m)
         assert cells.rows.tolist() == [rows[i] for i in want["opened"]], case
-        assert cells.upper.tolist() == [block.cells.upper[i] for i in want["opened"]]
-        assert cells.top.tolist() == [block.cells.top[i] for i in want["opened"]]
+        assert cells.upper.tolist() == [block.upper[i] for i in want["opened"]]
+        assert cells.top.tolist() == [block.top[i] for i in want["opened"]]
         lifts = [(tuple(nu), v) for nu, v in zip(cells.nu.tolist(), cells.vals.tolist())]
         assert lifts == [lift for i in want["opened"] for lift in self.kept_lifts(block, i)]
         assert cells.count.tolist() == [len(self.kept_lifts(block, i)) for i in want["opened"]]
@@ -2013,7 +2121,7 @@ class TestLiftedBlocks:
             patch.setattr(engine, "_blocks", spy)
             res = alpha(E, tol=1e-3, budget=budget)
         # the budget ran out inside a block of lifted cells, not at its edge
-        assert isinstance(blocks[-1], engine._LiftedBlock) and len(blocks[-1].lower) > 1
+        assert blocks[-1].valued and len(blocks[-1].lower) > 1
         done = self.LADDERS[elements][:levels]
         upper = done[-1][2]
         ladder = tuple((n, lo, up, True) for n, lo, up in done)

@@ -57,11 +57,13 @@ def assert_sieved(slopes, psi, lift_margin=None):
         assert abs(at - upper[i]) <= 1e-12, case
         if lift_margin is None:
             continue
+        # the flat lifts go row by row
+        assert (np.diff(lifts[0][0]) >= 0).all(), case
         cut = upper[i] + lift_margin
         if not slopes.any() or cut >= math.pi - _minimax.LIFT_EPS:
-            assert lifts[0][i] is None, case
+            assert oracles.row_lifts(lifts[0], i) is None, case
             continue
-        nu, vals = lifts[0][i]
+        nu, vals = oracles.row_lifts(lifts[0], i)
         assert [tuple(v) for v in nu.tolist()] == sorted(map(tuple, nu.tolist()))
         found = dict(zip(map(tuple, nu.tolist()), vals.tolist()))
         # classes within 1e-9 of the cut may fall either side of it
@@ -198,12 +200,15 @@ class TestSieve:
                 got = min_error_circle(slopes, psi[i:i + 1], cap=value, lift_margin=lift_margin)
                 if full[1][i] <= value:
                     assert bits([g[0] for g in got[:3]]).tolist() == bits([f[i] for f in full[:3]]).tolist()
-                    if lift_margin is not None and full[3][i] is not None:
-                        assert np.array_equal(got[3][0][0], full[3][i][0])
-                        assert np.array_equal(bits(got[3][0][1]), bits(full[3][i][1]))
+                    if lift_margin is not None:
+                        want, lifts = oracles.row_lifts(full[3], i), oracles.row_lifts(got[3], 0)
+                        assert (want is None) == (lifts is None)
+                        if want is not None:
+                            assert np.array_equal(lifts[0], want[0])
+                            assert np.array_equal(bits(lifts[1]), bits(want[1]))
                 else:
                     assert np.isnan(got[0][0]) and got[1][0] == got[2][0] == math.inf
-                    assert lift_margin is None or got[3][0] is None
+                    assert lift_margin is None or not len(got[3][0])
 
     def test_random_slopes_under_caps(self):
         # zeros, negatives and repeated slopes in [-12, 12]
@@ -247,7 +252,8 @@ class TestSieve:
         rng = random.Random(643)
         for _ in range(10):
             angles = random_angles(rng, 1, len(E))[0]
-            lower, upper, point, _, _ = engine._solve_target(data, angles, None, Budget(10**9))
+            one = oracles.solve_target(data, angles, None, Budget(10**9))
+            lower, upper, point = one.lower[0], one.upper[0], one.witness(data, None, 0)[0]
             value = oracles.min_error_breakpoints(data.line.tolist(), angles.tolist())[1]
             assert lower <= value + 1e-12 <= upper + 2e-12
             assert upper <= value + _minimax.circle_slack(data.line)
@@ -315,8 +321,8 @@ class TestTentKinks:
                                + TWO_PI * sum(t * x / m for t, x, m in
                                               zip(c.torsion_coords, sel, E.group.torsion_orders))
                                for c in E]) % TWO_PI
-            lower, upper, *_ = engine._solve_target(data, angles, None, Budget(10**9))
-            assert lower == 0.0 and upper <= slack, (spec, angles.tolist())
+            one = oracles.solve_target(data, angles, None, Budget(10**9))
+            assert one.lower[0] == 0.0 and one.upper[0] <= slack, (spec, angles.tolist())
 
     def test_one_nonzero_slope_keeps_its_kinks(self):
         # 0 and the 2|a| kinks, whose targets are every angle
